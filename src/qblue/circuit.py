@@ -3,6 +3,10 @@
 Supported gates: h, s, sdg, cx, rx, ry, rz (half-angle rotation convention,
 e.g. rz(t) = diag(e^{-it/2}, e^{it/2})).  Circuits convert to dense
 unitaries for verification and serialize to a line-oriented text format.
+The unitary is built by applying each gate in place to the identity, viewed
+with one axis per qubit: a single-qubit gate is a 2x2 product on its axis
+and CX swaps two quarter slices, so a gate costs O(4^n) time and no gate is
+ever formed as a 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -106,41 +110,38 @@ class Circuit:
         return len(self.gates)
 
 
-def _embed_single(mat, q, width):
-    out = np.ones((1, 1), dtype=complex)
-    for i in range(width):
-        out = np.kron(out, mat if i == q else np.eye(2))
-    return out
-
-
-def _cx_matrix(control, target, width):
-    dim = 2 ** width
-    m = np.zeros((dim, dim), dtype=complex)
-    cbit = width - 1 - control
-    tbit = width - 1 - target
-    for i in range(dim):
-        j = i ^ (1 << tbit) if (i >> cbit) & 1 else i
-        m[j, i] = 1
-    return m
-
-
-def gate_matrix(g: Gate, width: int) -> np.ndarray:
-    if g.name == "cx":
-        return _cx_matrix(g.qubits[0], g.qubits[1], width)
-    single = {"h": _H, "s": _S, "sdg": _SDG}.get(g.name)
-    if single is None:
-        single = {"rx": _rx, "ry": _ry, "rz": _rz}[g.name](g.angle)
-    return _embed_single(single, g.qubits[0], width)
+def _single_matrix(g: Gate) -> np.ndarray:
+    fixed = {"h": _H, "s": _S, "sdg": _SDG}.get(g.name)
+    if fixed is not None:
+        return fixed
+    return {"rx": _rx, "ry": _ry, "rz": _rz}[g.name](g.angle)
 
 
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
-    """Product of the gate matrices in application order, times the phase."""
+    """Product of the gate matrices in application order, times the phase.
+
+    Each gate acts in place on the rows of the running unitary, never as a
+    2^n x 2^n matrix: a single-qubit gate is a 2x2 product on that qubit's
+    row axis, and CX swaps the target halves inside the control = 1 rows.
+    """
     if c.width > WIDTH_CAP:
         raise DimensionCapError(f"width {c.width} exceeds cap {WIDTH_CAP}")
-    u = np.eye(2 ** c.width, dtype=complex)
+    n = c.width
+    dim = 2 ** n
+    # row index bits, qubit 0 most significant, then the column index
+    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g in c.gates:
-        u = gate_matrix(g, c.width) @ u
-    return np.exp(1j * c.global_phase) * u
+        if g.name == "cx":
+            control, target = g.qubits
+            lo = [slice(None)] * n
+            lo[control], lo[target] = 1, 0
+            hi = lo[:target] + [1] + lo[target + 1:]
+            lo, hi = tuple(lo), tuple(hi)
+            u[lo], u[hi] = u[hi], u[lo].copy()
+        else:
+            q = g.qubits[0]
+            u = (_single_matrix(g) @ u.reshape(2 ** q, 2, -1)).reshape(u.shape)
+    return np.exp(1j * c.global_phase) * u.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

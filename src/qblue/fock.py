@@ -220,7 +220,8 @@ def expectation(e: HamExpr, s: FockState) -> float:
         raise NonHermitianError(
             "expectation requires a Hermitian operator (flag h), got flag p")
     val = inner_product(s, apply(e, s)) / (s.norm() ** 2)
-    assert abs(val.imag) < 1e-10, f"imaginary residue {val.imag} in expectation"
+    if not abs(val.imag) < 1e-10:
+        raise ValueError(f"imaginary residue {val.imag} in expectation")
     return val.real
 
 

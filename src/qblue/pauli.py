@@ -3,6 +3,9 @@
 A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
 pruned below 1e-14.  This is the compiler's intermediate representation.
+Its dense matrix writes each string as the signed permutation it is, one
+nonzero per column from the string's X/Z bit masks, so a sum of T terms
+on n qubits costs O(T 2^n) on top of the 4^n zero fill.
 """
 
 from __future__ import annotations
@@ -31,14 +34,6 @@ _PRODUCT[("Y", "Z")] = (1j, "X")
 _PRODUCT[("Z", "Y")] = (-1j, "X")
 _PRODUCT[("Z", "X")] = (1j, "Y")
 _PRODUCT[("X", "Z")] = (-1j, "Y")
-
-_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 def multiply_terms(t1, t2):
     """Product of two (coeff, string) terms with accumulated phase."""
@@ -135,17 +130,38 @@ def is_hermitian_pauli(p: PauliSum) -> bool:
     return all(abs(c.imag) < HERMITIAN_IM_TOL for c, _ in p.terms)
 
 
+def _parity(v: np.ndarray, bits: int) -> np.ndarray:
+    """Parity of the set bits of each entry (entries below 2**bits)."""
+    shift = 1
+    while shift < bits:
+        v = v ^ (v >> shift)
+        shift *= 2
+    return v & 1
+
+
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_I_POWERS = (1, 1j, -1, -1j)
+
+
 def pauli_to_matrix(p: PauliSum) -> np.ndarray:
+    """Dense matrix of the sum, qubit 0 the most significant index bit.
+
+    A string is the signed permutation i^(#Y) X^x Z^z, with x marking its X/Y
+    letters and z its Z/Y letters: column j holds i^(#Y) (-1)^|j & z| in
+    row j ^ x.  Each term costs O(2^n), with no Kronecker product.
+    """
     if p.qubits > MATRIX_QUBIT_CAP:
         raise DimensionCapError(
             f"{p.qubits} qubits exceeds the {MATRIX_QUBIT_CAP}-qubit cap")
     dim = 2 ** p.qubits
+    cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for c, s in p.terms:
-        m = np.ones((1, 1), dtype=complex)
-        for letter in s:
-            m = np.kron(m, _MATS[letter])
-        out += c * m
+        x = int("0" + s.translate(_X_BITS), 2)
+        z = int("0" + s.translate(_Z_BITS), 2)
+        phase = c * _I_POWERS[s.count("Y") % 4]
+        out[cols ^ x, cols] += phase * (1 - 2 * _parity(cols & z, p.qubits))
     return out
 
 

@@ -51,6 +51,61 @@ def jw_ladder(kind, j, n):
     return kron_all(*mats)
 
 
+def jw_embedded(op, j, dims, fermionic):
+    """Odd operator op at site j with a Z on every fermionic site before j
+    and identities elsewhere; fermionic[i] marks the fermionic sites."""
+    mats = [Z if fermionic[i] and i < j else np.eye(d, dtype=complex)
+            for i, d in enumerate(dims)]
+    mats[j] = op
+    return kron_all(*mats)
+
+
+# ---------------------------------------------------------------------------
+# Gates, from their definitions; qubit 0 is the most significant index bit
+# ---------------------------------------------------------------------------
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+S_GATE = np.diag([1, 1j])
+SDG_GATE = np.diag([1, -1j])
+
+
+def rotation(axis, angle):
+    """exp(-i (angle/2) P) = cos(angle/2) I - i sin(angle/2) P."""
+    return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * PAULI[axis]
+
+
+def cx_on(control, target, n):
+    """CX by its basis map |..c..t..> -> |..c..(t xor c)..>."""
+    dim = 2 ** n
+    m = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        bits = [(j >> (n - 1 - q)) & 1 for q in range(n)]
+        bits[target] ^= bits[control]
+        i = int("".join(str(b) for b in bits), 2)
+        m[i, j] = 1
+    return m
+
+
+def gate_on(name, qubits, angle, n):
+    """n-qubit matrix of one gate, named as in the circuit text format."""
+    if name == "cx":
+        return cx_on(qubits[0], qubits[1], n)
+    if name in ("rx", "ry", "rz"):
+        single = rotation(name[1].upper(), angle)
+    else:
+        single = {"h": HADAMARD, "s": S_GATE, "sdg": SDG_GATE}[name]
+    return embedded(single, qubits[0], [2] * n)
+
+
+def circuit_unitary(gates, n, phase=0.0):
+    """e^{i phase} times the gate product; gates are (name, qubits, angle)
+    triples in application order."""
+    u = np.eye(2 ** n, dtype=complex)
+    for name, qubits, angle in gates:
+        u = gate_on(name, qubits, angle, n) @ u
+    return np.exp(1j * phase) * u
+
+
 def expval(m, vec):
     vec = np.asarray(vec, dtype=complex)
     return (vec.conj() @ (m @ vec)) / (vec.conj() @ vec)

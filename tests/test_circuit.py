@@ -1,0 +1,76 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from qblue.circuit import (
+    GATE_NAMES, Circuit, Gate, circuit_to_matrix, format_circuit,
+    parse_circuit,
+)
+from qblue.errors import DimensionCapError
+
+import oracle
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def circuits(draw):
+    width = draw(st.integers(1, 5))
+    names = [g for g in GATE_NAMES if g != "cx" or width > 1]
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        name = draw(st.sampled_from(names))
+        if name == "cx":
+            control, target = draw(st.permutations(range(width)))[:2]
+            gates.append(Gate("cx", (control, target)))
+        elif name in ("rx", "ry", "rz"):
+            gates.append(Gate(name, (draw(st.integers(0, width - 1)),),
+                              draw(ANGLES)))
+        else:
+            gates.append(Gate(name, (draw(st.integers(0, width - 1)),)))
+    phase = draw(st.floats(-math.pi, math.pi).filter(lambda p: p != 0))
+    return Circuit(width, tuple(gates), phase)
+
+
+def reference(c: Circuit) -> np.ndarray:
+    gates = [(g.name, g.qubits, g.angle) for g in c.gates]
+    return oracle.circuit_unitary(gates, c.width, c.global_phase)
+
+
+@given(circuits())
+def test_circuit_matrix_matches_oracle(c):
+    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+
+
+def test_every_gate_and_both_cx_orders_match_oracle():
+    gates = (Gate("h", (0,)), Gate("s", (1,)), Gate("sdg", (3,)),
+             Gate("cx", (0, 2)), Gate("cx", (3, 1)), Gate("rx", (2,), 0.7),
+             Gate("ry", (1,), -1.3), Gate("rz", (0,), 2.9), Gate("cx", (2, 0)),
+             Gate("h", (3,)), Gate("cx", (1, 3)))
+    c = Circuit(4, gates, 0.4)
+    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+
+
+def test_cx_is_the_basis_map():
+    # |c t> = |1 0> goes to |1 1> with qubit 0 as the control
+    u = circuit_to_matrix(Circuit(2, (Gate("cx", (0, 1)),)))
+    assert u[3, 2] == 1 and u[2, 3] == 1 and u[0, 0] == 1 and u[1, 1] == 1
+    u = circuit_to_matrix(Circuit(2, (Gate("cx", (1, 0)),)))
+    assert u[3, 1] == 1 and u[1, 3] == 1 and u[0, 0] == 1 and u[2, 2] == 1
+
+
+def test_empty_circuit_is_the_phase():
+    u = circuit_to_matrix(Circuit(3, (), 0.25))
+    assert oracle.max_norm(u, np.exp(0.25j) * np.eye(8)) == 0
+
+
+@given(circuits())
+def test_text_format_roundtrip(c):
+    assert parse_circuit(format_circuit(c)) == c
+
+
+def test_width_cap():
+    with pytest.raises(DimensionCapError):
+        circuit_to_matrix(Circuit(13, (Gate("h", (0,)),)))

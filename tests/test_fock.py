@@ -9,8 +9,9 @@ from qblue.expr import (
     identity, identity_chain, scale, seq, tensor,
 )
 from qblue.fock import (
-    apply, apply_single, basis_ket, expectation, fermion_sign, format_state,
-    inner_product, make_state, normalize, parse_state, zero_state,
+    add_states, apply, apply_single, basis_ket, expectation, fermion_sign,
+    format_state, inner_product, make_state, normalize, parse_state,
+    zero_state,
 )
 from qblue.linalg import expr_to_matrix, state_to_vector
 
@@ -246,6 +247,16 @@ def test_expectation_rejects_non_hermitian_and_zero_state():
     x = ham_sum(create(T2), annihilate(T2))
     with pytest.raises(ValueError):
         expectation(x, zero_state((T2,)))
+
+
+def test_expectation_raises_on_imaginary_residue(monkeypatch):
+    # a Hermitian operator cannot give an imaginary <s|e|s>; force one to
+    # check the guard is a real exception, not an assert that -O strips
+    import qblue.fock as fock
+    monkeypatch.setattr(fock, "apply", lambda e, s: add_states(s, s, 1j, 0))
+    x = ham_sum(create(T2), annihilate(T2))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        expectation(x, basis_ket((T2,), (0,)))
 
 
 def test_expectation_unnormalized_state_divides_by_norm():

@@ -5,14 +5,15 @@ import pytest
 
 from qblue.errors import DimensionCapError, NonHermitianError
 from qblue.expr import (
-    Boson, Fermion, annihilate, create, desugar_indexed, ham_sum, identity,
-    identity_chain, scale, seq, tensor,
+    Boson, Fermion, Tensor, annihilate, create, dagger, desugar_indexed,
+    ham_sum, identity, identity_chain, scale, seq, tensor,
 )
 from qblue.fock import basis_ket, make_state
 from qblue.linalg import (
     dump_matrix, expr_to_matrix, ground_energy, load_matrix, matrix_exp_sim,
     matrix_log, phase_aligned_distance, state_to_vector, vector_to_state,
 )
+from qblue.parser import parse
 
 import oracle
 
@@ -90,6 +91,97 @@ def test_matrix_action_matches_interpreter_on_basis():
         s = basis_ket(layout, occ)
         assert oracle.max_norm(m @ state_to_vector(s),
                                state_to_vector(apply(e, s))) < 1e-12
+
+
+def _jw(leaf_kind, j, sites, amp=1.0):
+    """Oracle matrix of a ladder (or identity, leaf_kind None) at site j."""
+    dims = [2 if site == F else site.dim for site in sites]
+    if leaf_kind is None:
+        return amp * np.eye(int(np.prod(dims)), dtype=complex)
+    op = (oracle.create_mat if leaf_kind == "create"
+          else oracle.annihilate_mat)(dims[j])
+    fermionic = [site == F for site in sites]
+    if fermionic[j]:
+        return amp * oracle.jw_embedded(op, j, dims, fermionic)
+    return amp * oracle.embedded(op, j, dims)
+
+
+def test_fermion_tensor_with_odd_right_operand():
+    # tensor(l0, l1, ...) applies l0 first: in Jordan-Wigner form the
+    # rightmost factor's Z string sees the occupations the others left
+    layout = (F, F)
+    m = expr_to_matrix(tensor(create(F), annihilate(F)))
+    want = _jw("annihilate", 1, layout) @ _jw("create", 0, layout)
+    assert oracle.max_norm(m, want) < 1e-12
+    assert oracle.max_norm(m, -_jw("create", 0, layout)
+                           @ _jw("annihilate", 1, layout)) < 1e-12
+    layout = (F, T3, F, F)
+    e = tensor(annihilate(F, 0.5j), create(T3), identity(F, 2.0),
+               create(F))
+    want = (_jw("create", 3, layout) @ _jw(None, 2, layout, 2.0)
+            @ _jw("create", 1, layout) @ _jw("annihilate", 0, layout, 0.5j))
+    assert oracle.max_norm(expr_to_matrix(e), want) < 1e-12
+
+
+def test_tensor_of_sums_general_path():
+    # what `A # B # C` builds when the factors are sums: tensor is linear
+    # in each factor, so the oracle is the product of the factor sums
+    layout = (F, T3, F)
+    a = ham_sum(create(F), scale(0.5j, annihilate(F)), identity(F, -0.25))
+    b = ham_sum(create(T3), annihilate(T3, 1.5))
+    c = ham_sum(annihilate(F), identity(F, 2.0))
+    want = ((_jw("annihilate", 2, layout) + _jw(None, 2, layout, 2.0))
+            @ (_jw("create", 1, layout) + _jw("annihilate", 1, layout, 1.5))
+            @ (_jw("create", 0, layout) + _jw("annihilate", 0, layout, 0.5j)
+               + _jw(None, 0, layout, -0.25)))
+    assert oracle.max_norm(expr_to_matrix(tensor(a, b, c)), want) < 1e-12
+    # the same product, left-associated by hand
+    assert oracle.max_norm(expr_to_matrix(Tensor(Tensor(a, b), c)),
+                           want) < 1e-12
+
+
+def test_bosons_at_top_occupation():
+    for d in (3, 4):
+        site = Boson(d)
+        up = expr_to_matrix(create(site))
+        down = expr_to_matrix(annihilate(site))
+        assert oracle.max_norm(up, oracle.create_mat(d)) == 0
+        assert oracle.max_norm(down, oracle.annihilate_mat(d)) == 0
+        # the creator kills the top level; the annihilator takes it down
+        # with amplitude sqrt(d - 1)
+        assert not up[:, d - 1].any()
+        assert down[d - 2, d - 1] == pytest.approx(math.sqrt(d - 1))
+        n = expr_to_matrix(seq(create(site), annihilate(site)))
+        assert oracle.max_norm(n, np.diag(np.arange(d))) < 1e-12
+    layout = (T3, Boson(4))
+    e = tensor(create(T3, 0.5), create(Boson(4)))
+    assert oracle.max_norm(
+        expr_to_matrix(e),
+        np.kron(0.5 * oracle.create_mat(3), oracle.create_mat(4))) < 1e-12
+    assert oracle.max_norm(
+        expr_to_matrix(desugar_indexed(annihilate(Boson(4)), 1, layout)),
+        oracle.embedded(oracle.annihilate_mat(4), 1, (3, 4))) == 0
+
+
+def test_dagger_of_cross_site_seq():
+    layout = (F, T3, F)
+    e = seq(desugar_indexed(create(F, 0.3 + 0.4j), 0, layout),
+            desugar_indexed(annihilate(T3), 1, layout),
+            desugar_indexed(annihilate(F), 2, layout))
+    m = (_jw("create", 0, layout, 0.3 + 0.4j) @ _jw("annihilate", 1, layout)
+         @ _jw("annihilate", 2, layout))
+    assert oracle.max_norm(expr_to_matrix(e), m) < 1e-12
+    assert oracle.max_norm(expr_to_matrix(dagger(e)), m.conj().T) < 1e-12
+
+
+def test_cube_of_x_sum_on_six_sites():
+    program = parse("sites t(2), t(2), t(2), t(2), t(2), t(2);\n"
+                    "H = (X(0) + X(1) + X(2)) (X(0) + X(1) + X(2))"
+                    " (X(0) + X(1) + X(2));")
+    s = sum(oracle.pauli_string_matrix("I" * j + "X" + "I" * (5 - j))
+            for j in range(3))
+    assert oracle.max_norm(expr_to_matrix(program.defs["H"]),
+                           s @ s @ s) < 1e-12
 
 
 def test_dimension_cap():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,19 @@ def test_pauli_to_matrix_values():
     assert oracle.max_norm(pauli_to_matrix(pauli_sum(1, [(1, "Z")])),
                            np.diag([1, -1])) == 0
     assert oracle.max_norm(pauli_to_matrix(identity_sum(2)), np.eye(4)) == 0
+
+
+def test_pauli_to_matrix_all_three_qubit_strings():
+    rng = np.random.default_rng(64)
+    strings = ["".join(t) for t in itertools.product("IXYZ", repeat=3)]
+    coeffs = rng.normal(size=64) + 1j * rng.normal(size=64)
+    for c, s in zip(coeffs, strings):
+        assert oracle.max_norm(pauli_to_matrix(pauli_sum(3, [(c, s)])),
+                               c * oracle.pauli_string_matrix(s)) < 1e-14
+    total = pauli_to_matrix(pauli_sum(3, list(zip(coeffs, strings))))
+    want = sum(c * oracle.pauli_string_matrix(s)
+               for c, s in zip(coeffs, strings))
+    assert oracle.max_norm(total, want) < 1e-12
 
 
 def test_pauli_to_matrix_respects_algebra():
