@@ -19,7 +19,7 @@ from .errors import (
     CompileError, DimensionCapError, EncodingError, LayoutError,
     NonHermitianError, ParseError, QBlueError, StateFormatError,
 )
-from .expr import Flag, site_layout
+from .expr import Flag, OpType, site_layout
 from .fock import apply, format_sites, format_state, parse_state
 from .parser import parse, validate_program
 from .typecheck import hermiticity_report, typecheck
@@ -155,7 +155,7 @@ def cmd_check(args) -> int:
         if ty.flag is Flag.P:
             hermitian, method = hermiticity_report(e)
             if hermitian:
-                ty = typecheck(e)
+                ty = OpType(Flag.H, ty.sites)
         else:
             hermitian, method = True, "structural"
         _emit(args, {"def": name, "type": str(ty), "flag": ty.flag.value,

@@ -82,14 +82,14 @@ def _single_op_pauli(kind: LadderKind, q: int, w: int,
 def _terms_to_pauli(e: HamExpr, creator_plus: bool, z_string: bool) -> PauliSum:
     form = canonicalize(e)
     w = len(form.layout)
-    total = PauliSum(w, ())
+    products = []
     for term in form.terms:
         acc = identity_sum(w, term.coeff)
         for q, monomial in enumerate(term.factors):
             for kind in monomial:   # application order; new op multiplies left
                 acc = _single_op_pauli(kind, q, w, creator_plus, z_string) * acc
-        total = total + acc
-    return total
+        products.extend(acc.terms)
+    return pauli_sum(w, products)
 
 
 def ladder_to_pauli(e: HamExpr) -> PauliSum:

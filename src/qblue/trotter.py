@@ -104,10 +104,10 @@ def synthesize_term(string: str, angle: float) -> Circuit:
 
 
 def plan_to_circuit(plan: TrotterPlan) -> Circuit:
-    out = Circuit(plan.qubits, (), plan.identity_phase)
+    gates = []
     for string, angle in plan.slices:
-        out = out + synthesize_term(string, angle)
-    return out
+        gates.extend(synthesize_term(string, angle).gates)
+    return Circuit(plan.qubits, tuple(gates), plan.identity_phase)
 
 
 def compile_digital(e: HamExpr, t: float, n: int, method: str = "auto",

@@ -120,19 +120,15 @@ def _terms(e: HamExpr) -> list:
         return _terms(e.left) + _terms(e.right)
     if isinstance(e, Seq):
         # right operand applies first
-        out = []
-        for cl, ol in _terms(e.left):
-            for cr, orr in _terms(e.right):
-                out.append((cl * cr, orr + ol))
-        return out
+        right = _terms(e.right)
+        return [(cl * cr, orr + ol)
+                for cl, ol in _terms(e.left) for cr, orr in right]
     if isinstance(e, Tensor):
         off = len(site_layout(e.left))
-        out = []
-        for cl, ol in _terms(e.left):
-            for cr, orr in _terms(e.right):
-                shifted = [(s + off, k) for s, k in orr]
-                out.append((cl * cr, ol + shifted))
-        return out
+        right = [(cr, [(s + off, k) for s, k in orr])
+                 for cr, orr in _terms(e.right)]
+        return [(cl * cr, ol + orr)
+                for cl, ol in _terms(e.left) for cr, orr in right]
     if isinstance(e, Dagger):
         raise AssertionError("dagger_normalize left a Dagger node")
     raise TypeError(f"not a HamExpr: {e!r}")
@@ -239,36 +235,38 @@ def is_hermitian(e: HamExpr) -> bool:
 def typecheck(e: HamExpr, promote: bool = True) -> OpType:
     """Infer the operator type F[flag](sites).
 
-    Flags combine structurally (ladders are P, identities H; tensor and sum
-    of two H operators stay H, any P weakens the result to P; sequencing
-    joins flags).  With ``promote`` the Hermiticity certificate then lifts
-    the root to H when it succeeds.  Layout mismatches in Sum/Seq raise
-    LayoutError with the offending path.
+    One bottom-up walk gives both the structural flag and the site list:
+    ladders are P, identities H; tensor and sum of two H operators stay H,
+    any P weakens the result to P; sequencing joins flags; tensor
+    concatenates site lists and Sum/Seq branches must agree on theirs.  With
+    ``promote`` the Hermiticity certificate then lifts the root to H when it
+    succeeds.  Layout mismatches in Sum/Seq raise LayoutError with the
+    offending path.
     """
-    flag = _structural_flag(e, "root")
-    layout = site_layout(e)
+    flag, layout = _structural(e, "root")
     if promote and flag is Flag.P and is_hermitian(e):
         flag = Flag.H
     return OpType(flag, layout)
 
 
-def _structural_flag(e: HamExpr, path: str) -> Flag:
+def _structural(e: HamExpr, path: str) -> tuple[Flag, SiteList]:
     if isinstance(e, Ladder):
-        return Flag.P
+        return Flag.P, (e.site,)
     if isinstance(e, Identity):
-        return Flag.H if abs(e.amp.imag) <= COEFF_EQ_TOL else Flag.P
+        flag = Flag.H if abs(e.amp.imag) <= COEFF_EQ_TOL else Flag.P
+        return flag, (e.site,)
     if isinstance(e, Dagger):
-        return _structural_flag(e.inner, path + ".inner")
+        return _structural(e.inner, path + ".inner")
     if isinstance(e, (Tensor, Sum, Seq)):
-        left = _structural_flag(e.left, path + ".left")
-        right = _structural_flag(e.right, path + ".right")
-        if isinstance(e, (Sum, Seq)):
-            ll = site_layout(e.left, path + ".left")
-            rl = site_layout(e.right, path + ".right")
-            if ll != rl:
-                kind = "sum" if isinstance(e, Sum) else "seq"
-                raise LayoutError(f"{kind} branches act on different site lists",
-                                  path, ll, rl)
+        lflag, ll = _structural(e.left, path + ".left")
+        rflag, rl = _structural(e.right, path + ".right")
         # mixed flags weaken to P; H survives only when both sides are H
-        return left.join(right)
+        flag = lflag.join(rflag)
+        if isinstance(e, Tensor):
+            return flag, ll + rl
+        if ll != rl:
+            kind = "sum" if isinstance(e, Sum) else "seq"
+            raise LayoutError(f"{kind} branches act on different site lists",
+                              path, ll, rl)
+        return flag, ll
     raise TypeError(f"not a HamExpr: {e!r}")

@@ -1,8 +1,18 @@
-import pytest
+import math
 
-from qblue.encodings import encode_for_compile
+import pytest
+from hypothesis import given, strategies as st
+
+from qblue.circuit import Circuit
+from qblue.encodings import encode_for_compile, holstein_primakoff
+from qblue.expr import LadderKind
 from qblue.parser import parse
-from qblue.trotter import compile_digital, verify_circuit
+from qblue.pauli import PauliSum, identity_sum, pauli_sum
+from qblue.trotter import (
+    TrotterPlan, compile_digital, plan_to_circuit, synthesize_term,
+    verify_circuit,
+)
+from qblue.typecheck import canonicalize
 
 
 def spin_chain(n):
@@ -17,6 +27,14 @@ def hopping_chain(n):
     return parse(f"sites {sites};\n"
                  f"H = sum j in 0..{n - 2} {{ 0.7 * adag(j) a(j+1)"
                  f" + 0.7 * adag(j+1) a(j) + 0.3 * adag(j) a(j) }};"
+                 ).defs["H"]
+
+
+def bose_hubbard_chain(n):
+    sites = ", ".join(["t(4)"] * n)
+    return parse(f"sites {sites};\n"
+                 f"H = sum j in 0..{n - 2} {{ 0.9 * adag(j) a(j+1)"
+                 f" + 0.9 * adag(j+1) a(j) + 1.3 * adag(j) adag(j) a(j) a(j) }};"
                  ).defs["H"]
 
 
@@ -62,3 +80,57 @@ def test_single_term_is_exact(source):
     circuit, _ = compile_digital(e, 0.9, 1)
     hs, _ = encode_for_compile(e)
     assert verify_circuit(circuit, hs, 0.9) < 1e-9
+
+
+@st.composite
+def plans(draw):
+    qubits = draw(st.integers(1, 4))
+    strings = st.text("IXYZ", min_size=qubits, max_size=qubits).filter(
+        lambda p: p != "I" * qubits)
+    angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    step = draw(st.lists(st.tuples(strings, angles), max_size=6))
+    steps = draw(st.integers(1, 3))
+    phase = draw(st.floats(-math.pi, math.pi, allow_nan=False))
+    return TrotterPlan(qubits, steps, tuple(step) * steps, phase)
+
+
+@given(plans())
+def test_plan_to_circuit_is_the_fold_of_gadgets(plan):
+    folded = Circuit(plan.qubits, (), plan.identity_phase)
+    for string, angle in plan.slices:
+        folded = folded + synthesize_term(string, angle)
+    circuit = plan_to_circuit(plan)
+    assert circuit.gates == folded.gates
+    assert circuit.global_phase == folded.global_phase
+
+
+def per_term_fold(e, z_string):
+    """The Pauli sum of e's canonical terms, added one term at a time with
+    a -> (X+iY)/2 and a^dag -> (X-iY)/2 (Z strings for Jordan-Wigner)."""
+    form = canonicalize(e)
+    w = len(form.layout)
+    total = PauliSum(w, ())
+    for term in form.terms:
+        acc = identity_sum(w, term.coeff)
+        for q, monomial in enumerate(term.factors):
+            for kind in monomial:
+                pad = ("Z" if z_string else "I") * q
+                rest = "I" * (w - q - 1)
+                sign = -1j if kind is LadderKind.CREATE else 1j
+                acc = pauli_sum(w, [(0.5, pad + "X" + rest),
+                                    (0.5 * sign, pad + "Y" + rest)]) * acc
+        total = total + acc
+    return total
+
+
+@pytest.mark.parametrize("sites", [3, 4])
+@pytest.mark.parametrize("chain, method", [
+    (spin_chain, "direct"), (hopping_chain, "jw"), (bose_hubbard_chain, "hp"),
+])
+def test_encoding_equals_per_term_fold(chain, method, sites):
+    e = chain(sites)
+    hs, report = encode_for_compile(e)
+    assert report.method == method
+    if method == "hp":
+        e = holstein_primakoff(e, report.truncation)
+    assert hs.terms == per_term_fold(e, z_string=method == "jw").terms

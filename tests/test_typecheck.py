@@ -1,10 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qblue.errors import LayoutError
 from qblue.expr import (
-    Boson, Dagger, Fermion, Flag, Identity, Ladder, LadderKind, annihilate,
-    create, desugar_indexed, ham_sum, identity, scale, seq, tensor,
+    Boson, Dagger, Fermion, Flag, Identity, Ladder, LadderKind, Seq, Sum,
+    Tensor, annihilate, create, desugar_indexed, ham_sum, identity, scale,
+    seq, site_layout, tensor,
 )
 from qblue.linalg import expr_to_matrix
 from qblue.typecheck import (
@@ -13,6 +17,9 @@ from qblue.typecheck import (
 )
 
 import oracle
+
+# the package re-exports the function typecheck under the module's name
+typecheck_module = importlib.import_module("qblue.typecheck")
 
 T2 = Boson(2)
 T4 = Boson(4)
@@ -219,3 +226,82 @@ def test_weakening_does_not_break_enclosing_typeability():
     e = seq(identity(T2), annihilate(T2))
     ty = typecheck(e, promote=False)
     assert ty.flag is Flag.P
+
+
+def test_layout_error_paths():
+    b, f = Boson(2), Fermion()
+    ok = tensor(create(b), identity(b))
+    bad = Sum(ok, Dagger(Sum(ok, Seq(ok, tensor(create(f), identity(b))))))
+    with pytest.raises(LayoutError) as err:
+        typecheck(bad)
+    assert err.value.path == "root.right.inner.right"
+    assert err.value.left == (b, b)
+    assert err.value.right == (f, b)
+    bad = Sum(Tensor(create(b), identity(b)),
+              Tensor(create(b), Sum(identity(b), identity(f))))
+    with pytest.raises(LayoutError) as err:
+        typecheck(bad)
+    assert err.value.path == "root.right.right"
+    assert err.value.left == (b,)
+    assert err.value.right == (f,)
+
+
+AMPS = st.sampled_from([1, -0.5, 2j, 0.3 + 0.4j])
+
+
+@st.composite
+def well_formed(draw, layout, depth=3):
+    """Random expression acting on ``layout``: tensors split the layout,
+    sums and products repeat it, daggers wrap it."""
+    kinds = ["sum", "seq", "dag"] if depth > 0 else []
+    kinds.append("leaf" if len(layout) == 1 else "tensor")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        site, amp = layout[0], draw(AMPS)
+        return draw(st.sampled_from([create(site, amp), annihilate(site, amp),
+                                     identity(site, amp)]))
+    sub = max(depth - 1, 0)
+    if kind == "tensor":
+        k = draw(st.integers(1, len(layout) - 1))
+        return Tensor(draw(well_formed(layout[:k], sub)),
+                      draw(well_formed(layout[k:], sub)))
+    if kind == "dag":
+        return Dagger(draw(well_formed(layout, sub)))
+    node = Sum if kind == "sum" else Seq
+    return node(draw(well_formed(layout, sub)), draw(well_formed(layout, sub)))
+
+
+trees = st.lists(st.sampled_from([T2, T4, F]), min_size=1, max_size=4).flatmap(
+    lambda layout: well_formed(tuple(layout)))
+
+
+def recursive_flag(e):
+    """The structural flag rule, one recursion per node."""
+    if isinstance(e, Ladder):
+        return Flag.P
+    if isinstance(e, Identity):
+        return Flag.H if abs(e.amp.imag) <= 1e-12 else Flag.P
+    if isinstance(e, Dagger):
+        return recursive_flag(e.inner)
+    return recursive_flag(e.left).join(recursive_flag(e.right))
+
+
+@given(trees)
+def test_structural_type_matches_layout_and_recursive_flag(e):
+    ty = typecheck(e, promote=False)
+    assert ty.sites == site_layout(e)
+    assert ty.flag is recursive_flag(e)
+
+
+@given(trees)
+def test_structural_typing_does_not_call_site_layout(e):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return site_layout(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(typecheck_module, "site_layout", counting)
+        typecheck(e, promote=False)
+    assert calls == []
