@@ -1,8 +1,9 @@
 """Command-line driver: check / eval / energy / compile / fit / verify.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type error, 4 fit/compile
-error, 5 dimension cap.  With --json, reports and diagnostics are emitted
-as JSON lines.
+error, 5 dimension cap.  An input that exhausts the recursion limit or the
+memory exits 1 with a one-line error naming the cause, not a traceback.
+With --json, reports and diagnostics are emitted as JSON lines.
 """
 
 from __future__ import annotations
@@ -298,6 +299,11 @@ def main(argv=None) -> int:
         return EXIT_COMPILE
     except (QBlueError, ValueError, OSError) as exc:
         _diagnostic(args, "error", exc)
+        return EXIT_USAGE
+    except (RecursionError, MemoryError) as exc:
+        cause = ("expression nests too deeply for the recursion limit"
+                 if isinstance(exc, RecursionError) else "out of memory")
+        _diagnostic(args, "error", QBlueError(cause))
         return EXIT_USAGE
 
 

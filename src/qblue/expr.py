@@ -181,37 +181,29 @@ def dagger(e: HamExpr) -> Dagger:
 
 def tensor(*es: HamExpr) -> HamExpr:
     """Tensor product, normalized to a right-associated chain."""
-    if not es:
-        raise ValueError("tensor needs at least one operand")
-    flat: list[HamExpr] = []
-    stack = list(es)
-    while stack:
-        e = stack.pop(0)
-        if isinstance(e, Tensor):
-            stack[:0] = [e.left, e.right]
-        else:
-            flat.append(e)
-    out = flat[-1]
-    for e in reversed(flat[:-1]):
-        out = Tensor(e, out)
-    return out
+    return _chain(Tensor, "tensor", es)
 
 
 def ham_sum(*es: HamExpr) -> HamExpr:
     """Linear sum, normalized to a right-associated chain."""
+    return _chain(Sum, "sum", es)
+
+
+def _chain(node, name: str, es) -> HamExpr:
+    """Flatten nested ``node``s among es, then rebuild a right chain."""
     if not es:
-        raise ValueError("sum needs at least one operand")
+        raise ValueError(f"{name} needs at least one operand")
     flat: list[HamExpr] = []
-    stack = list(es)
+    stack = list(reversed(es))
     while stack:
-        e = stack.pop(0)
-        if isinstance(e, Sum):
-            stack[:0] = [e.left, e.right]
+        e = stack.pop()
+        if isinstance(e, node):
+            stack += [e.right, e.left]
         else:
             flat.append(e)
-    out = flat[-1]
-    for e in reversed(flat[:-1]):
-        out = Sum(e, out)
+    out = flat.pop()
+    for e in reversed(flat):
+        out = node(e, out)
     return out
 
 

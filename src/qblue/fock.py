@@ -1,11 +1,11 @@
-"""Truncated Fock states and the big-step operator interpreter.
+"""Truncated Fock states and the operator interpreter.
 
 States are sparse complex combinations of occupation-number kets over a fixed
-site layout; the empty combination is the absorbing zero state.  Applying an
-expression walks it structurally: ladder leaves act on single occupations
-with sqrt factors, sums branch, sequencing composes, and tensor application
-splits the ket at the operand boundary while threading the fermionic parity
-of the already-processed left block.
+site layout; the empty combination is the absorbing zero state.  ``apply``
+lowers each factor of the root product once to a term list (coefficients
+times ladder operators in application order) and applies it to the whole
+merged state; a fermionic ladder operator takes the sign (-1)^(occupied
+fermionic sites to its left) in the current occupation.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import LayoutError, StateFormatError
 from .expr import (
-    Boson, Fermion, HamExpr, Identity, Ladder, LadderKind, Seq, SiteList,
-    Sum, Tensor, site_dim, site_layout,
+    Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, site_dim,
+    site_layout,
 )
-from .typecheck import dagger_normalize
+from .typecheck import _terms
 
 AMP_PRUNE_TOL = 1e-14
 
@@ -119,59 +120,50 @@ def fermion_sign(layout: SiteList, occ_prefix) -> int:
 # ---------------------------------------------------------------------------
 
 def apply(e: HamExpr, s: FockState) -> FockState:
-    """Big-step application of an operator expression to a state."""
+    """Big-step application of an operator expression to a state: each
+    factor of the root product applies to the whole merged state in turn,
+    and only the final state is pruned and sorted."""
     layout = site_layout(e)
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",
                           "apply", layout, s.layout)
-    if s.is_zero:
-        return s
-    e = dagger_normalize(e)
-    acc: dict[tuple, complex] = {}
-    for ket in s.terms:
-        for coeff, occ in _apply_occ(e, layout, ket.occ, 0):
-            val = ket.amp * coeff
-            acc[occ] = acc.get(occ, 0j) + val
-    terms = tuple(Ket(acc[occ], occ) for occ in sorted(acc)
-                  if abs(acc[occ]) > AMP_PRUNE_TOL)
+    # fermionic[:j] selects the sites whose occupation signs an op at site j
+    fermionic = [isinstance(site, Fermion) for site in layout]
+    prefixes = [fermionic[:j] for j in range(len(layout))]
+    state = {ket.occ: ket.amp for ket in s.terms}
+    for factor, flip in _factors(e):
+        terms = _terms(factor, flip)
+        out: dict[tuple, complex] = {}
+        for occ, amp in state.items():
+            for coeff, ops in terms:
+                val = amp * coeff
+                cur = list(occ)
+                for j, kind in ops:
+                    res = apply_single(kind, layout[j], cur[j])
+                    if res is None:
+                        break
+                    c, cur[j] = res
+                    if fermionic[j] and sum(compress(cur, prefixes[j])) % 2:
+                        c = -c
+                    val *= c
+                else:
+                    key = tuple(cur)
+                    out[key] = out.get(key, 0j) + val
+        state = out
+    terms = tuple(Ket(state[occ], occ) for occ in sorted(state)
+                  if abs(state[occ]) > AMP_PRUNE_TOL)
     return FockState(s.layout, terms)
 
 
-def _apply_occ(e, layout, occ, parity):
-    """Yield (coeff, occ') pairs; parity counts occupied fermionic sites to
-    the left of this block, after their own operators already applied."""
-    if isinstance(e, Ladder):
-        res = apply_single(e.kind, e.site, occ[0])
-        if res is None:
-            return []
-        coeff, k2 = res
-        coeff = coeff * e.amp
-        if isinstance(e.site, Fermion) and parity % 2:
-            coeff = -coeff
-        return [(coeff, (k2,))]
-    if isinstance(e, Identity):
-        return [(e.amp, occ)]
-    if isinstance(e, Sum):
-        return (_apply_occ(e.left, layout, occ, parity)
-                + _apply_occ(e.right, layout, occ, parity))
+def _factors(e: HamExpr, flip: bool = False) -> list:
+    """(factor, flip) pairs of the root product spine, first applied first;
+    a Dagger on the spine reverses the order below it and flips factors."""
+    if isinstance(e, Dagger):
+        return _factors(e.inner, not flip)
     if isinstance(e, Seq):
-        out = []
-        for c1, mid in _apply_occ(e.right, layout, occ, parity):
-            for c2, fin in _apply_occ(e.left, layout, mid, parity):
-                out.append((c1 * c2, fin))
-        return out
-    if isinstance(e, Tensor):
-        left_layout = site_layout(e.left)
-        cut = len(left_layout)
-        right_layout = layout[cut:]
-        out = []
-        for cl, occ_l in _apply_occ(e.left, left_layout, occ[:cut], parity):
-            p2 = parity + sum(k for site, k in zip(left_layout, occ_l)
-                              if isinstance(site, Fermion))
-            for cr, occ_r in _apply_occ(e.right, right_layout, occ[cut:], p2):
-                out.append((cl * cr, occ_l + occ_r))
-        return out
-    raise TypeError(f"not a HamExpr: {e!r}")
+        first, then = (e.left, e.right) if flip else (e.right, e.left)
+        return _factors(first, flip) + _factors(then, flip)
+    return [(e, flip)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ A program declares a site layout and named operator definitions::
     HI1  = sum j in 0..0 { Z(j) Z(j+1) + 0.8 * X(j+1) };
 
 Juxtaposition is the operator product, ``#`` the tensor product, ``+``/``-``
-linear combination, ``dag(...)`` the adjoint.  Indexed atoms a/adag/I embed a
-single-site operator at the given site with identity padding; X/Y/Z expand to
-their ladder combinations (a^dag + a, i a - i a^dag, a^dag a - a a^dag) on
-two-dimensional sites.  ``sum j in lo..hi { ... }`` unrolls inclusively with
-index arithmetic of the form j + constant.  Scalar literals: ``1.5``,
-``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``.
+linear combination (``A - 0.5 * B`` is a difference), ``dag(...)`` the
+adjoint.  Indexed atoms a/adag/I embed a single-site operator at the given
+site with identity padding; X/Y/Z expand to their ladder combinations
+(a^dag + a, i a - i a^dag, a^dag a - a a^dag) on two-dimensional sites.
+``sum j in lo..hi { ... }`` unrolls inclusively with index arithmetic of the
+form j + constant.  Scalar literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``,
+``sqrt(2)``.
 """
 
 from __future__ import annotations
@@ -205,7 +206,8 @@ class _Parser:
         if t.kind == "name":
             return t.text in ("a", "adag", "I", "X", "Y", "Z", "dag", "sum",
                               "sqrt")
-        return t.text == "(" or (t.text == "-" and self._literal_ahead(1))
+        # a '-' between factors is always the binary minus of expr()
+        return t.text == "("
 
     def _literal_ahead(self, offset: int) -> bool:
         t = self.peek(offset)

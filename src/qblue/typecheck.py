@@ -38,24 +38,19 @@ def dagger_normalize(e: HamExpr) -> HamExpr:
 
 
 def _dag_norm(e: HamExpr, flip: bool) -> HamExpr:
+    if isinstance(e, (Ladder, Identity)) and not flip:
+        return e
     if isinstance(e, Ladder):
-        if flip:
-            return Ladder(e.kind.flipped, e.site, e.amp.conjugate())
-        return e
+        return Ladder(e.kind.flipped, e.site, e.amp.conjugate())
     if isinstance(e, Identity):
-        if flip:
-            return Identity(e.site, e.amp.conjugate())
-        return e
+        return Identity(e.site, e.amp.conjugate())
     if isinstance(e, Dagger):
         return _dag_norm(e.inner, not flip)
-    if isinstance(e, Tensor):
-        return Tensor(_dag_norm(e.left, flip), _dag_norm(e.right, flip))
-    if isinstance(e, Sum):
-        return Sum(_dag_norm(e.left, flip), _dag_norm(e.right, flip))
-    if isinstance(e, Seq):
-        if flip:
-            return Seq(_dag_norm(e.right, flip), _dag_norm(e.left, flip))
-        return Seq(_dag_norm(e.left, flip), _dag_norm(e.right, flip))
+    if isinstance(e, (Tensor, Sum, Seq)):
+        left, right = _dag_norm(e.left, flip), _dag_norm(e.right, flip)
+        if flip and isinstance(e, Seq):
+            left, right = right, left
+        return type(e)(left, right)
     raise TypeError(f"not a HamExpr: {e!r}")
 
 
@@ -89,13 +84,13 @@ _KIND_ORD = {LadderKind.CREATE: 0, LadderKind.ANNIHILATE: 1}
 def canonicalize(e: HamExpr) -> CanonicalForm:
     """Flatten to a sorted sum of per-site ladder monomials.
 
-    Daggers are pushed to leaves, sums distributed out of tensor products and
-    sequencing, cross-site products fused per site, like terms merged, and
-    zero terms dropped.  Reordering fermionic ladder operators across sites
-    multiplies the coefficient by -1 per transposition.
+    Adjoints are folded into the leaves, sums distributed out of tensor
+    products and sequencing, cross-site products fused per site, like terms
+    merged, and zero terms dropped.  Reordering fermionic ladder operators
+    across sites multiplies the coefficient by -1 per transposition.
     """
     layout = site_layout(e)
-    raw = _terms(dagger_normalize(e))
+    raw = _terms(e)
     merged: dict[tuple, complex] = {}
     for coeff, ops in raw:
         coeff, key = _normal_order(coeff, ops, layout)
@@ -109,29 +104,40 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
     return CanonicalForm(layout, tuple(terms))
 
 
-def _terms(e: HamExpr) -> list:
+def _terms(e: HamExpr, flip: bool = False) -> list:
     """List of (coeff, ops) with ops = [(site_index, kind), ...] in
-    application order.  Expects a dagger-normalized expression."""
+    application order.
+
+    With ``flip`` the list is that of the adjoint of ``e``: a leaf flips its
+    ladder kind and conjugates its amplitude, Dagger toggles ``flip``, and a
+    flipped Seq applies its left operand first.
+    """
+    return _terms_width(e, flip)[0]
+
+
+def _terms_width(e: HamExpr, flip: bool) -> tuple[list, int]:
+    """(_terms(e, flip), number of sites e acts on)."""
     if isinstance(e, Ladder):
-        return [(e.amp, [(0, e.kind)])]
+        if flip:
+            return [(e.amp.conjugate(), [(0, e.kind.flipped)])], 1
+        return [(e.amp, [(0, e.kind)])], 1
     if isinstance(e, Identity):
-        return [(e.amp, [])]
-    if isinstance(e, Sum):
-        return _terms(e.left) + _terms(e.right)
-    if isinstance(e, Seq):
-        # right operand applies first
-        right = _terms(e.right)
-        return [(cl * cr, orr + ol)
-                for cl, ol in _terms(e.left) for cr, orr in right]
-    if isinstance(e, Tensor):
-        off = len(site_layout(e.left))
-        right = [(cr, [(s + off, k) for s, k in orr])
-                 for cr, orr in _terms(e.right)]
-        return [(cl * cr, ol + orr)
-                for cl, ol in _terms(e.left) for cr, orr in right]
+        return [(e.amp.conjugate() if flip else e.amp, [])], 1
     if isinstance(e, Dagger):
-        raise AssertionError("dagger_normalize left a Dagger node")
-    raise TypeError(f"not a HamExpr: {e!r}")
+        return _terms_width(e.inner, not flip)
+    if not isinstance(e, (Sum, Seq, Tensor)):
+        raise TypeError(f"not a HamExpr: {e!r}")
+    left, width = _terms_width(e.left, flip)
+    right, right_width = _terms_width(e.right, flip)
+    if isinstance(e, Sum):
+        return left + right, width
+    if isinstance(e, Seq):
+        # the right operand applies first, the left one under the adjoint
+        first, then = (left, right) if flip else (right, left)
+        return [(ct * cf, of + ot) for ct, ot in then for cf, of in first], width
+    right = [(cr, [(s + width, k) for s, k in orr]) for cr, orr in right]
+    return ([(cl * cr, ol + orr) for cl, ol in left for cr, orr in right],
+            width + right_width)
 
 
 def _normal_order(coeff, ops, layout):

@@ -1,0 +1,31 @@
+"""Hypothesis strategies for random well-formed operator expressions."""
+
+from hypothesis import strategies as st
+
+from qblue.expr import (
+    Dagger, Seq, Sum, Tensor, annihilate, create, identity,
+)
+
+AMPS = st.sampled_from([1, -0.5, 2j, 0.3 + 0.4j])
+
+
+@st.composite
+def well_formed(draw, layout, depth=3):
+    """Random expression acting on ``layout``: tensors split the layout,
+    sums and products repeat it, daggers wrap it."""
+    kinds = ["sum", "seq", "dag"] if depth > 0 else []
+    kinds.append("leaf" if len(layout) == 1 else "tensor")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        site, amp = layout[0], draw(AMPS)
+        return draw(st.sampled_from([create(site, amp), annihilate(site, amp),
+                                     identity(site, amp)]))
+    sub = max(depth - 1, 0)
+    if kind == "tensor":
+        k = draw(st.integers(1, len(layout) - 1))
+        return Tensor(draw(well_formed(layout[:k], sub)),
+                      draw(well_formed(layout[k:], sub)))
+    if kind == "dag":
+        return Dagger(draw(well_formed(layout, sub)))
+    node = Sum if kind == "sum" else Seq
+    return node(draw(well_formed(layout, sub)), draw(well_formed(layout, sub)))

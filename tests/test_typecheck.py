@@ -17,6 +17,7 @@ from qblue.typecheck import (
 )
 
 import oracle
+from strategies import well_formed
 
 # the package re-exports the function typecheck under the module's name
 typecheck_module = importlib.import_module("qblue.typecheck")
@@ -246,31 +247,6 @@ def test_layout_error_paths():
     assert err.value.right == (f,)
 
 
-AMPS = st.sampled_from([1, -0.5, 2j, 0.3 + 0.4j])
-
-
-@st.composite
-def well_formed(draw, layout, depth=3):
-    """Random expression acting on ``layout``: tensors split the layout,
-    sums and products repeat it, daggers wrap it."""
-    kinds = ["sum", "seq", "dag"] if depth > 0 else []
-    kinds.append("leaf" if len(layout) == 1 else "tensor")
-    kind = draw(st.sampled_from(kinds))
-    if kind == "leaf":
-        site, amp = layout[0], draw(AMPS)
-        return draw(st.sampled_from([create(site, amp), annihilate(site, amp),
-                                     identity(site, amp)]))
-    sub = max(depth - 1, 0)
-    if kind == "tensor":
-        k = draw(st.integers(1, len(layout) - 1))
-        return Tensor(draw(well_formed(layout[:k], sub)),
-                      draw(well_formed(layout[k:], sub)))
-    if kind == "dag":
-        return Dagger(draw(well_formed(layout, sub)))
-    node = Sum if kind == "sum" else Seq
-    return node(draw(well_formed(layout, sub)), draw(well_formed(layout, sub)))
-
-
 trees = st.lists(st.sampled_from([T2, T4, F]), min_size=1, max_size=4).flatmap(
     lambda layout: well_formed(tuple(layout)))
 
@@ -305,3 +281,12 @@ def test_structural_typing_does_not_call_site_layout(e):
         m.setattr(typecheck_module, "site_layout", counting)
         typecheck(e, promote=False)
     assert calls == []
+
+
+@given(trees)
+def test_flipped_terms_are_the_terms_of_the_normalized_adjoint(e):
+    # the adjoint is folded into the term lowering, with the same order,
+    # operators and floating-point coefficients as the rewritten tree
+    terms = typecheck_module._terms
+    assert terms(e, flip=True) == terms(dagger_normalize(Dagger(e)))
+    assert terms(e) == terms(dagger_normalize(e))
