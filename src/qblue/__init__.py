@@ -8,12 +8,12 @@ from .errors import (
 from .expr import (
     Boson, Dagger, Fermion, Flag, HamExpr, Identity, Ladder, LadderKind,
     OpType, Seq, Sum, Tensor, annihilate, create, dagger, desugar_indexed,
-    expr_allclose, expr_str, ham_sum, identity, identity_chain, scale, seq,
+    expr_allclose, ham_sum, identity, identity_chain, scale, seq,
     site_dim, site_layout, tensor, total_dim,
 )
 from .typecheck import (
-    CanonicalForm, CanonicalTerm, canonical_allclose, canonical_to_expr,
-    canonicalize, dagger_normalize, hermiticity_report, is_hermitian,
+    CanonicalForm, CanonicalTerm, adjoint, canonical_allclose,
+    canonical_to_expr, canonicalize, hermiticity_report, is_hermitian,
     typecheck,
 )
 from .fock import (
@@ -25,10 +25,7 @@ from .pauli import (
     PauliSum, is_hermitian_pauli, pauli_allclose, pauli_sum, pauli_to_matrix,
     simplify,
 )
-from .encodings import (
-    EncodingReport, encode_for_compile, holstein_primakoff, hp_encode_state,
-    jordan_wigner, ladder_to_pauli, pauli_to_ladder,
-)
+from .encodings import EncodingReport, encode_for_compile
 from .linalg import (
     GroundResult, expr_to_matrix, ground_energy, matrix_exp_sim, matrix_log,
     phase_aligned_distance, state_to_vector, vector_to_state,
@@ -36,9 +33,9 @@ from .linalg import (
 from .circuit import Circuit, Gate, circuit_to_matrix, format_circuit, parse_circuit
 from .trotter import (
     AnalogSchedule, MachineSpec, TrotterPlan, compile_digital, fit_machine,
-    ibm_machine, plan_matrix, plan_to_circuit, schedule_to_pauli,
+    ibm_machine, plan_to_circuit, schedule_to_pauli,
     synthesize_term, trotterize, verify_circuit,
 )
-from .parser import Program, format_expr, format_program, parse, parse_expr
+from .parser import Program, format_expr, format_program, parse
 
 __version__ = "0.1.0"

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError
-
-WIDTH_CAP = 12
+from .errors import QUBIT_CAP, DimensionCapError
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
@@ -124,8 +122,8 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     2^n x 2^n matrix: a single-qubit gate is a 2x2 product on that qubit's
     row axis, and CX swaps the target halves inside the control = 1 rows.
     """
-    if c.width > WIDTH_CAP:
-        raise DimensionCapError(f"width {c.width} exceeds cap {WIDTH_CAP}")
+    if c.width > QUBIT_CAP:
+        raise DimensionCapError(f"width {c.width} exceeds cap {QUBIT_CAP}")
     n = c.width
     dim = 2 ** n
     # row index bits, qubit 0 most significant, then the column index

@@ -20,10 +20,10 @@ from .errors import (
     CompileError, DimensionCapError, EncodingError, LayoutError,
     NonHermitianError, ParseError, QBlueError, StateFormatError,
 )
-from .expr import Flag, OpType, site_layout
-from .fock import apply, format_sites, format_state, parse_state
+from .expr import Flag, OpType
+from .fock import apply, format_state, parse_state
 from .parser import parse, validate_program
-from .typecheck import hermiticity_report, typecheck
+from .typecheck import canonicalize, hermiticity_report, typecheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,7 +154,7 @@ def cmd_check(args) -> int:
     for name, e in program.defs.items():
         ty = typecheck(e, promote=False)
         if ty.flag is Flag.P:
-            hermitian, method = hermiticity_report(e)
+            hermitian, method, _ = hermiticity_report(e)
             if hermitian:
                 ty = OpType(Flag.H, ty.sites)
         else:
@@ -229,11 +229,11 @@ def cmd_fit(args) -> int:
         raise _UsageError(f"unknown machine {args.machine!r} "
                           f"(choices: {', '.join(trotter.MACHINES)})")
     spec = machine()
-    ty = typecheck(e)
-    if ty.flag is not Flag.H:
+    hermitian, _, form = hermiticity_report(e)
+    if not hermitian:
         raise CompileError(f"{name} certifies only flag p; machine fitting "
                            "needs a Hermitian operator")
-    hs, _report = encode_for_compile(e)
+    hs, _report = encode_for_compile(form)
     schedule = trotter.fit_machine(hs, spec)
     text = trotter.format_schedule(schedule)
     if args.out:
@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
     name, e = _pick_def(program, args.ham)
     circuit = parse_circuit(Path(args.circuit).read_text())
     method, hp_level = _parse_encoding(args.encode)
-    hs, _report = encode_for_compile(e, method, hp_level)
+    hs, _report = encode_for_compile(canonicalize(e), method, hp_level)
     if hs.qubits != circuit.width:
         raise CompileError(
             f"circuit width {circuit.width} does not match the encoded "
@@ -305,10 +305,6 @@ def main(argv=None) -> int:
                  if isinstance(exc, RecursionError) else "out of memory")
         _diagnostic(args, "error", QBlueError(cause))
         return EXIT_USAGE
-
-
-def entry():
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+# The one dense-work limit: matrices of at most DIM_CAP rows, that is
+# circuits and Pauli sums on at most QUBIT_CAP qubits.
+DIM_CAP = 2 ** 12
+QUBIT_CAP = DIM_CAP.bit_length() - 1
+
 
 class QBlueError(Exception):
     """Base class for all package-specific errors."""

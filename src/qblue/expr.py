@@ -10,7 +10,7 @@ mode or a two-dimensional fermionic mode.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -297,29 +297,3 @@ def expr_allclose(e1: HamExpr, e2: HamExpr, tol: float = 1e-12) -> bool:
         return expr_allclose(e1.inner, e2.inner, tol)
     return (expr_allclose(e1.left, e2.left, tol)
             and expr_allclose(e1.right, e2.right, tol))
-
-
-def expr_str(e: HamExpr) -> str:
-    """Compact human-readable rendering (for diagnostics, not re-parsing)."""
-    if isinstance(e, Ladder):
-        op = "a^dag" if e.kind is LadderKind.CREATE else "a"
-        return op if e.amp == 1 else f"({_fmt_amp(e.amp)} {op})"
-    if isinstance(e, Identity):
-        return "I" if e.amp == 1 else f"({_fmt_amp(e.amp)} I)"
-    if isinstance(e, Dagger):
-        return f"dag({expr_str(e.inner)})"
-    if isinstance(e, Tensor):
-        return f"({expr_str(e.left)} (x) {expr_str(e.right)})"
-    if isinstance(e, Sum):
-        return f"({expr_str(e.left)} + {expr_str(e.right)})"
-    if isinstance(e, Seq):
-        return f"({expr_str(e.left)} {expr_str(e.right)})"
-    raise TypeError(f"not a HamExpr: {e!r}")
-
-
-def _fmt_amp(z: complex) -> str:
-    if z.imag == 0:
-        return f"{z.real:g}"
-    if z.real == 0:
-        return f"{z.imag:g}i"
-    return f"({z.real:g}{z.imag:+g}i)"

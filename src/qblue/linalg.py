@@ -1,17 +1,20 @@
 """Dense-matrix backend: expression lowering, exp/log, ground energy.
 
-This is the desk-scale oracle the rest of the package is checked against.
-Expressions lower structurally to pairs of scipy.sparse CSR matrices graded
-by fermionic ladder parity (even, odd), with None for an absent grade, and
-are densified once at the end.  A tensor product of single-site leaves, the
-form every indexed atom takes, has at most one nonzero per column and is
-built in one O(N dim) step; other tensors compose by the graded Kronecker
-rule, so tensor composition picks up the same anti-commutation signs the
-interpreter produces (the Jordan-Wigner sign convention), and sums and
-products are sparse additions and products.  The cost of a call is then
-bounded by the nonzeros of the intermediate operators plus one dim x dim
-densification, not by dense dim^3 products.  Exponentials use the
-e^{-i h t} convention throughout, so Hermitian input gives a unitary.
+This is the desk-scale oracle the rest of the package is checked against,
+and it shares no code with the canonical forms of ``typecheck``: it lowers
+the expression tree itself.  Expressions lower structurally to pairs of
+scipy.sparse CSR matrices graded by fermionic ladder parity (even, odd),
+with None for an absent grade, and are densified once at the end.  A tensor
+product of single-site leaves, the form every indexed atom takes, has at
+most one nonzero per column and is built in one O(N dim) step; other
+tensors compose by the graded Kronecker rule, so tensor composition picks
+up the same anti-commutation signs the interpreter produces (the
+Jordan-Wigner sign convention), and sums and products are sparse additions
+and products.  ``Dagger`` lowers as the conjugate transpose of its
+operand's graded pair; the adjoint keeps each grade.  The cost of a call is
+then bounded by the nonzeros of the intermediate operators plus one
+dim x dim densification, not by dense dim^3 products.  Exponentials use
+the e^{-i h t} convention throughout, so Hermitian input gives a unitary.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .errors import DimensionCapError, NonHermitianError
+from .errors import DIM_CAP, DimensionCapError, NonHermitianError
 from .expr import (
-    Boson, Fermion, HamExpr, Identity, Ladder, LadderKind, Seq, SiteList,
-    Sum, Tensor, site_dim, site_layout, total_dim,
+    Boson, Dagger, Fermion, HamExpr, Identity, Ladder, LadderKind, Seq,
+    SiteList, Sum, Tensor, site_dim, site_layout, total_dim,
 )
-from .typecheck import dagger_normalize
 
-DIM_CAP = 2 ** 12
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
@@ -53,7 +54,7 @@ def expr_to_matrix(e: HamExpr) -> np.ndarray:
     dim = total_dim(layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    m = _add(*_lower(dagger_normalize(e), layout))
+    m = _add(*_lower(e, layout))
     # scipy's kron drops to float when a factor has no nonzero
     return m.toarray().astype(complex, copy=False)
 
@@ -68,6 +69,9 @@ def _lower(e, layout):
         e1, o1 = _lower(e.left, layout)
         e2, o2 = _lower(e.right, layout)
         return _add(e1, e2), _add(o1, o2)
+    if isinstance(e, Dagger):
+        even, odd = _lower(e.inner, layout)
+        return _adjoint(even), _adjoint(odd)
     if isinstance(e, Seq):
         e1, o1 = _lower(e.left, layout)
         e2, o2 = _lower(e.right, layout)
@@ -148,6 +152,10 @@ def _add(a, b):
     if b is None:
         return a
     return a + b
+
+
+def _adjoint(m):
+    return None if m is None else m.conj().T.tocsr()
 
 
 def _mul(a, b):

@@ -377,16 +377,6 @@ def parse(source: str) -> Program:
     return _Parser(source).program()
 
 
-def parse_expr(source: str, layout: SiteList) -> HamExpr:
-    """Parse a single expression against a given layout (for tests/REPL use)."""
-    p = _Parser(source)
-    p.layout = tuple(layout)
-    e = p.expr({})
-    if p.peek().kind != "eof":
-        p.fail("trailing input after expression")
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Pretty printer (indexed form)
 # ---------------------------------------------------------------------------

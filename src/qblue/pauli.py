@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError
+from .errors import QUBIT_CAP, DimensionCapError
 
 LETTERS = "IXYZ"
 COEFF_PRUNE_TOL = 1e-14
 HERMITIAN_IM_TOL = 1e-12
-MATRIX_QUBIT_CAP = 12
 
 # single-letter product table: (left, right) -> (phase, letter)
 _PRODUCT = {}
@@ -151,9 +150,9 @@ def pauli_to_matrix(p: PauliSum) -> np.ndarray:
     letters and z its Z/Y letters: column j holds i^(#Y) (-1)^|j & z| in
     row j ^ x.  Each term costs O(2^n), with no Kronecker product.
     """
-    if p.qubits > MATRIX_QUBIT_CAP:
+    if p.qubits > QUBIT_CAP:
         raise DimensionCapError(
-            f"{p.qubits} qubits exceeds the {MATRIX_QUBIT_CAP}-qubit cap")
+            f"{p.qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
     dim = 2 ** p.qubits
     cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit, Gate, circuit_to_matrix
 from .errors import CompileError, FitError, NonHermitianError
-from .expr import Flag, HamExpr
+from .encodings import encode_for_compile
+from .expr import HamExpr
 from .pauli import PauliSum, is_hermitian_pauli, pauli_to_matrix
-from .typecheck import typecheck
+from .typecheck import hermiticity_report
 
 
 @dataclass(frozen=True)
@@ -53,18 +52,6 @@ def trotterize(hs: PauliSum, t: float, n: int) -> TrotterPlan:
         else:
             step_terms.append((string, 2.0 * coeff.real * t / n))
     return TrotterPlan(hs.qubits, n, tuple(step_terms) * n, phase)
-
-
-def plan_matrix(plan: TrotterPlan) -> np.ndarray:
-    """Exact product of the plan's per-term exponentials (oracle helper)."""
-    from .pauli import pauli_sum
-    from .linalg import matrix_exp_sim
-    dim = 2 ** plan.qubits
-    u = np.exp(1j * plan.identity_phase) * np.eye(dim, dtype=complex)
-    for string, angle in plan.slices:
-        m = pauli_to_matrix(pauli_sum(plan.qubits, [(1.0, string)]))
-        u = matrix_exp_sim(m, angle / 2.0) @ u
-    return u
 
 
 def synthesize_term(string: str, angle: float) -> Circuit:
@@ -119,14 +106,14 @@ def compile_digital(e: HamExpr, t: float, n: int, method: str = "auto",
     and concatenates one gadget per term.  Returns (Circuit, EncodingReport).
     The circuit approximates e^{-i M t} for the encoded Hamiltonian matrix M,
     which equals the expression's own matrix for direct and jw encodings.
+    The encoder takes the canonical form the Hermiticity certificate built.
     """
-    from .encodings import encode_for_compile
-    ty = typecheck(e)
-    if ty.flag is not Flag.H:
+    hermitian, _, form = hermiticity_report(e)
+    if not hermitian:
         raise CompileError(
             "only Hermitian programs (flag h) are executable; this one "
             "certifies only flag p")
-    hs, report = encode_for_compile(e, method, hp_level)
+    hs, report = encode_for_compile(form, method, hp_level)
     if not is_hermitian_pauli(hs):
         raise CompileError("encoding produced a non-Hermitian Pauli sum")
     plan = trotterize(hs, t, n)

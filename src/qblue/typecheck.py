@@ -1,57 +1,30 @@
-"""Typing, equational rewriting, and the Hermiticity certificate.
+"""Typing, canonical forms, and the Hermiticity certificate.
 
 The flag lattice has H below P; ladder leaves start at P, identities at H.
 Structural typing combines flags bottom-up, then a certificate pass tries to
-promote the whole expression to H by checking that its dagger rewrites to an
-identical canonical form.  When the syntactic certificate fails and the
-operator is small enough, a dense-matrix check decides instead.
+promote the whole expression to H.  It canonicalizes the expression once and
+compares that form with its adjoint, which ``adjoint`` computes from the
+form's terms alone; when the two differ and the operator is small enough, a
+dense-matrix check decides instead.  ``dag`` is the matrix adjoint in the
+graded (Jordan-Wigner) sense: the adjoint of a product, a tensor product
+included, reverses the order in which its operators apply, so two
+fermion-odd tensor factors trade places with a minus sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LayoutError
+from .errors import DIM_CAP, LayoutError
 from .expr import (
-    Boson, Dagger, Fermion, Flag, HamExpr, Identity, Ladder, LadderKind,
-    OpType, Seq, SiteList, Sum, Tensor, site_layout, total_dim,
+    Dagger, Fermion, Flag, HamExpr, Identity, Ladder, LadderKind, OpType,
+    Seq, SiteList, Sum, Tensor, site_layout, total_dim,
 )
+from .linalg import expr_to_matrix
 
 COEFF_EQ_TOL = 1e-12     # canonical-form coefficient comparison
 COEFF_DROP_TOL = 1e-14   # below this a term is treated as zero
 MATRIX_HERM_TOL = 1e-10  # max-norm tolerance for the dense fallback
-MATRIX_DIM_CAP = 2 ** 12
-
-
-# ---------------------------------------------------------------------------
-# Dagger normalization (push adjoints to the leaves)
-# ---------------------------------------------------------------------------
-
-def dagger_normalize(e: HamExpr) -> HamExpr:
-    """Rewrite so that no Dagger node remains.
-
-    Adjoints distribute over sums and tensor products, reverse products, and
-    cancel pairwise; at a leaf the adjoint flips the ladder kind and
-    conjugates the amplitude.
-    """
-    return _dag_norm(e, False)
-
-
-def _dag_norm(e: HamExpr, flip: bool) -> HamExpr:
-    if isinstance(e, (Ladder, Identity)) and not flip:
-        return e
-    if isinstance(e, Ladder):
-        return Ladder(e.kind.flipped, e.site, e.amp.conjugate())
-    if isinstance(e, Identity):
-        return Identity(e.site, e.amp.conjugate())
-    if isinstance(e, Dagger):
-        return _dag_norm(e.inner, not flip)
-    if isinstance(e, (Tensor, Sum, Seq)):
-        left, right = _dag_norm(e.left, flip), _dag_norm(e.right, flip)
-        if flip and isinstance(e, Seq):
-            left, right = right, left
-        return type(e)(left, right)
-    raise TypeError(f"not a HamExpr: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +63,26 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
     across sites multiplies the coefficient by -1 per transposition.
     """
     layout = site_layout(e)
-    raw = _terms(e)
+    return _merge(layout, _terms(e))
+
+
+def adjoint(form: CanonicalForm) -> CanonicalForm:
+    """The canonical form of the adjoint, computed from the terms alone.
+
+    Each coefficient is conjugated and each term's operators apply in
+    reverse order with their kinds flipped; normal ordering again folds in
+    the fermionic transposition signs.
+    """
+    raw = []
+    for term in form.terms:
+        ops = [(s, kind.flipped) for s, monomial in enumerate(term.factors)
+               for kind in monomial]
+        raw.append((term.coeff.conjugate(), ops[::-1]))
+    return _merge(form.layout, raw)
+
+
+def _merge(layout: SiteList, raw) -> CanonicalForm:
+    """Normal-order (coeff, ops) pairs, merge like terms, drop zeros."""
     merged: dict[tuple, complex] = {}
     for coeff, ops in raw:
         coeff, key = _normal_order(coeff, ops, layout)
@@ -110,7 +102,8 @@ def _terms(e: HamExpr, flip: bool = False) -> list:
 
     With ``flip`` the list is that of the adjoint of ``e``: a leaf flips its
     ladder kind and conjugates its amplitude, Dagger toggles ``flip``, and a
-    flipped Seq applies its left operand first.
+    flipped Seq or Tensor applies the ops of its left operand after those of
+    its right one.
     """
     return _terms_width(e, flip)[0]
 
@@ -136,8 +129,8 @@ def _terms_width(e: HamExpr, flip: bool) -> tuple[list, int]:
         first, then = (left, right) if flip else (right, left)
         return [(ct * cf, of + ot) for ct, ot in then for cf, of in first], width
     right = [(cr, [(s + width, k) for s, k in orr]) for cr, orr in right]
-    return ([(cl * cr, ol + orr) for cl, ol in left for cr, orr in right],
-            width + right_width)
+    return ([(cl * cr, orr + ol if flip else ol + orr)
+             for cl, ol in left for cr, orr in right], width + right_width)
 
 
 def _normal_order(coeff, ops, layout):
@@ -211,23 +204,22 @@ def canonical_to_expr(form: CanonicalForm) -> HamExpr:
 # Hermiticity certificate
 # ---------------------------------------------------------------------------
 
-def hermiticity_report(e: HamExpr) -> tuple[bool, str]:
-    """Decide Hermiticity and report which check decided.
+def hermiticity_report(e: HamExpr) -> tuple[bool, str, CanonicalForm]:
+    """Decide Hermiticity; report which check decided and the canonical form.
 
-    The syntactic certificate compares the canonical forms of e and its
-    dagger; it is sound but incomplete (it never reorders non-commuting
+    The syntactic certificate compares the canonical form of e with its
+    adjoint; it is sound but incomplete (it never reorders non-commuting
     factors).  When it answers no and the total dimension fits the dense
     cap, the matrix check ||M - M^dag||_max <= 1e-10 decides instead.
     """
-    if canonical_allclose(canonicalize(Dagger(e)), canonicalize(e)):
-        return True, "syntactic"
-    layout = site_layout(e)
-    if total_dim(layout) <= MATRIX_DIM_CAP:
-        from .linalg import expr_to_matrix
+    form = canonicalize(e)
+    if canonical_allclose(adjoint(form), form):
+        return True, "syntactic", form
+    if total_dim(form.layout) <= DIM_CAP:
         m = expr_to_matrix(e)
         ok = abs(m - m.conj().T).max() <= MATRIX_HERM_TOL
-        return bool(ok), "matrix"
-    return False, "syntactic"
+        return bool(ok), "matrix", form
+    return False, "syntactic", form
 
 
 def is_hermitian(e: HamExpr) -> bool:

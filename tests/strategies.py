@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from qblue.expr import (
-    Dagger, Seq, Sum, Tensor, annihilate, create, identity,
+    Boson, Dagger, Fermion, Seq, Sum, Tensor, annihilate, create, identity,
 )
 
 AMPS = st.sampled_from([1, -0.5, 2j, 0.3 + 0.4j])
@@ -29,3 +29,12 @@ def well_formed(draw, layout, depth=3):
         return Dagger(draw(well_formed(layout, sub)))
     node = Sum if kind == "sum" else Seq
     return node(draw(well_formed(layout, sub)), draw(well_formed(layout, sub)))
+
+
+def graded_trees(max_sites=4):
+    """well_formed trees on F, t(2), t(3) or mixed F / t(3) layouts."""
+    f, t2, t3 = Fermion(), Boson(2), Boson(3)
+    kinds = st.sampled_from([[f], [t2], [t3], [f, t3]])
+    layouts = kinds.flatmap(lambda k: st.lists(
+        st.sampled_from(k), min_size=1, max_size=max_sites))
+    return layouts.flatmap(lambda layout: well_formed(tuple(layout)))

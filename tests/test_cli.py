@@ -1,10 +1,15 @@
 import importlib
 import json
 
+import numpy as np
 import pytest
 
 from qblue.cli import main
 from qblue.fock import parse_state
+from qblue.pauli import pauli_sum
+
+import oracle
+from test_trotter import commutator_bound
 
 # the package re-exports the function typecheck under the module's name
 typecheck_module = importlib.import_module("qblue.typecheck")
@@ -67,8 +72,9 @@ def test_check_reports_certificate_verdict_once(tmp_path, capsys,
     assert record["hermitian"] is True
     assert record["decided_by"] == "syntactic"
     assert record["type"] == "F[h](t(2) (x) t(2))"
-    # the certificate compares the canonical forms of H and dag(H), once
-    assert len(calls) == 2
+    # the certificate compares the canonical form of H with its adjoint,
+    # which it computes from the form
+    assert len(calls) == 1
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -143,3 +149,79 @@ def test_deep_sum_exits_1_without_traceback(tmp_path, capsys):
     assert lines[0].startswith("qblue: error:")
     assert "recursion" in lines[0]
     assert "Traceback" not in captured.err + captured.out
+
+
+SPIN = [(0.9, 0.8), (-0.6, 0.5), (1.1, -0.35)]   # (J_j, h_j) per bond
+
+
+def spin_program(tmp_path, bonds=SPIN):
+    """sum_j J_j Z(j) Z(j+1) + h_j X(j+1) and its Pauli terms; Z = a^dag a
+    - a a^dag encodes to -Z, so Z Z encodes to +Z Z."""
+    n = len(bonds) + 1
+    body = " + ".join(f"{J} * Z({j}) Z({j + 1}) + {h} * X({j + 1})"
+                      for j, (J, h) in enumerate(bonds))
+    prog = tmp_path / "spin.qb"
+    prog.write_text(f"sites {', '.join(['t(2)'] * n)};\nH = {body};\n")
+    terms = []
+    for j, (J, h) in enumerate(bonds):
+        zz, x = ["I"] * n, ["I"] * n
+        zz[j] = zz[j + 1] = "Z"
+        x[j + 1] = "X"
+        terms += [(J, "".join(zz)), (h, "".join(x))]
+    return str(prog), terms
+
+
+def run_json(capsys, argv):
+    code = main(["--json", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_energy_of_spin_chain(tmp_path, capsys):
+    prog, terms = spin_program(tmp_path)
+    code, out, _ = run_json(capsys, ["energy", prog])
+    assert code == 0
+    h = sum(c * oracle.pauli_string_matrix(s) for c, s in terms)
+    want = np.linalg.eigvalsh(h)[0]
+    assert abs(json.loads(out)["energy"] - want) <= 1e-10
+
+
+def test_fit_assigns_the_pair_coefficients(tmp_path, capsys):
+    prog, _ = spin_program(tmp_path)
+    code, out, _ = run_json(capsys, ["fit", prog, "--machine", "ibm"])
+    assert code == 0
+    pairs = json.loads(out)["pairs"]
+    assert [j for j, _ in pairs] == [0, 1, 2]
+    for (j, slots), (J, h) in zip(pairs, SPIN):
+        # ZZ on the pair, X on its right qubit
+        assert slots["z2"] == pytest.approx(J, abs=1e-12)
+        assert slots["z4"] == pytest.approx(h, abs=1e-12)
+        assert slots["z1"] == slots["z3"] == 0
+
+
+def test_verify_of_compiled_circuit_within_commutator_bound(tmp_path, capsys):
+    prog, terms = spin_program(tmp_path)
+    circ = str(tmp_path / "spin.circ")
+    t, steps = 0.7, 2
+    code, _, _ = run_json(capsys, ["compile", prog, "--t", str(t),
+                                   "--n", str(steps), "--out", circ])
+    assert code == 0
+    code, out, _ = run_json(capsys, ["verify", circ, prog, "--t", str(t)])
+    assert code == 0
+    bound = commutator_bound(pauli_sum(4, terms), t, steps)
+    assert 0 < json.loads(out)["distance"] <= bound
+
+
+@pytest.mark.parametrize("argv, source, code, kind", [
+    (["energy"], "sites t(2);\nH = adag(0);\n", 3, "type"),
+    (["fit"], "sites t(2), t(2);\nH = X(0) X(1);\n", 4, "compile"),
+    (["energy"], "sites " + ", ".join(["t(2)"] * 13) + ";\nH = sum j in 0..11"
+     " { Z(j) Z(j+1) + 0.8 * X(j+1) };\n", 5, "dimension"),
+], ids=["energy-not-hermitian", "fit-uncovered-term", "energy-over-cap"])
+def test_failure_exit_codes(argv, source, code, kind, tmp_path, capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text(source)
+    got, out, err = run_json(capsys, [*argv, str(prog)])
+    assert got == code
+    assert out == ""
+    assert json.loads(err)["code"] == kind

@@ -108,9 +108,9 @@ def test_scale_one_is_noop_and_composition():
 
 def test_scale_through_dagger_conjugates():
     from qblue.expr import Dagger
-    from qblue.typecheck import dagger_normalize
+    from qblue.typecheck import canonicalize
     e = Dagger(annihilate(T2))
-    assert dagger_normalize(scale(2j, e)) == create(T2, 2j)
+    assert canonicalize(scale(2j, e)) == canonicalize(create(T2, 2j))
 
 
 def test_tensor_and_sum_normalize_right_associated():

@@ -11,7 +11,7 @@ from qblue.errors import LayoutError, NonHermitianError, StateFormatError
 from qblue.expr import (
     Boson, Dagger, Fermion, LadderKind, Seq, annihilate, create,
     desugar_indexed, ham_sum, identity, identity_chain, scale, seq, site_dim,
-    tensor,
+    site_layout, tensor,
 )
 from qblue.fock import (
     add_states, apply, apply_single, basis_ket, expectation, fermion_sign,
@@ -21,7 +21,7 @@ from qblue.fock import (
 from qblue.linalg import expr_to_matrix, state_to_vector
 
 import oracle
-from strategies import well_formed
+from strategies import graded_trees, well_formed
 
 T2 = Boson(2)
 T3 = Boson(3)
@@ -169,6 +169,16 @@ def test_apply_matches_matrix_columns(case):
     for col, occ in enumerate(occs):
         got = state_to_vector(apply(e, basis_ket(layout, occ)))
         assert oracle.max_norm(got, m[:, col]) <= tol
+
+
+@given(graded_trees())
+def test_apply_of_dagger_gives_the_conjugate_transpose(e):
+    layout = site_layout(e)
+    want = expr_to_matrix(e).conj().T
+    occs = itertools.product(*(range(site_dim(site)) for site in layout))
+    for col, occ in enumerate(occs):
+        got = state_to_vector(apply(Dagger(e), basis_ket(layout, occ)))
+        assert oracle.max_norm(got, want[:, col]) <= 1e-12
 
 
 def test_apply_walks_the_layout_once(monkeypatch):

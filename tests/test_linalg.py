@@ -1,4 +1,7 @@
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +345,24 @@ def test_matrix_dump_roundtrip():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     back = load_matrix(dump_matrix(m))
     assert oracle.max_norm(back, m) == 0
+
+
+def imported_modules(path):
+    tree = ast.parse(Path(path).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_oracles_are_independent_routes():
+    # the test oracle shares no code with the package, and the package's
+    # dense lowering does not go through the canonical forms
+    oracle_imports = imported_modules(oracle.__file__)
+    assert not any(name.split(".")[0] == "qblue" for name in oracle_imports)
+    linalg_imports = imported_modules(
+        importlib.import_module("qblue.linalg").__file__)
+    assert not any("typecheck" in name for name in linalg_imports)

@@ -1,7 +1,7 @@
 from qblue.encodings import encode_for_compile
 from qblue.expr import Flag, Sum
 from qblue.parser import parse
-from qblue.typecheck import typecheck
+from qblue.typecheck import canonicalize, typecheck
 
 
 def definition(source):
@@ -9,7 +9,8 @@ def definition(source):
 
 
 def pauli_terms(e):
-    return dict((s, c) for c, s in encode_for_compile(e, "direct")[0].terms)
+    hs, _ = encode_for_compile(canonicalize(e), "direct")
+    return dict((s, c) for c, s in hs.terms)
 
 
 def test_binary_minus_before_a_literal_is_a_difference():

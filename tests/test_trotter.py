@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qblue.circuit import Circuit
-from qblue.encodings import encode_for_compile, holstein_primakoff
+from qblue.encodings import encode_for_compile
 from qblue.expr import LadderKind
 from qblue.parser import parse
-from qblue.pauli import PauliSum, identity_sum, pauli_sum
+from qblue.pauli import PauliSum, identity_sum, pauli_allclose, pauli_sum
 from qblue.trotter import (
-    TrotterPlan, compile_digital, plan_to_circuit, synthesize_term,
-    verify_circuit,
+    TrotterPlan, compile_digital, fit_machine, ibm_machine, plan_to_circuit,
+    schedule_to_pauli, synthesize_term, verify_circuit,
 )
 from qblue.typecheck import canonicalize
 
@@ -27,14 +27,6 @@ def hopping_chain(n):
     return parse(f"sites {sites};\n"
                  f"H = sum j in 0..{n - 2} {{ 0.7 * adag(j) a(j+1)"
                  f" + 0.7 * adag(j+1) a(j) + 0.3 * adag(j) a(j) }};"
-                 ).defs["H"]
-
-
-def bose_hubbard_chain(n):
-    sites = ", ".join(["t(4)"] * n)
-    return parse(f"sites {sites};\n"
-                 f"H = sum j in 0..{n - 2} {{ 0.9 * adag(j) a(j+1)"
-                 f" + 0.9 * adag(j+1) a(j) + 1.3 * adag(j) adag(j) a(j) a(j) }};"
                  ).defs["H"]
 
 
@@ -63,7 +55,7 @@ def test_verify_distance_within_commutator_bound(chain, sites, steps):
     e = chain(sites)
     t = 0.6
     circuit, _ = compile_digital(e, t, steps)
-    hs, _ = encode_for_compile(e)
+    hs, _ = encode_for_compile(canonicalize(e))
     bound = commutator_bound(hs, t, steps)
     dist = verify_circuit(circuit, hs, t)
     assert bound > 0
@@ -78,7 +70,7 @@ def test_verify_distance_within_commutator_bound(chain, sites, steps):
 def test_single_term_is_exact(source):
     e = parse(source).defs["H"]
     circuit, _ = compile_digital(e, 0.9, 1)
-    hs, _ = encode_for_compile(e)
+    hs, _ = encode_for_compile(canonicalize(e))
     assert verify_circuit(circuit, hs, 0.9) < 1e-9
 
 
@@ -125,12 +117,27 @@ def per_term_fold(e, z_string):
 
 @pytest.mark.parametrize("sites", [3, 4])
 @pytest.mark.parametrize("chain, method", [
-    (spin_chain, "direct"), (hopping_chain, "jw"), (bose_hubbard_chain, "hp"),
+    (spin_chain, "direct"), (hopping_chain, "jw"),
 ])
 def test_encoding_equals_per_term_fold(chain, method, sites):
     e = chain(sites)
-    hs, report = encode_for_compile(e)
+    hs, report = encode_for_compile(canonicalize(e))
     assert report.method == method
-    if method == "hp":
-        e = holstein_primakoff(e, report.truncation)
     assert hs.terms == per_term_fold(e, z_string=method == "jw").terms
+
+
+coefficients = st.floats(-2, 2, allow_nan=False, allow_subnormal=False)
+
+
+@given(st.integers(3, 8).flatmap(lambda n: st.lists(
+    st.tuples(coefficients, coefficients), min_size=n - 1, max_size=n - 1)))
+def test_fitted_schedule_realizes_the_spin_chain(bonds):
+    # sum_j J_j Z(j) Z(j+1) + h_j X(j+1) fits the ZZ and right-X templates
+    n = len(bonds) + 1
+    body = " + ".join(f"{J!r} * Z({j}) Z({j + 1}) + {h!r} * X({j + 1})"
+                      for j, (J, h) in enumerate(bonds))
+    e = parse(f"sites {', '.join(['t(2)'] * n)};\nH = {body};").defs["H"]
+    hs, _ = encode_for_compile(canonicalize(e))
+    machine = ibm_machine()
+    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, machine), machine),
+                          hs)

@@ -12,12 +12,12 @@ from qblue.expr import (
 )
 from qblue.linalg import expr_to_matrix
 from qblue.typecheck import (
-    canonical_allclose, canonical_to_expr, canonicalize, dagger_normalize,
-    hermiticity_report, is_hermitian, typecheck,
+    COEFF_EQ_TOL, adjoint, canonical_allclose, canonical_to_expr,
+    canonicalize, hermiticity_report, is_hermitian, typecheck,
 )
 
 import oracle
-from strategies import well_formed
+from strategies import graded_trees, well_formed
 
 # the package re-exports the function typecheck under the module's name
 typecheck_module = importlib.import_module("qblue.typecheck")
@@ -38,39 +38,67 @@ def hop(layout):
 
 
 # ---------------------------------------------------------------------------
-# dagger_normalize
+# dag: the canonical form of Dagger(e)
 # ---------------------------------------------------------------------------
+
+def same_form(a, b):
+    return canonical_allclose(canonicalize(a), canonicalize(b))
+
 
 def test_dagger_distributes_over_tensor():
     e = Dagger(tensor(create(T2), annihilate(T2)))
-    assert dagger_normalize(e) == tensor(annihilate(T2), create(T2))
+    assert same_form(e, tensor(annihilate(T2), create(T2)))
+    # two fermion-odd factors trade places under the adjoint: a minus sign
+    e = Dagger(tensor(create(F), create(F, 2j)))
+    assert not same_form(e, tensor(annihilate(F), annihilate(F, -2j)))
+    assert same_form(e, tensor(annihilate(F, -1), annihilate(F, -2j)))
 
 
 def test_dagger_reverses_seq():
     e = Dagger(seq(create(T2), annihilate(T2)))
-    assert dagger_normalize(e) == seq(create(T2), annihilate(T2))
+    assert same_form(e, seq(create(T2), annihilate(T2)))
     e2 = Dagger(seq(annihilate(T2), annihilate(T2, 2.0)))
-    assert dagger_normalize(e2) == seq(create(T2, 2.0), create(T2))
+    assert same_form(e2, seq(create(T2, 2.0), create(T2)))
+    assert not same_form(e2, seq(create(T2, 2.0), annihilate(T2)))
 
 
 def test_dagger_is_involutive():
     e = Dagger(Dagger(annihilate(T2, 1 + 2j)))
-    assert dagger_normalize(e) == annihilate(T2, 1 + 2j)
+    assert same_form(e, annihilate(T2, 1 + 2j))
 
 
 def test_dagger_conjugates_amplitudes():
-    assert dagger_normalize(Dagger(annihilate(T2, 2j))) == create(T2, -2j)
-    assert dagger_normalize(Dagger(identity(T2, 1j))) == Identity(T2, -1j)
+    assert same_form(Dagger(annihilate(T2, 2j)), create(T2, -2j))
+    assert same_form(Dagger(identity(T2, 1j)), Identity(T2, -1j))
+    assert not same_form(Dagger(identity(T2, 1j)), Identity(T2, 1j))
 
 
 def test_dagger_normalize_matches_adjoint_matrix():
+    # both the tree lowering of Dagger(e) and the expression rebuilt from
+    # its canonical form give the conjugate transpose
     rng = np.random.default_rng(7)
-    layout = (T2, T4)
-    for _ in range(25):
-        e = _random_expr(rng, layout, depth=3)
-        m = expr_to_matrix(e)
-        md = expr_to_matrix(dagger_normalize(Dagger(e)))
-        assert oracle.max_norm(md, m.conj().T) < 1e-12
+    for layout in [(T2, T4), (F, T2, F)]:
+        for _ in range(25):
+            e = _random_expr(rng, layout, depth=3)
+            want = expr_to_matrix(e).conj().T
+            rebuilt = canonical_to_expr(canonicalize(Dagger(e)))
+            assert oracle.max_norm(expr_to_matrix(rebuilt), want) < 1e-12
+            assert oracle.max_norm(expr_to_matrix(Dagger(e)), want) < 1e-12
+
+
+def test_dagger_of_fermionic_tensor_is_the_graded_adjoint():
+    t = tensor(create(F), create(F))
+    # t applies adag at site 0, then adag at site 1 behind its Z string
+    m = (oracle.jw_ladder("create", 1, 2)
+         @ oracle.jw_ladder("create", 0, 2))
+    assert oracle.max_norm(expr_to_matrix(t), m) == 0
+    assert oracle.max_norm(expr_to_matrix(Dagger(t)), m.conj().T) == 0
+    h = ham_sum(t, Dagger(t))
+    mh = expr_to_matrix(h)
+    assert oracle.max_norm(mh, m + m.conj().T) == 0
+    ok, method, _ = hermiticity_report(h)
+    assert ok == (oracle.max_norm(mh, mh.conj().T) < 1e-10)
+    assert ok and method == "syntactic"
 
 
 def _random_expr(rng, layout, depth):
@@ -152,12 +180,13 @@ def test_canonicalize_fermion_reorder_tracks_sign():
 # ---------------------------------------------------------------------------
 
 def test_x_combination_is_hermitian():
-    ok, method = hermiticity_report(ham_sum(create(T2), annihilate(T2)))
+    ok, method, form = hermiticity_report(ham_sum(create(T2), annihilate(T2)))
     assert ok and method == "syntactic"
+    assert form == canonicalize(ham_sum(create(T2), annihilate(T2)))
 
 
 def test_bare_annihilator_is_not_hermitian():
-    ok, _ = hermiticity_report(annihilate(T2))
+    ok, _, _ = hermiticity_report(annihilate(T2))
     assert not ok
 
 
@@ -283,10 +312,11 @@ def test_structural_typing_does_not_call_site_layout(e):
     assert calls == []
 
 
-@given(trees)
+@given(graded_trees())
 def test_flipped_terms_are_the_terms_of_the_normalized_adjoint(e):
-    # the adjoint is folded into the term lowering, with the same order,
-    # operators and floating-point coefficients as the rewritten tree
-    terms = typecheck_module._terms
-    assert terms(e, flip=True) == terms(dagger_normalize(Dagger(e)))
-    assert terms(e) == terms(dagger_normalize(e))
+    # the adjoint computed from the form's terms is the form of Dagger(e),
+    # whose terms are the flipped terms of e
+    form = canonicalize(e)
+    assert canonical_allclose(adjoint(form), canonicalize(Dagger(e)),
+                              COEFF_EQ_TOL)
+    assert canonical_allclose(adjoint(adjoint(form)), form, COEFF_EQ_TOL)
