@@ -6,7 +6,7 @@ from .errors import (
     NonHermitianError, ParseError, QBlueError, StateFormatError,
 )
 from .expr import (
-    Boson, Dagger, Fermion, Flag, HamExpr, Identity, Ladder, LadderKind,
+    Atom, Boson, Dagger, Fermion, Flag, HamExpr, LadderKind,
     OpType, Seq, Sum, Tensor, annihilate, create, dagger, desugar_indexed,
     expr_allclose, ham_sum, identity, identity_chain, scale, seq,
     site_dim, site_layout, tensor, total_dim,

@@ -59,34 +59,6 @@ class Gate:
             raise ValueError(f"gate {self.name} angle mismatch")
 
 
-def h(q):
-    return Gate("h", (q,))
-
-
-def s(q):
-    return Gate("s", (q,))
-
-
-def sdg(q):
-    return Gate("sdg", (q,))
-
-
-def cx(control, target):
-    return Gate("cx", (control, target))
-
-
-def rx(angle, q):
-    return Gate("rx", (q,), float(angle))
-
-
-def ry(angle, q):
-    return Gate("ry", (q,), float(angle))
-
-
-def rz(angle, q):
-    return Gate("rz", (q,), float(angle))
-
-
 @dataclass(frozen=True)
 class Circuit:
     width: int

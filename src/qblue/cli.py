@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type error, 4 fit/compile
 error, 5 dimension cap.  An input that exhausts the recursion limit or the
-memory exits 1 with a one-line error naming the cause, not a traceback.
-With --json, reports and diagnostics are emitted as JSON lines.
+memory exits 1 with a one-line error naming the cause, not a traceback
+(see ``main``).  With --json, reports and diagnostics are emitted as JSON
+lines.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _diagnostic(args, code: str, exc: Exception) -> None:
             record["left_sites"] = [str(s) for s in exc.left]
         if exc.right is not None:
             record["right_sites"] = [str(s) for s in exc.right]
-    if isinstance(exc, ParseError):
+    if getattr(exc, "line", None) is not None:
         record["line"] = exc.line
         record["col"] = exc.col
     if args.json:
@@ -133,12 +134,8 @@ def _pick_def(program, name):
 
 
 def _parse_encoding(text: str):
-    if text == "auto":
-        return "auto", None
-    if text == "jw":
-        return "jw", None
-    if text == "direct":
-        return "direct", None
+    if text in ("auto", "jw", "direct"):
+        return text, None
     if text.startswith("hp:"):
         return "hp", int(text.split(":", 1)[1])
     raise _UsageError(f"bad --encode value {text!r} "
@@ -271,6 +268,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Sums, products and sum loops are n-ary nodes, so their length costs no
+    recursion depth.  What still reaches the last handler is nesting: the
+    parser recurses a few frames per level of parentheses or ``dag``, so
+    about 250 levels exhaust Python's default limit of 1000 frames; and a
+    product of large sums whose expansion does not fit in memory raises
+    MemoryError.  Both exit 1 with one error line.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -282,10 +288,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qblue: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
-        _diagnostic(args, "parse", exc)
-        return EXIT_PARSE
-    except StateFormatError as exc:
+    except (ParseError, StateFormatError) as exc:
         _diagnostic(args, "parse", exc)
         return EXIT_PARSE
     except (LayoutError, NonHermitianError) as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, limits and tolerances shared across the package."""
 
 from __future__ import annotations
 
@@ -6,6 +6,16 @@ from __future__ import annotations
 # circuits and Pauli sums on at most QUBIT_CAP qubits.
 DIM_CAP = 2 ** 12
 QUBIT_CAP = DIM_CAP.bit_length() - 1
+
+# Tolerances, each named once for every module that compares with it.
+COEFF_EQ_TOL = 1e-12      # coefficients and amplitudes compared as equal
+COEFF_DROP_TOL = 1e-14    # canonical-form term treated as zero
+COEFF_PRUNE_TOL = 1e-14   # Pauli-sum term treated as zero
+AMP_PRUNE_TOL = 1e-14     # ket amplitude treated as zero
+HERMITIAN_IM_TOL = 1e-12  # imaginary part of a Hermitian Pauli coefficient
+HERMITIAN_TOL = 1e-10     # max-norm ||M - M^dag|| of a Hermitian matrix
+UNITARY_TOL = 1e-10       # max-norm ||U^dag U - 1|| of a unitary matrix
+EXPECTATION_IM_TOL = 1e-10  # imaginary residue of <s|H|s>
 
 
 class QBlueError(Exception):
@@ -15,19 +25,27 @@ class QBlueError(Exception):
 class LayoutError(QBlueError):
     """Site-list mismatch between subexpressions.
 
-    Carries the path of the offending subexpression plus both conflicting
-    site lists so diagnostics can point at the exact spot.
+    Carries the place of the offending subexpression plus both conflicting
+    site lists so diagnostics can point at the exact spot.  The place is a
+    child-index path such as ``root.1.inner.0`` in a hand-built tree, or a
+    definition name with the source ``line`` and ``col`` in a parsed
+    program.
     """
 
-    def __init__(self, message, path="root", left=None, right=None):
+    def __init__(self, message, path="root", left=None, right=None,
+                 line=None, col=None):
         self.path = path
         self.left = left
         self.right = right
+        self.line = line
+        self.col = col
         detail = message
         if left is not None and right is not None:
             from .expr import layout_str
             detail = (f"{message} at {path}: "
                       f"[{layout_str(left)}] vs [{layout_str(right)}]")
+        if line is not None:
+            detail += f" (line {line}, column {col})"
         super().__init__(detail)
 
 

@@ -3,9 +3,9 @@
 States are sparse complex combinations of occupation-number kets over a fixed
 site layout; the empty combination is the absorbing zero state.  ``apply``
 lowers each factor of the root product once to a term list (coefficients
-times ladder operators in application order) and applies it to the whole
-merged state; a fermionic ladder operator takes the sign (-1)^(occupied
-fermionic sites to its left) in the current occupation.
+times the ladder operators of the active sites, in application order) and
+applies it to the whole merged state; a fermionic ladder operator takes the
+sign (-1)^(occupied fermionic sites to its left) in the current occupation.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import LayoutError, StateFormatError
+from .errors import (
+    AMP_PRUNE_TOL, EXPECTATION_IM_TOL, LayoutError, NonHermitianError,
+    StateFormatError,
+)
 from .expr import (
     Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, site_dim,
     site_layout,
 )
 from .typecheck import _terms
-
-AMP_PRUNE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ def _factors(e: HamExpr, flip: bool = False) -> list:
     if isinstance(e, Dagger):
         return _factors(e.inner, not flip)
     if isinstance(e, Seq):
-        first, then = (e.left, e.right) if flip else (e.right, e.left)
-        return _factors(first, flip) + _factors(then, flip)
+        order = e.children if flip else reversed(e.children)
+        return [f for c in order for f in _factors(c, flip)]
     return [(e, flip)]
 
 
@@ -208,11 +209,10 @@ def expectation(e: HamExpr, s: FockState) -> float:
         raise ValueError("expectation value of the zero state is undefined")
     ty = typecheck(e)
     if ty.flag is not Flag.H:
-        from .errors import NonHermitianError
         raise NonHermitianError(
             "expectation requires a Hermitian operator (flag h), got flag p")
     val = inner_product(s, apply(e, s)) / (s.norm() ** 2)
-    if not abs(val.imag) < 1e-10:
+    if not abs(val.imag) < EXPECTATION_IM_TOL:
         raise ValueError(f"imaginary residue {val.imag} in expectation")
     return val.real
 

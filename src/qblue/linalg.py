@@ -4,17 +4,17 @@ This is the desk-scale oracle the rest of the package is checked against,
 and it shares no code with the canonical forms of ``typecheck``: it lowers
 the expression tree itself.  Expressions lower structurally to pairs of
 scipy.sparse CSR matrices graded by fermionic ladder parity (even, odd),
-with None for an absent grade, and are densified once at the end.  A tensor
-product of single-site leaves, the form every indexed atom takes, has at
-most one nonzero per column and is built in one O(N dim) step; other
-tensors compose by the graded Kronecker rule, so tensor composition picks
-up the same anti-commutation signs the interpreter produces (the
-Jordan-Wigner sign convention), and sums and products are sparse additions
-and products.  ``Dagger`` lowers as the conjugate transpose of its
-operand's graded pair; the adjoint keeps each grade.  The cost of a call is
-then bounded by the nonzeros of the intermediate operators plus one
-dim x dim densification, not by dense dim^3 products.  Exponentials use
-the e^{-i h t} convention throughout, so Hermitian input gives a unitary.
+with None for an absent grade, and are densified once at the end.  An atom
+has at most one nonzero per column and is built in one O(N dim) step from
+its sparse map of ladders; tensors of other expressions compose by the
+graded Kronecker rule, so tensor composition picks up the same
+anti-commutation signs the interpreter produces (the Jordan-Wigner sign
+convention), and sums and products are sparse additions and products.
+``Dagger`` lowers as the conjugate transpose of its operand's graded pair;
+the adjoint keeps each grade.  The cost of a call is then bounded by the
+nonzeros of the intermediate operators plus one dim x dim densification,
+not by dense dim^3 products.  Exponentials use the e^{-i h t} convention
+throughout, so Hermitian input gives a unitary.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .errors import DIM_CAP, DimensionCapError, NonHermitianError
-from .expr import (
-    Boson, Dagger, Fermion, HamExpr, Identity, Ladder, LadderKind, Seq,
-    SiteList, Sum, Tensor, site_dim, site_layout, total_dim,
+from .errors import (
+    AMP_PRUNE_TOL, DIM_CAP, HERMITIAN_TOL, UNITARY_TOL, DimensionCapError,
+    NonHermitianError,
 )
-
-HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
+from .expr import (
+    Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
+    Tensor, site_dim, site_layout, total_dim,
+)
 
 
 def _parity_diag(layout: SiteList) -> np.ndarray:
@@ -50,99 +50,82 @@ def _parity_diag(layout: SiteList) -> np.ndarray:
 
 def expr_to_matrix(e: HamExpr) -> np.ndarray:
     """Matrix M with M v(s) = v(apply(e, s)) for every basis state s."""
-    layout = site_layout(e)
+    layout = e.layout or site_layout(e)
     dim = total_dim(layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    m = _add(*_lower(e, layout))
+    m = _add(*_lower(e))
     # scipy's kron drops to float when a factor has no nonzero
     return m.toarray().astype(complex, copy=False)
 
 
-def _lower(e, layout):
+def _lower(e):
     """(even, odd) CSR matrices graded by fermionic ladder parity; None
     stands for an absent grade."""
-    leaves = _tensor_leaves(e)
-    if leaves is not None:
-        return _monomial(leaves)
-    if isinstance(e, Sum):
-        e1, o1 = _lower(e.left, layout)
-        e2, o2 = _lower(e.right, layout)
-        return _add(e1, e2), _add(o1, o2)
+    if isinstance(e, Atom):
+        return _monomial(e)
     if isinstance(e, Dagger):
-        even, odd = _lower(e.inner, layout)
+        even, odd = _lower(e.inner)
         return _adjoint(even), _adjoint(odd)
-    if isinstance(e, Seq):
-        e1, o1 = _lower(e.left, layout)
-        e2, o2 = _lower(e.right, layout)
-        return (_add(_mul(e1, e2), _mul(o1, o2)),
-                _add(_mul(e1, o2), _mul(o1, e2)))
-    if isinstance(e, Tensor):
-        left_layout = site_layout(e.left)
-        right_layout = layout[len(left_layout):]
-        e1, o1 = _lower(e.left, left_layout)
-        e2, o2 = _lower(e.right, right_layout)
-        # the right block's odd part sees the left block's post-application
-        # parity, realized by the diagonal sign operator g
-        g = _parity_diag(left_layout)
-        even = _add(_kron(e1, e2), _kron(_scale_rows(o1, g), o2))
-        odd = _add(_kron(o1, e2), _kron(_scale_rows(e1, g), o2))
-        return even, odd
-    raise TypeError(f"not a HamExpr: {e!r}")
-
-
-def _tensor_leaves(e):
-    """The Ladder/Identity factors of a tensor tree in site order, or None
-    when some factor is a compound expression."""
-    leaves = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Tensor):
-            stack += (node.right, node.left)
-        elif isinstance(node, (Ladder, Identity)):
-            leaves.append(node)
+    if not isinstance(e, (Sum, Seq, Tensor)):
+        raise TypeError(f"not a HamExpr: {e!r}")
+    # fold from the right, as the right-nested binary product would
+    even, odd = _lower(e.children[-1])
+    for c in reversed(e.children[:-1]):
+        e1, o1 = _lower(c)
+        if isinstance(e, Sum):
+            even, odd = _add(e1, even), _add(o1, odd)
+        elif isinstance(e, Seq):
+            even, odd = (_add(_mul(e1, even), _mul(o1, odd)),
+                         _add(_mul(e1, odd), _mul(o1, even)))
         else:
-            return None
-    return leaves
+            # the right block's odd part sees the left block's
+            # post-application parity, realized by the diagonal sign g
+            g = _parity_diag(c.layout)
+            even, odd = (_add(_kron(e1, even), _kron(_scale_rows(o1, g), odd)),
+                         _add(_kron(o1, even), _kron(_scale_rows(e1, g), odd)))
+    return even, odd
 
 
-def _monomial(leaves):
-    """Graded CSR pair of a tensor product of single-site leaves.
+def _monomial(atom: Atom):
+    """Graded CSR pair of an atom.
 
-    Every leaf maps a basis state to at most one basis state, so the product
+    Every ladder maps a basis state to at most one basis state, so the atom
     has at most one nonzero per column.  Walking the sites from the right,
-    each fermionic leaf with an odd number of fermionic ladders to its right
-    takes the sign (-1)^(its output occupation), as the graded Kronecker
-    rule in _lower would give it.
+    each fermionic site with an odd number of fermionic ladders to its
+    right takes the sign (-1)^(its output occupation), as the graded
+    Kronecker rule in _lower would give it.
     """
-    dim = total_dim(tuple(leaf.site for leaf in leaves))
+    layout = atom.layout
+    dim = total_dim(layout)
     cols = np.arange(dim)
     rows = cols.copy()
     vals = np.ones(dim, dtype=complex)
-    amp = 1.0 + 0j
+    kinds = dict(atom.ops)
     odd = False
     stride = 1
-    for leaf in reversed(leaves):
-        d = site_dim(leaf.site)
-        occ = cols // stride % d
-        if isinstance(leaf, Ladder):
-            step = 1 if leaf.kind is LadderKind.CREATE else -1
+    for j in reversed(range(len(layout))):
+        d = site_dim(layout[j])
+        fermionic = isinstance(layout[j], Fermion)
+        kind = kinds.get(j)
+        if kind is not None or (odd and fermionic):
+            occ = cols // stride % d
+        if kind is not None:
+            step = 1 if kind is LadderKind.CREATE else -1
             out = occ + step
             # sqrt of the larger occupation; zero where out leaves 0..d-1
             vals *= np.where((out >= 0) & (out < d),
                              np.sqrt(np.maximum(occ, out)), 0)
             rows += step * stride
             occ = out
-        if isinstance(leaf.site, Fermion):
+        if fermionic:
             if odd:
                 vals *= 1 - 2 * (occ & 1)
-            odd ^= isinstance(leaf, Ladder)
-        amp *= leaf.amp
+            odd ^= kind is not None
         stride *= d
     keep = vals != 0
-    m = scipy.sparse.csr_array((amp * vals[keep], (rows[keep], cols[keep])),
-                               shape=(dim, dim))
+    m = scipy.sparse.csr_array((atom.amp * vals[keep],
+                                (rows[keep], cols[keep])), shape=(dim, dim))
     return (None, m) if odd else (m, None)
 
 
@@ -189,7 +172,8 @@ def state_to_vector(s) -> np.ndarray:
     return v
 
 
-def vector_to_state(v: np.ndarray, layout: SiteList, tol: float = 1e-14):
+def vector_to_state(v: np.ndarray, layout: SiteList,
+                    tol: float = AMP_PRUNE_TOL):
     from .fock import make_state
     dims = [site_dim(site) for site in layout]
     kets = []

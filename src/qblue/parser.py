@@ -8,12 +8,15 @@ A program declares a site layout and named operator definitions::
 
 Juxtaposition is the operator product, ``#`` the tensor product, ``+``/``-``
 linear combination (``A - 0.5 * B`` is a difference), ``dag(...)`` the
-adjoint.  Indexed atoms a/adag/I embed a single-site operator at the given
-site with identity padding; X/Y/Z expand to their ladder combinations
-(a^dag + a, i a - i a^dag, a^dag a - a a^dag) on two-dimensional sites.
-``sum j in lo..hi { ... }`` unrolls inclusively with index arithmetic of the
-form j + constant.  Scalar literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``,
-``sqrt(2)``.
+adjoint.  An indexed atom a/adag/I is one node over the declared layout
+that lists the given site, the identity implicit at every other site;
+X/Y/Z expand to their ladder combinations (a^dag + a, i a - i a^dag,
+a^dag a - a a^dag) on two-dimensional sites.  ``sum j in lo..hi { ... }``
+unrolls inclusively with index arithmetic of the form j + constant into
+one n-ary sum, as ``+`` chains and juxtaposition build one n-ary sum and
+product.  Scalar literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``.
+Operands whose site lists disagree raise LayoutError with the definition
+name and the source line and column of the operand.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from dataclasses import dataclass
 
 from .errors import LayoutError, ParseError
 from .expr import (
-    Boson, Dagger, Fermion, HamExpr, Identity, Ladder, LadderKind, Seq,
-    SiteList, Sum, Tensor, desugar_indexed, ham_sum, scale, seq, site_dim,
-    site_layout, tensor,
+    Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
+    ham_sum, intern_layout, scale, seq, site_dim, site_layout, tensor,
 )
 
 
@@ -35,15 +37,18 @@ class Program:
     layout: SiteList
     defs: dict  # name -> HamExpr, insertion-ordered
 
+    def __post_init__(self):
+        self.layout = intern_layout(self.layout)
+
 
 def validate_program(p: Program):
-    """Check every definition acts on the declared layout."""
+    """Check every definition acts on the declared layout; each node stores
+    its layout, so this reads one attribute per definition."""
     for name, e in p.defs.items():
-        inferred = site_layout(e)
-        if inferred != p.layout:
+        if e.layout is not p.layout:
             raise LayoutError(
                 f"definition {name!r} does not act on the declared sites",
-                name, inferred, p.layout)
+                name, site_layout(e), p.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +107,7 @@ class _Parser:
         self.tokens = tokenize(src)
         self.pos = 0
         self.layout: SiteList = ()
+        self.name = ""   # the definition being parsed
 
     # -- token plumbing
 
@@ -132,7 +138,7 @@ class _Parser:
         if t.text != "sites":
             self.fail("program must start with a 'sites' declaration")
         self.next()
-        self.layout = self.site_list()
+        self.layout = intern_layout(self.site_list())
         self.expect(";")
         defs: dict[str, HamExpr] = {}
         while self.peek().kind != "eof":
@@ -144,8 +150,14 @@ class _Parser:
                                  name_tok.line, name_tok.col)
             self.next()
             self.expect("=")
+            self.name = name_tok.text
             e = self.expr({})
             self.expect(";")
+            if e.layout is not self.layout:
+                raise LayoutError(
+                    f"definition {self.name!r} does not act on the declared "
+                    "sites", self.name, e.layout, self.layout,
+                    name_tok.line, name_tok.col)
             defs[name_tok.text] = e
         if not defs:
             self.fail("program has no definitions")
@@ -178,19 +190,33 @@ class _Parser:
             # leading minus on a non-literal term
             self.next()
             negate = True
+        starts = [self.peek()]
         first = self.term(env)
         parts = [scale(-1, first) if negate else first]
         while self.peek().text in ("+", "-"):
             op = self.next().text
+            starts.append(self.peek())
             part = self.term(env)
             parts.append(scale(-1, part) if op == "-" else part)
-        return ham_sum(*parts)
+        return ham_sum(*self._agree("sum", parts, starts))
 
     def term(self, env: dict) -> HamExpr:
+        starts = [self.peek()]
         factors = [self.tensor_factor(env)]
         while self._starts_factor():
+            starts.append(self.peek())
             factors.append(self.tensor_factor(env))
-        return seq(*factors)
+        return seq(*self._agree("seq", factors, starts))
+
+    def _agree(self, kind: str, parts, starts):
+        """parts, or LayoutError at the first one whose layout differs."""
+        first = parts[0].layout
+        for part, t in zip(parts, starts):
+            if part.layout is not first:
+                raise LayoutError(
+                    f"{kind} branches act on different site lists",
+                    self.name, first, part.layout, t.line, t.col)
+        return parts
 
     def tensor_factor(self, env: dict) -> HamExpr:
         parts = [self.factor(env)]
@@ -231,12 +257,10 @@ class _Parser:
             self.expect("*")
             return scale(z, self.factor(env))
         if t.text == "(":
-            saved = self.pos
             z = self._try_paren_complex()
             if z is not None:
                 self.expect("*")
                 return scale(z, self.factor(env))
-            self.pos = saved
             self.next()
             inner = self.expr(env)
             self.expect(")")
@@ -244,28 +268,27 @@ class _Parser:
         self.fail(f"expected an operator factor, found {t.text or 'end of input'!r}")
 
     def indexed_atom(self, env: dict) -> HamExpr:
-        name = self.next().text
+        t = self.next()
+        name = t.text
         self.expect("(")
         j = self.index_expr(env)
         self.expect(")")
         if not 0 <= j < len(self.layout):
-            self.fail(f"site index {j} out of range for {len(self.layout)} sites")
-        site = self.layout[j]
-        if name == "a":
-            return desugar_indexed(Ladder(LadderKind.ANNIHILATE, site), j,
-                                   self.layout)
-        if name == "adag":
-            return desugar_indexed(Ladder(LadderKind.CREATE, site), j,
-                                   self.layout)
+            raise ParseError(f"site index {j} out of range for "
+                             f"{len(self.layout)} sites", t.line, t.col)
         if name == "I":
-            return desugar_indexed(Identity(site), j, self.layout)
-        if site_dim(site) != 2:
-            self.fail(f"{name}({j}) needs a two-dimensional site, "
-                      f"found {site}")
-        cr = lambda amp=1.0: desugar_indexed(  # noqa: E731
-            Ladder(LadderKind.CREATE, site, amp), j, self.layout)
-        an = lambda amp=1.0: desugar_indexed(  # noqa: E731
-            Ladder(LadderKind.ANNIHILATE, site, amp), j, self.layout)
+            return Atom(self.layout)
+        if name in ("X", "Y", "Z") and site_dim(self.layout[j]) != 2:
+            raise ParseError(f"{name}({j}) needs a two-dimensional site, "
+                             f"found {self.layout[j]}", t.line, t.col)
+        cr = lambda amp=1.0: Atom(  # noqa: E731
+            self.layout, ((j, LadderKind.CREATE),), amp)
+        an = lambda amp=1.0: Atom(  # noqa: E731
+            self.layout, ((j, LadderKind.ANNIHILATE),), amp)
+        if name == "a":
+            return an()
+        if name == "adag":
+            return cr()
         if name == "X":
             return Sum(cr(), an())
         if name == "Y":
@@ -278,19 +301,22 @@ class _Parser:
         if var.kind != "name":
             raise ParseError("expected a sum index name", var.line, var.col)
         self.expect("in")
+        lo_tok = self.peek()
         lo = self.int_value(env)
         self.expect("..")
         hi = self.int_value(env)
         self.expect("{")
         if lo > hi:
-            self.fail(f"empty sum range {lo}..{hi}")
+            raise ParseError(f"empty sum range {lo}..{hi}",
+                             lo_tok.line, lo_tok.col)
         body_start = self.pos
         parts = []
         for v in range(lo, hi + 1):
             self.pos = body_start
             parts.append(self.expr({**env, var.text: v}))
         self.expect("}")
-        return ham_sum(*parts)
+        starts = [self.tokens[body_start]] * len(parts)
+        return ham_sum(*self._agree("sum", parts, starts))
 
     def index_expr(self, env: dict) -> int:
         value = self.int_value(env)
@@ -340,36 +366,17 @@ class _Parser:
                          t.line, t.col)
 
     def _try_paren_complex(self):
-        """Parse '(re+imi)' starting at '('; None (position restored) if the
-        parenthesis opens a grouped expression instead."""
-        saved = self.pos
-        self.next()  # (
-        sign = 1.0
-        if self.peek().text == "-":
-            self.next()
-            sign = -1.0
-        re_tok = self.peek()
-        if re_tok.kind not in ("int", "float"):
-            self.pos = saved
+        """Parse '(re+imi)' starting at '('; None, with the position
+        unchanged, if the parenthesis opens a grouped expression instead."""
+        k = 2 if self.peek(1).text == "-" else 1
+        re_tok, op, im_tok, close = (self.peek(k + i) for i in range(4))
+        if (re_tok.kind not in ("int", "float") or op.text not in ("+", "-")
+                or im_tok.kind != "imag" or close.text != ")"):
             return None
-        self.next()
-        op = self.peek().text
-        if op not in ("+", "-"):
-            self.pos = saved
-            return None
-        self.next()
-        im_tok = self.peek()
-        if im_tok.kind != "imag":
-            self.pos = saved
-            return None
-        self.next()
-        if self.peek().text != ")":
-            self.pos = saved
-            return None
-        self.next()
+        self.pos += k + 4
         im = float(im_tok.text[:-1])
-        return complex(sign * float(re_tok.text),
-                       im if op == "+" else -im)
+        return complex((-1.0 if k == 2 else 1.0) * float(re_tok.text),
+                       im if op.text == "+" else -im)
 
 
 def parse(source: str) -> Program:
@@ -392,22 +399,17 @@ def format_program(p: Program) -> str:
 def format_expr(e: HamExpr) -> str:
     """Render in re-parseable indexed form.
 
-    Covers everything the surface syntax itself produces (identity-padded
-    chains combined with +, juxtaposition, and dag); raises ValueError for
-    tensor shapes that have no indexed rendering.
+    Covers everything the surface syntax itself produces: atoms that list
+    at most one site, combined by n-ary sums and products and by dag.
+    Raises ValueError for tensor products and for atoms that list several
+    sites, which have no indexed rendering.
     """
-    parts = _flatten(e, Sum)
+    parts = e.children if isinstance(e, Sum) else (e,)
     return " + ".join(_format_term(p) for p in parts)
 
 
-def _flatten(e, node):
-    if isinstance(e, node):
-        return _flatten(e.left, node) + _flatten(e.right, node)
-    return [e]
-
-
 def _format_term(e: HamExpr) -> str:
-    factors = _flatten(e, Seq)
+    factors = e.children if isinstance(e, Seq) else (e,)
     return " ".join(_format_factor(f) for f in factors)
 
 
@@ -418,34 +420,15 @@ def _format_factor(e: HamExpr) -> str:
         return f"({format_expr(e)})"
     if isinstance(e, Seq):
         return f"({_format_term(e)})"
-    z, atom = _chain_atom(e)
-    if z == 1:
+    if not isinstance(e, Atom) or len(e.ops) > 1:
+        raise ValueError(f"expression has no indexed rendering: {e!r}")
+    atom = "I(0)"
+    if e.ops:
+        j, kind = e.ops[0]
+        atom = f"{'adag' if kind is LadderKind.CREATE else 'a'}({j})"
+    if e.amp == 1:
         return atom
-    return f"({_format_literal(z)} * {atom})"
-
-
-def _chain_atom(e: HamExpr):
-    """(scalar, 'a(j)'-style atom) for an identity-padded tensor chain."""
-    factors = _flatten(e, Tensor)
-    z = 1 + 0j
-    active = []
-    for j, f in enumerate(factors):
-        if isinstance(f, Identity):
-            z *= f.amp
-        elif isinstance(f, Ladder):
-            active.append((j, f))
-        else:
-            raise ValueError(
-                f"expression has no indexed rendering: {f!r}")
-    if not active:
-        return z, "I(0)"
-    if len(active) > 1:
-        raise ValueError("tensor chain with several active sites has no "
-                         "indexed rendering")
-    j, f = active[0]
-    z *= f.amp
-    name = "adag" if f.kind is LadderKind.CREATE else "a"
-    return z, f"{name}({j})"
+    return f"({_format_literal(e.amp)} * {atom})"
 
 
 def _format_literal(z: complex) -> str:

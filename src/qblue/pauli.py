@@ -2,10 +2,10 @@
 
 A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
-pruned below 1e-14.  This is the compiler's intermediate representation.
-Its dense matrix writes each string as the signed permutation it is, one
-nonzero per column from the string's X/Z bit masks, so a sum of T terms
-on n qubits costs O(T 2^n) on top of the 4^n zero fill.
+pruned at COEFF_PRUNE_TOL.  This is the compiler's intermediate
+representation.  Its dense matrix writes each string as the signed
+permutation it is, one nonzero per column from the string's X/Z bit masks,
+so a sum of T terms on n qubits costs O(T 2^n) on top of the 4^n zero fill.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QUBIT_CAP, DimensionCapError
+from .errors import (
+    COEFF_EQ_TOL, COEFF_PRUNE_TOL, HERMITIAN_IM_TOL, QUBIT_CAP,
+    DimensionCapError,
+)
 
 LETTERS = "IXYZ"
-COEFF_PRUNE_TOL = 1e-14
-HERMITIAN_IM_TOL = 1e-12
 
 # single-letter product table: (left, right) -> (phase, letter)
 _PRODUCT = {}
@@ -60,9 +61,6 @@ class PauliSum:
         self._check(other)
         return simplify_terms(self.qubits, list(self.terms) + list(other.terms))
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             self._check(other)
@@ -78,12 +76,6 @@ class PauliSum:
         prods = [(c1 * c2, s1 + s2)
                  for c1, s1 in self.terms for c2, s2 in other.terms]
         return simplify_terms(self.qubits + other.qubits, prods)
-
-    def coeff(self, string: str) -> complex:
-        for c, s in self.terms:
-            if s == string:
-                return c
-        return 0j
 
     def _check(self, other):
         if self.qubits != other.qubits:
@@ -102,7 +94,7 @@ def pauli_sum(qubits: int, terms) -> PauliSum:
 def simplify_terms(qubits: int, terms) -> PauliSum:
     acc: dict[str, complex] = {}
     for c, s in terms:
-        if len(s) != qubits or any(l not in LETTERS for l in s):
+        if len(s) != qubits or s.strip(LETTERS):
             raise ValueError(f"bad Pauli string {s!r} for {qubits} qubits")
         acc[s] = acc.get(s, 0j) + complex(c)
     out = tuple((acc[s], s) for s in sorted(acc)
@@ -164,7 +156,8 @@ def pauli_to_matrix(p: PauliSum) -> np.ndarray:
     return out
 
 
-def pauli_allclose(a: PauliSum, b: PauliSum, tol: float = 1e-12) -> bool:
+def pauli_allclose(a: PauliSum, b: PauliSum,
+                   tol: float = COEFF_EQ_TOL) -> bool:
     if a.qubits != b.qubits or len(a.terms) != len(b.terms):
         return False
     return all(sa == sb and abs(ca - cb) <= tol

@@ -15,16 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DIM_CAP, LayoutError
+from .errors import COEFF_DROP_TOL, COEFF_EQ_TOL, DIM_CAP, HERMITIAN_TOL
 from .expr import (
-    Dagger, Fermion, Flag, HamExpr, Identity, Ladder, LadderKind, OpType,
-    Seq, SiteList, Sum, Tensor, site_layout, total_dim,
+    Atom, Dagger, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList,
+    Sum, Tensor, ham_sum, scale, seq, site_layout, total_dim,
 )
 from .linalg import expr_to_matrix
-
-COEFF_EQ_TOL = 1e-12     # canonical-form coefficient comparison
-COEFF_DROP_TOL = 1e-14   # below this a term is treated as zero
-MATRIX_HERM_TOL = 1e-10  # max-norm tolerance for the dense fallback
 
 
 # ---------------------------------------------------------------------------
@@ -33,16 +29,18 @@ MATRIX_HERM_TOL = 1e-10  # max-norm tolerance for the dense fallback
 
 @dataclass(frozen=True)
 class CanonicalTerm:
-    """coeff times a product of ladder operators, one monomial per site.
+    """coeff times a product of ladder monomials at the active sites.
 
-    ``factors[k]`` is the tuple of LadderKind applied at site k, listed in
-    application order (first applied first).  Operators at distinct sites are
-    listed site-ascending; anti-commutation signs from reordering fermionic
-    operators have been folded into ``coeff``.
+    ``factors`` lists (site, monomial) pairs, site-ascending, for the sites
+    the term acts on; every other site carries the identity.  A monomial is
+    the tuple of LadderKind applied at its site, in application order
+    (first applied first).  The sites apply in ascending order;
+    anti-commutation signs from reordering fermionic operators have been
+    folded into ``coeff``.
     """
 
     coeff: complex
-    factors: tuple  # tuple[tuple[LadderKind, ...], ...], one per site
+    factors: tuple  # tuple[tuple[int, tuple[LadderKind, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -52,18 +50,18 @@ class CanonicalForm:
 
 
 _KIND_ORD = {LadderKind.CREATE: 0, LadderKind.ANNIHILATE: 1}
+_ORD_KIND = (LadderKind.CREATE, LadderKind.ANNIHILATE)
 
 
 def canonicalize(e: HamExpr) -> CanonicalForm:
     """Flatten to a sorted sum of per-site ladder monomials.
 
-    Adjoints are folded into the leaves, sums distributed out of tensor
+    Adjoints are folded into the atoms, sums distributed out of tensor
     products and sequencing, cross-site products fused per site, like terms
     merged, and zero terms dropped.  Reordering fermionic ladder operators
     across sites multiplies the coefficient by -1 per transposition.
     """
-    layout = site_layout(e)
-    return _merge(layout, _terms(e))
+    return _merge(e.layout or site_layout(e), _terms(e))
 
 
 def adjoint(form: CanonicalForm) -> CanonicalForm:
@@ -75,7 +73,7 @@ def adjoint(form: CanonicalForm) -> CanonicalForm:
     """
     raw = []
     for term in form.terms:
-        ops = [(s, kind.flipped) for s, monomial in enumerate(term.factors)
+        ops = [(s, kind.flipped) for s, monomial in term.factors
                for kind in monomial]
         raw.append((term.coeff.conjugate(), ops[::-1]))
     return _merge(form.layout, raw)
@@ -83,16 +81,16 @@ def adjoint(form: CanonicalForm) -> CanonicalForm:
 
 def _merge(layout: SiteList, raw) -> CanonicalForm:
     """Normal-order (coeff, ops) pairs, merge like terms, drop zeros."""
+    fermionic = [isinstance(site, Fermion) for site in layout]
     merged: dict[tuple, complex] = {}
     for coeff, ops in raw:
-        coeff, key = _normal_order(coeff, ops, layout)
+        coeff, key = _normal_order(coeff, ops, fermionic)
         merged[key] = merged.get(key, 0j) + coeff
     terms = []
     for key in sorted(merged, key=_term_sort_key):
         c = merged[key]
         if abs(c) > COEFF_DROP_TOL:
-            factors = _key_to_factors(key, len(layout))
-            terms.append(CanonicalTerm(c, factors))
+            terms.append(CanonicalTerm(c, _key_to_factors(key)))
     return CanonicalForm(layout, tuple(terms))
 
 
@@ -100,40 +98,41 @@ def _terms(e: HamExpr, flip: bool = False) -> list:
     """List of (coeff, ops) with ops = [(site_index, kind), ...] in
     application order.
 
-    With ``flip`` the list is that of the adjoint of ``e``: a leaf flips its
-    ladder kind and conjugates its amplitude, Dagger toggles ``flip``, and a
-    flipped Seq or Tensor applies the ops of its left operand after those of
-    its right one.
+    With ``flip`` the list is that of the adjoint of ``e``: an atom
+    conjugates its amplitude and applies its ops in reverse with their kinds
+    flipped, Dagger toggles ``flip``, and a flipped Seq or Tensor applies
+    its children in the opposite order.
     """
-    return _terms_width(e, flip)[0]
-
-
-def _terms_width(e: HamExpr, flip: bool) -> tuple[list, int]:
-    """(_terms(e, flip), number of sites e acts on)."""
-    if isinstance(e, Ladder):
+    if isinstance(e, Atom):
         if flip:
-            return [(e.amp.conjugate(), [(0, e.kind.flipped)])], 1
-        return [(e.amp, [(0, e.kind)])], 1
-    if isinstance(e, Identity):
-        return [(e.amp.conjugate() if flip else e.amp, [])], 1
+            return [(e.amp.conjugate(),
+                     [(s, kind.flipped) for s, kind in reversed(e.ops)])]
+        return [(e.amp, list(e.ops))]
     if isinstance(e, Dagger):
-        return _terms_width(e.inner, not flip)
-    if not isinstance(e, (Sum, Seq, Tensor)):
-        raise TypeError(f"not a HamExpr: {e!r}")
-    left, width = _terms_width(e.left, flip)
-    right, right_width = _terms_width(e.right, flip)
+        return _terms(e.inner, not flip)
     if isinstance(e, Sum):
-        return left + right, width
+        return [t for c in e.children for t in _terms(c, flip)]
     if isinstance(e, Seq):
-        # the right operand applies first, the left one under the adjoint
-        first, then = (left, right) if flip else (right, left)
-        return [(ct * cf, of + ot) for ct, ot in then for cf, of in first], width
-    right = [(cr, [(s + width, k) for s, k in orr]) for cr, orr in right]
-    return ([(cl * cr, orr + ol if flip else ol + orr)
-             for cl, ol in left for cr, orr in right], width + right_width)
+        parts = [_terms(c, flip) for c in e.children]
+        later = not flip   # the last child applies first, unless flipped
+    elif isinstance(e, Tensor):
+        parts, offset = [], 0
+        for c in e.children:
+            parts.append([(cc, [(s + offset, k) for s, k in ops])
+                          for cc, ops in _terms(c, flip)])
+            offset += len(c.layout)
+        later = flip       # the first child applies first, unless flipped
+    else:
+        raise TypeError(f"not a HamExpr: {e!r}")
+    # fold from the right: out holds the terms of the children after part
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = [(cc * ca, oa + oc if later else oc + oa)
+               for cc, oc in part for ca, oa in out]
+    return out
 
 
-def _normal_order(coeff, ops, layout):
+def _normal_order(coeff, ops, fermionic):
     """Stable-sort ops by site; swapping two fermionic ladder operators at
     distinct sites flips the sign of the coefficient."""
     ops = list(ops)
@@ -141,12 +140,11 @@ def _normal_order(coeff, ops, layout):
     for i in range(1, n):
         j = i
         while j > 0 and ops[j - 1][0] > ops[j][0]:
-            if isinstance(layout[ops[j - 1][0]], Fermion) and \
-               isinstance(layout[ops[j][0]], Fermion):
+            if fermionic[ops[j - 1][0]] and fermionic[ops[j][0]]:
                 coeff = -coeff
             ops[j - 1], ops[j] = ops[j], ops[j - 1]
             j -= 1
-    key = tuple((s, _KIND_ORD[k]) for s, k in ops)
+    key = tuple([(s, _KIND_ORD[k]) for s, k in ops])
     return coeff, key
 
 
@@ -154,12 +152,15 @@ def _term_sort_key(key):
     return (len(key), key)
 
 
-def _key_to_factors(key, nsites):
-    factors = [[] for _ in range(nsites)]
-    inv = {0: LadderKind.CREATE, 1: LadderKind.ANNIHILATE}
+def _key_to_factors(key):
+    """(site, monomial) pairs of a site-sorted key."""
+    factors: list = []
     for s, k in key:
-        factors[s].append(inv[k])
-    return tuple(tuple(f) for f in factors)
+        if factors and factors[-1][0] == s:
+            factors[-1][1].append(_ORD_KIND[k])
+        else:
+            factors.append((s, [_ORD_KIND[k]]))
+    return tuple((s, tuple(monomial)) for s, monomial in factors)
 
 
 def canonical_allclose(a: CanonicalForm, b: CanonicalForm,
@@ -175,27 +176,20 @@ def canonical_allclose(a: CanonicalForm, b: CanonicalForm,
 def canonical_to_expr(form: CanonicalForm) -> HamExpr:
     """Rebuild an expression with the same operator meaning as the form.
 
-    Each term becomes a product of identity-padded single-site layers applied
-    site-ascending (site 0's monomial first), which is the order the
-    coefficients were normalized against.
+    Each term becomes its coefficient times a product of indexed atoms, one
+    per ladder operator, applied site-ascending (the first operator of
+    site 0's monomial first), which is the order the coefficients were
+    normalized against.  A term without operators is the identity atom.
     """
-    from .expr import ham_sum, identity_chain, scale, seq, tensor
     layout = form.layout
     if not form.terms:
-        return scale(0.0, identity_chain(layout))
+        return Atom(layout, (), 0.0)
     parts = []
     for term in form.terms:
-        layers = []
-        for s, monomial in enumerate(term.factors):
-            for kind in monomial:
-                factors = [Identity(st) for st in layout]
-                factors[s] = Ladder(kind, layout[s])
-                layers.append(tensor(*factors))
-        # later sites apply after earlier ones: seq lists last-applied first
-        if layers:
-            body = seq(*reversed(layers))
-        else:
-            body = identity_chain(layout)
+        layers = [Atom(layout, ((s, kind),)) for s, monomial in term.factors
+                  for kind in monomial]
+        # seq lists the last-applied factor first
+        body = seq(*reversed(layers)) if layers else Atom(layout)
         parts.append(scale(term.coeff, body))
     return ham_sum(*parts)
 
@@ -210,14 +204,15 @@ def hermiticity_report(e: HamExpr) -> tuple[bool, str, CanonicalForm]:
     The syntactic certificate compares the canonical form of e with its
     adjoint; it is sound but incomplete (it never reorders non-commuting
     factors).  When it answers no and the total dimension fits the dense
-    cap, the matrix check ||M - M^dag||_max <= 1e-10 decides instead.
+    cap, the matrix check ||M - M^dag||_max <= HERMITIAN_TOL decides
+    instead.
     """
     form = canonicalize(e)
     if canonical_allclose(adjoint(form), form):
         return True, "syntactic", form
     if total_dim(form.layout) <= DIM_CAP:
         m = expr_to_matrix(e)
-        ok = abs(m - m.conj().T).max() <= MATRIX_HERM_TOL
+        ok = abs(m - m.conj().T).max() <= HERMITIAN_TOL
         return bool(ok), "matrix", form
     return False, "syntactic", form
 
@@ -233,38 +228,30 @@ def is_hermitian(e: HamExpr) -> bool:
 def typecheck(e: HamExpr, promote: bool = True) -> OpType:
     """Infer the operator type F[flag](sites).
 
-    One bottom-up walk gives both the structural flag and the site list:
-    ladders are P, identities H; tensor and sum of two H operators stay H,
-    any P weakens the result to P; sequencing joins flags; tensor
-    concatenates site lists and Sum/Seq branches must agree on theirs.  With
+    The site list is the one the root stored when it was built, and one
+    walk gives the structural flag: an atom listing no ladder is H when its
+    amplitude is real, any other atom P; tensor, sum and sequencing join
+    their children's flags, so H survives only when every child is H.  With
     ``promote`` the Hermiticity certificate then lifts the root to H when it
     succeeds.  Layout mismatches in Sum/Seq raise LayoutError with the
     offending path.
     """
-    flag, layout = _structural(e, "root")
+    layout = e.layout or site_layout(e)
+    flag = _flag(e)
     if promote and flag is Flag.P and is_hermitian(e):
         flag = Flag.H
     return OpType(flag, layout)
 
 
-def _structural(e: HamExpr, path: str) -> tuple[Flag, SiteList]:
-    if isinstance(e, Ladder):
-        return Flag.P, (e.site,)
-    if isinstance(e, Identity):
-        flag = Flag.H if abs(e.amp.imag) <= COEFF_EQ_TOL else Flag.P
-        return flag, (e.site,)
+def _flag(e: HamExpr) -> Flag:
+    if isinstance(e, Atom):
+        real = abs(e.amp.imag) <= COEFF_EQ_TOL
+        return Flag.H if real and not e.ops else Flag.P
     if isinstance(e, Dagger):
-        return _structural(e.inner, path + ".inner")
+        return _flag(e.inner)
     if isinstance(e, (Tensor, Sum, Seq)):
-        lflag, ll = _structural(e.left, path + ".left")
-        rflag, rl = _structural(e.right, path + ".right")
-        # mixed flags weaken to P; H survives only when both sides are H
-        flag = lflag.join(rflag)
-        if isinstance(e, Tensor):
-            return flag, ll + rl
-        if ll != rl:
-            kind = "sum" if isinstance(e, Sum) else "seq"
-            raise LayoutError(f"{kind} branches act on different site lists",
-                              path, ll, rl)
-        return flag, ll
+        for c in e.children:
+            if _flag(c) is Flag.P:
+                return Flag.P
+        return Flag.H
     raise TypeError(f"not a HamExpr: {e!r}")

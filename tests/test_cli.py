@@ -138,10 +138,38 @@ def test_eval_squared_spin_chain(tmp_path, capsys):
     assert {k.occ: k.amp for k in written.terms} == got
 
 
-def test_deep_sum_exits_1_without_traceback(tmp_path, capsys):
-    prog = tmp_path / "deep.qb"
+def test_sum_of_1200_terms_is_certified(tmp_path, capsys):
+    # a sum is one n-ary node, so its length costs no recursion depth
+    prog = tmp_path / "long.qb"
     prog.write_text("sites t(2), t(2);\n"
                     "H = sum j in 0..1199 { 0.001 * Z(0) Z(1) };\n")
+    assert main(["--json", "check", str(prog)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["flag"] == "h"
+    assert record["decided_by"] == "syntactic"
+
+
+def test_sum_of_10001_terms_compiles(tmp_path, capsys):
+    prog = tmp_path / "long.qb"
+    prog.write_text("sites t(2), t(2);\n"
+                    "H = sum j in 0..10000 { 0.001 * Z(0) Z(1) };\n")
+    out = tmp_path / "long.circ"
+    assert main(["--json", "compile", str(prog), "--t", "0.5", "--n", "1",
+                 "--out", str(out)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    # 10001 copies of 0.001 ZZ merge into one ZZ rotation: cx, rz, cx
+    assert (record["qubits"], record["gates"]) == (2, 3)
+    rz = [ln for ln in out.read_text().splitlines() if ln.startswith("rz")]
+    assert len(rz) == 1
+    # "rz <angle> <qubit>", angle 2 c t / n
+    assert float(rz[0].split()[1]) == pytest.approx(2 * 10.001 * 0.5,
+                                                    rel=1e-12)
+
+
+def test_deep_nesting_exits_1_without_traceback(tmp_path, capsys):
+    prog = tmp_path / "deep.qb"
+    prog.write_text("sites t(2), t(2);\n"
+                    f"H = {'(' * 2000}Z(0) + Z(1){')' * 2000};\n")
     assert main(["check", str(prog)]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -225,3 +253,14 @@ def test_failure_exit_codes(argv, source, code, kind, tmp_path, capsys):
     assert got == code
     assert out == ""
     assert json.loads(err)["code"] == kind
+
+
+def test_layout_error_reports_definition_and_position(tmp_path, capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(2), t(2);\nH = X(0) +\n  a(0) # a(1);\n")
+    code, out, err = run_json(capsys, ["check", str(prog)])
+    assert (code, out) == (3, "")
+    record = json.loads(err)
+    assert record["code"] == "type"
+    assert (record["path"], record["line"], record["col"]) == ("H", 3, 3)
+    assert record["right_sites"] == ["t(2)"] * 4

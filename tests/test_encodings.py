@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qblue.errors import EncodingError
 from qblue.expr import (
-    Boson, Dagger, Fermion, Identity, Ladder, annihilate, create, tensor,
+    Atom, Boson, Dagger, Fermion, annihilate, create, tensor,
 )
 from qblue.encodings import encode_for_compile
 from qblue.linalg import expr_to_matrix
@@ -42,14 +42,12 @@ def test_encoding_is_the_expression_matrix(site, method, data):
 
 
 def retype(e, site):
-    """The same tree with every leaf on ``site``."""
-    if isinstance(e, Ladder):
-        return Ladder(e.kind, site, e.amp)
-    if isinstance(e, Identity):
-        return Identity(site, e.amp)
+    """The same tree with every site of every atom's layout on ``site``."""
+    if isinstance(e, Atom):
+        return Atom((site,) * len(e.layout), e.ops, e.amp)
     if isinstance(e, Dagger):
         return Dagger(retype(e.inner, site))
-    return type(e)(retype(e.left, site), retype(e.right, site))
+    return type(e)(*(retype(c, site) for c in e.children))
 
 
 def one_hot_indices(sites, n):

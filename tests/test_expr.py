@@ -2,9 +2,9 @@ import pytest
 
 from qblue.errors import LayoutError
 from qblue.expr import (
-    Boson, Fermion, Identity, Ladder, LadderKind, Sum, Tensor, annihilate,
-    create, desugar_indexed, expr_allclose, ham_sum, identity, scale, seq,
-    site_dim, site_layout, tensor, total_dim,
+    Atom, Boson, Fermion, LadderKind, Seq, Sum, Tensor, annihilate, create,
+    desugar_indexed, expr_allclose, ham_sum, identity, scale, seq, site_dim,
+    site_layout, tensor, total_dim,
 )
 
 T2 = Boson(2)
@@ -25,9 +25,9 @@ def test_boson_dimension_must_be_positive():
 
 def test_amplitudes_must_be_finite():
     with pytest.raises(ValueError):
-        Ladder(LadderKind.CREATE, T2, float("nan"))
+        create(T2, float("nan"))
     with pytest.raises(ValueError):
-        Identity(T2, complex(1, float("inf")))
+        identity(T2, complex(1, float("inf")))
 
 
 def test_site_layout_of_leaves_and_tensor():
@@ -51,9 +51,11 @@ def test_site_layout_mismatch_raises_with_path():
     assert err.value.right == (T2, T2)
 
 
-def test_desugar_indexed_pads_with_identities():
+def test_desugar_indexed_is_one_sparse_atom():
     got = desugar_indexed(create(T2), 0, (T2, T2))
-    assert got == Tensor(create(T2), Identity(T2))
+    assert got == Atom((T2, T2), ((0, LadderKind.CREATE),))
+    # the tensor product of the single-site atoms is the same one atom
+    assert got == tensor(create(T2), identity(T2))
 
 
 def test_desugar_indexed_single_site_is_bare():
@@ -62,7 +64,8 @@ def test_desugar_indexed_single_site_is_bare():
 
 def test_desugar_indexed_middle_position():
     got = desugar_indexed(annihilate(T4), 1, (T4, T4, T4))
-    assert got == tensor(Identity(T4), annihilate(T4), Identity(T4))
+    assert got == tensor(identity(T4), annihilate(T4), identity(T4))
+    assert got.ops == ((1, LadderKind.ANNIHILATE),)
     assert site_layout(got) == (T4, T4, T4)
 
 
@@ -97,7 +100,7 @@ def test_scale_on_scaled_ladder_multiplies():
 
 
 def test_scale_wraps_identity_amplitude():
-    assert scale(0.5, identity(T2)) == Identity(T2, 0.5)
+    assert scale(0.5, identity(T2)) == Atom((T2,), (), 0.5)
 
 
 def test_scale_one_is_noop_and_composition():
@@ -113,10 +116,38 @@ def test_scale_through_dagger_conjugates():
     assert canonicalize(scale(2j, e)) == canonicalize(create(T2, 2j))
 
 
-def test_tensor_and_sum_normalize_right_associated():
+def test_tensor_sum_and_seq_flatten_to_one_nary_node():
     a, b, c = annihilate(T2), annihilate(T4), annihilate(F)
-    assert tensor(tensor(a, b), c) == Tensor(a, Tensor(b, c))
-    assert ham_sum(ham_sum(a, a), a) == Sum(a, Sum(a, a))
+    kind = LadderKind.ANNIHILATE
+    assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c)) == Atom(
+        (T2, T4, F), ((0, kind), (1, kind), (2, kind)))
+    s = ham_sum(a, create(T2))
+    assert tensor(tensor(s, s), s) == tensor(s, tensor(s, s))
+    assert tensor(s, tensor(s, s)) == Tensor(s, s, s)
+    assert ham_sum(ham_sum(a, a), a) == ham_sum(a, ham_sum(a, a))
+    assert ham_sum(a, ham_sum(a, a)) == Sum(a, a, a)
+    assert seq(seq(a, a), a) == seq(a, seq(a, a)) == Seq(a, a, a)
+
+
+def test_layouts_are_interned_and_stored_at_build():
+    layout = (T2, F)
+    e = ham_sum(desugar_indexed(create(T2), 0, layout),
+                desugar_indexed(annihilate(F), 1, list(layout)))
+    assert e.layout is e.children[0].layout is e.children[1].layout
+    x = ham_sum(create(T2), annihilate(T2))
+    assert tensor(x, create(F)).layout is e.layout
+    # a node whose children disagree stores no layout until asked where
+    assert Sum(e, create(T2)).layout is None
+    assert Seq(create(T2), create(T2)).layout == (T2,)
+
+
+def test_atoms_list_distinct_sites_in_order():
+    kind = LadderKind.CREATE
+    for ops in [((1, kind), (0, kind)), ((0, kind), (0, kind)), ((2, kind),)]:
+        with pytest.raises(ValueError):
+            Atom((T2, T2), ops)
+    with pytest.raises(ValueError):
+        Atom(())
 
 
 def test_associativity_renormalization_preserves_matrices():

@@ -104,7 +104,7 @@ def per_term_fold(e, z_string):
     total = PauliSum(w, ())
     for term in form.terms:
         acc = identity_sum(w, term.coeff)
-        for q, monomial in enumerate(term.factors):
+        for q, monomial in term.factors:
             for kind in monomial:
                 pad = ("Z" if z_string else "I") * q
                 rest = "I" * (w - q - 1)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.errors import LayoutError
+from qblue.errors import COEFF_EQ_TOL, LayoutError
 from qblue.expr import (
-    Boson, Dagger, Fermion, Flag, Identity, Ladder, LadderKind, Seq, Sum,
-    Tensor, annihilate, create, desugar_indexed, ham_sum, identity, scale,
-    seq, site_layout, tensor,
+    Atom, Boson, Dagger, Fermion, Flag, LadderKind, Seq, Sum, Tensor,
+    annihilate, create, desugar_indexed, ham_sum, identity, scale, seq,
+    site_layout, tensor,
 )
 from qblue.linalg import expr_to_matrix
 from qblue.typecheck import (
-    COEFF_EQ_TOL, adjoint, canonical_allclose, canonical_to_expr,
+    adjoint, canonical_allclose, canonical_to_expr,
     canonicalize, hermiticity_report, is_hermitian, typecheck,
 )
 
@@ -69,8 +69,8 @@ def test_dagger_is_involutive():
 
 def test_dagger_conjugates_amplitudes():
     assert same_form(Dagger(annihilate(T2, 2j)), create(T2, -2j))
-    assert same_form(Dagger(identity(T2, 1j)), Identity(T2, -1j))
-    assert not same_form(Dagger(identity(T2, 1j)), Identity(T2, 1j))
+    assert same_form(Dagger(identity(T2, 1j)), identity(T2, -1j))
+    assert not same_form(Dagger(identity(T2, 1j)), identity(T2, 1j))
 
 
 def test_dagger_normalize_matches_adjoint_matrix():
@@ -102,15 +102,15 @@ def test_dagger_of_fermionic_tensor_is_the_graded_adjoint():
 
 
 def _random_expr(rng, layout, depth):
-    """Random well-typed expression; on fermionic sites only identity-padded
-    single ladder layers are generated (the indexed-operator class)."""
+    """Random well-typed expression; on fermionic sites only indexed
+    atoms of one ladder are generated (the indexed-operator class)."""
     if depth == 0 or rng.random() < 0.35:
         j = int(rng.integers(len(layout)))
         amp = complex(rng.normal(), rng.normal())
         kind = LadderKind.CREATE if rng.random() < 0.5 else LadderKind.ANNIHILATE
-        op = Ladder(kind, layout[j], amp)
+        op = Atom((layout[j],), ((0, kind),), amp)
         if rng.random() < 0.2:
-            op = Identity(layout[j], amp)
+            op = identity(layout[j], amp)
         return desugar_indexed(op, j, layout)
     r = rng.random()
     if r < 0.4:
@@ -134,7 +134,8 @@ def test_canonicalize_fuses_padded_product():
     assert len(form.terms) == 1
     term = form.terms[0]
     assert term.coeff == pytest.approx(1)
-    assert term.factors == ((LadderKind.CREATE,), (LadderKind.ANNIHILATE,))
+    assert term.factors == ((0, (LadderKind.CREATE,)),
+                            (1, (LadderKind.ANNIHILATE,)))
 
 
 def test_canonicalize_merges_like_terms():
@@ -171,8 +172,8 @@ def test_canonicalize_fermion_reorder_tracks_sign():
     form = canonicalize(e)
     assert len(form.terms) == 1
     assert form.terms[0].coeff == pytest.approx(-1)
-    assert form.terms[0].factors == ((LadderKind.CREATE,),
-                                     (LadderKind.ANNIHILATE,))
+    assert form.terms[0].factors == ((0, (LadderKind.CREATE,)),
+                                     (1, (LadderKind.ANNIHILATE,)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +265,16 @@ def test_layout_error_paths():
     bad = Sum(ok, Dagger(Sum(ok, Seq(ok, tensor(create(f), identity(b))))))
     with pytest.raises(LayoutError) as err:
         typecheck(bad)
-    assert err.value.path == "root.right.inner.right"
+    # child 1 of the root, inside its dag, child 1: the Seq
+    assert err.value.path == "root.1.inner.1"
     assert err.value.left == (b, b)
     assert err.value.right == (f, b)
     bad = Sum(Tensor(create(b), identity(b)),
               Tensor(create(b), Sum(identity(b), identity(f))))
     with pytest.raises(LayoutError) as err:
         typecheck(bad)
-    assert err.value.path == "root.right.right"
+    # child 1 of the root, its tensor factor 1: the inner Sum
+    assert err.value.path == "root.1.1"
     assert err.value.left == (b,)
     assert err.value.right == (f,)
 
@@ -282,13 +285,16 @@ trees = st.lists(st.sampled_from([T2, T4, F]), min_size=1, max_size=4).flatmap(
 
 def recursive_flag(e):
     """The structural flag rule, one recursion per node."""
-    if isinstance(e, Ladder):
-        return Flag.P
-    if isinstance(e, Identity):
+    if isinstance(e, Atom):
+        if e.ops:
+            return Flag.P
         return Flag.H if abs(e.amp.imag) <= 1e-12 else Flag.P
     if isinstance(e, Dagger):
         return recursive_flag(e.inner)
-    return recursive_flag(e.left).join(recursive_flag(e.right))
+    flag = Flag.H
+    for c in e.children:
+        flag = flag.join(recursive_flag(c))
+    return flag
 
 
 @given(trees)
