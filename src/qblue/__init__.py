@@ -7,7 +7,7 @@ from .errors import (
 )
 from .expr import (
     Atom, Boson, Dagger, Fermion, Flag, HamExpr, LadderKind,
-    OpType, Seq, Sum, Tensor, annihilate, create, dagger, desugar_indexed,
+    OpType, Seq, Sum, annihilate, create, dagger, desugar_indexed,
     expr_allclose, ham_sum, identity, identity_chain, scale, seq,
     site_dim, site_layout, tensor, total_dim,
 )

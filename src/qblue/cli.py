@@ -10,6 +10,7 @@ lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -44,7 +45,10 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by later
+    ones; parse_args keeps no state between calls."""
     top = _ArgumentParser(prog="qblue",
                           description="Second-quantization Hamiltonian toolkit")
     top.add_argument("--json", action="store_true",

@@ -2,14 +2,17 @@
 
 Every expression acts on an ordered list of lattice sites, its layout; each
 site is either an m-dimensional bosonic mode or a two-dimensional fermionic
-mode.  The leaves are atoms: an amplitude times ladder operators (creators
-and annihilators) at some sites of the layout, at most one per site, with
-the identity implicit at every other site.  A single-site ladder or
-identity is an atom on a one-site layout; an indexed atom of the surface
-syntax, such as ``a(j)``, is an atom on the whole program layout that lists
-site j only, so it costs its own length and not the width of the layout.
-Atoms combine with the adjoint (Dagger) and the n-ary tensor product, linear
-sum and sequencing (operator product), each holding a tuple of children.
+mode.  There are four node kinds.  The leaves are atoms: an amplitude times
+ladder operators (creators and annihilators) at some sites of the layout,
+at most one per site, with the identity implicit at every other site.  A
+single-site ladder or identity is an atom on a one-site layout; an indexed
+atom of the surface syntax, such as ``a(j)``, is an atom on the whole
+program layout that lists site j only, so it costs its own length and not
+the width of the layout.  Atoms combine with the adjoint (Dagger) and the
+n-ary linear sum and sequencing (operator product), each holding a tuple of
+children.  The tensor product is no node of its own: ``tensor`` embeds each
+operand onto the concatenated layout and returns their product, which is
+the graded (Jordan-Wigner) tensor product of fermionic modes.
 
 Every node stores its layout when it is built.  Layouts are interned: two
 equal layouts are one object and compare with ``is``.  A Sum or Seq whose
@@ -168,25 +171,10 @@ class _Nary:
         if not children:
             raise ValueError(f"{type(self).__name__} needs an operand")
         object.__setattr__(self, "children", children)
-        object.__setattr__(self, "layout",
-                           self._join([c.layout for c in children]))
-
-    @staticmethod
-    def _join(layouts):
-        """The children's shared layout, or None when they disagree."""
-        first = layouts[0]
-        return first if all(lay is first for lay in layouts) else None
-
-
-class Tensor(_Nary):
-    """Tensor product: the children's layouts concatenate, and the first
-    child's operators apply first."""
-
-    @staticmethod
-    def _join(layouts):
-        if any(lay is None for lay in layouts):
-            return None
-        return intern_layout(tuple(s for lay in layouts for s in lay))
+        # the children's shared layout, or None when they disagree
+        first = children[0].layout
+        object.__setattr__(self, "layout", first if all(
+            c.layout is first for c in children) else None)
 
 
 class Sum(_Nary):
@@ -197,7 +185,7 @@ class Seq(_Nary):
     """Operator product on one layout; the last child applies first."""
 
 
-HamExpr = Union[Atom, Dagger, Tensor, Sum, Seq]
+HamExpr = Union[Atom, Dagger, Sum, Seq]
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +227,42 @@ def _operands(node, name: str, es) -> list:
 
 
 def tensor(*es: HamExpr) -> HamExpr:
-    """Tensor product as one n-ary node; a product of atoms is one atom."""
-    flat = _operands(Tensor, "tensor", es)
-    if len(flat) == 1:
-        return flat[0]
-    if not all(isinstance(e, Atom) for e in flat):
-        return Tensor(*flat)
-    ops, offset, amp = [], 0, 1
-    for e in flat:
-        ops += [(s + offset, kind) for s, kind in e.ops]
-        offset += len(e.layout)
-        amp *= e.amp
-    return Atom(tuple(s for e in flat for s in e.layout), tuple(ops), amp)
+    """Tensor product on the operands' concatenated layout.
+
+    The graded tensor product of modes is the product of their
+    Jordan-Wigner embeddings (Bravyi and Kitaev, Ann. Phys. 298, 210
+    (2002)): each operand is rewritten onto the whole layout with its sites
+    shifted by the length of the operands before it, and the first operand
+    applies first, so it is the last child of the Seq this returns.  A
+    product of atoms is one atom, and one operand comes back unchanged.  An
+    operand whose children disagree raises its LayoutError here.
+    """
+    if not es:
+        raise ValueError("tensor needs at least one operand")
+    if len(es) == 1:
+        return es[0]
+    layouts = [site_layout(e) for e in es]
+    layout = intern_layout(tuple(s for lay in layouts for s in lay))
+    parts, offset = [], 0
+    for e, lay in zip(es, layouts):
+        parts.append(_embed(e, layout, offset))
+        offset += len(lay)
+    if all(isinstance(p, Atom) for p in parts):
+        amp = 1
+        for p in parts:
+            amp *= p.amp
+        return Atom(layout, tuple(op for p in parts for op in p.ops), amp)
+    return seq(*reversed(parts))
+
+
+def _embed(e: HamExpr, layout: SiteList, offset: int) -> HamExpr:
+    """e with every atom rewritten onto ``layout``, its sites shifted by
+    ``offset``."""
+    if isinstance(e, Atom):
+        return Atom(layout, tuple((s + offset, k) for s, k in e.ops), e.amp)
+    if isinstance(e, Dagger):
+        return Dagger(_embed(e.inner, layout, offset))
+    return type(e)(*(_embed(c, layout, offset) for c in e.children))
 
 
 def ham_sum(*es: HamExpr) -> HamExpr:
@@ -272,10 +284,10 @@ def seq(*es: HamExpr) -> HamExpr:
 def site_layout(e: HamExpr) -> SiteList:
     """The site list an expression acts on, as its root stores it.
 
-    Sum and Seq children must agree; Tensor concatenates.  When they do
-    not, raises LayoutError with the child-index path (such as
-    ``root.1.inner.0``) of the first node whose children disagree, its
-    first child's layout and the first one that differs from it.
+    Sum and Seq children must agree.  When they do not, raises
+    LayoutError with the child-index path (such as ``root.1.inner.0``) of
+    the first node whose children disagree, its first child's layout and
+    the first one that differs from it.
     """
     path = "root"
     while e.layout is None:
@@ -309,15 +321,15 @@ def scale(z: complex, e: HamExpr) -> HamExpr:
     """Multiply an expression by a scalar, folding it into atom amplitudes.
 
     Distributes over every child of a Sum and enters the first child of a
-    Seq or Tensor, so no residual scalar node is needed.
+    Seq, so no residual scalar node is needed.
     """
     z = complex(z)
     if isinstance(e, Atom):
         return Atom(e.layout, e.ops, z * e.amp)
     if isinstance(e, Sum):
         return Sum(*(scale(z, c) for c in e.children))
-    if isinstance(e, (Seq, Tensor)):
-        return type(e)(scale(z, e.children[0]), *e.children[1:])
+    if isinstance(e, Seq):
+        return Seq(scale(z, e.children[0]), *e.children[1:])
     if isinstance(e, Dagger):
         # (w x)^dag = conj(w) x^dag, so push the conjugate inside
         return Dagger(scale(z.conjugate(), e.inner))

@@ -132,8 +132,8 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     fermionic = [isinstance(site, Fermion) for site in layout]
     prefixes = [fermionic[:j] for j in range(len(layout))]
     state = {ket.occ: ket.amp for ket in s.terms}
-    for factor, flip in _factors(e):
-        terms = _terms(factor, flip)
+    for factor in _factors(e):
+        terms = _terms(factor)
         out: dict[tuple, complex] = {}
         for occ, amp in state.items():
             for coeff, ops in terms:
@@ -156,15 +156,14 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     return FockState(s.layout, terms)
 
 
-def _factors(e: HamExpr, flip: bool = False) -> list:
-    """(factor, flip) pairs of the root product spine, first applied first;
-    a Dagger on the spine reverses the order below it and flips factors."""
+def _factors(e: HamExpr) -> list:
+    """Factors of the root product spine, first applied first; a Dagger on
+    the spine reverses the order below it and wraps each factor in Dagger."""
     if isinstance(e, Dagger):
-        return _factors(e.inner, not flip)
+        return [Dagger(f) for f in reversed(_factors(e.inner))]
     if isinstance(e, Seq):
-        order = e.children if flip else reversed(e.children)
-        return [f for c in order for f in _factors(c, flip)]
-    return [(e, flip)]
+        return [f for c in reversed(e.children) for f in _factors(c)]
+    return [e]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ the expression tree itself.  Expressions lower structurally to pairs of
 scipy.sparse CSR matrices graded by fermionic ladder parity (even, odd),
 with None for an absent grade, and are densified once at the end.  An atom
 has at most one nonzero per column and is built in one O(N dim) step from
-its sparse map of ladders; tensors of other expressions compose by the
-graded Kronecker rule, so tensor composition picks up the same
-anti-commutation signs the interpreter produces (the Jordan-Wigner sign
-convention), and sums and products are sparse additions and products.
+its sparse map of ladders, with the Jordan-Wigner signs the interpreter
+produces; sums and products are sparse additions and products.
 ``Dagger`` lowers as the conjugate transpose of its operand's graded pair;
 the adjoint keeps each grade.  The cost of a call is then bounded by the
 nonzeros of the intermediate operators plus one dim x dim densification,
@@ -33,19 +31,8 @@ from .errors import (
 )
 from .expr import (
     Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
-    Tensor, site_dim, site_layout, total_dim,
+    site_dim, site_layout, total_dim,
 )
-
-
-def _parity_diag(layout: SiteList) -> np.ndarray:
-    """Diagonal of (-1)^(occupied fermionic sites) over the layout basis."""
-    diag = np.ones(1)
-    for site in layout:
-        if isinstance(site, Fermion):
-            diag = np.kron(diag, np.array([1.0, -1.0]))
-        else:
-            diag = np.kron(diag, np.ones(site_dim(site)))
-    return diag
 
 
 def expr_to_matrix(e: HamExpr) -> np.ndarray:
@@ -54,9 +41,7 @@ def expr_to_matrix(e: HamExpr) -> np.ndarray:
     dim = total_dim(layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    m = _add(*_lower(e))
-    # scipy's kron drops to float when a factor has no nonzero
-    return m.toarray().astype(complex, copy=False)
+    return _add(*_lower(e)).toarray()
 
 
 def _lower(e):
@@ -67,7 +52,7 @@ def _lower(e):
     if isinstance(e, Dagger):
         even, odd = _lower(e.inner)
         return _adjoint(even), _adjoint(odd)
-    if not isinstance(e, (Sum, Seq, Tensor)):
+    if not isinstance(e, (Sum, Seq)):
         raise TypeError(f"not a HamExpr: {e!r}")
     # fold from the right, as the right-nested binary product would
     even, odd = _lower(e.children[-1])
@@ -75,15 +60,9 @@ def _lower(e):
         e1, o1 = _lower(c)
         if isinstance(e, Sum):
             even, odd = _add(e1, even), _add(o1, odd)
-        elif isinstance(e, Seq):
+        else:
             even, odd = (_add(_mul(e1, even), _mul(o1, odd)),
                          _add(_mul(e1, odd), _mul(o1, even)))
-        else:
-            # the right block's odd part sees the left block's
-            # post-application parity, realized by the diagonal sign g
-            g = _parity_diag(c.layout)
-            even, odd = (_add(_kron(e1, even), _kron(_scale_rows(o1, g), odd)),
-                         _add(_kron(o1, even), _kron(_scale_rows(e1, g), odd)))
     return even, odd
 
 
@@ -93,8 +72,8 @@ def _monomial(atom: Atom):
     Every ladder maps a basis state to at most one basis state, so the atom
     has at most one nonzero per column.  Walking the sites from the right,
     each fermionic site with an odd number of fermionic ladders to its
-    right takes the sign (-1)^(its output occupation), as the graded
-    Kronecker rule in _lower would give it.
+    right takes the sign (-1)^(its output occupation): the Jordan-Wigner
+    string of those ladders.
     """
     layout = atom.layout
     dim = total_dim(layout)
@@ -143,21 +122,6 @@ def _adjoint(m):
 
 def _mul(a, b):
     return None if a is None or b is None else a @ b
-
-
-def _kron(a, b):
-    if a is None or b is None:
-        return None
-    return scipy.sparse.kron(a, b, format="csr")
-
-
-def _scale_rows(m, g):
-    """diag(g) @ m for a CSR matrix m; None passes through."""
-    if m is None:
-        return None
-    out = m.copy()
-    out.data *= np.repeat(g, np.diff(m.indptr))
-    return out
 
 
 def state_to_vector(s) -> np.ndarray:
@@ -260,7 +224,7 @@ def ground_energy(h: np.ndarray, layout: SiteList = None) -> GroundResult:
 
 
 # ---------------------------------------------------------------------------
-# Comparison helpers and dump format
+# Comparison helpers
 # ---------------------------------------------------------------------------
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -286,22 +250,3 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
         best = min(best, float(res.fun))
     return best
 
-
-def dump_matrix(m: np.ndarray) -> str:
-    """Dimension header plus row-major 're im' pairs, one row per line."""
-    m = np.asarray(m, dtype=complex)
-    lines = [str(m.shape[0])]
-    for row in m:
-        lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim = int(lines[0])
-    m = np.zeros((dim, dim), dtype=complex)
-    for i, ln in enumerate(lines[1:dim + 1]):
-        vals = [float(x) for x in ln.split()]
-        for j in range(dim):
-            m[i, j] = complex(vals[2 * j], vals[2 * j + 1])
-    return m

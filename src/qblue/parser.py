@@ -16,7 +16,10 @@ unrolls inclusively with index arithmetic of the form j + constant into
 one n-ary sum, as ``+`` chains and juxtaposition build one n-ary sum and
 product.  Scalar literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``.
 Operands whose site lists disagree raise LayoutError with the definition
-name and the source line and column of the operand.
+name and the source line and column of the operand.  Every indexed atom
+spans the declared layout, so ``#`` concatenates the layout with itself
+and a program that uses it always fails the definition's layout check
+(CLI exit 3).
 """
 
 from __future__ import annotations
@@ -400,9 +403,10 @@ def format_expr(e: HamExpr) -> str:
     """Render in re-parseable indexed form.
 
     Covers everything the surface syntax itself produces: atoms that list
-    at most one site, combined by n-ary sums and products and by dag.
-    Raises ValueError for tensor products and for atoms that list several
-    sites, which have no indexed rendering.
+    at most one site, combined by n-ary sums and products and by dag.  A
+    tensor product builds such a tree too, on the wider layout, unless it
+    joins atoms into one atom that lists several sites.  Raises ValueError
+    for atoms that list several sites, which have no indexed rendering.
     """
     parts = e.children if isinstance(e, Sum) else (e,)
     return " + ".join(_format_term(p) for p in parts)

@@ -10,7 +10,6 @@ so a sum of T terms on n qubits costs O(T 2^n) on top of the 4^n zero fill.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +109,6 @@ def identity_sum(qubits: int, coeff=1.0) -> PauliSum:
     return PauliSum(qubits, ((complex(coeff), "I" * qubits),))
 
 
-def single_letter(qubits: int, q: int, letter: str, coeff=1.0) -> PauliSum:
-    s = "I" * q + letter + "I" * (qubits - q - 1)
-    return PauliSum(qubits, ((complex(coeff), s),))
-
-
 def is_hermitian_pauli(p: PauliSum) -> bool:
     """Pauli strings are Hermitian, so real coefficients are necessary and
     sufficient."""
@@ -168,29 +162,9 @@ def pauli_allclose(a: PauliSum, b: PauliSum,
 # Text format: one term per line, e.g. "(+0.125000000000+0.000000000000i) XXYY"
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^\s*\(([+-][0-9.eE+-]+?)([+-][0-9.eE+-]+?)i\)\s+([IXYZ]+)\s*$")
-
-
 def format_pauli(p: PauliSum) -> str:
     if not p.terms:
         return f"(+0.000000000000+0.000000000000i) {'I' * max(p.qubits, 1)}\n"
     lines = [f"({c.real:+.12f}{c.imag:+.12f}i) {s}" for c, s in p.terms]
     return "\n".join(lines) + "\n"
 
-
-def parse_pauli(text: str) -> PauliSum:
-    terms = []
-    qubits = None
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        m = _TERM_RE.match(ln)
-        if not m:
-            raise ValueError(f"bad Pauli term line {ln.strip()!r}")
-        c = complex(float(m.group(1)), float(m.group(2)))
-        s = m.group(3)
-        qubits = len(s) if qubits is None else qubits
-        terms.append((c, s))
-    if qubits is None:
-        raise ValueError("no Pauli terms found")
-    return simplify_terms(qubits, terms)

@@ -176,7 +176,9 @@ def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
 
     Exact cover is required: any term whose support or letters fit no
     template raises FitError listing the uncovered terms (they would need a
-    further Trotter split into machine-sized pieces).
+    further Trotter split into machine-sized pieces).  The identity term is
+    a global phase, as in ``trotterize``; no template realizes it and the
+    schedule leaves it out.
     """
     if not is_hermitian_pauli(hs):
         raise NonHermitianError("machine fitting requires a Hermitian sum")
@@ -186,6 +188,8 @@ def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
     uncovered = []
     for coeff, string in hs.terms:
         support = [q for q, letter in enumerate(string) if letter != "I"]
+        if not support:
+            continue
         slot = None
         if len(support) == 2 and support[1] == support[0] + 1:
             j = support[0]

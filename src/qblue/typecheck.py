@@ -5,10 +5,11 @@ Structural typing combines flags bottom-up, then a certificate pass tries to
 promote the whole expression to H.  It canonicalizes the expression once and
 compares that form with its adjoint, which ``adjoint`` computes from the
 form's terms alone; when the two differ and the operator is small enough, a
-dense-matrix check decides instead.  ``dag`` is the matrix adjoint in the
-graded (Jordan-Wigner) sense: the adjoint of a product, a tensor product
-included, reverses the order in which its operators apply, so two
-fermion-odd tensor factors trade places with a minus sign.
+dense-matrix check decides instead.  ``dag`` is the matrix adjoint: it
+conjugates each amplitude, flips each ladder's kind and reverses the order
+in which a product's operators apply.  A tensor product is the product of
+its embedded operands, so its adjoint applies the last operand first, and
+two fermion-odd factors trade places with a minus sign.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from .errors import COEFF_DROP_TOL, COEFF_EQ_TOL, DIM_CAP, HERMITIAN_TOL
 from .expr import (
     Atom, Dagger, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList,
-    Sum, Tensor, ham_sum, scale, seq, site_layout, total_dim,
+    Sum, ham_sum, scale, seq, site_layout, total_dim,
 )
 from .linalg import expr_to_matrix
 
@@ -56,27 +57,30 @@ _ORD_KIND = (LadderKind.CREATE, LadderKind.ANNIHILATE)
 def canonicalize(e: HamExpr) -> CanonicalForm:
     """Flatten to a sorted sum of per-site ladder monomials.
 
-    Adjoints are folded into the atoms, sums distributed out of tensor
-    products and sequencing, cross-site products fused per site, like terms
-    merged, and zero terms dropped.  Reordering fermionic ladder operators
-    across sites multiplies the coefficient by -1 per transposition.
+    Adjoints are folded into the atoms, sums distributed out of products,
+    cross-site products fused per site, like terms merged, and zero terms
+    dropped.  Reordering fermionic ladder operators across sites multiplies
+    the coefficient by -1 per transposition.
     """
     return _merge(e.layout or site_layout(e), _terms(e))
 
 
 def adjoint(form: CanonicalForm) -> CanonicalForm:
-    """The canonical form of the adjoint, computed from the terms alone.
+    """The canonical form of the adjoint, computed from the terms alone;
+    normal ordering again folds in the fermionic transposition signs."""
+    return _merge(form.layout, _dagger(
+        (term.coeff, [(s, kind) for s, monomial in term.factors
+                      for kind in monomial])
+        for term in form.terms))
 
-    Each coefficient is conjugated and each term's operators apply in
-    reverse order with their kinds flipped; normal ordering again folds in
-    the fermionic transposition signs.
-    """
-    raw = []
-    for term in form.terms:
-        ops = [(s, kind.flipped) for s, monomial in term.factors
-               for kind in monomial]
-        raw.append((term.coeff.conjugate(), ops[::-1]))
-    return _merge(form.layout, raw)
+
+def _dagger(terms) -> list:
+    """The (coeff, ops) list of the adjoint of a term list: each
+    coefficient conjugated, each term's operators applied in reverse order
+    with their kinds flipped."""
+    return [(coeff.conjugate(),
+             [(s, kind.flipped) for s, kind in reversed(ops)])
+            for coeff, ops in terms]
 
 
 def _merge(layout: SiteList, raw) -> CanonicalForm:
@@ -94,41 +98,23 @@ def _merge(layout: SiteList, raw) -> CanonicalForm:
     return CanonicalForm(layout, tuple(terms))
 
 
-def _terms(e: HamExpr, flip: bool = False) -> list:
+def _terms(e: HamExpr) -> list:
     """List of (coeff, ops) with ops = [(site_index, kind), ...] in
-    application order.
-
-    With ``flip`` the list is that of the adjoint of ``e``: an atom
-    conjugates its amplitude and applies its ops in reverse with their kinds
-    flipped, Dagger toggles ``flip``, and a flipped Seq or Tensor applies
-    its children in the opposite order.
-    """
+    application order."""
     if isinstance(e, Atom):
-        if flip:
-            return [(e.amp.conjugate(),
-                     [(s, kind.flipped) for s, kind in reversed(e.ops)])]
         return [(e.amp, list(e.ops))]
     if isinstance(e, Dagger):
-        return _terms(e.inner, not flip)
+        return _dagger(_terms(e.inner))
     if isinstance(e, Sum):
-        return [t for c in e.children for t in _terms(c, flip)]
-    if isinstance(e, Seq):
-        parts = [_terms(c, flip) for c in e.children]
-        later = not flip   # the last child applies first, unless flipped
-    elif isinstance(e, Tensor):
-        parts, offset = [], 0
-        for c in e.children:
-            parts.append([(cc, [(s + offset, k) for s, k in ops])
-                          for cc, ops in _terms(c, flip)])
-            offset += len(c.layout)
-        later = flip       # the first child applies first, unless flipped
-    else:
+        return [t for c in e.children for t in _terms(c)]
+    if not isinstance(e, Seq):
         raise TypeError(f"not a HamExpr: {e!r}")
-    # fold from the right: out holds the terms of the children after part
+    # fold from the right: out holds the terms of the children after part,
+    # which apply first
+    parts = [_terms(c) for c in e.children]
     out = parts[-1]
     for part in reversed(parts[:-1]):
-        out = [(cc * ca, oa + oc if later else oc + oa)
-               for cc, oc in part for ca, oa in out]
+        out = [(cc * ca, oa + oc) for cc, oc in part for ca, oa in out]
     return out
 
 
@@ -230,8 +216,8 @@ def typecheck(e: HamExpr, promote: bool = True) -> OpType:
 
     The site list is the one the root stored when it was built, and one
     walk gives the structural flag: an atom listing no ladder is H when its
-    amplitude is real, any other atom P; tensor, sum and sequencing join
-    their children's flags, so H survives only when every child is H.  With
+    amplitude is real, any other atom P; sum and sequencing join their
+    children's flags, so H survives only when every child is H.  With
     ``promote`` the Hermiticity certificate then lifts the root to H when it
     succeeds.  Layout mismatches in Sum/Seq raise LayoutError with the
     offending path.
@@ -249,7 +235,7 @@ def _flag(e: HamExpr) -> Flag:
         return Flag.H if real and not e.ops else Flag.P
     if isinstance(e, Dagger):
         return _flag(e.inner)
-    if isinstance(e, (Tensor, Sum, Seq)):
+    if isinstance(e, (Sum, Seq)):
         for c in e.children:
             if _flag(c) is Flag.P:
                 return Flag.P

@@ -60,6 +60,28 @@ def jw_embedded(op, j, dims, fermionic):
     return kron_all(*mats)
 
 
+def fermion_parity(layout):
+    """(-1)^(occupied fermionic modes) of every basis state, row-major; a
+    site is "F" (a fermionic mode) or an int m (an m-level boson)."""
+    diag = np.ones(1)
+    for site in layout:
+        diag = np.kron(diag, [1, -1] if site == "F" else np.ones(site))
+    return diag
+
+
+def graded_kron(a, layout_a, b, layout_b):
+    """The graded tensor product A (x) B_even + (P_A A) (x) B_odd, where
+    B_even and B_odd keep the entries of B whose row and column have equal
+    and unequal fermion parity, and P_A scales A's rows by the parity of
+    layout_a: B's odd part sees the parity that A leaves behind."""
+    parity_b = fermion_parity(layout_b)
+    odd = np.not_equal.outer(parity_b, parity_b)
+    b_even = np.where(odd, 0, b)
+    b_odd = np.where(odd, b, 0)
+    p_a = np.diag(fermion_parity(layout_a))
+    return np.kron(a, b_even) + np.kron(p_a @ a, b_odd)
+
+
 # ---------------------------------------------------------------------------
 # Gates, from their definitions; qubit 0 is the most significant index bit
 # ---------------------------------------------------------------------------

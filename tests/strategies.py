@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from qblue.expr import (
-    Boson, Dagger, Fermion, Seq, Sum, Tensor, annihilate, create, identity,
+    Boson, Dagger, Fermion, Seq, Sum, annihilate, create, identity, tensor,
 )
 
 AMPS = st.sampled_from([1, -0.5, 2j, 0.3 + 0.4j])
@@ -23,7 +23,7 @@ def well_formed(draw, layout, depth=3):
     sub = max(depth - 1, 0)
     if kind == "tensor":
         k = draw(st.integers(1, len(layout) - 1))
-        return Tensor(draw(well_formed(layout[:k], sub)),
+        return tensor(draw(well_formed(layout[:k], sub)),
                       draw(well_formed(layout[k:], sub)))
     if kind == "dag":
         return Dagger(draw(well_formed(layout, sub)))

@@ -264,3 +264,54 @@ def test_layout_error_reports_definition_and_position(tmp_path, capsys):
     assert record["code"] == "type"
     assert (record["path"], record["line"], record["col"]) == ("H", 3, 3)
     assert record["right_sites"] == ["t(2)"] * 4
+
+
+def test_fit_treats_the_identity_term_as_a_global_phase(tmp_path, capsys):
+    body = "sum j in 0..1 { 0.7 * Z(j) Z(j+1) + 0.3 * X(j+1) }"
+    plain, offset = tmp_path / "plain.qb", tmp_path / "offset.qb"
+    plain.write_text(f"sites t(2), t(2), t(2);\nH = {body};\n")
+    offset.write_text(f"sites t(2), t(2), t(2);\nH = {body} + 0.5 * I(0);\n")
+    code, want, err = run_json(capsys, ["fit", str(plain)])
+    assert (code, err) == (0, "")
+    code, got, err = run_json(capsys, ["fit", str(offset)])
+    assert (code, err) == (0, "")
+    assert got == want
+    pairs = json.loads(got)["pairs"]
+    assert [j for j, _ in pairs] == [0, 1]
+    for _, slots in pairs:
+        assert slots["z2"] == pytest.approx(0.7, abs=1e-12)
+        assert slots["z4"] == pytest.approx(0.3, abs=1e-12)
+        assert slots["z1"] == slots["z3"] == 0
+
+
+def test_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    cli = importlib.import_module("qblue.cli")
+    built = []
+
+    class Counting(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "qblue":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_ArgumentParser", Counting)
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(2), t(2);\nH = adag(0) a(1) + adag(1) a(0);\n")
+    text = "H : F[h](t(2) (x) t(2))  [hermitian, syntactic]\n"
+    assert main(["check", str(prog)]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(["frobnicate", str(prog)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: qblue")
+    assert "qblue: usage error: argument command: invalid choice: " \
+           "'frobnicate'" in err
+    assert main(["--json", "check", str(prog)]) == 0
+    assert json.loads(capsys.readouterr().out)["decided_by"] == "syntactic"
+    # neither the usage error nor --json carries over to the next call
+    assert main(["check", str(prog)]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(["compile", str(prog)]) == 1
+    assert "the following arguments are required: --t, --n" in \
+        capsys.readouterr().err
+    assert len(built) <= 1

@@ -2,7 +2,7 @@ import pytest
 
 from qblue.errors import LayoutError
 from qblue.expr import (
-    Atom, Boson, Fermion, LadderKind, Seq, Sum, Tensor, annihilate, create,
+    Atom, Boson, Fermion, LadderKind, Seq, Sum, annihilate, create,
     desugar_indexed, expr_allclose, ham_sum, identity, scale, seq, site_dim,
     site_layout, tensor, total_dim,
 )
@@ -123,7 +123,16 @@ def test_tensor_sum_and_seq_flatten_to_one_nary_node():
         (T2, T4, F), ((0, kind), (1, kind), (2, kind)))
     s = ham_sum(a, create(T2))
     assert tensor(tensor(s, s), s) == tensor(s, tensor(s, s))
-    assert tensor(s, tensor(s, s)) == Tensor(s, s, s)
+    # each operand embedded at its offset; the first operand applies
+    # first, so it is the last child
+    layout = (T2, T2, T2)
+
+    def at(j):
+        return Sum(Atom(layout, ((j, kind),)),
+                   Atom(layout, ((j, LadderKind.CREATE),)))
+
+    assert tensor(s, tensor(s, s)) == tensor(s, s, s) == Seq(
+        at(2), at(1), at(0))
     assert ham_sum(ham_sum(a, a), a) == ham_sum(a, ham_sum(a, a))
     assert ham_sum(a, ham_sum(a, a)) == Sum(a, a, a)
     assert seq(seq(a, a), a) == seq(a, seq(a, a)) == Seq(a, a, a)
@@ -152,9 +161,8 @@ def test_atoms_list_distinct_sites_in_order():
 
 def test_associativity_renormalization_preserves_matrices():
     import numpy as np
-    from qblue.expr import Tensor as RawTensor
     from qblue.linalg import expr_to_matrix
     a, b, c = annihilate(T2), create(T4), identity(T2, 2.0)
-    left = RawTensor(RawTensor(a, b), c)
+    left = tensor(tensor(a, b), c)
     right = tensor(a, b, c)
     assert np.allclose(expr_to_matrix(left), expr_to_matrix(right), atol=1e-15)

@@ -5,20 +5,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qblue.errors import DimensionCapError, NonHermitianError
 from qblue.expr import (
-    Boson, Fermion, Tensor, annihilate, create, dagger, desugar_indexed,
+    Boson, Fermion, annihilate, create, dagger, desugar_indexed,
     ham_sum, identity, identity_chain, scale, seq, tensor,
 )
 from qblue.fock import basis_ket, make_state
 from qblue.linalg import (
-    dump_matrix, expr_to_matrix, ground_energy, load_matrix, matrix_exp_sim,
-    matrix_log, phase_aligned_distance, state_to_vector, vector_to_state,
+    expr_to_matrix, ground_energy, matrix_exp_sim, matrix_log,
+    phase_aligned_distance, state_to_vector, vector_to_state,
 )
 from qblue.parser import parse
 
 import oracle
+from strategies import well_formed
 
 T2 = Boson(2)
 T3 = Boson(3)
@@ -138,9 +140,30 @@ def test_tensor_of_sums_general_path():
             @ (_jw("create", 0, layout) + _jw("annihilate", 0, layout, 0.5j)
                + _jw(None, 0, layout, -0.25)))
     assert oracle.max_norm(expr_to_matrix(tensor(a, b, c)), want) < 1e-12
-    # the same product, left-associated by hand
-    assert oracle.max_norm(expr_to_matrix(Tensor(Tensor(a, b), c)),
+    # the same product, left-associated
+    assert oracle.max_norm(expr_to_matrix(tensor(tensor(a, b), c)),
                            want) < 1e-12
+
+
+def oracle_layout(layout):
+    return ["F" if site == F else site.dim for site in layout]
+
+
+small_layouts = st.lists(st.sampled_from([F, T2, T3]), min_size=1,
+                         max_size=2).map(tuple)
+tensor_operands = st.tuples(small_layouts, small_layouts).flatmap(
+    lambda la_lb: st.tuples(well_formed(la_lb[0]), well_formed(la_lb[1])))
+
+
+@settings(max_examples=300)
+@given(tensor_operands)
+def test_tensor_is_the_graded_kronecker_product(operands):
+    # checks the Jordan-Wigner sign of the tensor rule against the oracle's
+    # definition, not against a second route through the same tree
+    a, b = operands
+    want = oracle.graded_kron(expr_to_matrix(a), oracle_layout(a.layout),
+                              expr_to_matrix(b), oracle_layout(b.layout))
+    assert oracle.max_norm(expr_to_matrix(tensor(a, b)), want) < 1e-12
 
 
 def test_bosons_at_top_occupation():
@@ -338,13 +361,6 @@ def test_phase_aligned_distance_quotients_phase():
     u = matrix_exp_sim(oracle.X, 0.3)
     assert phase_aligned_distance(u, np.exp(1j * 1.23) * u) < 1e-9
     assert phase_aligned_distance(u, HADAMARD) > 0.1
-
-
-def test_matrix_dump_roundtrip():
-    rng = np.random.default_rng(33)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    back = load_matrix(dump_matrix(m))
-    assert oracle.max_norm(back, m) == 0
 
 
 def imported_modules(path):

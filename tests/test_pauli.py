@@ -6,8 +6,7 @@ import pytest
 from qblue.errors import DimensionCapError
 from qblue.pauli import (
     PauliSum, format_pauli, identity_sum, is_hermitian_pauli, multiply_terms,
-    parse_pauli, pauli_allclose, pauli_sum, pauli_to_matrix, simplify,
-    single_letter,
+    pauli_allclose, pauli_sum, pauli_to_matrix, simplify,
 )
 
 import oracle
@@ -146,13 +145,10 @@ def test_mixed_lengths_rejected():
         multiply_terms((1, "X"), (1, "XX"))
 
 
-def test_text_format_roundtrip():
+def test_format_pauli_writes_one_line_per_term():
     p = pauli_sum(4, [(0.125, "XXYY"), (-0.25j, "ZIZI")])
-    text = format_pauli(p)
-    assert "(+0.125000000000+0.000000000000i) XXYY" in text
-    assert pauli_allclose(parse_pauli(text), p)
-
-
-def test_single_letter_helper():
-    p = single_letter(3, 1, "Z", 2.0)
-    assert p.terms == ((2 + 0j, "IZI"),)
+    assert format_pauli(p) == ("(+0.125000000000+0.000000000000i) XXYY\n"
+                               "(+0.000000000000-0.250000000000i) ZIZI\n")
+    assert str(p) == format_pauli(p)
+    assert format_pauli(pauli_sum(2, [])) == (
+        "(+0.000000000000+0.000000000000i) II\n")

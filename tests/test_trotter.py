@@ -141,3 +141,15 @@ def test_fitted_schedule_realizes_the_spin_chain(bonds):
     machine = ibm_machine()
     assert pauli_allclose(schedule_to_pauli(fit_machine(hs, machine), machine),
                           hs)
+
+
+def test_fit_leaves_the_identity_term_out():
+    # the identity term is a global phase, as in trotterize
+    e = parse("sites t(2), t(2), t(2);\nH = sum j in 0..1 "
+              "{ 0.7 * Z(j) Z(j+1) + 0.3 * X(j+1) } + 0.5 * I(0);").defs["H"]
+    hs, _ = encode_for_compile(canonicalize(e))
+    assert [c for c, s in hs.terms if s == "III"] == [pytest.approx(0.5)]
+    machine = ibm_machine()
+    want = pauli_sum(3, [(c, s) for c, s in hs.terms if s != "III"])
+    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, machine), machine),
+                          want)

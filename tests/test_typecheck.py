@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qblue.errors import COEFF_EQ_TOL, LayoutError
 from qblue.expr import (
-    Atom, Boson, Dagger, Fermion, Flag, LadderKind, Seq, Sum, Tensor,
+    Atom, Boson, Dagger, Fermion, Flag, LadderKind, Seq, Sum,
     annihilate, create, desugar_indexed, ham_sum, identity, scale, seq,
     site_layout, tensor,
 )
@@ -269,12 +269,11 @@ def test_layout_error_paths():
     assert err.value.path == "root.1.inner.1"
     assert err.value.left == (b, b)
     assert err.value.right == (f, b)
-    bad = Sum(Tensor(create(b), identity(b)),
-              Tensor(create(b), Sum(identity(b), identity(f))))
+    # a malformed tensor operand raises when the tensor is built, at the
+    # root of that operand
     with pytest.raises(LayoutError) as err:
-        typecheck(bad)
-    # child 1 of the root, its tensor factor 1: the inner Sum
-    assert err.value.path == "root.1.1"
+        tensor(create(b), Sum(identity(b), identity(f)))
+    assert err.value.path == "root"
     assert err.value.left == (b,)
     assert err.value.right == (f,)
 
