@@ -3,6 +3,10 @@
 Supported gates: h, s, sdg, cx, rx, ry, rz (half-angle rotation convention,
 e.g. rz(t) = diag(e^{-it/2}, e^{it/2})).  Circuits convert to dense
 unitaries for verification and serialize to a line-oriented text format.
+A ``Gate`` is frozen, so one gate object may appear many times in a
+circuit, and in several circuits: a Trotter circuit shares each gadget's
+gates across its steps (``trotter.plan_to_circuit``), and
+``format_circuit`` writes the line of each distinct gate object once.
 The unitary is built by applying each gate in place to the identity, viewed
 with one axis per qubit: a single-qubit gate is a 2x2 product on its axis
 and CX swaps two quarter slices, so a gate costs O(4^n) time and no gate is
@@ -12,11 +16,14 @@ ever formed as a 2^n x 2^n matrix.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import QUBIT_CAP, DimensionCapError
+from .errors import QUBIT_CAP, DimensionCapError, ParseError
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
@@ -56,7 +63,9 @@ class Gate:
         elif len(self.qubits) != 1:
             raise ValueError(f"{self.name} acts on one qubit, got {self.qubits}")
         if (self.angle is None) == (self.name in _ROTATIONS):
-            raise ValueError(f"gate {self.name} angle mismatch")
+            raise ValueError(f"{self.name} needs an angle"
+                             if self.angle is None else
+                             f"{self.name} takes no angle, got {self.angle}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +75,15 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
-        for g in self.gates:
-            if any(not 0 <= q < self.width for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for width {self.width}")
+        # one pass over the flattened qubits; only a failure scans gate by
+        # gate, to name the first gate out of range
+        qubits = list(chain.from_iterable(map(attrgetter("qubits"),
+                                              self.gates)))
+        if qubits and not (0 <= min(qubits) and max(qubits) < self.width):
+            i, g = next((i, g) for i, g in enumerate(self.gates)
+                        if not all(0 <= q < self.width for q in g.qubits))
+            raise ValueError(
+                f"gate {i} ({g}) out of range for width {self.width}")
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.width != other.width:
@@ -122,30 +137,98 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def format_circuit(c: Circuit) -> str:
+    """The header line, then one line per gate; each distinct gate object
+    is formatted once, however often it recurs."""
+    distinct = dict(zip(map(id, c.gates), c.gates))
+    text = {key: (f"{g.name} {g.angle!r} {g.qubits[0]}"
+                  if g.angle is not None else
+                  f"{g.name} " + " ".join(map(str, g.qubits)))
+            for key, g in distinct.items()}
     lines = [f"qubits {c.width}; phase {c.global_phase!r};"]
-    for g in c.gates:
-        if g.angle is not None:
-            lines.append(f"{g.name} {g.angle!r} {g.qubits[0]}")
-        else:
-            lines.append(f"{g.name} " + " ".join(str(q) for q in g.qubits))
+    lines += map(text.__getitem__, map(id, c.gates))
     return "\n".join(lines) + "\n"
 
 
+_FIELD_RE = re.compile(r"[^\s;]+")   # semicolons separate fields like spaces
+
+
 def parse_circuit(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits"):
-        raise ValueError("circuit text must start with a 'qubits N; phase P;' header")
-    head = lines[0].replace(";", " ").split()
-    width = int(head[1])
-    phase = float(head[3]) if len(head) > 3 else 0.0
+    """Read the format that ``format_circuit`` writes.
+
+    Lines with no field are skipped.  A malformed line raises ParseError at
+    its line and the 1-based column of the first wrong field, or one past
+    the last field when one is missing: a header other than ``qubits N``
+    with an optional ``phase P``, an unknown gate name, a wrong number of
+    fields, a field that is not a number, a qubit outside the header's
+    width, or a cx whose two qubits are equal.
+    """
+    lines = [(number, fields)
+             for number, ln in enumerate(text.splitlines(), 1)
+             if (fields := _fields(ln))]
+    if not lines:
+        raise ParseError("empty circuit; expected a 'qubits N; phase P;' "
+                         "header", 1, 1)
+    (number, fields), *body = lines
+    spec = [("'qubits'", _checked(str, "qubits".__eq__)),
+            ("a qubit count", _checked(int, lambda n: n >= 0))]
+    if len(fields) > 2:
+        spec += [("'phase'", _checked(str, "phase".__eq__)),
+                 ("a phase", float)]
+    _, width, *phase = _convert(number, fields, spec)
+    qubit = (f"a qubit below {width}",
+             _checked(int, range(width).__contains__))
     gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        name = parts[0]
+    for number, fields in body:
+        col, name = fields[0]
         if name in _ROTATIONS:
-            gates.append(Gate(name, (int(parts[2]),), float(parts[1])))
+            spec = [("an angle", float), qubit]
         elif name == "cx":
-            gates.append(Gate(name, (int(parts[1]), int(parts[2]))))
+            spec = [qubit, qubit]
+        elif name in GATE_NAMES:
+            spec = [qubit]
         else:
-            gates.append(Gate(name, (int(parts[1]),)))
-    return Circuit(width, tuple(gates), phase)
+            raise ParseError(f"unknown gate {name!r}", number, col)
+        _, *values = _convert(number, fields, [("a gate", str)] + spec)
+        angle = values.pop(0) if name in _ROTATIONS else None
+        try:
+            gates.append(Gate(name, tuple(values), angle))
+        except ValueError as exc:
+            raise ParseError(str(exc), number, col) from None
+    return Circuit(width, tuple(gates), phase[-1] if phase else 0.0)
+
+
+def _fields(line: str) -> list:
+    """(1-based column, text) of each field of a line."""
+    return [(m.start() + 1, m.group()) for m in _FIELD_RE.finditer(line)]
+
+
+def _convert(number: int, fields: list, spec: list) -> list:
+    """Convert a line's fields by spec, a list of (what, convert) pairs, one
+    per field; a field that fails to convert, a missing one or an extra one
+    raises ParseError at its column."""
+    values = []
+    for (col, field), (what, convert) in zip(fields, spec):
+        try:
+            values.append(convert(field))
+        except ValueError:
+            raise ParseError(f"expected {what}, found {field!r}",
+                             number, col) from None
+    if len(fields) < len(spec):
+        col, field = fields[-1]
+        raise ParseError(f"expected {spec[len(fields)][0]}, found the end "
+                         "of the line", number, col + len(field))
+    if len(fields) > len(spec):
+        col, field = fields[len(spec)]
+        raise ParseError(f"unexpected {field!r} after the last field",
+                         number, col)
+    return values
+
+
+def _checked(convert, ok):
+    """convert, raising ValueError unless ok holds for the result."""
+    def checked(field: str):
+        value = convert(field)
+        if not ok(value):
+            raise ValueError(field)
+        return value
+    return checked

@@ -125,10 +125,13 @@ def encode_for_compile(form: CanonicalForm, method: str = "auto",
     """(PauliSum, EncodingReport) of a canonical form.
 
     The Pauli matrix equals expr_to_matrix of the expression the form came
-    from (for hp, on the one-hot strings, at t(n+1) sites).  Each term is
-    multiplied out on the qubits of its active sites only; the qubits
-    between them carry the identity, or under jw the Z of every ladder
-    operator at a later site, so each full-width string is written once.
+    from (for hp, on the one-hot strings, at t(n+1) sites).  A term's
+    operators are multiplied out on the qubits of its active sites only,
+    once per term shape (the monomials at those sites) with a unit
+    coefficient; every term of that shape shares the product and scales it
+    by its own coefficient.  The qubits between the active sites carry the
+    identity, or under jw the Z of every ladder operator at a later site, so
+    each full-width string is written once.
     """
     layout = form.layout
     if method == "auto":
@@ -163,24 +166,32 @@ def encode_for_compile(form: CanonicalForm, method: str = "auto",
                                 _qubit_op(kind, k, w, z_string=method == "jw"))
         return sums[kind, k, w]
 
+    def local(shape):
+        """Unit-coefficient product of the monomials at the active sites,
+        each term's string cut into one chunk of unit qubits per site."""
+        acc = identity_sum(len(shape) * unit)
+        for i, monomial in enumerate(shape):
+            for kind in monomial:   # application order; new op multiplies left
+                acc = op(kind, i, len(shape) * unit) * acc
+        return [(c, [s[i * unit:(i + 1) * unit] for i in range(len(shape))])
+                for c, s in acc.terms]
+
+    shapes: dict = {}   # monomials at the active sites -> local(shape)
     products = []
     for term in form.terms:
-        active = len(term.factors)
-        acc = identity_sum(active * unit, term.coeff)
-        for i, (_, monomial) in enumerate(term.factors):
-            for kind in monomial:   # application order; new op multiplies left
-                acc = op(kind, i, active * unit) * acc
+        shape = tuple(monomial for _, monomial in term.factors)
+        if shape not in shapes:
+            shapes[shape] = local(shape)
         gaps, prev = [], -1
-        above = sum(len(monomial) for _, monomial in term.factors)
+        above = sum(map(len, shape))
         for s, monomial in term.factors:
             letter = "Z" if method == "jw" and above % 2 else "I"
             gaps.append(letter * ((s - prev - 1) * unit))
             above -= len(monomial)
             prev = s
         tail = "I" * ((len(layout) - prev - 1) * unit)
-        for c, local in acc.terms:
-            products.append((c, "".join(
-                gap + local[i * unit:(i + 1) * unit]
-                for i, gap in enumerate(gaps)) + tail))
+        for c, chunks in shapes[shape]:
+            products.append((c * term.coeff, "".join(
+                map(str.__add__, gaps, chunks)) + tail))
     return (pauli_sum(len(layout) * unit, products),
             encoding_report(layout, method, n))

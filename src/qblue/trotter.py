@@ -91,9 +91,20 @@ def synthesize_term(string: str, angle: float) -> Circuit:
 
 
 def plan_to_circuit(plan: TrotterPlan) -> Circuit:
+    """The plan as one circuit: each slice's gadget in slice order, with
+    the identity phase as the global phase.
+
+    An n-step plan lists every (string, angle) slice n times.  Each distinct
+    slice is synthesized once, and its frozen gates are shared by every
+    later slice with the same key, so the plan pays for one step's
+    synthesis and the circuit's gates repeat the first step's n times.
+    """
+    gadgets: dict = {}   # (string, angle) -> that slice's gate tuple
     gates = []
-    for string, angle in plan.slices:
-        gates.extend(synthesize_term(string, angle).gates)
+    for key in plan.slices:
+        if key not in gadgets:
+            gadgets[key] = synthesize_term(*key).gates
+        gates += gadgets[key]
     return Circuit(plan.qubits, tuple(gates), plan.identity_phase)
 
 

@@ -74,3 +74,36 @@ def test_text_format_roundtrip(c):
 def test_width_cap():
     with pytest.raises(DimensionCapError):
         circuit_to_matrix(Circuit(13, (Gate("h", (0,)),)))
+
+
+@pytest.mark.parametrize("name, qubits, angle, message", [
+    ("u3", (0,), None, "unknown gate 'u3'"),
+    ("cx", (0,), None, "cx needs two distinct qubits, got (0,)"),
+    ("cx", (1, 1), None, "cx needs two distinct qubits, got (1, 1)"),
+    ("h", (0, 1), None, "h acts on one qubit, got (0, 1)"),
+    ("s", (0,), 0.5, "s takes no angle, got 0.5"),
+    ("rz", (0,), None, "rz needs an angle"),
+], ids=["unknown-name", "cx-one-qubit", "cx-equal-qubits",
+        "one-qubit-gate-on-two", "angle-on-non-rotation", "rotation-no-angle"])
+def test_gate_rejects_a_malformed_gate(name, qubits, angle, message):
+    with pytest.raises(ValueError) as info:
+        Gate(name, qubits, angle)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [Gate("h", (-1,)), Gate("cx", (0, 3))],
+                         ids=["qubit-minus-one", "qubit-equal-to-width"])
+def test_circuit_names_the_first_gate_out_of_range(bad):
+    message = f"gate 1 ({bad}) out of range for width 3"
+    for tail in [(), (Gate("h", (7,)),)]:
+        gates = (Gate("h", (0,)), bad, Gate("rz", (2,), 0.5), *tail)
+        with pytest.raises(ValueError) as info:
+            Circuit(3, gates)
+        assert str(info.value) == message
+
+
+def test_circuit_accepts_every_qubit_below_its_width():
+    gates = (Gate("cx", (2, 0)), Gate("h", (1,)))
+    assert Circuit(3, gates).gates == gates
+    with pytest.raises(ValueError):
+        Circuit(2, gates)

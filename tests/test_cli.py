@@ -240,6 +240,39 @@ def test_verify_of_compiled_circuit_within_commutator_bound(tmp_path, capsys):
     assert 0 < json.loads(out)["distance"] <= bound
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("qubits\n", 1, 7),
+    ("qubits 2; phase\n", 1, 16),
+    ("qubits 2; phase 0.0;\nrz 0.5\n", 2, 7),
+    ("qubits 2; phase 0.0;\ncx 0\n", 2, 5),
+    ("qubits 2; phase 0.0;\nrz half 1\n", 2, 4),
+    ("qubits 2; phase 0.0;\nh 0\n\nswap 0 1\n", 4, 1),
+    ("qubits 2; phase 0.0;\ncx 1 1\n", 2, 1),
+    ("qubits 2; phase 0.0;\nh 2\n", 2, 3),
+    ("qubits 2; phase 0.0;\nh x\n", 2, 3),
+    ("qubits 2; phase 0.0;\n  h 0 1\n", 2, 7),
+    ("h 0\n", 1, 1),
+], ids=["bare-qubits", "phase-without-value", "rotation-without-qubit",
+        "cx-one-qubit", "non-numeric-angle", "unknown-gate", "cx-equal-qubits",
+        "qubit-out-of-range", "non-numeric-qubit", "extra-field",
+        "no-header"])
+def test_verify_reports_a_malformed_circuit_line(text, line, col, tmp_path,
+                                                 capsys):
+    prog, circ = tmp_path / "h.qb", tmp_path / "bad.circ"
+    prog.write_text("sites t(2), t(2);\nH = Z(0) Z(1);\n")
+    circ.write_text(text)
+    argv = ["verify", str(circ), str(prog), "--t", "0.5"]
+    code, out, err = run_json(capsys, argv)
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    assert (record["code"], record["line"], record["col"]) == ("parse", line,
+                                                               col)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qblue: error: ") and err.count("\n") == 1
+    assert err.endswith(f"(line {line}, column {col})\n")
+
+
 @pytest.mark.parametrize("argv, source, code, kind", [
     (["energy"], "sites t(2);\nH = adag(0);\n", 3, "type"),
     (["fit"], "sites t(2), t(2);\nH = X(0) X(1);\n", 4, "compile"),

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.errors import EncodingError
+from qblue.errors import COEFF_EQ_TOL, EncodingError
 from qblue.expr import (
     Atom, Boson, Dagger, Fermion, annihilate, create, tensor,
 )
 from qblue.encodings import encode_for_compile
 from qblue.linalg import expr_to_matrix
-from qblue.pauli import pauli_to_matrix
-from qblue.typecheck import canonicalize
+from qblue.parser import parse
+from qblue.pauli import PauliSum, pauli_allclose, pauli_to_matrix
+from qblue.typecheck import CanonicalForm, canonicalize
 
 import oracle
 from strategies import well_formed
@@ -87,3 +88,39 @@ def test_encoding_rejects_other_layouts():
         encode_for_compile(canonicalize(create(Boson(4))), "hp", 2)
     with pytest.raises(EncodingError, match="mixed"):
         encode_for_compile(canonicalize(tensor(create(F), annihilate(T2))))
+
+
+def chain_form(site, bonds, onsite=""):
+    """Canonical form of sum_j t_j (adag(j) a(j+1) + adag(j+1) a(j)) plus
+    the onsite term at every site, one t_j per bond."""
+    n = len(bonds) + 1
+    body = " + ".join(f"{t} * adag({j}) a({j + 1}) "
+                      f"+ {t} * adag({j + 1}) a({j})"
+                      for j, t in enumerate(bonds))
+    if onsite:
+        body += f" + sum j in 0..{n - 1} {{ {onsite} }}"
+    return canonicalize(parse(f"sites {', '.join([site] * n)};\nH = {body};"
+                              ).defs["H"])
+
+
+@pytest.mark.parametrize("form, level, exact", [
+    (chain_form("F", [0.7, 1.1, 0.35, 0.9], "-0.3 * adag(j) a(j)"), None,
+     True),
+    (chain_form("t(4)", [0.9, 0.45, 1.2], "1.3 * adag(j) adag(j) a(j) a(j)"),
+     1, True),
+    (chain_form("t(8)", [0.9, 0.45, 1.2], "1.3 * adag(j) adag(j) a(j) a(j)"),
+     2, False),
+], ids=["jw-hopping", "hp1-bose-hubbard", "hp2-bose-hubbard"])
+def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
+    # terms of one shape share one product; each one-term form has its own
+    method = "jw" if level is None else "hp"
+    whole, _ = encode_for_compile(form, method, level)
+    total = PauliSum(whole.qubits, ())
+    for term in form.terms:
+        total = total + encode_for_compile(
+            CanonicalForm(form.layout, (term,)), method, level)[0]
+    assert len(whole.terms) > len(form.terms)
+    if exact:
+        assert whole == total
+    else:
+        assert pauli_allclose(whole, total, COEFF_EQ_TOL)

@@ -8,9 +8,10 @@ from qblue.encodings import encode_for_compile
 from qblue.expr import LadderKind
 from qblue.parser import parse
 from qblue.pauli import PauliSum, identity_sum, pauli_allclose, pauli_sum
+from qblue import trotter
 from qblue.trotter import (
     TrotterPlan, compile_digital, fit_machine, ibm_machine, plan_to_circuit,
-    schedule_to_pauli, synthesize_term, verify_circuit,
+    schedule_to_pauli, synthesize_term, trotterize, verify_circuit,
 )
 from qblue.typecheck import canonicalize
 
@@ -94,6 +95,27 @@ def test_plan_to_circuit_is_the_fold_of_gadgets(plan):
     circuit = plan_to_circuit(plan)
     assert circuit.gates == folded.gates
     assert circuit.global_phase == folded.global_phase
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_steps_share_the_first_steps_gates(steps, monkeypatch):
+    hs, _ = encode_for_compile(canonicalize(hopping_chain(4)))
+    plan = trotterize(hs, 0.6, steps)
+    width = len(plan.slices) // steps
+    first = plan_to_circuit(TrotterPlan(plan.qubits, 1, plan.slices[:width]))
+    calls = []
+
+    def counting(string, angle):
+        calls.append((string, angle))
+        return synthesize_term(string, angle)
+
+    monkeypatch.setattr(trotter, "synthesize_term", counting)
+    gates = plan_to_circuit(plan).gates
+    assert gates == first.gates * steps
+    assert sorted(calls) == sorted(set(plan.slices)) == sorted(
+        plan.slices[:width])
+    # later steps hold the very gate objects of the first
+    assert all(g is h for g, h in zip(gates, gates[len(first):]))
 
 
 def per_term_fold(e, z_string):
