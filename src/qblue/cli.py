@@ -173,13 +173,15 @@ def cmd_eval(args) -> int:
     name, e = _pick_def(program, args.ham)
     state = parse_state(Path(args.state).read_text())
     result = apply(e, state)
-    text = format_state(result)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(format_state(result))
+        text = f"wrote {args.out}"
+    else:   # the state text is built only where it is printed
+        text = "" if args.json else format_state(result).rstrip("\n")
     record = {"def": name, "zero": result.is_zero,
               "kets": [[k.amp.real, k.amp.imag, list(k.occ)]
                        for k in result.terms]}
-    _emit(args, record, text.rstrip("\n") if not args.out else f"wrote {args.out}")
+    _emit(args, record, text)
     return EXIT_OK
 
 
@@ -192,11 +194,11 @@ def cmd_energy(args) -> int:
             f"{name} certifies only flag p; ground energy needs a Hermitian "
             "operator")
     result = linalg.ground_energy(linalg.expr_to_matrix(e), program.layout)
-    state_text = format_state(result.state)
     record = {"def": name, "energy": result.energy,
               "state": [[k.amp.real, k.amp.imag, list(k.occ)]
                         for k in result.state.terms]}
-    _emit(args, record, f"energy {result.energy!r}\n{state_text.rstrip()}")
+    _emit(args, record, "" if args.json else f"energy {result.energy!r}\n"
+          f"{format_state(result.state).rstrip()}")
     return EXIT_OK
 
 

@@ -20,6 +20,13 @@ name and the source line and column of the operand.  Every indexed atom
 spans the declared layout, so ``#`` concatenates the layout with itself
 and a program that uses it always fails the definition's layout check
 (CLI exit 3).
+
+The parser pays once per token and once per atom.  The tokenizer makes one
+regex match per token, whitespace and comments included; a token keeps its
+offset into the source, and the line and column of an error are computed
+from it only when the error is raised.  A literal prefix such as
+``0.8 *`` folds into the amplitudes of the indexed atom it scales, so that
+atom is built once with its final amplitude.
 """
 
 from __future__ import annotations
@@ -59,46 +66,39 @@ def validate_program(p: Program):
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<imag>(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?i\b)
-  | (?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<dotdot>\.\.)
-  | (?P<punct>[()=;,+\-*#{}])
+    (?:\s+|//[^\n]*)*                  # whitespace and comments first
+    (?: (?P<imag>(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?i\b)
+      | (?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+      | (?P<int>\d+)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<punct>\.\.|[()=;,+\-*#{}])
+      | (?P<eof>\Z)
+      | (?P<bad>[\s\S]+) )                # an unexpected character, to the end
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def tokenize(src: str) -> list:
+    """The tokens of src as ``(kind, text, offset)`` tuples.
+
+    One regex match per token: whitespace and ``//`` comments are skipped
+    inside the token pattern, and an unexpected character matches the
+    catch-all ``bad`` kind, which takes the rest of the source.  The list
+    ends in eof tokens, enough that every lookahead is a plain index.  A
+    token keeps its offset into src; ``_position`` turns it into a line and
+    column only when an error is raised.
+    """
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(src)]
+    if len(tokens) > 1 and tokens[-2][0] == "bad":
+        offset = tokens[-2][2]
+        raise ParseError(f"unexpected character {src[offset]!r}",
+                         *_position(src, offset))
+    return tokens + tokens[-1:] * 6   # peek() looks at most 5 tokens ahead
 
 
-def tokenize(src: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            tokens.append(Token("punct" if kind == "dotdot" else kind,
-                                text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _position(src: str, offset: int) -> tuple:
+    """The 1-based line and column of offset in src."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -107,97 +107,101 @@ def tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.tokens = tokenize(src)
         self.pos = 0
         self.layout: SiteList = ()
         self.name = ""   # the definition being parsed
 
-    # -- token plumbing
+    # -- token plumbing: a token is (kind, text, offset)
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead=0) -> tuple:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
+        # past the first eof token the padding reads as more eof tokens
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def at(self, t) -> tuple:
+        """Line and column of token t."""
+        return _position(self.src, t[2])
+
+    def expect(self, text: str) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        if t[1] != text:
+            shown = t[1] or "end of input"
+            raise ParseError(f"expected {text!r}, found {shown!r}", *self.at(t))
+        self.pos += 1
         return t
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            shown = t.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", t.line, t.col)
-        return self.next()
-
     def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+        raise ParseError(message, *self.at(self.peek()))
 
     # -- grammar
 
     def program(self) -> Program:
         t = self.peek()
-        if t.text != "sites":
+        if t[1] != "sites":
             self.fail("program must start with a 'sites' declaration")
         self.next()
         self.layout = intern_layout(self.site_list())
         self.expect(";")
         defs: dict[str, HamExpr] = {}
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             name_tok = self.peek()
-            if name_tok.kind != "name":
+            if name_tok[0] != "name":
                 self.fail("expected a definition name")
-            if name_tok.text in defs:
-                raise ParseError(f"duplicate definition {name_tok.text!r}",
-                                 name_tok.line, name_tok.col)
+            if name_tok[1] in defs:
+                raise ParseError(f"duplicate definition {name_tok[1]!r}",
+                                 *self.at(name_tok))
             self.next()
             self.expect("=")
-            self.name = name_tok.text
+            self.name = name_tok[1]
             e = self.expr({})
             self.expect(";")
             if e.layout is not self.layout:
                 raise LayoutError(
                     f"definition {self.name!r} does not act on the declared "
                     "sites", self.name, e.layout, self.layout,
-                    name_tok.line, name_tok.col)
-            defs[name_tok.text] = e
+                    *self.at(name_tok))
+            defs[name_tok[1]] = e
         if not defs:
             self.fail("program has no definitions")
         return Program(self.layout, defs)
 
     def site_list(self) -> SiteList:
         sites = [self.site()]
-        while self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.next()
             sites.append(self.site())
         return tuple(sites)
 
     def site(self):
         t = self.next()
-        if t.text == "F":
+        if t[1] == "F":
             return Fermion()
-        if t.text == "t":
+        if t[1] == "t":
             self.expect("(")
             m = self.next()
-            if m.kind != "int":
-                raise ParseError("expected a site dimension", m.line, m.col)
+            if m[0] != "int":
+                raise ParseError("expected a site dimension", *self.at(m))
             self.expect(")")
-            return Boson(int(m.text))
-        raise ParseError(f"expected a site type t(m) or F, found {t.text!r}",
-                         t.line, t.col)
+            return Boson(int(m[1]))
+        raise ParseError(f"expected a site type t(m) or F, found {t[1]!r}",
+                         *self.at(t))
 
     def expr(self, env: dict) -> HamExpr:
         negate = False
-        if self.peek().text == "-" and not self._literal_ahead(1):
+        if self.peek()[1] == "-" and not self._literal_ahead(1):
             # leading minus on a non-literal term
             self.next()
             negate = True
         starts = [self.peek()]
         first = self.term(env)
         parts = [scale(-1, first) if negate else first]
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
             starts.append(self.peek())
             part = self.term(env)
             parts.append(scale(-1, part) if op == "-" else part)
@@ -218,91 +222,97 @@ class _Parser:
             if part.layout is not first:
                 raise LayoutError(
                     f"{kind} branches act on different site lists",
-                    self.name, first, part.layout, t.line, t.col)
+                    self.name, first, part.layout, *self.at(t))
         return parts
 
     def tensor_factor(self, env: dict) -> HamExpr:
         parts = [self.factor(env)]
-        while self.peek().text == "#":
+        while self.peek()[1] == "#":
             self.next()
             parts.append(self.factor(env))
         return tensor(*parts)
 
     def _starts_factor(self) -> bool:
         t = self.peek()
-        if t.kind in ("int", "float", "imag"):
+        if t[0] in ("int", "float", "imag"):
             return True
-        if t.kind == "name":
-            return t.text in ("a", "adag", "I", "X", "Y", "Z", "dag", "sum",
-                              "sqrt")
+        if t[0] == "name":
+            return t[1] in ("a", "adag", "I", "X", "Y", "Z", "dag", "sum",
+                            "sqrt")
         # a '-' between factors is always the binary minus of expr()
-        return t.text == "("
+        return t[1] == "("
 
     def _literal_ahead(self, offset: int) -> bool:
         t = self.peek(offset)
-        return t.kind in ("int", "float", "imag") or t.text == "sqrt"
+        return t[0] in ("int", "float", "imag") or t[1] == "sqrt"
 
-    def factor(self, env: dict) -> HamExpr:
-        t = self.peek()
-        if t.text == "dag":
+    def factor(self, env: dict, z=None) -> HamExpr:
+        """One factor times z, the literal prefix before it if any.  An
+        indexed atom takes z into its amplitudes; any other factor, a
+        further prefix included, goes through scale(z, ...) as before."""
+        kind, text, _ = self.peek()
+        if text in ("a", "adag", "I", "X", "Y", "Z") and \
+                self.peek(1)[1] == "(":
+            return self.indexed_atom(env, z)
+        w = None
+        if kind in ("int", "float", "imag") or text in ("sqrt", "-"):
+            w = self.literal()
+        elif text == "(":
+            w = self._try_paren_complex()
+        if w is not None:
+            self.expect("*")
+            e = self.factor(env, complex(w))
+        elif text == "dag":
             self.next()
             self.expect("(")
-            inner = self.expr(env)
+            e = Dagger(self.expr(env))
             self.expect(")")
-            return Dagger(inner)
-        if t.text == "sum":
-            return self.sum_loop(env)
-        if t.text in ("a", "adag", "I", "X", "Y", "Z") and \
-                self.peek(1).text == "(":
-            return self.indexed_atom(env)
-        if t.kind in ("int", "float", "imag") or t.text in ("sqrt", "-"):
-            z = self.literal()
-            self.expect("*")
-            return scale(z, self.factor(env))
-        if t.text == "(":
-            z = self._try_paren_complex()
-            if z is not None:
-                self.expect("*")
-                return scale(z, self.factor(env))
+        elif text == "sum":
+            e = self.sum_loop(env)
+        elif text == "(":
             self.next()
-            inner = self.expr(env)
+            e = self.expr(env)
             self.expect(")")
-            return inner
-        self.fail(f"expected an operator factor, found {t.text or 'end of input'!r}")
+        else:
+            self.fail("expected an operator factor, found "
+                      f"{text or 'end of input'!r}")
+        return e if z is None else scale(z, e)
 
-    def indexed_atom(self, env: dict) -> HamExpr:
+    def indexed_atom(self, env: dict, z=None) -> HamExpr:
         t = self.next()
-        name = t.text
-        self.expect("(")
+        name = t[1]
+        self.pos += 1   # the '(' that factor() looked at
         j = self.index_expr(env)
         self.expect(")")
-        if not 0 <= j < len(self.layout):
+        lay = self.layout
+        if not 0 <= j < len(lay):
             raise ParseError(f"site index {j} out of range for "
-                             f"{len(self.layout)} sites", t.line, t.col)
-        if name == "I":
-            return Atom(self.layout)
-        if name in ("X", "Y", "Z") and site_dim(self.layout[j]) != 2:
+                             f"{len(lay)} sites", *self.at(t))
+        if name in ("X", "Y", "Z") and site_dim(lay[j]) != 2:
             raise ParseError(f"{name}({j}) needs a two-dimensional site, "
-                             f"found {self.layout[j]}", t.line, t.col)
-        cr = lambda amp=1.0: Atom(  # noqa: E731
-            self.layout, ((j, LadderKind.CREATE),), amp)
-        an = lambda amp=1.0: Atom(  # noqa: E731
-            self.layout, ((j, LadderKind.ANNIHILATE),), amp)
+                             f"found {lay[j]}", *self.at(t))
+        # each atom built once, with the amplitude scale(z, atom) gives it
+        amp = (lambda base: base) if z is None else (lambda base: z * base)
+        one = amp(1 + 0j)
+        cr, an = ((j, LadderKind.CREATE),), ((j, LadderKind.ANNIHILATE),)
+        if name == "I":
+            return Atom(lay, (), one)
         if name == "a":
-            return an()
+            return Atom(lay, an, one)
         if name == "adag":
-            return cr()
+            return Atom(lay, cr, one)
         if name == "X":
-            return Sum(cr(), an())
+            return Sum(Atom(lay, cr, one), Atom(lay, an, one))
         if name == "Y":
-            return Sum(an(1j), cr(-1j))
-        return Sum(Seq(cr(), an()), scale(-1, Seq(an(), cr())))
+            return Sum(Atom(lay, an, amp(1j)), Atom(lay, cr, amp(-1j)))
+        return Sum(Seq(Atom(lay, cr, one), Atom(lay, an)),
+                   Seq(Atom(lay, an, amp(-1 + 0j)), Atom(lay, cr)))
 
     def sum_loop(self, env: dict) -> HamExpr:
         self.expect("sum")
         var = self.next()
-        if var.kind != "name":
-            raise ParseError("expected a sum index name", var.line, var.col)
+        if var[0] != "name":
+            raise ParseError("expected a sum index name", *self.at(var))
         self.expect("in")
         lo_tok = self.peek()
         lo = self.int_value(env)
@@ -310,76 +320,74 @@ class _Parser:
         hi = self.int_value(env)
         self.expect("{")
         if lo > hi:
-            raise ParseError(f"empty sum range {lo}..{hi}",
-                             lo_tok.line, lo_tok.col)
+            raise ParseError(f"empty sum range {lo}..{hi}", *self.at(lo_tok))
         body_start = self.pos
         parts = []
         for v in range(lo, hi + 1):
             self.pos = body_start
-            parts.append(self.expr({**env, var.text: v}))
+            parts.append(self.expr({**env, var[1]: v}))
         self.expect("}")
         starts = [self.tokens[body_start]] * len(parts)
         return ham_sum(*self._agree("sum", parts, starts))
 
     def index_expr(self, env: dict) -> int:
         value = self.int_value(env)
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
             rhs = self.int_value(env)
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def int_value(self, env: dict) -> int:
         t = self.next()
-        if t.kind == "int":
-            return int(t.text)
-        if t.kind == "name":
-            if t.text not in env:
-                raise ParseError(f"unbound index {t.text!r}", t.line, t.col)
-            return env[t.text]
-        raise ParseError(f"expected an index, found {t.text!r}", t.line, t.col)
+        if t[0] == "int":
+            return int(t[1])
+        if t[0] == "name":
+            if t[1] not in env:
+                raise ParseError(f"unbound index {t[1]!r}", *self.at(t))
+            return env[t[1]]
+        raise ParseError(f"expected an index, found {t[1]!r}", *self.at(t))
 
     def literal(self) -> complex:
         sign = 1.0
-        if self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.next()
             sign = -1.0
         t = self.peek()
-        if t.text == "sqrt":
+        if t[1] == "sqrt":
             self.next()
             self.expect("(")
             v = self.next()
-            if v.kind not in ("int", "float"):
-                raise ParseError("expected a number inside sqrt",
-                                 v.line, v.col)
+            if v[0] not in ("int", "float"):
+                raise ParseError("expected a number inside sqrt", *self.at(v))
             self.expect(")")
-            return sign * math.sqrt(float(v.text))
-        if t.text == "(":
+            return sign * math.sqrt(float(v[1]))
+        if t[1] == "(":
             z = self._try_paren_complex()
             if z is None:
                 self.fail("expected a complex literal")
             return sign * z
-        if t.kind == "imag":
+        if t[0] == "imag":
             self.next()
-            return sign * complex(0.0, float(t.text[:-1]))
-        if t.kind in ("int", "float"):
+            return sign * complex(0.0, float(t[1][:-1]))
+        if t[0] in ("int", "float"):
             self.next()
-            return sign * float(t.text)
-        raise ParseError(f"expected a scalar literal, found {t.text!r}",
-                         t.line, t.col)
+            return sign * float(t[1])
+        raise ParseError(f"expected a scalar literal, found {t[1]!r}",
+                         *self.at(t))
 
     def _try_paren_complex(self):
         """Parse '(re+imi)' starting at '('; None, with the position
         unchanged, if the parenthesis opens a grouped expression instead."""
-        k = 2 if self.peek(1).text == "-" else 1
+        k = 2 if self.peek(1)[1] == "-" else 1
         re_tok, op, im_tok, close = (self.peek(k + i) for i in range(4))
-        if (re_tok.kind not in ("int", "float") or op.text not in ("+", "-")
-                or im_tok.kind != "imag" or close.text != ")"):
+        if (re_tok[0] not in ("int", "float") or op[1] not in ("+", "-")
+                or im_tok[0] != "imag" or close[1] != ")"):
             return None
         self.pos += k + 4
-        im = float(im_tok.text[:-1])
-        return complex((-1.0 if k == 2 else 1.0) * float(re_tok.text),
-                       im if op.text == "+" else -im)
+        im = float(im_tok[1][:-1])
+        return complex((-1.0 if k == 2 else 1.0) * float(re_tok[1]),
+                       im if op[1] == "+" else -im)
 
 
 def parse(source: str) -> Program:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qblue.cli import main
-from qblue.fock import parse_state
+from qblue.fock import format_state, parse_state
 from qblue.pauli import pauli_sum
 
 import oracle
@@ -348,3 +348,42 @@ def test_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):
     assert "the following arguments are required: --t, --n" in \
         capsys.readouterr().err
     assert len(built) <= 1
+
+
+def test_eval_and_energy_format_the_state_only_to_show_it(tmp_path, capsys,
+                                                          monkeypatch):
+    cli = importlib.import_module("qblue.cli")
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return format_state(state)
+
+    monkeypatch.setattr(cli, "format_state", counting)
+    prog, st, out = (tmp_path / "h.qb", tmp_path / "in.state",
+                     tmp_path / "out.state")
+    prog.write_text("sites t(2), t(2);\nH = X(0) + 0.5 * Z(1);\n")
+    st.write_text("sites: t(2), t(2)\n(1.0,0.0) |0,1>\n(0.0,0.5) |1,1>\n")
+    # X(0) takes |0,1> to |1,1> and back; Z(1) is +1 on an occupied site
+    text = "sites: t(2), t(2)\n(0.5,0.5) |0,1>\n(1.0,0.25) |1,1>\n"
+    assert main(["--json", "eval", str(prog), "--state", str(st)]) == 0
+    assert capsys.readouterr() == (
+        '{"def": "H", "zero": false, "kets": '
+        '[[0.5, 0.5, [0, 1]], [1.0, 0.25, [1, 1]]]}\n', "")
+    one_site = tmp_path / "z.qb"
+    one_site.write_text("sites t(2);\nH = Z(0);\n")
+    assert main(["--json", "energy", str(one_site)]) == 0
+    assert capsys.readouterr() == (
+        '{"def": "H", "energy": -1.0, "state": [[1.0, 0.0, [0]]]}\n', "")
+    assert calls == []
+    # text mode prints the state and --out writes it, as before
+    assert main(["eval", str(prog), "--state", str(st)]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(["eval", str(prog), "--state", str(st), "--out",
+                 str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
+    assert out.read_text() == text
+    assert main(["energy", str(one_site)]) == 0
+    assert capsys.readouterr() == (
+        "energy -1.0\nsites: t(2)\n(1.0,0.0) |0>\n", "")
+    assert len(calls) == 3

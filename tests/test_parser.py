@@ -1,9 +1,15 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qblue.encodings import encode_for_compile
 from qblue.errors import LayoutError, ParseError
-from qblue.expr import Boson, Flag, Sum
+from qblue.expr import (
+    Atom, Boson, Dagger, Flag, Sum, annihilate, create, desugar_indexed,
+    ham_sum, scale, seq,
+)
 from qblue.parser import format_program, parse
 from qblue.typecheck import canonicalize, typecheck
 
@@ -178,3 +184,113 @@ def test_layout_errors_name_the_definition_and_operand():
         parse("sites t(2);\nH = a(0);\n  G = a(0) # I(0);\n")
     assert (err.value.path, err.value.line, err.value.col) == ("G", 3, 3)
     assert (err.value.left, err.value.right) == ((T2, T2), (T2,))
+
+
+# ---------------------------------------------------------------------------
+# error positions survive any spacing between tokens
+# ---------------------------------------------------------------------------
+
+# A token of the surface syntax, for splitting generated program text.
+TOKEN_TEXT = re.compile(r"\d+\.\d+i?|\d+(?:[eE][+-]?\d+)?i?|\.\.|\w+|\S")
+SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n ",
+              "// a comment\n", "\t//x(0) $ @\r\n"]
+
+
+@given(program_text(), st.data())
+def test_error_positions_under_any_spacing(text, data):
+    tokens = TOKEN_TEXT.findall(text)
+    n = len(parse(text).layout)
+    at_index = [k for k in range(2, len(tokens) - 1)
+                if tokens[k - 2] in ("a", "adag", "I", "X", "Y", "Z")
+                and tokens[k - 1] == "(" and tokens[k].isdigit()
+                and tokens[k + 1] == ")"]
+    kinds = ["character", "layout"] + (["index"] if at_index else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "character":
+        # a character no token starts with, between two tokens
+        k = data.draw(st.integers(0, len(tokens)))
+        tokens.insert(k, data.draw(st.sampled_from("$@?%`!")))
+        marked = k
+    elif kind == "index":
+        k = data.draw(st.sampled_from(at_index))
+        tokens[k] = str(n + data.draw(st.integers(0, 3)))
+        marked = k - 2   # the error points at the atom's name
+    else:
+        # a last term on twice the layout ends the first definition
+        k = tokens.index(";", tokens.index(";") + 1)
+        tokens[k:k] = "+ I ( 0 ) # I ( 0 )".split()
+        marked = k + 1
+    pieces = [data.draw(st.sampled_from(["", *SEPARATORS]))]
+    for token in tokens:
+        pieces += [token, data.draw(st.sampled_from(SEPARATORS))]
+    # line and column of the marked token, counted piece by piece
+    line, col = 1, 1
+    for piece in pieces[:2 * marked + 1]:
+        if "\n" in piece:
+            line += piece.count("\n")
+            col = len(piece) - piece.rfind("\n")
+        else:
+            col += len(piece)
+    error = LayoutError if kind == "layout" else ParseError
+    with pytest.raises(error) as err:
+        parse("".join(pieces))
+    assert (err.value.line, err.value.col) == (line, col)
+    if kind == "character":
+        assert f"unexpected character {tokens[marked]!r}" in str(err.value)
+    elif kind == "index":
+        assert f"out of range for {n} sites" in str(err.value)
+    else:
+        assert err.value.path == "H0"
+
+
+# ---------------------------------------------------------------------------
+# a literal prefix folds into the atoms it scales, with the same amplitudes
+# ---------------------------------------------------------------------------
+
+LAYOUT = (T2, T2)
+
+
+def cr(j, amp=1.0):
+    return desugar_indexed(create(T2, amp), j, LAYOUT)
+
+
+def an(j, amp=1.0):
+    return desugar_indexed(annihilate(T2, amp), j, LAYOUT)
+
+
+def X(j):
+    return ham_sum(cr(j), an(j))
+
+
+def Y(j):
+    return ham_sum(an(j, 1j), cr(j, -1j))
+
+
+def Z(j):
+    return ham_sum(seq(cr(j), an(j)), scale(-1, seq(an(j), cr(j))))
+
+
+@pytest.mark.parametrize("body, want", [
+    ("0.8 * Z(0) Z(1)", seq(scale(0.8, Z(0)), Z(1))),
+    ("-0.5 * Y(0)", scale(-0.5, Y(0))),
+    ("(0.5+0.5i) * dag(a(0))", scale(0.5 + 0.5j, Dagger(an(0)))),
+    ("sqrt(2) * (X(0) + Z(1))", scale(math.sqrt(2), ham_sum(X(0), Z(1)))),
+    ("2 * sum j in 0..1 { X(j) }", scale(2, ham_sum(X(0), X(1)))),
+    ("- X(0)", scale(-1, X(0))),
+    ("0.1 * 3 * sqrt(3) * -2i * Y(1)",
+     scale(0.1, scale(3, scale(math.sqrt(3), scale(-2j, Y(1)))))),
+    ("(0.3-0.7i) * 1.1 * (0.5-0i) * I(0)",
+     scale(0.3 - 0.7j, scale(1.1, scale(complex(0.5, -0.0), Atom(LAYOUT))))),
+    # (0.1 * 0.2) * 0.3 rounds to 0.006000000000000001
+    ("0.1 * 0.2 * 0.3 * a(0)", scale(0.1, scale(0.2, scale(0.3, an(0))))),
+    # 1e300 * 1e300 overflows, but no amplitude does
+    ("1e300 * 1e300 * 0 * adag(1)",
+     scale(1e300, scale(1e300, scale(0, cr(1))))),
+])
+def test_literal_prefix_folds_into_the_atoms(body, want):
+    got = definition(f"sites t(2), t(2);\nH = {body};\n")
+    assert got == want
+    # every amplitude to the bit and the sign of zero, chains of prefixes
+    # included: each prefix multiplies from the atom outwards, as nested
+    # scale calls do
+    assert repr(got) == repr(want)

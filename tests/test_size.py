@@ -45,3 +45,19 @@ def test_spin_chain_tree_and_terms_grow_with_the_bonds(n):
         monomials = [len(m) for _, m in term.factors]
         assert (len(sites), monomials) in ((2, [2, 2]), (1, [1]))
         assert sites == list(range(sites[0], sites[0] + len(sites)))
+
+
+@pytest.mark.parametrize("n", [4, 32])
+def test_spin_chain_builds_each_atom_once(n, monkeypatch):
+    # a literal prefix such as 0.9 * Z(j) folds into the atoms as they are
+    # built, so no atom is built and then rebuilt by scale
+    built = []
+    post_init = Atom.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Atom, "__post_init__", counting)
+    tree = [node for node in nodes(spin_chain(n)) if isinstance(node, Atom)]
+    assert len(built) == len(tree) == 10 * (n - 1)
