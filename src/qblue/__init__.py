@@ -7,9 +7,9 @@ from .errors import (
 )
 from .expr import (
     Atom, Boson, Dagger, Fermion, Flag, HamExpr, LadderKind,
-    OpType, Seq, Sum, annihilate, create, dagger, desugar_indexed,
-    expr_allclose, ham_sum, identity, identity_chain, scale, seq,
-    site_dim, site_layout, tensor, total_dim,
+    OpType, Seq, Sum, annihilate, create, dagger, desugar_indexed, ham_sum,
+    identity, identity_chain, scale, seq, site_dim, site_layout, tensor,
+    total_dim,
 )
 from .typecheck import (
     CanonicalForm, CanonicalTerm, adjoint, canonical_allclose,
@@ -17,17 +17,15 @@ from .typecheck import (
     typecheck,
 )
 from .fock import (
-    FockState, Ket, add_states, apply, apply_single, basis_ket, expectation,
-    fermion_sign, format_state, inner_product, make_state, normalize,
-    parse_state, zero_state,
+    FockState, Ket, apply, apply_single, basis_ket, expectation,
+    format_state, inner_product, make_state, normalize, parse_state,
 )
 from .pauli import (
     PauliSum, is_hermitian_pauli, pauli_allclose, pauli_sum, pauli_to_matrix,
-    simplify,
 )
 from .encodings import EncodingReport, encode_for_compile
 from .linalg import (
-    GroundResult, expr_to_matrix, ground_energy, matrix_exp_sim, matrix_log,
+    GroundResult, expr_to_matrix, ground_energy, matrix_exp_sim,
     phase_aligned_distance, state_to_vector, vector_to_state,
 )
 from .circuit import Circuit, Gate, circuit_to_matrix, format_circuit, parse_circuit

@@ -5,6 +5,10 @@ error, 5 dimension cap.  An input that exhausts the recursion limit or the
 memory exits 1 with a one-line error naming the cause, not a traceback
 (see ``main``).  With --json, reports and diagnostics are emitted as JSON
 lines.
+
+``check`` reports as ``decided_by`` what decided each flag: ``structural``
+when structural typing alone gives H, ``syntactic`` when the exact
+Hermiticity certificate of ``typecheck.hermiticity_report`` decides.
 """
 
 from __future__ import annotations
@@ -153,13 +157,11 @@ def _parse_encoding(text: str):
 def cmd_check(args) -> int:
     program = _load_program(args.file)
     for name, e in program.defs.items():
-        ty = typecheck(e, promote=False)
+        ty, method = typecheck(e, promote=False), "structural"
         if ty.flag is Flag.P:
             hermitian, method, _ = hermiticity_report(e)
             if hermitian:
                 ty = OpType(Flag.H, ty.sites)
-        else:
-            hermitian, method = True, "structural"
         _emit(args, {"def": name, "type": str(ty), "flag": ty.flag.value,
                      "sites": [str(s) for s in ty.sites],
                      "hermitian": ty.flag is Flag.H,
@@ -208,19 +210,18 @@ def cmd_compile(args) -> int:
     method, hp_level = _parse_encoding(args.encode)
     circuit, report = trotter.compile_digital(e, args.t, args.n,
                                               method, hp_level)
-    text = format_circuit(circuit)
     record = {"def": name, "qubits": circuit.width, "gates": len(circuit),
               "t": args.t, "n": args.n, "encoding": report.to_dict()}
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(format_circuit(circuit))
         Path(args.out + ".encoding.json").write_text(
             json.dumps(report.to_dict(), indent=2) + "\n")
         record["out"] = args.out
-        _emit(args, record,
-              f"wrote {args.out} ({circuit.width} qubits, "
-              f"{len(circuit)} gates) and {args.out}.encoding.json")
-    else:
-        _emit(args, record, text.rstrip("\n"))
+        text = (f"wrote {args.out} ({circuit.width} qubits, "
+                f"{len(circuit)} gates) and {args.out}.encoding.json")
+    else:   # the circuit text is built only where it is printed
+        text = "" if args.json else format_circuit(circuit).rstrip("\n")
+    _emit(args, record, text)
     return EXIT_OK
 
 
@@ -238,12 +239,15 @@ def cmd_fit(args) -> int:
                            "needs a Hermitian operator")
     hs, _report = encode_for_compile(form)
     schedule = trotter.fit_machine(hs, spec)
-    text = trotter.format_schedule(schedule)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(trotter.format_schedule(schedule))
+        text = f"wrote {args.out}"
+    else:   # the schedule text is built only where it is printed
+        text = ("" if args.json
+                else trotter.format_schedule(schedule).rstrip("\n"))
     record = {"def": name, "machine": spec.name,
               "pairs": [[j, dict(slots)] for j, slots in schedule.assignments]}
-    _emit(args, record, text.rstrip("\n") if not args.out else f"wrote {args.out}")
+    _emit(args, record, text)
     return EXIT_OK
 
 

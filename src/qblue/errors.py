@@ -14,7 +14,6 @@ COEFF_PRUNE_TOL = 1e-14   # Pauli-sum term treated as zero
 AMP_PRUNE_TOL = 1e-14     # ket amplitude treated as zero
 HERMITIAN_IM_TOL = 1e-12  # imaginary part of a Hermitian Pauli coefficient
 HERMITIAN_TOL = 1e-10     # max-norm ||M - M^dag|| of a Hermitian matrix
-UNITARY_TOL = 1e-10       # max-norm ||U^dag U - 1|| of a unitary matrix
 EXPECTATION_IM_TOL = 1e-10  # imaginary residue of <s|H|s>
 
 
@@ -47,6 +46,10 @@ class LayoutError(QBlueError):
         if line is not None:
             detail += f" (line {line}, column {col})"
         super().__init__(detail)
+
+
+class AmplitudeError(ValueError):
+    """An atom amplitude that is not a finite complex number."""
 
 
 class DimensionCapError(QBlueError):

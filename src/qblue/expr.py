@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .errors import COEFF_EQ_TOL, LayoutError
+from .errors import AmplitudeError, LayoutError
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ class Atom:
         object.__setattr__(self, "layout", intern_layout(self.layout))
         object.__setattr__(self, "amp", complex(self.amp))
         if not cmath.isfinite(self.amp):
-            raise ValueError(f"amplitude must be finite, got {self.amp}")
+            raise AmplitudeError(f"amplitude must be finite, got {self.amp}")
         last = -1
         for s, _ in self.ops:
             if not last < s < len(self.layout):
@@ -335,16 +335,3 @@ def scale(z: complex, e: HamExpr) -> HamExpr:
         return Dagger(scale(z.conjugate(), e.inner))
     raise TypeError(f"not a HamExpr: {e!r}")
 
-
-def expr_allclose(e1: HamExpr, e2: HamExpr, tol: float = COEFF_EQ_TOL) -> bool:
-    """Structural equality up to `tol` on atom amplitudes."""
-    if type(e1) is not type(e2):
-        return False
-    if isinstance(e1, Atom):
-        return (e1.layout == e2.layout and e1.ops == e2.ops
-                and abs(e1.amp - e2.amp) <= tol)
-    if isinstance(e1, Dagger):
-        return expr_allclose(e1.inner, e2.inner, tol)
-    return (len(e1.children) == len(e2.children)
-            and all(expr_allclose(a, b, tol)
-                    for a, b in zip(e1.children, e2.children)))

@@ -65,10 +65,6 @@ def make_state(layout: SiteList, kets) -> FockState:
     return FockState(tuple(layout), terms)
 
 
-def zero_state(layout: SiteList) -> FockState:
-    return FockState(tuple(layout), ())
-
-
 def basis_ket(layout: SiteList, occ, amp: complex = 1.0) -> FockState:
     return make_state(layout, [(amp, tuple(occ))])
 
@@ -102,18 +98,6 @@ def apply_single(kind: LadderKind, site, k: int):
     if k == 0:
         return None
     return math.sqrt(k), k - 1
-
-
-def fermion_sign(layout: SiteList, occ_prefix) -> int:
-    """Parity factor (-1)^(occupied fermionic sites in the prefix).
-
-    Bosonic sites contribute 1 regardless of occupation.
-    """
-    parity = 0
-    for site, k in zip(layout, occ_prefix):
-        if isinstance(site, Fermion):
-            parity += k
-    return -1 if parity % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +153,6 @@ def _factors(e: HamExpr) -> list:
 # ---------------------------------------------------------------------------
 # State arithmetic
 # ---------------------------------------------------------------------------
-
-def add_states(s1: FockState, s2: FockState, z1=1.0, z2=1.0) -> FockState:
-    if s1.layout != s2.layout:
-        raise LayoutError("states have different layouts", "add",
-                          s1.layout, s2.layout)
-    kets = [(z1 * k.amp, k.occ) for k in s1.terms]
-    kets += [(z2 * k.amp, k.occ) for k in s2.terms]
-    return make_state(s1.layout, kets)
-
 
 def normalize(s: FockState) -> FockState:
     """Scale so the 2-norm is 1; the zero state has no normalization."""

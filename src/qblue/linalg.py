@@ -1,4 +1,4 @@
-"""Dense-matrix backend: expression lowering, exp/log, ground energy.
+"""Dense-matrix backend: expression lowering, exponential, ground energy.
 
 This is the desk-scale oracle the rest of the package is checked against,
 and it shares no code with the canonical forms of ``typecheck``: it lowers
@@ -21,13 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
 from .errors import (
-    AMP_PRUNE_TOL, DIM_CAP, HERMITIAN_TOL, UNITARY_TOL, DimensionCapError,
-    NonHermitianError,
+    AMP_PRUNE_TOL, DIM_CAP, HERMITIAN_TOL, DimensionCapError, NonHermitianError,
 )
 from .expr import (
     Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
@@ -154,7 +152,7 @@ def vector_to_state(v: np.ndarray, layout: SiteList,
 
 
 # ---------------------------------------------------------------------------
-# Exponential / logarithm
+# Exponential
 # ---------------------------------------------------------------------------
 
 def check_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
@@ -174,27 +172,6 @@ def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
     check_hermitian(h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def matrix_log(u: np.ndarray) -> np.ndarray:
-    """Principal Hermitian generator: h with e^{-i h} = u up to rounding.
-
-    Eigenphases of h lie in (-pi, pi].  Matrix logarithms are not unique;
-    this fixes the principal branch.
-    """
-    u = np.asarray(u, dtype=complex)
-    dim = u.shape[0]
-    err = abs(u.conj().T @ u - np.eye(dim)).max()
-    if err > UNITARY_TOL:
-        raise ValueError(f"matrix deviates from unitary by {err:g}")
-    # Schur of a unitary is diagonal with an orthonormal basis, which keeps
-    # the reconstruction Hermitian even for degenerate eigenvalues
-    t, v = scipy.linalg.schur(u, output="complex")
-    lam = np.diag(t)
-    phases = -np.angle(lam)
-    phases[phases <= -math.pi + 1e-15] = math.pi
-    h = (v * phases) @ v.conj().T
-    return (h + h.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ regex match per token, whitespace and comments included; a token keeps its
 offset into the source, and the line and column of an error are computed
 from it only when the error is raised.  A literal prefix such as
 ``0.8 *`` folds into the amplitudes of the indexed atom it scales, so that
-atom is built once with its final amplitude.
+atom is built once with its final amplitude.  A literal, or a chain of
+prefixes, that makes an amplitude overflow is a ParseError at the literal.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import LayoutError, ParseError
+from .errors import AmplitudeError, LayoutError, ParseError
 from .expr import (
     Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
     ham_sum, intern_layout, scale, seq, site_dim, site_layout, tensor,
@@ -250,7 +251,8 @@ class _Parser:
         """One factor times z, the literal prefix before it if any.  An
         indexed atom takes z into its amplitudes; any other factor, a
         further prefix included, goes through scale(z, ...) as before."""
-        kind, text, _ = self.peek()
+        start = self.peek()
+        kind, text, _ = start
         if text in ("a", "adag", "I", "X", "Y", "Z") and \
                 self.peek(1)[1] == "(":
             return self.indexed_atom(env, z)
@@ -261,7 +263,11 @@ class _Parser:
             w = self._try_paren_complex()
         if w is not None:
             self.expect("*")
-            e = self.factor(env, complex(w))
+            try:
+                e = self.factor(env, complex(w))
+            except AmplitudeError:   # w made an amplitude overflow
+                raise ParseError("scalar literal overflows the amplitude range",
+                                 *self.at(start)) from None
         elif text == "dag":
             self.next()
             self.expect("(")

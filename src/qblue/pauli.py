@@ -101,10 +101,6 @@ def simplify_terms(qubits: int, terms) -> PauliSum:
     return PauliSum(qubits, out)
 
 
-def simplify(p: PauliSum) -> PauliSum:
-    return simplify_terms(p.qubits, p.terms)
-
-
 def identity_sum(qubits: int, coeff=1.0) -> PauliSum:
     return PauliSum(qubits, ((complex(coeff), "I" * qubits),))
 

@@ -4,24 +4,28 @@ The flag lattice has H below P; ladder leaves start at P, identities at H.
 Structural typing combines flags bottom-up, then a certificate pass tries to
 promote the whole expression to H.  It canonicalizes the expression once and
 compares that form with its adjoint, which ``adjoint`` computes from the
-form's terms alone; when the two differ and the operator is small enough, a
-dense-matrix check decides instead.  ``dag`` is the matrix adjoint: it
-conjugates each amplitude, flips each ladder's kind and reverses the order
-in which a product's operators apply.  A tensor product is the product of
-its embedded operands, so its adjoint applies the last operand first, and
-two fermion-odd factors trade places with a minus sign.
+form's terms alone.  Equal ladder forms certify at once; otherwise both
+forms are rewritten in a basis of each site's operators, the identity and
+the matrix units |m><n|, and their coefficients decide exactly, at any
+size and without a matrix.  ``dag`` is the matrix adjoint: it conjugates
+each amplitude, flips each ladder's kind and reverses the order in which a
+product's operators apply.  A tensor product is the product of its
+embedded operands, so its adjoint applies the last operand first, and two
+fermion-odd factors trade places with a minus sign.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import COEFF_DROP_TOL, COEFF_EQ_TOL, DIM_CAP, HERMITIAN_TOL
+from .errors import COEFF_DROP_TOL, COEFF_EQ_TOL
 from .expr import (
     Atom, Dagger, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList,
-    Sum, ham_sum, scale, seq, site_layout, total_dim,
+    Sum, ham_sum, scale, seq, site_dim, site_layout,
 )
-from .linalg import expr_to_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +189,68 @@ def canonical_to_expr(form: CanonicalForm) -> HamExpr:
 # ---------------------------------------------------------------------------
 
 def hermiticity_report(e: HamExpr) -> tuple[bool, str, CanonicalForm]:
-    """Decide Hermiticity; report which check decided and the canonical form.
+    """Decide Hermiticity exactly; report the route and the canonical form.
 
-    The syntactic certificate compares the canonical form of e with its
-    adjoint; it is sound but incomplete (it never reorders non-commuting
-    factors).  When it answers no and the total dimension fits the dense
-    cap, the matrix check ||M - M^dag||_max <= HERMITIAN_TOL decides
-    instead.
+    Equal ladder forms of e and its adjoint certify at once.  Unequal ones
+    may still be one operator written two ways, such as ``a adag`` and
+    ``1 - adag a`` on a two-level site, so both are then compared in the
+    basis of ``_site_coefficients``, where equal operators have equal
+    coefficients.  Both comparisons use COEFF_EQ_TOL; no matrix is built.
     """
     form = canonicalize(e)
-    if canonical_allclose(adjoint(form), form):
+    dual = adjoint(form)
+    if canonical_allclose(dual, form):
         return True, "syntactic", form
-    if total_dim(form.layout) <= DIM_CAP:
-        m = expr_to_matrix(e)
-        ok = abs(m - m.conj().T).max() <= HERMITIAN_TOL
-        return bool(ok), "matrix", form
-    return False, "syntactic", form
+    a, b = _site_coefficients(form), _site_coefficients(dual)
+    return all(abs(a.get(k, 0) - b.get(k, 0)) <= COEFF_EQ_TOL
+               for k in a.keys() | b.keys()), "syntactic", form
+
+
+def _site_coefficients(form: CanonicalForm) -> dict:
+    """Coefficients of the form's operator in a basis of site products.
+
+    Each monomial expands into its site's identity and matrix units
+    (``_units``); a key lists the (site, (m, n)) units of one product.  A
+    unit keeps its monomial's fermion parity, so the signs folded into the
+    coefficients still hold, and two forms are one operator exactly when
+    their coefficients agree.
+    """
+    dims = [site_dim(site) for site in form.layout]
+    out: dict = {}
+    for term in form.terms:
+        for choice in itertools.product(
+                *(_units(dims[s], monomial) for s, monomial in term.factors)):
+            key = tuple((s, unit) for (s, _), (unit, _)
+                        in zip(term.factors, choice) if unit is not None)
+            out[key] = out.get(key, 0j) + term.coeff * math.prod(
+                w for _, w in choice)
+    return out
+
+
+@functools.cache
+def _units(dim: int, monomial: tuple) -> tuple:
+    """(unit, weight) pairs that sum to a monomial on a dim-level site.
+
+    The monomial maps |n> to w_n |n + s>, so it is the sum of w_n |n + s><n|;
+    on the diagonal it is w_0 I + sum_{n >= 1} (w_n - w_0) |n><n|, with None
+    for I.  Each w_n is the square root of an exact integer, so one weight
+    is one float in every monomial.
+    """
+    shift = 2 * monomial.count(LadderKind.CREATE) - len(monomial)
+    weights = []
+    for n in range(dim):
+        occ, square = n, 1
+        for kind in monomial:
+            out = occ + 1 if kind is LadderKind.CREATE else occ - 1
+            square *= max(occ, out) if 0 <= out < dim else 0
+            occ = out
+        # a weight past the float range compares equal to nothing
+        weights.append(math.sqrt(square) if square < 2 ** 1023 else math.inf)
+    if shift:
+        return tuple(((n + shift, n), w) for n, w in enumerate(weights) if w)
+    w0 = weights[0]
+    diag = [((n, n), w - w0) for n, w in enumerate(weights) if n and w != w0]
+    return (((None, w0),) if w0 else ()) + tuple(diag)
 
 
 def is_hermitian(e: HamExpr) -> bool:

@@ -86,6 +86,25 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert record["line"] == 2
 
 
+@pytest.mark.parametrize("body, line, col", [
+    ("1e999 * a(0)", 2, 5),
+    ("-1e999i * a(0)", 2, 5),
+    ("X(0)\n  + 2 * 1e300 * 1e300 * a(0)", 3, 9),
+    ("1e200 * 1e200 * (X(0) + Z(0))", 2, 5),
+], ids=["literal", "negative-imaginary", "prefix-chain", "chain-on-group"])
+def test_an_overflowing_literal_is_a_parse_error(body, line, col, tmp_path,
+                                                 capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text(f"sites t(2);\nH = {body};\n")
+    assert main(["--json", "check", str(prog)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    record = json.loads(err)
+    assert (record["code"], record["line"], record["col"]) == (
+        "parse", line, col)
+    assert "overflows" in record["message"]
+
+
 def eval_kets(tmp_path, capsys, program, state):
     prog, st, out = (tmp_path / "h.qb", tmp_path / "in.state",
                      tmp_path / "out.state")
@@ -387,3 +406,97 @@ def test_eval_and_energy_format_the_state_only_to_show_it(tmp_path, capsys,
     assert capsys.readouterr() == (
         "energy -1.0\nsites: t(2)\n(1.0,0.0) |0>\n", "")
     assert len(calls) == 3
+
+
+def test_fourteen_sites_certify_and_compile(tmp_path, capsys):
+    # i (a adag + adag a - 1) is zero on t(2), so the chain is Hermitian
+    # above any dense size, and it compiles to the plain hopping circuit
+    sites = ", ".join(["t(2)"] * 14)
+    hop = "adag(j) a(j+1) + adag(j+1) a(j)"
+    zero = "1i * (a(j) adag(j) + adag(j) a(j) - I(j))"
+    prog, plain = tmp_path / "h.qb", tmp_path / "plain.qb"
+    prog.write_text(f"sites {sites};\n"
+                    f"H = sum j in 0..12 {{ {hop} + {zero} }};\n")
+    plain.write_text(f"sites {sites};\nH = sum j in 0..12 {{ {hop} }};\n")
+    code, out, err = run_json(capsys, ["check", str(prog)])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["flag"], record["decided_by"]) == ("h", "syntactic")
+    circuits = []
+    for path in (prog, plain):
+        assert main(["compile", str(path), "--t", "0.5", "--n", "1"]) == 0
+        circuits.append(capsys.readouterr().out)
+    assert circuits[0] == circuits[1]
+    assert circuits[0].startswith("qubits 14;")
+
+
+def test_check_builds_no_matrix(tmp_path, capsys, monkeypatch):
+    linalg = importlib.import_module("qblue.linalg")
+
+    def refuse(*args):
+        raise AssertionError("check built a dense matrix")
+
+    # _lower is the step every dense lowering of an expression takes
+    monkeypatch.setattr(linalg, "expr_to_matrix", refuse)
+    monkeypatch.setattr(linalg, "_lower", refuse)
+    z, zbar = "(0.5+0.3i)", "(0.5-0.3i)"
+    defs = {
+        "Hdag": (f"{z} * adag(0) a(1) + dag({z} * adag(0) a(1))", True),
+        "Hcplx": (f"{z} * adag(1) a(2) + {zbar} * adag(2) a(1)", True),
+        "Hskew": (f"{z} * adag(0) a(1) + {z} * adag(1) a(0)", False),
+        "Himag": ("0.8i * X(0) Z(1)", False),
+        "Hsqrt": ("sqrt(2) * X(0) + sqrt(3) * Z(1) Z(2)", True),
+        "Hsum": ("sum j in 0..2 { Z(j) Z(j+1) - X(j+1) }", True),
+        "Hneg": ("-Z(0) + 0.8 * X(3)", True),
+    }
+    prog = tmp_path / "constructs.qb"
+    prog.write_text("sites t(2), t(2), t(2), t(2);\n" + "".join(
+        f"{name} = {body};\n" for name, (body, _) in defs.items()))
+    code, out, err = run_json(capsys, ["check", str(prog)])
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert {r["def"]: r["hermitian"] for r in records} == {
+        name: verdict for name, (_, verdict) in defs.items()}
+    # a one-way hop is not Hermitian at any length
+    for n in (4, 6, 8):
+        body = " + ".join(f"{0.5 + 0.1 * j} * adag({j}) a({j + 1})"
+                          for j in range(n - 1))
+        prog.write_text(f"sites {', '.join(['F'] * n)};\nH = {body};\n")
+        code, out, err = run_json(capsys, ["check", str(prog)])
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert (record["flag"], record["decided_by"]) == ("p", "syntactic")
+
+
+def test_compile_and_fit_format_their_text_only_to_show_it(tmp_path, capsys,
+                                                           monkeypatch):
+    cli = importlib.import_module("qblue.cli")
+    trotter = importlib.import_module("qblue.trotter")
+    calls = []
+    format_circuit, format_schedule = cli.format_circuit, \
+        trotter.format_schedule
+
+    def counting(format_text):
+        def wrapped(obj):
+            calls.append(obj)
+            return format_text(obj)
+        return wrapped
+
+    monkeypatch.setattr(cli, "format_circuit", counting(format_circuit))
+    monkeypatch.setattr(trotter, "format_schedule", counting(format_schedule))
+    prog, _ = spin_program(tmp_path)
+    commands = [["compile", prog, "--t", "0.5", "--n", "2"], ["fit", prog]]
+    for argv in commands:
+        code, out, err = run_json(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["def"] == "H"
+    assert calls == []
+    # text mode prints the text and --out writes the same text
+    for argv in commands:
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        path = tmp_path / f"{argv[0]}.out"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {path}")
+        assert path.read_text() == text
+    assert len(calls) == 4

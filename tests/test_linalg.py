@@ -14,7 +14,7 @@ from qblue.expr import (
 )
 from qblue.fock import basis_ket, make_state
 from qblue.linalg import (
-    expr_to_matrix, ground_energy, matrix_exp_sim, matrix_log,
+    expr_to_matrix, ground_energy, matrix_exp_sim,
     phase_aligned_distance, state_to_vector, vector_to_state,
 )
 from qblue.parser import parse
@@ -270,46 +270,6 @@ def test_exp_is_unitary_and_semigroup():
         assert oracle.max_norm(u.conj().T @ u, np.eye(4)) < 1e-10
         prod = matrix_exp_sim(h, t1) @ matrix_exp_sim(h, t2)
         assert oracle.max_norm(matrix_exp_sim(h, t1 + t2), prod) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# matrix_log
-# ---------------------------------------------------------------------------
-
-def test_log_of_rx_rotation():
-    for theta in (0.2, 1.0, 2.5):
-        u = matrix_exp_sim(oracle.X, theta)
-        h = matrix_log(u)
-        assert oracle.max_norm(h, theta * oracle.X) < 1e-9
-
-
-def test_log_of_identity_is_zero():
-    assert oracle.max_norm(matrix_log(np.eye(4)), np.zeros((4, 4))) < 1e-12
-
-
-def test_log_of_hadamard_roundtrips():
-    h = matrix_log(HADAMARD)
-    assert oracle.max_norm(h, h.conj().T) < 1e-12
-    assert phase_aligned_distance(matrix_exp_sim(h, 1.0), HADAMARD) < 1e-9
-
-
-def test_log_roundtrip_random_unitaries():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (a + a.conj().T) / 2
-        h *= (math.pi * 0.9) / max(abs(np.linalg.eigvalsh(h)).max(), 1e-12)
-        u = matrix_exp_sim(h, 1.0)
-        back = matrix_log(u)
-        assert oracle.max_norm(back, h) < 1e-9
-        phases = np.linalg.eigvalsh(back)
-        assert phases.max() <= math.pi + 1e-12
-        assert phases.min() > -math.pi - 1e-12
-
-
-def test_log_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        matrix_log(np.diag([1.0, 2.0]).astype(complex))
 
 
 # ---------------------------------------------------------------------------

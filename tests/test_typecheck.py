@@ -1,8 +1,9 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qblue.errors import COEFF_EQ_TOL, LayoutError
 from qblue.expr import (
@@ -11,6 +12,7 @@ from qblue.expr import (
     site_layout, tensor,
 )
 from qblue.linalg import expr_to_matrix
+from qblue.parser import parse
 from qblue.typecheck import (
     adjoint, canonical_allclose, canonical_to_expr,
     canonicalize, hermiticity_report, is_hermitian, typecheck,
@@ -18,6 +20,7 @@ from qblue.typecheck import (
 
 import oracle
 from strategies import graded_trees, well_formed
+from test_parser import expr_text
 
 # the package re-exports the function typecheck under the module's name
 typecheck_module = importlib.import_module("qblue.typecheck")
@@ -204,6 +207,88 @@ def test_certificate_agrees_with_matrix_check():
             m = expr_to_matrix(e)
             truly = oracle.max_norm(m, m.conj().T) < 1e-10
             assert is_hermitian(e) == truly
+
+
+def dense_hermitian(e):
+    m = expr_to_matrix(e)
+    return oracle.max_norm(m, m.conj().T) < 1e-10
+
+
+@given(graded_trees(), st.booleans())
+def test_certificate_agrees_with_the_dense_oracle_on_graded_trees(e, twice):
+    # e + dag(e) is Hermitian however it is written
+    if twice:
+        e = ham_sum(e, Dagger(e))
+    assert is_hermitian(e) == dense_hermitian(e)
+
+
+SITES = {"F": 2, "t(2)": 2, "t(3)": 3, "t(4)": 4}
+
+
+@st.composite
+def parsed_definitions(draw):
+    """A parsed definition of total dimension at most 1024 that uses I(j)
+    and, on two-level sites, X/Y/Z.  Half are written A + dag(A); some add
+    i (a(j) adag(j) + adag(j) a(j) - I(j)), which is zero exactly on the
+    two-level sites, so only a complete certificate calls the sum
+    Hermitian there and not elsewhere."""
+    sites = draw(st.lists(st.sampled_from(sorted(SITES)), min_size=1,
+                          max_size=6).filter(
+        lambda s: math.prod(SITES[x] for x in s) <= 1024))
+    dims = [SITES[x] for x in sites]
+    index = st.integers(0, len(dims) - 1).map(lambda j: (str(j), j))
+    body = draw(expr_text(dims, index, 2))
+    if draw(st.booleans()):
+        body = f"{body} + dag({body})"
+    for j in draw(st.lists(st.integers(0, len(dims) - 1), max_size=2)):
+        body += f" + 1i * (a({j}) adag({j}) + adag({j}) a({j}) - I({j}))"
+    return parse(f"sites {', '.join(sites)};\nH = {body};\n").defs["H"]
+
+
+@settings(max_examples=150)
+@given(parsed_definitions())
+def test_certificate_agrees_with_the_dense_oracle_on_programs(e):
+    assert is_hermitian(e) == dense_hermitian(e)
+
+
+@pytest.mark.parametrize("site, zero", [
+    ("t(2)", "a(0) adag(0) + adag(0) a(0) - I(0)"),
+    ("F", "a(0) adag(0) + adag(0) a(0) - I(0)"),
+    # diag(2, 0, 0), diag(1, 2, 0) and diag(0, 1, 2) on t(3)
+    ("t(3)", "0.75 * a(0) a(0) adag(0) adag(0) + 0.5 * a(0) adag(0)"
+             " + adag(0) a(0) - 2 * I(0)"),
+])
+def test_a_ladder_spelling_of_zero_adds_no_imaginary_part(site, zero):
+    e = parse(f"sites {site};\nH = adag(0) a(0) + 1i * ({zero});\n"
+              ).defs["H"]
+    form = canonicalize(e)
+    assert not canonical_allclose(adjoint(form), form)
+    assert hermiticity_report(e) == (True, "syntactic", form)
+
+
+@pytest.mark.parametrize("dim", [24, 32, 64])
+def test_the_top_level_of_a_large_site_counts(dim):
+    # a adag - adag a - 1 is zero below the top level and -dim on it, so
+    # i times it is not Hermitian; no coefficient is small enough to drop
+    e = parse(f"sites t({dim});\n"
+              "H = 1i * (a(0) adag(0) - adag(0) a(0) - I(0));\n").defs["H"]
+    assert hermiticity_report(e)[:2] == (False, "syntactic")
+    assert typecheck(e).flag is Flag.P
+
+
+def test_a_weight_past_the_float_range_compares_equal_to_nothing():
+    # adag^171 on t(200) has weights above 1e308
+    e = parse("sites t(200);\nH = " + "adag(0) " * 171 + ";\n").defs["H"]
+    assert hermiticity_report(e)[:2] == (False, "syntactic")
+
+
+@pytest.mark.parametrize("im, hermitian", [
+    ("1e-13i", True), ("1e-11i", False), ("1e-9i", False)])
+def test_the_certificate_tolerance_is_the_coefficient_tolerance(im,
+                                                                hermitian):
+    # Z(0) (1 + im) is Hermitian only when 2 |im| <= COEFF_EQ_TOL
+    e = parse(f"sites t(2);\nH = Z(0) + {im} * Z(0);\n").defs["H"]
+    assert hermiticity_report(e)[:2] == (hermitian, "syntactic")
 
 
 # ---------------------------------------------------------------------------
