@@ -30,8 +30,8 @@ from .linalg import (
 )
 from .circuit import Circuit, Gate, circuit_to_matrix, format_circuit, parse_circuit
 from .trotter import (
-    AnalogSchedule, MachineSpec, TrotterPlan, compile_digital, fit_machine,
-    ibm_machine, plan_to_circuit, schedule_to_pauli,
+    IBM, AnalogSchedule, MachineSpec, TrotterPlan, compile_digital,
+    encode_hermitian, fit_machine, plan_to_circuit, schedule_to_pauli,
     synthesize_term, trotterize, verify_circuit,
 )
 from .parser import Program, format_expr, format_program, parse

@@ -9,6 +9,12 @@ lines.
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``syntactic`` when the exact
 Hermiticity certificate of ``typecheck.hermiticity_report`` decides.
+
+``compile``, ``fit`` and ``verify`` reach qubits by one step,
+``trotter.encode_hermitian``: a program the certificate leaves at flag p
+exits 4 before any circuit, schedule or matrix is built, and the site types
+pick the encoding, so no command takes an encoding option.  ``fit`` fits
+onto the one analog machine, ``trotter.IBM``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from pathlib import Path
 
 from . import linalg, trotter
 from .circuit import format_circuit, parse_circuit
-from .encodings import encode_for_compile
 from .errors import (
     CompileError, DimensionCapError, EncodingError, LayoutError,
     NonHermitianError, ParseError, QBlueError, StateFormatError,
@@ -29,7 +34,7 @@ from .errors import (
 from .expr import Flag, OpType
 from .fock import apply, format_state, parse_state
 from .parser import parse, validate_program
-from .typecheck import canonicalize, hermiticity_report, typecheck
+from .typecheck import is_hermitian, typecheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,12 +83,9 @@ def _build_parser():
     p = add("compile", "Trotterize and synthesize a digital circuit")
     p.add_argument("--t", type=float, required=True, help="evolution time")
     p.add_argument("--n", type=int, required=True, help="Trotter steps")
-    p.add_argument("--encode", default="auto",
-                   help="hp:<k>, jw, direct, or auto")
     p.add_argument("--out", default=None, help="circuit output file")
 
-    p = add("fit", "fit onto an analog machine's templates")
-    p.add_argument("--machine", default="ibm")
+    p = add("fit", "fit onto the ibm analog machine's templates")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="compare a compiled circuit against "
@@ -92,7 +94,6 @@ def _build_parser():
     p.add_argument("file", help="program file")
     p.add_argument("ham", nargs="?", default=None)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--encode", default="auto")
     return top
 
 
@@ -141,15 +142,6 @@ def _pick_def(program, name):
     return name, program.defs[name]
 
 
-def _parse_encoding(text: str):
-    if text in ("auto", "jw", "direct"):
-        return text, None
-    if text.startswith("hp:"):
-        return "hp", int(text.split(":", 1)[1])
-    raise _UsageError(f"bad --encode value {text!r} "
-                      "(expected auto, direct, jw, or hp:<k>)")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -159,8 +151,8 @@ def cmd_check(args) -> int:
     for name, e in program.defs.items():
         ty, method = typecheck(e, promote=False), "structural"
         if ty.flag is Flag.P:
-            hermitian, method, _ = hermiticity_report(e)
-            if hermitian:
+            method = "syntactic"
+            if is_hermitian(e):
                 ty = OpType(Flag.H, ty.sites)
         _emit(args, {"def": name, "type": str(ty), "flag": ty.flag.value,
                      "sites": [str(s) for s in ty.sites],
@@ -207,9 +199,7 @@ def cmd_energy(args) -> int:
 def cmd_compile(args) -> int:
     program = _load_program(args.file)
     name, e = _pick_def(program, args.ham)
-    method, hp_level = _parse_encoding(args.encode)
-    circuit, report = trotter.compile_digital(e, args.t, args.n,
-                                              method, hp_level)
+    circuit, report = trotter.compile_digital(e, args.t, args.n)
     record = {"def": name, "qubits": circuit.width, "gates": len(circuit),
               "t": args.t, "n": args.n, "encoding": report.to_dict()}
     if args.out:
@@ -228,24 +218,15 @@ def cmd_compile(args) -> int:
 def cmd_fit(args) -> int:
     program = _load_program(args.file)
     name, e = _pick_def(program, args.ham)
-    machine = trotter.MACHINES.get(args.machine)
-    if machine is None:
-        raise _UsageError(f"unknown machine {args.machine!r} "
-                          f"(choices: {', '.join(trotter.MACHINES)})")
-    spec = machine()
-    hermitian, _, form = hermiticity_report(e)
-    if not hermitian:
-        raise CompileError(f"{name} certifies only flag p; machine fitting "
-                           "needs a Hermitian operator")
-    hs, _report = encode_for_compile(form)
-    schedule = trotter.fit_machine(hs, spec)
+    hs, _report = trotter.encode_hermitian(e)
+    schedule = trotter.fit_machine(hs, trotter.IBM)
     if args.out:
         Path(args.out).write_text(trotter.format_schedule(schedule))
         text = f"wrote {args.out}"
     else:   # the schedule text is built only where it is printed
         text = ("" if args.json
                 else trotter.format_schedule(schedule).rstrip("\n"))
-    record = {"def": name, "machine": spec.name,
+    record = {"def": name, "machine": trotter.IBM.name,
               "pairs": [[j, dict(slots)] for j, slots in schedule.assignments]}
     _emit(args, record, text)
     return EXIT_OK
@@ -255,8 +236,7 @@ def cmd_verify(args) -> int:
     program = _load_program(args.file)
     name, e = _pick_def(program, args.ham)
     circuit = parse_circuit(Path(args.circuit).read_text())
-    method, hp_level = _parse_encoding(args.encode)
-    hs, _report = encode_for_compile(canonicalize(e), method, hp_level)
+    hs, _report = trotter.encode_hermitian(e)
     if hs.qubits != circuit.width:
         raise CompileError(
             f"circuit width {circuit.width} does not match the encoded "

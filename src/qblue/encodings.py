@@ -1,12 +1,14 @@
 """Particle-system transformations onto qubit layouts.
 
-The encoder takes the canonical form that ``typecheck`` produced and maps
-it one term at a time: each ladder operator becomes a Pauli sum on the
-qubits of the term's active sites, and a term becomes the product of its
-operators' sums, widened once to the whole register.  One convention
-serves every method: a qubit's occupation is its computational-basis bit, so
-a^dag = (X - iY)/2 = |1><0| and a = (X + iY)/2, and the encoded matrix
-equals the expression's occupation-basis matrix index for index.
+The site types of the layout pick the method (``infer_encoding``), and no
+layout has a second one.  The encoder takes the canonical form that
+``typecheck`` produced and maps it one term at a time: each ladder operator
+becomes a Pauli sum on the qubits of the term's active sites, and a term
+becomes the product of its operators' sums, widened once to the whole
+register.  One convention serves every method: a qubit's occupation is its
+computational-basis bit, so a^dag = (X - iY)/2 = |1><0| and a = (X + iY)/2,
+and the encoded matrix equals the expression's occupation-basis matrix
+index for index.
 
 - direct: each t(2) site is one qubit.
 - jw (Jordan-Wigner): each fermionic site is one qubit, and its operators
@@ -62,7 +64,7 @@ def encoding_report(layout: SiteList, method: str,
 
 
 def infer_encoding(layout: SiteList):
-    """Pick the encoding a layout needs: ('direct'|'jw'|'hp', hp_level).
+    """Pick the encoding a layout needs: (method, hp level n or None).
 
     Known fault: a t(d) site gets level n = log2(d) - 1, whose n + 1 qubits
     hold occupations 0..n only, half of the site's.  On t(4) that keeps 0
@@ -114,15 +116,9 @@ def _hp_op(kind: LadderKind, k: int, n: int, w: int) -> PauliSum:
     return pauli_sum(w, terms)
 
 
-def _require(layout: SiteList, ok, what: str):
-    for site in layout:
-        if not ok(site):
-            raise EncodingError(f"{what}, found {site}")
-
-
-def encode_for_compile(form: CanonicalForm, method: str = "auto",
-                       hp_level: int | None = None):
-    """(PauliSum, EncodingReport) of a canonical form.
+def encode_for_compile(form: CanonicalForm):
+    """(PauliSum, EncodingReport) of a canonical form, on the method
+    ``infer_encoding`` picks for its layout.
 
     The Pauli matrix equals expr_to_matrix of the expression the form came
     from (for hp, on the one-hot strings, at t(n+1) sites).  A term's
@@ -134,29 +130,8 @@ def encode_for_compile(form: CanonicalForm, method: str = "auto",
     each full-width string is written once.
     """
     layout = form.layout
-    if method == "auto":
-        method, inferred = infer_encoding(layout)
-        hp_level = hp_level if hp_level is not None else inferred
-    n, unit = None, 1
-    if method == "hp":
-        n = hp_level
-        if n is None:
-            kind, n = infer_encoding(layout)
-            if kind != "hp":
-                raise EncodingError("hp encoding needs a truncation level")
-        if n < 1:
-            raise EncodingError("truncation level must be >= 1")
-        want, unit = Boson(2 ** (n + 1)), n + 1
-        _require(layout, lambda s: s == want,
-                 f"hp encoding at level {n} requires {want} sites")
-    elif method == "jw":
-        _require(layout, lambda s: isinstance(s, Fermion),
-                 "jw encoding requires fermionic sites")
-    elif method == "direct":
-        _require(layout, lambda s: s == Boson(2),
-                 "direct encoding requires t(2) sites")
-    else:
-        raise EncodingError(f"unknown encoding {method!r}")
+    method, n = infer_encoding(layout)
+    unit = 1 if n is None else n + 1
 
     sums: dict = {}   # (kind, site, qubits) -> that operator's Pauli sum
 

@@ -9,10 +9,7 @@ QUBIT_CAP = DIM_CAP.bit_length() - 1
 
 # Tolerances, each named once for every module that compares with it.
 COEFF_EQ_TOL = 1e-12      # coefficients and amplitudes compared as equal
-COEFF_DROP_TOL = 1e-14    # canonical-form term treated as zero
-COEFF_PRUNE_TOL = 1e-14   # Pauli-sum term treated as zero
-AMP_PRUNE_TOL = 1e-14     # ket amplitude treated as zero
-HERMITIAN_IM_TOL = 1e-12  # imaginary part of a Hermitian Pauli coefficient
+ZERO_TOL = 1e-14          # term, Pauli coefficient or ket amplitude as zero
 HERMITIAN_TOL = 1e-10     # max-norm ||M - M^dag|| of a Hermitian matrix
 EXPECTATION_IM_TOL = 1e-10  # imaginary residue of <s|H|s>
 

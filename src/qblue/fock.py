@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import (
-    AMP_PRUNE_TOL, EXPECTATION_IM_TOL, LayoutError, NonHermitianError,
+    EXPECTATION_IM_TOL, ZERO_TOL, LayoutError, NonHermitianError,
     StateFormatError,
 )
 from .expr import (
@@ -61,7 +61,7 @@ def make_state(layout: SiteList, kets) -> FockState:
         _check_occ(layout, occ)
         acc[occ] = acc.get(occ, 0j) + complex(amp)
     terms = tuple(Ket(acc[occ], occ) for occ in sorted(acc)
-                  if abs(acc[occ]) > AMP_PRUNE_TOL)
+                  if abs(acc[occ]) > ZERO_TOL)
     return FockState(tuple(layout), terms)
 
 
@@ -136,7 +136,7 @@ def apply(e: HamExpr, s: FockState) -> FockState:
                     out[key] = out.get(key, 0j) + val
         state = out
     terms = tuple(Ket(state[occ], occ) for occ in sorted(state)
-                  if abs(state[occ]) > AMP_PRUNE_TOL)
+                  if abs(state[occ]) > ZERO_TOL)
     return FockState(s.layout, terms)
 
 

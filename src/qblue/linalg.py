@@ -2,17 +2,15 @@
 
 This is the desk-scale oracle the rest of the package is checked against,
 and it shares no code with the canonical forms of ``typecheck``: it lowers
-the expression tree itself.  Expressions lower structurally to pairs of
-scipy.sparse CSR matrices graded by fermionic ladder parity (even, odd),
-with None for an absent grade, and are densified once at the end.  An atom
-has at most one nonzero per column and is built in one O(N dim) step from
-its sparse map of ladders, with the Jordan-Wigner signs the interpreter
-produces; sums and products are sparse additions and products.
-``Dagger`` lowers as the conjugate transpose of its operand's graded pair;
-the adjoint keeps each grade.  The cost of a call is then bounded by the
-nonzeros of the intermediate operators plus one dim x dim densification,
-not by dense dim^3 products.  Exponentials use the e^{-i h t} convention
-throughout, so Hermitian input gives a unitary.
+the expression tree itself.  An expression lowers structurally to one
+scipy.sparse CSR matrix, densified once at the end.  An atom has at most
+one nonzero per column and is built in one O(N dim) step from its sparse
+map of ladders, with the Jordan-Wigner signs the interpreter produces; a
+sum adds its children's matrices, a product multiplies them, and ``Dagger``
+takes its operand's conjugate transpose.  The cost of a call is then
+bounded by the nonzeros of the intermediate operators plus one dim x dim
+densification, not by dense dim^3 products.  Exponentials use the
+e^{-i h t} convention throughout, so Hermitian input gives a unitary.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import (
-    AMP_PRUNE_TOL, DIM_CAP, HERMITIAN_TOL, DimensionCapError, NonHermitianError,
+    DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
 )
 from .expr import (
     Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
@@ -39,33 +37,26 @@ def expr_to_matrix(e: HamExpr) -> np.ndarray:
     dim = total_dim(layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    return _add(*_lower(e)).toarray()
+    return _lower(e).toarray()
 
 
 def _lower(e):
-    """(even, odd) CSR matrices graded by fermionic ladder parity; None
-    stands for an absent grade."""
+    """The CSR matrix of e."""
     if isinstance(e, Atom):
         return _monomial(e)
     if isinstance(e, Dagger):
-        even, odd = _lower(e.inner)
-        return _adjoint(even), _adjoint(odd)
+        return _lower(e.inner).conj().T.tocsr()
     if not isinstance(e, (Sum, Seq)):
         raise TypeError(f"not a HamExpr: {e!r}")
     # fold from the right, as the right-nested binary product would
-    even, odd = _lower(e.children[-1])
+    m = _lower(e.children[-1])
     for c in reversed(e.children[:-1]):
-        e1, o1 = _lower(c)
-        if isinstance(e, Sum):
-            even, odd = _add(e1, even), _add(o1, odd)
-        else:
-            even, odd = (_add(_mul(e1, even), _mul(o1, odd)),
-                         _add(_mul(e1, odd), _mul(o1, even)))
-    return even, odd
+        m = _lower(c) + m if isinstance(e, Sum) else _lower(c) @ m
+    return m
 
 
 def _monomial(atom: Atom):
-    """Graded CSR pair of an atom.
+    """CSR matrix of an atom.
 
     Every ladder maps a basis state to at most one basis state, so the atom
     has at most one nonzero per column.  Walking the sites from the right,
@@ -101,25 +92,8 @@ def _monomial(atom: Atom):
             odd ^= kind is not None
         stride *= d
     keep = vals != 0
-    m = scipy.sparse.csr_array((atom.amp * vals[keep],
-                                (rows[keep], cols[keep])), shape=(dim, dim))
-    return (None, m) if odd else (m, None)
-
-
-def _add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
-def _adjoint(m):
-    return None if m is None else m.conj().T.tocsr()
-
-
-def _mul(a, b):
-    return None if a is None or b is None else a @ b
+    return scipy.sparse.csr_array((atom.amp * vals[keep],
+                                   (rows[keep], cols[keep])), shape=(dim, dim))
 
 
 def state_to_vector(s) -> np.ndarray:
@@ -135,7 +109,7 @@ def state_to_vector(s) -> np.ndarray:
 
 
 def vector_to_state(v: np.ndarray, layout: SiteList,
-                    tol: float = AMP_PRUNE_TOL):
+                    tol: float = ZERO_TOL):
     from .fock import make_state
     dims = [site_dim(site) for site in layout]
     kets = []

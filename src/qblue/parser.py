@@ -188,7 +188,7 @@ class _Parser:
             if m[0] != "int":
                 raise ParseError("expected a site dimension", *self.at(m))
             self.expect(")")
-            return Boson(int(m[1]))
+            return Boson(self.int_of(m))
         raise ParseError(f"expected a site type t(m) or F, found {t[1]!r}",
                          *self.at(t))
 
@@ -347,12 +347,21 @@ class _Parser:
     def int_value(self, env: dict) -> int:
         t = self.next()
         if t[0] == "int":
-            return int(t[1])
+            return self.int_of(t)
         if t[0] == "name":
             if t[1] not in env:
                 raise ParseError(f"unbound index {t[1]!r}", *self.at(t))
             return env[t[1]]
         raise ParseError(f"expected an index, found {t[1]!r}", *self.at(t))
+
+    def int_of(self, t) -> int:
+        """The value of int token t, or a ParseError at t when it has more
+        digits than Python converts to an integer."""
+        try:
+            return int(t[1])
+        except ValueError:
+            raise ParseError(f"integer of {len(t[1])} digits is too long",
+                             *self.at(t)) from None
 
     def literal(self) -> complex:
         sign = 1.0

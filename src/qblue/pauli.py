@@ -2,10 +2,10 @@
 
 A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
-pruned at COEFF_PRUNE_TOL.  This is the compiler's intermediate
-representation.  Its dense matrix writes each string as the signed
-permutation it is, one nonzero per column from the string's X/Z bit masks,
-so a sum of T terms on n qubits costs O(T 2^n) on top of the 4^n zero fill.
+pruned at ZERO_TOL.  This is the compiler's intermediate representation.
+Its dense matrix writes each string as the signed permutation it is, one
+nonzero per column from the string's X/Z bit masks, so a sum of T terms on
+n qubits costs O(T 2^n) on top of the 4^n zero fill.
 """
 
 from __future__ import annotations
@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    COEFF_EQ_TOL, COEFF_PRUNE_TOL, HERMITIAN_IM_TOL, QUBIT_CAP,
-    DimensionCapError,
-)
+from .errors import COEFF_EQ_TOL, QUBIT_CAP, ZERO_TOL, DimensionCapError
 
 LETTERS = "IXYZ"
 
@@ -97,7 +94,7 @@ def simplify_terms(qubits: int, terms) -> PauliSum:
             raise ValueError(f"bad Pauli string {s!r} for {qubits} qubits")
         acc[s] = acc.get(s, 0j) + complex(c)
     out = tuple((acc[s], s) for s in sorted(acc)
-                if abs(acc[s]) > COEFF_PRUNE_TOL)
+                if abs(acc[s]) > ZERO_TOL)
     return PauliSum(qubits, out)
 
 
@@ -108,7 +105,7 @@ def identity_sum(qubits: int, coeff=1.0) -> PauliSum:
 def is_hermitian_pauli(p: PauliSum) -> bool:
     """Pauli strings are Hermitian, so real coefficients are necessary and
     sufficient."""
-    return all(abs(c.imag) < HERMITIAN_IM_TOL for c, _ in p.terms)
+    return all(abs(c.imag) <= COEFF_EQ_TOL for c, _ in p.terms)
 
 
 def _parity(v: np.ndarray, bits: int) -> np.ndarray:

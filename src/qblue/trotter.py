@@ -108,27 +108,35 @@ def plan_to_circuit(plan: TrotterPlan) -> Circuit:
     return Circuit(plan.qubits, tuple(gates), plan.identity_phase)
 
 
-def compile_digital(e: HamExpr, t: float, n: int, method: str = "auto",
-                    hp_level: int | None = None):
-    """Compile a Hermitian expression to a digital circuit.
+def encode_hermitian(e: HamExpr):
+    """(PauliSum, EncodingReport) of an expression certified Hermitian.
 
-    Encodes onto qubits (unary boson truncation for t(2^(k+1)) sites,
-    Jordan-Wigner for fermions, direct for t(2)), Trotterizes with n steps,
-    and concatenates one gadget per term.  Returns (Circuit, EncodingReport).
-    The circuit approximates e^{-i M t} for the encoded Hamiltonian matrix M,
-    which equals the expression's own matrix for direct and jw encodings.
-    The encoder takes the canonical form the Hermiticity certificate built.
+    The one step from a program to qubits that ``compile``, ``fit`` and
+    ``verify`` share: the Hermiticity certificate decides flag h, and the
+    encoder takes the canonical form the certificate built, on the method
+    the layout's site types pick.  Flag p raises CompileError.
     """
-    hermitian, _, form = hermiticity_report(e)
+    hermitian, form = hermiticity_report(e)
     if not hermitian:
         raise CompileError(
             "only Hermitian programs (flag h) are executable; this one "
             "certifies only flag p")
-    hs, report = encode_for_compile(form, method, hp_level)
+    hs, report = encode_for_compile(form)
     if not is_hermitian_pauli(hs):
         raise CompileError("encoding produced a non-Hermitian Pauli sum")
-    plan = trotterize(hs, t, n)
-    return plan_to_circuit(plan), report
+    return hs, report
+
+
+def compile_digital(e: HamExpr, t: float, n: int):
+    """Compile a Hermitian expression to a digital circuit.
+
+    Encodes onto qubits with ``encode_hermitian``, Trotterizes with n steps,
+    and concatenates one gadget per term.  Returns (Circuit, EncodingReport).
+    The circuit approximates e^{-i M t} for the encoded Hamiltonian matrix M,
+    which equals the expression's own matrix for direct and jw encodings.
+    """
+    hs, report = encode_hermitian(e)
+    return plan_to_circuit(trotterize(hs, t, n)), report
 
 
 def verify_circuit(circuit: Circuit, hs: PauliSum, t: float) -> float:
@@ -154,17 +162,13 @@ class MachineSpec:
     templates: tuple  # tuple[tuple[str, tuple[str, str]], ...]
 
 
-def ibm_machine() -> MachineSpec:
-    """ZX and ZZ interactions plus Z-on-left / X-on-right rotations."""
-    return MachineSpec("ibm", (
-        ("z1", ("Z", "X")),
-        ("z2", ("Z", "Z")),
-        ("z3", ("Z", "I")),
-        ("z4", ("I", "X")),
-    ))
-
-
-MACHINES = {"ibm": ibm_machine}
+# ZX and ZZ interactions plus Z-on-left / X-on-right rotations
+IBM = MachineSpec("ibm", (
+    ("z1", ("Z", "X")),
+    ("z2", ("Z", "Z")),
+    ("z3", ("Z", "I")),
+    ("z4", ("I", "X")),
+))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import COEFF_DROP_TOL, COEFF_EQ_TOL
+from .errors import COEFF_EQ_TOL, ZERO_TOL
 from .expr import (
     Atom, Dagger, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList,
     Sum, ham_sum, scale, seq, site_dim, site_layout,
@@ -97,7 +97,7 @@ def _merge(layout: SiteList, raw) -> CanonicalForm:
     terms = []
     for key in sorted(merged, key=_term_sort_key):
         c = merged[key]
-        if abs(c) > COEFF_DROP_TOL:
+        if abs(c) > ZERO_TOL:
             terms.append(CanonicalTerm(c, _key_to_factors(key)))
     return CanonicalForm(layout, tuple(terms))
 
@@ -188,8 +188,8 @@ def canonical_to_expr(form: CanonicalForm) -> HamExpr:
 # Hermiticity certificate
 # ---------------------------------------------------------------------------
 
-def hermiticity_report(e: HamExpr) -> tuple[bool, str, CanonicalForm]:
-    """Decide Hermiticity exactly; report the route and the canonical form.
+def hermiticity_report(e: HamExpr) -> tuple[bool, CanonicalForm]:
+    """Decide Hermiticity exactly; report the verdict and the canonical form.
 
     Equal ladder forms of e and its adjoint certify at once.  Unequal ones
     may still be one operator written two ways, such as ``a adag`` and
@@ -200,10 +200,10 @@ def hermiticity_report(e: HamExpr) -> tuple[bool, str, CanonicalForm]:
     form = canonicalize(e)
     dual = adjoint(form)
     if canonical_allclose(dual, form):
-        return True, "syntactic", form
+        return True, form
     a, b = _site_coefficients(form), _site_coefficients(dual)
     return all(abs(a.get(k, 0) - b.get(k, 0)) <= COEFF_EQ_TOL
-               for k in a.keys() | b.keys()), "syntactic", form
+               for k in a.keys() | b.keys()), form
 
 
 def _site_coefficients(form: CanonicalForm) -> dict:

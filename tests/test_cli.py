@@ -235,7 +235,7 @@ def test_energy_of_spin_chain(tmp_path, capsys):
 
 def test_fit_assigns_the_pair_coefficients(tmp_path, capsys):
     prog, _ = spin_program(tmp_path)
-    code, out, _ = run_json(capsys, ["fit", prog, "--machine", "ibm"])
+    code, out, _ = run_json(capsys, ["fit", prog])
     assert code == 0
     pairs = json.loads(out)["pairs"]
     assert [j for j, _ in pairs] == [0, 1, 2]
@@ -500,3 +500,108 @@ def test_compile_and_fit_format_their_text_only_to_show_it(tmp_path, capsys,
         assert capsys.readouterr().out.startswith(f"wrote {path}")
         assert path.read_text() == text
     assert len(calls) == 4
+
+
+BIG = "1" * 5000   # more digits than Python converts to an integer
+
+
+@pytest.mark.parametrize("source, line, col", [
+    (f"sites t(2);\nH = a({BIG});\n", 2, 7),
+    (f"sites t({BIG});\nH = a(0);\n", 1, 9),
+    (f"sites t(2);\nH = sum j in 0..{BIG} {{ a(0) }};\n", 2, 17),
+], ids=["site-index", "site-dimension", "sum-bound"])
+def test_an_integer_too_long_to_convert_is_a_parse_error(source, line, col,
+                                                         tmp_path, capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text(source)
+    code, out, err = run_json(capsys, ["check", str(prog)])
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    assert (record["code"], record["line"], record["col"]) == (
+        "parse", line, col)
+    assert "5000 digits" in record["message"]
+
+
+def test_compile_fit_and_verify_share_one_certified_encode(tmp_path, capsys,
+                                                           monkeypatch):
+    trotter = importlib.import_module("qblue.trotter")
+    calls = []
+    encode_hermitian = trotter.encode_hermitian
+
+    def counting(e):
+        calls.append(e)
+        return encode_hermitian(e)
+
+    monkeypatch.setattr(trotter, "encode_hermitian", counting)
+    prog, _ = spin_program(tmp_path)
+    circ = str(tmp_path / "spin.circ")
+    for argv in (["compile", prog, "--t", "0.5", "--n", "1", "--out", circ],
+                 ["fit", prog], ["verify", circ, prog, "--t", "0.5"]):
+        code, _, err = run_json(capsys, argv)
+        assert (code, err) == (0, "")
+    assert len(calls) == 3
+
+
+def test_a_program_certified_only_p_exits_4_before_any_matrix(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a dense matrix")
+
+    for module in ("pauli", "trotter"):
+        monkeypatch.setattr(importlib.import_module(f"qblue.{module}"),
+                            "pauli_to_matrix", refuse)
+    for module in ("circuit", "trotter"):
+        monkeypatch.setattr(importlib.import_module(f"qblue.{module}"),
+                            "circuit_to_matrix", refuse)
+    prog, circ = tmp_path / "h.qb", tmp_path / "h.circ"
+    prog.write_text("sites F, F;\nH = 0.7 * adag(0) a(1);\n")
+    circ.write_text("qubits 2; phase 0.0;\nh 0\n")
+    messages = set()
+    for argv in (["verify", str(circ), str(prog), "--t", "0.5"],
+                 ["compile", str(prog), "--t", "0.5", "--n", "1"],
+                 ["fit", str(prog)]):
+        code, out, err = run_json(capsys, argv)
+        assert (code, out) == (4, "")
+        record = json.loads(err)
+        assert record["code"] == "compile"
+        messages.add(record["message"])
+    # fit and verify say what compile says
+    assert messages == {"only Hermitian programs (flag h) are executable; "
+                        "this one certifies only flag p"}
+
+
+@pytest.mark.parametrize("argv", [
+    "compile {prog} --t 0.5 --n 1 --encode jw",
+    "fit {prog} --machine ibm",
+    "verify h.circ {prog} --t 0.5 --encode auto",
+], ids=["compile-encode", "fit-machine", "verify-encode"])
+def test_the_removed_options_are_usage_errors(argv, tmp_path, capsys):
+    # the site types pick the encoding, and ibm is the one machine
+    prog, _ = spin_program(tmp_path)
+    argv = argv.format(prog=prog).split()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+@pytest.mark.parametrize("sites, body, message", [
+    ("t(3), t(3)", "adag(0) a(1) + adag(1) a(0)",
+     "boson dimension 3 is not a power of two >= 4"),
+    ("t(2), t(4)", "adag(0) a(0) + adag(1) a(1)",
+     "boson sites must share one dimension to encode"),
+    ("F, t(2)", "adag(0) a(0) + Z(1)",
+     "mixed fermion/boson layouts are not encodable"),
+    ("t(1)", "adag(0) a(0)",
+     "boson dimension 1 is not a power of two >= 4"),
+], ids=["t3-t3", "t2-t4", "F-t2", "t1"])
+def test_compile_names_why_the_layout_has_no_encoding(sites, body, message,
+                                                      tmp_path, capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text(f"sites {sites};\nH = {body};\n")
+    code, out, err = run_json(capsys, ["compile", str(prog), "--t", "0.5",
+                                       "--n", "1"])
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"level": "error", "code": "compile",
+                               "message": message}

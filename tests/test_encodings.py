@@ -26,7 +26,8 @@ def layouts(site, max_sites):
 
 
 def encoded_matrix(e, method, level=None):
-    hs, report = encode_for_compile(canonicalize(e), method, level)
+    """The encoded matrix of e, whose layout picks method at level."""
+    hs, report = encode_for_compile(canonicalize(e))
     assert (report.method, report.truncation) == (method, level)
     return pauli_to_matrix(hs)
 
@@ -80,12 +81,6 @@ def test_unary_encoding_on_one_hot_strings(n, max_sites, data):
 
 
 def test_encoding_rejects_other_layouts():
-    with pytest.raises(EncodingError, match="jw encoding requires fermionic"):
-        encode_for_compile(canonicalize(create(T2)), "jw")
-    with pytest.raises(EncodingError, match="direct encoding requires t"):
-        encode_for_compile(canonicalize(create(F)), "direct")
-    with pytest.raises(EncodingError, match=r"level 2 requires t\(8\)"):
-        encode_for_compile(canonicalize(create(Boson(4))), "hp", 2)
     with pytest.raises(EncodingError, match="mixed"):
         encode_for_compile(canonicalize(tensor(create(F), annihilate(T2))))
 
@@ -113,12 +108,12 @@ def chain_form(site, bonds, onsite=""):
 ], ids=["jw-hopping", "hp1-bose-hubbard", "hp2-bose-hubbard"])
 def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
     # terms of one shape share one product; each one-term form has its own
-    method = "jw" if level is None else "hp"
-    whole, _ = encode_for_compile(form, method, level)
+    whole, report = encode_for_compile(form)
+    assert report.truncation == level
     total = PauliSum(whole.qubits, ())
     for term in form.terms:
         total = total + encode_for_compile(
-            CanonicalForm(form.layout, (term,)), method, level)[0]
+            CanonicalForm(form.layout, (term,)))[0]
     assert len(whole.terms) > len(form.terms)
     if exact:
         assert whole == total

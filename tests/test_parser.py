@@ -21,7 +21,7 @@ def definition(source):
 
 
 def pauli_terms(e):
-    hs, _ = encode_for_compile(canonicalize(e), "direct")
+    hs, _ = encode_for_compile(canonicalize(e))
     return dict((s, c) for c, s in hs.terms)
 
 

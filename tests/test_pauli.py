@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qblue.errors import DimensionCapError
+from qblue.errors import COEFF_EQ_TOL, DimensionCapError
 from qblue.pauli import (
     PauliSum, format_pauli, identity_sum, is_hermitian_pauli, multiply_terms,
     pauli_allclose, pauli_sum, pauli_to_matrix,
@@ -83,6 +83,10 @@ def test_hopping_expansion():
 def test_is_hermitian_pauli():
     assert is_hermitian_pauli(pauli_sum(2, [(1.0, "XX")]))
     assert not is_hermitian_pauli(pauli_sum(1, [(1j, "X")]))
+    # the imaginary-part tolerance is the coefficient tolerance, inclusive
+    assert is_hermitian_pauli(pauli_sum(1, [(1 + COEFF_EQ_TOL * 1j, "X")]))
+    assert not is_hermitian_pauli(
+        pauli_sum(1, [(1 + 2 * COEFF_EQ_TOL * 1j, "X")]))
 
 
 def test_hermiticity_criterion_matches_matrix():

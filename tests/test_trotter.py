@@ -10,7 +10,7 @@ from qblue.parser import parse
 from qblue.pauli import PauliSum, identity_sum, pauli_allclose, pauli_sum
 from qblue import trotter
 from qblue.trotter import (
-    TrotterPlan, compile_digital, fit_machine, ibm_machine, plan_to_circuit,
+    IBM, TrotterPlan, compile_digital, fit_machine, plan_to_circuit,
     schedule_to_pauli, synthesize_term, trotterize, verify_circuit,
 )
 from qblue.typecheck import canonicalize
@@ -160,9 +160,7 @@ def test_fitted_schedule_realizes_the_spin_chain(bonds):
                       for j, (J, h) in enumerate(bonds))
     e = parse(f"sites {', '.join(['t(2)'] * n)};\nH = {body};").defs["H"]
     hs, _ = encode_for_compile(canonicalize(e))
-    machine = ibm_machine()
-    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, machine), machine),
-                          hs)
+    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, IBM), IBM), hs)
 
 
 def test_fit_leaves_the_identity_term_out():
@@ -171,7 +169,5 @@ def test_fit_leaves_the_identity_term_out():
               "{ 0.7 * Z(j) Z(j+1) + 0.3 * X(j+1) } + 0.5 * I(0);").defs["H"]
     hs, _ = encode_for_compile(canonicalize(e))
     assert [c for c, s in hs.terms if s == "III"] == [pytest.approx(0.5)]
-    machine = ibm_machine()
     want = pauli_sum(3, [(c, s) for c, s in hs.terms if s != "III"])
-    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, machine), machine),
-                          want)
+    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, IBM), IBM), want)
