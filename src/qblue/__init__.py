@@ -6,10 +6,9 @@ from .errors import (
     NonHermitianError, ParseError, QBlueError, StateFormatError,
 )
 from .expr import (
-    Atom, Boson, Dagger, Fermion, Flag, HamExpr, LadderKind,
-    OpType, Seq, Sum, annihilate, create, dagger, desugar_indexed, ham_sum,
-    identity, identity_chain, scale, seq, site_dim, site_layout, tensor,
-    total_dim,
+    Atom, Boson, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, Sum,
+    annihilate, create, dagger, desugar_indexed, ham_sum, identity,
+    identity_chain, scale, seq, site_dim, tensor, total_dim,
 )
 from .typecheck import (
     CanonicalForm, CanonicalTerm, adjoint, canonical_allclose,

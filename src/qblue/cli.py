@@ -33,7 +33,7 @@ from .errors import (
 )
 from .expr import Flag, OpType
 from .fock import apply, format_state, parse_state
-from .parser import parse, validate_program
+from .parser import parse
 from .typecheck import is_hermitian, typecheck
 
 EXIT_OK = 0
@@ -123,10 +123,7 @@ def _diagnostic(args, code: str, exc: Exception) -> None:
 
 
 def _load_program(path: str):
-    source = Path(path).read_text()
-    program = parse(source)
-    validate_program(program)
-    return program
+    return parse(Path(path).read_text())
 
 
 def _pick_def(program, name):

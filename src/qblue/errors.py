@@ -22,8 +22,9 @@ class LayoutError(QBlueError):
     """Site-list mismatch between subexpressions.
 
     Carries the place of the offending subexpression plus both conflicting
-    site lists so diagnostics can point at the exact spot.  The place is a
-    child-index path such as ``root.1.inner.0`` in a hand-built tree, or a
+    site lists so diagnostics can point at the exact spot.  The place is
+    ``root`` for a node of a hand-built tree, which raises as it is built,
+    an operation such as ``apply`` for operands of a state function, or a
     definition name with the source ``line`` and ``col`` in a parsed
     program.
     """

@@ -2,21 +2,22 @@
 
 Every expression acts on an ordered list of lattice sites, its layout; each
 site is either an m-dimensional bosonic mode or a two-dimensional fermionic
-mode.  There are four node kinds.  The leaves are atoms: an amplitude times
+mode.  There are three node kinds.  The leaves are atoms: an amplitude times
 ladder operators (creators and annihilators) at some sites of the layout,
 at most one per site, with the identity implicit at every other site.  A
 single-site ladder or identity is an atom on a one-site layout; an indexed
 atom of the surface syntax, such as ``a(j)``, is an atom on the whole
 program layout that lists site j only, so it costs its own length and not
-the width of the layout.  Atoms combine with the adjoint (Dagger) and the
-n-ary linear sum and sequencing (operator product), each holding a tuple of
-children.  The tensor product is no node of its own: ``tensor`` embeds each
-operand onto the concatenated layout and returns their product, which is
-the graded (Jordan-Wigner) tensor product of fermionic modes.
+the width of the layout.  Atoms combine with the n-ary linear sum and
+sequencing (operator product), each holding a tuple of children.  Neither
+the tensor product nor the adjoint is a node of its own: ``tensor`` embeds
+each operand onto the concatenated layout and returns their product, which
+is the graded (Jordan-Wigner) tensor product of fermionic modes, and
+``dagger`` builds the adjoint tree out of atoms, sums and products.
 
 Every node stores its layout when it is built.  Layouts are interned: two
 equal layouts are one object and compare with ``is``.  A Sum or Seq whose
-children disagree stores None, and ``site_layout`` reports where.
+children disagree is never built: its constructor raises LayoutError.
 """
 
 from __future__ import annotations
@@ -153,15 +154,6 @@ class Atom:
             raise ValueError("an atom acts on at least one site")
 
 
-@dataclass(frozen=True)
-class Dagger:
-    inner: "HamExpr"
-    layout: SiteList = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "layout", self.inner.layout)
-
-
 @dataclass(frozen=True, init=False)
 class _Nary:
     children: tuple
@@ -170,11 +162,14 @@ class _Nary:
     def __init__(self, *children: "HamExpr"):
         if not children:
             raise ValueError(f"{type(self).__name__} needs an operand")
-        object.__setattr__(self, "children", children)
-        # the children's shared layout, or None when they disagree
         first = children[0].layout
-        object.__setattr__(self, "layout", first if all(
-            c.layout is first for c in children) else None)
+        for c in children:
+            if c.layout is not first:
+                raise LayoutError(
+                    f"{type(self).__name__.lower()} branches act on "
+                    "different site lists", "root", first, c.layout)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "layout", first)
 
 
 class Sum(_Nary):
@@ -185,7 +180,7 @@ class Seq(_Nary):
     """Operator product on one layout; the last child applies first."""
 
 
-HamExpr = Union[Atom, Dagger, Sum, Seq]
+HamExpr = Union[Atom, Sum, Seq]
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +204,29 @@ def identity_chain(layout: SiteList) -> Atom:
     return Atom(layout)
 
 
-def dagger(e: HamExpr) -> Dagger:
-    return Dagger(e)
+def dagger(e: HamExpr) -> HamExpr:
+    """The adjoint tree: the matrix adjoint of e, built from its nodes.
+
+    An atom conjugates its amplitude and flips each ladder's kind.  The
+    adjoint applies the atom's operators in reverse order, and putting them
+    back site-ascending, the order an atom applies them in, makes f
+    fermionic ladders trade places f(f-1)/2 times: the amplitude takes the
+    sign (-1)^(f(f-1)/2).  A sum is the sum of its children's adjoints; a
+    product is the product of its children's adjoints in reverse order.  A
+    tensor product is the product of its embedded operands, so its adjoint
+    applies the last operand first, and two fermion-odd factors trade
+    places with a minus sign.
+    """
+    if isinstance(e, Atom):
+        f = sum(isinstance(e.layout[s], Fermion) for s, _ in e.ops)
+        amp = e.amp.conjugate()
+        return Atom(e.layout, tuple((s, k.flipped) for s, k in e.ops),
+                    -amp if f * (f - 1) // 2 % 2 else amp)
+    if isinstance(e, Sum):
+        return Sum(*(dagger(c) for c in e.children))
+    if isinstance(e, Seq):
+        return Seq(*(dagger(c) for c in reversed(e.children)))
+    raise TypeError(f"not a HamExpr: {e!r}")
 
 
 def _operands(node, name: str, es) -> list:
@@ -234,19 +250,17 @@ def tensor(*es: HamExpr) -> HamExpr:
     (2002)): each operand is rewritten onto the whole layout with its sites
     shifted by the length of the operands before it, and the first operand
     applies first, so it is the last child of the Seq this returns.  A
-    product of atoms is one atom, and one operand comes back unchanged.  An
-    operand whose children disagree raises its LayoutError here.
+    product of atoms is one atom, and one operand comes back unchanged.
     """
     if not es:
         raise ValueError("tensor needs at least one operand")
     if len(es) == 1:
         return es[0]
-    layouts = [site_layout(e) for e in es]
-    layout = intern_layout(tuple(s for lay in layouts for s in lay))
+    layout = intern_layout(tuple(s for e in es for s in e.layout))
     parts, offset = [], 0
-    for e, lay in zip(es, layouts):
+    for e in es:
         parts.append(_embed(e, layout, offset))
-        offset += len(lay)
+        offset += len(e.layout)
     if all(isinstance(p, Atom) for p in parts):
         amp = 1
         for p in parts:
@@ -260,8 +274,6 @@ def _embed(e: HamExpr, layout: SiteList, offset: int) -> HamExpr:
     ``offset``."""
     if isinstance(e, Atom):
         return Atom(layout, tuple((s + offset, k) for s, k in e.ops), e.amp)
-    if isinstance(e, Dagger):
-        return Dagger(_embed(e.inner, layout, offset))
     return type(e)(*(_embed(c, layout, offset) for c in e.children))
 
 
@@ -280,31 +292,6 @@ def seq(*es: HamExpr) -> HamExpr:
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
-
-def site_layout(e: HamExpr) -> SiteList:
-    """The site list an expression acts on, as its root stores it.
-
-    Sum and Seq children must agree.  When they do not, raises
-    LayoutError with the child-index path (such as ``root.1.inner.0``) of
-    the first node whose children disagree, its first child's layout and
-    the first one that differs from it.
-    """
-    path = "root"
-    while e.layout is None:
-        if isinstance(e, Dagger):
-            e, path = e.inner, path + ".inner"
-            continue
-        bad = [k for k, c in enumerate(e.children) if c.layout is None]
-        if bad:
-            e, path = e.children[bad[0]], f"{path}.{bad[0]}"
-            continue
-        first = e.children[0].layout
-        other = next(c.layout for c in e.children if c.layout is not first)
-        kind = "sum" if isinstance(e, Sum) else "seq"
-        raise LayoutError(f"{kind} branches act on different site lists",
-                          path, first, other)
-    return e.layout
-
 
 def desugar_indexed(op: Atom, j: int, layout: SiteList) -> Atom:
     """Place a single-site atom at position j of a layout: one atom that
@@ -330,8 +317,5 @@ def scale(z: complex, e: HamExpr) -> HamExpr:
         return Sum(*(scale(z, c) for c in e.children))
     if isinstance(e, Seq):
         return Seq(scale(z, e.children[0]), *e.children[1:])
-    if isinstance(e, Dagger):
-        # (w x)^dag = conj(w) x^dag, so push the conjugate inside
-        return Dagger(scale(z.conjugate(), e.inner))
     raise TypeError(f"not a HamExpr: {e!r}")
 

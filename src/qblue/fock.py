@@ -2,10 +2,12 @@
 
 States are sparse complex combinations of occupation-number kets over a fixed
 site layout; the empty combination is the absorbing zero state.  ``apply``
-lowers each factor of the root product once to a term list (coefficients
-times the ladder operators of the active sites, in application order) and
-applies it to the whole merged state; a fermionic ladder operator takes the
-sign (-1)^(occupied fermionic sites to its left) in the current occupation.
+lowers each factor of the root product (the children of its Seq nodes,
+last child first) once to a term list (coefficients times the ladder
+operators of the active sites, in application order) and applies it to
+the whole merged state; an adjoint arrives already built from atoms, sums
+and products.  A fermionic ladder operator takes the sign (-1)^(occupied
+fermionic sites to its left) in the current occupation.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .errors import (
     StateFormatError,
 )
 from .expr import (
-    Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, site_dim,
-    site_layout,
+    Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, site_dim,
 )
 from .typecheck import _terms
 
@@ -108,7 +109,7 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     """Big-step application of an operator expression to a state: each
     factor of the root product applies to the whole merged state in turn,
     and only the final state is pruned and sorted."""
-    layout = site_layout(e)
+    layout = e.layout
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",
                           "apply", layout, s.layout)
@@ -141,13 +142,9 @@ def apply(e: HamExpr, s: FockState) -> FockState:
 
 
 def _factors(e: HamExpr) -> list:
-    """Factors of the root product spine, first applied first; a Dagger on
-    the spine reverses the order below it and wraps each factor in Dagger."""
-    if isinstance(e, Dagger):
-        return [Dagger(f) for f in reversed(_factors(e.inner))]
-    if isinstance(e, Seq):
-        return [f for c in reversed(e.children) for f in _factors(c)]
-    return [e]
+    """Factors of the root product spine, first applied first."""
+    return ([f for c in reversed(e.children) for f in _factors(c)]
+            if isinstance(e, Seq) else [e])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ the expression tree itself.  An expression lowers structurally to one
 scipy.sparse CSR matrix, densified once at the end.  An atom has at most
 one nonzero per column and is built in one O(N dim) step from its sparse
 map of ladders, with the Jordan-Wigner signs the interpreter produces; a
-sum adds its children's matrices, a product multiplies them, and ``Dagger``
-takes its operand's conjugate transpose.  The cost of a call is then
-bounded by the nonzeros of the intermediate operators plus one dim x dim
-densification, not by dense dim^3 products.  Exponentials use the
+sum adds its children's matrices and a product multiplies them.  An
+adjoint is no node of its own (``expr.dagger`` builds it from atoms), so
+the lowering never transposes.  The cost of a call is then bounded by the
+nonzeros of the intermediate operators plus one dim x dim densification,
+not by dense dim^3 products.  Exponentials use the
 e^{-i h t} convention throughout, so Hermitian input gives a unitary.
 """
 
@@ -26,15 +27,14 @@ from .errors import (
     DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
 )
 from .expr import (
-    Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
-    site_dim, site_layout, total_dim,
+    Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, site_dim,
+    total_dim,
 )
 
 
 def expr_to_matrix(e: HamExpr) -> np.ndarray:
     """Matrix M with M v(s) = v(apply(e, s)) for every basis state s."""
-    layout = e.layout or site_layout(e)
-    dim = total_dim(layout)
+    dim = total_dim(e.layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
     return _lower(e).toarray()
@@ -44,8 +44,6 @@ def _lower(e):
     """The CSR matrix of e."""
     if isinstance(e, Atom):
         return _monomial(e)
-    if isinstance(e, Dagger):
-        return _lower(e.inner).conj().T.tocsr()
     if not isinstance(e, (Sum, Seq)):
         raise TypeError(f"not a HamExpr: {e!r}")
     # fold from the right, as the right-nested binary product would

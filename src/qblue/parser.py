@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 from .errors import AmplitudeError, LayoutError, ParseError
 from .expr import (
-    Atom, Boson, Dagger, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum,
-    ham_sum, intern_layout, scale, seq, site_dim, site_layout, tensor,
+    Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, dagger,
+    ham_sum, intern_layout, scale, seq, site_dim, tensor,
 )
 
 
@@ -50,16 +50,6 @@ class Program:
 
     def __post_init__(self):
         self.layout = intern_layout(self.layout)
-
-
-def validate_program(p: Program):
-    """Check every definition acts on the declared layout; each node stores
-    its layout, so this reads one attribute per definition."""
-    for name, e in p.defs.items():
-        if e.layout is not p.layout:
-            raise LayoutError(
-                f"definition {name!r} does not act on the declared sites",
-                name, site_layout(e), p.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +261,7 @@ class _Parser:
         elif text == "dag":
             self.next()
             self.expect("(")
-            e = Dagger(self.expr(env))
+            e = dagger(self.expr(env))
             self.expect(")")
         elif text == "sum":
             e = self.sum_loop(env)
@@ -292,8 +282,12 @@ class _Parser:
         self.expect(")")
         lay = self.layout
         if not 0 <= j < len(lay):
-            raise ParseError(f"site index {j} out of range for "
-                             f"{len(lay)} sites", *self.at(t))
+            try:
+                shown = f"site index {j}"
+            except ValueError:   # more digits than Python converts to text
+                shown = "site index"
+            raise ParseError(f"{shown} out of range for {len(lay)} sites",
+                             *self.at(t))
         if name in ("X", "Y", "Z") and site_dim(lay[j]) != 2:
             raise ParseError(f"{name}({j}) needs a two-dimensional site, "
                              f"found {lay[j]}", *self.at(t))
@@ -426,10 +420,11 @@ def format_expr(e: HamExpr) -> str:
     """Render in re-parseable indexed form.
 
     Covers everything the surface syntax itself produces: atoms that list
-    at most one site, combined by n-ary sums and products and by dag.  A
-    tensor product builds such a tree too, on the wider layout, unless it
-    joins atoms into one atom that lists several sites.  Raises ValueError
-    for atoms that list several sites, which have no indexed rendering.
+    at most one site, combined by n-ary sums and products (``dag`` builds
+    such a tree too).  A tensor product builds one, on the wider layout,
+    unless it joins atoms into one atom that lists several sites.  Raises
+    ValueError for atoms that list several sites, which have no indexed
+    rendering.
     """
     parts = e.children if isinstance(e, Sum) else (e,)
     return " + ".join(_format_term(p) for p in parts)
@@ -441,8 +436,6 @@ def _format_term(e: HamExpr) -> str:
 
 
 def _format_factor(e: HamExpr) -> str:
-    if isinstance(e, Dagger):
-        return f"dag({format_expr(e.inner)})"
     if isinstance(e, Sum):
         return f"({format_expr(e)})"
     if isinstance(e, Seq):

@@ -7,11 +7,7 @@ compares that form with its adjoint, which ``adjoint`` computes from the
 form's terms alone.  Equal ladder forms certify at once; otherwise both
 forms are rewritten in a basis of each site's operators, the identity and
 the matrix units |m><n|, and their coefficients decide exactly, at any
-size and without a matrix.  ``dag`` is the matrix adjoint: it conjugates
-each amplitude, flips each ladder's kind and reverses the order in which a
-product's operators apply.  A tensor product is the product of its
-embedded operands, so its adjoint applies the last operand first, and two
-fermion-odd factors trade places with a minus sign.
+size and without a matrix.
 """
 
 from __future__ import annotations
@@ -23,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import COEFF_EQ_TOL, ZERO_TOL
 from .expr import (
-    Atom, Dagger, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList,
-    Sum, ham_sum, scale, seq, site_dim, site_layout,
+    Atom, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList, Sum,
+    ham_sum, scale, seq, site_dim,
 )
 
 
@@ -61,30 +57,24 @@ _ORD_KIND = (LadderKind.CREATE, LadderKind.ANNIHILATE)
 def canonicalize(e: HamExpr) -> CanonicalForm:
     """Flatten to a sorted sum of per-site ladder monomials.
 
-    Adjoints are folded into the atoms, sums distributed out of products,
-    cross-site products fused per site, like terms merged, and zero terms
-    dropped.  Reordering fermionic ladder operators across sites multiplies
-    the coefficient by -1 per transposition.
+    Sums are distributed out of products, cross-site products fused per
+    site, like terms merged, and zero terms dropped.  Reordering fermionic
+    ladder operators across sites multiplies the coefficient by -1 per
+    transposition.
     """
-    return _merge(e.layout or site_layout(e), _terms(e))
+    return _merge(e.layout, _terms(e))
 
 
 def adjoint(form: CanonicalForm) -> CanonicalForm:
-    """The canonical form of the adjoint, computed from the terms alone;
-    normal ordering again folds in the fermionic transposition signs."""
-    return _merge(form.layout, _dagger(
-        (term.coeff, [(s, kind) for s, monomial in term.factors
-                      for kind in monomial])
-        for term in form.terms))
-
-
-def _dagger(terms) -> list:
-    """The (coeff, ops) list of the adjoint of a term list: each
-    coefficient conjugated, each term's operators applied in reverse order
-    with their kinds flipped."""
-    return [(coeff.conjugate(),
-             [(s, kind.flipped) for s, kind in reversed(ops)])
-            for coeff, ops in terms]
+    """The canonical form of the adjoint, computed from the terms alone:
+    each coefficient conjugated, each term's operators applied in reverse
+    order with their kinds flipped.  Normal ordering again folds in the
+    fermionic transposition signs."""
+    return _merge(form.layout, [
+        (term.coeff.conjugate(),
+         [(s, kind.flipped) for s, monomial in reversed(term.factors)
+          for kind in reversed(monomial)])
+        for term in form.terms])
 
 
 def _merge(layout: SiteList, raw) -> CanonicalForm:
@@ -107,8 +97,6 @@ def _terms(e: HamExpr) -> list:
     application order."""
     if isinstance(e, Atom):
         return [(e.amp, list(e.ops))]
-    if isinstance(e, Dagger):
-        return _dagger(_terms(e.inner))
     if isinstance(e, Sum):
         return [t for c in e.children for t in _terms(c)]
     if not isinstance(e, Seq):
@@ -269,25 +257,18 @@ def typecheck(e: HamExpr, promote: bool = True) -> OpType:
     amplitude is real, any other atom P; sum and sequencing join their
     children's flags, so H survives only when every child is H.  With
     ``promote`` the Hermiticity certificate then lifts the root to H when it
-    succeeds.  Layout mismatches in Sum/Seq raise LayoutError with the
-    offending path.
+    succeeds.
     """
-    layout = e.layout or site_layout(e)
     flag = _flag(e)
     if promote and flag is Flag.P and is_hermitian(e):
         flag = Flag.H
-    return OpType(flag, layout)
+    return OpType(flag, e.layout)
 
 
 def _flag(e: HamExpr) -> Flag:
     if isinstance(e, Atom):
         real = abs(e.amp.imag) <= COEFF_EQ_TOL
         return Flag.H if real and not e.ops else Flag.P
-    if isinstance(e, Dagger):
-        return _flag(e.inner)
     if isinstance(e, (Sum, Seq)):
-        for c in e.children:
-            if _flag(c) is Flag.P:
-                return Flag.P
-        return Flag.H
+        return Flag.P if Flag.P in map(_flag, e.children) else Flag.H
     raise TypeError(f"not a HamExpr: {e!r}")

@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from qblue.expr import (
-    Boson, Dagger, Fermion, Seq, Sum, annihilate, create, identity, tensor,
+    Boson, Fermion, Seq, Sum, annihilate, create, dagger, identity, tensor,
 )
 
 AMPS = st.sampled_from([1, -0.5, 2j, 0.3 + 0.4j])
@@ -12,7 +12,9 @@ AMPS = st.sampled_from([1, -0.5, 2j, 0.3 + 0.4j])
 @st.composite
 def well_formed(draw, layout, depth=3):
     """Random expression acting on ``layout``: tensors split the layout,
-    sums and products repeat it, daggers wrap it."""
+    sums and products repeat it, and ``dagger`` builds the adjoint tree of a
+    subtree.  Every tree is built from atoms, sums and products, and each
+    node's children agree on their layout, so no constructor raises."""
     kinds = ["sum", "seq", "dag"] if depth > 0 else []
     kinds.append("leaf" if len(layout) == 1 else "tensor")
     kind = draw(st.sampled_from(kinds))
@@ -26,7 +28,7 @@ def well_formed(draw, layout, depth=3):
         return tensor(draw(well_formed(layout[:k], sub)),
                       draw(well_formed(layout[k:], sub)))
     if kind == "dag":
-        return Dagger(draw(well_formed(layout, sub)))
+        return dagger(draw(well_formed(layout, sub)))
     node = Sum if kind == "sum" else Seq
     return node(draw(well_formed(layout, sub)), draw(well_formed(layout, sub)))
 

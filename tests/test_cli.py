@@ -522,6 +522,24 @@ def test_an_integer_too_long_to_convert_is_a_parse_error(source, line, col,
     assert "5000 digits" in record["message"]
 
 
+NINES = "9" * 4300   # the sum of two has more digits than Python prints
+
+
+@pytest.mark.parametrize("body", [f"a({NINES} + {NINES})",
+                                  f"sum j in 0..0 {{ a({NINES} + {NINES}) }}"],
+                         ids=["bare", "sum-body"])
+def test_an_index_too_long_to_print_is_a_parse_error(body, tmp_path, capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text(f"sites t(2), t(2);\nH = {body};\n")
+    code, out, err = run_json(capsys, ["check", str(prog)])
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    # at the atom, as for any other site index out of range
+    assert (record["code"], record["line"], record["col"]) == (
+        "parse", 2, 5 + body.index("a("))
+    assert "out of range for 2 sites" in record["message"]
+
+
 def test_compile_fit_and_verify_share_one_certified_encode(tmp_path, capsys,
                                                            monkeypatch):
     trotter = importlib.import_module("qblue.trotter")

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qblue.errors import COEFF_EQ_TOL, EncodingError
 from qblue.expr import (
-    Atom, Boson, Dagger, Fermion, annihilate, create, tensor,
+    Atom, Boson, Fermion, annihilate, create, tensor,
 )
 from qblue.encodings import encode_for_compile
 from qblue.linalg import expr_to_matrix
@@ -47,8 +47,6 @@ def retype(e, site):
     """The same tree with every site of every atom's layout on ``site``."""
     if isinstance(e, Atom):
         return Atom((site,) * len(e.layout), e.ops, e.amp)
-    if isinstance(e, Dagger):
-        return Dagger(retype(e.inner, site))
     return type(e)(*(retype(c, site) for c in e.children))
 
 

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given
 
 from qblue.errors import LayoutError
 from qblue.expr import (
-    Atom, Boson, Fermion, LadderKind, Seq, Sum, annihilate, create,
-    desugar_indexed, ham_sum, identity, scale, seq, site_dim,
-    site_layout, tensor, total_dim,
+    Atom, Boson, Fermion, LadderKind, Seq, Sum, annihilate, create, dagger,
+    desugar_indexed, ham_sum, identity, scale, seq, site_dim, tensor,
+    total_dim,
 )
+
+from strategies import graded_trees
 
 T2 = Boson(2)
 T4 = Boson(4)
@@ -32,23 +35,29 @@ def test_amplitudes_must_be_finite():
 
 def test_site_layout_of_leaves_and_tensor():
     e = tensor(annihilate(T2), annihilate(T4))
-    assert site_layout(e) == (T2, T4)
+    assert e.layout == (T2, T4)
 
 
 def test_site_layout_of_seq_over_padded_ops():
     layout = (T2, T2)
     e = seq(desugar_indexed(create(T2), 0, layout),
             desugar_indexed(annihilate(T2), 1, layout))
-    assert site_layout(e) == layout
+    assert e.layout == layout
 
 
 def test_site_layout_mismatch_raises_with_path():
-    bad = Sum(annihilate(T2), tensor(annihilate(T2), annihilate(T2)))
-    with pytest.raises(LayoutError) as err:
-        site_layout(bad)
-    assert "root" in err.value.path
-    assert err.value.left == (T2,)
-    assert err.value.right == (T2, T2)
+    # a Sum or Seq whose children disagree raises as it is built, at the
+    # root of the node being built, with both layouts
+    pair = tensor(annihilate(T2), annihilate(T2))
+    for build, kind in [(Sum, "sum"), (Seq, "seq"), (ham_sum, "sum"),
+                        (seq, "seq")]:
+        with pytest.raises(LayoutError) as err:
+            build(annihilate(T2), identity(T2), pair)
+        assert err.value.path == "root"
+        assert err.value.left == (T2,)
+        assert err.value.right == (T2, T2)
+        assert str(err.value).startswith(
+            f"{kind} branches act on different site lists")
 
 
 def test_desugar_indexed_is_one_sparse_atom():
@@ -66,7 +75,7 @@ def test_desugar_indexed_middle_position():
     got = desugar_indexed(annihilate(T4), 1, (T4, T4, T4))
     assert got == tensor(identity(T4), annihilate(T4), identity(T4))
     assert got.ops == ((1, LadderKind.ANNIHILATE),)
-    assert site_layout(got) == (T4, T4, T4)
+    assert got.layout == (T4, T4, T4)
 
 
 def test_desugar_indexed_rejects_bad_index_and_site():
@@ -81,7 +90,7 @@ def test_desugar_layout_roundtrip_property():
     for layout in layouts:
         for j, site in enumerate(layout):
             e = desugar_indexed(create(site), j, layout)
-            assert site_layout(e) == layout
+            assert e.layout == layout
 
 
 def test_scale_distributes_over_sum():
@@ -110,10 +119,10 @@ def test_scale_one_is_noop_and_composition():
 
 
 def test_scale_through_dagger_conjugates():
-    from qblue.expr import Dagger
-    from qblue.typecheck import canonicalize
-    e = Dagger(annihilate(T2))
-    assert canonicalize(scale(2j, e)) == canonicalize(create(T2, 2j))
+    e = dagger(annihilate(T2, 1j))
+    assert e == create(T2, -1j)
+    assert scale(2j, e) == create(T2, 2)
+    assert dagger(scale(2j, annihilate(T2))) == create(T2, -2j)
 
 
 def test_tensor_sum_and_seq_flatten_to_one_nary_node():
@@ -145,9 +154,27 @@ def test_layouts_are_interned_and_stored_at_build():
     assert e.layout is e.children[0].layout is e.children[1].layout
     x = ham_sum(create(T2), annihilate(T2))
     assert tensor(x, create(F)).layout is e.layout
-    # a node whose children disagree stores no layout until asked where
-    assert Sum(e, create(T2)).layout is None
+    # a node whose children disagree is never built
+    with pytest.raises(LayoutError):
+        Sum(e, create(T2))
     assert Seq(create(T2), create(T2)).layout == (T2,)
+
+
+@given(graded_trees())
+def test_dagger_is_an_involution_on_trees(e):
+    d = dagger(e)
+    assert d.layout is e.layout
+    assert dagger(d) == e
+
+
+def test_dagger_builds_the_adjoint_tree():
+    a, b = annihilate(T2, 2j), create(T2)
+    assert dagger(a) == create(T2, -2j)
+    assert dagger(seq(a, b)) == Seq(annihilate(T2), create(T2, -2j))
+    assert dagger(ham_sum(a, b)) == Sum(create(T2, -2j), annihilate(T2))
+    # two fermionic creators trade places: a minus sign
+    assert dagger(tensor(create(F), create(F))) == Atom(
+        (F, F), ((0, LadderKind.ANNIHILATE), (1, LadderKind.ANNIHILATE)), -1)
 
 
 def test_atoms_list_distinct_sites_in_order():

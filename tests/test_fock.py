@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import qblue.fock as fock
-
 from qblue.errors import LayoutError, NonHermitianError, StateFormatError
 from qblue.expr import (
-    Boson, Dagger, Fermion, LadderKind, Seq, annihilate, create,
+    Boson, Fermion, LadderKind, Seq, annihilate, create, dagger,
     desugar_indexed, ham_sum, identity, identity_chain, scale, seq, site_dim,
-    site_layout, tensor,
+    tensor,
 )
 from qblue.fock import (
     apply, apply_single, basis_ket, expectation, format_state,
@@ -150,16 +148,16 @@ def test_apply_agrees_with_matrix_oracle_bosonic():
 
 @st.composite
 def operators(draw):
-    """(layout, e) over mixed F / t(2) / t(3) sites, with a Dagger at the
+    """(layout, e) over mixed F / t(2) / t(3) sites, with an adjoint at the
     root or as the first-applied factor of a product, or neither."""
     layout = tuple(draw(st.lists(st.sampled_from([F, T2, T3]),
                                  min_size=1, max_size=3)))
     e = draw(well_formed(layout))
     shape = draw(st.sampled_from(["plain", "dag", "seq"]))
     if shape == "dag":
-        return layout, Dagger(e)
+        return layout, dagger(e)
     if shape == "seq":
-        return layout, Seq(e, Dagger(draw(well_formed(layout, 2))))
+        return layout, Seq(e, dagger(draw(well_formed(layout, 2))))
     return layout, e
 
 
@@ -176,40 +174,12 @@ def test_apply_matches_matrix_columns(case):
 
 @given(graded_trees())
 def test_apply_of_dagger_gives_the_conjugate_transpose(e):
-    layout = site_layout(e)
+    layout = e.layout
     want = expr_to_matrix(e).conj().T
     occs = itertools.product(*(range(site_dim(site)) for site in layout))
     for col, occ in enumerate(occs):
-        got = state_to_vector(apply(Dagger(e), basis_ket(layout, occ)))
+        got = state_to_vector(apply(dagger(e), basis_ket(layout, occ)))
         assert oracle.max_norm(got, want[:, col]) <= 1e-12
-
-
-def test_apply_walks_the_layout_once(monkeypatch):
-    layout = (F, T3, F, T2)
-    hop = ham_sum(
-        seq(desugar_indexed(create(F), 0, layout),
-            desugar_indexed(annihilate(F), 2, layout)),
-        seq(desugar_indexed(create(F), 2, layout),
-            desugar_indexed(annihilate(F), 0, layout)),
-        desugar_indexed(create(T3), 1, layout))
-    e = seq(hop, Dagger(hop))
-    site_layout = fock.site_layout
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return site_layout(*args)
-
-    monkeypatch.setattr(fock, "site_layout", counting)
-    # fullest occupation first, so that even the one-ket state survives
-    occs = sorted(itertools.product(range(2), range(3), range(2), range(2)),
-                  reverse=True)
-    for nkets in (1, 4, len(occs)):
-        calls.clear()
-        kets = [(1.0, occ) for occ in occs[:nkets]]
-        out = apply(e, make_state(layout, kets))
-        assert not out.is_zero
-        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

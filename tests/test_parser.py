@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qblue.encodings import encode_for_compile
 from qblue.errors import LayoutError, ParseError
 from qblue.expr import (
-    Atom, Boson, Dagger, Flag, Sum, annihilate, create, desugar_indexed,
+    Atom, Boson, Flag, Sum, annihilate, create, dagger, desugar_indexed,
     ham_sum, scale, seq,
 )
 from qblue.parser import format_program, parse
@@ -273,7 +273,7 @@ def Z(j):
 @pytest.mark.parametrize("body, want", [
     ("0.8 * Z(0) Z(1)", seq(scale(0.8, Z(0)), Z(1))),
     ("-0.5 * Y(0)", scale(-0.5, Y(0))),
-    ("(0.5+0.5i) * dag(a(0))", scale(0.5 + 0.5j, Dagger(an(0)))),
+    ("(0.5+0.5i) * dag(a(0))", scale(0.5 + 0.5j, dagger(an(0)))),
     ("sqrt(2) * (X(0) + Z(1))", scale(math.sqrt(2), ham_sum(X(0), Z(1)))),
     ("2 * sum j in 0..1 { X(j) }", scale(2, ham_sum(X(0), X(1)))),
     ("- X(0)", scale(-1, X(0))),

@@ -3,7 +3,7 @@ counts tree nodes and canonical-term sites instead of timing anything."""
 
 import pytest
 
-from qblue.expr import Atom, Dagger
+from qblue.expr import Atom
 from qblue.parser import parse
 from qblue.typecheck import canonicalize
 
@@ -15,15 +15,12 @@ def spin_chain(n):
 
 
 def nodes(e):
-    """Every node of the tree, walked over Dagger.inner and the n-ary
-    children."""
+    """Every node of the tree, walked over the n-ary children."""
     out, stack = [], [e]
     while stack:
         node = stack.pop()
         out.append(node)
-        if isinstance(node, Dagger):
-            stack.append(node.inner)
-        elif not isinstance(node, Atom):
+        if not isinstance(node, Atom):
             stack.extend(node.children)
     return out
 

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -7,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qblue.errors import COEFF_EQ_TOL, LayoutError
 from qblue.expr import (
-    Atom, Boson, Dagger, Fermion, Flag, LadderKind, Seq, Sum,
-    annihilate, create, desugar_indexed, ham_sum, identity, scale, seq,
-    site_layout, tensor,
+    Atom, Boson, Fermion, Flag, LadderKind, Seq, Sum, annihilate, create,
+    dagger, desugar_indexed, ham_sum, identity, scale, seq, tensor,
 )
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
@@ -21,9 +19,6 @@ from qblue.typecheck import (
 import oracle
 from strategies import graded_trees, well_formed
 from test_parser import expr_text
-
-# the package re-exports the function typecheck under the module's name
-typecheck_module = importlib.import_module("qblue.typecheck")
 
 T2 = Boson(2)
 T4 = Boson(4)
@@ -41,7 +36,7 @@ def hop(layout):
 
 
 # ---------------------------------------------------------------------------
-# dag: the canonical form of Dagger(e)
+# dag: the canonical form of dagger(e)
 # ---------------------------------------------------------------------------
 
 def same_form(a, b):
@@ -49,44 +44,44 @@ def same_form(a, b):
 
 
 def test_dagger_distributes_over_tensor():
-    e = Dagger(tensor(create(T2), annihilate(T2)))
+    e = dagger(tensor(create(T2), annihilate(T2)))
     assert same_form(e, tensor(annihilate(T2), create(T2)))
     # two fermion-odd factors trade places under the adjoint: a minus sign
-    e = Dagger(tensor(create(F), create(F, 2j)))
+    e = dagger(tensor(create(F), create(F, 2j)))
     assert not same_form(e, tensor(annihilate(F), annihilate(F, -2j)))
     assert same_form(e, tensor(annihilate(F, -1), annihilate(F, -2j)))
 
 
 def test_dagger_reverses_seq():
-    e = Dagger(seq(create(T2), annihilate(T2)))
+    e = dagger(seq(create(T2), annihilate(T2)))
     assert same_form(e, seq(create(T2), annihilate(T2)))
-    e2 = Dagger(seq(annihilate(T2), annihilate(T2, 2.0)))
+    e2 = dagger(seq(annihilate(T2), annihilate(T2, 2.0)))
     assert same_form(e2, seq(create(T2, 2.0), create(T2)))
     assert not same_form(e2, seq(create(T2, 2.0), annihilate(T2)))
 
 
 def test_dagger_is_involutive():
-    e = Dagger(Dagger(annihilate(T2, 1 + 2j)))
+    e = dagger(dagger(annihilate(T2, 1 + 2j)))
     assert same_form(e, annihilate(T2, 1 + 2j))
 
 
 def test_dagger_conjugates_amplitudes():
-    assert same_form(Dagger(annihilate(T2, 2j)), create(T2, -2j))
-    assert same_form(Dagger(identity(T2, 1j)), identity(T2, -1j))
-    assert not same_form(Dagger(identity(T2, 1j)), identity(T2, 1j))
+    assert same_form(dagger(annihilate(T2, 2j)), create(T2, -2j))
+    assert same_form(dagger(identity(T2, 1j)), identity(T2, -1j))
+    assert not same_form(dagger(identity(T2, 1j)), identity(T2, 1j))
 
 
 def test_dagger_normalize_matches_adjoint_matrix():
-    # both the tree lowering of Dagger(e) and the expression rebuilt from
+    # both the tree lowering of dagger(e) and the expression rebuilt from
     # its canonical form give the conjugate transpose
     rng = np.random.default_rng(7)
     for layout in [(T2, T4), (F, T2, F)]:
         for _ in range(25):
             e = _random_expr(rng, layout, depth=3)
             want = expr_to_matrix(e).conj().T
-            rebuilt = canonical_to_expr(canonicalize(Dagger(e)))
+            rebuilt = canonical_to_expr(canonicalize(dagger(e)))
             assert oracle.max_norm(expr_to_matrix(rebuilt), want) < 1e-12
-            assert oracle.max_norm(expr_to_matrix(Dagger(e)), want) < 1e-12
+            assert oracle.max_norm(expr_to_matrix(dagger(e)), want) < 1e-12
 
 
 def test_dagger_of_fermionic_tensor_is_the_graded_adjoint():
@@ -95,13 +90,28 @@ def test_dagger_of_fermionic_tensor_is_the_graded_adjoint():
     m = (oracle.jw_ladder("create", 1, 2)
          @ oracle.jw_ladder("create", 0, 2))
     assert oracle.max_norm(expr_to_matrix(t), m) == 0
-    assert oracle.max_norm(expr_to_matrix(Dagger(t)), m.conj().T) == 0
-    h = ham_sum(t, Dagger(t))
+    assert oracle.max_norm(expr_to_matrix(dagger(t)), m.conj().T) == 0
+    h = ham_sum(t, dagger(t))
     mh = expr_to_matrix(h)
     assert oracle.max_norm(mh, m + m.conj().T) == 0
     ok, _ = hermiticity_report(h)
     assert ok == (oracle.max_norm(mh, mh.conj().T) < 1e-10)
     assert ok
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_dagger_of_a_fermionic_atom_takes_the_reversal_sign(f):
+    # f creators in one atom: the adjoint's annihilators apply
+    # site-ascending too, so the amplitude takes (-1)^(f(f-1)/2)
+    t = tensor(create(F, 0.3 + 0.4j), *(create(F) for _ in range(f - 1)))
+    assert isinstance(t, Atom)
+    m = (0.3 + 0.4j) * np.eye(2 ** f)
+    for j in range(f):
+        m = oracle.jw_ladder("create", j, f) @ m
+    assert oracle.max_norm(expr_to_matrix(t), m) < 1e-12
+    d = dagger(t)
+    assert isinstance(d, Atom)
+    assert oracle.max_norm(expr_to_matrix(d), m.conj().T) < 1e-12
 
 
 def _random_expr(rng, layout, depth):
@@ -122,7 +132,7 @@ def _random_expr(rng, layout, depth):
     if r < 0.8:
         return seq(_random_expr(rng, layout, depth - 1),
                    _random_expr(rng, layout, depth - 1))
-    return Dagger(_random_expr(rng, layout, depth - 1))
+    return dagger(_random_expr(rng, layout, depth - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +228,7 @@ def dense_hermitian(e):
 def test_certificate_agrees_with_the_dense_oracle_on_graded_trees(e, twice):
     # e + dag(e) is Hermitian however it is written
     if twice:
-        e = ham_sum(e, Dagger(e))
+        e = ham_sum(e, dagger(e))
     assert is_hermitian(e) == dense_hermitian(e)
 
 
@@ -322,9 +332,11 @@ def test_identity_types_h_but_complex_identity_p():
 
 
 def test_seq_layout_mismatch_is_reported():
-    bad = seq(annihilate(T2), tensor(annihilate(T2), identity(T2)))
-    with pytest.raises(LayoutError):
-        typecheck(bad)
+    # the product raises as it is built, before anything can type it
+    with pytest.raises(LayoutError) as err:
+        seq(annihilate(T2), tensor(annihilate(T2), identity(T2)))
+    assert err.value.left == (T2,)
+    assert err.value.right == (T2, T2)
 
 
 def test_flag_soundness_on_random_expressions():
@@ -347,15 +359,15 @@ def test_weakening_does_not_break_enclosing_typeability():
 def test_layout_error_paths():
     b, f = Boson(2), Fermion()
     ok = tensor(create(b), identity(b))
-    bad = Sum(ok, Dagger(Sum(ok, Seq(ok, tensor(create(f), identity(b))))))
+    # the innermost node whose children disagree raises as it is built, at
+    # its own root, so no enclosing node is ever reached
     with pytest.raises(LayoutError) as err:
-        typecheck(bad)
-    # child 1 of the root, inside its dag, child 1: the Seq
-    assert err.value.path == "root.1.inner.1"
+        Sum(ok, dagger(Sum(ok, Seq(ok, tensor(create(f), identity(b))))))
+    assert str(err.value).startswith("seq branches")
+    assert err.value.path == "root"
     assert err.value.left == (b, b)
     assert err.value.right == (f, b)
-    # a malformed tensor operand raises when the tensor is built, at the
-    # root of that operand
+    # a malformed tensor operand raises when the operand is built
     with pytest.raises(LayoutError) as err:
         tensor(create(b), Sum(identity(b), identity(f)))
     assert err.value.path == "root"
@@ -373,8 +385,6 @@ def recursive_flag(e):
         if e.ops:
             return Flag.P
         return Flag.H if abs(e.amp.imag) <= 1e-12 else Flag.P
-    if isinstance(e, Dagger):
-        return recursive_flag(e.inner)
     flag = Flag.H
     for c in e.children:
         flag = flag.join(recursive_flag(c))
@@ -384,29 +394,15 @@ def recursive_flag(e):
 @given(trees)
 def test_structural_type_matches_layout_and_recursive_flag(e):
     ty = typecheck(e, promote=False)
-    assert ty.sites == site_layout(e)
+    assert ty.sites == e.layout
     assert ty.flag is recursive_flag(e)
-
-
-@given(trees)
-def test_structural_typing_does_not_call_site_layout(e):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return site_layout(*args)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(typecheck_module, "site_layout", counting)
-        typecheck(e, promote=False)
-    assert calls == []
 
 
 @given(graded_trees())
 def test_flipped_terms_are_the_terms_of_the_normalized_adjoint(e):
-    # the adjoint computed from the form's terms is the form of Dagger(e),
+    # the adjoint computed from the form's terms is the form of dagger(e),
     # whose terms are the flipped terms of e
     form = canonicalize(e)
-    assert canonical_allclose(adjoint(form), canonicalize(Dagger(e)),
+    assert canonical_allclose(adjoint(form), canonicalize(dagger(e)),
                               COEFF_EQ_TOL)
     assert canonical_allclose(adjoint(adjoint(form)), form, COEFF_EQ_TOL)
