@@ -7,10 +7,11 @@ A ``Gate`` is frozen, so one gate object may appear many times in a
 circuit, and in several circuits: a Trotter circuit shares each gadget's
 gates across its steps (``trotter.plan_to_circuit``), and
 ``format_circuit`` writes the line of each distinct gate object once.
-The unitary is built by applying each gate in place to the identity, viewed
-with one axis per qubit: a single-qubit gate is a 2x2 product on its axis
-and CX swaps two quarter slices, so a gate costs O(4^n) time and no gate is
-ever formed as a 2^n x 2^n matrix.
+The unitary is built by applying each gate to the identity, viewed with one
+axis per qubit: a diagonal gate scales the two halves of its axis in place,
+another single-qubit gate is a 2x2 product on its axis and CX swaps two
+quarter slices, so a gate costs O(4^n) time and no gate is ever formed as a
+2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import numpy as np
 from .errors import QUBIT_CAP, DimensionCapError, ParseError
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_S = np.diag([1, 1j]).astype(complex)
-_SDG = np.diag([1, -1j]).astype(complex)
 
 
 def _rx(t):
@@ -40,12 +39,9 @@ def _ry(t):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _rz(t):
-    return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]).astype(complex)
-
-
 GATE_NAMES = ("h", "s", "sdg", "cx", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
+_DIAGONAL = ("s", "sdg", "rz")
 
 
 @dataclass(frozen=True)
@@ -96,18 +92,24 @@ class Circuit:
 
 
 def _single_matrix(g: Gate) -> np.ndarray:
-    fixed = {"h": _H, "s": _S, "sdg": _SDG}.get(g.name)
-    if fixed is not None:
-        return fixed
-    return {"rx": _rx, "ry": _ry, "rz": _rz}[g.name](g.angle)
+    return _H if g.name == "h" else {"rx": _rx, "ry": _ry}[g.name](g.angle)
+
+
+def _diagonal(g: Gate) -> tuple:
+    """The two diagonal entries of an s, sdg or rz gate."""
+    if g.name == "rz":
+        return np.exp(-1j * g.angle / 2), np.exp(1j * g.angle / 2)
+    return 1, (1j if g.name == "s" else -1j)
 
 
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
     """Product of the gate matrices in application order, times the phase.
 
-    Each gate acts in place on the rows of the running unitary, never as a
-    2^n x 2^n matrix: a single-qubit gate is a 2x2 product on that qubit's
-    row axis, and CX swaps the target halves inside the control = 1 rows.
+    Each gate acts on the rows of the running unitary, never as a 2^n x 2^n
+    matrix: a diagonal gate (s, sdg, rz) scales the two halves of its
+    qubit's row axis in place, another single-qubit gate is a 2x2 product
+    on that axis, and CX swaps the target halves inside the control = 1
+    rows.
     """
     if c.width > QUBIT_CAP:
         raise DimensionCapError(f"width {c.width} exceeds cap {QUBIT_CAP}")
@@ -123,6 +125,12 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
             hi = lo[:target] + [1] + lo[target + 1:]
             lo, hi = tuple(lo), tuple(hi)
             u[lo], u[hi] = u[hi], u[lo].copy()
+        elif g.name in _DIAGONAL:
+            halves = u.reshape(2 ** g.qubits[0], 2, -1)
+            d0, d1 = _diagonal(g)
+            if d0 != 1:
+                halves[:, 0] *= d0
+            halves[:, 1] *= d1
         else:
             q = g.qubits[0]
             u = (_single_matrix(g) @ u.reshape(2 ** q, 2, -1)).reshape(u.shape)

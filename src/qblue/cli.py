@@ -15,6 +15,11 @@ Hermiticity certificate of ``typecheck.hermiticity_report`` decides.
 exits 4 before any circuit, schedule or matrix is built, and the site types
 pick the encoding, so no command takes an encoding option.  ``fit`` fits
 onto the one analog machine, ``trotter.IBM``.
+
+``energy`` prints the ground energy and one normalized ground state,
+computed from the sparse matrix of the definition
+(``linalg.ground_energy``).  When the ground space is degenerate, the state
+is one vector of that space, the same on every run.
 """
 
 from __future__ import annotations
@@ -78,7 +83,8 @@ def _build_parser():
     p.add_argument("--state", required=True, help="state literal file")
     p.add_argument("--out", default=None)
 
-    add("energy", "ground energy of a Hamiltonian")
+    add("energy", "ground energy and a ground state of a Hamiltonian (one "
+                  "deterministic vector of a degenerate ground space)")
 
     p = add("compile", "Trotterize and synthesize a digital circuit")
     p.add_argument("--t", type=float, required=True, help="evolution time")
@@ -184,7 +190,7 @@ def cmd_energy(args) -> int:
         raise NonHermitianError(
             f"{name} certifies only flag p; ground energy needs a Hermitian "
             "operator")
-    result = linalg.ground_energy(linalg.expr_to_matrix(e), program.layout)
+    result = linalg.ground_energy(linalg.expr_to_sparse(e), program.layout)
     record = {"def": name, "energy": result.energy,
               "state": [[k.amp.real, k.amp.imag, list(k.occ)]
                         for k in result.state.terms]}

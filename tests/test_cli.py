@@ -6,6 +6,7 @@ import pytest
 
 from qblue.cli import main
 from qblue.fock import format_state, parse_state
+from qblue.parser import parse
 from qblue.pauli import pauli_sum
 
 import oracle
@@ -231,6 +232,37 @@ def test_energy_of_spin_chain(tmp_path, capsys):
     h = sum(c * oracle.pauli_string_matrix(s) for c, s in terms)
     want = np.linalg.eigvalsh(h)[0]
     assert abs(json.loads(out)["energy"] - want) <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["spin", "hop"])
+def test_energy_of_twelve_sites_runs_no_dense_eigh(family, tmp_path, capsys,
+                                                   monkeypatch):
+    linalg = importlib.import_module("qblue.linalg")
+    eigh = np.linalg.eigh
+
+    def small_eigh(m, *args, **kwargs):
+        assert m.shape[0] < linalg.LANCZOS_MIN_DIM, m.shape
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    monkeypatch.setattr(linalg, "expr_to_matrix", None)
+    text, _ = chain_program(family, 12)
+    prog = tmp_path / "h.qb"
+    prog.write_text(text)
+    code, out, _ = run_json(capsys, ["energy", str(prog)])
+    assert code == 0
+    record = json.loads(out)
+    if family == "hop":
+        # free fermions: the negative levels of the one-particle matrix
+        one = np.diag(np.full(11, 0.7), 1)
+        w = np.linalg.eigvalsh(one + one.T)
+        assert abs(record["energy"] - w[w < 0].sum()) <= 1e-10
+    v = np.zeros(2 ** 12, dtype=complex)
+    for re, im, occ in record["state"]:
+        v[int("".join(map(str, occ)), 2)] = re + 1j * im
+    e = next(iter(parse(text).defs.values()))
+    h = linalg.expr_to_sparse(e)
+    assert np.linalg.norm(h @ v - record["energy"] * v) <= 1e-9
 
 
 def test_fit_assigns_the_pair_coefficients(tmp_path, capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from qblue.errors import DimensionCapError, NonHermitianError
@@ -14,8 +15,8 @@ from qblue.expr import (
 )
 from qblue.fock import basis_ket, make_state
 from qblue.linalg import (
-    expr_to_matrix, ground_energy, matrix_exp_sim,
-    phase_aligned_distance, state_to_vector, vector_to_state,
+    LANCZOS_MIN_DIM, expr_to_matrix, expr_to_sparse, ground_energy,
+    matrix_exp_sim, phase_aligned_distance, state_to_vector, vector_to_state,
 )
 from qblue.parser import parse
 
@@ -200,6 +201,30 @@ def test_dagger_of_cross_site_seq():
     assert oracle.max_norm(expr_to_matrix(dagger(e)), m.conj().T) < 1e-12
 
 
+@pytest.mark.parametrize("text, amp, factors", [
+    ("sites t(3), t(2);\nH = adag(0) a(0) a(0);\n", 1,
+     [(oracle.create_mat, 0), (oracle.annihilate_mat, 0),
+      (oracle.annihilate_mat, 0)]),
+    ("sites t(2), t(3);\nH = a(0) a(0) adag(0);\n", 1,
+     [(oracle.annihilate_mat, 0), (oracle.annihilate_mat, 0),
+      (oracle.create_mat, 0)]),
+    ("sites t(3), t(2);\nH = 0.5 * a(1) adag(1) adag(1) a(0) a(0);\n", 0.5,
+     [(oracle.annihilate_mat, 1), (oracle.create_mat, 1),
+      (oracle.create_mat, 1), (oracle.annihilate_mat, 0),
+      (oracle.annihilate_mat, 0)]),
+], ids=["t3-adag-a-a", "t2-a-a-adag", "t2-t3-mixed"])
+def test_product_of_atoms_where_an_inner_factor_vanishes(text, amp,
+                                                         factors):
+    # an inner factor leaves some columns with no nonzero; the composed row
+    # map must stay in range and agree with the dense product
+    program = parse(text)
+    dims = [site.dim for site in program.layout]
+    want = amp * oracle.kron_all(*(np.eye(d) for d in dims))
+    for mat, j in factors:
+        want = want @ oracle.embedded(mat(dims[j]), j, dims)
+    assert oracle.max_norm(expr_to_matrix(program.defs["H"]), want) < 1e-12
+
+
 def test_cube_of_x_sum_on_six_sites():
     program = parse("sites t(2), t(2), t(2), t(2), t(2), t(2);\n"
                     "H = (X(0) + X(1) + X(2)) (X(0) + X(1) + X(2))"
@@ -214,6 +239,36 @@ def test_dimension_cap():
     layout = tuple(Boson(2) for _ in range(13))
     with pytest.raises(DimensionCapError):
         expr_to_matrix(identity_chain(layout))
+
+
+def loop_vector_to_state(v, layout, tol=1e-14):
+    """The per-index loop that vector_to_state replaced."""
+    dims = [2 if site == F else site.dim for site in layout]
+    kets = []
+    for idx, amp in enumerate(v):
+        if abs(amp) <= tol:
+            continue
+        occ = []
+        rem = idx
+        for d in reversed(dims):
+            occ.append(rem % d)
+            rem //= d
+        kets.append((amp, tuple(reversed(occ))))
+    return make_state(layout, kets)
+
+
+@pytest.mark.parametrize("layout", [(F,), (T3, F, T2), (F, F, T3, T2),
+                                    (T2, T3, T3, F)])
+def test_vector_to_state_matches_the_index_loop(layout):
+    rng = np.random.default_rng(len(layout))
+    dim = int(np.prod([2 if site == F else site.dim for site in layout]))
+    for _ in range(5):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v[rng.random(dim) < 0.4] = 0
+        v[rng.random(dim) < 0.1] = 1e-15
+        got = vector_to_state(v, layout)
+        want = loop_vector_to_state(v, layout)
+        assert got.terms == want.terms and got.layout == want.layout
 
 
 def test_state_vector_roundtrip():
@@ -272,6 +327,33 @@ def test_exp_is_unitary_and_semigroup():
         assert oracle.max_norm(matrix_exp_sim(h, t1 + t2), prod) < 1e-10
 
 
+def test_exp_of_real_symmetric_matches_the_complex_path():
+    rng = np.random.default_rng(11)
+    for n in (2, 7, 32):
+        a = rng.normal(size=(n, n))
+        h = (a + a.T) / 2
+        w, v = np.linalg.eigh(h.astype(complex))
+        for t in (0.3, -1.7):
+            want = (v * np.exp(-1j * w * t)) @ v.conj().T
+            assert oracle.max_norm(matrix_exp_sim(h, t), want) < 1e-12
+            assert oracle.max_norm(matrix_exp_sim(h.astype(complex), t),
+                                   want) < 1e-12
+
+
+def test_exp_of_complex_hermitian():
+    # Y is Hermitian with a nonzero imaginary part: e^{-i Y t} is ry(2t)
+    t = 0.8
+    want = np.array([[math.cos(t), -math.sin(t)],
+                     [math.sin(t), math.cos(t)]])
+    assert oracle.max_norm(matrix_exp_sim(oracle.Y, t), want) < 1e-12
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    h = (a + a.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    u = matrix_exp_sim(h, 0.6)
+    assert oracle.max_norm(u @ v, v * np.exp(-0.6j * w)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # ground_energy
 # ---------------------------------------------------------------------------
@@ -306,6 +388,78 @@ def test_ground_is_variational_lower_bound():
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             v /= np.linalg.norm(v)
             assert res.energy <= oracle.expval(h, v).real + 1e-10
+
+
+def chain(family, n):
+    """A spin, hopping or complex hopping chain program of n sites."""
+    bodies = {
+        "spin": ("t(2)", "1.1 * Z(j) Z(j+1) + 0.7 * X(j+1)"),
+        "hop": ("F", "0.9 * adag(j) a(j+1) + 0.9 * adag(j+1) a(j)"),
+        "hop-complex": ("F", "(0.5+0.3i) * adag(j) a(j+1)"
+                             " + (0.5-0.3i) * adag(j+1) a(j)"),
+    }
+    site, body = bodies[family]
+    return parse(f"sites {', '.join([site] * n)};\n"
+                 f"H = sum j in 0..{n - 2} {{ {body} }};\n")
+
+
+def free_fermion_energy(t, n):
+    """Ground energy of n modes with hopping t between neighbours: the sum
+    of the negative eigenvalues of the one-particle matrix."""
+    one = np.diag(np.full(n - 1, t), 1)
+    w = np.linalg.eigvalsh(one + one.conj().T)
+    return w[w < 0].sum()
+
+
+@pytest.mark.parametrize("family", ["spin", "hop", "hop-complex"])
+@pytest.mark.parametrize("n", [4, 7, 8, 10])
+def test_ground_energy_matches_the_dense_reference(family, n):
+    program = chain(family, n)
+    h = expr_to_sparse(program.defs["H"])
+    res = ground_energy(h, program.layout)
+    dense = h.toarray()
+    want = np.linalg.eigvalsh(dense)[0]
+    assert abs(res.energy - want) <= 1e-10
+    if family != "spin":
+        t = 0.9 if family == "hop" else 0.5 + 0.3j
+        assert abs(res.energy - free_fermion_energy(t, n)) <= 1e-10
+    # the state is an eigenvector of the energy
+    v = state_to_vector(res.state)
+    assert abs(np.linalg.norm(v) - 1) < 1e-12
+    assert np.linalg.norm(dense @ v - res.energy * v) <= 1e-9
+
+
+def test_ground_state_of_a_degenerate_ground_space():
+    # Z(0) and the product of X commute with the spin chain and anticommute
+    # with each other, so every level is twofold degenerate; the state is
+    # one vector of the ground space, the same on every call
+    program = chain("spin", 8)
+    h = expr_to_sparse(program.defs["H"])
+    w = np.linalg.eigvalsh(h.toarray())
+    assert w[1] - w[0] < 1e-10
+    res = ground_energy(h, program.layout)
+    v = state_to_vector(res.state)
+    assert np.linalg.norm(h @ v - res.energy * v) <= 1e-9
+    assert ground_energy(h, program.layout) == res
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_ground_of_the_zero_operator(n):
+    # on either side of LANCZOS_MIN_DIM: energy 0 and the first basis
+    # state, which a dense eigh of the zero matrix returns
+    program = parse(f"sites {', '.join(['t(2)'] * n)};\nH = Z(0) - Z(0);\n")
+    res = ground_energy(expr_to_sparse(program.defs["H"]), program.layout)
+    assert res.energy == 0
+    assert [(k.amp, k.occ) for k in res.state.terms] == [(1, (0,) * n)]
+
+
+def test_dense_and_sparse_input_take_one_path():
+    for n in (5, 9):   # below and above LANCZOS_MIN_DIM
+        program = chain("hop-complex", n)
+        h = expr_to_sparse(program.defs["H"])
+        assert (h.shape[0] < LANCZOS_MIN_DIM) == (n == 5)
+        assert (ground_energy(h, program.layout)
+                == ground_energy(h.toarray(), program.layout))
 
 
 def test_ground_rejects_non_hermitian():
