@@ -1,10 +1,12 @@
 """Command-line driver: check / eval / energy / compile / fit / verify.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type error, 4 fit/compile
-error, 5 dimension cap.  An input that exhausts the recursion limit or the
+error, 5 dimension cap.  Parsing never exits 3 (a parsed program has one
+layout): exit 3 is ``energy`` of a flag-p program or ``eval`` of a state
+on another layout.  An input that exhausts the recursion limit or the
 memory exits 1 with a one-line error naming the cause, not a traceback
-(see ``main``).  With --json, reports and diagnostics are emitted as JSON
-lines.
+(see ``main``), and a non-finite ``--t`` is a usage error.  With --json,
+reports and diagnostics are emitted as JSON lines.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``syntactic`` when the exact
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,6 +62,14 @@ class _UsageError(Exception):
     pass
 
 
+def finite_float(text: str) -> float:
+    """The type of --t: nan or inf would reach the circuit and the JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)   # argparse names the type and the value
+    return value
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first call and shared by later
@@ -87,7 +98,8 @@ def _build_parser():
                   "deterministic vector of a degenerate ground space)")
 
     p = add("compile", "Trotterize and synthesize a digital circuit")
-    p.add_argument("--t", type=float, required=True, help="evolution time")
+    p.add_argument("--t", type=finite_float, required=True,
+                   help="evolution time")
     p.add_argument("--n", type=int, required=True, help="Trotter steps")
     p.add_argument("--out", default=None, help="circuit output file")
 
@@ -99,7 +111,7 @@ def _build_parser():
     p.add_argument("circuit", help="circuit file")
     p.add_argument("file", help="program file")
     p.add_argument("ham", nargs="?", default=None)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite_float, required=True)
     return top
 
 
@@ -119,7 +131,7 @@ def _diagnostic(args, code: str, exc: Exception) -> None:
             record["left_sites"] = [str(s) for s in exc.left]
         if exc.right is not None:
             record["right_sites"] = [str(s) for s in exc.right]
-    if getattr(exc, "line", None) is not None:
+    if isinstance(exc, ParseError):
         record["line"] = exc.line
         record["col"] = exc.col
     if args.json:

@@ -19,30 +19,24 @@ class QBlueError(Exception):
 
 
 class LayoutError(QBlueError):
-    """Site-list mismatch between subexpressions.
+    """Site-list mismatch between operands.
 
-    Carries the place of the offending subexpression plus both conflicting
-    site lists so diagnostics can point at the exact spot.  The place is
-    ``root`` for a node of a hand-built tree, which raises as it is built,
-    an operation such as ``apply`` for operands of a state function, or a
-    definition name with the source ``line`` and ``col`` in a parsed
-    program.
+    Carries the place of the mismatch plus both conflicting site lists so
+    diagnostics can point at it.  The place is ``root`` for a node of a
+    hand-built tree, which raises as it is built, or an operation such as
+    ``apply`` for operands of a state function.  A parsed program never
+    raises it: every node of it spans the declared layout.
     """
 
-    def __init__(self, message, path="root", left=None, right=None,
-                 line=None, col=None):
+    def __init__(self, message, path="root", left=None, right=None):
         self.path = path
         self.left = left
         self.right = right
-        self.line = line
-        self.col = col
         detail = message
         if left is not None and right is not None:
             from .expr import layout_str
             detail = (f"{message} at {path}: "
                       f"[{layout_str(left)}] vs [{layout_str(right)}]")
-        if line is not None:
-            detail += f" (line {line}, column {col})"
         super().__init__(detail)
 
 

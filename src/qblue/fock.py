@@ -12,6 +12,7 @@ fermionic sites to its left) in the current occupation.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -215,18 +216,29 @@ def format_sites(layout: SiteList) -> str:
 
 
 def parse_state(text: str) -> FockState:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].strip().startswith("sites:"):
+    """The state of text.  A malformed line is a StateFormatError that names
+    it: a bad header or ket, a site type other than F or t(m >= 1), an
+    amplitude that is not a finite number, or an occupation vector of the
+    wrong length or out of range."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].strip().startswith("sites:"):
         raise StateFormatError("state text must start with a 'sites:' header")
-    layout = parse_sites(lines[0].split(":", 1)[1])
-    kets = []
-    for ln in lines[1:]:
-        m = _KET_RE.match(ln)
-        if not m:
-            raise StateFormatError(f"bad ket line {ln.strip()!r}")
-        amp = complex(float(m.group(1)), float(m.group(2)))
-        occ = tuple(int(x) for x in m.group(3).split(",")) if m.group(3).strip() else ()
-        kets.append((amp, occ))
+    n, header = lines[0]
+    try:
+        layout = parse_sites(header.split(":", 1)[1])
+        kets = []
+        for n, ln in lines[1:]:
+            m = _KET_RE.match(ln)
+            if not m:
+                raise StateFormatError(f"bad ket line {ln.strip()!r}")
+            amp = complex(float(m.group(1)), float(m.group(2)))
+            if not cmath.isfinite(amp):
+                raise StateFormatError(f"amplitude {amp} is not finite")
+            occ = tuple(int(x) for x in m.group(3).split(",")) if m.group(3).strip() else ()
+            _check_occ(layout, occ)
+            kets.append((amp, occ))
+    except (StateFormatError, LayoutError, ValueError) as exc:
+        raise StateFormatError(f"line {n}: {exc}") from None
     return make_state(layout, kets)
 
 

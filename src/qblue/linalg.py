@@ -169,13 +169,12 @@ def state_to_vector(s) -> np.ndarray:
     return v
 
 
-def vector_to_state(v: np.ndarray, layout: SiteList,
-                    tol: float = ZERO_TOL):
-    """FockState of the entries of v above tol, in the basis of
+def vector_to_state(v: np.ndarray, layout: SiteList):
+    """FockState of the entries of v above ZERO_TOL, in the basis of
     ``state_to_vector``."""
     from .fock import make_state
     dims = [site_dim(site) for site in layout]
-    idx = np.flatnonzero(abs(v) > tol)
+    idx = np.flatnonzero(abs(v) > ZERO_TOL)
     occs = zip(*np.unravel_index(idx, dims)) if dims else [()] * idx.size
     return make_state(layout, zip(v[idx], occs))
 
@@ -184,10 +183,11 @@ def vector_to_state(v: np.ndarray, layout: SiteList,
 # Exponential
 # ---------------------------------------------------------------------------
 
-def check_hermitian(h, tol: float = HERMITIAN_TOL):
-    """Raise unless the dense or sparse matrix h is Hermitian within tol."""
+def check_hermitian(h):
+    """Raise unless the dense or sparse matrix h is Hermitian within
+    HERMITIAN_TOL."""
     err = abs(h - h.conj().T).max()
-    if err > tol:
+    if err > HERMITIAN_TOL:
         raise NonHermitianError(f"matrix deviates from Hermitian by {err:g}")
 
 

@@ -6,20 +6,19 @@ A program declares a site layout and named operator definitions::
     Hhop = adag(0) a(1) + adag(1) a(0);
     HI1  = sum j in 0..0 { Z(j) Z(j+1) + 0.8 * X(j+1) };
 
-Juxtaposition is the operator product, ``#`` the tensor product, ``+``/``-``
-linear combination (``A - 0.5 * B`` is a difference), ``dag(...)`` the
-adjoint.  An indexed atom a/adag/I is one node over the declared layout
-that lists the given site, the identity implicit at every other site;
-X/Y/Z expand to their ladder combinations (a^dag + a, i a - i a^dag,
-a^dag a - a a^dag) on two-dimensional sites.  ``sum j in lo..hi { ... }``
-unrolls inclusively with index arithmetic of the form j + constant into
-one n-ary sum, as ``+`` chains and juxtaposition build one n-ary sum and
-product.  Scalar literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``.
-Operands whose site lists disagree raise LayoutError with the definition
-name and the source line and column of the operand.  Every indexed atom
-spans the declared layout, so ``#`` concatenates the layout with itself
-and a program that uses it always fails the definition's layout check
-(CLI exit 3).
+Juxtaposition is the operator product, ``+``/``-`` linear combination
+(``A - 0.5 * B`` is a difference), ``dag(...)`` the adjoint.  An indexed
+atom a/adag/I is one node over the declared layout that lists the given
+site, the identity implicit at every other site; X/Y/Z expand to their
+ladder combinations (a^dag + a, i a - i a^dag, a^dag a - a a^dag) on
+two-dimensional sites.  ``sum j in lo..hi { ... }`` unrolls inclusively
+with index arithmetic of the form j + constant into one n-ary sum, as
+``+`` chains and juxtaposition build one n-ary sum and product.  Scalar
+literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``.  Every node of a
+parsed program spans the declared layout: atoms are built on it, and
+scaling, ``dag``, sums, products and sum loops keep their children's
+layout.  So the parser has no layouts to reconcile, and a program has no
+layout errors.
 
 The parser pays once per token and once per atom.  The tokenizer makes one
 regex match per token, whitespace and comments included; a token keeps its
@@ -36,10 +35,10 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import AmplitudeError, LayoutError, ParseError
+from .errors import AmplitudeError, ParseError
 from .expr import (
     Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, dagger,
-    ham_sum, intern_layout, scale, seq, site_dim, tensor,
+    ham_sum, intern_layout, scale, seq, site_dim,
 )
 
 
@@ -47,9 +46,6 @@ from .expr import (
 class Program:
     layout: SiteList
     defs: dict  # name -> HamExpr, insertion-ordered
-
-    def __post_init__(self):
-        self.layout = intern_layout(self.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +58,7 @@ _TOKEN_RE = re.compile(r"""
       | (?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
       | (?P<int>\d+)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<punct>\.\.|[()=;,+\-*#{}])
+      | (?P<punct>\.\.|[()=;,+\-*{}])
       | (?P<eof>\Z)
       | (?P<bad>[\s\S]+) )                # an unexpected character, to the end
 """, re.VERBOSE)
@@ -102,7 +98,6 @@ class _Parser:
         self.tokens = tokenize(src)
         self.pos = 0
         self.layout: SiteList = ()
-        self.name = ""   # the definition being parsed
 
     # -- token plumbing: a token is (kind, text, offset)
 
@@ -148,15 +143,8 @@ class _Parser:
                                  *self.at(name_tok))
             self.next()
             self.expect("=")
-            self.name = name_tok[1]
-            e = self.expr({})
+            defs[name_tok[1]] = self.expr({})
             self.expect(";")
-            if e.layout is not self.layout:
-                raise LayoutError(
-                    f"definition {self.name!r} does not act on the declared "
-                    "sites", self.name, e.layout, self.layout,
-                    *self.at(name_tok))
-            defs[name_tok[1]] = e
         if not defs:
             self.fail("program has no definitions")
         return Program(self.layout, defs)
@@ -177,8 +165,12 @@ class _Parser:
             m = self.next()
             if m[0] != "int":
                 raise ParseError("expected a site dimension", *self.at(m))
+            dim = self.int_of(m)
+            if dim < 1:
+                raise ParseError("site dimension must be at least 1",
+                                 *self.at(m))
             self.expect(")")
-            return Boson(self.int_of(m))
+            return Boson(dim)
         raise ParseError(f"expected a site type t(m) or F, found {t[1]!r}",
                          *self.at(t))
 
@@ -188,40 +180,19 @@ class _Parser:
             # leading minus on a non-literal term
             self.next()
             negate = True
-        starts = [self.peek()]
         first = self.term(env)
         parts = [scale(-1, first) if negate else first]
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
-            starts.append(self.peek())
             part = self.term(env)
             parts.append(scale(-1, part) if op == "-" else part)
-        return ham_sum(*self._agree("sum", parts, starts))
+        return ham_sum(*parts)
 
     def term(self, env: dict) -> HamExpr:
-        starts = [self.peek()]
-        factors = [self.tensor_factor(env)]
+        factors = [self.factor(env)]
         while self._starts_factor():
-            starts.append(self.peek())
-            factors.append(self.tensor_factor(env))
-        return seq(*self._agree("seq", factors, starts))
-
-    def _agree(self, kind: str, parts, starts):
-        """parts, or LayoutError at the first one whose layout differs."""
-        first = parts[0].layout
-        for part, t in zip(parts, starts):
-            if part.layout is not first:
-                raise LayoutError(
-                    f"{kind} branches act on different site lists",
-                    self.name, first, part.layout, *self.at(t))
-        return parts
-
-    def tensor_factor(self, env: dict) -> HamExpr:
-        parts = [self.factor(env)]
-        while self.peek()[1] == "#":
-            self.next()
-            parts.append(self.factor(env))
-        return tensor(*parts)
+            factors.append(self.factor(env))
+        return seq(*factors)
 
     def _starts_factor(self) -> bool:
         t = self.peek()
@@ -327,8 +298,7 @@ class _Parser:
             self.pos = body_start
             parts.append(self.expr({**env, var[1]: v}))
         self.expect("}")
-        starts = [self.tokens[body_start]] * len(parts)
-        return ham_sum(*self._agree("sum", parts, starts))
+        return ham_sum(*parts)
 
     def index_expr(self, env: dict) -> int:
         value = self.int_value(env)

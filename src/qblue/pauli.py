@@ -55,23 +55,23 @@ class PauliSum:
 
     def __add__(self, other):
         self._check(other)
-        return simplify_terms(self.qubits, list(self.terms) + list(other.terms))
+        return pauli_sum(self.qubits, list(self.terms) + list(other.terms))
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             self._check(other)
             prods = [multiply_terms(t1, t2)
                      for t1 in self.terms for t2 in other.terms]
-            return simplify_terms(self.qubits, prods)
+            return pauli_sum(self.qubits, prods)
         z = complex(other)
-        return simplify_terms(self.qubits, [(z * c, s) for c, s in self.terms])
+        return pauli_sum(self.qubits, [(z * c, s) for c, s in self.terms])
 
     __rmul__ = __mul__
 
     def tensor(self, other: "PauliSum") -> "PauliSum":
         prods = [(c1 * c2, s1 + s2)
                  for c1, s1 in self.terms for c2, s2 in other.terms]
-        return simplify_terms(self.qubits + other.qubits, prods)
+        return pauli_sum(self.qubits + other.qubits, prods)
 
     def _check(self, other):
         if self.qubits != other.qubits:
@@ -84,10 +84,6 @@ class PauliSum:
 
 def pauli_sum(qubits: int, terms) -> PauliSum:
     """Canonicalize a list of (coeff, string) terms."""
-    return simplify_terms(qubits, terms)
-
-
-def simplify_terms(qubits: int, terms) -> PauliSum:
     acc: dict[str, complex] = {}
     for c, s in terms:
         if len(s) != qubits or s.strip(LETTERS):
@@ -143,11 +139,10 @@ def pauli_to_matrix(p: PauliSum) -> np.ndarray:
     return out
 
 
-def pauli_allclose(a: PauliSum, b: PauliSum,
-                   tol: float = COEFF_EQ_TOL) -> bool:
+def pauli_allclose(a: PauliSum, b: PauliSum) -> bool:
     if a.qubits != b.qubits or len(a.terms) != len(b.terms):
         return False
-    return all(sa == sb and abs(ca - cb) <= tol
+    return all(sa == sb and abs(ca - cb) <= COEFF_EQ_TOL
                for (ca, sa), (cb, sb) in zip(a.terms, b.terms))
 
 

@@ -179,12 +179,6 @@ class AnalogSchedule:
     width: int
     assignments: tuple  # tuple[tuple[int, tuple[tuple[str, float], ...]], ...]
 
-    def coefficient(self, pair: int, slot: str) -> float:
-        for p, slots in self.assignments:
-            if p == pair:
-                return dict(slots).get(slot, 0.0)
-        return 0.0
-
 
 def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
     """Assign every term of hs to a matching template slot.
@@ -200,6 +194,8 @@ def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
     width = hs.qubits
     pairs = {j: {slot: 0.0 for slot, _ in spec.templates}
              for j in range(max(width - 1, 0))}
+    # a two-qubit support has no I, so it only matches a pair template
+    slots = {tpl: slot for slot, tpl in spec.templates}
     uncovered = []
     for coeff, string in hs.terms:
         support = [q for q, letter in enumerate(string) if letter != "I"]
@@ -208,17 +204,16 @@ def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
         slot = None
         if len(support) == 2 and support[1] == support[0] + 1:
             j = support[0]
-            pattern = (string[j], string[j + 1])
-            slot = _match_slot(spec, pattern, pair_only=True)
+            slot = slots.get((string[j], string[j + 1]))
         elif len(support) == 1:
             q = support[0]
             letter = string[q]
             # a single-qubit term sits on whichever pair side hosts it
-            if _match_slot(spec, (letter, "I")) and q + 1 < width:
-                j, slot = q, _match_slot(spec, (letter, "I"))
-            elif _match_slot(spec, ("I", letter)) and q - 1 >= 0:
-                j, slot = q - 1, _match_slot(spec, ("I", letter))
-        if slot is None or (len(support) == 2 and support[0] not in pairs):
+            if (letter, "I") in slots and q + 1 < width:
+                j, slot = q, slots[(letter, "I")]
+            elif ("I", letter) in slots and q - 1 >= 0:
+                j, slot = q - 1, slots[("I", letter)]
+        if slot is None:
             uncovered.append((coeff, string))
             continue
         pairs[j][slot] += coeff.real
@@ -230,15 +225,6 @@ def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
         (j, tuple((slot, pairs[j][slot]) for slot, _ in spec.templates))
         for j in sorted(pairs))
     return AnalogSchedule(spec.name, width, assignments)
-
-
-def _match_slot(spec: MachineSpec, pattern, pair_only: bool = False):
-    for slot, tpl in spec.templates:
-        if pair_only and "I" in tpl:
-            continue
-        if tpl == pattern:
-            return slot
-    return None
 
 
 def schedule_to_pauli(schedule: AnalogSchedule, spec: MachineSpec) -> PauliSum:

@@ -339,15 +339,59 @@ def test_failure_exit_codes(argv, source, code, kind, tmp_path, capsys):
     assert json.loads(err)["code"] == kind
 
 
-def test_layout_error_reports_definition_and_position(tmp_path, capsys):
+@pytest.mark.parametrize("source, line, col, message", [
+    # there is no tensor operator: a program has the one declared layout
+    ("sites t(2), t(2);\nH = X(0) +\n  a(0) # a(1);\n", 3, 8,
+     "unexpected character '#'"),
+    ("sites t(0);\nH = a(0);\n", 1, 9, "site dimension must be at least 1"),
+], ids=["hash", "dimension-zero"])
+def test_a_parse_error_reports_its_position(source, line, col, message,
+                                            tmp_path, capsys):
     prog = tmp_path / "h.qb"
-    prog.write_text("sites t(2), t(2);\nH = X(0) +\n  a(0) # a(1);\n")
+    prog.write_text(source)
     code, out, err = run_json(capsys, ["check", str(prog)])
-    assert (code, out) == (3, "")
+    assert (code, out) == (2, "")
     record = json.loads(err)
-    assert record["code"] == "type"
-    assert (record["path"], record["line"], record["col"]) == ("H", 3, 3)
-    assert record["right_sites"] == ["t(2)"] * 4
+    assert (record["code"], record["line"], record["col"]) == ("parse", line,
+                                                               col)
+    assert message in record["message"]
+
+
+@pytest.mark.parametrize("state, line, message", [
+    ("sites: t(2)\n(abc,0) |0>\n", 2, "could not convert"),
+    ("sites: t(0)\n(1,0) |0>\n", 1, "boson dimension must be >= 1"),
+    ("sites: t(2)\n\n(1,0) |0>\n(1,0) |7>\n", 4,
+     "occupation 7 out of range for site t(2)"),
+    ("sites: t(2)\n(1e999,0) |1>\n", 2, "is not finite"),
+    ("sites: t(2)\n(0,nan) |1>\n", 2, "is not finite"),
+    ("sites: t(2)\n(1,0) |0,1>\n", 2, "arity does not match"),
+], ids=["non-numeric-amplitude", "zero-dimension", "occupation-out-of-range",
+        "infinite-amplitude", "nan-amplitude", "occupation-arity"])
+def test_a_malformed_state_is_a_parse_error(state, line, message, tmp_path,
+                                            capsys):
+    prog, st = tmp_path / "h.qb", tmp_path / "in.state"
+    prog.write_text("sites t(2);\nH = adag(0) a(0);\n")
+    st.write_text(state)
+    code, out, err = run_json(capsys, ["eval", str(prog), "--state", str(st)])
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    assert record["code"] == "parse"
+    assert record["message"].startswith(f"line {line}: ")
+    assert message in record["message"]
+
+
+@pytest.mark.parametrize("argv, value", [
+    ("compile {prog} --t {t} --n 1", "nan"),
+    ("compile {prog} --t {t} --n 1", "inf"),
+    ("verify h.circ {prog} --t {t}", "nan"),
+    ("verify h.circ {prog} --t={t}", "-inf"),
+], ids=["compile-nan", "compile-inf", "verify-nan", "verify-minus-inf"])
+def test_a_non_finite_time_is_a_usage_error(argv, value, tmp_path, capsys):
+    prog, _ = spin_program(tmp_path)
+    assert main(["--json", *argv.format(prog=prog, t=value).split()]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --t: invalid finite_float value: {value!r}" in err
 
 
 def test_fit_treats_the_identity_term_as_a_global_phase(tmp_path, capsys):

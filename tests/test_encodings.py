@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.errors import COEFF_EQ_TOL, EncodingError
+from qblue.errors import EncodingError
 from qblue.expr import (
     Atom, Boson, Fermion, annihilate, create, tensor,
 )
@@ -116,4 +116,4 @@ def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
     if exact:
         assert whole == total
     else:
-        assert pauli_allclose(whole, total, COEFF_EQ_TOL)
+        assert pauli_allclose(whole, total)

@@ -130,7 +130,7 @@ def test_fermion_tensor_with_odd_right_operand():
 
 
 def test_tensor_of_sums_general_path():
-    # what `A # B # C` builds when the factors are sums: tensor is linear
+    # tensor(A, B, C) when the factors are sums: tensor is linear
     # in each factor, so the oracle is the product of the factor sums
     layout = (F, T3, F)
     a = ham_sum(create(F), scale(0.5j, annihilate(F)), identity(F, -0.25))

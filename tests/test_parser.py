@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qblue.encodings import encode_for_compile
-from qblue.errors import LayoutError, ParseError
+from qblue.errors import ParseError
 from qblue.expr import (
     Atom, Boson, Flag, Sum, annihilate, create, dagger, desugar_indexed,
     ham_sum, scale, seq,
@@ -135,7 +135,7 @@ def test_round_trip_keeps_literals_dag_and_minus():
 
 
 # ---------------------------------------------------------------------------
-# source positions of parse and layout errors
+# source positions of parse errors
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("source, message, line, col", [
@@ -159,31 +159,17 @@ def test_round_trip_keeps_literals_dag_and_minus():
     ("sites t(2);\nH = a(+);", "expected an index, found '+'", 2, 7),
     ("sites t(2);\nH = sqrt(x) * a(0);", "expected a number inside sqrt",
      2, 10),
-    ("sites t(2), t(2);\nH = a(0) # -(a(0));", "expected a complex literal",
+    ("sites t(2);\nH = 0.5 * -(a(0));", "expected a complex literal", 2, 12),
+    ("sites t(2);\nH = 0.5 * - a(0);", "expected a scalar literal, found 'a'",
      2, 13),
-    ("sites t(2), t(2);\nH = a(0) # - a(0);",
-     "expected a scalar literal, found 'a'", 2, 14),
+    ("sites t(2);\nH = a(0) # a(0);", "unexpected character '#'", 2, 10),
+    ("sites t(2), t(0);", "site dimension must be at least 1", 1, 15),
 ])
 def test_parse_error_positions(source, message, line, col):
     with pytest.raises(ParseError) as err:
         parse(source)
     assert message in str(err.value)
     assert (err.value.line, err.value.col) == (line, col)
-
-
-def test_layout_errors_name_the_definition_and_operand():
-    with pytest.raises(LayoutError) as err:
-        parse("sites t(2);\nH = a(0);\nG = a(0) # a(0) + 0.5 * a(0);\n")
-    assert (err.value.path, err.value.line, err.value.col) == ("G", 3, 19)
-    assert err.value.left == (T2, T2)
-    assert err.value.right == (T2,)
-    with pytest.raises(LayoutError) as err:
-        parse("sites t(2);\nH = (a(0) # a(0)) a(0);\n")
-    assert (err.value.path, err.value.line, err.value.col) == ("H", 2, 19)
-    with pytest.raises(LayoutError) as err:
-        parse("sites t(2);\nH = a(0);\n  G = a(0) # I(0);\n")
-    assert (err.value.path, err.value.line, err.value.col) == ("G", 3, 3)
-    assert (err.value.left, err.value.right) == ((T2, T2), (T2,))
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +190,17 @@ def test_error_positions_under_any_spacing(text, data):
                 if tokens[k - 2] in ("a", "adag", "I", "X", "Y", "Z")
                 and tokens[k - 1] == "(" and tokens[k].isdigit()
                 and tokens[k + 1] == ")"]
-    kinds = ["character", "layout"] + (["index"] if at_index else [])
+    kinds = ["character"] + (["index"] if at_index else [])
     kind = data.draw(st.sampled_from(kinds))
     if kind == "character":
         # a character no token starts with, between two tokens
         k = data.draw(st.integers(0, len(tokens)))
-        tokens.insert(k, data.draw(st.sampled_from("$@?%`!")))
+        tokens.insert(k, data.draw(st.sampled_from("$@?%`!#")))
         marked = k
-    elif kind == "index":
+    else:
         k = data.draw(st.sampled_from(at_index))
         tokens[k] = str(n + data.draw(st.integers(0, 3)))
         marked = k - 2   # the error points at the atom's name
-    else:
-        # a last term on twice the layout ends the first definition
-        k = tokens.index(";", tokens.index(";") + 1)
-        tokens[k:k] = "+ I ( 0 ) # I ( 0 )".split()
-        marked = k + 1
     pieces = [data.draw(st.sampled_from(["", *SEPARATORS]))]
     for token in tokens:
         pieces += [token, data.draw(st.sampled_from(SEPARATORS))]
@@ -231,16 +212,13 @@ def test_error_positions_under_any_spacing(text, data):
             col = len(piece) - piece.rfind("\n")
         else:
             col += len(piece)
-    error = LayoutError if kind == "layout" else ParseError
-    with pytest.raises(error) as err:
+    with pytest.raises(ParseError) as err:
         parse("".join(pieces))
     assert (err.value.line, err.value.col) == (line, col)
     if kind == "character":
         assert f"unexpected character {tokens[marked]!r}" in str(err.value)
-    elif kind == "index":
-        assert f"out of range for {n} sites" in str(err.value)
     else:
-        assert err.value.path == "H0"
+        assert f"out of range for {n} sites" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

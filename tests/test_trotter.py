@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from qblue.circuit import Circuit
 from qblue.encodings import encode_for_compile
+from qblue.errors import FitError
 from qblue.expr import LadderKind
 from qblue.parser import parse
 from qblue.pauli import PauliSum, identity_sum, pauli_allclose, pauli_sum
@@ -161,6 +162,15 @@ def test_fitted_schedule_realizes_the_spin_chain(bonds):
     e = parse(f"sites {', '.join(['t(2)'] * n)};\nH = {body};").defs["H"]
     hs, _ = encode_for_compile(canonicalize(e))
     assert pauli_allclose(schedule_to_pauli(fit_machine(hs, IBM), IBM), hs)
+
+
+def test_fit_leaves_a_lone_letter_without_its_side_uncovered():
+    # Z sits on the left of a pair and X on the right, so a lone Z on the
+    # last qubit and a lone X on qubit 0 have no template
+    hs = pauli_sum(3, [(0.5, "IIZ"), (0.25, "XII"), (1.0, "ZXI")])
+    with pytest.raises(FitError) as err:
+        fit_machine(hs, IBM)
+    assert err.value.uncovered == ((0.5, "IIZ"), (0.25, "XII"))
 
 
 def test_fit_leaves_the_identity_term_out():
