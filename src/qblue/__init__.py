@@ -7,32 +7,28 @@ from .errors import (
 )
 from .expr import (
     Atom, Boson, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, Sum,
-    annihilate, create, dagger, desugar_indexed, ham_sum, identity,
-    identity_chain, scale, seq, site_dim, tensor, total_dim,
+    annihilate, create, dagger, ham_sum, identity, scale, seq, site_dim,
+    tensor, total_dim,
 )
 from .typecheck import (
-    CanonicalForm, CanonicalTerm, adjoint, canonical_allclose,
-    canonical_to_expr, canonicalize, hermiticity_report, is_hermitian,
-    typecheck,
+    CanonicalForm, CanonicalTerm, adjoint, canonical_allclose, canonicalize,
+    hermiticity_report, is_hermitian, typecheck,
 )
 from .fock import (
-    FockState, Ket, apply, apply_single, basis_ket, expectation,
-    format_state, inner_product, make_state, normalize, parse_state,
+    FockState, Ket, apply, apply_single, format_state, make_state, parse_state,
 )
-from .pauli import (
-    PauliSum, is_hermitian_pauli, pauli_allclose, pauli_sum, pauli_to_matrix,
-)
+from .pauli import PauliSum, is_hermitian_pauli, pauli_sum, pauli_to_matrix
 from .encodings import EncodingReport, encode_for_compile
 from .linalg import (
     GroundResult, expr_to_matrix, ground_energy, matrix_exp_sim,
-    phase_aligned_distance, state_to_vector, vector_to_state,
+    phase_aligned_distance, vector_to_state,
 )
 from .circuit import Circuit, Gate, circuit_to_matrix, format_circuit, parse_circuit
 from .trotter import (
     IBM, AnalogSchedule, MachineSpec, TrotterPlan, compile_digital,
-    encode_hermitian, fit_machine, plan_to_circuit, schedule_to_pauli,
-    synthesize_term, trotterize, verify_circuit,
+    encode_hermitian, fit_machine, plan_to_circuit, synthesize_term,
+    trotterize, verify_circuit,
 )
-from .parser import Program, format_expr, format_program, parse
+from .parser import Program, parse
 
 __version__ = "0.1.0"

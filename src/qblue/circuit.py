@@ -81,12 +81,6 @@ class Circuit:
             raise ValueError(
                 f"gate {i} ({g}) out of range for width {self.width}")
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.width != other.width:
-            raise ValueError("cannot concatenate circuits of different widths")
-        return Circuit(self.width, self.gates + other.gates,
-                       self.global_phase + other.global_phase)
-
     def __len__(self):
         return len(self.gates)
 

@@ -37,7 +37,7 @@ from . import linalg, trotter
 from .circuit import format_circuit, parse_circuit
 from .errors import (
     CompileError, DimensionCapError, EncodingError, LayoutError,
-    NonHermitianError, ParseError, QBlueError, StateFormatError,
+    NonHermitianError, ParseError, QBlueError,
 )
 from .expr import Flag, OpType
 from .fock import apply, format_state, parse_state
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"qblue: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, StateFormatError) as exc:
+    except ParseError as exc:
         _diagnostic(args, "parse", exc)
         return EXIT_PARSE
     except (LayoutError, NonHermitianError) as exc:

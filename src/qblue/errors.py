@@ -11,7 +11,6 @@ QUBIT_CAP = DIM_CAP.bit_length() - 1
 COEFF_EQ_TOL = 1e-12      # coefficients and amplitudes compared as equal
 ZERO_TOL = 1e-14          # term, Pauli coefficient or ket amplitude as zero
 HERMITIAN_TOL = 1e-10     # max-norm ||M - M^dag|| of a Hermitian matrix
-EXPECTATION_IM_TOL = 1e-10  # imaginary residue of <s|H|s>
 
 
 class QBlueError(Exception):
@@ -77,5 +76,6 @@ class ParseError(QBlueError):
         super().__init__(f"{message} (line {line}, column {col})")
 
 
-class StateFormatError(QBlueError):
-    """Malformed state-literal text."""
+class StateFormatError(ParseError):
+    """Malformed state-literal text, at the line and column of the bad
+    field."""

@@ -95,9 +95,6 @@ class Flag(Enum):
     H = "h"
     P = "p"
 
-    def join(self, other: "Flag") -> "Flag":
-        return Flag.H if self is Flag.H and other is Flag.H else Flag.P
-
 
 @dataclass(frozen=True)
 class OpType:
@@ -199,11 +196,6 @@ def identity(site: SiteType, amp: complex = 1.0) -> Atom:
     return Atom((site,), (), amp)
 
 
-def identity_chain(layout: SiteList) -> Atom:
-    """The identity on a whole layout: one atom that lists no site."""
-    return Atom(layout)
-
-
 def dagger(e: HamExpr) -> HamExpr:
     """The adjoint tree: the matrix adjoint of e, built from its nodes.
 
@@ -292,17 +284,6 @@ def seq(*es: HamExpr) -> HamExpr:
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
-
-def desugar_indexed(op: Atom, j: int, layout: SiteList) -> Atom:
-    """Place a single-site atom at position j of a layout: one atom that
-    lists site j only, the identity implicit everywhere else."""
-    if not 0 <= j < len(layout):
-        raise IndexError(f"site index {j} out of range for {len(layout)} sites")
-    if op.layout != (layout[j],):
-        raise LayoutError(f"indexed operator must act on the site layout[{j}]",
-                          "root", op.layout, (layout[j],))
-    return Atom(layout, tuple((j, kind) for _, kind in op.ops), op.amp)
-
 
 def scale(z: complex, e: HamExpr) -> HamExpr:
     """Multiply an expression by a scalar, folding it into atom amplitudes.

@@ -12,16 +12,12 @@ fermionic sites to its left) in the current occupation.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import (
-    EXPECTATION_IM_TOL, ZERO_TOL, LayoutError, NonHermitianError,
-    StateFormatError,
-)
+from .errors import ZERO_TOL, LayoutError, StateFormatError
 from .expr import (
     Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, site_dim,
 )
@@ -51,9 +47,6 @@ class FockState:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(k.amp) ** 2 for k in self.terms))
-
 
 def make_state(layout: SiteList, kets) -> FockState:
     """Build a canonical state, validating occupations against the layout."""
@@ -65,10 +58,6 @@ def make_state(layout: SiteList, kets) -> FockState:
     terms = tuple(Ket(acc[occ], occ) for occ in sorted(acc)
                   if abs(acc[occ]) > ZERO_TOL)
     return FockState(tuple(layout), terms)
-
-
-def basis_ket(layout: SiteList, occ, amp: complex = 1.0) -> FockState:
-    return make_state(layout, [(amp, tuple(occ))])
 
 
 def _check_occ(layout, occ):
@@ -149,47 +138,6 @@ def _factors(e: HamExpr) -> list:
 
 
 # ---------------------------------------------------------------------------
-# State arithmetic
-# ---------------------------------------------------------------------------
-
-def normalize(s: FockState) -> FockState:
-    """Scale so the 2-norm is 1; the zero state has no normalization."""
-    n = s.norm()
-    if n == 0:
-        raise ValueError("cannot normalize the zero state")
-    return FockState(s.layout,
-                     tuple(Ket(k.amp / n, k.occ) for k in s.terms))
-
-
-def inner_product(s1: FockState, s2: FockState) -> complex:
-    """<s1|s2> = sum conj(amp1) * amp2 over matching occupation vectors."""
-    if s1.layout != s2.layout:
-        raise LayoutError("states have different layouts", "inner_product",
-                          s1.layout, s2.layout)
-    amps = {k.occ: k.amp for k in s1.terms}
-    out = 0j
-    for k in s2.terms:
-        if k.occ in amps:
-            out += amps[k.occ].conjugate() * k.amp
-    return out
-
-
-def expectation(e: HamExpr, s: FockState) -> float:
-    """<s|e|s> / ||s||^2 for a Hermitian operator; returns the real part."""
-    from .typecheck import Flag, typecheck
-    if s.is_zero:
-        raise ValueError("expectation value of the zero state is undefined")
-    ty = typecheck(e)
-    if ty.flag is not Flag.H:
-        raise NonHermitianError(
-            "expectation requires a Hermitian operator (flag h), got flag p")
-    val = inner_product(s, apply(e, s)) / (s.norm() ** 2)
-    if not abs(val.imag) < EXPECTATION_IM_TOL:
-        raise ValueError(f"imaginary residue {val.imag} in expectation")
-    return val.real
-
-
-# ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 # Layout header then one ket per line:
@@ -201,45 +149,80 @@ _KET_RE = re.compile(
     r"^\s*\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)\s*\|([0-9,\s]*)[>⟩]\s*$")
 
 
-def parse_sites(text: str) -> SiteList:
-    sites = []
-    for part in text.split(","):
-        m = _SITE_RE.match(part)
-        if not m:
-            raise StateFormatError(f"bad site type {part.strip()!r}")
-        sites.append(Fermion() if m.group(1) == "F" else Boson(int(m.group(2))))
-    return tuple(sites)
-
-
 def format_sites(layout: SiteList) -> str:
     return ", ".join(str(s) for s in layout)
 
 
 def parse_state(text: str) -> FockState:
-    """The state of text.  A malformed line is a StateFormatError that names
-    it: a bad header or ket, a site type other than F or t(m >= 1), an
-    amplitude that is not a finite number, or an occupation vector of the
-    wrong length or out of range."""
+    """The state of text.  A malformed line raises StateFormatError at its
+    line and the 1-based column of the bad field: a header other than
+    ``sites:`` and site types F or t(m >= 1), a line that is no ket, an
+    amplitude part that is not a finite number, or an occupation vector of
+    the wrong length or out of range."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or not lines[0][1].strip().startswith("sites:"):
-        raise StateFormatError("state text must start with a 'sites:' header")
-    n, header = lines[0]
+    n, header = lines[0] if lines else (1, "")
+    if not header.lstrip().startswith("sites:"):
+        raise StateFormatError("state text must start with a 'sites:' header",
+                               n, _column(header, 0))
+    layout = _parse_sites(n, header)
+    return make_state(layout,
+                      [_parse_ket(n, ln, layout) for n, ln in lines[1:]])
+
+
+def _parse_sites(n: int, header: str) -> SiteList:
+    """The site types that header line n lists after its 'sites:'."""
+    sites = []
+    start = header.index(":") + 1
+    for part in header[start:].split(","):
+        sites.append(_at(n, _column(header, start), _site, part))
+        start += len(part) + 1
+    return tuple(sites)
+
+
+def _site(text: str):
+    """The site type F or t(m) that text names."""
+    m = _SITE_RE.match(text)
+    if not m:
+        raise ValueError(f"bad site type {text.strip()!r}")
+    return Fermion() if m[1] == "F" else Boson(int(m[2]))
+
+
+def _parse_ket(n: int, line: str, layout: SiteList) -> tuple:
+    """(amplitude, occupations) of ket line n."""
+    m = _KET_RE.match(line)
+    if not m:
+        raise StateFormatError(f"bad ket line {line.strip()!r}", n,
+                               _column(line, 0))
+    amp = complex(*(_at(n, m.start(g) + 1, _finite, m[g]) for g in (1, 2)))
+    col = m.start(3) + 1
+    occ = (tuple(_at(n, col, int, x) for x in m[3].split(","))
+           if m[3].strip() else ())
+    _at(n, col, _check_occ, layout, occ)
+    return amp, occ
+
+
+def _finite(text: str) -> float:
+    """The finite float that text names."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"amplitude part {text} is not finite")
+    return value
+
+
+def _column(line: str, offset: int) -> int:
+    """The 1-based column of the first non-blank character of line at or
+    after offset; one past the end when there is none."""
+    rest = line[offset:]
+    return offset + len(rest) - len(rest.lstrip()) + 1
+
+
+def _at(n: int, col: int, convert, *args):
+    """convert(*args), a ValueError or LayoutError it raises reported as a
+    StateFormatError at line n, column col."""
     try:
-        layout = parse_sites(header.split(":", 1)[1])
-        kets = []
-        for n, ln in lines[1:]:
-            m = _KET_RE.match(ln)
-            if not m:
-                raise StateFormatError(f"bad ket line {ln.strip()!r}")
-            amp = complex(float(m.group(1)), float(m.group(2)))
-            if not cmath.isfinite(amp):
-                raise StateFormatError(f"amplitude {amp} is not finite")
-            occ = tuple(int(x) for x in m.group(3).split(",")) if m.group(3).strip() else ()
-            _check_occ(layout, occ)
-            kets.append((amp, occ))
-    except (StateFormatError, LayoutError, ValueError) as exc:
-        raise StateFormatError(f"line {n}: {exc}") from None
-    return make_state(layout, kets)
+        return convert(*args)
+    except (ValueError, LayoutError) as exc:
+        raise StateFormatError(str(exc), n, col) from None
 
 
 def format_state(s: FockState) -> str:

@@ -37,9 +37,10 @@ from .errors import (
     DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
 )
 from .expr import (
-    Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, site_dim,
+    Atom, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, site_dim,
     total_dim,
 )
+from .fock import FockState, make_state
 
 
 def expr_to_matrix(e: HamExpr) -> np.ndarray:
@@ -157,22 +158,9 @@ def _ladder_values(d: int, step: int) -> np.ndarray:
     return np.where((out >= 0) & (out < d), np.sqrt(np.maximum(occ, out)), 0)
 
 
-def state_to_vector(s) -> np.ndarray:
-    """Column vector of a FockState in the row-major occupation basis."""
-    dims = [site_dim(site) for site in s.layout]
-    v = np.zeros(int(np.prod(dims)) if dims else 1, dtype=complex)
-    for ket in s.terms:
-        idx = 0
-        for k, d in zip(ket.occ, dims):
-            idx = idx * d + k
-        v[idx] += ket.amp
-    return v
-
-
-def vector_to_state(v: np.ndarray, layout: SiteList):
-    """FockState of the entries of v above ZERO_TOL, in the basis of
-    ``state_to_vector``."""
-    from .fock import make_state
+def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:
+    """FockState of the entries of v above ZERO_TOL, in the row-major
+    occupation basis of ``expr_to_matrix``."""
     dims = [site_dim(site) for site in layout]
     idx = np.flatnonzero(abs(v) > ZERO_TOL)
     occs = zip(*np.unravel_index(idx, dims)) if dims else [()] * idx.size
@@ -224,11 +212,12 @@ LANCZOS_MIN_DIM = 256
 @dataclass(frozen=True)
 class GroundResult:
     energy: float
-    state: object  # FockState
+    state: FockState
 
 
-def ground_energy(h, layout: SiteList = None) -> GroundResult:
-    """Minimum eigenvalue and a normalized eigenvector in ket form.
+def ground_energy(h, layout: SiteList) -> GroundResult:
+    """Minimum eigenvalue and a normalized eigenvector, as a state on
+    layout, whose dimension is that of h.
 
     h is a dense or a scipy.sparse matrix; both take the same path for a
     given dimension.  Below LANCZOS_MIN_DIM a dense eigh diagonalizes it.
@@ -244,8 +233,6 @@ def ground_energy(h, layout: SiteList = None) -> GroundResult:
     if n > DIM_CAP:
         raise DimensionCapError(f"dimension {n} exceeds cap {DIM_CAP}")
     check_hermitian(h)
-    if layout is None:
-        layout = (Boson(n),)
     if total_dim(layout) != n:
         raise ValueError("layout dimension does not match the matrix")
     if not h.data.imag.any():

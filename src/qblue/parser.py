@@ -372,58 +372,3 @@ class _Parser:
 def parse(source: str) -> Program:
     """Parse a program; raises ParseError with line/column on bad syntax."""
     return _Parser(source).program()
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer (indexed form)
-# ---------------------------------------------------------------------------
-
-def format_program(p: Program) -> str:
-    from .fock import format_sites
-    lines = [f"sites {format_sites(p.layout)};"]
-    for name, e in p.defs.items():
-        lines.append(f"{name} = {format_expr(e)};")
-    return "\n".join(lines) + "\n"
-
-
-def format_expr(e: HamExpr) -> str:
-    """Render in re-parseable indexed form.
-
-    Covers everything the surface syntax itself produces: atoms that list
-    at most one site, combined by n-ary sums and products (``dag`` builds
-    such a tree too).  A tensor product builds one, on the wider layout,
-    unless it joins atoms into one atom that lists several sites.  Raises
-    ValueError for atoms that list several sites, which have no indexed
-    rendering.
-    """
-    parts = e.children if isinstance(e, Sum) else (e,)
-    return " + ".join(_format_term(p) for p in parts)
-
-
-def _format_term(e: HamExpr) -> str:
-    factors = e.children if isinstance(e, Seq) else (e,)
-    return " ".join(_format_factor(f) for f in factors)
-
-
-def _format_factor(e: HamExpr) -> str:
-    if isinstance(e, Sum):
-        return f"({format_expr(e)})"
-    if isinstance(e, Seq):
-        return f"({_format_term(e)})"
-    if not isinstance(e, Atom) or len(e.ops) > 1:
-        raise ValueError(f"expression has no indexed rendering: {e!r}")
-    atom = "I(0)"
-    if e.ops:
-        j, kind = e.ops[0]
-        atom = f"{'adag' if kind is LadderKind.CREATE else 'a'}({j})"
-    if e.amp == 1:
-        return atom
-    return f"({_format_literal(e.amp)} * {atom})"
-
-
-def _format_literal(z: complex) -> str:
-    if z.imag == 0:
-        return repr(z.real)
-    if z.real == 0:
-        return f"{z.imag!r}i"
-    return f"({z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i)"

@@ -53,33 +53,14 @@ class PauliSum:
     qubits: int
     terms: tuple  # tuple[tuple[complex, str], ...]
 
-    def __add__(self, other):
-        self._check(other)
-        return pauli_sum(self.qubits, list(self.terms) + list(other.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, PauliSum):
-            self._check(other)
-            prods = [multiply_terms(t1, t2)
-                     for t1 in self.terms for t2 in other.terms]
-            return pauli_sum(self.qubits, prods)
-        z = complex(other)
-        return pauli_sum(self.qubits, [(z * c, s) for c, s in self.terms])
-
-    __rmul__ = __mul__
-
-    def tensor(self, other: "PauliSum") -> "PauliSum":
-        prods = [(c1 * c2, s1 + s2)
-                 for c1, s1 in self.terms for c2, s2 in other.terms]
-        return pauli_sum(self.qubits + other.qubits, prods)
-
-    def _check(self, other):
+    def __mul__(self, other: "PauliSum") -> "PauliSum":
+        """The operator product: self applies after other."""
         if self.qubits != other.qubits:
             raise ValueError(
                 f"qubit counts differ: {self.qubits} vs {other.qubits}")
-
-    def __str__(self):
-        return format_pauli(self)
+        prods = [multiply_terms(t1, t2)
+                 for t1 in self.terms for t2 in other.terms]
+        return pauli_sum(self.qubits, prods)
 
 
 def pauli_sum(qubits: int, terms) -> PauliSum:
@@ -94,8 +75,8 @@ def pauli_sum(qubits: int, terms) -> PauliSum:
     return PauliSum(qubits, out)
 
 
-def identity_sum(qubits: int, coeff=1.0) -> PauliSum:
-    return PauliSum(qubits, ((complex(coeff), "I" * qubits),))
+def identity_sum(qubits: int) -> PauliSum:
+    return PauliSum(qubits, ((1 + 0j, "I" * qubits),))
 
 
 def is_hermitian_pauli(p: PauliSum) -> bool:
@@ -137,22 +118,3 @@ def pauli_to_matrix(p: PauliSum) -> np.ndarray:
         phase = c * _I_POWERS[s.count("Y") % 4]
         out[cols ^ x, cols] += phase * (1 - 2 * _parity(cols & z, p.qubits))
     return out
-
-
-def pauli_allclose(a: PauliSum, b: PauliSum) -> bool:
-    if a.qubits != b.qubits or len(a.terms) != len(b.terms):
-        return False
-    return all(sa == sb and abs(ca - cb) <= COEFF_EQ_TOL
-               for (ca, sa), (cb, sb) in zip(a.terms, b.terms))
-
-
-# ---------------------------------------------------------------------------
-# Text format: one term per line, e.g. "(+0.125000000000+0.000000000000i) XXYY"
-# ---------------------------------------------------------------------------
-
-def format_pauli(p: PauliSum) -> str:
-    if not p.terms:
-        return f"(+0.000000000000+0.000000000000i) {'I' * max(p.qubits, 1)}\n"
-    lines = [f"({c.real:+.12f}{c.imag:+.12f}i) {s}" for c, s in p.terms]
-    return "\n".join(lines) + "\n"
-

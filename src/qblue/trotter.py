@@ -14,6 +14,7 @@ from .circuit import Circuit, Gate, circuit_to_matrix
 from .errors import CompileError, FitError, NonHermitianError
 from .encodings import encode_for_compile
 from .expr import HamExpr
+from .linalg import matrix_exp_sim, phase_aligned_distance
 from .pauli import PauliSum, is_hermitian_pauli, pauli_to_matrix
 from .typecheck import hermiticity_report
 
@@ -141,7 +142,6 @@ def compile_digital(e: HamExpr, t: float, n: int):
 
 def verify_circuit(circuit: Circuit, hs: PauliSum, t: float) -> float:
     """Global-phase-minimized max-norm distance from e^{-i hs t}."""
-    from .linalg import matrix_exp_sim, phase_aligned_distance
     exact = matrix_exp_sim(pauli_to_matrix(hs), t)
     return phase_aligned_distance(circuit_to_matrix(circuit), exact)
 
@@ -225,25 +225,6 @@ def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
         (j, tuple((slot, pairs[j][slot]) for slot, _ in spec.templates))
         for j in sorted(pairs))
     return AnalogSchedule(spec.name, width, assignments)
-
-
-def schedule_to_pauli(schedule: AnalogSchedule, spec: MachineSpec) -> PauliSum:
-    """Reconstruct the Pauli sum a schedule realizes (soundness check)."""
-    from .pauli import pauli_sum
-    terms = []
-    patterns = dict(spec.templates)
-    for j, slots in schedule.assignments:
-        for slot, coeff in slots:
-            if coeff == 0.0:
-                continue
-            left, right = patterns[slot]
-            string = ["I"] * schedule.width
-            if left != "I":
-                string[j] = left
-            if right != "I":
-                string[j + 1] = right
-            terms.append((coeff, "".join(string)))
-    return pauli_sum(schedule.width, terms)
 
 
 def format_schedule(schedule: AnalogSchedule) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import COEFF_EQ_TOL, ZERO_TOL
 from .expr import (
     Atom, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList, Sum,
-    ham_sum, scale, seq, site_dim,
+    site_dim,
 )
 
 
@@ -141,35 +141,14 @@ def _key_to_factors(key):
     return tuple((s, tuple(monomial)) for s, monomial in factors)
 
 
-def canonical_allclose(a: CanonicalForm, b: CanonicalForm,
-                       tol: float = COEFF_EQ_TOL) -> bool:
+def canonical_allclose(a: CanonicalForm, b: CanonicalForm) -> bool:
+    """Equal layouts and factors, and coefficients within COEFF_EQ_TOL."""
     if a.layout != b.layout or len(a.terms) != len(b.terms):
         return False
     for ta, tb in zip(a.terms, b.terms):
-        if ta.factors != tb.factors or abs(ta.coeff - tb.coeff) > tol:
+        if ta.factors != tb.factors or abs(ta.coeff - tb.coeff) > COEFF_EQ_TOL:
             return False
     return True
-
-
-def canonical_to_expr(form: CanonicalForm) -> HamExpr:
-    """Rebuild an expression with the same operator meaning as the form.
-
-    Each term becomes its coefficient times a product of indexed atoms, one
-    per ladder operator, applied site-ascending (the first operator of
-    site 0's monomial first), which is the order the coefficients were
-    normalized against.  A term without operators is the identity atom.
-    """
-    layout = form.layout
-    if not form.terms:
-        return Atom(layout, (), 0.0)
-    parts = []
-    for term in form.terms:
-        layers = [Atom(layout, ((s, kind),)) for s, monomial in term.factors
-                  for kind in monomial]
-        # seq lists the last-applied factor first
-        body = seq(*reversed(layers)) if layers else Atom(layout)
-        parts.append(scale(term.coeff, body))
-    return ham_sum(*parts)
 
 
 # ---------------------------------------------------------------------------

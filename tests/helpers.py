@@ -1,0 +1,33 @@
+"""Small conversions that several test modules check the library through.
+
+Unlike ``oracle``, these call the library: a basis state is built with
+``make_state``, and Pauli sums compare term by term.
+"""
+
+import numpy as np
+
+from qblue.errors import COEFF_EQ_TOL
+from qblue.expr import site_dim
+from qblue.fock import make_state
+
+
+def basis_ket(layout, occ):
+    """The state |occ> on layout."""
+    return make_state(layout, [(1.0, tuple(occ))])
+
+
+def state_to_vector(s):
+    """Column vector of a FockState in the row-major occupation basis, the
+    basis of ``expr_to_matrix``."""
+    dims = [site_dim(site) for site in s.layout]
+    v = np.zeros(int(np.prod(dims)), dtype=complex)
+    for ket in s.terms:
+        v[np.ravel_multi_index(ket.occ, dims)] += ket.amp
+    return v
+
+
+def pauli_allclose(a, b):
+    """Same width and strings, coefficients within COEFF_EQ_TOL."""
+    return (a.qubits == b.qubits and len(a.terms) == len(b.terms)
+            and all(sa == sb and abs(ca - cb) <= COEFF_EQ_TOL
+                    for (ca, sa), (cb, sb) in zip(a.terms, b.terms)))

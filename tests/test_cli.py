@@ -357,26 +357,27 @@ def test_a_parse_error_reports_its_position(source, line, col, message,
     assert message in record["message"]
 
 
-@pytest.mark.parametrize("state, line, message", [
-    ("sites: t(2)\n(abc,0) |0>\n", 2, "could not convert"),
-    ("sites: t(0)\n(1,0) |0>\n", 1, "boson dimension must be >= 1"),
-    ("sites: t(2)\n\n(1,0) |0>\n(1,0) |7>\n", 4,
+@pytest.mark.parametrize("state, line, col, message", [
+    ("sites: t(2)\n(abc,0) |0>\n", 2, 2, "could not convert"),
+    ("sites: t(0)\n(1,0) |0>\n", 1, 8, "boson dimension must be >= 1"),
+    ("sites: t(2)\n\n(1,0) |0>\n(1,0) |7>\n", 4, 8,
      "occupation 7 out of range for site t(2)"),
-    ("sites: t(2)\n(1e999,0) |1>\n", 2, "is not finite"),
-    ("sites: t(2)\n(0,nan) |1>\n", 2, "is not finite"),
-    ("sites: t(2)\n(1,0) |0,1>\n", 2, "arity does not match"),
+    ("sites: t(2)\n(1e999,0) |1>\n", 2, 2, "is not finite"),
+    ("sites: t(2)\n(0,nan) |1>\n", 2, 4, "is not finite"),
+    ("sites: t(2)\n(1,0) |0,1>\n", 2, 8, "arity does not match"),
 ], ids=["non-numeric-amplitude", "zero-dimension", "occupation-out-of-range",
         "infinite-amplitude", "nan-amplitude", "occupation-arity"])
-def test_a_malformed_state_is_a_parse_error(state, line, message, tmp_path,
-                                            capsys):
+def test_a_malformed_state_is_a_parse_error(state, line, col, message,
+                                            tmp_path, capsys):
     prog, st = tmp_path / "h.qb", tmp_path / "in.state"
     prog.write_text("sites t(2);\nH = adag(0) a(0);\n")
     st.write_text(state)
     code, out, err = run_json(capsys, ["eval", str(prog), "--state", str(st)])
     assert (code, out) == (2, "")
     record = json.loads(err)
-    assert record["code"] == "parse"
-    assert record["message"].startswith(f"line {line}: ")
+    assert (record["code"], record["line"], record["col"]) == ("parse", line,
+                                                               col)
+    assert record["message"].endswith(f" (line {line}, column {col})")
     assert message in record["message"]
 
 

@@ -11,10 +11,11 @@ from qblue.expr import (
 from qblue.encodings import encode_for_compile
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
-from qblue.pauli import PauliSum, pauli_allclose, pauli_to_matrix
+from qblue.pauli import PauliSum, pauli_sum, pauli_to_matrix
 from qblue.typecheck import CanonicalForm, canonicalize
 
 import oracle
+from helpers import pauli_allclose
 from strategies import well_formed
 
 T2 = Boson(2)
@@ -110,8 +111,8 @@ def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
     assert report.truncation == level
     total = PauliSum(whole.qubits, ())
     for term in form.terms:
-        total = total + encode_for_compile(
-            CanonicalForm(form.layout, (term,)))[0]
+        one = encode_for_compile(CanonicalForm(form.layout, (term,)))[0]
+        total = pauli_sum(total.qubits, total.terms + one.terms)
     assert len(whole.terms) > len(form.terms)
     if exact:
         assert whole == total

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given
 
-from qblue.errors import LayoutError
+from qblue.errors import LayoutError, ParseError
 from qblue.expr import (
     Atom, Boson, Fermion, LadderKind, Seq, Sum, annihilate, create, dagger,
-    desugar_indexed, ham_sum, identity, scale, seq, site_dim, tensor,
-    total_dim,
+    ham_sum, identity, scale, seq, site_dim, tensor, total_dim,
 )
+from qblue.parser import parse
 
 from strategies import graded_trees
 
@@ -40,8 +40,8 @@ def test_site_layout_of_leaves_and_tensor():
 
 def test_site_layout_of_seq_over_padded_ops():
     layout = (T2, T2)
-    e = seq(desugar_indexed(create(T2), 0, layout),
-            desugar_indexed(annihilate(T2), 1, layout))
+    e = seq(Atom(layout, ((0, LadderKind.CREATE),)),
+            Atom(layout, ((1, LadderKind.ANNIHILATE),)))
     assert e.layout == layout
 
 
@@ -60,37 +60,45 @@ def test_site_layout_mismatch_raises_with_path():
             f"{kind} branches act on different site lists")
 
 
+# an indexed atom of the surface syntax, such as a(j), desugars to one atom
+# on the declared layout that lists site j only
+
+def indexed(sites, atom):
+    return parse(f"sites {sites};\nH = {atom};\n").defs["H"]
+
+
 def test_desugar_indexed_is_one_sparse_atom():
-    got = desugar_indexed(create(T2), 0, (T2, T2))
+    got = indexed("t(2), t(2)", "adag(0)")
     assert got == Atom((T2, T2), ((0, LadderKind.CREATE),))
     # the tensor product of the single-site atoms is the same one atom
     assert got == tensor(create(T2), identity(T2))
 
 
 def test_desugar_indexed_single_site_is_bare():
-    assert desugar_indexed(annihilate(T2), 0, (T2,)) == annihilate(T2)
+    assert indexed("t(2)", "a(0)") == annihilate(T2)
 
 
 def test_desugar_indexed_middle_position():
-    got = desugar_indexed(annihilate(T4), 1, (T4, T4, T4))
+    got = indexed("t(4), t(4), t(4)", "a(1)")
     assert got == tensor(identity(T4), annihilate(T4), identity(T4))
     assert got.ops == ((1, LadderKind.ANNIHILATE),)
     assert got.layout == (T4, T4, T4)
 
 
 def test_desugar_indexed_rejects_bad_index_and_site():
-    with pytest.raises(IndexError):
-        desugar_indexed(create(T2), 2, (T2, T2))
-    with pytest.raises(LayoutError):
-        desugar_indexed(create(T4), 0, (T2, T2))
+    with pytest.raises(ParseError, match="site index 2 out of range"):
+        indexed("t(2), t(2)", "adag(2)")
+    with pytest.raises(ParseError, match="needs a two-dimensional site"):
+        indexed("t(4), t(2)", "X(0)")
 
 
 def test_desugar_layout_roundtrip_property():
-    layouts = [(T2,), (T2, T4), (F, F, T2), (T4, T4, T4, T2)]
-    for layout in layouts:
-        for j, site in enumerate(layout):
-            e = desugar_indexed(create(site), j, layout)
-            assert e.layout == layout
+    layouts = ["t(2)", "t(2), t(4)", "F, F, t(2)", "t(4), t(4), t(4), t(2)"]
+    for sites in layouts:
+        program = parse(f"sites {sites};\n" + "".join(
+            f"H{j} = adag({j});\n" for j in range(sites.count(",") + 1)))
+        for e in program.defs.values():
+            assert e.layout is program.layout
 
 
 def test_scale_distributes_over_sum():
@@ -149,8 +157,8 @@ def test_tensor_sum_and_seq_flatten_to_one_nary_node():
 
 def test_layouts_are_interned_and_stored_at_build():
     layout = (T2, F)
-    e = ham_sum(desugar_indexed(create(T2), 0, layout),
-                desugar_indexed(annihilate(F), 1, list(layout)))
+    e = ham_sum(Atom(layout, ((0, LadderKind.CREATE),)),
+                Atom(list(layout), ((1, LadderKind.ANNIHILATE),)))
     assert e.layout is e.children[0].layout is e.children[1].layout
     x = ham_sum(create(T2), annihilate(T2))
     assert tensor(x, create(F)).layout is e.layout

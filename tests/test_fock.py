@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.errors import LayoutError, NonHermitianError, StateFormatError
+from qblue.errors import LayoutError, StateFormatError
 from qblue.expr import (
-    Boson, Fermion, LadderKind, Seq, annihilate, create, dagger,
-    desugar_indexed, ham_sum, identity, identity_chain, scale, seq, site_dim,
-    tensor,
+    Atom, Boson, Fermion, LadderKind, Seq, annihilate, create, dagger,
+    ham_sum, identity, scale, seq, site_dim, tensor,
 )
 from qblue.fock import (
-    apply, apply_single, basis_ket, expectation, format_state,
-    inner_product, make_state, normalize, parse_state,
+    apply, apply_single, format_state, make_state, parse_state,
 )
-from qblue.linalg import expr_to_matrix, state_to_vector
+from qblue.linalg import expr_to_matrix
 
 import oracle
+from helpers import basis_ket, state_to_vector
 from strategies import graded_trees, well_formed
 
 T2 = Boson(2)
@@ -130,10 +129,10 @@ def test_apply_agrees_with_matrix_oracle_bosonic():
     # two-site hopping over t(4): independent reference via explicit krons
     layout = (T4, T4)
     e = ham_sum(
-        seq(desugar_indexed(create(T4), 0, layout),
-            desugar_indexed(annihilate(T4), 1, layout)),
-        seq(desugar_indexed(create(T4), 1, layout),
-            desugar_indexed(annihilate(T4), 0, layout)))
+        seq(Atom(layout, ((0, LadderKind.CREATE),)),
+            Atom(layout, ((1, LadderKind.ANNIHILATE),))),
+        seq(Atom(layout, ((1, LadderKind.CREATE),)),
+            Atom(layout, ((0, LadderKind.ANNIHILATE),))))
     ref = (oracle.embedded(oracle.create_mat(4), 0, (4, 4))
            @ oracle.embedded(oracle.annihilate_mat(4), 1, (4, 4)))
     ref = ref + (oracle.embedded(oracle.create_mat(4), 1, (4, 4))
@@ -190,7 +189,7 @@ def test_indexed_fermionic_op_matches_jw_matrix():
     n = 3
     layout = (F,) * n
     for j in range(n):
-        e = desugar_indexed(annihilate(F), j, layout)
+        e = Atom(layout, ((j, LadderKind.ANNIHILATE),))
         ref = oracle.jw_ladder("annihilate", j, n)
         assert oracle.max_norm(expr_to_matrix(e), ref) < 1e-12
         for occ_idx in range(2 ** n):
@@ -207,8 +206,8 @@ def test_fermion_state_level_anticommutation():
         for j in range(3):
             if i == j:
                 continue
-            ai = desugar_indexed(annihilate(F), i, layout)
-            cj = desugar_indexed(create(F), j, layout)
+            ai = Atom(layout, ((i, LadderKind.ANNIHILATE),))
+            cj = Atom(layout, ((j, LadderKind.CREATE),))
             for occ_idx in range(8):
                 occ = tuple((occ_idx >> (2 - b)) & 1 for b in range(3))
                 s = basis_ket(layout, occ)
@@ -223,43 +222,13 @@ def test_fermion_state_level_anticommutation():
 
 
 # ---------------------------------------------------------------------------
-# normalize / inner product / expectation
+# expectation values of apply
 # ---------------------------------------------------------------------------
 
-def test_normalize_splits_evenly():
-    s = make_state((T4,), [(1.0, (0,)), (1.0, (2,))])
-    out = normalize(s)
-    for k in out.terms:
-        assert k.amp == pytest.approx(1 / math.sqrt(2))
-    assert out.norm() == pytest.approx(1)
-
-
-def test_normalize_single_ket():
-    out = normalize(make_state((T2,), [(5.0, (0,))]))
-    assert out.terms[0].amp == pytest.approx(1)
-
-
-def test_normalize_zero_state_errors():
-    with pytest.raises(ValueError):
-        normalize(make_state((T2,), []))
-
-
-def test_inner_product_orthogonal_kets():
-    s0 = basis_ket((T2,), (0,))
-    s1 = basis_ket((T2,), (1,))
-    assert inner_product(s0, s1) == 0
-
-
-def test_inner_product_projection_amplitude():
-    plus = normalize(make_state((T2,), [(1.0, (0,)), (1.0, (1,))]))
-    zero = basis_ket((T2,), (0,))
-    assert inner_product(plus, zero) == pytest.approx(1 / math.sqrt(2))
-    assert abs(inner_product(plus, zero)) ** 2 == pytest.approx(0.5)
-
-
-def test_inner_product_of_normalized_state_with_itself():
-    s = normalize(make_state((T4,), [(0.3, (1,)), (2.0, (3,)), (1j, (0,))]))
-    assert inner_product(s, s) == pytest.approx(1)
+def expectation(e, s):
+    """<s|e|s> / <s|s>."""
+    v = state_to_vector(s)
+    return np.vdot(v, state_to_vector(apply(e, s))) / np.vdot(v, v)
 
 
 def test_expectation_of_number_operator():
@@ -274,27 +243,8 @@ def test_expectation_of_z_combination_on_vacuum():
 
 
 def test_expectation_of_identity_is_one():
-    s = normalize(make_state((T2, T2), [(1.0, (0, 1)), (1.0, (1, 0))]))
-    assert expectation(identity_chain((T2, T2)), s) == pytest.approx(1)
-
-
-def test_expectation_rejects_non_hermitian_and_zero_state():
-    with pytest.raises(NonHermitianError):
-        expectation(annihilate(T2), basis_ket((T2,), (0,)))
-    x = ham_sum(create(T2), annihilate(T2))
-    with pytest.raises(ValueError):
-        expectation(x, make_state((T2,), []))
-
-
-def test_expectation_raises_on_imaginary_residue(monkeypatch):
-    # a Hermitian operator cannot give an imaginary <s|e|s>; force one to
-    # check the guard is a real exception, not an assert that -O strips
-    import qblue.fock as fock
-    monkeypatch.setattr(fock, "apply", lambda e, s: make_state(
-        s.layout, [(1j * k.amp, k.occ) for k in s.terms]))
-    x = ham_sum(create(T2), annihilate(T2))
-    with pytest.raises(ValueError, match="imaginary residue"):
-        expectation(x, basis_ket((T2,), (0,)))
+    s = make_state((T2, T2), [(1.0, (0, 1)), (1.0, (1, 0))])
+    assert expectation(Atom((T2, T2)), s) == pytest.approx(1)
 
 
 def test_expectation_unnormalized_state_divides_by_norm():
@@ -338,7 +288,9 @@ def test_state_text_example_form():
 
 
 def test_state_text_errors():
-    with pytest.raises(StateFormatError):
+    with pytest.raises(StateFormatError) as err:
         parse_state("(1,0) |0>")
-    with pytest.raises(StateFormatError):
-        parse_state("sites: t(2)\nnot a ket\n")
+    assert (err.value.line, err.value.col) == (1, 1)
+    with pytest.raises(StateFormatError) as err:
+        parse_state("sites: t(2)\n  not a ket\n")
+    assert (err.value.line, err.value.col) == (2, 3)

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from qblue.encodings import encode_for_compile
 from qblue.errors import ParseError
 from qblue.expr import (
-    Atom, Boson, Flag, Sum, annihilate, create, dagger, desugar_indexed,
-    ham_sum, scale, seq,
+    Atom, Boson, Flag, LadderKind, Seq, Sum, dagger, ham_sum, scale, seq,
 )
-from qblue.parser import format_program, parse
+from qblue.fock import format_sites
+from qblue.parser import parse
 from qblue.typecheck import canonicalize, typecheck
 
 T2 = Boson(2)
@@ -45,6 +45,47 @@ def test_minus_before_an_imaginary_literal_splits_the_sum():
 # ---------------------------------------------------------------------------
 # parse(format_program(p)) is p
 # ---------------------------------------------------------------------------
+
+def format_program(p):
+    """The program in re-parseable indexed form.
+
+    Covers every tree the parser builds: atoms that list at most one site,
+    combined by n-ary sums and products.
+    """
+    lines = [f"sites {format_sites(p.layout)};"]
+    lines += [f"{name} = {format_expr(e)};" for name, e in p.defs.items()]
+    return "\n".join(lines) + "\n"
+
+
+def format_expr(e):
+    parts = e.children if isinstance(e, Sum) else (e,)
+    return " + ".join(format_term(p) for p in parts)
+
+
+def format_term(e):
+    factors = e.children if isinstance(e, Seq) else (e,)
+    return " ".join(format_factor(f) for f in factors)
+
+
+def format_factor(e):
+    if isinstance(e, Sum):
+        return f"({format_expr(e)})"
+    if isinstance(e, Seq):
+        return f"({format_term(e)})"
+    atom = "I(0)"
+    if e.ops:
+        (j, kind), = e.ops
+        atom = f"{'adag' if kind is LadderKind.CREATE else 'a'}({j})"
+    return atom if e.amp == 1 else f"({format_literal(e.amp)} * {atom})"
+
+
+def format_literal(z):
+    if z.imag == 0:
+        return repr(z.real)
+    if z.real == 0:
+        return f"{z.imag!r}i"
+    return f"({z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i)"
+
 
 SITE_TEXT = {"t(2)": 2, "F": 2, "t(3)": 3}
 LITERALS = ["0.5", "2", "1.25", "3e-2", "2i", "0.5i", "(0.5+0.25i)",
@@ -229,11 +270,11 @@ LAYOUT = (T2, T2)
 
 
 def cr(j, amp=1.0):
-    return desugar_indexed(create(T2, amp), j, LAYOUT)
+    return Atom(LAYOUT, ((j, LadderKind.CREATE),), amp)
 
 
 def an(j, amp=1.0):
-    return desugar_indexed(annihilate(T2, amp), j, LAYOUT)
+    return Atom(LAYOUT, ((j, LadderKind.ANNIHILATE),), amp)
 
 
 def X(j):

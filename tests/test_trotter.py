@@ -3,18 +3,19 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.circuit import Circuit
 from qblue.encodings import encode_for_compile
 from qblue.errors import FitError
 from qblue.expr import LadderKind
 from qblue.parser import parse
-from qblue.pauli import PauliSum, identity_sum, pauli_allclose, pauli_sum
+from qblue.pauli import PauliSum, pauli_sum
 from qblue import trotter
 from qblue.trotter import (
     IBM, TrotterPlan, compile_digital, fit_machine, plan_to_circuit,
-    schedule_to_pauli, synthesize_term, trotterize, verify_circuit,
+    synthesize_term, trotterize, verify_circuit,
 )
 from qblue.typecheck import canonicalize
+
+from helpers import pauli_allclose
 
 
 def spin_chain(n):
@@ -90,12 +91,12 @@ def plans(draw):
 
 @given(plans())
 def test_plan_to_circuit_is_the_fold_of_gadgets(plan):
-    folded = Circuit(plan.qubits, (), plan.identity_phase)
+    folded = ()
     for string, angle in plan.slices:
-        folded = folded + synthesize_term(string, angle)
+        folded += synthesize_term(string, angle).gates
     circuit = plan_to_circuit(plan)
-    assert circuit.gates == folded.gates
-    assert circuit.global_phase == folded.global_phase
+    assert circuit.gates == folded
+    assert circuit.global_phase == plan.identity_phase
 
 
 @pytest.mark.parametrize("steps", [1, 2, 5])
@@ -126,7 +127,7 @@ def per_term_fold(e, z_string):
     w = len(form.layout)
     total = PauliSum(w, ())
     for term in form.terms:
-        acc = identity_sum(w, term.coeff)
+        acc = PauliSum(w, ((term.coeff, "I" * w),))
         for q, monomial in term.factors:
             for kind in monomial:
                 pad = ("Z" if z_string else "I") * q
@@ -134,7 +135,7 @@ def per_term_fold(e, z_string):
                 sign = -1j if kind is LadderKind.CREATE else 1j
                 acc = pauli_sum(w, [(0.5, pad + "X" + rest),
                                     (0.5 * sign, pad + "Y" + rest)]) * acc
-        total = total + acc
+        total = pauli_sum(w, total.terms + acc.terms)
     return total
 
 
@@ -147,6 +148,24 @@ def test_encoding_equals_per_term_fold(chain, method, sites):
     hs, report = encode_for_compile(canonicalize(e))
     assert report.method == method
     assert hs.terms == per_term_fold(e, z_string=method == "jw").terms
+
+
+def schedule_to_pauli(schedule, spec):
+    """The Pauli sum a schedule realizes."""
+    terms = []
+    patterns = dict(spec.templates)
+    for j, slots in schedule.assignments:
+        for slot, coeff in slots:
+            if coeff == 0.0:
+                continue
+            left, right = patterns[slot]
+            string = ["I"] * schedule.width
+            if left != "I":
+                string[j] = left
+            if right != "I":
+                string[j + 1] = right
+            terms.append((coeff, "".join(string)))
+    return pauli_sum(schedule.width, terms)
 
 
 coefficients = st.floats(-2, 2, allow_nan=False, allow_subnormal=False)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qblue.errors import COEFF_EQ_TOL, LayoutError
+from qblue.errors import LayoutError
 from qblue.expr import (
     Atom, Boson, Fermion, Flag, LadderKind, Seq, Sum, annihilate, create,
-    dagger, desugar_indexed, ham_sum, identity, scale, seq, tensor,
+    dagger, ham_sum, identity, scale, seq, tensor,
 )
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.typecheck import (
-    adjoint, canonical_allclose, canonical_to_expr,
-    canonicalize, hermiticity_report, is_hermitian, typecheck,
+    adjoint, canonical_allclose, canonicalize, hermiticity_report,
+    is_hermitian, typecheck,
 )
 
 import oracle
@@ -29,10 +29,31 @@ def hop(layout):
     """a^dag(0) a(1) + a^dag(1) a(0) over a two-site layout."""
     site = layout[0]
     return ham_sum(
-        seq(desugar_indexed(create(site), 0, layout),
-            desugar_indexed(annihilate(site), 1, layout)),
-        seq(desugar_indexed(create(site), 1, layout),
-            desugar_indexed(annihilate(site), 0, layout)))
+        seq(Atom(layout, ((0, LadderKind.CREATE),)),
+            Atom(layout, ((1, LadderKind.ANNIHILATE),))),
+        seq(Atom(layout, ((1, LadderKind.CREATE),)),
+            Atom(layout, ((0, LadderKind.ANNIHILATE),))))
+
+
+def canonical_to_expr(form):
+    """An expression with the same operator meaning as the form.
+
+    Each term becomes its coefficient times a product of indexed atoms, one
+    per ladder operator, applied site-ascending (the first operator of
+    site 0's monomial first), which is the order the coefficients were
+    normalized against.  A term without operators is the identity atom.
+    """
+    layout = form.layout
+    if not form.terms:
+        return Atom(layout, (), 0.0)
+    parts = []
+    for term in form.terms:
+        layers = [Atom(layout, ((s, kind),)) for s, monomial in term.factors
+                  for kind in monomial]
+        # seq lists the last-applied factor first
+        body = seq(*reversed(layers)) if layers else Atom(layout)
+        parts.append(scale(term.coeff, body))
+    return ham_sum(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +92,7 @@ def test_dagger_conjugates_amplitudes():
     assert not same_form(dagger(identity(T2, 1j)), identity(T2, 1j))
 
 
-def test_dagger_normalize_matches_adjoint_matrix():
+def test_dagger_and_its_canonical_form_match_the_adjoint_matrix():
     # both the tree lowering of dagger(e) and the expression rebuilt from
     # its canonical form give the conjugate transpose
     rng = np.random.default_rng(7)
@@ -121,10 +142,7 @@ def _random_expr(rng, layout, depth):
         j = int(rng.integers(len(layout)))
         amp = complex(rng.normal(), rng.normal())
         kind = LadderKind.CREATE if rng.random() < 0.5 else LadderKind.ANNIHILATE
-        op = Atom((layout[j],), ((0, kind),), amp)
-        if rng.random() < 0.2:
-            op = identity(layout[j], amp)
-        return desugar_indexed(op, j, layout)
+        return Atom(layout, () if rng.random() < 0.2 else ((j, kind),), amp)
     r = rng.random()
     if r < 0.4:
         return ham_sum(_random_expr(rng, layout, depth - 1),
@@ -141,8 +159,8 @@ def _random_expr(rng, layout, depth):
 
 def test_canonicalize_fuses_padded_product():
     layout = (T4, T4)
-    e = seq(desugar_indexed(create(T4), 0, layout),
-            desugar_indexed(annihilate(T4), 1, layout))
+    e = seq(Atom(layout, ((0, LadderKind.CREATE),)),
+            Atom(layout, ((1, LadderKind.ANNIHILATE),)))
     form = canonicalize(e)
     assert len(form.terms) == 1
     term = form.terms[0]
@@ -173,15 +191,19 @@ def test_canonicalize_is_idempotent_and_matrix_preserving():
             assert oracle.max_norm(expr_to_matrix(rebuilt),
                                    expr_to_matrix(e)) < 1e-10
             again = canonicalize(rebuilt)
-            assert canonical_allclose(form, again, tol=1e-10)
+            assert [t.factors for t in again.terms] == [
+                t.factors for t in form.terms]
+            assert np.allclose([t.coeff for t in again.terms],
+                               [t.coeff for t in form.terms], rtol=0,
+                               atol=1e-10)
 
 
 def test_canonicalize_fermion_reorder_tracks_sign():
     # a^dag(0) a(1) on fermions: application order puts site 1 first, so
     # normal ordering swaps two odd operators
     layout = (F, F)
-    e = seq(desugar_indexed(create(F), 0, layout),
-            desugar_indexed(annihilate(F), 1, layout))
+    e = seq(Atom(layout, ((0, LadderKind.CREATE),)),
+            Atom(layout, ((1, LadderKind.ANNIHILATE),)))
     form = canonicalize(e)
     assert len(form.terms) == 1
     assert form.terms[0].coeff == pytest.approx(-1)
@@ -385,10 +407,8 @@ def recursive_flag(e):
         if e.ops:
             return Flag.P
         return Flag.H if abs(e.amp.imag) <= 1e-12 else Flag.P
-    flag = Flag.H
-    for c in e.children:
-        flag = flag.join(recursive_flag(c))
-    return flag
+    flags = {recursive_flag(c) for c in e.children}
+    return Flag.P if Flag.P in flags else Flag.H
 
 
 @given(trees)
@@ -403,6 +423,5 @@ def test_flipped_terms_are_the_terms_of_the_normalized_adjoint(e):
     # the adjoint computed from the form's terms is the form of dagger(e),
     # whose terms are the flipped terms of e
     form = canonicalize(e)
-    assert canonical_allclose(adjoint(form), canonicalize(dagger(e)),
-                              COEFF_EQ_TOL)
-    assert canonical_allclose(adjoint(adjoint(form)), form, COEFF_EQ_TOL)
+    assert canonical_allclose(adjoint(form), canonicalize(dagger(e)))
+    assert canonical_allclose(adjoint(adjoint(form)), form)
