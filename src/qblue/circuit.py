@@ -62,6 +62,8 @@ class Gate:
             raise ValueError(f"{self.name} needs an angle"
                              if self.angle is None else
                              f"{self.name} takes no angle, got {self.angle}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.name} angle {self.angle} is not finite")
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.global_phase):
+            raise ValueError(f"global phase {self.global_phase} is not finite")
         # one pass over the flattened qubits; only a failure scans gate by
         # gate, to name the first gate out of range
         qubits = list(chain.from_iterable(map(attrgetter("qubits"),
@@ -161,8 +165,8 @@ def parse_circuit(text: str) -> Circuit:
     its line and the 1-based column of the first wrong field, or one past
     the last field when one is missing: a header other than ``qubits N``
     with an optional ``phase P``, an unknown gate name, a wrong number of
-    fields, a field that is not a number, a qubit outside the header's
-    width, or a cx whose two qubits are equal.
+    fields, a field that is not a finite number, a qubit outside the
+    header's width, or a cx whose two qubits are equal.
     """
     lines = [(number, fields)
              for number, ln in enumerate(text.splitlines(), 1)
@@ -171,11 +175,12 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError("empty circuit; expected a 'qubits N; phase P;' "
                          "header", 1, 1)
     (number, fields), *body = lines
+    finite = _checked(float, math.isfinite)
     spec = [("'qubits'", _checked(str, "qubits".__eq__)),
             ("a qubit count", _checked(int, lambda n: n >= 0))]
     if len(fields) > 2:
         spec += [("'phase'", _checked(str, "phase".__eq__)),
-                 ("a phase", float)]
+                 ("a finite phase", finite)]
     _, width, *phase = _convert(number, fields, spec)
     qubit = (f"a qubit below {width}",
              _checked(int, range(width).__contains__))
@@ -183,7 +188,7 @@ def parse_circuit(text: str) -> Circuit:
     for number, fields in body:
         col, name = fields[0]
         if name in _ROTATIONS:
-            spec = [("an angle", float), qubit]
+            spec = [("a finite angle", finite), qubit]
         elif name == "cx":
             spec = [qubit, qubit]
         elif name in GATE_NAMES:

@@ -1,34 +1,38 @@
 """Particle-system transformations onto qubit layouts.
 
-The site types of the layout pick the method (``infer_encoding``), and no
-layout has a second one.  The encoder takes the canonical form that
-``typecheck`` produced and maps it one term at a time: each ladder operator
-becomes a Pauli sum on the qubits of the term's active sites, and a term
-becomes the product of its operators' sums, widened once to the whole
-register.  One convention serves every method: a qubit's occupation is its
-computational-basis bit, so a^dag = (X - iY)/2 = |1><0| and a = (X + iY)/2,
+The site types of the layout pick the method (``infer_encoding``).  Each
+active site's monomial of a canonical term is written in the site's matrix
+units (``typecheck.site_units``, the certificate's basis), each unit has a
+fixed Pauli table on the site's qubits, and the term is the product of its
+sites' tables.  A qubit's occupation is its computational-basis bit, so on
+one qubit |1><0| = (X - iY)/2, |0><1| = (X + iY)/2 and |1><1| = (I - Z)/2,
 and the encoded matrix equals the expression's occupation-basis matrix
 index for index.
 
 - direct: each t(2) site is one qubit.
-- jw (Jordan-Wigner): each fermionic site is one qubit, and its operators
-  carry Z on every earlier qubit for the fermionic parity.
-- hp (unary Holstein-Primakoff at level n): each t(2^(n+1)) site k is n+1
-  qubits, occupation v the string with a single 1 at position v.  A
-  creator is sum_j sqrt(j+1) a(k(n+1)+j) a^dag(k(n+1)+j+1), the annihilator
-  its adjoint.  On one-hot strings the encoding acts as the expression does
-  on t(n+1) sites; outside them it is unspecified.
+- jw (Jordan-Wigner): each fermionic site is one qubit, and every qubit
+  carries Z once per ladder operator at a later site.  On an active qubit
+  that factor is the sign (-1)^m of a unit |m><n|; it turns I into Z.
+- hp (unary Holstein-Primakoff at level n): each t(2^(n+1)) site is n+1
+  qubits, occupation v the string with a single 1 at position v.  Its
+  monomials are written in the units of a t(n+1) site, and |m><k| is
+  a^dag_m a_k on its qubits, |1><1| at qubit m when m = k.  On one-hot
+  strings the encoding acts as the expression does on t(n+1) sites; off
+  them a diagonal unit is that one-qubit projector whatever the other
+  qubits hold, so ``adag(0) a(0)`` on t(8) is 1.5 III - 0.5 IZI - IIZ.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import EncodingError
-from .expr import Boson, Fermion, LadderKind, SiteList
-from .pauli import PauliSum, identity_sum, pauli_sum
-from .typecheck import CanonicalForm
+from .expr import Boson, Fermion, SiteList
+from .pauli import pauli_sum
+from .typecheck import CanonicalForm, site_units
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,9 @@ def infer_encoding(layout: SiteList):
     hold occupations 0..n only, half of the site's.  On t(4) that keeps 0
     and 1, so the Bose-Hubbard on-site term U adag adag a a encodes to no
     Pauli term, and a Bose-Hubbard chain compiles to its hopping circuit
-    alone.  The fix changes those circuits, and with them the benchmark's
-    hand-derived Bose-Hubbard counts (152 gates and 48 CX per bond), so it
-    waits for a change that may update the benchmark.
+    alone.  The fix is one new boson unit table (binary, every level kept),
+    plus the benchmark's hand-derived Bose-Hubbard counts (152 gates and
+    48 CX per bond) it changes, so it waits for a benchmark update.
     """
     if all(isinstance(s, Fermion) for s in layout):
         return "jw", None
@@ -91,29 +95,39 @@ def infer_encoding(layout: SiteList):
     return "hp", n
 
 
-def _qubit_op(kind: LadderKind, q: int, w: int,
-              z_string: bool = False) -> PauliSum:
-    """a^dag = (X - iY)/2 or a = (X + iY)/2 at qubit q of w; z_string puts
-    Z on qubits 0..q-1 for the fermionic parity."""
-    prefix = ("Z" if z_string else "I") * q
-    suffix = "I" * (w - q - 1)
-    sign = -1j if kind is LadderKind.CREATE else 1j
-    return pauli_sum(w, [
-        (0.5, prefix + "X" + suffix),
-        (0.5 * sign, prefix + "Y" + suffix),
-    ])
+# One qubit's units as (coeff, letter) terms; "Z" is the jw factor Z times I.
+_QUBIT = {None: ((1, "I"),), "Z": ((1, "Z"),),
+          (1, 0): ((0.5, "X"), (-0.5j, "Y")),
+          (0, 1): ((0.5, "X"), (0.5j, "Y")),
+          (1, 1): ((0.5, "I"), (-0.5, "Z"))}
 
 
-def _hp_op(kind: LadderKind, k: int, n: int, w: int) -> PauliSum:
-    """Unary encoding of a ladder operator at site k: a creator moves the
-    mark from position j to j+1 with weight sqrt(j+1)."""
-    base = k * (n + 1)
+@functools.cache
+def _site_table(level, monomial: tuple, odd: bool) -> tuple:
+    """Canonical (coeff, letters) terms of a monomial on one site: a qubit
+    when level is None, else the level + 1 one-hot qubits of hp.  odd puts
+    the Z of an odd number of later jw ladders on the qubit."""
+    width = 1 if level is None else level + 1
     terms = []
-    for j in range(n):
-        move = (_qubit_op(kind, base + j + 1, w)
-                * _qubit_op(kind.flipped, base + j, w))
-        terms += [(math.sqrt(j + 1) * c, s) for c, s in move.terms]
-    return pauli_sum(w, terms)
+    for unit, w in site_units(2 if level is None else width, monomial):
+        qubits = [unit]
+        if level is not None:   # |m><k| = a^dag_m a_k on the one-hot qubits
+            m, k = unit or (None, None)
+            qubits = [(int(q == m), int(q == k)) if q in (m, k) else None
+                      for q in range(width)]
+        elif odd and unit is None:   # Z I = Z
+            qubits = ["Z"]
+        elif odd and unit[0]:   # Z |1><n| = -|1><n|
+            w = -w
+        terms += [(w * c, "".join(letters))
+                  for c, letters in _tensor(map(_QUBIT.__getitem__, qubits))]
+    return pauli_sum(width, terms).terms
+
+
+def _tensor(tables) -> list:
+    """(coeff product, strings) of each choice of one term per table."""
+    return [(math.prod(c for c, _ in choice), [s for _, s in choice])
+            for choice in itertools.product(*tables)]
 
 
 def encode_for_compile(form: CanonicalForm):
@@ -121,52 +135,33 @@ def encode_for_compile(form: CanonicalForm):
     ``infer_encoding`` picks for its layout.
 
     The Pauli matrix equals expr_to_matrix of the expression the form came
-    from (for hp, on the one-hot strings, at t(n+1) sites).  A term's
-    operators are multiplied out on the qubits of its active sites only,
-    once per term shape (the monomials at those sites) with a unit
-    coefficient; every term of that shape shares the product and scales it
-    by its own coefficient.  The qubits between the active sites carry the
-    identity, or under jw the Z of every ladder operator at a later site, so
-    each full-width string is written once.
+    from (for hp, on the one-hot strings, at t(n+1) sites).  The product of
+    a term's site tables is formed once per shape (the monomials at its
+    active sites, which fix their jw parity), and each term of that shape
+    scales it.  The qubits between the active sites carry I, or under jw
+    the Z of every later ladder, so each full-width string is written once.
     """
     layout = form.layout
     method, n = infer_encoding(layout)
-    unit = 1 if n is None else n + 1
-
-    sums: dict = {}   # (kind, site, qubits) -> that operator's Pauli sum
-
-    def op(kind, k, w):
-        if (kind, k, w) not in sums:
-            sums[kind, k, w] = (_hp_op(kind, k, n, w) if n is not None else
-                                _qubit_op(kind, k, w, z_string=method == "jw"))
-        return sums[kind, k, w]
-
-    def local(shape):
-        """Unit-coefficient product of the monomials at the active sites,
-        each term's string cut into one chunk of unit qubits per site."""
-        acc = identity_sum(len(shape) * unit)
-        for i, monomial in enumerate(shape):
-            for kind in monomial:   # application order; new op multiplies left
-                acc = op(kind, i, len(shape) * unit) * acc
-        return [(c, [s[i * unit:(i + 1) * unit] for i in range(len(shape))])
-                for c, s in acc.terms]
-
-    shapes: dict = {}   # monomials at the active sites -> local(shape)
+    width = 1 if n is None else n + 1
+    jw = method == "jw"
+    shapes: dict = {}   # monomials at the active sites -> their product
     products = []
     for term in form.terms:
         shape = tuple(monomial for _, monomial in term.factors)
-        if shape not in shapes:
-            shapes[shape] = local(shape)
-        gaps, prev = [], -1
-        above = sum(map(len, shape))
+        gaps, keys, prev = [], [], -1
+        above = sum(map(len, shape))   # ladders here and at later sites
         for s, monomial in term.factors:
-            letter = "Z" if method == "jw" and above % 2 else "I"
-            gaps.append(letter * ((s - prev - 1) * unit))
+            gaps.append(("Z" if jw and above % 2 else "I")
+                        * ((s - prev - 1) * width))
             above -= len(monomial)
+            keys.append((n, monomial, jw and above % 2 == 1))
             prev = s
-        tail = "I" * ((len(layout) - prev - 1) * unit)
+        if shape not in shapes:
+            shapes[shape] = _tensor(itertools.starmap(_site_table, keys))
+        tail = "I" * ((len(layout) - prev - 1) * width)
         for c, chunks in shapes[shape]:
             products.append((c * term.coeff, "".join(
                 map(str.__add__, gaps, chunks)) + tail))
-    return (pauli_sum(len(layout) * unit, products),
+    return (pauli_sum(len(layout) * width, products),
             encoding_report(layout, method, n))

@@ -50,10 +50,16 @@ class FockState:
 
 def make_state(layout: SiteList, kets) -> FockState:
     """Build a canonical state, validating occupations against the layout."""
+    kets = [(amp, tuple(map(int, occ))) for amp, occ in kets]
+    for _, occ in kets:
+        _check_occ(layout, occ)
+    return _merged(layout, kets)
+
+
+def _merged(layout: SiteList, kets) -> FockState:
+    """The canonical state of kets already checked against the layout."""
     acc: dict[tuple, complex] = {}
     for amp, occ in kets:
-        occ = tuple(int(k) for k in occ)
-        _check_occ(layout, occ)
         acc[occ] = acc.get(occ, 0j) + complex(amp)
     terms = tuple(Ket(acc[occ], occ) for occ in sorted(acc)
                   if abs(acc[occ]) > ZERO_TOL)
@@ -165,8 +171,9 @@ def parse_state(text: str) -> FockState:
         raise StateFormatError("state text must start with a 'sites:' header",
                                n, _column(header, 0))
     layout = _parse_sites(n, header)
-    return make_state(layout,
-                      [_parse_ket(n, ln, layout) for n, ln in lines[1:]])
+    # _parse_ket checks each ket's occupations, to report the column
+    return _merged(layout,
+                   [_parse_ket(n, ln, layout) for n, ln in lines[1:]])
 
 
 def _parse_sites(n: int, header: str) -> SiteList:

@@ -1,4 +1,4 @@
-"""Complex-weighted Pauli-string algebra.
+"""Complex-weighted sums of Pauli strings.
 
 A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
@@ -18,33 +18,6 @@ from .errors import COEFF_EQ_TOL, QUBIT_CAP, ZERO_TOL, DimensionCapError
 
 LETTERS = "IXYZ"
 
-# single-letter product table: (left, right) -> (phase, letter)
-_PRODUCT = {}
-for _p in LETTERS:
-    _PRODUCT[("I", _p)] = (1, _p)
-    _PRODUCT[(_p, "I")] = (1, _p)
-    _PRODUCT[(_p, _p)] = (1, "I")
-_PRODUCT[("X", "Y")] = (1j, "Z")
-_PRODUCT[("Y", "X")] = (-1j, "Z")
-_PRODUCT[("Y", "Z")] = (1j, "X")
-_PRODUCT[("Z", "Y")] = (-1j, "X")
-_PRODUCT[("Z", "X")] = (1j, "Y")
-_PRODUCT[("X", "Z")] = (-1j, "Y")
-
-def multiply_terms(t1, t2):
-    """Product of two (coeff, string) terms with accumulated phase."""
-    c1, s1 = t1
-    c2, s2 = t2
-    if len(s1) != len(s2):
-        raise ValueError(f"length mismatch: {s1!r} vs {s2!r}")
-    phase = c1 * c2
-    out = []
-    for l1, l2 in zip(s1, s2):
-        p, l3 = _PRODUCT[(l1, l2)]
-        phase *= p
-        out.append(l3)
-    return phase, "".join(out)
-
 
 @dataclass(frozen=True)
 class PauliSum:
@@ -52,15 +25,6 @@ class PauliSum:
 
     qubits: int
     terms: tuple  # tuple[tuple[complex, str], ...]
-
-    def __mul__(self, other: "PauliSum") -> "PauliSum":
-        """The operator product: self applies after other."""
-        if self.qubits != other.qubits:
-            raise ValueError(
-                f"qubit counts differ: {self.qubits} vs {other.qubits}")
-        prods = [multiply_terms(t1, t2)
-                 for t1 in self.terms for t2 in other.terms]
-        return pauli_sum(self.qubits, prods)
 
 
 def pauli_sum(qubits: int, terms) -> PauliSum:
@@ -73,10 +37,6 @@ def pauli_sum(qubits: int, terms) -> PauliSum:
     out = tuple((acc[s], s) for s in sorted(acc)
                 if abs(acc[s]) > ZERO_TOL)
     return PauliSum(qubits, out)
-
-
-def identity_sum(qubits: int) -> PauliSum:
-    return PauliSum(qubits, ((1 + 0j, "I" * qubits),))
 
 
 def is_hermitian_pauli(p: PauliSum) -> bool:

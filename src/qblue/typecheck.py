@@ -177,7 +177,7 @@ def _site_coefficients(form: CanonicalForm) -> dict:
     """Coefficients of the form's operator in a basis of site products.
 
     Each monomial expands into its site's identity and matrix units
-    (``_units``); a key lists the (site, (m, n)) units of one product.  A
+    (``site_units``); a key lists the (site, (m, n)) units of one product.  A
     unit keeps its monomial's fermion parity, so the signs folded into the
     coefficients still hold, and two forms are one operator exactly when
     their coefficients agree.
@@ -185,8 +185,8 @@ def _site_coefficients(form: CanonicalForm) -> dict:
     dims = [site_dim(site) for site in form.layout]
     out: dict = {}
     for term in form.terms:
-        for choice in itertools.product(
-                *(_units(dims[s], monomial) for s, monomial in term.factors)):
+        for choice in itertools.product(*(site_units(dims[s], monomial)
+                                          for s, monomial in term.factors)):
             key = tuple((s, unit) for (s, _), (unit, _)
                         in zip(term.factors, choice) if unit is not None)
             out[key] = out.get(key, 0j) + term.coeff * math.prod(
@@ -195,13 +195,14 @@ def _site_coefficients(form: CanonicalForm) -> dict:
 
 
 @functools.cache
-def _units(dim: int, monomial: tuple) -> tuple:
+def site_units(dim: int, monomial: tuple) -> tuple:
     """(unit, weight) pairs that sum to a monomial on a dim-level site.
 
     The monomial maps |n> to w_n |n + s>, so it is the sum of w_n |n + s><n|;
     on the diagonal it is w_0 I + sum_{n >= 1} (w_n - w_0) |n><n|, with None
     for I.  Each w_n is the square root of an exact integer, so one weight
-    is one float in every monomial.
+    is one float in every monomial.  The certificate compares in this basis,
+    and ``encodings`` gives each unit its Pauli table.
     """
     shift = 2 * monomial.count(LadderKind.CREATE) - len(monomial)
     weights = []

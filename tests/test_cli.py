@@ -395,6 +395,39 @@ def test_a_non_finite_time_is_a_usage_error(argv, value, tmp_path, capsys):
     assert f"argument --t: invalid finite_float value: {value!r}" in err
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1.5 * Z(0) Z(1) + 2 * I(0)", "rz angle inf is not finite"),
+    ("2 * I(0)", "global phase -inf is not finite"),
+], ids=["angle", "phase"])
+def test_compile_to_a_non_finite_angle_or_phase_exits_1(body, message,
+                                                        tmp_path, capsys):
+    prog, out = tmp_path / "h.qb", tmp_path / "h.circ"
+    prog.write_text(f"sites t(2), t(2);\nH = {body};\n")
+    argv = ["compile", str(prog), "--t", "1e308", "--n", "1", "--out",
+            str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"qblue: error: {message}\n")
+    assert list(tmp_path.iterdir()) == [prog]
+
+
+@pytest.mark.parametrize("text, line, col, what", [
+    ("qubits 2; phase 0.0;\nrz nan 1\n", 2, 4, "a finite angle, found 'nan'"),
+    ("qubits 2; phase inf;\nrz 0.5 1\n", 1, 17, "a finite phase, found 'inf'"),
+], ids=["nan-angle", "infinite-phase"])
+def test_verify_of_a_non_finite_angle_or_phase_exits_2(text, line, col, what,
+                                                       tmp_path, capsys):
+    prog, circ = tmp_path / "h.qb", tmp_path / "bad.circ"
+    prog.write_text("sites t(2), t(2);\nH = Z(0) Z(1);\n")
+    circ.write_text(text)
+    code, out, err = run_json(
+        capsys, ["verify", str(circ), str(prog), "--t", "0.5"])
+    assert (code, out) == (2, "")
+    record = json.loads(err)   # no NaN reaches the JSON
+    assert (record["code"], record["line"], record["col"]) == ("parse", line,
+                                                               col)
+    assert record["message"] == f"expected {what} (line {line}, column {col})"
+
+
 def test_fit_treats_the_identity_term_as_a_global_phase(tmp_path, capsys):
     body = "sum j in 0..1 { 0.7 * Z(j) Z(j+1) + 0.3 * X(j+1) }"
     plain, offset = tmp_path / "plain.qb", tmp_path / "offset.qb"

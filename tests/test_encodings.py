@@ -118,3 +118,14 @@ def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
         assert whole == total
     else:
         assert pauli_allclose(whole, total)
+
+
+@pytest.mark.parametrize("site, terms", [
+    ("t(4)", [(0.5, "II"), (-0.5, "IZ")]),
+    ("t(8)", [(1.5, "III"), (-0.5, "IZI"), (-1.0, "IIZ")]),
+])
+def test_a_diagonal_unit_is_a_one_qubit_projector(site, terms):
+    # adag a = sum_m m |m><m|, and |m><m| is (I - Z)/2 on one-hot qubit m
+    e = parse(f"sites {site};\nH = adag(0) a(0);\n").defs["H"]
+    hs, _ = encode_for_compile(canonicalize(e))
+    assert hs == pauli_sum(len(terms[0][1]), terms)

@@ -10,6 +10,7 @@ from qblue.expr import (
     Atom, Boson, Fermion, LadderKind, Seq, annihilate, create, dagger,
     ham_sum, identity, scale, seq, site_dim, tensor,
 )
+from qblue import fock
 from qblue.fock import (
     apply, apply_single, format_state, make_state, parse_state,
 )
@@ -285,6 +286,20 @@ def test_state_text_example_form():
     s = parse_state(text)
     assert s.layout == (T2, T4)
     assert s.terms[0].occ == (1, 2)
+
+
+def test_parse_state_checks_each_ket_once(monkeypatch):
+    calls, check = [], fock._check_occ
+
+    def counting(layout, occ):
+        calls.append(occ)
+        return check(layout, occ)
+
+    monkeypatch.setattr(fock, "_check_occ", counting)
+    s = parse_state("sites: t(2), t(4)\n(0.5,0) |1,2>\n(1,0) |0,3>\n"
+                    "(0.5,0) |1,2>\n")
+    assert calls == [(1, 2), (0, 3), (1, 2)]
+    assert [(k.amp, k.occ) for k in s.terms] == [(1, (0, 3)), (1, (1, 2))]
 
 
 def test_state_text_errors():

@@ -63,33 +63,56 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def names_read(node):
-    """Counter of the names and attribute names read under node."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def names_read(node, skip):
+    """Counter of the names and attribute names read under node, leaving
+    out the subtrees whose id is in skip."""
+    read, stack = Counter(), [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in skip:
+            continue
+        if isinstance(n, ast.Name):
+            read[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            read[n.attr] += 1
+        stack.extend(ast.iter_child_nodes(n))
+    return read
 
 
 def unreferenced(sources):
-    """Definitions of sources (module name -> text) that nothing outside
-    their own body names, as sorted "module.name".  A name is matched as
-    text, so an attribute of the same name elsewhere counts as a caller."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
-    total = sum((names_read(tree) for tree in trees.values()), Counter())
-    found = []
-    for module, tree in trees.items():
-        for qualname, node in definitions(tree):
-            name = qualname.rsplit(".", 1)[-1]
-            if total[name] == names_read(node)[name]:
-                found.append(f"{module}.{qualname}")
-    return sorted(found)
+    """Definitions of sources (module name -> text) that nothing names but
+    their own body and the bodies of other such definitions, as sorted
+    "module.name".  The scan repeats with the bodies found so far left out
+    until nothing new turns up, so a function only dead code calls is found
+    too.  A name is matched as text, so an attribute of the same name
+    elsewhere counts as a caller."""
+    trees = [ast.parse(text) for text in sources.values()]
+    defs = {f"{module}.{qualname}": node
+            for module, tree in zip(sources, trees)
+            for qualname, node in definitions(tree)}
+    dead: dict = {}
+    while True:
+        skip = set(map(id, dead.values()))
+        total = sum((names_read(tree, skip) for tree in trees), Counter())
+        new = {}
+        for key, node in defs.items():
+            owner, name = key.rsplit(".", 1)
+            # the body of a method of a dead class is already left out
+            own = Counter() if owner in dead else names_read(node, skip)
+            if key not in dead and total[name] == own[name]:
+                new[key] = node
+        if not new:
+            return sorted(dead)
+        dead.update(new)
 
 
 def test_the_scan_finds_unreferenced_definitions():
     sources = {
         "a": ("def used():\n    return helper()\n"
               "def helper():\n    return helper()\n"
-              "def dead(n):\n    return dead(n - 1)\n"
+              "def dead(n):\n    return dead(n - 1) + middle()\n"
+              "def middle():\n    return leaf()\n"
+              "def leaf():\n    return 0\n"
               "def _private():\n    pass\n"
               "class Box:\n"
               "    def size(self):\n        return 1\n"
@@ -97,7 +120,10 @@ def test_the_scan_finds_unreferenced_definitions():
               "    def __len__(self):\n        return 0\n"),
         "b": "from a import Box, used\nused(Box())\n",
     }
-    assert unreferenced(sources) == ["a.Box.grow", "a.dead"]
+    # middle and leaf are called only from dead code, one step after the
+    # other, and Box.size only from the dead Box.grow
+    assert unreferenced(sources) == ["a.Box.grow", "a.Box.size", "a.dead",
+                                     "a.leaf", "a.middle"]
 
 
 def test_every_public_definition_has_a_caller_in_the_package():

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from qblue.encodings import encode_for_compile
 from qblue.errors import FitError
-from qblue.expr import LadderKind
 from qblue.parser import parse
-from qblue.pauli import PauliSum, pauli_sum
+from qblue.pauli import pauli_sum
 from qblue import trotter
 from qblue.trotter import (
     IBM, TrotterPlan, compile_digital, fit_machine, plan_to_circuit,
@@ -120,34 +119,34 @@ def test_steps_share_the_first_steps_gates(steps, monkeypatch):
     assert all(g is h for g, h in zip(gates, gates[len(first):]))
 
 
-def per_term_fold(e, z_string):
-    """The Pauli sum of e's canonical terms, added one term at a time with
-    a -> (X+iY)/2 and a^dag -> (X-iY)/2 (Z strings for Jordan-Wigner)."""
-    form = canonicalize(e)
-    w = len(form.layout)
-    total = PauliSum(w, ())
-    for term in form.terms:
-        acc = PauliSum(w, ((term.coeff, "I" * w),))
-        for q, monomial in term.factors:
-            for kind in monomial:
-                pad = ("Z" if z_string else "I") * q
-                rest = "I" * (w - q - 1)
-                sign = -1j if kind is LadderKind.CREATE else 1j
-                acc = pauli_sum(w, [(0.5, pad + "X" + rest),
-                                    (0.5 * sign, pad + "Y" + rest)]) * acc
-        total = pauli_sum(w, total.terms + acc.terms)
-    return total
+def hand_derived_sum(chain, n):
+    """The Pauli sum of an n-site chain, term by term: J Z(j) Z(j+1) and
+    h X(j+1) are one string each, t (adag(j) a(j+1) + adag(j+1) a(j)) is
+    (t/2)(XX + YY) on qubits j, j+1 (adjacent sites leave no Z string),
+    and mu adag(j) a(j) = (mu/2)(I - Z) on qubit j."""
+    def string(letters):
+        return "".join(letters.get(q, "I") for q in range(n))
+
+    terms = []
+    for j in range(n - 1):
+        if chain is spin_chain:
+            terms += [(1.0, string({j: "Z", j + 1: "Z"})),
+                      (0.8, string({j + 1: "X"}))]
+        else:
+            terms += [(0.35, string({j: "X", j + 1: "X"})),
+                      (0.35, string({j: "Y", j + 1: "Y"})),
+                      (0.15, string({})), (-0.15, string({j: "Z"}))]
+    return pauli_sum(n, terms)
 
 
 @pytest.mark.parametrize("sites", [3, 4])
 @pytest.mark.parametrize("chain, method", [
     (spin_chain, "direct"), (hopping_chain, "jw"),
 ])
-def test_encoding_equals_per_term_fold(chain, method, sites):
-    e = chain(sites)
-    hs, report = encode_for_compile(canonicalize(e))
+def test_encoding_equals_the_hand_derived_sum(chain, method, sites):
+    hs, report = encode_for_compile(canonicalize(chain(sites)))
     assert report.method == method
-    assert hs.terms == per_term_fold(e, z_string=method == "jw").terms
+    assert hs == hand_derived_sum(chain, sites)
 
 
 def schedule_to_pauli(schedule, spec):
