@@ -86,7 +86,7 @@ def _entries(e, memo: dict):
     for c in reversed(e.children[:-1]):
         m = _lower(c, memo) @ m
     m = m.tocoo()
-    return *m.coords, m.data
+    return m.row, m.col, m.data
 
 
 def _is_row_map(e) -> bool:
@@ -184,17 +184,18 @@ def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
 
     Uses the eigendecomposition, so the output is unitary to rounding.  A
     matrix whose imaginary part is exactly zero is diagonalized as the real
-    symmetric matrix it is.
+    symmetric matrix it is.  A phase w t past the float range raises
+    ValueError: its exponential would be nan.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[0] > DIM_CAP:
         raise DimensionCapError(f"dimension {h.shape[0]} exceeds cap {DIM_CAP}")
     check_hermitian(h)
-    if not h.imag.any():
-        w, v = np.linalg.eigh(h.real)
-        return (v * np.exp(-1j * w * t)) @ v.T
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    real = not h.imag.any()
+    w, v = np.linalg.eigh(h.real if real else h)
+    if not math.isfinite(float(abs(w).max()) * abs(t)):
+        raise ValueError(f"the phases w t of e^(-i h t) overflow at t = {t!r}")
+    return (v * np.exp(-1j * w * t)) @ (v.T if real else v.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The flag lattice has H below P; ladder leaves start at P, identities at H.
 Structural typing combines flags bottom-up, then a certificate pass tries to
-promote the whole expression to H.  It canonicalizes the expression once and
-compares that form with its adjoint, which ``adjoint`` computes from the
-form's terms alone.  Equal ladder forms certify at once; otherwise both
-forms are rewritten in a basis of each site's operators, the identity and
-the matrix units |m><n|, and their coefficients decide exactly, at any
+promote the whole expression to H.  The canonical form writes every term in
+each site's matrix units: the identity, |n><n| for n >= 1 and |m><n| for
+m != n form a basis of the site's operators, so two expressions are one
+operator exactly when their forms agree.  The certificate compares the form
+with its adjoint, which transposes each unit, and decides exactly, at any
 size and without a matrix.
 """
 
@@ -30,66 +30,74 @@ from .expr import (
 
 @dataclass(frozen=True)
 class CanonicalTerm:
-    """coeff times a product of ladder monomials at the active sites.
+    """coeff times a product of site matrix units.
 
-    ``factors`` lists (site, monomial) pairs, site-ascending, for the sites
-    the term acts on; every other site carries the identity.  A monomial is
-    the tuple of LadderKind applied at its site, in application order
-    (first applied first).  The sites apply in ascending order;
-    anti-commutation signs from reordering fermionic operators have been
-    folded into ``coeff``.
+    ``units`` lists (site, (m, n)) pairs, site-ascending, for the unit
+    |m><n| at each site whose unit is not the identity.  The units apply in
+    ascending site order, and an off-diagonal unit on a fermionic site is
+    odd: it carries the Jordan-Wigner string of the ladders it came from,
+    and the anti-commutation signs of reordering them are folded into
+    ``coeff``.
     """
 
     coeff: complex
-    factors: tuple  # tuple[tuple[int, tuple[LadderKind, ...]], ...]
+    units: tuple  # tuple[tuple[int, tuple[int, int]], ...]
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     layout: SiteList
-    terms: tuple  # tuple[CanonicalTerm, ...], sorted by factors
+    terms: tuple  # tuple[CanonicalTerm, ...], sorted by units
 
 
-_KIND_ORD = {LadderKind.CREATE: 0, LadderKind.ANNIHILATE: 1}
-_ORD_KIND = (LadderKind.CREATE, LadderKind.ANNIHILATE)
+_STEP = {LadderKind.CREATE: 1, LadderKind.ANNIHILATE: -1}
 
 
 def canonicalize(e: HamExpr) -> CanonicalForm:
-    """Flatten to a sorted sum of per-site ladder monomials.
+    """Flatten to a sorted sum of products of site matrix units.
 
-    Sums are distributed out of products, cross-site products fused per
-    site, like terms merged, and zero terms dropped.  Reordering fermionic
-    ladder operators across sites multiplies the coefficient by -1 per
-    transposition.
+    Sums are distributed out of products, each product's ladders put in
+    site order (-1 per transposition of two fermionic ladders at distinct
+    sites) and like ladder products merged.  Each site's ladders then
+    expand into the site's units (``site_units``); like terms merge and
+    zero terms drop.
     """
-    return _merge(e.layout, _terms(e))
+    layout = e.layout
+    fermionic = [isinstance(site, Fermion) for site in layout]
+    dims = [site_dim(site) for site in layout]
+    ladders: dict = {}
+    for coeff, ops in _terms(e):
+        coeff, key = _normal_order(coeff, ops, fermionic)
+        ladders[key] = ladders.get(key, 0j) + coeff
+    units: dict = {}
+    for key, coeff in ladders.items():
+        products = [((), coeff)]   # (units, coeff) over the sites so far
+        for s, group in itertools.groupby(key, lambda op: op[0]):
+            expansion = site_units(dims[s], tuple([k for _, k in group]))
+            products = [(u + ((s, unit),) if unit is not None else u, c * w)
+                        for u, c in products for unit, w in expansion]
+        for u, c in products:
+            units[u] = units.get(u, 0j) + c
+    return CanonicalForm(layout, tuple(
+        CanonicalTerm(units[key], key) for key in sorted(units)
+        if abs(units[key]) > ZERO_TOL))
 
 
 def adjoint(form: CanonicalForm) -> CanonicalForm:
-    """The canonical form of the adjoint, computed from the terms alone:
-    each coefficient conjugated, each term's operators applied in reverse
-    order with their kinds flipped.  Normal ordering again folds in the
-    fermionic transposition signs."""
-    return _merge(form.layout, [
-        (term.coeff.conjugate(),
-         [(s, kind.flipped) for s, monomial in reversed(term.factors)
-          for kind in reversed(monomial)])
-        for term in form.terms])
-
-
-def _merge(layout: SiteList, raw) -> CanonicalForm:
-    """Normal-order (coeff, ops) pairs, merge like terms, drop zeros."""
-    fermionic = [isinstance(site, Fermion) for site in layout]
-    merged: dict[tuple, complex] = {}
-    for coeff, ops in raw:
-        coeff, key = _normal_order(coeff, ops, fermionic)
-        merged[key] = merged.get(key, 0j) + coeff
+    """The canonical form of the adjoint: each unit transposed and each
+    coefficient conjugated.  The f odd units of a term then apply in
+    reverse order, and putting them back in site order takes f(f-1)/2
+    transpositions, each a factor -1."""
+    fermionic = [isinstance(site, Fermion) for site in form.layout]
     terms = []
-    for key in sorted(merged, key=_term_sort_key):
-        c = merged[key]
-        if abs(c) > ZERO_TOL:
-            terms.append(CanonicalTerm(c, _key_to_factors(key)))
-    return CanonicalForm(layout, tuple(terms))
+    for term in form.terms:
+        f = sum([fermionic[s] and m != n for s, (m, n) in term.units])
+        coeff = term.coeff.conjugate()
+        terms.append(CanonicalTerm(
+            -coeff if f * (f - 1) // 2 % 2 else coeff,
+            tuple([(s, (n, m)) for s, (m, n) in term.units])))
+    terms.sort(key=lambda term: term.units)
+    return CanonicalForm(form.layout, tuple(terms))
 
 
 def _terms(e: HamExpr) -> list:
@@ -112,7 +120,8 @@ def _terms(e: HamExpr) -> list:
 
 def _normal_order(coeff, ops, fermionic):
     """Stable-sort ops by site; swapping two fermionic ladder operators at
-    distinct sites flips the sign of the coefficient."""
+    distinct sites flips the sign of the coefficient.  The key lists
+    (site, step), step +1 for a creator and -1 for an annihilator."""
     ops = list(ops)
     n = len(ops)
     for i in range(1, n):
@@ -122,31 +131,46 @@ def _normal_order(coeff, ops, fermionic):
                 coeff = -coeff
             ops[j - 1], ops[j] = ops[j], ops[j - 1]
             j -= 1
-    key = tuple([(s, _KIND_ORD[k]) for s, k in ops])
-    return coeff, key
+    return coeff, tuple([(s, _STEP[k]) for s, k in ops])
 
 
-def _term_sort_key(key):
-    return (len(key), key)
+@functools.cache
+def site_units(dim: int, monomial: tuple) -> tuple:
+    """(unit, weight) pairs that sum to a monomial on a dim-level site.
 
-
-def _key_to_factors(key):
-    """(site, monomial) pairs of a site-sorted key."""
-    factors: list = []
-    for s, k in key:
-        if factors and factors[-1][0] == s:
-            factors[-1][1].append(_ORD_KIND[k])
-        else:
-            factors.append((s, [_ORD_KIND[k]]))
-    return tuple((s, tuple(monomial)) for s, monomial in factors)
+    The monomial lists the steps of its ladders in application order, +1
+    for a creator and -1 for an annihilator.  It maps |n> to w_n |n + s>,
+    so it is the sum of w_n |n + s><n|; on the diagonal it is
+    w_0 I + sum_{n >= 1} (w_n - w_0) |n><n|, with None for I.  Each w_n is
+    the square root of an exact integer, so one weight is one float in
+    every monomial.  ``canonicalize`` writes each site's ladders in these
+    units.
+    """
+    shift = sum(monomial)
+    weights = []
+    for n in range(dim):
+        occ, square = n, 1
+        for step in monomial:
+            out = occ + step
+            square *= max(occ, out) if 0 <= out < dim else 0
+            occ = out
+        # a weight past the float range compares equal to nothing
+        weights.append(math.sqrt(square) if square < 2 ** 1023 else math.inf)
+    if shift:
+        return tuple(((n + shift, n), w) for n, w in enumerate(weights) if w)
+    w0 = weights[0]
+    diag = [((n, n), w - w0) for n, w in enumerate(weights) if n and w != w0]
+    return (((None, w0),) if w0 else ()) + tuple(diag)
 
 
 def canonical_allclose(a: CanonicalForm, b: CanonicalForm) -> bool:
-    """Equal layouts and factors, and coefficients within COEFF_EQ_TOL."""
+    """Equal layouts and units, and coefficients within COEFF_EQ_TOL."""
     if a.layout != b.layout or len(a.terms) != len(b.terms):
         return False
     for ta, tb in zip(a.terms, b.terms):
-        if ta.factors != tb.factors or abs(ta.coeff - tb.coeff) > COEFF_EQ_TOL:
+        # not <=: a nan difference (from an overflowed weight) differs
+        if (ta.units != tb.units
+                or not abs(ta.coeff - tb.coeff) <= COEFF_EQ_TOL):
             return False
     return True
 
@@ -158,67 +182,12 @@ def canonical_allclose(a: CanonicalForm, b: CanonicalForm) -> bool:
 def hermiticity_report(e: HamExpr) -> tuple[bool, CanonicalForm]:
     """Decide Hermiticity exactly; report the verdict and the canonical form.
 
-    Equal ladder forms of e and its adjoint certify at once.  Unequal ones
-    may still be one operator written two ways, such as ``a adag`` and
-    ``1 - adag a`` on a two-level site, so both are then compared in the
-    basis of ``_site_coefficients``, where equal operators have equal
-    coefficients.  Both comparisons use COEFF_EQ_TOL; no matrix is built.
+    The form is unique, so e is Hermitian exactly when its form and its
+    adjoint agree, coefficient by coefficient within COEFF_EQ_TOL; no
+    matrix is built.
     """
     form = canonicalize(e)
-    dual = adjoint(form)
-    if canonical_allclose(dual, form):
-        return True, form
-    a, b = _site_coefficients(form), _site_coefficients(dual)
-    return all(abs(a.get(k, 0) - b.get(k, 0)) <= COEFF_EQ_TOL
-               for k in a.keys() | b.keys()), form
-
-
-def _site_coefficients(form: CanonicalForm) -> dict:
-    """Coefficients of the form's operator in a basis of site products.
-
-    Each monomial expands into its site's identity and matrix units
-    (``site_units``); a key lists the (site, (m, n)) units of one product.  A
-    unit keeps its monomial's fermion parity, so the signs folded into the
-    coefficients still hold, and two forms are one operator exactly when
-    their coefficients agree.
-    """
-    dims = [site_dim(site) for site in form.layout]
-    out: dict = {}
-    for term in form.terms:
-        for choice in itertools.product(*(site_units(dims[s], monomial)
-                                          for s, monomial in term.factors)):
-            key = tuple((s, unit) for (s, _), (unit, _)
-                        in zip(term.factors, choice) if unit is not None)
-            out[key] = out.get(key, 0j) + term.coeff * math.prod(
-                w for _, w in choice)
-    return out
-
-
-@functools.cache
-def site_units(dim: int, monomial: tuple) -> tuple:
-    """(unit, weight) pairs that sum to a monomial on a dim-level site.
-
-    The monomial maps |n> to w_n |n + s>, so it is the sum of w_n |n + s><n|;
-    on the diagonal it is w_0 I + sum_{n >= 1} (w_n - w_0) |n><n|, with None
-    for I.  Each w_n is the square root of an exact integer, so one weight
-    is one float in every monomial.  The certificate compares in this basis,
-    and ``encodings`` gives each unit its Pauli table.
-    """
-    shift = 2 * monomial.count(LadderKind.CREATE) - len(monomial)
-    weights = []
-    for n in range(dim):
-        occ, square = n, 1
-        for kind in monomial:
-            out = occ + 1 if kind is LadderKind.CREATE else occ - 1
-            square *= max(occ, out) if 0 <= out < dim else 0
-            occ = out
-        # a weight past the float range compares equal to nothing
-        weights.append(math.sqrt(square) if square < 2 ** 1023 else math.inf)
-    if shift:
-        return tuple(((n + shift, n), w) for n, w in enumerate(weights) if w)
-    w0 = weights[0]
-    diag = [((n, n), w - w0) for n, w in enumerate(weights) if n and w != w0]
-    return (((None, w0),) if w0 else ()) + tuple(diag)
+    return canonical_allclose(adjoint(form), form), form
 
 
 def is_hermitian(e: HamExpr) -> bool:

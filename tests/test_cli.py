@@ -1,5 +1,6 @@
 import importlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,22 @@ def test_compile_to_a_non_finite_angle_or_phase_exits_1(body, message,
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"qblue: error: {message}\n")
     assert list(tmp_path.iterdir()) == [prog]
+
+
+def test_verify_of_a_phase_past_the_float_range_exits_1(tmp_path, capsys):
+    # w t of the exact exponential overflows: no nan distance, no warning
+    prog, circ = tmp_path / "h.qb", tmp_path / "h.circ"
+    prog.write_text("sites t(2), t(2);\nH = 1.5 * Z(0) Z(1) + 2 * X(1);\n")
+    assert main(["compile", str(prog), "--t", "0.5", "--n", "1", "--out",
+                 str(circ)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_json(
+            capsys, ["verify", str(circ), str(prog), "--t", "1e308"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == (
+        "the phases w t of e^(-i h t) overflow at t = 1e+308")
 
 
 @pytest.mark.parametrize("text, line, col, what", [

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qblue.errors import EncodingError
-from qblue.expr import (
-    Atom, Boson, Fermion, annihilate, create, tensor,
-)
+from qblue.expr import Boson, Fermion, annihilate, create, tensor
 from qblue.encodings import encode_for_compile
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
@@ -44,13 +42,6 @@ def test_encoding_is_the_expression_matrix(site, method, data):
     assert_close(encoded_matrix(e, method), expr_to_matrix(e))
 
 
-def retype(e, site):
-    """The same tree with every site of every atom's layout on ``site``."""
-    if isinstance(e, Atom):
-        return Atom((site,) * len(e.layout), e.ops, e.amp)
-    return type(e)(*(retype(c, site) for c in e.children))
-
-
 def one_hot_indices(sites, n):
     """Qubit-basis index of every one-hot string, occupations in the row-major
     order of n+1 levels per site; qubit 0 is the most significant bit."""
@@ -64,15 +55,26 @@ def one_hot_indices(sites, n):
     return np.array(out)
 
 
+def low_level_indices(sites, n, dim):
+    """Occupation-basis index of every state with occupations 0..n on
+    dim-level sites, in the order of ``one_hot_indices``."""
+    return np.array([np.ravel_multi_index(occ, (dim,) * sites)
+                     for occ in itertools.product(range(n + 1),
+                                                  repeat=sites)])
+
+
 @pytest.mark.parametrize("n, max_sites", [(1, 3), (2, 2)])
 @given(data=st.data())
 def test_unary_encoding_on_one_hot_strings(n, max_sites, data):
-    e = data.draw(layouts(Boson(2 ** (n + 1)), max_sites).flatmap(well_formed))
-    sites = len(canonicalize(e).layout)
+    # on the one-hot strings the encoding is the block of the expression's
+    # matrix on occupations 0..n
+    dim = 2 ** (n + 1)
+    e = data.draw(layouts(Boson(dim), max_sites).flatmap(well_formed))
+    sites = len(e.layout)
     m = encoded_matrix(e, "hp", n)
     idx = one_hot_indices(sites, n)
-    want = expr_to_matrix(retype(e, Boson(n + 1)))
-    assert_close(m[np.ix_(idx, idx)], want)
+    low = low_level_indices(sites, n, dim)
+    assert_close(m[np.ix_(idx, idx)], expr_to_matrix(e)[np.ix_(low, low)])
     # one-hot strings map onto one-hot strings
     rest = np.setdiff1d(np.arange(m.shape[0]), idx)
     scale = max(1.0, abs(m).max())
@@ -113,7 +115,9 @@ def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
     for term in form.terms:
         one = encode_for_compile(CanonicalForm(form.layout, (term,)))[0]
         total = pauli_sum(total.qubits, total.terms + one.terms)
-    assert len(whole.terms) > len(form.terms)
+    # the shared product is exercised only when terms share a shape
+    shapes = {tuple(unit for _, unit in term.units) for term in form.terms}
+    assert len(shapes) < len(form.terms)
     if exact:
         assert whole == total
     else:
@@ -127,5 +131,17 @@ def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
 def test_a_diagonal_unit_is_a_one_qubit_projector(site, terms):
     # adag a = sum_m m |m><m|, and |m><m| is (I - Z)/2 on one-hot qubit m
     e = parse(f"sites {site};\nH = adag(0) a(0);\n").defs["H"]
+    hs, _ = encode_for_compile(canonicalize(e))
+    assert hs == pauli_sum(len(terms[0][1]), terms)
+
+
+@pytest.mark.parametrize("site, terms", [
+    ("t(4)", [(1.5, "II"), (-0.5, "IZ")]),
+    ("t(8)", [(2.5, "III"), (-0.5, "IZI"), (-1.0, "IIZ")]),
+])
+def test_unary_encoding_keeps_the_true_low_levels(site, terms):
+    # a adag = diag(1, 2, ...) on t(d): its levels 0..n, not the a adag of
+    # a t(n + 1) site, whose top level would read 0
+    e = parse(f"sites {site};\nH = a(0) adag(0);\n").defs["H"]
     hs, _ = encode_for_compile(canonicalize(e))
     assert hs == pauli_sum(len(terms[0][1]), terms)

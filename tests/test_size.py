@@ -34,14 +34,16 @@ def test_spin_chain_tree_and_terms_grow_with_the_bonds(n):
     atoms = [node for node in tree if isinstance(node, Atom)]
     assert all(len(atom.ops) == 1 for atom in atoms)
     assert all(atom.layout is e.layout for atom in atoms)
-    # Z(j) Z(j+1) gives four terms on the bond, X(j+1) two on one site
+    # Z = 2 |1><1| - I on t(2), so Z(j) Z(j+1) is 4 n(j) n(j+1) - 2 n(j)
+    # - 2 n(j+1) + I with n = |1><1|, and X(j+1) is |1><0| + |0><1|: the
+    # bonds' identities merge into one term, and so do the n(j) of the two
+    # bonds at a site
+    number = [((j, (1, 1)),) for j in range(n)]
+    bonds = [((j, (1, 1)), (j + 1, (1, 1))) for j in range(n - 1)]
+    flips = [((j, unit),) for j in range(1, n) for unit in ((0, 1), (1, 0))]
     form = canonicalize(e)
-    assert len(form.terms) == 6 * (n - 1)
-    for term in form.terms:
-        sites = [s for s, _ in term.factors]
-        monomials = [len(m) for _, m in term.factors]
-        assert (len(sites), monomials) in ((2, [2, 2]), (1, [1]))
-        assert sites == list(range(sites[0], sites[0] + len(sites)))
+    assert [term.units for term in form.terms] == sorted(
+        [()] + number + bonds + flips)
 
 
 @pytest.mark.parametrize("n", [4, 32])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qblue.errors import LayoutError
 from qblue.expr import (
     Atom, Boson, Fermion, Flag, LadderKind, Seq, Sum, annihilate, create,
-    dagger, ham_sum, identity, scale, seq, tensor,
+    dagger, ham_sum, identity, seq, site_dim, tensor,
 )
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
@@ -24,6 +24,9 @@ T2 = Boson(2)
 T4 = Boson(4)
 F = Fermion()
 
+trees = st.lists(st.sampled_from([T2, T4, F]), min_size=1, max_size=4).flatmap(
+    lambda layout: well_formed(tuple(layout)))
+
 
 def hop(layout):
     """a^dag(0) a(1) + a^dag(1) a(0) over a two-site layout."""
@@ -35,25 +38,27 @@ def hop(layout):
             Atom(layout, ((0, LadderKind.ANNIHILATE),))))
 
 
-def canonical_to_expr(form):
-    """An expression with the same operator meaning as the form.
+def form_matrix(form):
+    """The matrix of a canonical form, built from its units.
 
-    Each term becomes its coefficient times a product of indexed atoms, one
-    per ladder operator, applied site-ascending (the first operator of
-    site 0's monomial first), which is the order the coefficients were
-    normalized against.  A term without operators is the identity atom.
+    Each term is its coefficient times its units applied site-ascending;
+    an off-diagonal unit on a fermionic site stands behind the Z of every
+    fermionic site before it, as a single ladder does.
     """
-    layout = form.layout
-    if not form.terms:
-        return Atom(layout, (), 0.0)
-    parts = []
+    dims = [site_dim(site) for site in form.layout]
+    fermionic = [isinstance(site, Fermion) for site in form.layout]
+    out = np.zeros((math.prod(dims),) * 2, dtype=complex)
     for term in form.terms:
-        layers = [Atom(layout, ((s, kind),)) for s, monomial in term.factors
-                  for kind in monomial]
-        # seq lists the last-applied factor first
-        body = seq(*reversed(layers)) if layers else Atom(layout)
-        parts.append(scale(term.coeff, body))
-    return ham_sum(*parts)
+        m = term.coeff * np.eye(len(out))
+        for s, (row, col) in term.units:
+            unit = np.zeros((dims[s], dims[s]), dtype=complex)
+            unit[row, col] = 1
+            if fermionic[s] and row != col:
+                m = oracle.jw_embedded(unit, s, dims, fermionic) @ m
+            else:
+                m = oracle.embedded(unit, s, dims) @ m
+        out += m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +98,17 @@ def test_dagger_conjugates_amplitudes():
 
 
 def test_dagger_and_its_canonical_form_match_the_adjoint_matrix():
-    # both the tree lowering of dagger(e) and the expression rebuilt from
-    # its canonical form give the conjugate transpose
+    # the tree lowering of dagger(e), the form of dagger(e) and the adjoint
+    # of the form of e all give the conjugate transpose
     rng = np.random.default_rng(7)
     for layout in [(T2, T4), (F, T2, F)]:
         for _ in range(25):
             e = _random_expr(rng, layout, depth=3)
             want = expr_to_matrix(e).conj().T
-            rebuilt = canonical_to_expr(canonicalize(dagger(e)))
-            assert oracle.max_norm(expr_to_matrix(rebuilt), want) < 1e-12
+            assert oracle.max_norm(form_matrix(canonicalize(dagger(e))),
+                                   want) < 1e-12
+            assert oracle.max_norm(form_matrix(adjoint(canonicalize(e))),
+                                   want) < 1e-12
             assert oracle.max_norm(expr_to_matrix(dagger(e)), want) < 1e-12
 
 
@@ -158,15 +165,15 @@ def _random_expr(rng, layout, depth):
 # ---------------------------------------------------------------------------
 
 def test_canonicalize_fuses_padded_product():
+    # adag(0) a(1) on t(4) sites: three units at each site, nine products
     layout = (T4, T4)
     e = seq(Atom(layout, ((0, LadderKind.CREATE),)),
             Atom(layout, ((1, LadderKind.ANNIHILATE),)))
     form = canonicalize(e)
-    assert len(form.terms) == 1
-    term = form.terms[0]
-    assert term.coeff == pytest.approx(1)
-    assert term.factors == ((0, (LadderKind.CREATE,)),
-                            (1, (LadderKind.ANNIHILATE,)))
+    assert [term.units for term in form.terms] == [
+        ((0, (m + 1, m)), (1, (k, k + 1))) for m in range(3) for k in range(3)]
+    assert [term.coeff for term in form.terms] == pytest.approx(
+        [math.sqrt((m + 1) * (k + 1)) for m in range(3) for k in range(3)])
 
 
 def test_canonicalize_merges_like_terms():
@@ -181,21 +188,18 @@ def test_canonicalize_cancels_to_zero():
     assert canonicalize(e).terms == ()
 
 
-def test_canonicalize_is_idempotent_and_matrix_preserving():
-    rng = np.random.default_rng(11)
-    for layout in [(T2,), (T2, T4), (F, F), (F, T2, F)]:
-        for _ in range(20):
-            e = _random_expr(rng, layout, depth=3)
-            form = canonicalize(e)
-            rebuilt = canonical_to_expr(form)
-            assert oracle.max_norm(expr_to_matrix(rebuilt),
-                                   expr_to_matrix(e)) < 1e-10
-            again = canonicalize(rebuilt)
-            assert [t.factors for t in again.terms] == [
-                t.factors for t in form.terms]
-            assert np.allclose([t.coeff for t in again.terms],
-                               [t.coeff for t in form.terms], rtol=0,
-                               atol=1e-10)
+@given(st.one_of(graded_trees(), trees))
+def test_the_form_is_the_expression_matrix(e):
+    assert oracle.max_norm(form_matrix(canonicalize(e)),
+                           expr_to_matrix(e)) < 1e-10
+
+
+@pytest.mark.parametrize("site", ["t(2)", "F"])
+def test_one_operator_has_one_form(site):
+    # a adag = 1 - adag a on a two-level site
+    a, b = (canonicalize(parse(f"sites {site};\nH = {body};\n").defs["H"])
+            for body in ("a(0) adag(0)", "I(0) - adag(0) a(0)"))
+    assert canonical_allclose(a, b)
 
 
 def test_canonicalize_fermion_reorder_tracks_sign():
@@ -207,8 +211,7 @@ def test_canonicalize_fermion_reorder_tracks_sign():
     form = canonicalize(e)
     assert len(form.terms) == 1
     assert form.terms[0].coeff == pytest.approx(-1)
-    assert form.terms[0].factors == ((0, (LadderKind.CREATE,)),
-                                     (1, (LadderKind.ANNIHILATE,)))
+    assert form.terms[0].units == ((0, (1, 0)), (1, (0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,10 @@ def test_a_ladder_spelling_of_zero_adds_no_imaginary_part(site, zero):
     e = parse(f"sites {site};\nH = adag(0) a(0) + 1i * ({zero});\n"
               ).defs["H"]
     form = canonicalize(e)
-    assert not canonical_allclose(adjoint(form), form)
+    # the zero leaves no unit behind
+    number = canonicalize(parse(f"sites {site};\nH = adag(0) a(0);\n"
+                                ).defs["H"])
+    assert canonical_allclose(form, number)
     assert hermiticity_report(e) == (True, form)
 
 
@@ -395,10 +401,6 @@ def test_layout_error_paths():
     assert err.value.path == "root"
     assert err.value.left == (b,)
     assert err.value.right == (f,)
-
-
-trees = st.lists(st.sampled_from([T2, T4, F]), min_size=1, max_size=4).flatmap(
-    lambda layout: well_formed(tuple(layout)))
 
 
 def recursive_flag(e):
