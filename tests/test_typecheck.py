@@ -320,6 +320,28 @@ def test_a_weight_past_the_float_range_compares_equal_to_nothing():
     assert not hermiticity_report(e)[0]
 
 
+def test_a_nan_coefficient_stays_in_the_form():
+    # adag^171 n(0) is finite and not Hermitian, but every unit weight of
+    # both words is inf, so every coefficient is inf - inf = nan
+    raised = "adag(0) " * 171
+    e = parse(f"sites t(200);\nH = {raised}a(0) adag(0) - {raised};\n"
+              ).defs["H"]
+    hermitian, form = hermiticity_report(e)
+    assert form.terms and all(math.isnan(abs(t.coeff)) for t in form.terms)
+    assert not hermitian
+    assert typecheck(e).flag is Flag.P
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_the_form_of_a_hopping_term_grows_as_the_square_of_the_dimension(
+        dim):
+    # adag(0) a(1) is sum_{m, n} w |m+1><m| (x) |n-1><n|: (dim - 1)^2 units
+    # per direction, where the ladder product was one term
+    hermitian, form = hermiticity_report(hop((Boson(dim),) * 2))
+    assert hermitian
+    assert len(form.terms) == 2 * (dim - 1) ** 2
+
+
 @pytest.mark.parametrize("im, hermitian", [
     ("1e-13i", True), ("1e-11i", False), ("1e-9i", False)])
 def test_the_certificate_tolerance_is_the_coefficient_tolerance(im,
