@@ -15,9 +15,12 @@ each operand onto the concatenated layout and returns their product, which
 is the graded (Jordan-Wigner) tensor product of fermionic modes, and
 ``dagger`` builds the adjoint tree out of atoms, sums and products.
 
-Every node stores its layout when it is built.  Layouts are interned: two
-equal layouts are one object and compare with ``is``.  A Sum or Seq whose
-children disagree is never built: its constructor raises LayoutError.
+Every node stores its layout, a tuple of site types, when it is built.  The
+parser, ``tensor``, ``scale`` and ``dagger`` pass one tuple object to every
+node of the tree they build, so a Sum or Seq checks its children with one
+``is`` and compares the tuples only when they are different objects.  A
+Sum or Seq whose children disagree is never built: its constructor raises
+LayoutError.
 """
 
 from __future__ import annotations
@@ -71,20 +74,6 @@ def total_dim(layout: SiteList) -> int:
     return d
 
 
-_LAYOUTS: dict = {}   # layout -> its shared tuple
-_SHARED: dict = {}    # id of a shared tuple -> the tuple
-
-
-def intern_layout(layout) -> SiteList:
-    """The one shared tuple equal to ``layout``."""
-    if _SHARED.get(id(layout)) is layout:
-        return layout
-    key = tuple(layout)
-    shared = _LAYOUTS.setdefault(key, key)
-    _SHARED[id(shared)] = shared
-    return shared
-
-
 def layout_str(layout: SiteList) -> str:
     return " (x) ".join(str(s) for s in layout)
 
@@ -136,7 +125,7 @@ class Atom:
     amp: complex = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layout", intern_layout(self.layout))
+        object.__setattr__(self, "layout", tuple(self.layout))
         object.__setattr__(self, "amp", complex(self.amp))
         if not cmath.isfinite(self.amp):
             raise AmplitudeError(f"amplitude must be finite, got {self.amp}")
@@ -161,7 +150,7 @@ class _Nary:
             raise ValueError(f"{type(self).__name__} needs an operand")
         first = children[0].layout
         for c in children:
-            if c.layout is not first:
+            if c.layout is not first and c.layout != first:
                 raise LayoutError(
                     f"{type(self).__name__.lower()} branches act on "
                     "different site lists", "root", first, c.layout)
@@ -248,7 +237,7 @@ def tensor(*es: HamExpr) -> HamExpr:
         raise ValueError("tensor needs at least one operand")
     if len(es) == 1:
         return es[0]
-    layout = intern_layout(tuple(s for e in es for s in e.layout))
+    layout = tuple(s for e in es for s in e.layout)
     parts, offset = [], 0
     for e in es:
         parts.append(_embed(e, layout, offset))

@@ -2,12 +2,12 @@
 
 States are sparse complex combinations of occupation-number kets over a fixed
 site layout; the empty combination is the absorbing zero state.  ``apply``
-lowers each factor of the root product (the children of its Seq nodes,
-last child first) once to a term list (coefficients times the ladder
-operators of the active sites, in application order) and applies it to
-the whole merged state; an adjoint arrives already built from atoms, sums
-and products.  A fermionic ladder operator takes the sign (-1)^(occupied
-fermionic sites to its left) in the current occupation.
+walks the operator tree over the whole state: an atom maps each ket through
+its ladders, a sum adds its children's results into one accumulator, and a
+product applies its children to the merged state, last child first; an
+adjoint arrives already built from atoms, sums and products.  A fermionic
+ladder operator takes the sign (-1)^(occupied fermionic sites to its left)
+in the current occupation.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from itertools import compress
 
 from .errors import ZERO_TOL, LayoutError, StateFormatError
 from .expr import (
-    Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, site_dim,
+    Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, site_dim,
 )
-from .typecheck import _terms
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,9 @@ def apply_single(kind: LadderKind, site, k: int):
 # ---------------------------------------------------------------------------
 
 def apply(e: HamExpr, s: FockState) -> FockState:
-    """Big-step application of an operator expression to a state: each
-    factor of the root product applies to the whole merged state in turn,
-    and only the final state is pruned and sorted."""
+    """Big-step application of an operator expression to a state: the tree
+    acts on the whole merged state, and only the final state is pruned and
+    sorted."""
     layout = e.layout
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",
@@ -112,15 +111,14 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     # fermionic[:j] selects the sites whose occupation signs an op at site j
     fermionic = [isinstance(site, Fermion) for site in layout]
     prefixes = [fermionic[:j] for j in range(len(layout))]
-    state = {ket.occ: ket.amp for ket in s.terms}
-    for factor in _factors(e):
-        terms = _terms(factor)
-        out: dict[tuple, complex] = {}
-        for occ, amp in state.items():
-            for coeff, ops in terms:
-                val = amp * coeff
+
+    def act(node: HamExpr, state: dict, out: dict):
+        """Add node applied to state into out."""
+        if isinstance(node, Atom):
+            for occ, amp in state.items():
+                val = amp * node.amp
                 cur = list(occ)
-                for j, kind in ops:
+                for j, kind in node.ops:
                     res = apply_single(kind, layout[j], cur[j])
                     if res is None:
                         break
@@ -131,16 +129,21 @@ def apply(e: HamExpr, s: FockState) -> FockState:
                 else:
                     key = tuple(cur)
                     out[key] = out.get(key, 0j) + val
-        state = out
-    terms = tuple(Ket(state[occ], occ) for occ in sorted(state)
-                  if abs(state[occ]) > ZERO_TOL)
-    return FockState(s.layout, terms)
+        elif isinstance(node, Sum):
+            for c in node.children:
+                act(c, state, out)
+        elif isinstance(node, Seq):
+            for c in reversed(node.children[1:]):
+                mid: dict = {}
+                act(c, state, mid)
+                state = mid
+            act(node.children[0], state, out)
+        else:
+            raise TypeError(f"not a HamExpr: {node!r}")
 
-
-def _factors(e: HamExpr) -> list:
-    """Factors of the root product spine, first applied first."""
-    return ([f for c in reversed(e.children) for f in _factors(c)]
-            if isinstance(e, Seq) else [e])
+    out: dict[tuple, complex] = {}
+    act(e, {ket.occ: ket.amp for ket in s.terms}, out)
+    return _merged(layout, [(amp, occ) for occ, amp in out.items()])
 
 
 # ---------------------------------------------------------------------------

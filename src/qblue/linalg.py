@@ -271,16 +271,13 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
         return np.abs(diff, out=mag).max()
     tr = np.vdot(b, a)  # trace(b^dag a) without the matrix product
     if abs(tr) > 1e-12:
-        candidates = [float(np.angle(tr))]
+        alpha0 = float(np.angle(tr))
     else:
         grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         vals = [dist(al) for al in grid]
-        candidates = [float(grid[int(np.argmin(vals))])]
-    best = min(dist(al) for al in candidates)
-    for alpha0 in candidates:
-        res = scipy.optimize.minimize_scalar(
-            dist, bounds=(alpha0 - 0.35, alpha0 + 0.35), method="bounded",
-            options={"xatol": 1e-12})
-        best = min(best, float(res.fun))
-    return best
+        alpha0 = float(grid[int(np.argmin(vals))])
+    res = scipy.optimize.minimize_scalar(
+        dist, bounds=(alpha0 - 0.35, alpha0 + 0.35), method="bounded",
+        options={"xatol": 1e-12})
+    return min(dist(alpha0), float(res.fun))
 

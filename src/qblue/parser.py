@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .errors import AmplitudeError, ParseError
 from .expr import (
     Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, dagger,
-    ham_sum, intern_layout, scale, seq, site_dim,
+    ham_sum, scale, seq, site_dim,
 )
 
 
@@ -131,7 +131,7 @@ class _Parser:
         if t[1] != "sites":
             self.fail("program must start with a 'sites' declaration")
         self.next()
-        self.layout = intern_layout(self.site_list())
+        self.layout = self.site_list()
         self.expect(";")
         defs: dict[str, HamExpr] = {}
         while self.peek()[0] != "eof":

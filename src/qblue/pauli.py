@@ -2,10 +2,11 @@
 
 A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
-pruned at ZERO_TOL.  This is the compiler's intermediate representation.
-Its dense matrix writes each string as the signed permutation it is, one
-nonzero per column from the string's X/Z bit masks, so a sum of T terms on
-n qubits costs O(T 2^n) on top of the 4^n zero fill.
+pruned at ZERO_TOL relative to the magnitudes summed into them.  This is
+the compiler's intermediate representation.  Its dense matrix writes each
+string as the signed permutation it is, one nonzero per column from the
+string's X/Z bit masks, so a sum of T terms on n qubits costs O(T 2^n) on
+top of the 4^n zero fill.
 """
 
 from __future__ import annotations
@@ -28,14 +29,22 @@ class PauliSum:
 
 
 def pauli_sum(qubits: int, terms) -> PauliSum:
-    """Canonicalize a list of (coeff, string) terms."""
+    """Canonicalize a list of (coeff, string) terms.
+
+    A string drops when its summed coefficient is at most ZERO_TOL times
+    max(1, the sum of the magnitudes summed into it): the rounding left by
+    a cancellation grows with the terms that cancel.
+    """
     acc: dict[str, complex] = {}
+    mag: dict[str, float] = {}
     for c, s in terms:
         if len(s) != qubits or s.strip(LETTERS):
             raise ValueError(f"bad Pauli string {s!r} for {qubits} qubits")
-        acc[s] = acc.get(s, 0j) + complex(c)
+        c = complex(c)
+        acc[s] = acc.get(s, 0j) + c
+        mag[s] = mag.get(s, 0.0) + abs(c)
     out = tuple((acc[s], s) for s in sorted(acc)
-                if abs(acc[s]) > ZERO_TOL)
+                if abs(acc[s]) > ZERO_TOL * max(1.0, mag[s]))
     return PauliSum(qubits, out)
 
 

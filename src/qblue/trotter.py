@@ -21,11 +21,12 @@ from .typecheck import hermiticity_report
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """n repetitions of per-term rotations; angle = 2 * coeff * t / n.
+    """``steps`` repetitions of per-term rotations; angle = 2 * coeff * t / n.
 
-    ``slices`` lists (pauli_string, angle) for all n steps in order.
-    Identity terms carry no rotation; their accumulated phase is kept in
-    ``identity_phase`` (the e^{i phase} factor of the full product).
+    ``slices`` lists (pauli_string, angle) for one step in order; every
+    step repeats it.  Identity terms carry no rotation; their accumulated
+    phase is kept in ``identity_phase`` (the e^{i phase} factor of the full
+    product).
     """
 
     qubits: int
@@ -52,7 +53,7 @@ def trotterize(hs: PauliSum, t: float, n: int) -> TrotterPlan:
             phase += -coeff.real * t
         else:
             step_terms.append((string, 2.0 * coeff.real * t / n))
-    return TrotterPlan(hs.qubits, n, tuple(step_terms) * n, phase)
+    return TrotterPlan(hs.qubits, n, tuple(step_terms), phase)
 
 
 def synthesize_term(string: str, angle: float) -> Circuit:
@@ -95,18 +96,12 @@ def plan_to_circuit(plan: TrotterPlan) -> Circuit:
     """The plan as one circuit: each slice's gadget in slice order, with
     the identity phase as the global phase.
 
-    An n-step plan lists every (string, angle) slice n times.  Each distinct
-    slice is synthesized once, and its frozen gates are shared by every
-    later slice with the same key, so the plan pays for one step's
-    synthesis and the circuit's gates repeat the first step's n times.
+    Each slice is synthesized once, and the one step's gates repeat
+    ``steps`` times, so every later step holds the first step's gate
+    objects.
     """
-    gadgets: dict = {}   # (string, angle) -> that slice's gate tuple
-    gates = []
-    for key in plan.slices:
-        if key not in gadgets:
-            gadgets[key] = synthesize_term(*key).gates
-        gates += gadgets[key]
-    return Circuit(plan.qubits, tuple(gates), plan.identity_phase)
+    step = tuple(g for key in plan.slices for g in synthesize_term(*key).gates)
+    return Circuit(plan.qubits, step * plan.steps, plan.identity_phase)
 
 
 def encode_hermitian(e: HamExpr):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from qblue.cli import main
+from qblue.encodings import encode_for_compile
 from qblue.fock import format_state, parse_state
 from qblue.parser import parse
 from qblue.pauli import pauli_sum
+from qblue.typecheck import canonicalize
 
 import oracle
 from test_trotter import commutator_bound
@@ -54,6 +56,21 @@ def test_compile_gate_counts_per_step(family, tmp_path, capsys):
     assert lines[0].startswith(f"qubits {qubits};")
     assert len(lines) - 1 == steps * gates
     assert sum(ln.startswith("cx ") for ln in lines) == steps * cx
+
+
+def test_rounding_residue_is_no_global_phase(tmp_path):
+    # the identity strings of 0.9 Z(j) Z(j+1) cancel to a rounding residue
+    # of about 1.6e-14, above ZERO_TOL but not above the cancelled terms
+    text = (f"sites {', '.join(['t(2)'] * 24)};\n"
+            "H = sum j in 0..22 { 0.9 * Z(j) Z(j+1) + 0.8 * X(j+1) };\n")
+    hs, _ = encode_for_compile(canonicalize(parse(text).defs["H"]))
+    assert all(s.strip("I") for _, s in hs.terms)
+    prog = tmp_path / "h.qb"
+    prog.write_text(text)
+    out = tmp_path / "h.circ"
+    assert main(["compile", str(prog), "--t", "0.7", "--n", "2",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "qubits 24; phase 0.0;"
 
 
 def test_check_reports_certificate_verdict_once(tmp_path, capsys,

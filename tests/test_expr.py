@@ -155,13 +155,15 @@ def test_tensor_sum_and_seq_flatten_to_one_nary_node():
     assert seq(seq(a, a), a) == seq(a, seq(a, a)) == Seq(a, a, a)
 
 
-def test_layouts_are_interned_and_stored_at_build():
+def test_layouts_are_stored_at_build():
     layout = (T2, F)
     e = ham_sum(Atom(layout, ((0, LadderKind.CREATE),)),
                 Atom(list(layout), ((1, LadderKind.ANNIHILATE),)))
-    assert e.layout is e.children[0].layout is e.children[1].layout
+    # a node keeps its first child's tuple and accepts an equal one
+    assert e.layout is e.children[0].layout is layout
+    assert e.children[1].layout == layout
     x = ham_sum(create(T2), annihilate(T2))
-    assert tensor(x, create(F)).layout is e.layout
+    assert tensor(x, create(F)).layout == e.layout
     # a node whose children disagree is never built
     with pytest.raises(LayoutError):
         Sum(e, create(T2))
@@ -171,7 +173,7 @@ def test_layouts_are_interned_and_stored_at_build():
 @given(graded_trees())
 def test_dagger_is_an_involution_on_trees(e):
     d = dagger(e)
-    assert d.layout is e.layout
+    assert d.layout == e.layout
     assert dagger(d) == e
 
 

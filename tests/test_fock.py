@@ -15,6 +15,7 @@ from qblue.fock import (
     apply, apply_single, format_state, make_state, parse_state,
 )
 from qblue.linalg import expr_to_matrix
+from qblue.parser import parse
 
 import oracle
 from helpers import basis_ket, state_to_vector
@@ -144,6 +145,28 @@ def test_apply_agrees_with_matrix_oracle_bosonic():
         want = ref @ state_to_vector(s)
         assert oracle.max_norm(got, want) < 1e-12
     assert oracle.max_norm(expr_to_matrix(e), ref) < 1e-12
+
+
+def test_apply_walks_a_product_of_sums_without_multiplying_it_out(
+        monkeypatch):
+    program = parse("sites " + ", ".join(["t(2)"] * 8) + ";\n"
+                    "H = (sum j in 0..7 { adag(j) a(j) })"
+                    " (sum j in 0..7 { adag(j) a(j) }) + I(0);\n")
+    e = program.defs["H"]
+    s = basis_ket(program.layout, (1, 0, 1, 1, 0, 0, 1, 0))
+    calls = []
+
+    def counting(kind, site, k):
+        calls.append(k)
+        return apply_single(kind, site, k)
+
+    monkeypatch.setattr(fock, "apply_single", counting)
+    got = state_to_vector(fock.apply(e, s))
+    # each sum applies once to the merged state: at most one call per
+    # ladder of the two sums, none spent on their 64 pairwise products
+    assert len(calls) <= 32
+    want = expr_to_matrix(e) @ state_to_vector(s)
+    assert oracle.max_norm(got, want) < 1e-12
 
 
 @st.composite

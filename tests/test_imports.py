@@ -41,6 +41,20 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == {}
 
 
+def package_imports(source):
+    """The package modules a module imports from, sorted."""
+    return sorted({node.module for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.ImportFrom) and node.level})
+
+
+def test_the_checkers_share_no_code_with_the_pipeline():
+    # the interpreter and the dense oracle check the certificate, encoder
+    # and compiler, so they reach none of them
+    for name in ("fock", "linalg"):
+        imported = package_imports((PACKAGE / f"{name}.py").read_text())
+        assert set(imported) <= {"errors", "expr", "fock"}, name
+
+
 # Definitions with no caller in the package that stay: the entry point, the
 # dense reference the tests compare against, the single-site constructors
 # and graded tensor product that build trees by hand, and the override

@@ -161,7 +161,7 @@ def program_text(draw):
 def test_format_program_round_trips(text):
     p = parse(text)
     q = parse(format_program(p))
-    assert q.layout is p.layout
+    assert q.layout == p.layout
     assert q.defs == p.defs
     assert format_program(q) == format_program(p)
 

@@ -20,6 +20,14 @@ def test_simplify_cancels_to_zero():
     assert p.terms == ()
 
 
+def test_simplify_prunes_relative_to_the_summed_magnitudes():
+    # the rounding of a cancellation grows with the terms that cancel
+    residue = pauli_sum(1, [(0.1, "Z")] * 1000 + [(-100.0, "Z")])
+    assert residue.terms == ()
+    # a small coefficient that cancels nothing stays
+    assert pauli_sum(1, [(1e-13, "Z")]).terms == ((1e-13 + 0j, "Z"),)
+
+
 def test_simplify_is_idempotent_and_sorted():
     p = pauli_sum(2, [(1, "ZZ"), (2, "IX"), (1, "ZZ"), (0.5, "XI")])
     assert [s for _, s in p.terms] == ["IX", "XI", "ZZ"]
