@@ -11,7 +11,7 @@ from .expr import (
     tensor, total_dim,
 )
 from .typecheck import (
-    CanonicalForm, CanonicalTerm, adjoint, canonical_allclose, canonicalize,
+    CanonicalForm, adjoint, canonical_allclose, canonicalize,
     hermiticity_report, is_hermitian, typecheck,
 )
 from .fock import (

@@ -143,13 +143,13 @@ def encode_for_compile(form: CanonicalForm):
     jw = method == "jw"
     shapes: dict = {}   # units at the active sites -> their product
     products = []
-    for term in form.terms:
-        if n is not None and any(max(unit) > n for _, unit in term.units):
+    for units, coeff in form.terms.items():
+        if n is not None and any(max(unit) > n for _, unit in units):
             continue   # hp holds the levels 0..n only
-        shape = tuple(unit for _, unit in term.units)
+        shape = tuple(unit for _, unit in units)
         gaps, keys, prev = [], [], -1
         above = sum(m != k for m, k in shape)   # odd units here and later
-        for s, (m, k) in term.units:
+        for s, (m, k) in units:
             gaps.append(("Z" if jw and above % 2 else "I")
                         * ((s - prev - 1) * width))
             above -= m != k
@@ -159,7 +159,7 @@ def encode_for_compile(form: CanonicalForm):
             shapes[shape] = _tensor(itertools.starmap(_site_table, keys))
         tail = "I" * ((len(layout) - prev - 1) * width)
         for c, chunks in shapes[shape]:
-            products.append((c * term.coeff, "".join(
+            products.append((c * coeff, "".join(
                 map(str.__add__, gaps, chunks)) + tail))
     return (pauli_sum(len(layout) * width, products),
             encoding_report(layout, method, n))

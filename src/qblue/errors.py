@@ -7,10 +7,13 @@ from __future__ import annotations
 DIM_CAP = 2 ** 12
 QUBIT_CAP = DIM_CAP.bit_length() - 1
 
-# Tolerances, each named once for every module that compares with it.
-COEFF_EQ_TOL = 1e-12      # coefficients and amplitudes compared as equal
-ZERO_TOL = 1e-14          # term, Pauli coefficient or ket amplitude as zero
-HERMITIAN_TOL = 1e-10     # max-norm ||M - M^dag|| of a Hermitian matrix
+# Tolerances, each named once for every module that compares with it.  Each
+# is relative to the largest magnitude in the sum compared, so an operator
+# and c times it get one verdict; a Pauli string's zero is relative to the
+# magnitudes summed into it.
+COEFF_EQ_TOL = 1e-12      # coefficients compared as equal, times max |c|
+ZERO_TOL = 1e-14          # term or ket amplitude as zero, times max |c|
+HERMITIAN_TOL = 1e-10     # ||M - M^dag||_max of a Hermitian M, times max |M|
 
 
 class QBlueError(Exception):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import Union
 
 from .errors import AmplitudeError, LayoutError
@@ -100,14 +100,11 @@ class OpType:
 # Expression nodes
 # ---------------------------------------------------------------------------
 
-class LadderKind(Enum):
-    CREATE = "create"
-    ANNIHILATE = "annihilate"
+class LadderKind(IntEnum):
+    """A ladder is its step: the occupation change of the state it maps."""
 
-    @property
-    def flipped(self) -> "LadderKind":
-        return (LadderKind.ANNIHILATE if self is LadderKind.CREATE
-                else LadderKind.CREATE)
+    CREATE = 1
+    ANNIHILATE = -1
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ def identity(site: SiteType, amp: complex = 1.0) -> Atom:
 def dagger(e: HamExpr) -> HamExpr:
     """The adjoint tree: the matrix adjoint of e, built from its nodes.
 
-    An atom conjugates its amplitude and flips each ladder's kind.  The
+    An atom conjugates its amplitude and negates each ladder's step.  The
     adjoint applies the atom's operators in reverse order, and putting them
     back site-ascending, the order an atom applies them in, makes f
     fermionic ladders trade places f(f-1)/2 times: the amplitude takes the
@@ -201,7 +198,7 @@ def dagger(e: HamExpr) -> HamExpr:
     if isinstance(e, Atom):
         f = sum(isinstance(e.layout[s], Fermion) for s, _ in e.ops)
         amp = e.amp.conjugate()
-        return Atom(e.layout, tuple((s, k.flipped) for s, k in e.ops),
+        return Atom(e.layout, tuple((s, LadderKind(-k)) for s, k in e.ops),
                     -amp if f * (f - 1) // 2 % 2 else amp)
     if isinstance(e, Sum):
         return Sum(*(dagger(c) for c in e.children))

@@ -56,12 +56,17 @@ def make_state(layout: SiteList, kets) -> FockState:
 
 
 def _merged(layout: SiteList, kets) -> FockState:
-    """The canonical state of kets already checked against the layout."""
+    """The canonical state of kets already checked against the layout.
+    An amplitude at most ZERO_TOL times the largest drops, however it was
+    summed: a residue carried through a product's intermediate state
+    arrives alone.  An inf or nan leaves no scale: only zeros drop."""
     acc: dict[tuple, complex] = {}
     for amp, occ in kets:
         acc[occ] = acc.get(occ, 0j) + complex(amp)
+    top = max(map(abs, acc.values()), default=0.0)
+    cut = ZERO_TOL * top if math.isfinite(top) else 0.0
     terms = tuple(Ket(acc[occ], occ) for occ in sorted(acc)
-                  if abs(acc[occ]) > ZERO_TOL)
+                  if not abs(acc[occ]) <= cut)
     return FockState(tuple(layout), terms)
 
 
@@ -82,18 +87,14 @@ def _check_occ(layout, occ):
 def apply_single(kind: LadderKind, site, k: int):
     """Act on one occupation number.
 
-    Returns (coeff, k') or None for the zero state.  A creator on the top
-    occupation and an annihilator on 0 both vanish; otherwise the sqrt
-    ladder factors apply (for fermions these are always 1).
+    Returns (coeff, k') or None for the zero state.  The ladder moves k by
+    its step to k' = k + kind and vanishes where k' leaves 0..d-1;
+    otherwise its weight is sqrt(max(k, k')), always 1 for fermions.
     """
-    m = site_dim(site)
-    if kind is LadderKind.CREATE:
-        if k == m - 1:
-            return None
-        return math.sqrt(k + 1), k + 1
-    if k == 0:
+    out = k + kind
+    if not 0 <= out < site_dim(site):
         return None
-    return math.sqrt(k), k - 1
+    return math.sqrt(max(k, out)), out
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +103,8 @@ def apply_single(kind: LadderKind, site, k: int):
 
 def apply(e: HamExpr, s: FockState) -> FockState:
     """Big-step application of an operator expression to a state: the tree
-    acts on the whole merged state, and only the final state is pruned and
-    sorted."""
+    acts on the whole merged state, and only the final state is pruned, at
+    ZERO_TOL times its largest amplitude, and sorted."""
     layout = e.layout
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",

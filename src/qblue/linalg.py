@@ -37,8 +37,7 @@ from .errors import (
     DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
 )
 from .expr import (
-    Atom, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, site_dim,
-    total_dim,
+    Atom, Fermion, HamExpr, Seq, SiteList, Sum, site_dim, total_dim,
 )
 from .fock import FockState, make_state
 
@@ -136,10 +135,9 @@ def _monomial(layout: SiteList, ops: tuple):
         if kind is not None or (odd and fermionic):
             occ = cols // stride % d
         if kind is not None:
-            step = 1 if kind is LadderKind.CREATE else -1
-            vals *= _ladder_values(d, step)[occ]
-            rows += step * stride
-            occ = occ + step
+            vals *= _ladder_values(d, kind)[occ]
+            rows += kind * stride
+            occ = occ + kind
         if fermionic:
             if odd:
                 vals *= 1 - 2 * (occ & 1)
@@ -173,9 +171,11 @@ def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:
 
 def check_hermitian(h):
     """Raise unless the dense or sparse matrix h is Hermitian within
-    HERMITIAN_TOL."""
+    HERMITIAN_TOL times its largest |h_ij|; an inf or nan entry leaves no
+    scale, and such a matrix is not."""
     err = abs(h - h.conj().T).max()
-    if err > HERMITIAN_TOL:
+    scale = abs(h).max()
+    if not (math.isfinite(scale) and err <= HERMITIAN_TOL * scale):
         raise NonHermitianError(f"matrix deviates from Hermitian by {err:g}")
 
 

@@ -2,7 +2,8 @@
 
 A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
-pruned at ZERO_TOL relative to the magnitudes summed into them.  This is
+pruned at ZERO_TOL times the magnitudes summed into them, with no absolute
+floor, so a sum scaled by c keeps its strings.  This is
 the compiler's intermediate representation.  Its dense matrix writes each
 string as the signed permutation it is, one nonzero per column from the
 string's X/Z bit masks, so a sum of T terms on n qubits costs O(T 2^n) on
@@ -32,8 +33,8 @@ def pauli_sum(qubits: int, terms) -> PauliSum:
     """Canonicalize a list of (coeff, string) terms.
 
     A string drops when its summed coefficient is at most ZERO_TOL times
-    max(1, the sum of the magnitudes summed into it): the rounding left by
-    a cancellation grows with the terms that cancel.
+    the sum of the magnitudes summed into it: the rounding left by a
+    cancellation grows with the terms that cancel.
     """
     acc: dict[str, complex] = {}
     mag: dict[str, float] = {}
@@ -44,14 +45,16 @@ def pauli_sum(qubits: int, terms) -> PauliSum:
         acc[s] = acc.get(s, 0j) + c
         mag[s] = mag.get(s, 0.0) + abs(c)
     out = tuple((acc[s], s) for s in sorted(acc)
-                if abs(acc[s]) > ZERO_TOL * max(1.0, mag[s]))
+                if abs(acc[s]) > ZERO_TOL * mag[s])
     return PauliSum(qubits, out)
 
 
 def is_hermitian_pauli(p: PauliSum) -> bool:
     """Pauli strings are Hermitian, so real coefficients are necessary and
-    sufficient."""
-    return all(abs(c.imag) <= COEFF_EQ_TOL for c, _ in p.terms)
+    sufficient: each imaginary part within COEFF_EQ_TOL times the largest
+    |c| of the sum."""
+    tol = COEFF_EQ_TOL * max((abs(c) for c, _ in p.terms), default=0.0)
+    return all(abs(c.imag) <= tol for c, _ in p.terms)
 
 
 def _parity(v: np.ndarray, bits: int) -> np.ndarray:

@@ -5,10 +5,13 @@ Structural typing combines flags bottom-up, then a certificate pass tries to
 promote the whole expression to H.  The canonical form writes every term in
 each site's matrix units: the identity, |n><n| for n >= 1 and |m><n| for
 m != n form a basis of the site's operators, so two expressions are one
-operator exactly when their forms agree.  The certificate compares the form
-with its adjoint, which transposes each unit, and decides exactly without a
-matrix.  The cost is in the units: a product over k sites of d levels
-expands into up to d^k of them, so a hopping term on t(d) sites has 2(d-1)^2.
+operator exactly when their forms agree.  A form maps each product of units
+to its coefficient; the certificate compares it with its adjoint, the
+mapping with each unit transposed and no sort, and decides exactly without
+a matrix.  Every zero and comparison is relative to the largest
+coefficient, so c e has the verdict of e.  The cost is in the units: a
+product over k sites of d levels expands into up to d^k of them, so a
+hopping term on t(d) sites has 2(d-1)^2.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 
 from .errors import COEFF_EQ_TOL, ZERO_TOL
 from .expr import (
-    Atom, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, SiteList, Sum,
-    site_dim,
+    Atom, Fermion, Flag, HamExpr, OpType, Seq, SiteList, Sum, site_dim,
 )
 
 
@@ -30,39 +32,32 @@ from .expr import (
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CanonicalTerm:
-    """coeff times a product of site matrix units.
+class CanonicalForm:
+    """A sum of products of site matrix units, as a mapping units -> coeff.
 
-    ``units`` lists (site, (m, n)) pairs, site-ascending, for the unit
-    |m><n| at each site whose unit is not the identity.  The units apply in
+    A key lists (site, (m, n)) pairs, site-ascending, for the unit |m><n|
+    at each site whose unit is not the identity.  The units apply in
     ascending site order, and an off-diagonal unit on a fermionic site is
     odd: it carries the Jordan-Wigner string of the ladders it came from,
-    and the anti-commutation signs of reordering them are folded into
-    ``coeff``.
+    and the anti-commutation signs of reordering them are folded into the
+    coefficient.  ``canonicalize`` inserts the keys in sorted order;
+    ``adjoint`` keeps that order of the transposed keys and does not sort.
     """
 
-    coeff: complex
-    units: tuple  # tuple[tuple[int, tuple[int, int]], ...]
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
     layout: SiteList
-    terms: tuple  # tuple[CanonicalTerm, ...], sorted by units
-
-
-_STEP = {LadderKind.CREATE: 1, LadderKind.ANNIHILATE: -1}
+    terms: dict  # dict[tuple[tuple[int, tuple[int, int]], ...], complex]
 
 
 def canonicalize(e: HamExpr) -> CanonicalForm:
-    """Flatten to a sorted sum of products of site matrix units.
+    """Flatten to a sum of products of site matrix units, keys sorted.
 
     Sums are distributed out of products, each product's ladders put in
     site order (-1 per transposition of two fermionic ladders at distinct
     sites) and like ladder products merged.  Each site's ladders then
     expand into the site's units (``_site_units``); like terms merge and
-    terms with |c| <= ZERO_TOL drop.  A nan coefficient, from a weight past
-    the float range, stays, so the form differs from its adjoint.
+    terms with |c| <= ZERO_TOL times the largest |c| drop.  A weight past
+    the float range leaves no scale, and only zeros drop; a nan
+    coefficient stays, so the form differs from its adjoint.
     """
     layout = e.layout
     fermionic = [isinstance(site, Fermion) for site in layout]
@@ -80,26 +75,25 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
                         for u, c in products for unit, w in expansion]
         for u, c in products:
             units[u] = units.get(u, 0j) + c
-    return CanonicalForm(layout, tuple(
-        CanonicalTerm(units[key], key) for key in sorted(units)
-        if not abs(units[key]) <= ZERO_TOL))
+    top = max(map(abs, units.values()), default=0.0)
+    cut = ZERO_TOL * top if math.isfinite(top) else 0.0
+    return CanonicalForm(layout, {key: units[key] for key in sorted(units)
+                                  if not abs(units[key]) <= cut})
 
 
 def adjoint(form: CanonicalForm) -> CanonicalForm:
     """The canonical form of the adjoint: each unit transposed and each
     coefficient conjugated.  The f odd units of a term then apply in
     reverse order, and putting them back in site order takes f(f-1)/2
-    transpositions, each a factor -1."""
+    transpositions, each a factor -1.  The keys need no merge or sort."""
     fermionic = [isinstance(site, Fermion) for site in form.layout]
-    terms = []
-    for term in form.terms:
-        f = sum([fermionic[s] and m != n for s, (m, n) in term.units])
-        coeff = term.coeff.conjugate()
-        terms.append(CanonicalTerm(
-            -coeff if f * (f - 1) // 2 % 2 else coeff,
-            tuple([(s, (n, m)) for s, (m, n) in term.units])))
-    terms.sort(key=lambda term: term.units)
-    return CanonicalForm(form.layout, tuple(terms))
+    terms = {}
+    for units, coeff in form.terms.items():
+        f = sum([fermionic[s] and m != n for s, (m, n) in units])
+        coeff = coeff.conjugate()
+        terms[tuple([(s, (n, m)) for s, (m, n) in units])] = (
+            -coeff if f * (f - 1) // 2 % 2 else coeff)
+    return CanonicalForm(form.layout, terms)
 
 
 def _terms(e: HamExpr) -> list:
@@ -122,8 +116,8 @@ def _terms(e: HamExpr) -> list:
 
 def _normal_order(coeff, ops, fermionic):
     """Stable-sort ops by site; swapping two fermionic ladder operators at
-    distinct sites flips the sign of the coefficient.  The key lists
-    (site, step), step +1 for a creator and -1 for an annihilator."""
+    distinct sites flips the sign of the coefficient.  The key is the
+    sorted ops."""
     ops = list(ops)
     n = len(ops)
     for i in range(1, n):
@@ -133,14 +127,14 @@ def _normal_order(coeff, ops, fermionic):
                 coeff = -coeff
             ops[j - 1], ops[j] = ops[j], ops[j - 1]
             j -= 1
-    return coeff, tuple([(s, _STEP[k]) for s, k in ops])
+    return coeff, tuple(ops)
 
 
 @functools.cache
 def _site_units(dim: int, monomial: tuple) -> tuple:
     """(unit, weight) pairs that sum to a monomial on a dim-level site.
 
-    The monomial lists the steps of its ladders in application order, +1
+    The monomial lists its ladders in application order, each its step, +1
     for a creator and -1 for an annihilator.  It maps |n> to w_n |n + s>,
     so it is the sum of w_n |n + s><n|; on the diagonal it is
     w_0 I + sum_{n >= 1} (w_n - w_0) |n><n|, with None for I.  Each w_n is
@@ -165,15 +159,15 @@ def _site_units(dim: int, monomial: tuple) -> tuple:
 
 
 def canonical_allclose(a: CanonicalForm, b: CanonicalForm) -> bool:
-    """Equal layouts and units, and coefficients within COEFF_EQ_TOL."""
-    if a.layout != b.layout or len(a.terms) != len(b.terms):
+    """Equal layouts and keys, and coefficients within COEFF_EQ_TOL times
+    the largest |c| of the two forms."""
+    if a.layout != b.layout or a.terms.keys() != b.terms.keys():
         return False
-    for ta, tb in zip(a.terms, b.terms):
-        # not <=: a nan difference (from an overflowed weight) differs
-        if (ta.units != tb.units
-                or not abs(ta.coeff - tb.coeff) <= COEFF_EQ_TOL):
-            return False
-    return True
+    tol = COEFF_EQ_TOL * max(map(abs, [*a.terms.values(),
+                                       *b.terms.values()]), default=0.0)
+    # an inf or nan (from an overflowed weight) compares equal to nothing
+    return math.isfinite(tol) and all(
+        abs(c - b.terms[units]) <= tol for units, c in a.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +178,8 @@ def hermiticity_report(e: HamExpr) -> tuple[bool, CanonicalForm]:
     """Decide Hermiticity exactly; report the verdict and the canonical form.
 
     The form is unique, so e is Hermitian exactly when its form and its
-    adjoint agree, coefficient by coefficient within COEFF_EQ_TOL; no
-    matrix is built.
+    adjoint agree, coefficient by coefficient within COEFF_EQ_TOL times
+    the largest |c|; no matrix is built.
     """
     form = canonicalize(e)
     return canonical_allclose(adjoint(form), form), form
@@ -204,7 +198,7 @@ def typecheck(e: HamExpr, promote: bool = True) -> OpType:
 
     The site list is the one the root stored when it was built, and one
     walk gives the structural flag: an atom listing no ladder is H when its
-    amplitude is real, any other atom P; sum and sequencing join their
+    amplitude is exactly real, any other atom P; sum and sequencing join their
     children's flags, so H survives only when every child is H.  With
     ``promote`` the Hermiticity certificate then lifts the root to H when it
     succeeds.
@@ -217,8 +211,7 @@ def typecheck(e: HamExpr, promote: bool = True) -> OpType:
 
 def _flag(e: HamExpr) -> Flag:
     if isinstance(e, Atom):
-        real = abs(e.amp.imag) <= COEFF_EQ_TOL
-        return Flag.H if real and not e.ops else Flag.P
+        return Flag.H if e.amp.imag == 0 and not e.ops else Flag.P
     if isinstance(e, (Sum, Seq)):
         return Flag.P if Flag.P in map(_flag, e.children) else Flag.H
     raise TypeError(f"not a HamExpr: {e!r}")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qblue.circuit import parse_circuit
 from qblue.cli import main
 from qblue.encodings import encode_for_compile
 from qblue.fock import format_state, parse_state
@@ -731,6 +732,47 @@ def test_a_program_certified_only_p_exits_4_before_any_matrix(tmp_path,
     # fit and verify say what compile says
     assert messages == {"only Hermitian programs (flag h) are executable; "
                         "this one certifies only flag p"}
+
+
+@pytest.mark.parametrize("body", ["1e-13i * X(0)", "1e-13i * I(0)"])
+def test_i_times_a_small_hermitian_operator_is_not_hermitian(body, tmp_path,
+                                                              capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text(f"sites t(2);\nH = {body};\n")
+    code, out, _ = run_json(capsys, ["check", str(prog)])
+    assert code == 0
+    assert json.loads(out)["type"] == "F[p](t(2))"
+    for argv, want in ((["compile", str(prog), "--t", "1", "--n", "1",
+                         "--out", str(tmp_path / "h.circ")], 4),
+                       (["energy", str(prog)], 3)):
+        code, out, _ = run_json(capsys, argv)
+        assert (code, out) == (want, "")
+
+
+def test_a_small_chain_compiles_to_the_circuit_of_the_unit_chain(tmp_path):
+    # 1e-20 H for a time 1e20 is the evolution of H for a time 1
+    circuits = []
+    for c, t in (("1", "1"), ("1e-20", "1e20")):
+        prog, circ = tmp_path / "h.qb", tmp_path / "h.circ"
+        prog.write_text("sites t(2), t(2);\n"
+                        f"H = {c} * (Z(0) Z(1) + 0.5 * X(1));\n")
+        assert main(["compile", str(prog), "--t", t, "--n", "1",
+                     "--out", str(circ)]) == 0
+        circuits.append(parse_circuit(circ.read_text()))
+    unit, small = circuits
+    assert len(unit.gates) == 4
+    assert [(g.name, g.qubits) for g in small.gates] == [
+        (g.name, g.qubits) for g in unit.gates]
+    for a, b in zip(small.gates, unit.gates):
+        assert a.angle == pytest.approx(b.angle, rel=1e-12)
+
+
+def test_eval_keeps_a_small_amplitude(tmp_path, capsys):
+    prog, st = tmp_path / "h.qb", tmp_path / "in.state"
+    prog.write_text("sites t(2);\nH = 1e-20 * X(0);\n")
+    st.write_text("sites: t(2)\n(1.0,0.0) |0>\n")
+    assert main(["eval", str(prog), "--state", str(st)]) == 0
+    assert capsys.readouterr().out == "sites: t(2)\n(1e-20,0.0) |1>\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,11 +112,12 @@ def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
     whole, report = encode_for_compile(form)
     assert report.truncation == level
     total = PauliSum(whole.qubits, ())
-    for term in form.terms:
-        one = encode_for_compile(CanonicalForm(form.layout, (term,)))[0]
+    for units, coeff in form.terms.items():
+        one = encode_for_compile(CanonicalForm(form.layout,
+                                               {units: coeff}))[0]
         total = pauli_sum(total.qubits, total.terms + one.terms)
     # the shared product is exercised only when terms share a shape
-    shapes = {tuple(unit for _, unit in term.units) for term in form.terms}
+    shapes = {tuple(unit for _, unit in units) for units in form.terms}
     assert len(shapes) < len(form.terms)
     if exact:
         assert whole == total

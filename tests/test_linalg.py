@@ -468,6 +468,15 @@ def test_ground_rejects_non_hermitian():
         ground_energy(np.array([[0, 1], [0, 0]], dtype=complex), (T2,))
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_the_hermitian_tolerance_is_relative_to_the_matrix(scale):
+    # i times a Hermitian matrix is not Hermitian at any scale
+    with pytest.raises(NonHermitianError):
+        ground_energy(scale * np.array([[0, 1j], [1j, 0]]), (T2,))
+    assert ground_energy(scale * oracle.X, (T2,)).energy == pytest.approx(
+        -scale)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------

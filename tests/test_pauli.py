@@ -26,6 +26,15 @@ def test_simplify_prunes_relative_to_the_summed_magnitudes():
     assert residue.terms == ()
     # a small coefficient that cancels nothing stays
     assert pauli_sum(1, [(1e-13, "Z")]).terms == ((1e-13 + 0j, "Z"),)
+    assert pauli_sum(1, [(1e-20, "Z")]).terms == ((1e-20 + 0j, "Z"),)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_hermiticity_is_relative_to_the_largest_coefficient(scale):
+    assert is_hermitian_pauli(pauli_sum(1, [(scale, "X")]))
+    assert not is_hermitian_pauli(pauli_sum(1, [(scale * 1e-9j, "X")]))
+    assert not is_hermitian_pauli(
+        pauli_sum(2, [(scale, "XI"), (scale * 1e-9j, "IZ")]))
 
 
 def test_simplify_is_idempotent_and_sorted():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from qblue.errors import LayoutError
 from qblue.expr import (
     Atom, Boson, Fermion, Flag, LadderKind, Seq, Sum, annihilate, create,
-    dagger, ham_sum, identity, seq, site_dim, tensor,
+    dagger, ham_sum, identity, scale, seq, site_dim, tensor,
 )
+from qblue.fock import apply, make_state
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.typecheck import (
@@ -48,9 +50,9 @@ def form_matrix(form):
     dims = [site_dim(site) for site in form.layout]
     fermionic = [isinstance(site, Fermion) for site in form.layout]
     out = np.zeros((math.prod(dims),) * 2, dtype=complex)
-    for term in form.terms:
-        m = term.coeff * np.eye(len(out))
-        for s, (row, col) in term.units:
+    for units, coeff in form.terms.items():
+        m = coeff * np.eye(len(out))
+        for s, (row, col) in units:
             unit = np.zeros((dims[s], dims[s]), dtype=complex)
             unit[row, col] = 1
             if fermionic[s] and row != col:
@@ -170,9 +172,9 @@ def test_canonicalize_fuses_padded_product():
     e = seq(Atom(layout, ((0, LadderKind.CREATE),)),
             Atom(layout, ((1, LadderKind.ANNIHILATE),)))
     form = canonicalize(e)
-    assert [term.units for term in form.terms] == [
+    assert list(form.terms) == [
         ((0, (m + 1, m)), (1, (k, k + 1))) for m in range(3) for k in range(3)]
-    assert [term.coeff for term in form.terms] == pytest.approx(
+    assert list(form.terms.values()) == pytest.approx(
         [math.sqrt((m + 1) * (k + 1)) for m in range(3) for k in range(3)])
 
 
@@ -180,12 +182,12 @@ def test_canonicalize_merges_like_terms():
     e = ham_sum(annihilate(T2), annihilate(T2))
     form = canonicalize(e)
     assert len(form.terms) == 1
-    assert form.terms[0].coeff == pytest.approx(2)
+    assert list(form.terms.values()) == [pytest.approx(2)]
 
 
 def test_canonicalize_cancels_to_zero():
     e = ham_sum(annihilate(T2), annihilate(T2, -1))
-    assert canonicalize(e).terms == ()
+    assert canonicalize(e).terms == {}
 
 
 @given(st.one_of(graded_trees(), trees))
@@ -210,8 +212,7 @@ def test_canonicalize_fermion_reorder_tracks_sign():
             Atom(layout, ((1, LadderKind.ANNIHILATE),)))
     form = canonicalize(e)
     assert len(form.terms) == 1
-    assert form.terms[0].coeff == pytest.approx(-1)
-    assert form.terms[0].units == ((0, (1, 0)), (1, (0, 1)))
+    assert form.terms[((0, (1, 0)), (1, (0, 1)))] == pytest.approx(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,8 @@ def test_a_nan_coefficient_stays_in_the_form():
     e = parse(f"sites t(200);\nH = {raised}a(0) adag(0) - {raised};\n"
               ).defs["H"]
     hermitian, form = hermiticity_report(e)
-    assert form.terms and all(math.isnan(abs(t.coeff)) for t in form.terms)
+    assert form.terms and all(math.isnan(abs(c))
+                              for c in form.terms.values())
     assert not hermitian
     assert typecheck(e).flag is Flag.P
 
@@ -449,3 +451,17 @@ def test_flipped_terms_are_the_terms_of_the_normalized_adjoint(e):
     form = canonicalize(e)
     assert canonical_allclose(adjoint(form), canonicalize(dagger(e)))
     assert canonical_allclose(adjoint(adjoint(form)), form)
+
+
+@given(st.one_of(graded_trees(), trees), st.sampled_from([2.0 ** -70,
+                                                          2.0 ** 70]))
+def test_the_verdict_the_form_and_eval_do_not_depend_on_scale(e, c):
+    # a power of two scales every float exactly, so c e must get the flag,
+    # the form keys and the kets of e
+    scaled = scale(c, e)
+    assert typecheck(scaled).flag is typecheck(e).flag
+    assert canonicalize(scaled).terms.keys() == canonicalize(e).terms.keys()
+    occs = itertools.product(*(range(site_dim(s)) for s in e.layout))
+    state = make_state(e.layout, [(1 + k, occ) for k, occ in enumerate(occs)])
+    assert [(k.occ, k.amp) for k in apply(scaled, state).terms] == [
+        (k.occ, c * k.amp) for k in apply(e, state).terms]
