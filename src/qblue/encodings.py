@@ -135,14 +135,15 @@ def encode_for_compile(form: CanonicalForm):
     at its active sites, which fix their jw parity), and each term of that
     shape scales it.  The qubits between the active sites carry I, or under
     jw the Z of every later off-diagonal unit, so each full-width string is
-    written once.
+    written once.  A string's magnitudes are the form's, times the table
+    coefficient, so the rounding of a cancellation in the form drops too.
     """
     layout = form.layout
     method, n = infer_encoding(layout)
     width = 1 if n is None else n + 1
     jw = method == "jw"
     shapes: dict = {}   # units at the active sites -> their product
-    products = []
+    products, mags = [], []
     for units, coeff in form.terms.items():
         if n is not None and any(max(unit) > n for _, unit in units):
             continue   # hp holds the levels 0..n only
@@ -161,5 +162,6 @@ def encode_for_compile(form: CanonicalForm):
         for c, chunks in shapes[shape]:
             products.append((c * coeff, "".join(
                 map(str.__add__, gaps, chunks)) + tail))
-    return (pauli_sum(len(layout) * width, products),
+            mags.append(abs(c) * form.mags[units])
+    return (pauli_sum(len(layout) * width, products, mags),
             encoding_report(layout, method, n))

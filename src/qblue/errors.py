@@ -7,13 +7,19 @@ from __future__ import annotations
 DIM_CAP = 2 ** 12
 QUBIT_CAP = DIM_CAP.bit_length() - 1
 
-# Tolerances, each named once for every module that compares with it.  Each
-# is relative to the largest magnitude in the sum compared, so an operator
-# and c times it get one verdict; a Pauli string's zero is relative to the
-# magnitudes summed into it.
-COEFF_EQ_TOL = 1e-12      # coefficients compared as equal, times max |c|
-ZERO_TOL = 1e-14          # term or ket amplitude as zero, times max |c|
-HERMITIAN_TOL = 1e-10     # ||M - M^dag||_max of a Hermitian M, times max |M|
+# Tolerances, each named once for every module that compares with it, and
+# each relative to the magnitudes of the value it tests (``negligible``).
+COEFF_EQ_TOL = 1e-12      # coefficients compared as equal
+ZERO_TOL = 1e-14          # term, Pauli coefficient or ket amplitude as zero
+HERMITIAN_TOL = 1e-10     # h_ij against conj(h_ji) in a Hermitian matrix
+
+
+def negligible(value, scale, tol: float) -> bool:
+    """Whether |value| is at most tol times scale, the magnitudes summed
+    into it: so c times a sum keeps its verdicts, and a term at one scale
+    does not hide one at another.  A scale past the float range gives
+    none, so then only an exact zero is, and a nan never is."""
+    return abs(value) <= tol * scale if scale < float("inf") else value == 0
 
 
 class QBlueError(Exception):

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import ZERO_TOL, LayoutError, StateFormatError
+from .errors import ZERO_TOL, LayoutError, StateFormatError, negligible
 from .expr import (
     Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, site_dim,
 )
@@ -56,18 +56,22 @@ def make_state(layout: SiteList, kets) -> FockState:
 
 
 def _merged(layout: SiteList, kets) -> FockState:
-    """The canonical state of kets already checked against the layout.
-    An amplitude at most ZERO_TOL times the largest drops, however it was
-    summed: a residue carried through a product's intermediate state
-    arrives alone.  An inf or nan leaves no scale: only zeros drop."""
+    """The canonical state of kets, (amp, occ) pairs already checked
+    against the layout.  A given state is known to the precision of its
+    largest amplitude, so each amplitude is tested against that."""
     acc: dict[tuple, complex] = {}
     for amp, occ in kets:
         acc[occ] = acc.get(occ, 0j) + complex(amp)
     top = max(map(abs, acc.values()), default=0.0)
-    cut = ZERO_TOL * top if math.isfinite(top) else 0.0
-    terms = tuple(Ket(acc[occ], occ) for occ in sorted(acc)
-                  if not abs(acc[occ]) <= cut)
-    return FockState(tuple(layout), terms)
+    return _state(layout, {occ: (amp, top) for occ, amp in acc.items()})
+
+
+def _state(layout: SiteList, acc: dict) -> FockState:
+    """The state of acc, occ -> (amp, mag), kets sorted, an amplitude
+    dropped when ``negligible`` at ZERO_TOL against its mag."""
+    return FockState(tuple(layout), tuple(
+        Ket(a, occ) for occ, (a, m) in sorted(acc.items())
+        if not negligible(a, m, ZERO_TOL)))
 
 
 def _check_occ(layout, occ):
@@ -103,8 +107,9 @@ def apply_single(kind: LadderKind, site, k: int):
 
 def apply(e: HamExpr, s: FockState) -> FockState:
     """Big-step application of an operator expression to a state: the tree
-    acts on the whole merged state, and only the final state is pruned, at
-    ZERO_TOL times its largest amplitude, and sorted."""
+    acts on the whole merged state, and only the final state is pruned and
+    sorted.  Each amplitude carries the magnitudes of every path summed
+    into it, so a residue in an intermediate state drops with its terms."""
     layout = e.layout
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",
@@ -114,22 +119,25 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     prefixes = [fermionic[:j] for j in range(len(layout))]
 
     def act(node: HamExpr, state: dict, out: dict):
-        """Add node applied to state into out."""
+        """Add node applied to state into out; both map occ -> (amp, mag)."""
         if isinstance(node, Atom):
-            for occ, amp in state.items():
-                val = amp * node.amp
+            w = abs(node.amp)
+            for occ, (amp, mag) in state.items():
+                val, mag = amp * node.amp, mag * w
                 cur = list(occ)
                 for j, kind in node.ops:
                     res = apply_single(kind, layout[j], cur[j])
                     if res is None:
                         break
                     c, cur[j] = res
+                    mag *= c
                     if fermionic[j] and sum(compress(cur, prefixes[j])) % 2:
                         c = -c
                     val *= c
                 else:
                     key = tuple(cur)
-                    out[key] = out.get(key, 0j) + val
+                    a, m = out.get(key, (0j, 0.0))
+                    out[key] = a + val, m + mag
         elif isinstance(node, Sum):
             for c in node.children:
                 act(c, state, out)
@@ -142,9 +150,9 @@ def apply(e: HamExpr, s: FockState) -> FockState:
         else:
             raise TypeError(f"not a HamExpr: {node!r}")
 
-    out: dict[tuple, complex] = {}
-    act(e, {ket.occ: ket.amp for ket in s.terms}, out)
-    return _merged(layout, [(amp, occ) for occ, amp in out.items()])
+    out: dict[tuple, tuple] = {}
+    act(e, {ket.occ: (ket.amp, abs(ket.amp)) for ket in s.terms}, out)
+    return _state(layout, out)
 
 
 # ---------------------------------------------------------------------------

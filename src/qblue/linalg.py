@@ -170,13 +170,22 @@ def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:
 # ---------------------------------------------------------------------------
 
 def check_hermitian(h):
-    """Raise unless the dense or sparse matrix h is Hermitian within
-    HERMITIAN_TOL times its largest |h_ij|; an inf or nan entry leaves no
-    scale, and such a matrix is not."""
-    err = abs(h - h.conj().T).max()
-    scale = abs(h).max()
-    if not (math.isfinite(scale) and err <= HERMITIAN_TOL * scale):
-        raise NonHermitianError(f"matrix deviates from Hermitian by {err:g}")
+    """Raise unless the dense or sparse matrix h is Hermitian.  h_ij and
+    conj(h_ji) agree within HERMITIAN_TOL times the larger of their two
+    magnitudes, so a large entry does not hide a small one, or within
+    ZERO_TOL times the largest |h|: a given matrix, like a given state, is
+    known to that precision, and the rounding of its sums is below it.  An
+    inf or nan entry agrees with nothing."""
+    a, err = abs(h), abs(h - h.conj().T)
+    top = a.max()
+    bad = not np.isfinite(top)
+    if not bad and err.max() > ZERO_TOL * top:   # pair by pair, sparse
+        a, err = scipy.sparse.csr_array(a), scipy.sparse.csr_array(err)
+        bad = (err.multiply(err > ZERO_TOL * top)
+               > HERMITIAN_TOL * a.maximum(a.T)).nnz
+    if bad:
+        raise NonHermitianError(
+            f"matrix deviates from Hermitian by {err.max():g}")
 
 
 def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:

@@ -13,10 +13,13 @@ top of the 4^n zero fill.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import COEFF_EQ_TOL, QUBIT_CAP, ZERO_TOL, DimensionCapError
+from .errors import (
+    COEFF_EQ_TOL, QUBIT_CAP, ZERO_TOL, DimensionCapError, negligible,
+)
 
 LETTERS = "IXYZ"
 
@@ -29,32 +32,31 @@ class PauliSum:
     terms: tuple  # tuple[tuple[complex, str], ...]
 
 
-def pauli_sum(qubits: int, terms) -> PauliSum:
+def pauli_sum(qubits: int, terms, mags=None) -> PauliSum:
     """Canonicalize a list of (coeff, string) terms.
 
-    A string drops when its summed coefficient is at most ZERO_TOL times
-    the sum of the magnitudes summed into it: the rounding left by a
-    cancellation grows with the terms that cancel.
+    A string drops when its summed coefficient is ``negligible`` at
+    ZERO_TOL against the magnitudes summed into it: |coeff| of each term,
+    or mags[k] for terms[k] where each coeff is itself a sum.
     """
     acc: dict[str, complex] = {}
     mag: dict[str, float] = {}
-    for c, s in terms:
+    for (c, s), m in zip(terms, repeat(None) if mags is None else mags):
         if len(s) != qubits or s.strip(LETTERS):
             raise ValueError(f"bad Pauli string {s!r} for {qubits} qubits")
         c = complex(c)
         acc[s] = acc.get(s, 0j) + c
-        mag[s] = mag.get(s, 0.0) + abs(c)
+        mag[s] = mag.get(s, 0.0) + (abs(c) if m is None else m)
     out = tuple((acc[s], s) for s in sorted(acc)
-                if abs(acc[s]) > ZERO_TOL * mag[s])
+                if not negligible(acc[s], mag[s], ZERO_TOL))
     return PauliSum(qubits, out)
 
 
 def is_hermitian_pauli(p: PauliSum) -> bool:
     """Pauli strings are Hermitian, so real coefficients are necessary and
-    sufficient: each imaginary part within COEFF_EQ_TOL times the largest
-    |c| of the sum."""
-    tol = COEFF_EQ_TOL * max((abs(c) for c, _ in p.terms), default=0.0)
-    return all(abs(c.imag) <= tol for c, _ in p.terms)
+    sufficient: each imaginary part within COEFF_EQ_TOL times its own |c|,
+    so a large term does not hide the imaginary part of a small one."""
+    return all(negligible(c.imag, abs(c), COEFF_EQ_TOL) for c, _ in p.terms)
 
 
 def _parity(v: np.ndarray, bits: int) -> np.ndarray:

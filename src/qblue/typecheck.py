@@ -8,10 +8,10 @@ m != n form a basis of the site's operators, so two expressions are one
 operator exactly when their forms agree.  A form maps each product of units
 to its coefficient; the certificate compares it with its adjoint, the
 mapping with each unit transposed and no sort, and decides exactly without
-a matrix.  Every zero and comparison is relative to the largest
-coefficient, so c e has the verdict of e.  The cost is in the units: a
-product over k sites of d levels expands into up to d^k of them, so a
-hopping term on t(d) sites has 2(d-1)^2.
+a matrix.  Each zero and comparison of a coefficient is relative to the
+magnitudes summed into it, kept beside it, so c e has the verdict of e.
+The cost is in the units: a product over k sites of d levels expands into
+up to d^k of them, so a hopping term on t(d) sites has 2(d-1)^2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import COEFF_EQ_TOL, ZERO_TOL
+from .errors import COEFF_EQ_TOL, ZERO_TOL, negligible
 from .expr import (
     Atom, Fermion, Flag, HamExpr, OpType, Seq, SiteList, Sum, site_dim,
 )
@@ -31,9 +31,10 @@ from .expr import (
 # Canonical forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class CanonicalForm:
-    """A sum of products of site matrix units, as a mapping units -> coeff.
+    """A sum of products of site matrix units, as a mapping units -> coeff,
+    and the sum of the magnitudes summed into each coeff, units -> mag.
 
     A key lists (site, (m, n)) pairs, site-ascending, for the unit |m><n|
     at each site whose unit is not the identity.  The units apply in
@@ -46,6 +47,7 @@ class CanonicalForm:
 
     layout: SiteList
     terms: dict  # dict[tuple[tuple[int, tuple[int, int]], ...], complex]
+    mags: dict   # the same keys -> float
 
 
 def canonicalize(e: HamExpr) -> CanonicalForm:
@@ -55,30 +57,33 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
     site order (-1 per transposition of two fermionic ladders at distinct
     sites) and like ladder products merged.  Each site's ladders then
     expand into the site's units (``_site_units``); like terms merge and
-    terms with |c| <= ZERO_TOL times the largest |c| drop.  A weight past
-    the float range leaves no scale, and only zeros drop; a nan
-    coefficient stays, so the form differs from its adjoint.
+    a term drops when it is ``negligible`` at ZERO_TOL against the
+    magnitudes summed into it.  A nan coefficient stays, so the form
+    differs from its adjoint.
     """
     layout = e.layout
     fermionic = [isinstance(site, Fermion) for site in layout]
     dims = [site_dim(site) for site in layout]
-    ladders: dict = {}
+    ladders: dict = {}   # ops -> (coeff, mag), as units below
     for coeff, ops in _terms(e):
         coeff, key = _normal_order(coeff, ops, fermionic)
-        ladders[key] = ladders.get(key, 0j) + coeff
+        c, m = ladders.get(key, (0j, 0.0))
+        ladders[key] = c + coeff, m + abs(coeff)
     units: dict = {}
-    for key, coeff in ladders.items():
-        products = [((), coeff)]   # (units, coeff) over the sites so far
+    for key, term in ladders.items():
+        products = [((), *term)]   # (units, coeff, mag) over the sites so far
         for s, group in itertools.groupby(key, lambda op: op[0]):
             expansion = _site_units(dims[s], tuple([k for _, k in group]))
-            products = [(u + ((s, unit),) if unit is not None else u, c * w)
-                        for u, c in products for unit, w in expansion]
-        for u, c in products:
-            units[u] = units.get(u, 0j) + c
-    top = max(map(abs, units.values()), default=0.0)
-    cut = ZERO_TOL * top if math.isfinite(top) else 0.0
-    return CanonicalForm(layout, {key: units[key] for key in sorted(units)
-                                  if not abs(units[key]) <= cut})
+            products = [(u + ((s, unit),) if unit is not None else u,
+                         c * w, m * abs(w))
+                        for u, c, m in products for unit, w in expansion]
+        for u, c, m in products:
+            c0, m0 = units.get(u, (0j, 0.0))
+            units[u] = c0 + c, m0 + m
+    keep = [(u, c, m) for u, (c, m) in sorted(units.items())
+            if not negligible(c, m, ZERO_TOL)]
+    return CanonicalForm(layout, {u: c for u, c, _ in keep},
+                         {u: m for u, _, m in keep})
 
 
 def adjoint(form: CanonicalForm) -> CanonicalForm:
@@ -87,13 +92,14 @@ def adjoint(form: CanonicalForm) -> CanonicalForm:
     reverse order, and putting them back in site order takes f(f-1)/2
     transpositions, each a factor -1.  The keys need no merge or sort."""
     fermionic = [isinstance(site, Fermion) for site in form.layout]
-    terms = {}
+    terms, mags = {}, {}
     for units, coeff in form.terms.items():
         f = sum([fermionic[s] and m != n for s, (m, n) in units])
         coeff = coeff.conjugate()
-        terms[tuple([(s, (n, m)) for s, (m, n) in units])] = (
-            -coeff if f * (f - 1) // 2 % 2 else coeff)
-    return CanonicalForm(form.layout, terms)
+        key = tuple([(s, (n, m)) for s, (m, n) in units])
+        terms[key] = -coeff if f * (f - 1) // 2 % 2 else coeff
+        mags[key] = form.mags[units]
+    return CanonicalForm(form.layout, terms, mags)
 
 
 def _terms(e: HamExpr) -> list:
@@ -159,15 +165,15 @@ def _site_units(dim: int, monomial: tuple) -> tuple:
 
 
 def canonical_allclose(a: CanonicalForm, b: CanonicalForm) -> bool:
-    """Equal layouts and keys, and coefficients within COEFF_EQ_TOL times
-    the largest |c| of the two forms."""
+    """Equal layouts and keys, and each pair of coefficients within
+    COEFF_EQ_TOL times the larger of their two magnitude sums; an inf or
+    nan (from an overflowed weight) is equal to nothing."""
     if a.layout != b.layout or a.terms.keys() != b.terms.keys():
         return False
-    tol = COEFF_EQ_TOL * max(map(abs, [*a.terms.values(),
-                                       *b.terms.values()]), default=0.0)
-    # an inf or nan (from an overflowed weight) compares equal to nothing
-    return math.isfinite(tol) and all(
-        abs(c - b.terms[units]) <= tol for units, c in a.terms.items())
+    # an exact match needs no scale; inf - inf is nan, which is no match
+    return all(not (d := c - b.terms[u]) or negligible(
+        d, max(a.mags[u], b.mags[u]), COEFF_EQ_TOL)
+        for u, c in a.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +184,8 @@ def hermiticity_report(e: HamExpr) -> tuple[bool, CanonicalForm]:
     """Decide Hermiticity exactly; report the verdict and the canonical form.
 
     The form is unique, so e is Hermitian exactly when its form and its
-    adjoint agree, coefficient by coefficient within COEFF_EQ_TOL times
-    the largest |c|; no matrix is built.
+    adjoint agree, coefficient by coefficient within COEFF_EQ_TOL of its
+    magnitudes (``canonical_allclose``); no matrix is built.
     """
     form = canonicalize(e)
     return canonical_allclose(adjoint(form), form), form

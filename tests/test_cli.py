@@ -734,14 +734,19 @@ def test_a_program_certified_only_p_exits_4_before_any_matrix(tmp_path,
                         "this one certifies only flag p"}
 
 
-@pytest.mark.parametrize("body", ["1e-13i * X(0)", "1e-13i * I(0)"])
-def test_i_times_a_small_hermitian_operator_is_not_hermitian(body, tmp_path,
-                                                              capsys):
+@pytest.mark.parametrize("sites, body", [
+    ("t(2)", "1e-13i * X(0)"),
+    ("t(2)", "1e-13i * I(0)"),
+    # a large term does not hide the anti-Hermitian part of a small one
+    ("t(2), t(2)", "1e12 * Z(0) + 0.5i * X(1)"),
+])
+def test_i_times_a_hermitian_term_is_not_hermitian(sites, body, tmp_path,
+                                                   capsys):
     prog = tmp_path / "h.qb"
-    prog.write_text(f"sites t(2);\nH = {body};\n")
+    prog.write_text(f"sites {sites};\nH = {body};\n")
     code, out, _ = run_json(capsys, ["check", str(prog)])
     assert code == 0
-    assert json.loads(out)["type"] == "F[p](t(2))"
+    assert json.loads(out)["flag"] == "p"
     for argv, want in ((["compile", str(prog), "--t", "1", "--n", "1",
                          "--out", str(tmp_path / "h.circ")], 4),
                        (["energy", str(prog)], 3)):
@@ -765,6 +770,41 @@ def test_a_small_chain_compiles_to_the_circuit_of_the_unit_chain(tmp_path):
         (g.name, g.qubits) for g in unit.gates]
     for a, b in zip(small.gates, unit.gates):
         assert a.angle == pytest.approx(b.angle, rel=1e-12)
+
+
+def test_a_large_term_does_not_hide_a_small_one(tmp_path, capsys):
+    prog, circ = tmp_path / "h.qb", tmp_path / "h.circ"
+    prog.write_text("sites t(2), t(2);\nH = 1e14 * Z(0) + 0.5 * X(1);\n")
+    assert main(["compile", str(prog), "--t", "1", "--n", "1",
+                 "--out", str(circ)]) == 0
+    gates = parse_circuit(circ.read_text()).gates
+    assert [(g.name, g.qubits, g.angle) for g in gates] == [
+        ("rx", (1,), 1.0), ("rz", (0,), -2e14)]
+    st = tmp_path / "in.state"
+    st.write_text("sites: t(2), t(2)\n(1.0,0.0) |0,0>\n")
+    capsys.readouterr()
+    assert main(["eval", str(prog), "--state", str(st)]) == 0
+    assert capsys.readouterr().out == ("sites: t(2), t(2)\n"
+                                       "(-100000000000000.0,0.0) |0,0>\n"
+                                       "(0.5,0.0) |0,1>\n")
+
+
+@pytest.mark.parametrize("body, argv", [
+    # the adag terms cancel to a residue 5.6e-17, the a terms to 2.8e-17
+    ("Z(0) + 0.1 * adag(0) + 0.2 * adag(0) - 0.3 * adag(0)"
+     " - 0.3 * a(0) + 0.2 * a(0) + 0.1 * a(0)", ["energy"]),
+    # 1.000001 - 1 is 1e-6 to 8e-17, far below the magnitudes that cancel
+    ("1.000001 * adag(0) - adag(0) + 0.000001 * a(0)",
+     ["compile", "--t", "1", "--n", "1"]),
+])
+def test_the_rounding_of_a_cancellation_is_hermitian(body, argv, tmp_path,
+                                                     capsys):
+    prog = tmp_path / "h.qb"
+    prog.write_text(f"sites t(2);\nH = {body};\n")
+    code, out, _ = run_json(capsys, ["check", str(prog)])
+    assert json.loads(out)["flag"] == "h"
+    code, _, err = run_json(capsys, [argv[0], str(prog), *argv[1:]])
+    assert (code, err) == (0, "")
 
 
 def test_eval_keeps_a_small_amplitude(tmp_path, capsys):

@@ -113,8 +113,8 @@ def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
     assert report.truncation == level
     total = PauliSum(whole.qubits, ())
     for units, coeff in form.terms.items():
-        one = encode_for_compile(CanonicalForm(form.layout,
-                                               {units: coeff}))[0]
+        one = encode_for_compile(CanonicalForm(
+            form.layout, {units: coeff}, {units: form.mags[units]}))[0]
         total = pauli_sum(total.qubits, total.terms + one.terms)
     # the shared product is exercised only when terms share a shape
     shapes = {tuple(unit for _, unit in units) for units in form.terms}

@@ -296,6 +296,15 @@ def test_make_state_merges_and_prunes():
     assert s.terms[0].amp == pytest.approx(1.0)
 
 
+def test_apply_prunes_each_ket_against_the_paths_summed_into_it():
+    # 0.1 + 0.2 - 0.3 leaves 5.6e-17 in the intermediate state of the
+    # product, which drops with the magnitudes it came from; 1e-20 is exact
+    e = parse("sites t(2), t(2);\nH = X(0) (0.1 * X(0) + 0.2 * X(0)"
+              " - 0.3 * X(0)) + 1e-20 * X(1);\n").defs["H"]
+    s = apply(e, make_state(e.layout, [(1.0, (0, 0))]))
+    assert [(k.occ, k.amp) for k in s.terms] == [((0, 1), 1e-20)]
+
+
 def test_state_text_roundtrip():
     s = make_state((T2, T4, F), [(0.25 - 1j, (1, 3, 0)), (0.5, (0, 2, 1))])
     text = format_state(s)

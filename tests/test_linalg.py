@@ -468,6 +468,16 @@ def test_ground_rejects_non_hermitian():
         ground_energy(np.array([[0, 1], [0, 0]], dtype=complex), (T2,))
 
 
+def test_a_large_entry_does_not_hide_an_anti_hermitian_one():
+    big = 1e12 * np.kron(oracle.Z, np.eye(2))
+    with pytest.raises(NonHermitianError):
+        ground_energy(big + 0.5j * np.kron(np.eye(2), oracle.X), (T2, T2))
+    # a difference at the rounding of the largest entry is no evidence
+    near = np.array([[1.0, 5.551115123125783e-17],
+                     [2.7755575615628914e-17, -1.0]])
+    assert ground_energy(near, (T2,)).energy == pytest.approx(-1.0)
+
+
 @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
 def test_the_hermitian_tolerance_is_relative_to_the_matrix(scale):
     # i times a Hermitian matrix is not Hermitian at any scale

@@ -30,11 +30,19 @@ def test_simplify_prunes_relative_to_the_summed_magnitudes():
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
-def test_hermiticity_is_relative_to_the_largest_coefficient(scale):
+def test_hermiticity_is_relative_to_each_coefficient(scale):
     assert is_hermitian_pauli(pauli_sum(1, [(scale, "X")]))
     assert not is_hermitian_pauli(pauli_sum(1, [(scale * 1e-9j, "X")]))
     assert not is_hermitian_pauli(
         pauli_sum(2, [(scale, "XI"), (scale * 1e-9j, "IZ")]))
+    assert not is_hermitian_pauli(
+        pauli_sum(2, [(scale * 1e12, "ZI"), (scale * 0.5j, "IX")]))
+
+
+def test_a_coefficient_that_is_itself_a_sum_prunes_against_its_magnitudes():
+    # 4e-17i is the rounding of coefficients of magnitude 1 that cancelled
+    assert pauli_sum(1, [(4e-17j, "Y")], [1.0]).terms == ()
+    assert pauli_sum(1, [(4e-17j, "Y")]).terms == ((4e-17j, "Y"),)
 
 
 def test_simplify_is_idempotent_and_sorted():

@@ -190,6 +190,15 @@ def test_canonicalize_cancels_to_zero():
     assert canonicalize(e).terms == {}
 
 
+def test_a_term_drops_against_its_own_magnitudes():
+    # the X(0) terms cancel to a residue of 5.6e-17; 1e-20 X(1) is exact
+    e = parse("sites t(2), t(2);\nH = 0.1 * X(0) + 0.2 * X(0) - 0.3 * X(0)"
+              " + 1e-20 * X(1);\n").defs["H"]
+    form = canonicalize(e)
+    assert list(form.terms) == [((1, (0, 1)),), ((1, (1, 0)),)]
+    assert form.mags == {units: 1e-20 for units in form.terms}
+
+
 @given(st.one_of(graded_trees(), trees))
 def test_the_form_is_the_expression_matrix(e):
     assert oracle.max_norm(form_matrix(canonicalize(e)),
