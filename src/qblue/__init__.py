@@ -7,8 +7,7 @@ from .errors import (
 )
 from .expr import (
     Atom, Boson, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, Sum,
-    annihilate, create, dagger, ham_sum, identity, scale, seq, site_dim,
-    tensor, total_dim,
+    dagger, ham_sum, scale, seq, site_dim, total_dim,
 )
 from .typecheck import (
     CanonicalForm, adjoint, canonical_allclose, canonicalize,

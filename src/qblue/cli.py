@@ -5,11 +5,12 @@ error, 5 dimension cap.  Parsing never exits 3 (a parsed program has one
 layout): exit 3 is ``energy`` of a flag-p program or ``eval`` of a state
 on another layout.  An input that exhausts the recursion limit or the
 memory exits 1 with a one-line error naming the cause, not a traceback
-(see ``main``), and a non-finite ``--t`` is a usage error.  With --json,
-reports and diagnostics are emitted as JSON lines.
+(see ``main``), as does an ``eval`` that overflows the float range, and
+a non-finite ``--t`` is a usage error.  With --json, reports and diagnostics
+are emitted as JSON lines.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
-when structural typing alone gives H, ``syntactic`` when the exact
+when structural typing alone gives H, ``certificate`` when the exact
 Hermiticity certificate of ``typecheck.hermiticity_report`` decides.
 
 ``compile``, ``fit`` and ``verify`` reach qubits by one step,
@@ -166,7 +167,7 @@ def cmd_check(args) -> int:
     for name, e in program.defs.items():
         ty, method = typecheck(e, promote=False), "structural"
         if ty.flag is Flag.P:
-            method = "syntactic"
+            method = "certificate"
             if is_hermitian(e):
                 ty = OpType(Flag.H, ty.sites)
         _emit(args, {"def": name, "type": str(ty), "flag": ty.flag.value,

@@ -30,10 +30,10 @@ class LayoutError(QBlueError):
     """Site-list mismatch between operands.
 
     Carries the place of the mismatch plus both conflicting site lists so
-    diagnostics can point at it.  The place is ``root`` for a node of a
-    hand-built tree, which raises as it is built, or an operation such as
-    ``apply`` for operands of a state function.  A parsed program never
-    raises it: every node of it spans the declared layout.
+    diagnostics can point at it.  The place is ``root`` for a Sum or Seq
+    whose children disagree, which raises as it is built, or an operation
+    such as ``apply`` for operands of a state function.  A parsed program
+    never raises it: every node of it spans the declared layout.
     """
 
     def __init__(self, message, path="root", left=None, right=None):

@@ -4,23 +4,19 @@ Every expression acts on an ordered list of lattice sites, its layout; each
 site is either an m-dimensional bosonic mode or a two-dimensional fermionic
 mode.  There are three node kinds.  The leaves are atoms: an amplitude times
 ladder operators (creators and annihilators) at some sites of the layout,
-at most one per site, with the identity implicit at every other site.  A
-single-site ladder or identity is an atom on a one-site layout; an indexed
-atom of the surface syntax, such as ``a(j)``, is an atom on the whole
-program layout that lists site j only, so it costs its own length and not
-the width of the layout.  Atoms combine with the n-ary linear sum and
-sequencing (operator product), each holding a tuple of children.  Neither
-the tensor product nor the adjoint is a node of its own: ``tensor`` embeds
-each operand onto the concatenated layout and returns their product, which
-is the graded (Jordan-Wigner) tensor product of fermionic modes, and
-``dagger`` builds the adjoint tree out of atoms, sums and products.
+at most one per site, with the identity implicit at every other site.  An
+indexed atom of the surface syntax, such as ``a(j)``, is an atom on the
+whole program layout that lists site j only, so it costs its own length and
+not the width of the layout.  Atoms combine with the n-ary linear sum and
+sequencing (operator product), each holding a tuple of children.  The
+adjoint is not a node of its own: ``dagger`` builds the adjoint tree out of
+atoms, sums and products.
 
 Every node stores its layout, a tuple of site types, when it is built.  The
-parser, ``tensor``, ``scale`` and ``dagger`` pass one tuple object to every
-node of the tree they build, so a Sum or Seq checks its children with one
-``is`` and compares the tuples only when they are different objects.  A
-Sum or Seq whose children disagree is never built: its constructor raises
-LayoutError.
+parser, ``scale`` and ``dagger`` pass one tuple object to every node of the
+tree they build, so a Sum or Seq checks its children with one ``is`` and
+compares the tuples only when they are different objects.  A Sum or Seq
+whose children disagree is never built: its constructor raises LayoutError.
 """
 
 from __future__ import annotations
@@ -170,18 +166,6 @@ HamExpr = Union[Atom, Sum, Seq]
 # Constructors
 # ---------------------------------------------------------------------------
 
-def create(site: SiteType, amp: complex = 1.0) -> Atom:
-    return Atom((site,), ((0, LadderKind.CREATE),), amp)
-
-
-def annihilate(site: SiteType, amp: complex = 1.0) -> Atom:
-    return Atom((site,), ((0, LadderKind.ANNIHILATE),), amp)
-
-
-def identity(site: SiteType, amp: complex = 1.0) -> Atom:
-    return Atom((site,), (), amp)
-
-
 def dagger(e: HamExpr) -> HamExpr:
     """The adjoint tree: the matrix adjoint of e, built from its nodes.
 
@@ -190,10 +174,7 @@ def dagger(e: HamExpr) -> HamExpr:
     back site-ascending, the order an atom applies them in, makes f
     fermionic ladders trade places f(f-1)/2 times: the amplitude takes the
     sign (-1)^(f(f-1)/2).  A sum is the sum of its children's adjoints; a
-    product is the product of its children's adjoints in reverse order.  A
-    tensor product is the product of its embedded operands, so its adjoint
-    applies the last operand first, and two fermion-odd factors trade
-    places with a minus sign.
+    product is the product of its children's adjoints in reverse order.
     """
     if isinstance(e, Atom):
         f = sum(isinstance(e.layout[s], Fermion) for s, _ in e.ops)
@@ -218,41 +199,6 @@ def _operands(node, name: str, es) -> list:
         else:
             flat.append(e)
     return flat
-
-
-def tensor(*es: HamExpr) -> HamExpr:
-    """Tensor product on the operands' concatenated layout.
-
-    The graded tensor product of modes is the product of their
-    Jordan-Wigner embeddings (Bravyi and Kitaev, Ann. Phys. 298, 210
-    (2002)): each operand is rewritten onto the whole layout with its sites
-    shifted by the length of the operands before it, and the first operand
-    applies first, so it is the last child of the Seq this returns.  A
-    product of atoms is one atom, and one operand comes back unchanged.
-    """
-    if not es:
-        raise ValueError("tensor needs at least one operand")
-    if len(es) == 1:
-        return es[0]
-    layout = tuple(s for e in es for s in e.layout)
-    parts, offset = [], 0
-    for e in es:
-        parts.append(_embed(e, layout, offset))
-        offset += len(e.layout)
-    if all(isinstance(p, Atom) for p in parts):
-        amp = 1
-        for p in parts:
-            amp *= p.amp
-        return Atom(layout, tuple(op for p in parts for op in p.ops), amp)
-    return seq(*reversed(parts))
-
-
-def _embed(e: HamExpr, layout: SiteList, offset: int) -> HamExpr:
-    """e with every atom rewritten onto ``layout``, its sites shifted by
-    ``offset``."""
-    if isinstance(e, Atom):
-        return Atom(layout, tuple((s + offset, k) for s, k in e.ops), e.amp)
-    return type(e)(*(_embed(c, layout, offset) for c in e.children))
 
 
 def ham_sum(*es: HamExpr) -> HamExpr:

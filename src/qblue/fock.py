@@ -12,6 +12,7 @@ in the current occupation.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -35,8 +36,7 @@ class Ket:
 class FockState:
     """Canonical sparse state: merged kets sorted by occupation vector.
 
-    An empty term tuple is the zero state (it absorbs every operator and
-    annihilates any ket it is tensored with).
+    An empty term tuple is the zero state, which every operator keeps.
     """
 
     layout: SiteList
@@ -48,22 +48,25 @@ class FockState:
 
 
 def make_state(layout: SiteList, kets) -> FockState:
-    """Build a canonical state, validating occupations against the layout."""
+    """Build a canonical state, validating occupations against the layout.
+    A computed state, such as an eigenvector, is known to the precision of
+    its largest amplitude, so each amplitude is tested against that."""
     kets = [(amp, tuple(map(int, occ))) for amp, occ in kets]
     for _, occ in kets:
         _check_occ(layout, occ)
-    return _merged(layout, kets)
+    acc = _summed(kets)
+    top = max((abs(a) for a, _ in acc.values()), default=0.0)
+    return _state(layout, {occ: (a, top) for occ, (a, _) in acc.items()})
 
 
-def _merged(layout: SiteList, kets) -> FockState:
-    """The canonical state of kets, (amp, occ) pairs already checked
-    against the layout.  A given state is known to the precision of its
-    largest amplitude, so each amplitude is tested against that."""
-    acc: dict[tuple, complex] = {}
+def _summed(kets) -> dict:
+    """occ -> (amp, mag) of (amp, occ) pairs: the amplitudes listed for
+    each occupation summed, and their magnitudes."""
+    acc: dict[tuple, tuple] = {}
     for amp, occ in kets:
-        acc[occ] = acc.get(occ, 0j) + complex(amp)
-    top = max(map(abs, acc.values()), default=0.0)
-    return _state(layout, {occ: (amp, top) for occ, amp in acc.items()})
+        a, m = acc.get(occ, (0j, 0.0))
+        acc[occ] = a + complex(amp), m + abs(amp)
+    return acc
 
 
 def _state(layout: SiteList, acc: dict) -> FockState:
@@ -109,7 +112,9 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     """Big-step application of an operator expression to a state: the tree
     acts on the whole merged state, and only the final state is pruned and
     sorted.  Each amplitude carries the magnitudes of every path summed
-    into it, so a residue in an intermediate state drops with its terms."""
+    into it, so a residue in an intermediate state drops with its terms.
+    A result amplitude left non-finite by an overflow on the way is a
+    ValueError, as no state holds it."""
     layout = e.layout
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",
@@ -152,6 +157,8 @@ def apply(e: HamExpr, s: FockState) -> FockState:
 
     out: dict[tuple, tuple] = {}
     act(e, {ket.occ: (ket.amp, abs(ket.amp)) for ket in s.terms}, out)
+    if not all(cmath.isfinite(a) for a, _ in out.values()):
+        raise ValueError("an amplitude overflows the float range")
     return _state(layout, out)
 
 
@@ -172,11 +179,13 @@ def format_sites(layout: SiteList) -> str:
 
 
 def parse_state(text: str) -> FockState:
-    """The state of text.  A malformed line raises StateFormatError at its
-    line and the 1-based column of the bad field: a header other than
-    ``sites:`` and site types F or t(m >= 1), a line that is no ket, an
-    amplitude part that is not a finite number, or an occupation vector of
-    the wrong length or out of range."""
+    """The state of text, each ket tested against the amplitudes listed
+    for its occupation only, so a state ``format_state`` wrote reads back
+    unchanged.  A malformed line raises StateFormatError at its line and
+    the 1-based column of the bad field: a header other than ``sites:`` and
+    site types F or t(m >= 1), a line that is no ket, an amplitude part
+    that is not a finite number, or an occupation vector of the wrong
+    length or out of range."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     n, header = lines[0] if lines else (1, "")
     if not header.lstrip().startswith("sites:"):
@@ -184,8 +193,8 @@ def parse_state(text: str) -> FockState:
                                n, _column(header, 0))
     layout = _parse_sites(n, header)
     # _parse_ket checks each ket's occupations, to report the column
-    return _merged(layout,
-                   [_parse_ket(n, ln, layout) for n, ln in lines[1:]])
+    return _state(layout, _summed(
+        _parse_ket(n, ln, layout) for n, ln in lines[1:]))
 
 
 def _parse_sites(n: int, header: str) -> SiteList:

@@ -1,7 +1,8 @@
 """Small conversions that several test modules check the library through.
 
-Unlike ``oracle``, these call the library: a basis state is built with
-``make_state``, and Pauli sums compare term by term.
+Unlike ``oracle``, these call the library: a definition is parsed from
+program text, a basis state is built with ``make_state``, and Pauli sums
+compare term by term.
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from qblue.errors import COEFF_EQ_TOL
 from qblue.expr import site_dim
 from qblue.fock import make_state
+from qblue.parser import parse
 
 
 def basis_ket(layout, occ):
@@ -31,3 +33,14 @@ def pauli_allclose(a, b):
     return (a.qubits == b.qubits and len(a.terms) == len(b.terms)
             and all(sa == sb and abs(ca - cb) <= COEFF_EQ_TOL
                     for (ca, sa), (cb, sb) in zip(a.terms, b.terms)))
+
+
+def op(sites, body):
+    """The definition H = body of a program on sites, e.g.
+    ``op("F, t(2)", "a(1) adag(0)")``."""
+    return parse(f"sites {sites};\nH = {body};\n").defs["H"]
+
+
+def parsed(drawn):
+    """The parsed definition of a drawn program."""
+    return parse(drawn.text).defs["H"]

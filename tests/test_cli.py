@@ -90,7 +90,7 @@ def test_check_reports_certificate_verdict_once(tmp_path, capsys,
     record = json.loads(capsys.readouterr().out)
     assert record["flag"] == "h"
     assert record["hermitian"] is True
-    assert record["decided_by"] == "syntactic"
+    assert record["decided_by"] == "certificate"
     assert record["type"] == "F[h](t(2) (x) t(2))"
     # the certificate compares the canonical form of H with its adjoint,
     # which it computes from the form
@@ -185,7 +185,7 @@ def test_sum_of_1200_terms_is_certified(tmp_path, capsys):
     assert main(["--json", "check", str(prog)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["flag"] == "h"
-    assert record["decided_by"] == "syntactic"
+    assert record["decided_by"] == "certificate"
 
 
 def test_sum_of_10001_terms_compiles(tmp_path, capsys):
@@ -494,7 +494,7 @@ def test_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_ArgumentParser", Counting)
     prog = tmp_path / "h.qb"
     prog.write_text("sites t(2), t(2);\nH = adag(0) a(1) + adag(1) a(0);\n")
-    text = "H : F[h](t(2) (x) t(2))  [hermitian, syntactic]\n"
+    text = "H : F[h](t(2) (x) t(2))  [hermitian, certificate]\n"
     assert main(["check", str(prog)]) == 0
     assert capsys.readouterr() == (text, "")
     assert main(["frobnicate", str(prog)]) == 1
@@ -504,7 +504,7 @@ def test_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):
     assert "qblue: usage error: argument command: invalid choice: " \
            "'frobnicate'" in err
     assert main(["--json", "check", str(prog)]) == 0
-    assert json.loads(capsys.readouterr().out)["decided_by"] == "syntactic"
+    assert json.loads(capsys.readouterr().out)["decided_by"] == "certificate"
     # neither the usage error nor --json carries over to the next call
     assert main(["check", str(prog)]) == 0
     assert capsys.readouterr() == (text, "")
@@ -566,7 +566,7 @@ def test_fourteen_sites_certify_and_compile(tmp_path, capsys):
     code, out, err = run_json(capsys, ["check", str(prog)])
     assert (code, err) == (0, "")
     record = json.loads(out)
-    assert (record["flag"], record["decided_by"]) == ("h", "syntactic")
+    assert (record["flag"], record["decided_by"]) == ("h", "certificate")
     circuits = []
     for path in (prog, plain):
         assert main(["compile", str(path), "--t", "0.5", "--n", "1"]) == 0
@@ -610,7 +610,7 @@ def test_check_builds_no_matrix(tmp_path, capsys, monkeypatch):
         code, out, err = run_json(capsys, ["check", str(prog)])
         assert (code, err) == (0, "")
         record = json.loads(out)
-        assert (record["flag"], record["decided_by"]) == ("p", "syntactic")
+        assert (record["flag"], record["decided_by"]) == ("p", "certificate")
 
 
 def test_compile_and_fit_format_their_text_only_to_show_it(tmp_path, capsys,
@@ -813,6 +813,35 @@ def test_eval_keeps_a_small_amplitude(tmp_path, capsys):
     st.write_text("sites: t(2)\n(1.0,0.0) |0>\n")
     assert main(["eval", str(prog), "--state", str(st)]) == 0
     assert capsys.readouterr().out == "sites: t(2)\n(1e-20,0.0) |1>\n"
+
+
+def test_eval_of_an_overflowing_product_writes_no_state(tmp_path, capsys):
+    # each path has amplitude 1e400: no state holds it
+    prog, st, out = (tmp_path / "h.qb", tmp_path / "in.state",
+                     tmp_path / "out.state")
+    prog.write_text("sites t(2);\nH = 1e200 * X(0) 1e200 * X(0);\n")
+    st.write_text("sites: t(2)\n(1.0,0.0) |0>\n")
+    assert main(["eval", str(prog), "--state", str(st),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qblue: error: an amplitude overflows the "
+                            "float range\n")
+    assert not out.exists()
+
+
+def test_eval_out_reads_back_a_small_amplitude_beside_a_large_one(
+        tmp_path, capsys):
+    # 0.5 is below 1e-14 times 1e14, but no sum cancels it
+    prog, st, out = (tmp_path / "h.qb", tmp_path / "in.state",
+                     tmp_path / "out.state")
+    prog.write_text("sites t(2), t(2);\nH = 1e14 * Z(0) + 0.5 * X(1);\n")
+    st.write_text("sites: t(2), t(2)\n(1.0,0.0) |0,0>\n")
+    assert main(["eval", str(prog), "--state", str(st),
+                 "--out", str(out)]) == 0
+    assert format_state(parse_state(out.read_text())) == out.read_text() == (
+        "sites: t(2), t(2)\n(-100000000000000.0,0.0) |0,0>\n"
+        "(0.5,0.0) |0,1>\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,23 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qblue.errors import EncodingError
-from qblue.expr import Boson, Fermion, annihilate, create, tensor
 from qblue.encodings import encode_for_compile
-from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.pauli import PauliSum, pauli_sum, pauli_to_matrix
 from qblue.typecheck import CanonicalForm, canonicalize
 
 import oracle
-from helpers import pauli_allclose
-from strategies import well_formed
-
-T2 = Boson(2)
-F = Fermion()
-
-
-def layouts(site, max_sites):
-    return st.integers(1, max_sites).map(lambda n: (site,) * n)
+from helpers import op, parsed, pauli_allclose
+from strategies import programs
 
 
 def encoded_matrix(e, method, level=None):
@@ -31,15 +22,13 @@ def encoded_matrix(e, method, level=None):
     return pauli_to_matrix(hs)
 
 
-def assert_close(got, want):
-    assert oracle.max_norm(got, want) <= 1e-12 * max(1.0, abs(want).max())
-
-
-@pytest.mark.parametrize("site, method", [(T2, "direct"), (F, "jw")])
+@pytest.mark.parametrize("site, method", [("t(2)", "direct"), ("F", "jw")],
+                         ids=["site0-direct", "site1-jw"])
 @given(data=st.data())
 def test_encoding_is_the_expression_matrix(site, method, data):
-    e = data.draw(layouts(site, 4).flatmap(well_formed))
-    assert_close(encoded_matrix(e, method), expr_to_matrix(e))
+    drawn = data.draw(programs((site,), max_dim=16))
+    got = encoded_matrix(parsed(drawn), method)
+    assert oracle.max_norm(got, drawn.matrix) <= drawn.tolerance
 
 
 def one_hot_indices(sites, n):
@@ -69,21 +58,21 @@ def test_unary_encoding_on_one_hot_strings(n, max_sites, data):
     # on the one-hot strings the encoding is the block of the expression's
     # matrix on occupations 0..n
     dim = 2 ** (n + 1)
-    e = data.draw(layouts(Boson(dim), max_sites).flatmap(well_formed))
-    sites = len(e.layout)
-    m = encoded_matrix(e, "hp", n)
+    drawn = data.draw(programs((f"t({dim})",), max_dim=dim ** max_sites))
+    sites = len(drawn.sites)
+    m = encoded_matrix(parsed(drawn), "hp", n)
     idx = one_hot_indices(sites, n)
     low = low_level_indices(sites, n, dim)
-    assert_close(m[np.ix_(idx, idx)], expr_to_matrix(e)[np.ix_(low, low)])
+    assert oracle.max_norm(m[np.ix_(idx, idx)],
+                           drawn.matrix[np.ix_(low, low)]) <= drawn.tolerance
     # one-hot strings map onto one-hot strings
     rest = np.setdiff1d(np.arange(m.shape[0]), idx)
-    scale = max(1.0, abs(m).max())
-    assert oracle.max_norm(m[np.ix_(rest, idx)]) <= 1e-12 * scale
+    assert oracle.max_norm(m[np.ix_(rest, idx)]) <= drawn.tolerance
 
 
 def test_encoding_rejects_other_layouts():
     with pytest.raises(EncodingError, match="mixed"):
-        encode_for_compile(canonicalize(tensor(create(F), annihilate(T2))))
+        encode_for_compile(canonicalize(op("F, t(2)", "adag(0) a(1)")))
 
 
 def chain_form(site, bonds, onsite=""):

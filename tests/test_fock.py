@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qblue.errors import LayoutError, StateFormatError
-from qblue.expr import (
-    Atom, Boson, Fermion, LadderKind, Seq, annihilate, create, dagger,
-    ham_sum, identity, scale, seq, site_dim, tensor,
-)
+from qblue.expr import Boson, Fermion, LadderKind, dagger, site_dim
 from qblue import fock
 from qblue.fock import (
     apply, apply_single, format_state, make_state, parse_state,
@@ -18,11 +15,10 @@ from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 
 import oracle
-from helpers import basis_ket, state_to_vector
-from strategies import graded_trees, well_formed
+from helpers import basis_ket, op, parsed, state_to_vector
+from strategies import GRADED, layouts, on, programs
 
 T2 = Boson(2)
-T3 = Boson(3)
 T4 = Boson(4)
 F = Fermion()
 
@@ -72,7 +68,7 @@ def test_ladder_semantics_exhaustive_small_dims():
 # ---------------------------------------------------------------------------
 
 def test_apply_tensor_splits_ket():
-    e = tensor(create(T4), annihilate(T4))
+    e = op("t(4), t(4)", "adag(0) a(1)")
     s = basis_ket((T4, T4), (1, 1))
     out = apply(e, s)
     assert len(out.terms) == 1
@@ -81,7 +77,7 @@ def test_apply_tensor_splits_ket():
 
 
 def test_apply_sum_branches():
-    e = ham_sum(annihilate(T4), create(T4))
+    e = op("t(4)", "a(0) + adag(0)")
     out = apply(e, basis_ket((T4,), (1,)))
     assert [(k.occ, k.amp) for k in out.terms] == [
         ((0,), pytest.approx(1.0)),
@@ -90,27 +86,26 @@ def test_apply_sum_branches():
 
 
 def test_apply_to_zero_state_absorbs():
-    e = ham_sum(create(T2), annihilate(T2))
+    e = op("t(2)", "adag(0) + a(0)")
     out = apply(e, make_state((T2,), []))
     assert out.is_zero
 
 
 def test_apply_seq_right_operand_first():
-    e = seq(create(T2), annihilate(T2))  # a^dag a = occupation count
+    e = op("t(2)", "adag(0) a(0)")  # a^dag a = occupation count
     assert apply(e, basis_ket((T2,), (1,))).terms[0].amp == pytest.approx(1)
     assert apply(e, basis_ket((T2,), (0,))).is_zero
 
 
 def test_apply_layout_mismatch():
     with pytest.raises(LayoutError):
-        apply(annihilate(T2), basis_ket((T2, T2), (0, 0)))
+        apply(op("t(2)", "a(0)"), basis_ket((T2, T2), (0, 0)))
 
 
 def test_apply_is_linear():
     rng = np.random.default_rng(2)
     layout = (T4, T2)
-    e = ham_sum(tensor(create(T4), annihilate(T2)),
-                tensor(annihilate(T4), identity(T2)))
+    e = op("t(4), t(2)", "adag(0) a(1) + a(0)")
     s1 = make_state(layout, [(0.3, (1, 1)), (0.5j, (2, 0))])
     s2 = make_state(layout, [(1.0, (0, 1))])
     a, b = complex(rng.normal(), rng.normal()), complex(rng.normal())
@@ -130,11 +125,7 @@ def test_apply_is_linear():
 def test_apply_agrees_with_matrix_oracle_bosonic():
     # two-site hopping over t(4): independent reference via explicit krons
     layout = (T4, T4)
-    e = ham_sum(
-        seq(Atom(layout, ((0, LadderKind.CREATE),)),
-            Atom(layout, ((1, LadderKind.ANNIHILATE),))),
-        seq(Atom(layout, ((1, LadderKind.CREATE),)),
-            Atom(layout, ((0, LadderKind.ANNIHILATE),))))
+    e = op("t(4), t(4)", "adag(0) a(1) + adag(1) a(0)")
     ref = (oracle.embedded(oracle.create_mat(4), 0, (4, 4))
            @ oracle.embedded(oracle.annihilate_mat(4), 1, (4, 4)))
     ref = ref + (oracle.embedded(oracle.create_mat(4), 1, (4, 4))
@@ -171,22 +162,22 @@ def test_apply_walks_a_product_of_sums_without_multiplying_it_out(
 
 @st.composite
 def operators(draw):
-    """(layout, e) over mixed F / t(2) / t(3) sites, with an adjoint at the
+    """A drawn program over F, t(2) and t(3) sites, with an adjoint at the
     root or as the first-applied factor of a product, or neither."""
-    layout = tuple(draw(st.lists(st.sampled_from([F, T2, T3]),
-                                 min_size=1, max_size=3)))
-    e = draw(well_formed(layout))
+    sites = draw(layouts(("F/t(2)", "F/t(3)"), max_dim=27))
+    drawn = draw(on(sites))
     shape = draw(st.sampled_from(["plain", "dag", "seq"]))
     if shape == "dag":
-        return layout, dagger(e)
+        return drawn.adjoint()
     if shape == "seq":
-        return layout, Seq(e, dagger(draw(well_formed(layout, 2))))
-    return layout, e
+        return drawn @ draw(on(sites, depth=1)).adjoint()
+    return drawn
 
 
 @given(operators())
-def test_apply_matches_matrix_columns(case):
-    layout, e = case
+def test_apply_matches_matrix_columns(drawn):
+    e = parsed(drawn)
+    layout = e.layout
     m = expr_to_matrix(e)
     tol = 1e-12 * max(1.0, abs(m).max())
     occs = itertools.product(*(range(site_dim(site)) for site in layout))
@@ -195,8 +186,9 @@ def test_apply_matches_matrix_columns(case):
         assert oracle.max_norm(got, m[:, col]) <= tol
 
 
-@given(graded_trees())
-def test_apply_of_dagger_gives_the_conjugate_transpose(e):
+@given(programs(GRADED, max_dim=81))
+def test_apply_of_dagger_gives_the_conjugate_transpose(drawn):
+    e = parsed(drawn)
     layout = e.layout
     want = expr_to_matrix(e).conj().T
     occs = itertools.product(*(range(site_dim(site)) for site in layout))
@@ -213,7 +205,7 @@ def test_indexed_fermionic_op_matches_jw_matrix():
     n = 3
     layout = (F,) * n
     for j in range(n):
-        e = Atom(layout, ((j, LadderKind.ANNIHILATE),))
+        e = op("F, F, F", f"a({j})")
         ref = oracle.jw_ladder("annihilate", j, n)
         assert oracle.max_norm(expr_to_matrix(e), ref) < 1e-12
         for occ_idx in range(2 ** n):
@@ -230,8 +222,7 @@ def test_fermion_state_level_anticommutation():
         for j in range(3):
             if i == j:
                 continue
-            ai = Atom(layout, ((i, LadderKind.ANNIHILATE),))
-            cj = Atom(layout, ((j, LadderKind.CREATE),))
+            ai, cj = op("F, F, F", f"a({i})"), op("F, F, F", f"adag({j})")
             for occ_idx in range(8):
                 occ = tuple((occ_idx >> (2 - b)) & 1 for b in range(3))
                 s = basis_ket(layout, occ)
@@ -256,23 +247,22 @@ def expectation(e, s):
 
 
 def test_expectation_of_number_operator():
-    e = seq(create(T4), annihilate(T4))
+    e = op("t(4)", "adag(0) a(0)")
     assert expectation(e, basis_ket((T4,), (2,))) == pytest.approx(2)
 
 
 def test_expectation_of_z_combination_on_vacuum():
-    z = ham_sum(seq(create(T2), annihilate(T2)),
-                scale(-1, seq(annihilate(T2), create(T2))))
+    z = op("t(2)", "adag(0) a(0) - a(0) adag(0)")
     assert expectation(z, basis_ket((T2,), (0,))) == pytest.approx(-1)
 
 
 def test_expectation_of_identity_is_one():
     s = make_state((T2, T2), [(1.0, (0, 1)), (1.0, (1, 0))])
-    assert expectation(Atom((T2, T2)), s) == pytest.approx(1)
+    assert expectation(op("t(2), t(2)", "I(1)"), s) == pytest.approx(1)
 
 
 def test_expectation_unnormalized_state_divides_by_norm():
-    e = seq(create(T4), annihilate(T4))
+    e = op("t(4)", "adag(0) a(0)")
     s = make_state((T4,), [(2.0, (3,))])
     assert expectation(e, s) == pytest.approx(3)
 

@@ -56,11 +56,9 @@ def test_the_checkers_share_no_code_with_the_pipeline():
 
 
 # Definitions with no caller in the package that stay: the entry point, the
-# dense reference the tests compare against, the single-site constructors
-# and graded tensor product that build trees by hand, and the override
-# argparse calls back.  What only these reach stays too.
-NO_CALLER_NEEDED = {"cli.main", "linalg.expr_to_matrix", "expr.create",
-                    "expr.annihilate", "expr.identity", "expr.tensor",
+# dense reference the tests compare against, and the override argparse
+# calls back.  What only these reach stays too.
+NO_CALLER_NEEDED = {"cli.main", "linalg.expr_to_matrix",
                     "cli._ArgumentParser.error"}
 
 

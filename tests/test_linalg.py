@@ -9,10 +9,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from qblue.errors import DimensionCapError, NonHermitianError
-from qblue.expr import (
-    Atom, Boson, Fermion, LadderKind, annihilate, create, dagger, ham_sum,
-    identity, scale, seq, tensor,
-)
+from qblue.expr import Boson, Fermion, dagger
 from qblue.fock import make_state
 from qblue.linalg import (
     LANCZOS_MIN_DIM, expr_to_matrix, expr_to_sparse, ground_energy,
@@ -21,8 +18,8 @@ from qblue.linalg import (
 from qblue.parser import parse
 
 import oracle
-from helpers import basis_ket, state_to_vector
-from strategies import well_formed
+from helpers import basis_ket, op, parsed, state_to_vector
+from strategies import DIMS, FAMILIES, layouts, on, program_text, programs
 
 T2 = Boson(2)
 T3 = Boson(3)
@@ -38,21 +35,15 @@ def hadamard_generator():
     -1 eigenvector; exp over time pi gives the Hadamard gate."""
     c = 0.5 - math.sqrt(2) / 4
     d = 0.5 + math.sqrt(2) / 4
-    return ham_sum(
-        scale(c, seq(annihilate(T2), create(T2))),
-        scale(d, seq(create(T2), annihilate(T2))),
-        scale(-math.sqrt(2) / 4, ham_sum(create(T2), annihilate(T2))))
+    w = math.sqrt(2) / 4
+    return op("t(2)", f"{c!r} * a(0) adag(0) + {d!r} * adag(0) a(0)"
+                      f" - {w!r} * (adag(0) + a(0))")
 
 
 def cnot_generator():
     """(a^dag a) (x) (I - X)/2 over two qubits; exp at pi gives CX."""
-    layout = (T2, T2)
-    n0 = seq(Atom(layout, ((0, LadderKind.CREATE),)),
-             Atom(layout, ((0, LadderKind.ANNIHILATE),)))
-    half_ix = ham_sum(Atom(layout, (), 0.5), scale(-0.5, ham_sum(
-        Atom(layout, ((1, LadderKind.CREATE),)),
-        Atom(layout, ((1, LadderKind.ANNIHILATE),)))))
-    return seq(n0, half_ix)
+    return op("t(2), t(2)",
+              "adag(0) a(0) (0.5 * I(0) - 0.5 * (adag(1) + a(1)))")
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +51,12 @@ def cnot_generator():
 # ---------------------------------------------------------------------------
 
 def test_annihilator_matrix_t2():
-    m = expr_to_matrix(annihilate(T2))
+    m = expr_to_matrix(op("t(2)", "a(0)"))
     assert oracle.max_norm(m, np.array([[0, 1], [0, 0]])) == 0
 
 
 def test_creator_matrix_t3():
-    m = expr_to_matrix(create(T3))
+    m = expr_to_matrix(op("t(3)", "adag(0)"))
     want = np.zeros((3, 3), dtype=complex)
     want[1, 0] = 1
     want[2, 1] = math.sqrt(2)
@@ -73,19 +64,14 @@ def test_creator_matrix_t3():
 
 
 def test_x_combination_block():
-    layout = (T2, T2)
-    x1 = ham_sum(Atom(layout, ((1, LadderKind.CREATE),)),
-                 Atom(layout, ((1, LadderKind.ANNIHILATE),)))
+    x1 = op("t(2), t(2)", "adag(1) + a(1)")
     assert oracle.max_norm(expr_to_matrix(x1), np.kron(oracle.I2, oracle.X)) == 0
 
 
 def test_matrix_action_matches_interpreter_on_basis():
     from qblue.fock import apply
     layout = (T3, F, T2)
-    e = ham_sum(
-        seq(Atom(layout, ((0, LadderKind.CREATE),)),
-            Atom(layout, ((2, LadderKind.ANNIHILATE),))),
-        Atom(layout, ((1, LadderKind.CREATE),)))
+    e = op("t(3), F, t(2)", "adag(0) a(2) + adag(1)")
     m = expr_to_matrix(e)
     dims = [3, 2, 2]
     for idx in range(12):
@@ -114,88 +100,95 @@ def _jw(leaf_kind, j, sites, amp=1.0):
 
 
 def test_fermion_tensor_with_odd_right_operand():
-    # tensor(l0, l1, ...) applies l0 first: in Jordan-Wigner form the
-    # rightmost factor's Z string sees the occupations the others left
+    # a product applies its last factor first: in Jordan-Wigner form the
+    # later factor's Z string sees the occupations the others left
     layout = (F, F)
-    m = expr_to_matrix(tensor(create(F), annihilate(F)))
+    m = expr_to_matrix(op("F, F", "a(1) adag(0)"))
     want = _jw("annihilate", 1, layout) @ _jw("create", 0, layout)
     assert oracle.max_norm(m, want) < 1e-12
     assert oracle.max_norm(m, -_jw("create", 0, layout)
                            @ _jw("annihilate", 1, layout)) < 1e-12
     layout = (F, T3, F, F)
-    e = tensor(annihilate(F, 0.5j), create(T3), identity(F, 2.0),
-               create(F))
+    e = op("F, t(3), F, F", "adag(3) 2 * I(2) adag(1) 0.5i * a(0)")
     want = (_jw("create", 3, layout) @ _jw(None, 2, layout, 2.0)
             @ _jw("create", 1, layout) @ _jw("annihilate", 0, layout, 0.5j))
     assert oracle.max_norm(expr_to_matrix(e), want) < 1e-12
 
 
 def test_tensor_of_sums_general_path():
-    # tensor(A, B, C) when the factors are sums: tensor is linear
-    # in each factor, so the oracle is the product of the factor sums
+    # a product of sums on different sites: the product is linear in each
+    # factor, so the oracle is the product of the factor sums
     layout = (F, T3, F)
-    a = ham_sum(create(F), scale(0.5j, annihilate(F)), identity(F, -0.25))
-    b = ham_sum(create(T3), annihilate(T3, 1.5))
-    c = ham_sum(annihilate(F), identity(F, 2.0))
+    e = op("F, t(3), F", "(a(2) + 2 * I(2)) (adag(1) + 1.5 * a(1))"
+                         " (adag(0) + 0.5i * a(0) - 0.25 * I(0))")
     want = ((_jw("annihilate", 2, layout) + _jw(None, 2, layout, 2.0))
             @ (_jw("create", 1, layout) + _jw("annihilate", 1, layout, 1.5))
             @ (_jw("create", 0, layout) + _jw("annihilate", 0, layout, 0.5j)
                + _jw(None, 0, layout, -0.25)))
-    assert oracle.max_norm(expr_to_matrix(tensor(a, b, c)), want) < 1e-12
-    # the same product, left-associated
-    assert oracle.max_norm(expr_to_matrix(tensor(tensor(a, b), c)),
-                           want) < 1e-12
+    assert oracle.max_norm(expr_to_matrix(e), want) < 1e-12
 
 
-def oracle_layout(layout):
-    return ["F" if site == F else site.dim for site in layout]
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_the_matrix_of_program_text_is_its_oracle_matrix(family, data):
+    # two routes to the meaning of the text: the parsed tree's lowering,
+    # and the matrix built from the parser docstring with the oracle
+    drawn = data.draw(programs((family,)))
+    got = expr_to_matrix(parsed(drawn))
+    assert oracle.max_norm(got, drawn.matrix) <= drawn.tolerance
 
 
-small_layouts = st.lists(st.sampled_from([F, T2, T3]), min_size=1,
-                         max_size=2).map(tuple)
-tensor_operands = st.tuples(small_layouts, small_layouts).flatmap(
-    lambda la_lb: st.tuples(well_formed(la_lb[0]), well_formed(la_lb[1])))
+def oracle_layout(sites):
+    return ["F" if s == "F" else DIMS[s] for s in sites]
 
 
-@settings(max_examples=300)
-@given(tensor_operands)
+small_layouts = layouts(("F/t(2)", "F/t(3)"), max_dim=9)
+# (A, B) with B written on the sites after A's
+operand_pairs = st.tuples(small_layouts, small_layouts).flatmap(
+    lambda la_lb: st.tuples(on(la_lb[0]), on(la_lb[1],
+                                              offset=len(la_lb[0]))))
+
+
+@settings(max_examples=150)
+@given(operand_pairs)
 def test_tensor_is_the_graded_kronecker_product(operands):
-    # checks the Jordan-Wigner sign of the tensor rule against the oracle's
-    # definition, not against a second route through the same tree
+    # (B) (A) on the concatenated layout applies A first, the graded tensor
+    # product of A and B: checks the Jordan-Wigner sign of a product across
+    # sites against the oracle's definition
     a, b = operands
-    want = oracle.graded_kron(expr_to_matrix(a), oracle_layout(a.layout),
-                              expr_to_matrix(b), oracle_layout(b.layout))
-    assert oracle.max_norm(expr_to_matrix(tensor(a, b)), want) < 1e-12
+    text = program_text(a.sites + b.sites, f"({b.body}) ({a.body})")
+    want = oracle.graded_kron(a.matrix, oracle_layout(a.sites),
+                              b.matrix, oracle_layout(b.sites))
+    got = expr_to_matrix(parse(text).defs["H"])
+    assert oracle.max_norm(got, want) <= 1e-12 * a.magnitude * b.magnitude
 
 
 def test_bosons_at_top_occupation():
     for d in (3, 4):
         site = Boson(d)
-        up = expr_to_matrix(create(site))
-        down = expr_to_matrix(annihilate(site))
+        up = expr_to_matrix(op(str(site), "adag(0)"))
+        down = expr_to_matrix(op(str(site), "a(0)"))
         assert oracle.max_norm(up, oracle.create_mat(d)) == 0
         assert oracle.max_norm(down, oracle.annihilate_mat(d)) == 0
         # the creator kills the top level; the annihilator takes it down
         # with amplitude sqrt(d - 1)
         assert not up[:, d - 1].any()
         assert down[d - 2, d - 1] == pytest.approx(math.sqrt(d - 1))
-        n = expr_to_matrix(seq(create(site), annihilate(site)))
+        n = expr_to_matrix(op(str(site), "adag(0) a(0)"))
         assert oracle.max_norm(n, np.diag(np.arange(d))) < 1e-12
-    layout = (T3, Boson(4))
-    e = tensor(create(T3, 0.5), create(Boson(4)))
+    e = op("t(3), t(4)", "0.5 * adag(0) adag(1)")
     assert oracle.max_norm(
         expr_to_matrix(e),
         np.kron(0.5 * oracle.create_mat(3), oracle.create_mat(4))) < 1e-12
     assert oracle.max_norm(
-        expr_to_matrix(Atom(layout, ((1, LadderKind.ANNIHILATE),))),
+        expr_to_matrix(op("t(3), t(4)", "a(1)")),
         oracle.embedded(oracle.annihilate_mat(4), 1, (3, 4))) == 0
 
 
 def test_dagger_of_cross_site_seq():
     layout = (F, T3, F)
-    e = seq(Atom(layout, ((0, LadderKind.CREATE),), 0.3 + 0.4j),
-            Atom(layout, ((1, LadderKind.ANNIHILATE),)),
-            Atom(layout, ((2, LadderKind.ANNIHILATE),)))
+    e = op("F, t(3), F", "(0.3+0.4i) * adag(0) a(1) a(2)")
     m = (_jw("create", 0, layout, 0.3 + 0.4j) @ _jw("annihilate", 1, layout)
          @ _jw("annihilate", 2, layout))
     assert oracle.max_norm(expr_to_matrix(e), m) < 1e-12
@@ -237,9 +230,8 @@ def test_cube_of_x_sum_on_six_sites():
 
 
 def test_dimension_cap():
-    layout = tuple(Boson(2) for _ in range(13))
     with pytest.raises(DimensionCapError):
-        expr_to_matrix(Atom(layout))
+        expr_to_matrix(op(", ".join(["t(2)"] * 13), "I(0)"))
 
 
 def loop_vector_to_state(v, layout, tol=1e-14):

@@ -13,6 +13,8 @@ from qblue.fock import format_sites
 from qblue.parser import parse
 from qblue.typecheck import canonicalize, typecheck
 
+from strategies import layouts, on, program_text
+
 T2 = Boson(2)
 
 
@@ -87,77 +89,14 @@ def format_literal(z):
     return f"({z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i)"
 
 
-SITE_TEXT = {"t(2)": 2, "F": 2, "t(3)": 3}
-LITERALS = ["0.5", "2", "1.25", "3e-2", "2i", "0.5i", "(0.5+0.25i)",
-            "(-1.5-2i)", "sqrt(2)", "-0.75", "-2i"]
+def program_texts():
+    """Program text with one to three drawn definitions on one layout."""
+    return layouts().flatmap(
+        lambda sites: st.lists(on(sites), min_size=1, max_size=3).map(
+            lambda drawn: program_text(sites, *(d.body for d in drawn))))
 
 
-@st.composite
-def expr_text(draw, dims, index, depth):
-    """Program text of an expression; ``index`` draws a site-index text and
-    its value."""
-    kinds = ["atom", "atom", "scaled"]
-    if depth > 0:
-        kinds += ["dag", "paren", "product", "sum"]
-    kind = draw(st.sampled_from(kinds))
-    if kind == "atom":
-        text, j = draw(index)
-        names = ["a", "adag", "I"] + (["X", "Y", "Z"] if dims[j] == 2 else [])
-        return f"{draw(st.sampled_from(names))}({text})"
-    if kind == "scaled":
-        literal = draw(st.sampled_from(LITERALS))
-        return f"{literal} * {draw(expr_text(dims, index, 0))}"
-    inner = draw(expr_text(dims, index, depth - 1))
-    if kind == "dag":
-        return f"dag({inner})"
-    if kind == "paren":
-        # a leading minus opens an expression
-        return f"({draw(st.sampled_from(['', '-']))}{inner})"
-    if kind == "product":
-        return f"{inner} {draw(expr_text(dims, index, depth - 1))}"
-    op = draw(st.sampled_from([" + ", " - "]))
-    return f"{inner}{op}{draw(expr_text(dims, index, depth - 1))}"
-
-
-@st.composite
-def definition_text(draw, dims):
-    n = len(dims)
-    fixed = st.integers(0, n - 1).map(lambda j: (str(j), j))
-    if not draw(st.booleans()):
-        return draw(expr_text(dims, fixed, 2))
-    # sum k in lo..hi { ... } with atoms at k + c inside the layout
-    lo = draw(st.integers(0, n - 1))
-    hi = draw(st.integers(lo, n - 1))
-    offsets = st.integers(-lo, n - 1 - hi)
-    looped = offsets.map(lambda c: (f"k+{c}" if c >= 0 else f"k-{-c}", None))
-
-    @st.composite
-    def index(draw_index):
-        if draw_index(st.booleans()):
-            return draw_index(fixed)
-        text, _ = draw_index(looped)
-        # an X/Y/Z at k+c needs every site it visits to be two-dimensional
-        return text, max(range(n), key=lambda j: dims[j])
-
-    body = draw(expr_text(dims, index(), 2))
-    return f"sum k in {lo}..{hi} {{ {body} }}"
-
-
-@st.composite
-def program_text(draw):
-    sites = draw(st.lists(st.sampled_from(sorted(SITE_TEXT)), min_size=1,
-                          max_size=3))
-    dims = [SITE_TEXT[s] for s in sites]
-    if len(set(dims)) > 1:
-        # loops may visit any site, so keep X/Y/Z valid everywhere
-        sites = [s if SITE_TEXT[s] == 2 else "t(2)" for s in sites]
-        dims = [2] * len(sites)
-    defs = draw(st.lists(definition_text(dims), min_size=1, max_size=3))
-    return f"sites {', '.join(sites)};\n" + "".join(
-        f"H{k} = {body};\n" for k, body in enumerate(defs))
-
-
-@given(program_text())
+@given(program_texts())
 def test_format_program_round_trips(text):
     p = parse(text)
     q = parse(format_program(p))
@@ -223,7 +162,7 @@ SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n ",
               "// a comment\n", "\t//x(0) $ @\r\n"]
 
 
-@given(program_text(), st.data())
+@given(program_texts(), st.data())
 def test_error_positions_under_any_spacing(text, data):
     tokens = TOKEN_TEXT.findall(text)
     n = len(parse(text).layout)

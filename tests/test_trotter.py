@@ -43,11 +43,13 @@ def commutator_bound(hs, t, n):
     """(t^2 / 2n) sum_{j<k} ||[c_j P_j, c_k P_k]||, where an anticommuting
     pair contributes 2 |c_j c_k| and a commuting pair nothing (Childs, Su,
     Tran, Wiebe, Zhu, PRX 11, 011020 (2021))."""
-    terms = hs.terms
-    total = sum(2 * abs(cj * ck)
-                for j, (cj, pj) in enumerate(terms)
-                for ck, pk in terms[j + 1:] if anticommute(pj, pk))
-    return t * t / (2 * n) * total
+    # each |c t| is the scale-free rotation angle, so a tiny c at a huge t
+    # neither overflows nor underflows
+    terms = [(abs(c * t), p) for c, p in hs.terms]
+    total = sum(2 * aj * ak
+                for j, (aj, pj) in enumerate(terms)
+                for ak, pk in terms[j + 1:] if anticommute(pj, pk))
+    return total / (2 * n)
 
 
 @pytest.mark.parametrize("chain", [spin_chain, hopping_chain])
