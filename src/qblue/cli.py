@@ -1,13 +1,13 @@
 """Command-line driver: check / eval / energy / compile / fit / verify.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type error, 4 fit/compile
-error, 5 dimension cap.  Parsing never exits 3 (a parsed program has one
-layout): exit 3 is ``energy`` of a flag-p program or ``eval`` of a state
-on another layout.  An input that exhausts the recursion limit or the
-memory exits 1 with a one-line error naming the cause, not a traceback
-(see ``main``), as does an ``eval`` that overflows the float range, and
-a non-finite ``--t`` is a usage error.  With --json, reports and diagnostics
-are emitted as JSON lines.
+error, 5 dimension cap or unit cap (``DimensionCapError``).  Parsing never
+exits 3 (a parsed program has one layout): exit 3 is ``energy`` of a
+flag-p program or ``eval`` of a state on another layout.  An input that
+exhausts the recursion limit or the memory exits 1 with a one-line error
+naming the cause, not a traceback (see ``main``), as does an ``eval`` that
+overflows the float range, and a non-finite ``--t`` is a usage error.
+With --json, reports and diagnostics are emitted as JSON lines.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``certificate`` when the exact

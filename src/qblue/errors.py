@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-# The one dense-work limit: matrices of at most DIM_CAP rows, that is
-# circuits and Pauli sums on at most QUBIT_CAP qubits.
+# The work limits: matrices of at most DIM_CAP rows, that is circuits and
+# Pauli sums on at most QUBIT_CAP qubits, and canonical terms of at most
+# UNIT_CAP site matrix units (a hopping pair at the cap certifies in 1 s).
 DIM_CAP = 2 ** 12
 QUBIT_CAP = DIM_CAP.bit_length() - 1
+UNIT_CAP = 2 ** 16
 
 # Tolerances, each named once for every module that compares with it, and
 # each relative to the magnitudes of the value it tests (``negligible``).
@@ -14,12 +16,13 @@ ZERO_TOL = 1e-14          # term, Pauli coefficient or ket amplitude as zero
 HERMITIAN_TOL = 1e-10     # h_ij against conj(h_ji) in a Hermitian matrix
 
 
-def negligible(value, scale, tol: float) -> bool:
+def negligible(value, scale, tol: float):
     """Whether |value| is at most tol times scale, the magnitudes summed
     into it: so c times a sum keeps its verdicts, and a term at one scale
     does not hide one at another.  A scale past the float range gives
-    none, so then only an exact zero is, and a nan never is."""
-    return abs(value) <= tol * scale if scale < float("inf") else value == 0
+    none, so then only an exact zero is, and a nan never is.  value and
+    scale may be numpy arrays, tested entry by entry."""
+    return (abs(value) <= tol * scale) & (scale < float("inf")) | (value == 0)
 
 
 class QBlueError(Exception):
@@ -53,7 +56,7 @@ class AmplitudeError(ValueError):
 
 
 class DimensionCapError(QBlueError):
-    """Requested dense-matrix work above the supported dimension cap."""
+    """Dense-matrix work above DIM_CAP, or a term above UNIT_CAP units."""
 
 
 class NonHermitianError(QBlueError):

@@ -3,12 +3,12 @@
 Every expression acts on an ordered list of lattice sites, its layout; each
 site is either an m-dimensional bosonic mode or a two-dimensional fermionic
 mode.  There are three node kinds.  The leaves are atoms: an amplitude times
-ladder operators (creators and annihilators) at some sites of the layout,
-at most one per site, with the identity implicit at every other site.  An
-indexed atom of the surface syntax, such as ``a(j)``, is an atom on the
-whole program layout that lists site j only, so it costs its own length and
-not the width of the layout.  Atoms combine with the n-ary linear sum and
-sequencing (operator product), each holding a tuple of children.  The
+one ladder operator (a creator or an annihilator) at one site of the
+layout, or times the identity, with the identity implicit at every other
+site.  An atom is what an indexed operator of the surface syntax, such as
+``a(j)``, denotes, so it costs one site and not the width of the layout.
+Atoms combine with the n-ary linear sum and sequencing (operator product),
+each holding a tuple of children; a product of ladders is a Seq.  The
 adjoint is not a node of its own: ``dagger`` builds the adjoint tree out of
 atoms, sums and products.
 
@@ -105,16 +105,14 @@ class LadderKind(IntEnum):
 
 @dataclass(frozen=True)
 class Atom:
-    """``amp`` times ladder operators at some sites of ``layout``.
+    """``amp`` times one ladder of ``layout``, or times the identity.
 
-    ``ops`` is the sparse map from site index to ladder kind: (site, kind)
-    pairs, site-ascending, one per site.  Every site it does not list
-    carries the identity.  The listed operators apply site-ascending, as
-    the tensor product of single-site ladders does.
+    ``ladder`` is a (site, kind) pair, or None for the identity; every
+    site it does not name carries the identity.
     """
 
     layout: SiteList
-    ops: tuple = ()
+    ladder: tuple | None = None
     amp: complex = 1.0
 
     def __post_init__(self):
@@ -122,15 +120,11 @@ class Atom:
         object.__setattr__(self, "amp", complex(self.amp))
         if not cmath.isfinite(self.amp):
             raise AmplitudeError(f"amplitude must be finite, got {self.amp}")
-        last = -1
-        for s, _ in self.ops:
-            if not last < s < len(self.layout):
-                raise ValueError(
-                    f"atom ops {self.ops!r} do not list distinct sites of a "
-                    f"{len(self.layout)}-site layout in ascending order")
-            last = s
         if not self.layout:
             raise ValueError("an atom acts on at least one site")
+        if self.ladder and not 0 <= self.ladder[0] < len(self.layout):
+            raise ValueError(f"atom ladder {self.ladder!r} names none of "
+                             f"its {len(self.layout)} sites")
 
 
 @dataclass(frozen=True, init=False)
@@ -169,18 +163,13 @@ HamExpr = Union[Atom, Sum, Seq]
 def dagger(e: HamExpr) -> HamExpr:
     """The adjoint tree: the matrix adjoint of e, built from its nodes.
 
-    An atom conjugates its amplitude and negates each ladder's step.  The
-    adjoint applies the atom's operators in reverse order, and putting them
-    back site-ascending, the order an atom applies them in, makes f
-    fermionic ladders trade places f(f-1)/2 times: the amplitude takes the
-    sign (-1)^(f(f-1)/2).  A sum is the sum of its children's adjoints; a
-    product is the product of its children's adjoints in reverse order.
+    An atom conjugates its amplitude and negates its ladder's step.  A sum
+    is the sum of its children's adjoints; a product is the product of its
+    children's adjoints in reverse order.
     """
     if isinstance(e, Atom):
-        f = sum(isinstance(e.layout[s], Fermion) for s, _ in e.ops)
-        amp = e.amp.conjugate()
-        return Atom(e.layout, tuple((s, LadderKind(-k)) for s, k in e.ops),
-                    -amp if f * (f - 1) // 2 % 2 else amp)
+        ladder = e.ladder and (e.ladder[0], LadderKind(-e.ladder[1]))
+        return Atom(e.layout, ladder, e.amp.conjugate())
     if isinstance(e, Sum):
         return Sum(*(dagger(c) for c in e.children))
     if isinstance(e, Seq):
@@ -225,7 +214,7 @@ def scale(z: complex, e: HamExpr) -> HamExpr:
     """
     z = complex(z)
     if isinstance(e, Atom):
-        return Atom(e.layout, e.ops, z * e.amp)
+        return Atom(e.layout, e.ladder, z * e.amp)
     if isinstance(e, Sum):
         return Sum(*(scale(z, c) for c in e.children))
     if isinstance(e, Seq):

@@ -3,7 +3,7 @@
 States are sparse complex combinations of occupation-number kets over a fixed
 site layout; the empty combination is the absorbing zero state.  ``apply``
 walks the operator tree over the whole state: an atom maps each ket through
-its ladders, a sum adds its children's results into one accumulator, and a
+its ladder, a sum adds its children's results into one accumulator, and a
 product applies its children to the merged state, last child first; an
 adjoint arrives already built from atoms, sums and products.  A fermionic
 ladder operator takes the sign (-1)^(occupied fermionic sites to its left)
@@ -119,30 +119,27 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",
                           "apply", layout, s.layout)
-    # fermionic[:j] selects the sites whose occupation signs an op at site j
     fermionic = [isinstance(site, Fermion) for site in layout]
-    prefixes = [fermionic[:j] for j in range(len(layout))]
 
     def act(node: HamExpr, state: dict, out: dict):
         """Add node applied to state into out; both map occ -> (amp, mag)."""
         if isinstance(node, Atom):
             w = abs(node.amp)
+            j, kind = node.ladder or (None, None)
             for occ, (amp, mag) in state.items():
                 val, mag = amp * node.amp, mag * w
-                cur = list(occ)
-                for j, kind in node.ops:
-                    res = apply_single(kind, layout[j], cur[j])
+                if kind is not None:
+                    res = apply_single(kind, layout[j], occ[j])
                     if res is None:
-                        break
-                    c, cur[j] = res
+                        continue
+                    c, k = res
                     mag *= c
-                    if fermionic[j] and sum(compress(cur, prefixes[j])) % 2:
+                    if fermionic[j] and sum(compress(occ[:j], fermionic)) % 2:
                         c = -c
                     val *= c
-                else:
-                    key = tuple(cur)
-                    a, m = out.get(key, (0j, 0.0))
-                    out[key] = a + val, m + mag
+                    occ = occ[:j] + (k,) + occ[j + 1:]
+                a, m = out.get(occ, (0j, 0.0))
+                out[occ] = a + val, m + mag
         elif isinstance(node, Sum):
             for c in node.children:
                 act(c, state, out)

@@ -6,8 +6,7 @@ the expression tree itself, to one scipy.sparse CSR matrix.
 
 - An atom has at most one nonzero per column: it is a row map, a ``rows``
   and a ``vals`` array over the columns, built in one O(N dim) step from
-  its sparse map of ladders with the Jordan-Wigner signs the interpreter
-  produces.
+  its ladder with the Jordan-Wigner sign the interpreter produces.
 - A product of atoms is a row map too, by composition: rows = r2[r1] and
   vals = v2[r1] v1.
 - A sum concatenates the entries of its children into one COO, and the
@@ -35,6 +34,7 @@ import scipy.sparse.linalg
 
 from .errors import (
     DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
+    negligible,
 )
 from .expr import (
     Atom, Fermion, HamExpr, Seq, SiteList, Sum, site_dim, total_dim,
@@ -52,18 +52,21 @@ def expr_to_sparse(e: HamExpr):
     dim = total_dim(e.layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    return _lower(e)
+    return _lower(e, {})
 
 
-def _lower(e, memo: dict = None):
-    """The CSR matrix of e, built from one COO of its entries; memo maps
-    each ladder pattern lowered so far to its unit row map."""
-    memo = {} if memo is None else memo
+def _lower(e, memo: dict):
+    """The CSR matrix of e, built from one COO of its entries, without an
+    entry that is ``negligible`` at ZERO_TOL against the magnitudes summed
+    into it: a sum that cancels to a rounding residue leaves none.  memo
+    maps each ladder lowered so far to its unit row map."""
     dim = total_dim(e.layout)
     rows, cols, vals = _entries(e, memo)
-    keep = vals != 0
-    return scipy.sparse.csr_array((vals[keep], (rows[keep], cols[keep])),
-                                  shape=(dim, dim))
+    m, mag = (scipy.sparse.csr_array((v, (rows, cols)), shape=(dim, dim))
+              for v in (vals, abs(vals)))
+    m.data[negligible(m.data, mag.data, ZERO_TOL)] = 0
+    m.eliminate_zeros()
+    return m
 
 
 def _entries(e, memo: dict):
@@ -99,9 +102,9 @@ def _row_map(e, memo: dict):
     possible nonzero, vals[j], in row rows[j].  The factor applied first is
     the rightmost, so a product maps rows = r2[r1], vals = v2[r1] v1."""
     if isinstance(e, Atom):
-        if e.ops not in memo:
-            memo[e.ops] = _monomial(e.layout, e.ops)
-        rows, vals = memo[e.ops]
+        if e.ladder not in memo:
+            memo[e.ladder] = _monomial(e.layout, e.ladder)
+        rows, vals = memo[e.ladder]
         return rows, e.amp * vals
     rows, vals = _row_map(e.children[-1], memo)
     for c in reversed(e.children[:-1]):
@@ -110,39 +113,25 @@ def _row_map(e, memo: dict):
     return rows, vals
 
 
-def _monomial(layout: SiteList, ops: tuple):
-    """Row map (rows, vals) of the ladders ops, (site, kind) pairs, at unit
-    amplitude.
+def _monomial(layout: SiteList, ladder):
+    """Row map (rows, vals) at unit amplitude of one ladder, a (site, kind)
+    pair, or of the identity for None.  A fermionic ladder takes the
+    product of (1 - 2 occ) over the fermionic sites before it, its
+    Jordan-Wigner string.  A column whose value is zero maps to row 0, so
+    that a product may index with every row."""
+    dims = [site_dim(site) for site in layout]
+    cols = np.arange(math.prod(dims))
+    if ladder is None:
+        return cols, np.ones(cols.size)
+    j, kind = ladder
 
-    Every ladder maps a basis state to at most one basis state, so the atom
-    has at most one nonzero per column.  Walking the sites from the right,
-    each fermionic site with an odd number of fermionic ladders to its
-    right takes the sign (-1)^(its output occupation): the Jordan-Wigner
-    string of those ladders.  A column whose value is zero maps to row 0,
-    so that a product may index with every row.
-    """
-    dim = total_dim(layout)
-    cols = np.arange(dim)
-    rows = cols.copy()
-    vals = np.ones(dim)
-    kinds = dict(ops)
-    odd = False
-    stride = 1
-    for j in reversed(range(len(layout))):
-        d = site_dim(layout[j])
-        fermionic = isinstance(layout[j], Fermion)
-        kind = kinds.get(j)
-        if kind is not None or (odd and fermionic):
-            occ = cols // stride % d
-        if kind is not None:
-            vals *= _ladder_values(d, kind)[occ]
-            rows += kind * stride
-            occ = occ + kind
-        if fermionic:
-            if odd:
-                vals *= 1 - 2 * (occ & 1)
-            odd ^= kind is not None
-        stride *= d
+    def occ(i):   # the occupation of site i in each column, row-major
+        return cols // math.prod(dims[i + 1:]) % dims[i]
+    vals = _ladder_values(dims[j], kind)[occ(j)]
+    for i in range(j) if isinstance(layout[j], Fermion) else ():
+        if isinstance(layout[i], Fermion):
+            vals *= 1 - 2 * occ(i)
+    rows = cols + kind * math.prod(dims[j + 1:])
     rows[vals == 0] = 0
     return rows, vals
 
@@ -279,7 +268,7 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
         np.subtract(a, diff, out=diff)
         return np.abs(diff, out=mag).max()
     tr = np.vdot(b, a)  # trace(b^dag a) without the matrix product
-    if abs(tr) > 1e-12:
+    if not negligible(tr, np.vdot(abs(b), abs(a)), ZERO_TOL):
         alpha0 = float(np.angle(tr))
     else:
         grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)

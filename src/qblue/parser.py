@@ -8,7 +8,7 @@ A program declares a site layout and named operator definitions::
 
 Juxtaposition is the operator product, ``+``/``-`` linear combination
 (``A - 0.5 * B`` is a difference), ``dag(...)`` the adjoint.  An indexed
-atom a/adag/I is one node over the declared layout that lists the given
+atom a/adag/I is one node over the declared layout that names the given
 site, the identity implicit at every other site; X/Y/Z expand to their
 ladder combinations (a^dag + a, i a - i a^dag, a^dag a - a a^dag) on
 two-dimensional sites.  ``sum j in lo..hi { ... }`` unrolls inclusively
@@ -265,13 +265,9 @@ class _Parser:
         # each atom built once, with the amplitude scale(z, atom) gives it
         amp = (lambda base: base) if z is None else (lambda base: z * base)
         one = amp(1 + 0j)
-        cr, an = ((j, LadderKind.CREATE),), ((j, LadderKind.ANNIHILATE),)
-        if name == "I":
-            return Atom(lay, (), one)
-        if name == "a":
-            return Atom(lay, an, one)
-        if name == "adag":
-            return Atom(lay, cr, one)
+        cr, an = (j, LadderKind.CREATE), (j, LadderKind.ANNIHILATE)
+        if name in ("I", "a", "adag"):
+            return Atom(lay, {"I": None, "a": an, "adag": cr}[name], one)
         if name == "X":
             return Sum(Atom(lay, cr, one), Atom(lay, an, one))
         if name == "Y":

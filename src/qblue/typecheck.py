@@ -21,7 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import COEFF_EQ_TOL, ZERO_TOL, negligible
+from .errors import (
+    COEFF_EQ_TOL, UNIT_CAP, ZERO_TOL, DimensionCapError, negligible,
+)
 from .expr import (
     Atom, Fermion, Flag, HamExpr, OpType, Seq, SiteList, Sum, site_dim,
 )
@@ -56,10 +58,10 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
     Sums are distributed out of products, each product's ladders put in
     site order (-1 per transposition of two fermionic ladders at distinct
     sites) and like ladder products merged.  Each site's ladders then
-    expand into the site's units (``_site_units``); like terms merge and
-    a term drops when it is ``negligible`` at ZERO_TOL against the
-    magnitudes summed into it.  A nan coefficient stays, so the form
-    differs from its adjoint.
+    expand into the site's units (``_site_units``), at most UNIT_CAP per
+    term or a DimensionCapError; like terms merge and a term drops when it
+    is ``negligible`` at ZERO_TOL against the magnitudes summed into it.
+    A nan coefficient stays, so the form differs from its adjoint.
     """
     layout = e.layout
     fermionic = [isinstance(site, Fermion) for site in layout]
@@ -71,9 +73,14 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
         ladders[key] = c + coeff, m + abs(coeff)
     units: dict = {}
     for key, term in ladders.items():
+        expansions = [(s, _site_units(dims[s], tuple([k for _, k in group])))
+                      for s, group in itertools.groupby(key, lambda op: op[0])]
+        n = math.prod([len(expansion) for _, expansion in expansions])
+        if n > UNIT_CAP:
+            raise DimensionCapError(f"a term expands into {n} site units, "
+                                    f"above the cap {UNIT_CAP}")
         products = [((), *term)]   # (units, coeff, mag) over the sites so far
-        for s, group in itertools.groupby(key, lambda op: op[0]):
-            expansion = _site_units(dims[s], tuple([k for _, k in group]))
+        for s, expansion in expansions:
             products = [(u + ((s, unit),) if unit is not None else u,
                          c * w, m * abs(w))
                         for u, c, m in products for unit, w in expansion]
@@ -106,7 +113,7 @@ def _terms(e: HamExpr) -> list:
     """List of (coeff, ops) with ops = [(site_index, kind), ...] in
     application order."""
     if isinstance(e, Atom):
-        return [(e.amp, list(e.ops))]
+        return [(e.amp, [] if e.ladder is None else [e.ladder])]
     if isinstance(e, Sum):
         return [t for c in e.children for t in _terms(c)]
     if not isinstance(e, Seq):
@@ -203,7 +210,7 @@ def typecheck(e: HamExpr, promote: bool = True) -> OpType:
     """Infer the operator type F[flag](sites).
 
     The site list is the one the root stored when it was built, and one
-    walk gives the structural flag: an atom listing no ladder is H when its
+    walk gives the structural flag: an atom with no ladder is H when its
     amplitude is exactly real, any other atom P; sum and sequencing join their
     children's flags, so H survives only when every child is H.  With
     ``promote`` the Hermiticity certificate then lifts the root to H when it
@@ -217,7 +224,7 @@ def typecheck(e: HamExpr, promote: bool = True) -> OpType:
 
 def _flag(e: HamExpr) -> Flag:
     if isinstance(e, Atom):
-        return Flag.H if e.amp.imag == 0 and not e.ops else Flag.P
+        return Flag.H if e.amp.imag == 0 and e.ladder is None else Flag.P
     if isinstance(e, (Sum, Seq)):
         return Flag.P if Flag.P in map(_flag, e.children) else Flag.H
     raise TypeError(f"not a HamExpr: {e!r}")

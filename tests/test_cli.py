@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qblue.circuit import parse_circuit
 from qblue.cli import main
 from qblue.encodings import encode_for_compile
+from qblue.errors import UNIT_CAP
 from qblue.fock import format_state, parse_state
 from qblue.parser import parse
 from qblue.pauli import pauli_sum
@@ -805,6 +807,39 @@ def test_the_rounding_of_a_cancellation_is_hermitian(body, argv, tmp_path,
     assert json.loads(out)["flag"] == "h"
     code, _, err = run_json(capsys, [argv[0], str(prog), *argv[1:]])
     assert (code, err) == (0, "")
+
+
+def test_the_energy_of_a_matrix_of_rounding_residues_is_zero(tmp_path,
+                                                            capsys):
+    # each ladder sum cancels to a residue (5.6e-17, 2.8e-17) that drops
+    # against the magnitudes 0.6 summed into its matrix entry
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(2);\nH = 0.1 * adag(0) + 0.2 * adag(0)"
+                    " - 0.3 * adag(0) - 0.3 * a(0) + 0.2 * a(0)"
+                    " + 0.1 * a(0);\n")
+    assert main(["energy", str(prog)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "energy 0.0"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["energy"], ["compile", "--t", "1", "--n", "1"],
+], ids=["check", "energy", "compile"])
+def test_a_term_past_the_unit_cap_exits_5_before_expanding(argv, tmp_path,
+                                                           capsys):
+    # adag(0) a(1) on two 400-level sites is 399^2 = 159201 site units
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(400), t(400);\n"
+                    "H = adag(0) a(1) + adag(1) a(0);\n")
+    start = time.perf_counter()
+    code = main([argv[0], str(prog), *argv[1:]])
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (5, "")
+    assert err == (f"qblue: error: a term expands into 159201 site units, "
+                   f"above the cap {UNIT_CAP}\n")
+    assert seconds < 1.0
 
 
 def test_eval_keeps_a_small_amplitude(tmp_path, capsys):

@@ -29,9 +29,9 @@ def test_boson_dimension_must_be_positive():
 
 def test_amplitudes_must_be_finite():
     with pytest.raises(ValueError):
-        Atom((T2,), ((0, LadderKind.CREATE),), float("nan"))
+        Atom((T2,), (0, LadderKind.CREATE), float("nan"))
     with pytest.raises(ValueError):
-        Atom((T2,), (), complex(1, float("inf")))
+        Atom((T2,), None, complex(1, float("inf")))
 
 
 def test_site_layout_of_leaves_and_tensor():
@@ -63,21 +63,21 @@ def test_site_layout_mismatch_raises_with_path():
 
 
 # an indexed atom of the surface syntax, such as a(j), desugars to one atom
-# on the declared layout that lists site j only
+# on the declared layout that names site j only
 
 def test_desugar_indexed_is_one_sparse_atom():
     got = op("t(2), t(2)", "adag(0)")
-    assert got == Atom((T2, T2), ((0, LadderKind.CREATE),))
+    assert got == Atom((T2, T2), (0, LadderKind.CREATE))
 
 
 def test_desugar_indexed_single_site_is_bare():
-    assert op("t(2)", "a(0)") == Atom((T2,), ((0, LadderKind.ANNIHILATE),))
+    assert op("t(2)", "a(0)") == Atom((T2,), (0, LadderKind.ANNIHILATE))
 
 
 def test_desugar_indexed_middle_position():
     got = op("t(4), t(4), t(4)", "a(1)")
-    assert got == Atom((T4,) * 3, ((1, LadderKind.ANNIHILATE),))
-    assert got.ops == ((1, LadderKind.ANNIHILATE),)
+    assert got == Atom((T4,) * 3, (1, LadderKind.ANNIHILATE))
+    assert got.ladder == (1, LadderKind.ANNIHILATE)
     assert got.layout == (T4, T4, T4)
 
 
@@ -107,7 +107,7 @@ def test_scale_on_scaled_ladder_multiplies():
 
 
 def test_scale_wraps_identity_amplitude():
-    assert scale(0.5, op("t(2)", "I(0)")) == Atom((T2,), (), 0.5)
+    assert scale(0.5, op("t(2)", "I(0)")) == Atom((T2,), None, 0.5)
 
 
 def test_scale_one_is_noop_and_composition():
@@ -135,8 +135,8 @@ def test_sum_and_seq_flatten_to_one_nary_node():
 
 def test_layouts_are_stored_at_build():
     layout = (T2, F)
-    e = ham_sum(Atom(layout, ((0, LadderKind.CREATE),)),
-                Atom(list(layout), ((1, LadderKind.ANNIHILATE),)))
+    e = ham_sum(Atom(layout, (0, LadderKind.CREATE)),
+                Atom(list(layout), (1, LadderKind.ANNIHILATE)))
     # a node keeps its first child's tuple and accepts an equal one
     assert e.layout is e.children[0].layout is layout
     assert e.children[1].layout == layout
@@ -161,17 +161,13 @@ def test_dagger_builds_the_adjoint_tree():
     assert dagger(a) == op("t(2)", "-2i * adag(0)")
     assert dagger(seq(a, b)) == op("t(2)", "a(0) (-2i * adag(0))")
     assert dagger(ham_sum(a, b)) == op("t(2)", "-2i * adag(0) + a(0)")
-    # two fermionic creators in one atom trade places: a minus sign
-    create = LadderKind.CREATE
-    assert dagger(Atom((F, F), ((0, create), (1, create)))) == Atom(
-        (F, F), ((0, LadderKind.ANNIHILATE), (1, LadderKind.ANNIHILATE)), -1)
 
 
-def test_atoms_list_distinct_sites_in_order():
-    kind = LadderKind.CREATE
-    for ops in [((1, kind), (0, kind)), ((0, kind), (0, kind)), ((2, kind),)]:
-        with pytest.raises(ValueError):
-            Atom((T2, T2), ops)
+def test_an_atoms_ladder_names_a_site_of_its_layout():
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match="names none of its 2 sites"):
+            Atom((T2, T2), (j, LadderKind.CREATE))
+    assert Atom((T2, T2), (1, LadderKind.CREATE)).ladder[0] == 1
     with pytest.raises(ValueError):
         Atom(())
 

@@ -489,6 +489,22 @@ def test_phase_aligned_distance_quotients_phase():
     assert phase_aligned_distance(u, HADAMARD) > 0.1
 
 
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+def test_phase_aligned_distance_scales_with_its_operands(c):
+    # the start angle is the phase of trace(B^dag A) unless that trace is
+    # negligible against its own magnitudes, so c A and c B start where A
+    # and B do
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = h + h.conj().T
+    a = matrix_exp_sim(h, 0.7)
+    b = np.exp(0.4j) * matrix_exp_sim(
+        h + 0.01 * np.diag(rng.standard_normal(4)), 0.7)
+    d = phase_aligned_distance(a, b)
+    assert d > 1e-3
+    assert abs(phase_aligned_distance(c * a, c * b) - c * d) <= 1e-12 * c * d
+
+
 def imported_modules(path):
     tree = ast.parse(Path(path).read_text())
     names = set()

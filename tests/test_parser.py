@@ -75,8 +75,8 @@ def format_factor(e):
     if isinstance(e, Seq):
         return f"({format_term(e)})"
     atom = "I(0)"
-    if e.ops:
-        (j, kind), = e.ops
+    if e.ladder:
+        j, kind = e.ladder
         atom = f"{'adag' if kind is LadderKind.CREATE else 'a'}({j})"
     return atom if e.amp == 1 else f"({format_literal(e.amp)} * {atom})"
 
@@ -209,11 +209,11 @@ LAYOUT = (T2, T2)
 
 
 def cr(j, amp=1.0):
-    return Atom(LAYOUT, ((j, LadderKind.CREATE),), amp)
+    return Atom(LAYOUT, (j, LadderKind.CREATE), amp)
 
 
 def an(j, amp=1.0):
-    return Atom(LAYOUT, ((j, LadderKind.ANNIHILATE),), amp)
+    return Atom(LAYOUT, (j, LadderKind.ANNIHILATE), amp)
 
 
 def X(j):

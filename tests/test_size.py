@@ -30,9 +30,9 @@ def test_spin_chain_tree_and_terms_grow_with_the_bonds(n):
     e = spin_chain(n)
     tree = nodes(e)
     assert len(tree) <= 40 * n
-    # each indexed atom is one node that lists its own site only
+    # each indexed atom is one node that names its own site only
     atoms = [node for node in tree if isinstance(node, Atom)]
-    assert all(len(atom.ops) == 1 for atom in atoms)
+    assert all(atom.ladder is not None for atom in atoms)
     assert all(atom.layout is e.layout for atom in atoms)
     # Z = 2 |1><1| - I on t(2), so Z(j) Z(j+1) is 4 n(j) n(j+1) - 2 n(j)
     # - 2 n(j+1) + I with n = |1><1|, and X(j+1) is |1><0| + |0><1|: the

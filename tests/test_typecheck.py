@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qblue.errors import LayoutError
 from qblue.expr import (
-    Atom, Boson, Fermion, Flag, LadderKind, Seq, Sum, dagger, ham_sum, scale,
-    seq, site_dim,
+    Atom, Boson, Fermion, Flag, Seq, Sum, dagger, ham_sum, scale, seq,
+    site_dim,
 )
 from qblue.fock import apply, make_state
 from qblue.linalg import expr_to_matrix
@@ -124,18 +124,20 @@ def test_dagger_of_fermionic_tensor_is_the_graded_adjoint():
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
-def test_dagger_of_a_fermionic_atom_takes_the_reversal_sign(f):
-    # f creators in one atom: the adjoint's annihilators apply
-    # site-ascending too, so the amplitude takes (-1)^(f(f-1)/2)
-    t = Atom((F,) * f, tuple((j, LadderKind.CREATE) for j in range(f)),
-             0.3 + 0.4j)
+def test_dagger_of_a_fermionic_product_takes_the_reversal_sign(f):
+    # f creators, the last applied first: the adjoint's annihilators apply
+    # in the other order, so putting them back in site order takes
+    # (-1)^(f(f-1)/2), from reversing the product and from normal ordering
+    e = op(", ".join(["F"] * f), "(0.3+0.4i) * " + " ".join(
+        f"adag({j})" for j in range(f)))
     m = (0.3 + 0.4j) * np.eye(2 ** f)
-    for j in range(f):
+    for j in reversed(range(f)):
         m = oracle.jw_ladder("create", j, f) @ m
-    assert oracle.max_norm(expr_to_matrix(t), m) < 1e-12
-    d = dagger(t)
-    assert isinstance(d, Atom)
-    assert oracle.max_norm(expr_to_matrix(d), m.conj().T) < 1e-12
+    assert oracle.max_norm(expr_to_matrix(e), m) < 1e-12
+    want = m.conj().T
+    assert oracle.max_norm(expr_to_matrix(dagger(e)), want) < 1e-12
+    assert oracle.max_norm(form_matrix(canonicalize(dagger(e))), want) < 1e-12
+    assert oracle.max_norm(form_matrix(adjoint(canonicalize(e))), want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ def test_layout_error_paths():
 def recursive_flag(e):
     """The structural flag rule, one recursion per node."""
     if isinstance(e, Atom):
-        if e.ops:
+        if e.ladder:
             return Flag.P
         return Flag.H if abs(e.amp.imag) <= 1e-12 else Flag.P
     flags = {recursive_flag(c) for c in e.children}
