@@ -116,12 +116,11 @@ def _build_parser():
     return top
 
 
-def _emit(args, record: dict, text: str, stream=None):
-    stream = stream or sys.stdout
+def _emit(args, record: dict, text: str):
     if args.json:
-        print(json.dumps(record), file=stream)
+        print(json.dumps(record))
     elif text:
-        print(text, file=stream)
+        print(text)
 
 
 def _diagnostic(args, code: str, exc: Exception) -> None:

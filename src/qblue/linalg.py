@@ -4,14 +4,12 @@ This is the desk-scale oracle the rest of the package is checked against,
 and it shares no code with the canonical forms of ``typecheck``: it lowers
 the expression tree itself, to one scipy.sparse CSR matrix.
 
-- An atom has at most one nonzero per column: it is a row map, a ``rows``
-  and a ``vals`` array over the columns, built in one O(N dim) step from
-  its ladder with the Jordan-Wigner sign the interpreter produces.
-- A product of atoms is a row map too, by composition: rows = r2[r1] and
-  vals = v2[r1] v1.
-- A sum concatenates the entries of its children into one COO, and the
-  CSR is built once from it.  Only a product with a sum among its factors
-  multiplies sparse matrices.
+- An atom is one diagonal: its ladder moves every column's occupation
+  index by its step times its site's stride, so it has at most one
+  nonzero per column, all at that shift.  It is built in one O(N dim)
+  step, with the Jordan-Wigner sign the interpreter produces.
+- A sum adds its children's diagonals of equal shift, and a product
+  composes them pairwise, so the CSR is built once, from the diagonals.
 - An adjoint is no node of its own (``expr.dagger`` builds it from atoms),
   so the lowering never transposes.
 
@@ -48,101 +46,88 @@ def expr_to_matrix(e: HamExpr) -> np.ndarray:
 
 
 def expr_to_sparse(e: HamExpr):
-    """The CSR matrix of ``expr_to_matrix``, with no dense array built."""
+    """The CSR matrix of ``expr_to_matrix``, with no dense array built and
+    no entry that is ``negligible`` at ZERO_TOL against the magnitudes of
+    the paths summed into it: a sum that cancels to a rounding residue, at
+    any depth, leaves none."""
     dim = total_dim(e.layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    return _lower(e, {})
-
-
-def _lower(e, memo: dict):
-    """The CSR matrix of e, built from one COO of its entries, without an
-    entry that is ``negligible`` at ZERO_TOL against the magnitudes summed
-    into it: a sum that cancels to a rounding residue leaves none.  memo
-    maps each ladder lowered so far to its unit row map."""
-    dim = total_dim(e.layout)
-    rows, cols, vals = _entries(e, memo)
-    m, mag = (scipy.sparse.csr_array((v, (rows, cols)), shape=(dim, dim))
-              for v in (vals, abs(vals)))
-    m.data[negligible(m.data, mag.data, ZERO_TOL)] = 0
+    diags = _lower(e, {})
+    vals, mags = (np.array(a) for a in zip(*diags.values()))
+    vals[negligible(vals, mags, ZERO_TOL)] = 0
+    m = scipy.sparse.dia_array((vals, -np.array(list(diags))),
+                               shape=(dim, dim)).tocsr()
     m.eliminate_zeros()
     return m
 
 
-def _entries(e, memo: dict):
-    """COO (rows, cols, vals) of e; the CSR sums repeated positions.
+def _lower(e, memo: dict) -> dict:
+    """The diagonals of e, {shift: (vals, mags)}: column j holds vals[j] in
+    row j + shift, and mags[j] sums the magnitudes of every path into that
+    entry.  Both are zero wherever the row leaves the layout's occupations.
 
-    A sum concatenates the entries of its children.  A product of atoms is
-    one row map.  Only a product with a sum among its factors multiplies
-    sparse matrices, folded from the right as the binary product would.
+    A sum adds its children's diagonals of equal shift.  A product folds
+    from the right, as the binary product would: column j of the factor
+    applied first lands in row j + s1, where the next factor's column
+    j + s1 takes it on.  memo maps each ladder lowered so far to its unit
+    diagonal.
     """
-    if isinstance(e, Sum):
-        return tuple(map(np.concatenate,
-                         zip(*(_entries(c, memo) for c in e.children))))
-    if _is_row_map(e):
-        rows, vals = _row_map(e, memo)
-        return rows, np.arange(rows.size), vals
-    if not isinstance(e, Seq):
-        raise TypeError(f"not a HamExpr: {e!r}")
-    m = _lower(e.children[-1], memo)
-    for c in reversed(e.children[:-1]):
-        m = _lower(c, memo) @ m
-    m = m.tocoo()
-    return m.row, m.col, m.data
-
-
-def _is_row_map(e) -> bool:
-    """Whether e is an atom or a product of atoms."""
-    return isinstance(e, Atom) or (isinstance(e, Seq)
-                                   and all(map(_is_row_map, e.children)))
-
-
-def _row_map(e, memo: dict):
-    """(rows, vals) of an atom or a product of atoms: column j holds its one
-    possible nonzero, vals[j], in row rows[j].  The factor applied first is
-    the rightmost, so a product maps rows = r2[r1], vals = v2[r1] v1."""
     if isinstance(e, Atom):
         if e.ladder not in memo:
             memo[e.ladder] = _monomial(e.layout, e.ladder)
-        rows, vals = memo[e.ladder]
-        return rows, e.amp * vals
-    rows, vals = _row_map(e.children[-1], memo)
+        shift, vals = memo[e.ladder]
+        vals = e.amp * vals
+        return {shift: (vals, abs(vals))}
+    if isinstance(e, Sum):
+        return _add((s, v, m) for c in e.children
+                    for s, (v, m) in _lower(c, memo).items())
+    if not isinstance(e, Seq):
+        raise TypeError(f"not a HamExpr: {e!r}")
+    cols = np.arange(total_dim(e.layout))
+    diags = _lower(e.children[-1], memo)
     for c in reversed(e.children[:-1]):
-        r2, v2 = _row_map(c, memo)
-        rows, vals = r2[rows], v2[rows] * vals
-    return rows, vals
+        outer = _lower(c, memo)
+        diags = _add((s1 + s2, v2[at] * v1, m2[at] * m1)
+                     for s1, (v1, m1) in diags.items()
+                     for at in [np.clip(cols + s1, 0, cols.size - 1)]
+                     for s2, (v2, m2) in outer.items())
+    return diags
+
+
+def _add(terms) -> dict:
+    """The diagonals {shift: (vals, mags)} of a sum of (shift, vals, mags)
+    terms."""
+    out: dict = {}
+    for s, v, m in terms:
+        v0, m0 = out.get(s, (0, 0))
+        out[s] = v0 + v, m0 + m
+    return out
 
 
 def _monomial(layout: SiteList, ladder):
-    """Row map (rows, vals) at unit amplitude of one ladder, a (site, kind)
-    pair, or of the identity for None.  A fermionic ladder takes the
-    product of (1 - 2 occ) over the fermionic sites before it, its
-    Jordan-Wigner string.  A column whose value is zero maps to row 0, so
-    that a product may index with every row."""
+    """Diagonal (shift, vals) at unit amplitude of one ladder, a (site,
+    kind) pair, or of the identity for None.  The ladder's value is the
+    square root of the larger of its input and output occupation, zero
+    where the output leaves the site's occupations.  A fermionic ladder
+    takes the product of (1 - 2 occ) over the fermionic sites before it,
+    its Jordan-Wigner string."""
     dims = [site_dim(site) for site in layout]
     cols = np.arange(math.prod(dims))
     if ladder is None:
-        return cols, np.ones(cols.size)
+        return 0, np.ones(cols.size)
     j, kind = ladder
 
     def occ(i):   # the occupation of site i in each column, row-major
         return cols // math.prod(dims[i + 1:]) % dims[i]
-    vals = _ladder_values(dims[j], kind)[occ(j)]
+    n = occ(j)
+    out = n + kind
+    vals = np.where((out >= 0) & (out < dims[j]),
+                    np.sqrt(np.maximum(n, out)), 0.0)
     for i in range(j) if isinstance(layout[j], Fermion) else ():
         if isinstance(layout[i], Fermion):
             vals *= 1 - 2 * occ(i)
-    rows = cols + kind * math.prod(dims[j + 1:])
-    rows[vals == 0] = 0
-    return rows, vals
-
-
-def _ladder_values(d: int, step: int) -> np.ndarray:
-    """A ladder's value at each input occupation 0..d-1: the square root of
-    the larger of its input and output occupation, zero where the output
-    leaves 0..d-1."""
-    occ = np.arange(d)
-    out = occ + step
-    return np.where((out >= 0) & (out < d), np.sqrt(np.maximum(occ, out)), 0)
+    return kind * math.prod(dims[j + 1:]), vals
 
 
 def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:

@@ -206,11 +206,14 @@ def test_dagger_of_cross_site_seq():
      [(oracle.annihilate_mat, 1), (oracle.create_mat, 1),
       (oracle.create_mat, 1), (oracle.annihilate_mat, 0),
       (oracle.annihilate_mat, 0)]),
-], ids=["t3-adag-a-a", "t2-a-a-adag", "t2-t3-mixed"])
+    ("sites t(2), t(2);\nH = adag(0) adag(0) adag(0);\n", 1,
+     [(oracle.create_mat, 0)] * 3),
+], ids=["t3-adag-a-a", "t2-a-a-adag", "t2-t3-mixed", "t2-past-the-matrix"])
 def test_product_of_atoms_where_an_inner_factor_vanishes(text, amp,
                                                          factors):
-    # an inner factor leaves some columns with no nonzero; the composed row
-    # map must stay in range and agree with the dense product
+    # an inner factor leaves some columns with no nonzero, or shifts them
+    # past the matrix; the composed diagonals must index in range and agree
+    # with the dense product
     program = parse(text)
     dims = [site.dim for site in program.layout]
     want = amp * oracle.kron_all(*(np.eye(d) for d in dims))
@@ -227,6 +230,21 @@ def test_cube_of_x_sum_on_six_sites():
             for j in range(3))
     assert oracle.max_norm(expr_to_matrix(program.defs["H"]),
                            s @ s @ s) < 1e-12
+
+
+def test_a_cancellation_inside_a_product_leaves_no_residue():
+    # paths through Z(j) Z(j+1) and X(j+1) cancel exactly in some entries of
+    # H H; the rounding residue of such an entry is no entry of the matrix
+    body = "sum j in 0..3 { 0.9 * Z(j) Z(j+1) + 0.8 * X(j+1) }"
+    m = expr_to_sparse(op(", ".join(["t(2)"] * 5), f"({body}) ({body})"))
+    # qblue's Z on t(2) is -Z, so Z(j) Z(j+1) is the Pauli ZZ
+    h = sum(0.9 * oracle.pauli_string_matrix("I" * j + "ZZ" + "I" * (3 - j))
+            + 0.8 * oracle.pauli_string_matrix("I" * (j + 1) + "X"
+                                               + "I" * (3 - j))
+            for j in range(4))
+    want = h @ h
+    assert abs(m.data).min() > 1e-12 * abs(m.data).max()
+    assert oracle.max_norm(m.toarray(), want) <= 1e-12 * abs(want).max()
 
 
 def test_dimension_cap():

@@ -1,8 +1,10 @@
-"""The front end pays per term, not per term x site: a size guard that
-counts tree nodes and canonical-term sites instead of timing anything."""
+"""The front end pays per term, not per term x site, and the dense lowering
+per diagonal, not per term: a size guard that counts tree nodes,
+canonical-term sites and diagonals instead of timing anything."""
 
 import pytest
 
+from qblue import linalg
 from qblue.expr import Atom
 from qblue.parser import parse
 from qblue.typecheck import canonicalize
@@ -12,6 +14,14 @@ def spin_chain(n):
     return parse(f"sites {', '.join(['t(2)'] * n)};\n"
                  f"H = sum j in 0..{n - 2} "
                  "{ 0.9 * Z(j) Z(j+1) + 0.8 * X(j+1) };\n").defs["H"]
+
+
+def hopping_chain(n):
+    """Fermion hops between neighbours and a chemical potential."""
+    return parse(f"sites {', '.join(['F'] * n)};\n"
+                 f"H = sum j in 0..{n - 2} "
+                 "{ 0.9 * adag(j) a(j+1) + 0.9 * adag(j+1) a(j)"
+                 " + 0.3 * adag(j) a(j) };\n").defs["H"]
 
 
 def nodes(e):
@@ -60,3 +70,12 @@ def test_spin_chain_builds_each_atom_once(n, monkeypatch):
     monkeypatch.setattr(Atom, "__post_init__", counting)
     tree = [node for node in nodes(spin_chain(n)) if isinstance(node, Atom)]
     assert len(built) == len(tree) == 10 * (n - 1)
+
+
+@pytest.mark.parametrize("chain", [spin_chain, hopping_chain])
+@pytest.mark.parametrize("n", [8, 12])
+def test_the_lowering_pays_per_diagonal(chain, n):
+    # a bond's flips or hops move the occupation index by plus or minus the
+    # stride of site j+1, and Z(j) Z(j+1) or a number term moves it by none:
+    # 2n - 1 shifts, each one diagonal however many terms land on it
+    assert len(linalg._lower(chain(n), {})) == 2 * n - 1
