@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import scipy.optimize
@@ -31,8 +34,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import (
-    DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
-    negligible,
+    COEFF_EQ_TOL, DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError,
+    NonHermitianError, negligible,
 )
 from .expr import (
     Atom, Fermion, HamExpr, Seq, SiteList, Sum, site_dim, total_dim,
@@ -75,7 +78,7 @@ def _lower(e, memo: dict) -> dict:
     """
     if isinstance(e, Atom):
         if e.ladder not in memo:
-            memo[e.ladder] = _monomial(e.layout, e.ladder)
+            memo[e.ladder] = _monomial(e.layout, e.ladder, memo)
         shift, vals = memo[e.ladder]
         vals = e.amp * vals
         return {shift: (vals, abs(vals))}
@@ -105,13 +108,13 @@ def _add(terms) -> dict:
     return out
 
 
-def _monomial(layout: SiteList, ladder):
+def _monomial(layout: SiteList, ladder, memo: dict):
     """Diagonal (shift, vals) at unit amplitude of one ladder, a (site,
     kind) pair, or of the identity for None.  The ladder's value is the
     square root of the larger of its input and output occupation, zero
     where the output leaves the site's occupations.  A fermionic ladder
     takes the product of (1 - 2 occ) over the fermionic sites before it,
-    its Jordan-Wigner string."""
+    its Jordan-Wigner string: memo["signs"][j] keeps it for each site j."""
     dims = [site_dim(site) for site in layout]
     cols = np.arange(math.prod(dims))
     if ladder is None:
@@ -124,9 +127,12 @@ def _monomial(layout: SiteList, ladder):
     out = n + kind
     vals = np.where((out >= 0) & (out < dims[j]),
                     np.sqrt(np.maximum(n, out)), 0.0)
-    for i in range(j) if isinstance(layout[j], Fermion) else ():
-        if isinstance(layout[i], Fermion):
-            vals *= 1 - 2 * occ(i)
+    if isinstance(layout[j], Fermion):
+        if "signs" not in memo:   # each built from the one before it
+            memo["signs"] = list(accumulate(
+                (1 - 2 * occ(i) if isinstance(site, Fermion) else 1
+                 for i, site in enumerate(layout[:-1])), mul, initial=1))
+        vals *= memo["signs"][j]
     return kind * math.prod(dims[j + 1:]), vals
 
 
@@ -238,29 +244,36 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
 # Comparison helpers
 # ---------------------------------------------------------------------------
 
+PHASE_WINDOW = 0.35   # half-width of the phase search window
+
+
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over alpha of ||a - e^{i alpha} b||_max (global-phase quotient).
 
-    Each evaluation of the distance writes into two buffers allocated once.
+    The search runs over |alpha - alpha0| <= PHASE_WINDOW, from the phase
+    alpha0 of trace(b^dag a), or the best of a 64-point grid when that is
+    negligible.  There each |a - e^{i alpha} b| stays within PHASE_WINDOW
+    |b| of its value f0 at alpha0, so an entry whose f0 + PHASE_WINDOW |b|
+    is below the largest f0 - PHASE_WINDOW |b| (less a relative
+    COEFF_EQ_TOL) is never the maximum there, and the search skips it.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    diff = np.empty_like(a)
-    mag = np.empty(a.shape)
 
-    def dist(alpha):
-        np.multiply(np.exp(1j * alpha), b, out=diff)
-        np.subtract(a, diff, out=diff)
-        return np.abs(diff, out=mag).max()
+    def dist(alpha, a=a, b=b):
+        return abs(a - np.exp(1j * alpha) * b).max()
     tr = np.vdot(b, a)  # trace(b^dag a) without the matrix product
     if not negligible(tr, np.vdot(abs(b), abs(a)), ZERO_TOL):
         alpha0 = float(np.angle(tr))
     else:
         grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-        vals = [dist(al) for al in grid]
-        alpha0 = float(grid[int(np.argmin(vals))])
+        alpha0 = float(grid[int(np.argmin([dist(al) for al in grid]))])
+    f0 = abs(a - np.exp(1j * alpha0) * b)
+    reach = PHASE_WINDOW * abs(b)
+    # a nan threshold drops no entry
+    keep = ~(f0 + reach < (1 - COEFF_EQ_TOL) * (f0 - reach).max())
     res = scipy.optimize.minimize_scalar(
-        dist, bounds=(alpha0 - 0.35, alpha0 + 0.35), method="bounded",
+        partial(dist, a=a[keep], b=b[keep]), method="bounded",
+        bounds=(alpha0 - PHASE_WINDOW, alpha0 + PHASE_WINDOW),
         options={"xatol": 1e-12})
-    return min(dist(alpha0), float(res.fun))
-
+    return min(f0.max(), float(res.fun))

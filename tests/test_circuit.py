@@ -2,25 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qblue import circuit
 from qblue.circuit import (
     GATE_NAMES, Circuit, Gate, circuit_to_matrix, format_circuit,
     parse_circuit,
 )
 from qblue.errors import DimensionCapError
+from qblue.trotter import compile_digital
 
 import oracle
+from helpers import op
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
 
 @st.composite
-def circuits(draw):
-    width = draw(st.integers(1, 5))
+def circuits(draw, widths=(1, 5), sizes=(0, 24)):
+    width = draw(st.integers(*widths))
     names = [g for g in GATE_NAMES if g != "cx" or width > 1]
     gates = []
-    for _ in range(draw(st.integers(0, 24))):
+    for _ in range(draw(st.integers(*sizes))):
         name = draw(st.sampled_from(names))
         if name == "cx":
             control, target = draw(st.permutations(range(width)))[:2]
@@ -41,6 +44,24 @@ def reference(c: Circuit) -> np.ndarray:
 
 @given(circuits())
 def test_circuit_matrix_matches_oracle(c):
+    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+
+
+@settings(max_examples=30)
+@given(circuits(widths=(5, 7), sizes=(30, 60)))
+def test_fused_runs_match_oracle_at_five_to_seven_qubits(c):
+    # wider than a run, so the runs' unitaries contract with the matrix
+    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+
+
+def test_a_run_holds_non_adjacent_qubits_in_descending_order():
+    gates = (Gate("cx", (5, 1)), Gate("h", (3,)), Gate("ry", (0,), 0.9),
+             Gate("s", (1,)), Gate("cx", (0, 5)), Gate("rz", (2,), 1.1),
+             Gate("cx", (3, 2)), Gate("rx", (5,), -0.4))
+    # rz on a fifth qubit cuts the first run
+    runs = [(list(axes), len(run)) for axes, run in circuit._runs(gates)]
+    assert runs == [([5, 1, 3, 0], 5), ([2, 3, 5], 3)]
+    c = Circuit(6, gates, -0.3)
     assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
 
 
@@ -69,6 +90,17 @@ def test_empty_circuit_is_the_phase():
 @given(circuits())
 def test_text_format_roundtrip(c):
     assert parse_circuit(format_circuit(c)) == c
+
+
+def test_parsed_steps_share_the_first_steps_gates():
+    e = op("F, F, F", "0.9 * adag(0) a(1) + 0.9 * adag(1) a(0)"
+                      " + 0.4 * adag(1) a(2) + 0.4 * adag(2) a(1)")
+    c, _ = compile_digital(e, 0.6, 4)
+    parsed = parse_circuit(format_circuit(c))
+    assert parsed == c
+    step = len(c) // 4
+    first, last = parsed.gates[:step], parsed.gates[3 * step:]
+    assert len(last) == step and all(g is h for g, h in zip(first, last))
 
 
 def test_width_cap():

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from qblue.circuit import circuit_to_matrix
 from qblue.errors import DimensionCapError, NonHermitianError
 from qblue.expr import Boson, Fermion, dagger
 from qblue.fock import make_state
@@ -16,6 +18,8 @@ from qblue.linalg import (
     matrix_exp_sim, phase_aligned_distance, vector_to_state,
 )
 from qblue.parser import parse
+from qblue.pauli import pauli_to_matrix
+from qblue.trotter import compile_digital, encode_hermitian
 
 import oracle
 from helpers import basis_ket, op, parsed, state_to_vector
@@ -521,6 +525,72 @@ def test_phase_aligned_distance_scales_with_its_operands(c):
     d = phase_aligned_distance(a, b)
     assert d > 1e-3
     assert abs(phase_aligned_distance(c * a, c * b) - c * d) <= 1e-12 * c * d
+
+
+def full_search(a, b):
+    """min over alpha of ||a - e^{i alpha} b||_max by a bounded Brent
+    search over every entry, within 0.35 of the phase of trace(b^dag a),
+    or of the best of a 64-point grid when that trace is negligible."""
+    def dist(alpha):
+        return abs(a - np.exp(1j * alpha) * b).max()
+    tr = np.vdot(b, a)
+    if abs(tr) > 1e-14 * np.vdot(abs(b), abs(a)):
+        alpha0 = np.angle(tr)
+    else:
+        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        alpha0 = grid[np.argmin([dist(alpha) for alpha in grid])]
+    res = scipy.optimize.minimize_scalar(
+        dist, bounds=(alpha0 - 0.35, alpha0 + 0.35), method="bounded",
+        options={"xatol": 1e-12})
+    return min(dist(alpha0), res.fun)
+
+
+def compiled_pair(family, n):
+    """The unitary of the 2-step circuit compiled from a chain of n sites
+    at t = 0.7, and the exact e^{-iHt} of its Pauli sum."""
+    site, body = {
+        "spin": ("t(2)", "1.1 * Z(j) Z(j+1) + 0.7 * X(j+1)"),
+        "hop": ("F", "0.9 * adag(j) a(j+1) + 0.9 * adag(j+1) a(j)"
+                     " + 0.3 * adag(j) a(j)"),
+        "bh": ("t(4)", "0.8 * adag(j) a(j+1) + 0.8 * adag(j+1) a(j)"
+                       " + 1.2 * adag(j) adag(j) a(j) a(j)"),
+    }[family]
+    e = op(", ".join([site] * n), f"sum j in 0..{n - 2} {{ {body} }}")
+    circuit, _ = compile_digital(e, 0.7, 2)
+    hs, _ = encode_hermitian(e)
+    return circuit_to_matrix(circuit), matrix_exp_sim(pauli_to_matrix(hs),
+                                                      0.7)
+
+
+@pytest.mark.parametrize("family, n", [
+    ("spin", 5), ("spin", 8), ("hop", 6), ("hop", 8), ("bh", 3), ("bh", 4)])
+def test_the_pruned_phase_search_is_the_full_search(family, n):
+    a, b = compiled_pair(family, n)
+    want = full_search(a, b)
+    assert want > 1e-3
+    assert abs(phase_aligned_distance(a, b) - want) <= 1e-12 * want
+
+
+def test_the_pruned_phase_search_is_the_full_search_from_the_grid():
+    # b = a Z(0) has trace(b^dag a) = tr Z(0) = 0, so both start from the
+    # grid
+    a, _ = compiled_pair("hop", 6)
+    b = a @ np.kron(oracle.Z, np.eye(32))
+    assert abs(np.vdot(b, a)) <= 1e-14 * np.vdot(abs(b), abs(a))
+    want = full_search(a, b)
+    assert want > 1e-3
+    assert abs(phase_aligned_distance(a, b) - want) <= 1e-12 * want
+
+
+def test_the_pruned_phase_search_follows_the_optimum_from_the_trace_phase():
+    # the trace phase is near 0.6 / 64 and the optimum is 0.3: there each
+    # of the 63 ones ties with the rotated entry, though at the start they
+    # lie far below it
+    a = np.diag([1.0] * 63 + [np.exp(0.6j)])
+    b = np.eye(64)
+    want = full_search(a, b)
+    assert abs(want - 2 * math.sin(0.15)) <= 1e-8
+    assert abs(phase_aligned_distance(a, b) - want) <= 1e-12 * want
 
 
 def imported_modules(path):

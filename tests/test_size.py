@@ -4,9 +4,10 @@ canonical-term sites and diagonals instead of timing anything."""
 
 import pytest
 
-from qblue import linalg
+from qblue import circuit, linalg
 from qblue.expr import Atom
 from qblue.parser import parse
+from qblue.trotter import compile_digital
 from qblue.typecheck import canonicalize
 
 
@@ -79,3 +80,25 @@ def test_the_lowering_pays_per_diagonal(chain, n):
     # stride of site j+1, and Z(j) Z(j+1) or a number term moves it by none:
     # 2n - 1 shifts, each one diagonal however many terms land on it
     assert len(linalg._lower(chain(n), {})) == 2 * n - 1
+
+
+
+def hopping_bonds(site, n, onsite=""):
+    """0.8 (adag(j) a(j+1) + adag(j+1) a(j)) between neighbours of n sites
+    of one type, plus 1.2 times the on-site term at every site."""
+    text = (f"sites {', '.join([site] * n)};\nH = sum j in 0..{n - 2} "
+            "{ 0.8 * adag(j) a(j+1) + 0.8 * adag(j+1) a(j) }")
+    if onsite:
+        text += f" + sum j in 0..{n - 1} {{ 1.2 * {onsite} }}"
+    return parse(text + ";\n").defs["H"]
+
+
+@pytest.mark.parametrize("e, gates, runs", [
+    (hopping_bonds("t(4)", 3, "adag(j) adag(j) a(j) a(j)"), 608, 4),
+    (hopping_bonds("F", 8), 252, 5)], ids=["bh-3", "hop-8"])
+def test_a_two_step_circuit_applies_in_a_few_runs(e, gates, runs):
+    # a run holds whole weight-4 gadgets: the Bose-Hubbard chain's 152-gate
+    # bond gadgets, or two neighbouring hopping bonds
+    c, _ = compile_digital(e, 0.7, 2)
+    assert len(c.gates) == gates
+    assert len(list(circuit._runs(c.gates))) <= runs
