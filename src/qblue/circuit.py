@@ -4,9 +4,10 @@ Supported gates: h, s, sdg, cx, rx, ry, rz (half-angle rotation convention,
 e.g. rz(t) = diag(e^{-it/2}, e^{it/2})).  Circuits convert to dense
 unitaries for verification and serialize to a line-oriented text format.
 A ``Gate`` is frozen, so one gate object may appear many times in a
-circuit, and in several circuits: a Trotter circuit shares each gadget's
-gates across its steps (``trotter.plan_to_circuit``), and
-``format_circuit`` writes the line of each distinct gate object once.
+circuit, and in several circuits: a compiled Trotter circuit holds one
+object per distinct angle-free gate and per slice's rotation, repeated
+across its steps (``trotter.plan_to_circuit``), and ``format_circuit``
+writes the line of each distinct gate object once.
 The unitary is built from runs of gates on k <= ``FUSE`` qubits: a run
 multiplies into one 2^k x 2^k unitary that is applied once to the 2^n x 2^n
 matrix, so a run, not a gate, costs O(2^k 4^n) time.

@@ -52,16 +52,23 @@ def expr_to_sparse(e: HamExpr):
     """The CSR matrix of ``expr_to_matrix``, with no dense array built and
     no entry that is ``negligible`` at ZERO_TOL against the magnitudes of
     the paths summed into it: a sum that cancels to a rounding residue, at
-    any depth, leaves none."""
+    any depth, leaves none.  Only the kept entries of each diagonal are
+    gathered, so no array of all diagonals is built either."""
     dim = total_dim(e.layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    diags = _lower(e, {})
-    vals, mags = (np.array(a) for a in zip(*diags.values()))
-    vals[negligible(vals, mags, ZERO_TOL)] = 0
-    m = scipy.sparse.dia_array((vals, -np.array(list(diags))),
-                               shape=(dim, dim)).tocsr()
-    m.eliminate_zeros()
+    rows, cols, vals = [], [], []
+    for shift, (v, mags) in _lower(e, {}).items():
+        # the columns whose row j + shift lies inside the matrix
+        lo, hi = max(0, -shift), min(dim, dim - shift)
+        j = lo + np.flatnonzero(~negligible(v[lo:hi], mags[lo:hi], ZERO_TOL))
+        rows.append(j + shift)
+        cols.append(j)
+        vals.append(v[j])
+    m = scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    m.sort_indices()
     return m
 
 
@@ -245,6 +252,7 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
 # ---------------------------------------------------------------------------
 
 PHASE_WINDOW = 0.35   # half-width of the phase search window
+PHASE_XATOL = 1e-12   # the tolerance on the phase it finds
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -256,6 +264,8 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     |b| of its value f0 at alpha0, so an entry whose f0 + PHASE_WINDOW |b|
     is below the largest f0 - PHASE_WINDOW |b| (less a relative
     COEFF_EQ_TOL) is never the maximum there, and the search skips it.
+    A second search over a small window around the first one's phase
+    finds it to PHASE_XATOL.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -272,8 +282,18 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     reach = PHASE_WINDOW * abs(b)
     # a nan threshold drops no entry
     keep = ~(f0 + reach < (1 - COEFF_EQ_TOL) * (f0 - reach).max())
-    res = scipy.optimize.minimize_scalar(
-        partial(dist, a=a[keep], b=b[keep]), method="bounded",
-        bounds=(alpha0 - PHASE_WINDOW, alpha0 + PHASE_WINDOW),
-        options={"xatol": 1e-12})
-    return min(f0.max(), float(res.fun))
+    kept = partial(dist, a=a[keep], b=b[keep])
+    lo, hi = alpha0 - PHASE_WINDOW, alpha0 + PHASE_WINDOW
+    res = _bounded_min(kept, lo, hi)
+    # the bounded search stops once its bracket lies within 4 (sqrt(eps)
+    # |x| + xatol / 3) of x; searched again as an offset from x, near 0,
+    # the tolerance is xatol
+    x = res.x
+    w = 4 * (math.sqrt(2.2e-16) * abs(x) + PHASE_XATOL / 3)
+    fine = _bounded_min(lambda d: kept(x + d), max(lo - x, -w), min(hi - x, w))
+    return min(f0.max(), float(res.fun), float(fine.fun))
+
+
+def _bounded_min(f, lo: float, hi: float):
+    return scipy.optimize.minimize_scalar(
+        f, method="bounded", bounds=(lo, hi), options={"xatol": PHASE_XATOL})

@@ -4,6 +4,12 @@ A Hermitian Pauli sum splits into per-term rotations e^{-i c (t/n) P}
 repeated n times.  Each rotation synthesizes to a basis-change + CX-ladder
 + RZ gadget; alternatively the sum can be fitted onto an analog machine's
 per-pair interaction templates instead of gates.
+
+A compile builds each gate once: every gadget of the circuit takes its
+angle-free gates (h, s, sdg, cx) from one table per ``plan_to_circuit``
+call, keyed by (name, qubits), and every Trotter step repeats the first
+step's gate objects.  Each rotation is built once per slice.  No table
+outlives its call, so two compiles share no gate.
 """
 
 from __future__ import annotations
@@ -56,12 +62,15 @@ def trotterize(hs: PauliSum, t: float, n: int) -> TrotterPlan:
     return TrotterPlan(hs.qubits, n, tuple(step_terms), phase)
 
 
-def synthesize_term(string: str, angle: float) -> Circuit:
+def synthesize_term(string: str, angle: float, gates: dict) -> Circuit:
     """Circuit for e^{-i (angle/2) P} up to global phase.
 
     Non-identity qubits enter a basis change (X: H; Y: Sdg then H), a CX
     chain carries the parity onto the last active qubit where RZ(angle)
-    applies, then everything uncomputes in reverse.
+    applies, then everything uncomputes in reverse.  gates is the
+    compile's table {(name, qubits): Gate} of angle-free gates (h, s, sdg,
+    cx): each is taken from it, or built and stored there on first use.
+    A rotation carries this slice's angle and is built here.
     """
     width = len(string)
     active = [q for q, letter in enumerate(string) if letter != "I"]
@@ -72,24 +81,21 @@ def synthesize_term(string: str, angle: float) -> Circuit:
         # lone X/Y terms are plain axis rotations
         name = "rx" if string[active[0]] == "X" else "ry"
         return Circuit(width, (Gate(name, (active[0],), float(angle)),))
-    enter: list[Gate] = []
+    # the basis change in qubit order, and its inverse listed back to front
+    enter, leave = [], []
     for q in active:
         if string[q] == "X":
-            enter.append(Gate("h", (q,)))
+            enter.append(("h", (q,)))
+            leave.append(("h", (q,)))
         elif string[q] == "Y":
-            enter.append(Gate("sdg", (q,)))
-            enter.append(Gate("h", (q,)))
-    ladder = [Gate("cx", (a, b)) for a, b in zip(active, active[1:])]
-    gates = enter + ladder
-    gates.append(Gate("rz", (active[-1],), float(angle)))
-    gates += reversed(ladder)
-    for q in reversed(active):
-        if string[q] == "X":
-            gates.append(Gate("h", (q,)))
-        elif string[q] == "Y":
-            gates.append(Gate("h", (q,)))
-            gates.append(Gate("s", (q,)))
-    return Circuit(width, tuple(gates))
+            enter += ("sdg", (q,)), ("h", (q,))
+            leave += ("s", (q,)), ("h", (q,))
+    ladder = [("cx", pair) for pair in zip(active, active[1:])]
+    keys = enter + ladder + ladder[::-1] + leave[::-1]
+    out = [gates.get(k) or gates.setdefault(k, Gate(*k)) for k in keys]
+    out.insert(len(enter) + len(ladder),
+               Gate("rz", (active[-1],), float(angle)))
+    return Circuit(width, tuple(out))
 
 
 def plan_to_circuit(plan: TrotterPlan) -> Circuit:
@@ -98,9 +104,13 @@ def plan_to_circuit(plan: TrotterPlan) -> Circuit:
 
     Each slice is synthesized once, and the one step's gates repeat
     ``steps`` times, so every later step holds the first step's gate
-    objects.
+    objects.  Within the step, the gadgets take their angle-free gates
+    from one table made for this call, so the circuit holds one object
+    per distinct (name, qubits) of them; the table dies with the call.
     """
-    step = tuple(g for key in plan.slices for g in synthesize_term(*key).gates)
+    gates: dict = {}
+    step = tuple(g for string, angle in plan.slices
+                 for g in synthesize_term(string, angle, gates).gates)
     return Circuit(plan.qubits, step * plan.steps, plan.identity_phase)
 
 

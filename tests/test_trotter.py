@@ -94,7 +94,7 @@ def plans(draw):
 def test_plan_to_circuit_is_the_fold_of_gadgets(plan):
     folded = ()
     for string, angle in plan.slices:
-        folded += synthesize_term(string, angle).gates
+        folded += synthesize_term(string, angle, {}).gates
     circuit = plan_to_circuit(plan)
     assert circuit.gates == folded * plan.steps
     assert circuit.global_phase == plan.identity_phase
@@ -110,9 +110,9 @@ def test_steps_share_the_first_steps_gates(steps, monkeypatch):
     first = plan_to_circuit(TrotterPlan(plan.qubits, 1, plan.slices))
     calls = []
 
-    def counting(string, angle):
+    def counting(string, angle, gates):
         calls.append((string, angle))
-        return synthesize_term(string, angle)
+        return synthesize_term(string, angle, gates)
 
     monkeypatch.setattr(trotter, "synthesize_term", counting)
     gates = plan_to_circuit(plan).gates
@@ -120,6 +120,31 @@ def test_steps_share_the_first_steps_gates(steps, monkeypatch):
     assert calls == list(plan.slices)
     # later steps hold the very gate objects of the first
     assert all(g is h for g, h in zip(gates, gates[len(first):]))
+
+
+def bose_hubbard_chain(n):
+    sites = ", ".join(["t(4)"] * n)
+    return parse(f"sites {sites};\n"
+                 f"H = sum j in 0..{n - 2} {{ 0.8 * adag(j) a(j+1)"
+                 f" + 0.8 * adag(j+1) a(j)"
+                 f" + 1.2 * adag(j) adag(j) a(j) a(j) }};").defs["H"]
+
+
+@pytest.mark.parametrize("sites", [3, 4])
+def test_gadgets_share_one_object_per_angle_free_gate(sites):
+    circuit, _ = compile_digital(bose_hubbard_chain(sites), 0.7, 2)
+    fixed = [g for g in circuit.gates if g.angle is None]
+    # an h, s, sdg or cx recurs in many gadgets of a step
+    assert len(fixed) > 4 * len(set(fixed))
+    assert len({id(g) for g in fixed}) == len(set(fixed))
+
+
+def test_two_compiles_share_no_gate():
+    e = bose_hubbard_chain(3)
+    first, _ = compile_digital(e, 0.7, 2)
+    second, _ = compile_digital(e, 0.7, 2)
+    assert first == second
+    assert not {id(g) for g in first.gates} & {id(g) for g in second.gates}
 
 
 def hand_derived_sum(chain, n):
