@@ -14,7 +14,7 @@ from .typecheck import (
     hermiticity_report, is_hermitian, typecheck,
 )
 from .fock import (
-    FockState, Ket, apply, apply_single, format_state, make_state, parse_state,
+    FockState, Ket, apply, format_state, make_state, parse_state,
 )
 from .pauli import PauliSum, is_hermitian_pauli, pauli_sum, pauli_to_matrix
 from .encodings import EncodingReport, encode_for_compile

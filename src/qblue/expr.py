@@ -103,28 +103,30 @@ class LadderKind(IntEnum):
     ANNIHILATE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
     """``amp`` times one ladder of ``layout``, or times the identity.
 
     ``ladder`` is a (site, kind) pair, or None for the identity; every
-    site it does not name carries the identity.
+    site it does not name carries the identity.  ``__init__`` checks and
+    stores each field once, the layout as a tuple and amp as a complex.
     """
 
     layout: SiteList
-    ladder: tuple | None = None
-    amp: complex = 1.0
+    ladder: tuple | None
+    amp: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "layout", tuple(self.layout))
-        object.__setattr__(self, "amp", complex(self.amp))
-        if not cmath.isfinite(self.amp):
-            raise AmplitudeError(f"amplitude must be finite, got {self.amp}")
-        if not self.layout:
+    def __init__(self, layout, ladder=None, amp=1.0):
+        layout, amp = tuple(layout), complex(amp)
+        if not cmath.isfinite(amp):
+            raise AmplitudeError(f"amplitude must be finite, got {amp}")
+        if not layout:
             raise ValueError("an atom acts on at least one site")
-        if self.ladder and not 0 <= self.ladder[0] < len(self.layout):
-            raise ValueError(f"atom ladder {self.ladder!r} names none of "
-                             f"its {len(self.layout)} sites")
+        if ladder and not 0 <= ladder[0] < len(layout):
+            raise ValueError(f"atom ladder {ladder!r} names none of "
+                             f"its {len(layout)} sites")
+        # the node is frozen, so its fields are written past __setattr__
+        vars(self).update(layout=layout, ladder=ladder, amp=amp)
 
 
 @dataclass(frozen=True, init=False)
@@ -141,8 +143,7 @@ class _Nary:
                 raise LayoutError(
                     f"{type(self).__name__.lower()} branches act on "
                     "different site lists", "root", first, c.layout)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "layout", first)
+        vars(self).update(children=children, layout=first)
 
 
 class Sum(_Nary):

@@ -2,12 +2,15 @@
 
 States are sparse complex combinations of occupation-number kets over a fixed
 site layout; the empty combination is the absorbing zero state.  ``apply``
-walks the operator tree over the whole state: an atom maps each ket through
-its ladder, a sum adds its children's results into one accumulator, and a
-product applies its children to the merged state, last child first; an
-adjoint arrives already built from atoms, sums and products.  A fermionic
-ladder operator takes the sign (-1)^(occupied fermionic sites to its left)
-in the current occupation.
+walks the operator tree over the whole state: an atom maps each ket through its
+ladder, a sum adds its children's results into one accumulator, and a product
+applies its children to the merged state, last child first; an adjoint arrives
+already built from atoms, sums and products.  A fermionic ladder takes the sign
+(-1)^(occupied fermionic sites to its left).  Inside ``apply`` a ket is one
+int: site i holds its occupation in a field (d_i - 1).bit_length() bits wide,
+site 0 the most significant, so int order is occupation order, and the sign is
+the parity of the ket's bits under a mask of the fermionic sites before the
+ladder.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate
 
 from .errors import ZERO_TOL, LayoutError, StateFormatError, negligible
-from .expr import (
-    Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, site_dim,
-)
+from .expr import Atom, Boson, Fermion, HamExpr, Seq, SiteList, Sum, site_dim
 
 
 @dataclass(frozen=True)
@@ -88,23 +89,6 @@ def _check_occ(layout, occ):
 
 
 # ---------------------------------------------------------------------------
-# Single-site ladder action
-# ---------------------------------------------------------------------------
-
-def apply_single(kind: LadderKind, site, k: int):
-    """Act on one occupation number.
-
-    Returns (coeff, k') or None for the zero state.  The ladder moves k by
-    its step to k' = k + kind and vanishes where k' leaves 0..d-1;
-    otherwise its weight is sqrt(max(k, k')), always 1 for fermions.
-    """
-    out = k + kind
-    if not 0 <= out < site_dim(site):
-        return None
-    return math.sqrt(max(k, out)), out
-
-
-# ---------------------------------------------------------------------------
 # Interpreter
 # ---------------------------------------------------------------------------
 
@@ -114,32 +98,45 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     sorted.  Each amplitude carries the magnitudes of every path summed
     into it, so a residue in an intermediate state drops with its terms.
     A result amplitude left non-finite by an overflow on the way is a
-    ValueError, as no state holds it."""
+    ValueError, as no state holds it.  The kets are packed into int keys
+    on entry and unpacked at the end; a ladder moves its site's field from
+    k to k', with weight sqrt(max(k, k')), and vanishes if k' leaves 0..d-1."""
     layout = e.layout
     if layout != s.layout:
         raise LayoutError("operator and state act on different site lists",
                           "apply", layout, s.layout)
-    fermionic = [isinstance(site, Fermion) for site in layout]
+    widths = [(site_dim(site) - 1).bit_length() for site in layout]
+    shifts = list(accumulate(reversed(widths), initial=0))[-2::-1]
+    fields = [(shift, (1 << w) - 1) for shift, w in zip(shifts, widths)]
+    # a fermion's parity mask holds the bits of the fermions before it
+    bits = [isinstance(site, Fermion) << n for site, n in zip(layout, shifts)]
+    parity = [b and mask for b, mask in zip(bits, accumulate(bits, initial=0))]
 
     def act(node: HamExpr, state: dict, out: dict):
-        """Add node applied to state into out; both map occ -> (amp, mag)."""
+        """Add node applied to state into out; both map key -> (amp, mag)."""
         if isinstance(node, Atom):
-            w = abs(node.amp)
-            j, kind = node.ladder or (None, None)
-            for occ, (amp, mag) in state.items():
-                val, mag = amp * node.amp, mag * w
-                if kind is not None:
-                    res = apply_single(kind, layout[j], occ[j])
-                    if res is None:
-                        continue
-                    c, k = res
-                    mag *= c
-                    if fermionic[j] and sum(compress(occ[:j], fermionic)) % 2:
-                        c = -c
-                    val *= c
-                    occ = occ[:j] + (k,) + occ[j + 1:]
-                a, m = out.get(occ, (0j, 0.0))
-                out[occ] = a + val, m + mag
+            z, w = node.amp, abs(node.amp)
+            if node.ladder is None:
+                for x, (amp, mag) in state.items():
+                    a, m = out.get(x, (0j, 0.0))
+                    out[x] = a + amp * z, m + mag * w
+                return
+            j, kind = node.ladder
+            (shift, field), before = fields[j], parity[j]
+            # k moves to k + kind, inside 0..d-1 for k in lo..hi
+            up, step = kind > 0, kind << shift
+            lo, hi = 1 - up, site_dim(layout[j]) - 1 - up
+            for x, (amp, mag) in state.items():
+                k = x >> shift & field
+                if not lo <= k <= hi:
+                    continue
+                c = math.sqrt(k + up)
+                m = mag * w * c
+                if before and (x & before).bit_count() & 1:
+                    c = -c
+                x += step
+                a, acc = out.get(x, (0j, 0.0))
+                out[x] = a + amp * z * c, acc + m
         elif isinstance(node, Sum):
             for c in node.children:
                 act(c, state, out)
@@ -152,11 +149,13 @@ def apply(e: HamExpr, s: FockState) -> FockState:
         else:
             raise TypeError(f"not a HamExpr: {node!r}")
 
-    out: dict[tuple, tuple] = {}
-    act(e, {ket.occ: (ket.amp, abs(ket.amp)) for ket in s.terms}, out)
+    out: dict[int, tuple] = {}
+    act(e, {sum([k << shift for k, shift in zip(ket.occ, shifts)]):
+            (ket.amp, abs(ket.amp)) for ket in s.terms}, out)
     if not all(cmath.isfinite(a) for a, _ in out.values()):
         raise ValueError("an amplitude overflows the float range")
-    return _state(layout, out)
+    return _state(layout, {tuple([x >> shift & f for shift, f in fields]): v
+                           for x, v in out.items()})
 
 
 # ---------------------------------------------------------------------------

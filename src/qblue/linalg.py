@@ -291,7 +291,7 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     x = res.x
     w = 4 * (math.sqrt(2.2e-16) * abs(x) + PHASE_XATOL / 3)
     fine = _bounded_min(lambda d: kept(x + d), max(lo - x, -w), min(hi - x, w))
-    return min(f0.max(), float(res.fun), float(fine.fun))
+    return float(min(f0.max(), res.fun, fine.fun))
 
 
 def _bounded_min(f, lo: float, hi: float):

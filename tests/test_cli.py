@@ -312,6 +312,22 @@ def test_verify_of_compiled_circuit_within_commutator_bound(tmp_path, capsys):
     assert 0 < json.loads(out)["distance"] <= bound
 
 
+def test_verify_prints_the_distance_as_a_float(tmp_path, capsys):
+    # the terms commute, so one step is exact and the distance is the
+    # rounding left at the phase the search starts from
+    prog = tmp_path / "zz.qb"
+    prog.write_text("sites t(2), t(2);\nH = Z(0) Z(1) + 0.5 * Z(0);\n")
+    circ = str(tmp_path / "zz.circ")
+    assert main(["compile", str(prog), "--t", "0.5", "--n", "1",
+                 "--out", circ]) == 0
+    capsys.readouterr()
+    assert main(["verify", circ, str(prog), "--t", "0.5"]) == 0
+    out = capsys.readouterr().out
+    name, value = out.split()
+    assert name == "distance" and out == f"distance {float(value)!r}\n"
+    assert 0 <= float(value) < 1e-12
+
+
 @pytest.mark.parametrize("text, line, col", [
     ("qubits\n", 1, 7),
     ("qubits 2; phase\n", 1, 16),

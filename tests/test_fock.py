@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.errors import LayoutError, StateFormatError
-from qblue.expr import Boson, Fermion, LadderKind, dagger, site_dim
-from qblue import fock
-from qblue.fock import (
-    apply, apply_single, format_state, make_state, parse_state,
+from qblue.errors import ZERO_TOL, LayoutError, StateFormatError, negligible
+from qblue.expr import (
+    Atom, Boson, Fermion, LadderKind, Seq, Sum, dagger, site_dim,
 )
+from qblue import fock
+from qblue.fock import apply, format_state, make_state, parse_state
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 
@@ -24,35 +24,49 @@ F = Fermion()
 
 
 # ---------------------------------------------------------------------------
-# apply_single (single-ket ladder semantics)
+# Ladder semantics: one-atom programs on one site
 # ---------------------------------------------------------------------------
 
+def ladder(kind, site, k):
+    """(coeff, k') of the ladder adag(0) or a(0) applied to |k> on one
+    site, or None where it gives the zero state."""
+    name = "adag" if kind == LadderKind.CREATE else "a"
+    out = apply(op(str(site), f"{name}(0)"), basis_ket((site,), (k,)))
+    if out.is_zero:
+        return None
+    [ket] = out.terms
+    assert ket.amp.imag == 0.0
+    return ket.amp.real, ket.occ[0]
+
+
 def test_create_raises_with_sqrt_factor():
-    coeff, k = apply_single(LadderKind.CREATE, T4, 1)
+    coeff, k = ladder(LadderKind.CREATE, T4, 1)
     assert coeff == pytest.approx(math.sqrt(2))
     assert k == 2
 
 
 def test_annihilate_vacuum_vanishes():
-    assert apply_single(LadderKind.ANNIHILATE, T4, 0) is None
+    assert ladder(LadderKind.ANNIHILATE, T4, 0) is None
 
 
 def test_create_at_top_occupation_vanishes():
-    assert apply_single(LadderKind.CREATE, T2, 1) is None
-    assert apply_single(LadderKind.CREATE, T4, 3) is None
+    assert ladder(LadderKind.CREATE, T2, 1) is None
+    assert ladder(LadderKind.CREATE, T4, 3) is None
 
 
 def test_fermion_ladder_factors_are_one():
-    assert apply_single(LadderKind.CREATE, F, 0) == (1.0, 1)
-    assert apply_single(LadderKind.ANNIHILATE, F, 1) == (1.0, 0)
+    assert ladder(LadderKind.CREATE, F, 0) == (1.0, 1)
+    assert ladder(LadderKind.ANNIHILATE, F, 1) == (1.0, 0)
+    assert ladder(LadderKind.CREATE, F, 1) is None
+    assert ladder(LadderKind.ANNIHILATE, F, 0) is None
 
 
 def test_ladder_semantics_exhaustive_small_dims():
     for m in range(1, 9):
         site = Boson(m)
         for k in range(m):
-            up = apply_single(LadderKind.CREATE, site, k)
-            dn = apply_single(LadderKind.ANNIHILATE, site, k)
+            up = ladder(LadderKind.CREATE, site, k)
+            dn = ladder(LadderKind.ANNIHILATE, site, k)
             if k == m - 1:
                 assert up is None
             else:
@@ -138,26 +152,18 @@ def test_apply_agrees_with_matrix_oracle_bosonic():
     assert oracle.max_norm(expr_to_matrix(e), ref) < 1e-12
 
 
-def test_apply_walks_a_product_of_sums_without_multiplying_it_out(
-        monkeypatch):
-    program = parse("sites " + ", ".join(["t(2)"] * 8) + ";\n"
-                    "H = (sum j in 0..7 { adag(j) a(j) })"
-                    " (sum j in 0..7 { adag(j) a(j) }) + I(0);\n")
-    e = program.defs["H"]
-    s = basis_ket(program.layout, (1, 0, 1, 1, 0, 0, 1, 0))
-    calls = []
-
-    def counting(kind, site, k):
-        calls.append(k)
-        return apply_single(kind, site, k)
-
-    monkeypatch.setattr(fock, "apply_single", counting)
-    got = state_to_vector(fock.apply(e, s))
-    # each sum applies once to the merged state: at most one call per
-    # ladder of the two sums, none spent on their 64 pairwise products
-    assert len(calls) <= 32
-    want = expr_to_matrix(e) @ state_to_vector(s)
-    assert oracle.max_norm(got, want) < 1e-12
+def test_apply_walks_a_product_of_sums_without_multiplying_it_out():
+    # six sums of the 40 number terms adag(j) a(j): multiplied out, the
+    # product has 40^6 (about 4e9) terms, while the tree walk applies each
+    # sum once to the merged state, 240 number terms in all
+    n = 40
+    number = f"(sum j in 0..{n - 1} {{ adag(j) a(j) }})"
+    program = parse("sites " + ", ".join(["t(2)"] * n) + ";\n"
+                    f"H = {' '.join([number] * 6)};\n")
+    occ = tuple(int(j % 3 == 0) for j in range(n))
+    out = apply(program.defs["H"], basis_ket(program.layout, occ))
+    # the total number operator gives |occ> its 14 occupied sites
+    assert [(k.amp, k.occ) for k in out.terms] == [(14.0 ** 6, occ)]
 
 
 @st.composite
@@ -195,6 +201,131 @@ def test_apply_of_dagger_gives_the_conjugate_transpose(drawn):
     for col, occ in enumerate(occs):
         got = state_to_vector(apply(dagger(e), basis_ket(layout, occ)))
         assert oracle.max_norm(got, want[:, col]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Packed kets: fields with unused codes, wide layouts, parity masks
+# ---------------------------------------------------------------------------
+
+def reference_apply(e, s):
+    """occ -> (amp, mag) of e applied to s, each ket keyed by its occupation
+    tuple, in the arithmetic order of ``apply``: a ladder moves its site's
+    occupation k to k' inside 0..d-1 with weight sqrt(max(k, k')), a
+    fermionic one times (-1)^(occupied fermionic sites before it); a sum
+    adds its children into one accumulator and a product applies its last
+    child first."""
+    layout = e.layout
+
+    def act(node, state, out):
+        if isinstance(node, Sum):
+            for c in node.children:
+                act(c, state, out)
+            return
+        if isinstance(node, Seq):
+            for c in reversed(node.children[1:]):
+                mid = {}
+                act(c, state, mid)
+                state = mid
+            act(node.children[0], state, out)
+            return
+        for occ, (amp, mag) in state.items():
+            val, mag = amp * node.amp, mag * abs(node.amp)
+            if node.ladder is not None:
+                j, kind = node.ladder
+                k = occ[j] + kind
+                if not 0 <= k < site_dim(layout[j]):
+                    continue
+                c = math.sqrt(max(occ[j], k))
+                mag *= c
+                before = [o for o, site in zip(occ[:j], layout)
+                          if isinstance(site, Fermion)]
+                if isinstance(layout[j], Fermion) and sum(before) % 2:
+                    c = -c
+                val *= c
+                occ = occ[:j] + (k,) + occ[j + 1:]
+            a, m = out.get(occ, (0j, 0.0))
+            out[occ] = a + val, m + mag
+
+    out = {}
+    act(e, {ket.occ: (ket.amp, abs(ket.amp)) for ket in s.terms}, out)
+    return out
+
+
+def assert_apply_is_the_reference(e, s):
+    """apply(e, s) holds exactly the kets of reference_apply that are not
+    negligible against their magnitudes."""
+    want = {occ: a for occ, (a, m) in reference_apply(e, s).items()
+            if not negligible(a, m, ZERO_TOL)}
+    assert {ket.occ: ket.amp for ket in apply(e, s).terms} == want
+
+
+@given(operators())
+def test_apply_is_the_tuple_keyed_reference(drawn):
+    e = parsed(drawn)
+    layout = e.layout
+    for occ in itertools.product(*(range(site_dim(site)) for site in layout)):
+        assert_apply_is_the_reference(e, basis_ket(layout, occ))
+
+
+def every_pair_body(n):
+    """A hop with its own coefficient between every two of n sites, an
+    on-site n(n - 1), and a three-ladder product that crosses the layout."""
+    terms = [f"({0.1 * (i + 1)}+{0.05 * (j + 1)}i) * adag({i}) a({j})"
+             for i in range(n) for j in range(n) if i != j]
+    terms += [f"0.3 * adag({j}) adag({j}) a({j}) a({j})" for j in range(n)]
+    return " + ".join(terms + [f"a(0) adag({n // 2}) a({n - 1})"])
+
+
+@pytest.mark.parametrize("sites", [
+    "t(1), t(3), t(5)", "t(5), t(1), t(3), t(1)",
+    "t(3), F, t(5), F, t(2), F", "F, t(3), t(1), F, t(5), F",
+])
+def test_apply_matches_matrix_columns_on_fields_with_unused_codes(sites):
+    # t(1) takes no bits, t(3) and t(5) leave codes 3 and 5..7 unused, and
+    # the parity mask of an F skips the bits of the bosons before it
+    e = op(sites, every_pair_body(sites.count(",") + 1))
+    layout = e.layout
+    m = expr_to_matrix(e)
+    occs = itertools.product(*(range(site_dim(site)) for site in layout))
+    for col, occ in enumerate(occs):
+        s = basis_ket(layout, occ)
+        assert_apply_is_the_reference(e, s)
+        got = state_to_vector(apply(e, s))
+        assert oracle.max_norm(got, m[:, col]) <= 1e-12 * abs(m).max()
+
+
+def test_apply_on_a_layout_wider_than_64_bits_matches_the_tuple_keys():
+    # 40 t(8) sites take 120 bits: the fields of sites 0..17 lie above bit
+    # 63 and site 18's straddles it; one ket holds occupation 7 at both ends
+    n = 40
+    e = op(", ".join(["t(8)"] * n),
+           f"sum j in 0..{n - 2} {{ 0.5 * adag(j) a(j+1)"
+           " + 0.25i * adag(j+1) adag(j+1) a(j) }"
+           f" + (sum j in 0..{n - 1} {{ adag(j) a(j) }}) a(0) adag({n - 1})")
+    rng = np.random.default_rng(5)
+    occs = [tuple(int(k) for k in rng.integers(0, 8, n)) for _ in range(3)]
+    occs.append((7,) + occs[0][1:-1] + (7,))
+    s = make_state(e.layout, [(1.0 + 0.5j * i, occ)
+                              for i, occ in enumerate(occs)])
+    assert len(apply(e, s).terms) > 100
+    assert_apply_is_the_reference(e, s)
+
+
+@pytest.mark.parametrize("occupied, sign", [
+    ((2, 3, 10, 40, 68), -1), ((2, 10, 40, 68), 1)], ids=["odd", "even"])
+def test_a_hop_across_70_fermions_takes_the_sign_of_those_between(
+        occupied, sign):
+    # a(69) applies first and passes the sites between, site 0 empty, so it
+    # takes (-1)^len(occupied); adag(0) then passes no site.  Sites 2 and 3
+    # sit at bits 67 and 66, above the low 64
+    e = op(", ".join(["F"] * 70), "adag(0) a(69)")
+    occ = [0] * 70
+    for j in occupied + (69,):
+        occ[j] = 1
+    s = basis_ket(e.layout, occ)
+    assert_apply_is_the_reference(e, s)
+    occ[0], occ[69] = 1, 0
+    assert [(k.amp, k.occ) for k in apply(e, s).terms] == [(sign, tuple(occ))]
 
 
 # ---------------------------------------------------------------------------
