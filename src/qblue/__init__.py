@@ -17,7 +17,7 @@ from .fock import (
     FockState, Ket, apply, format_state, make_state, parse_state,
 )
 from .pauli import PauliSum, is_hermitian_pauli, pauli_sum, pauli_to_matrix
-from .encodings import EncodingReport, encode_for_compile
+from .encodings import encode_for_compile
 from .linalg import (
     GroundResult, expr_to_matrix, ground_energy, matrix_exp_sim,
     phase_aligned_distance, vector_to_state,

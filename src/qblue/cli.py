@@ -7,7 +7,12 @@ flag-p program or ``eval`` of a state on another layout.  An input that
 exhausts the recursion limit or the memory exits 1 with a one-line error
 naming the cause, not a traceback (see ``main``), as does an ``eval`` that
 overflows the float range, and a non-finite ``--t`` is a usage error.
-With --json, reports and diagnostics are emitted as JSON lines.
+With --json, reports and diagnostics are emitted as JSON lines.  One
+driver, ``_run``, reads the program, picks the definition (``check`` takes
+them all) and calls ``cmd_<name>(args, name, e)`` for its record and a
+function that builds its text.  --out writes the text and prints ``wrote
+<out>``, or the record under --json; ``compile --out`` also writes the
+record's ``encoding`` report to ``<out>.encoding.json``.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``certificate`` when the exact
@@ -116,13 +121,6 @@ def _build_parser():
     return top
 
 
-def _emit(args, record: dict, text: str):
-    if args.json:
-        print(json.dumps(record))
-    elif text:
-        print(text)
-
-
 def _diagnostic(args, code: str, exc: Exception) -> None:
     record = {"level": "error", "code": code, "message": str(exc)}
     if isinstance(exc, LayoutError):
@@ -138,10 +136,6 @@ def _diagnostic(args, code: str, exc: Exception) -> None:
         print(json.dumps(record), file=sys.stderr)
     else:
         print(f"qblue: error: {record['message']}", file=sys.stderr)
-
-
-def _load_program(path: str):
-    return parse(Path(path).read_text())
 
 
 def _pick_def(program, name):
@@ -161,95 +155,56 @@ def _pick_def(program, name):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
-    program = _load_program(args.file)
-    for name, e in program.defs.items():
-        ty, method = typecheck(e, promote=False), "structural"
-        if ty.flag is Flag.P:
-            method = "certificate"
-            if is_hermitian(e):
-                ty = OpType(Flag.H, ty.sites)
-        _emit(args, {"def": name, "type": str(ty), "flag": ty.flag.value,
-                     "sites": [str(s) for s in ty.sites],
-                     "hermitian": ty.flag is Flag.H,
-                     "decided_by": method},
-              f"{name} : {ty}  [{'hermitian' if ty.flag is Flag.H else 'not certified hermitian'}, {method}]")
-    return EXIT_OK
+def _kets(state) -> list:
+    return [[k.amp.real, k.amp.imag, list(k.occ)] for k in state.terms]
 
 
-def cmd_eval(args) -> int:
-    program = _load_program(args.file)
-    name, e = _pick_def(program, args.ham)
-    state = parse_state(Path(args.state).read_text())
-    result = apply(e, state)
-    if args.out:
-        Path(args.out).write_text(format_state(result))
-        text = f"wrote {args.out}"
-    else:   # the state text is built only where it is printed
-        text = "" if args.json else format_state(result).rstrip("\n")
-    record = {"def": name, "zero": result.is_zero,
-              "kets": [[k.amp.real, k.amp.imag, list(k.occ)]
-                       for k in result.terms]}
-    _emit(args, record, text)
-    return EXIT_OK
+def cmd_check(args, name, e):
+    ty, method = typecheck(e, promote=False), "structural"
+    if ty.flag is Flag.P:
+        method = "certificate"
+        if is_hermitian(e):
+            ty = OpType(Flag.H, ty.sites)
+    verdict = "hermitian" if ty.flag is Flag.H else "not certified hermitian"
+    return ({"type": str(ty), "flag": ty.flag.value,
+             "sites": [str(s) for s in ty.sites],
+             "hermitian": ty.flag is Flag.H, "decided_by": method},
+            lambda: f"{name} : {ty}  [{verdict}, {method}]")
 
 
-def cmd_energy(args) -> int:
-    program = _load_program(args.file)
-    name, e = _pick_def(program, args.ham)
+def cmd_eval(args, name, e):
+    result = apply(e, parse_state(Path(args.state).read_text()))
+    return ({"zero": result.is_zero, "kets": _kets(result)},
+            lambda: format_state(result))
+
+
+def cmd_energy(args, name, e):
     ty = typecheck(e)
     if ty.flag is not Flag.H:
         raise NonHermitianError(
             f"{name} certifies only flag p; ground energy needs a Hermitian "
             "operator")
-    result = linalg.ground_energy(linalg.expr_to_sparse(e), program.layout)
-    record = {"def": name, "energy": result.energy,
-              "state": [[k.amp.real, k.amp.imag, list(k.occ)]
-                        for k in result.state.terms]}
-    _emit(args, record, "" if args.json else f"energy {result.energy!r}\n"
-          f"{format_state(result.state).rstrip()}")
-    return EXIT_OK
+    result = linalg.ground_energy(linalg.expr_to_sparse(e), e.layout)
+    return ({"energy": result.energy, "state": _kets(result.state)},
+            lambda: f"energy {result.energy!r}\n{format_state(result.state)}")
 
 
-def cmd_compile(args) -> int:
-    program = _load_program(args.file)
-    name, e = _pick_def(program, args.ham)
+def cmd_compile(args, name, e):
     circuit, report = trotter.compile_digital(e, args.t, args.n)
-    record = {"def": name, "qubits": circuit.width, "gates": len(circuit),
-              "t": args.t, "n": args.n, "encoding": report.to_dict()}
-    if args.out:
-        Path(args.out).write_text(format_circuit(circuit))
-        Path(args.out + ".encoding.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n")
-        record["out"] = args.out
-        text = (f"wrote {args.out} ({circuit.width} qubits, "
-                f"{len(circuit)} gates) and {args.out}.encoding.json")
-    else:   # the circuit text is built only where it is printed
-        text = "" if args.json else format_circuit(circuit).rstrip("\n")
-    _emit(args, record, text)
-    return EXIT_OK
+    return ({"qubits": circuit.width, "gates": len(circuit), "t": args.t,
+             "n": args.n, "encoding": report},
+            lambda: format_circuit(circuit))
 
 
-def cmd_fit(args) -> int:
-    program = _load_program(args.file)
-    name, e = _pick_def(program, args.ham)
+def cmd_fit(args, name, e):
     hs, _report = trotter.encode_hermitian(e)
     schedule = trotter.fit_machine(hs, trotter.IBM)
-    if args.out:
-        Path(args.out).write_text(trotter.format_schedule(schedule))
-        text = f"wrote {args.out}"
-    else:   # the schedule text is built only where it is printed
-        text = ("" if args.json
-                else trotter.format_schedule(schedule).rstrip("\n"))
-    record = {"def": name, "machine": trotter.IBM.name,
-              "pairs": [[j, dict(slots)] for j, slots in schedule.assignments]}
-    _emit(args, record, text)
-    return EXIT_OK
+    return ({"machine": trotter.IBM.name,
+             "pairs": [[j, dict(slots)] for j, slots in schedule.assignments]},
+            lambda: trotter.format_schedule(schedule))
 
 
-def cmd_verify(args) -> int:
-    program = _load_program(args.file)
-    name, e = _pick_def(program, args.ham)
+def cmd_verify(args, name, e):
     circuit = parse_circuit(Path(args.circuit).read_text())
     hs, _report = trotter.encode_hermitian(e)
     if hs.qubits != circuit.width:
@@ -257,9 +212,8 @@ def cmd_verify(args) -> int:
             f"circuit width {circuit.width} does not match the encoded "
             f"Hamiltonian ({hs.qubits} qubits)")
     distance = trotter.verify_circuit(circuit, hs, args.t)
-    _emit(args, {"def": name, "t": args.t, "distance": distance},
-          f"distance {distance!r}")
-    return EXIT_OK
+    return ({"t": args.t, "distance": distance},
+            lambda: f"distance {distance!r}")
 
 
 _COMMANDS = {
@@ -270,6 +224,31 @@ _COMMANDS = {
     "fit": cmd_fit,
     "verify": cmd_verify,
 }
+
+
+def _run(args) -> int:
+    """Read the program, run the command on the definitions it covers,
+    write --out, then print: a failed write prints nothing."""
+    program = parse(Path(args.file).read_text())
+    picked = (program.defs.items() if args.command == "check"
+              else [_pick_def(program, args.ham)])
+    out = getattr(args, "out", None)
+    for name, e in picked:
+        record, text = _COMMANDS[args.command](args, name, e)
+        record = {"def": name, **record}
+        if out:
+            Path(out).write_text(text())
+            if args.command == "compile":   # the report beside the circuit
+                Path(out + ".encoding.json").write_text(
+                    json.dumps(record["encoding"], indent=2) + "\n")
+                record["out"] = out
+        if args.json:
+            print(json.dumps(record))
+        elif out:
+            print(f"wrote {out}")
+        elif shown := text().rstrip("\n"):
+            print(shown)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -289,7 +268,7 @@ def main(argv=None) -> int:
         print(f"qblue: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except _UsageError as exc:
         print(f"qblue: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import EncodingError
 from .expr import Boson, Fermion, SiteList
@@ -35,36 +34,17 @@ from .pauli import pauli_sum
 from .typecheck import CanonicalForm
 
 
-@dataclass(frozen=True)
-class EncodingReport:
-    """How input sites map onto output qubits.
-
-    ``site_map[k]`` is the half-open qubit range occupied by input site k;
-    the ranges partition the all-qubit output layout.
-    """
-
-    method: str              # "direct" | "jw" | "hp"
-    input_layout: SiteList
-    output_layout: SiteList
-    site_map: tuple          # tuple[tuple[int, int], ...]
-    truncation: int | None = None   # hp level n, if applicable
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "input_sites": [str(s) for s in self.input_layout],
-            "output_sites": [str(s) for s in self.output_layout],
-            "site_map": [list(r) for r in self.site_map],
-            "truncation": self.truncation,
-        }
-
-
 def encoding_report(layout: SiteList, method: str,
-                    truncation: int | None = None) -> EncodingReport:
+                    truncation: int | None) -> dict:
+    """The encoding as ``compile`` prints it: ``site_map[k]`` is the
+    half-open qubit range of input site k (the ranges partition the output
+    layout), and ``truncation`` the hp level n, else None."""
     width = truncation + 1 if method == "hp" else 1
-    site_map = tuple((k * width, (k + 1) * width) for k in range(len(layout)))
-    out = tuple(Boson(2) for _ in range(width * len(layout)))
-    return EncodingReport(method, tuple(layout), out, site_map, truncation)
+    sites = len(layout)
+    return {"method": method, "input_sites": [str(s) for s in layout],
+            "output_sites": [str(Boson(2))] * (width * sites),
+            "site_map": [[k * width, (k + 1) * width] for k in range(sites)],
+            "truncation": truncation}
 
 
 def infer_encoding(layout: SiteList):
@@ -126,8 +106,8 @@ def _tensor(tables) -> list:
 
 
 def encode_for_compile(form: CanonicalForm):
-    """(PauliSum, EncodingReport) of a canonical form, on the method
-    ``infer_encoding`` picks for its layout.
+    """(PauliSum, report dict) of a canonical form, on the method
+    ``infer_encoding`` picks for its layout (``encoding_report``).
 
     The Pauli matrix equals expr_to_matrix of the expression the form came
     from (for hp, its block on occupations 0..n, on the one-hot strings).

@@ -62,8 +62,8 @@ def trotterize(hs: PauliSum, t: float, n: int) -> TrotterPlan:
     return TrotterPlan(hs.qubits, n, tuple(step_terms), phase)
 
 
-def synthesize_term(string: str, angle: float, gates: dict) -> Circuit:
-    """Circuit for e^{-i (angle/2) P} up to global phase.
+def synthesize_term(string: str, angle: float, gates: dict) -> tuple:
+    """The gates of e^{-i (angle/2) P} up to global phase, in order.
 
     Non-identity qubits enter a basis change (X: H; Y: Sdg then H), a CX
     chain carries the parity onto the last active qubit where RZ(angle)
@@ -72,7 +72,6 @@ def synthesize_term(string: str, angle: float, gates: dict) -> Circuit:
     cx): each is taken from it, or built and stored there on first use.
     A rotation carries this slice's angle and is built here.
     """
-    width = len(string)
     active = [q for q, letter in enumerate(string) if letter != "I"]
     if not active:
         raise ValueError("identity string has no rotation; fold the "
@@ -80,7 +79,7 @@ def synthesize_term(string: str, angle: float, gates: dict) -> Circuit:
     if len(active) == 1 and string[active[0]] in "XY":
         # lone X/Y terms are plain axis rotations
         name = "rx" if string[active[0]] == "X" else "ry"
-        return Circuit(width, (Gate(name, (active[0],), float(angle)),))
+        return (Gate(name, (active[0],), float(angle)),)
     # the basis change in qubit order, and its inverse listed back to front
     enter, leave = [], []
     for q in active:
@@ -95,7 +94,7 @@ def synthesize_term(string: str, angle: float, gates: dict) -> Circuit:
     out = [gates.get(k) or gates.setdefault(k, Gate(*k)) for k in keys]
     out.insert(len(enter) + len(ladder),
                Gate("rz", (active[-1],), float(angle)))
-    return Circuit(width, tuple(out))
+    return tuple(out)
 
 
 def plan_to_circuit(plan: TrotterPlan) -> Circuit:
@@ -110,12 +109,12 @@ def plan_to_circuit(plan: TrotterPlan) -> Circuit:
     """
     gates: dict = {}
     step = tuple(g for string, angle in plan.slices
-                 for g in synthesize_term(string, angle, gates).gates)
+                 for g in synthesize_term(string, angle, gates))
     return Circuit(plan.qubits, step * plan.steps, plan.identity_phase)
 
 
 def encode_hermitian(e: HamExpr):
-    """(PauliSum, EncodingReport) of an expression certified Hermitian.
+    """(PauliSum, report dict) of an expression certified Hermitian.
 
     The one step from a program to qubits that ``compile``, ``fit`` and
     ``verify`` share: the Hermiticity certificate decides flag h, and the
@@ -137,7 +136,7 @@ def compile_digital(e: HamExpr, t: float, n: int):
     """Compile a Hermitian expression to a digital circuit.
 
     Encodes onto qubits with ``encode_hermitian``, Trotterizes with n steps,
-    and concatenates one gadget per term.  Returns (Circuit, EncodingReport).
+    and concatenates one gadget per term.  Returns (Circuit, report dict).
     The circuit approximates e^{-i M t} for the encoded Hamiltonian matrix M,
     which equals the expression's own matrix for direct and jw encodings.
     """

@@ -665,6 +665,33 @@ def test_compile_and_fit_format_their_text_only_to_show_it(tmp_path, capsys,
     assert len(calls) == 4
 
 
+def test_compile_out_writes_the_encoding_report_beside_the_circuit(
+        tmp_path, capsys):
+    prog, _ = spin_program(tmp_path)
+    out = tmp_path / "h.circ"
+    code, stdout, err = run_json(capsys, ["compile", prog, "--t", "0.5",
+                                          "--n", "2", "--out", str(out)])
+    assert (code, err) == (0, "")
+    record = json.loads(stdout)
+    assert list(record)[-1] == "out" and record["out"] == str(out)
+    side = (tmp_path / "h.circ.encoding.json").read_text()
+    assert json.loads(side) == record["encoding"]
+    assert record["encoding"]["method"] == "direct"
+    assert side == json.dumps(record["encoding"], indent=2) + "\n"
+
+
+def test_fit_of_an_empty_schedule_prints_nothing_in_text_mode(tmp_path,
+                                                              capsys):
+    # one site is no pair, and the identity term is a global phase
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(2);\nH = 0.5 * I(0);\n")
+    assert main(["fit", str(prog)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["--json", "fit", str(prog)]) == 0
+    assert capsys.readouterr() == (
+        '{"def": "H", "machine": "ibm", "pairs": []}\n', "")
+
+
 BIG = "1" * 5000   # more digits than Python converts to an integer
 
 

@@ -18,7 +18,7 @@ from strategies import programs
 def encoded_matrix(e, method, level=None):
     """The encoded matrix of e, whose layout picks method at level."""
     hs, report = encode_for_compile(canonicalize(e))
-    assert (report.method, report.truncation) == (method, level)
+    assert (report["method"], report["truncation"]) == (method, level)
     return pauli_to_matrix(hs)
 
 
@@ -99,7 +99,7 @@ def chain_form(site, bonds, onsite=""):
 def test_encoding_is_the_sum_of_one_term_encodings(form, level, exact):
     # terms of one shape share one product; each one-term form has its own
     whole, report = encode_for_compile(form)
-    assert report.truncation == level
+    assert report["truncation"] == level
     total = PauliSum(whole.qubits, ())
     for units, coeff in form.terms.items():
         one = encode_for_compile(CanonicalForm(

@@ -94,7 +94,7 @@ def plans(draw):
 def test_plan_to_circuit_is_the_fold_of_gadgets(plan):
     folded = ()
     for string, angle in plan.slices:
-        folded += synthesize_term(string, angle, {}).gates
+        folded += synthesize_term(string, angle, {})
     circuit = plan_to_circuit(plan)
     assert circuit.gates == folded * plan.steps
     assert circuit.global_phase == plan.identity_phase
@@ -173,7 +173,7 @@ def hand_derived_sum(chain, n):
 ])
 def test_encoding_equals_the_hand_derived_sum(chain, method, sites):
     hs, report = encode_for_compile(canonicalize(chain(sites)))
-    assert report.method == method
+    assert report["method"] == method
     assert hs == hand_derived_sum(chain, sites)
 
 
