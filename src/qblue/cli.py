@@ -228,26 +228,36 @@ _COMMANDS = {
 
 def _run(args) -> int:
     """Read the program, run the command on the definitions it covers,
-    write --out, then print: a failed write prints nothing."""
+    write --out, then print: a failed write prints nothing, and a command
+    that fails removes every file it wrote."""
     program = parse(Path(args.file).read_text())
     picked = (program.defs.items() if args.command == "check"
               else [_pick_def(program, args.ham)])
     out = getattr(args, "out", None)
-    for name, e in picked:
-        record, text = _COMMANDS[args.command](args, name, e)
-        record = {"def": name, **record}
-        if out:
-            Path(out).write_text(text())
-            if args.command == "compile":   # the report beside the circuit
-                Path(out + ".encoding.json").write_text(
-                    json.dumps(record["encoding"], indent=2) + "\n")
+    written = []
+    try:
+        for name, e in picked:
+            record, text = _COMMANDS[args.command](args, name, e)
+            record = {"def": name, **record}
+            files = {out: text()} if out else {}
+            if out and args.command == "compile":   # the report beside it
+                files[out + ".encoding.json"] = json.dumps(
+                    record["encoding"], indent=2) + "\n"
                 record["out"] = out
-        if args.json:
-            print(json.dumps(record))
-        elif out:
-            print(f"wrote {out}")
-        elif shown := text().rstrip("\n"):
-            print(shown)
+            for path, data in files.items():
+                with open(path, "w") as f:
+                    written.append(path)
+                    f.write(data)
+            if args.json:
+                print(json.dumps(record))
+            elif out:
+                print(f"wrote {out}")
+            elif shown := text().rstrip("\n"):
+                print(shown)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

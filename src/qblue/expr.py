@@ -17,6 +17,8 @@ parser, ``scale`` and ``dagger`` pass one tuple object to every node of the
 tree they build, so a Sum or Seq checks its children with one ``is`` and
 compares the tuples only when they are different objects.  A Sum or Seq
 whose children disagree is never built: its constructor raises LayoutError.
+Nodes are frozen slotted dataclasses: they carry no instance dict, and each
+constructor writes its fields once with ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from enum import Enum, IntEnum
 from typing import Union
 
 from .errors import AmplitudeError, LayoutError
+
+_set = object.__setattr__   # writes the fields of a frozen node
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +107,7 @@ class LadderKind(IntEnum):
     ANNIHILATE = -1
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Atom:
     """``amp`` times one ladder of ``layout``, or times the identity.
 
@@ -125,11 +129,12 @@ class Atom:
         if ladder and not 0 <= ladder[0] < len(layout):
             raise ValueError(f"atom ladder {ladder!r} names none of "
                              f"its {len(layout)} sites")
-        # the node is frozen, so its fields are written past __setattr__
-        vars(self).update(layout=layout, ladder=ladder, amp=amp)
+        _set(self, "layout", layout)
+        _set(self, "ladder", ladder)
+        _set(self, "amp", amp)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class _Nary:
     children: tuple
     layout: SiteList = field(repr=False, compare=False)
@@ -143,15 +148,18 @@ class _Nary:
                 raise LayoutError(
                     f"{type(self).__name__.lower()} branches act on "
                     "different site lists", "root", first, c.layout)
-        vars(self).update(children=children, layout=first)
+        _set(self, "children", children)
+        _set(self, "layout", first)
 
 
 class Sum(_Nary):
     """Linear sum of children on one layout."""
+    __slots__ = ()
 
 
 class Seq(_Nary):
     """Operator product on one layout; the last child applies first."""
+    __slots__ = ()
 
 
 HamExpr = Union[Atom, Sum, Seq]

@@ -20,19 +20,20 @@ scaling, ``dag``, sums, products and sum loops keep their children's
 layout.  So the parser has no layouts to reconcile, and a program has no
 layout errors.
 
-The parser pays once per token and once per atom.  The tokenizer makes one
-regex match per token, whitespace and comments included; a token keeps its
-offset into the source, and the line and column of an error are computed
-from it only when the error is raised.  A literal prefix such as
-``0.8 *`` folds into the amplitudes of the indexed atom it scales, so that
-atom is built once with its final amplitude.  A literal, or a chain of
-prefixes, that makes an amplitude overflow is a ParseError at the literal.
+The parser pays once per token and once per atom.  The tokenizer scans the
+source once, with one ``findall``, and a token keeps its index in the token
+list; the line and column of an error are found by a second scan, only when
+the error is raised.  A literal prefix such as ``0.8 *`` folds into the
+amplitudes of the indexed atom it scales, so that atom is built once with
+its final amplitude.  A literal, or a chain of prefixes, that makes an
+amplitude overflow is a ParseError at the literal.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass
 
 from .errors import AmplitudeError, ParseError
@@ -52,45 +53,61 @@ class Program:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?:\s+|//[^\n]*)*                  # whitespace and comments first
-    (?: (?P<imag>(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?i\b)
-      | (?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-      | (?P<int>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<punct>\.\.|[()=;,+\-*{}])
-      | (?P<eof>\Z)
-      | (?P<bad>[\s\S]+) )                # an unexpected character, to the end
-""", re.VERBOSE)
+_TOKEN_RE = re.compile(r"""(?:\s+|//[^\n]*)*(
+    (?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?(?:i\b)?
+  | [A-Za-z_][A-Za-z_0-9]* | \.\. | [()=;,+\-*{}] | \Z | [\s\S]+ )""",
+                       re.VERBOSE)
+
+# the kind of a token by its first character; "" is the eof token
+_KINDS = {**dict.fromkeys(string.ascii_letters + "_", "name"),
+          **dict.fromkeys("()=;,+-*{}", "punct"), "": "eof"}
+
+
+def _kind(text: str) -> str:
+    """The kind of a token that is a number, by its shape, ``..`` or bad.
+    A digit is what ``\\d`` matches, str.isdecimal: ``²`` starts no number."""
+    if text == "..":
+        return "punct"
+    if text[0].isdecimal() or text[0] == "." and text[1:2].isdecimal():
+        if text[-1] == "i":
+            return "imag"
+        return "int" if text.isdecimal() else "float"
+    return "bad"
 
 
 def tokenize(src: str) -> list:
-    """The tokens of src as ``(kind, text, offset)`` tuples.
+    """The tokens of src as ``(kind, text, index)`` tuples, from one scan.
 
-    One regex match per token: whitespace and ``//`` comments are skipped
-    inside the token pattern, and an unexpected character matches the
-    catch-all ``bad`` kind, which takes the rest of the source.  The list
-    ends in eof tokens, enough that every lookahead is a plain index.  A
-    token keeps its offset into src; ``_position`` turns it into a line and
-    column only when an error is raised.
+    ``findall`` returns each token's text, whitespace and ``//`` comments
+    skipped before it, and the text gives the kind; an unexpected character
+    takes the rest of the source as a ``bad`` token.  Eof tokens pad the
+    end, so every lookahead is a plain index.  A token keeps its index, not
+    its offset: ``_position`` scans again, and only for an error.
     """
-    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-              for m in _TOKEN_RE.finditer(src)]
+    texts = _TOKEN_RE.findall(src)
+    kinds = {text: _KINDS.get(text[:1]) or _kind(text) for text in set(texts)}
+    tokens = [(kinds[text], text, i) for i, text in enumerate(texts)]
     if len(tokens) > 1 and tokens[-2][0] == "bad":
-        offset = tokens[-2][2]
-        raise ParseError(f"unexpected character {src[offset]!r}",
-                         *_position(src, offset))
+        raise ParseError(f"unexpected character {tokens[-2][1][0]!r}",
+                         *_position(src, len(tokens) - 2))
     return tokens + tokens[-1:] * 6   # peek() looks at most 5 tokens ahead
 
 
-def _position(src: str, offset: int) -> tuple:
-    """The 1-based line and column of offset in src."""
+def _position(src: str, index: int) -> tuple:
+    """The 1-based line and column of the token at index in src."""
+    offset = [m.start(1) for m in _TOKEN_RE.finditer(src)][index]
     return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+_NUMBERS = ("int", "float", "imag")
+_ATOMS = ("a", "adag", "I", "X", "Y", "Z")
+_FACTOR_STARTS = frozenset((*_ATOMS, "dag", "sum", "sqrt", "("))
+_CREATE, _ANNIHILATE = LadderKind.CREATE, LadderKind.ANNIHILATE
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -99,7 +116,7 @@ class _Parser:
         self.pos = 0
         self.layout: SiteList = ()
 
-    # -- token plumbing: a token is (kind, text, offset)
+    # -- token plumbing: a token is (kind, text, index)
 
     def peek(self, ahead=0) -> tuple:
         return self.tokens[self.pos + ahead]
@@ -113,13 +130,12 @@ class _Parser:
         """Line and column of token t."""
         return _position(self.src, t[2])
 
-    def expect(self, text: str) -> tuple:
+    def expect(self, text: str) -> None:
         t = self.tokens[self.pos]
         if t[1] != text:
             shown = t[1] or "end of input"
             raise ParseError(f"expected {text!r}, found {shown!r}", *self.at(t))
         self.pos += 1
-        return t
 
     def fail(self, message: str):
         raise ParseError(message, *self.at(self.peek()))
@@ -127,8 +143,7 @@ class _Parser:
     # -- grammar
 
     def program(self) -> Program:
-        t = self.peek()
-        if t[1] != "sites":
+        if self.peek()[1] != "sites":
             self.fail("program must start with a 'sites' declaration")
         self.next()
         self.layout = self.site_list()
@@ -175,50 +190,40 @@ class _Parser:
                          *self.at(t))
 
     def expr(self, env: dict) -> HamExpr:
-        negate = False
-        if self.peek()[1] == "-" and not self._literal_ahead(1):
-            # leading minus on a non-literal term
-            self.next()
-            negate = True
+        tokens = self.tokens
+        after = tokens[self.pos + 1]
+        # a leading minus on a non-literal term
+        negate = (tokens[self.pos][1] == "-" and after[0] not in _NUMBERS
+                  and after[1] != "sqrt")
+        self.pos += negate
         first = self.term(env)
         parts = [scale(-1, first) if negate else first]
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+        while (op := tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
             part = self.term(env)
             parts.append(scale(-1, part) if op == "-" else part)
-        return ham_sum(*parts)
+        return parts[0] if len(parts) == 1 else ham_sum(*parts)
 
     def term(self, env: dict) -> HamExpr:
+        """Juxtaposed factors; a '-' between them is expr()'s binary minus."""
         factors = [self.factor(env)]
-        while self._starts_factor():
+        tokens = self.tokens
+        while True:
+            kind, text, _ = tokens[self.pos]
+            if text not in _FACTOR_STARTS and kind not in _NUMBERS:
+                return factors[0] if len(factors) == 1 else seq(*factors)
             factors.append(self.factor(env))
-        return seq(*factors)
-
-    def _starts_factor(self) -> bool:
-        t = self.peek()
-        if t[0] in ("int", "float", "imag"):
-            return True
-        if t[0] == "name":
-            return t[1] in ("a", "adag", "I", "X", "Y", "Z", "dag", "sum",
-                            "sqrt")
-        # a '-' between factors is always the binary minus of expr()
-        return t[1] == "("
-
-    def _literal_ahead(self, offset: int) -> bool:
-        t = self.peek(offset)
-        return t[0] in ("int", "float", "imag") or t[1] == "sqrt"
 
     def factor(self, env: dict, z=None) -> HamExpr:
         """One factor times z, the literal prefix before it if any.  An
         indexed atom takes z into its amplitudes; any other factor, a
         further prefix included, goes through scale(z, ...) as before."""
-        start = self.peek()
-        kind, text, _ = start
-        if text in ("a", "adag", "I", "X", "Y", "Z") and \
-                self.peek(1)[1] == "(":
+        tokens = self.tokens
+        kind, text, _ = start = tokens[self.pos]
+        if text in _ATOMS and tokens[self.pos + 1][1] == "(":
             return self.indexed_atom(env, z)
         w = None
-        if kind in ("int", "float", "imag") or text in ("sqrt", "-"):
+        if kind in _NUMBERS or text in ("sqrt", "-"):
             w = self.literal()
         elif text == "(":
             w = self._try_paren_complex()
@@ -246,12 +251,17 @@ class _Parser:
         return e if z is None else scale(z, e)
 
     def indexed_atom(self, env: dict, z=None) -> HamExpr:
-        t = self.next()
-        name = t[1]
-        self.pos += 1   # the '(' that factor() looked at
-        j = self.index_expr(env)
-        self.expect(")")
-        lay = self.layout
+        tokens, pos = self.tokens, self.pos
+        t, idx = tokens[pos], tokens[pos + 2]   # past the '(' factor() saw
+        # a bare index, the common case, skips index_expr
+        if tokens[pos + 3][1] == ")" and (idx[0] == "int" or idx[1] in env):
+            j = self.int_of(idx) if idx[0] == "int" else env[idx[1]]
+            self.pos = pos + 4
+        else:
+            self.pos = pos + 2
+            j = self.index_expr(env)
+            self.expect(")")
+        name, lay = t[1], self.layout
         if not 0 <= j < len(lay):
             try:
                 shown = f"site index {j}"
@@ -262,18 +272,21 @@ class _Parser:
         if name in ("X", "Y", "Z") and site_dim(lay[j]) != 2:
             raise ParseError(f"{name}({j}) needs a two-dimensional site, "
                              f"found {lay[j]}", *self.at(t))
-        # each atom built once, with the amplitude scale(z, atom) gives it
-        amp = (lambda base: base) if z is None else (lambda base: z * base)
-        one = amp(1 + 0j)
-        cr, an = (j, LadderKind.CREATE), (j, LadderKind.ANNIHILATE)
-        if name in ("I", "a", "adag"):
-            return Atom(lay, {"I": None, "a": an, "adag": cr}[name], one)
+        # each atom built once, with the amplitude scale(z, atom) gives it:
+        # z * base, or base itself when there is no prefix
+        one = 1 + 0j if z is None else z * (1 + 0j)
+        if name in ("a", "adag", "I"):
+            return Atom(lay, None if name == "I" else
+                        (j, _CREATE if name == "adag" else _ANNIHILATE), one)
+        cr, an = (j, _CREATE), (j, _ANNIHILATE)
         if name == "X":
             return Sum(Atom(lay, cr, one), Atom(lay, an, one))
         if name == "Y":
-            return Sum(Atom(lay, an, amp(1j)), Atom(lay, cr, amp(-1j)))
+            return Sum(Atom(lay, an, 1j if z is None else z * 1j),
+                       Atom(lay, cr, -1j if z is None else z * -1j))
         return Sum(Seq(Atom(lay, cr, one), Atom(lay, an)),
-                   Seq(Atom(lay, an, amp(-1 + 0j)), Atom(lay, cr)))
+                   Seq(Atom(lay, an, -1 + 0j if z is None else z * (-1 + 0j)),
+                       Atom(lay, cr)))
 
     def sum_loop(self, env: dict) -> HamExpr:
         self.expect("sum")

@@ -680,6 +680,34 @@ def test_compile_out_writes_the_encoding_report_beside_the_circuit(
     assert side == json.dumps(record["encoding"], indent=2) + "\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_failed_compile_out_leaves_no_file_behind(tmp_path, capsys, flags):
+    # the report cannot be written where a directory takes its name, so
+    # the circuit written before it is removed again
+    prog, _ = spin_program(tmp_path)
+    out = tmp_path / "h.circ"
+    (tmp_path / "h.circ.encoding.json").mkdir()
+    code = main([*flags, "compile", prog, "--t", "0.5", "--n", "1",
+                 "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert (code, stdout) == (1, "")
+    assert "Is a directory" in err
+    assert not out.exists()
+    assert (tmp_path / "h.circ.encoding.json").is_dir()
+
+
+def test_a_failed_out_keeps_a_file_it_could_not_open(tmp_path, capsys):
+    # the circuit's own path is a directory: nothing was written, and the
+    # directory stays
+    prog, _ = spin_program(tmp_path)
+    out = tmp_path / "h.circ"
+    out.mkdir()
+    assert main(["compile", prog, "--t", "0.5", "--n", "1",
+                 "--out", str(out)]) == 1
+    assert out.is_dir()
+    assert not (tmp_path / "h.circ.encoding.json").exists()
+
+
 def test_fit_of_an_empty_schedule_prints_nothing_in_text_mode(tmp_path,
                                                               capsys):
     # one site is no pair, and the identity term is a global phase

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 
@@ -171,3 +173,29 @@ def test_an_atoms_ladder_names_a_site_of_its_layout():
     with pytest.raises(ValueError):
         Atom(())
 
+
+
+def rebuilt(e):
+    """An equal tree of new nodes, built by the constructors alone."""
+    if isinstance(e, Atom):
+        return Atom(list(e.layout), e.ladder, e.amp)
+    return type(e)(*(rebuilt(c) for c in e.children))
+
+
+def test_nodes_are_slotted_frozen_and_equal_to_a_rebuilt_copy():
+    e = op("t(2), F", "-X(0) - 0.5 * Y(0) Z(1) + 2i * dag(adag(1) a(0))")
+    nodes = [e, e.children[2], e.children[2].children[0].children[0]]
+    assert [type(n) for n in nodes] == [Sum, Seq, Atom]
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        field = "amp" if isinstance(node, Atom) else "children"
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, field, getattr(node, field))
+        with pytest.raises(FrozenInstanceError):
+            node.layout = ()
+        copy = rebuilt(node)
+        assert copy is not node and copy.layout is not node.layout
+        assert copy == node and hash(copy) == hash(node)
+        assert repr(copy) == repr(node)
+    # a Sum or Seq leaves its layout out of its repr, as before
+    assert repr(e).count("layout=") == repr(e).count("Atom(")

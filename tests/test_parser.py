@@ -10,7 +10,7 @@ from qblue.expr import (
     Atom, Boson, Flag, LadderKind, Seq, Sum, dagger, ham_sum, scale, seq,
 )
 from qblue.fock import format_sites
-from qblue.parser import parse
+from qblue.parser import _position, parse, tokenize
 from qblue.typecheck import canonicalize, typecheck
 
 from strategies import layouts, on, program_text
@@ -144,6 +144,7 @@ def test_round_trip_keeps_literals_dag_and_minus():
      2, 13),
     ("sites t(2);\nH = a(0) # a(0);", "unexpected character '#'", 2, 10),
     ("sites t(2), t(0);", "site dimension must be at least 1", 1, 15),
+    ("sites t(2);\nH = a(0) ² a(0);", "unexpected character '²'", 2, 10),
 ])
 def test_parse_error_positions(source, message, line, col):
     with pytest.raises(ParseError) as err:
@@ -202,6 +203,86 @@ def test_error_positions_under_any_spacing(text, data):
 
 
 # ---------------------------------------------------------------------------
+# the one-scan tokenizer agrees with the named-group tokenizer it replaced
+# ---------------------------------------------------------------------------
+
+REFERENCE_TOKEN_RE = re.compile(r"""
+    (?:\s+|//[^\n]*)*                  # whitespace and comments first
+    (?: (?P<imag>(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?i\b)
+      | (?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+      | (?P<int>\d+)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<punct>\.\.|[()=;,+\-*{}])
+      | (?P<eof>\Z)
+      | (?P<bad>[\s\S]+) )                # an unexpected character, to the end
+""", re.VERBOSE)
+
+
+def reference_tokenize(src):
+    """The tokens of src as ``(kind, text, offset)`` tuples: one regex match
+    per token, the kind the name of the group that matched."""
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in REFERENCE_TOKEN_RE.finditer(src)]
+    if len(tokens) > 1 and tokens[-2][0] == "bad":
+        offset = tokens[-2][2]
+        raise ParseError(f"unexpected character {src[offset]!r}",
+                         *reference_position(src, offset))
+    return tokens + tokens[-1:] * 6
+
+
+def reference_position(src, offset):
+    """The 1-based line and column of offset in src."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
+
+
+def assert_tokens_match_the_reference(src):
+    """The same kinds and texts, and at each token the line and column of
+    the reference's offset; or the same ParseError at the same place."""
+    try:
+        want = reference_tokenize(src)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            tokenize(src)
+        assert (str(err.value), err.value.line, err.value.col) == (
+            str(exc), exc.line, exc.col)
+        return
+    got = tokenize(src)
+    assert [t[:2] for t in got] == [t[:2] for t in want]
+    assert [_position(src, t[2]) for t in got] == [
+        reference_position(src, t[2]) for t in want]
+
+
+@pytest.mark.parametrize("src", [
+    "2in", ".5", "..5", "1..2", "1e5i", "1.5e", "2ie", "sites t(٣);",
+    "sites t(2);\nH = a(0); // no newline after it", "", " \n\t", "// x",
+    # ² is a digit to str.isdigit, but not a decimal digit
+    "sites t(2);\nH = a(0) ² a(0);", "2²", "a(0) . a(1)", "0.5 .", "x@",
+])
+def test_tokenize_matches_the_reference_on(src):
+    assert_tokens_match_the_reference(src)
+
+
+def test_tokenize_kinds():
+    assert [t[:2] for t in tokenize("2in .5 1..2 1e5i t(٣)")[:12]] == [
+        ("int", "2"), ("name", "in"), ("float", ".5"), ("int", "1"),
+        ("punct", ".."), ("int", "2"), ("imag", "1e5i"), ("name", "t"),
+        ("punct", "("), ("int", "٣"), ("punct", ")"), ("eof", "")]
+
+
+@given(program_texts(), st.data())
+def test_tokenize_matches_the_reference(text, data):
+    separator = st.sampled_from(["", *SEPARATORS])
+    pieces = [data.draw(separator)]
+    for token in TOKEN_TEXT.findall(text):
+        pieces += [token, data.draw(separator)]
+    src = "".join(pieces)
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, len(src)))
+        src = src[:k] + data.draw(st.sampled_from("$@²٣é")) + src[k:]
+    assert_tokens_match_the_reference(src)
+
+
+# ---------------------------------------------------------------------------
 # a literal prefix folds into the atoms it scales, with the same amplitudes
 # ---------------------------------------------------------------------------
 
@@ -252,3 +333,30 @@ def test_literal_prefix_folds_into_the_atoms(body, want):
     # included: each prefix multiplies from the atom outwards, as nested
     # scale calls do
     assert repr(got) == repr(want)
+
+
+def test_a_tree_of_every_construct_is_unchanged():
+    # recorded from the parser before the one-scan tokenizer and the
+    # slotted nodes
+    e = definition("sites t(2), F;\nH = -X(0) - 0.5 * Y(0) Z(1)"
+                   " + (0.5-0.25i) * dag(adag(1) a(0))"
+                   " + sqrt(2) * sum j in 0..0 {"
+                   " sum k in 1..1 { a(j) adag(k) } }"
+                   " - 2i * I(1);\n")
+    assert repr(e).replace(repr(e.layout), "L").replace(
+        "<LadderKind.CREATE: 1>", "CR").replace(
+        "<LadderKind.ANNIHILATE: -1>", "AN") == (
+        'Sum(children=(Atom(layout=L, ladder=(0, CR), amp=(-1+0j)), '
+        'Atom(layout=L, ladder=(0, AN), amp=(-1+0j)), '
+        'Seq(children=(Sum(children=(Atom(layout=L, ladder=(0, AN), '
+        'amp=(-0-0.5j)), Atom(layout=L, ladder=(0, CR), amp=0.5j))), '
+        'Sum(children=(Seq(children=(Atom(layout=L, ladder=(1, CR), '
+        'amp=(1+0j)), Atom(layout=L, ladder=(1, AN), amp=(1+0j)))), '
+        'Seq(children=(Atom(layout=L, ladder=(1, AN), amp=(-1+0j)), '
+        'Atom(layout=L, ladder=(1, CR), amp=(1+0j)))))))), '
+        'Seq(children=(Atom(layout=L, ladder=(0, CR), amp=(0.5-0.25j)), '
+        'Atom(layout=L, ladder=(1, AN), amp=(1-0j)))), '
+        'Seq(children=(Atom(layout=L, ladder=(0, AN), '
+        'amp=(1.4142135623730951+0j)), Atom(layout=L, ladder=(1, CR), '
+        'amp=(1+0j)))), Atom(layout=L, ladder=None, amp=(-0-2j))))')
+    assert repr(e.layout) == "(Boson(dim=2), Fermion())"
