@@ -2,8 +2,8 @@
 and compilation to digital circuits or analog machine schedules."""
 
 from .errors import (
-    CompileError, DimensionCapError, EncodingError, FitError, LayoutError,
-    NonHermitianError, ParseError, QBlueError, StateFormatError,
+    CompileError, DimensionCapError, LayoutError, NonHermitianError,
+    ParseError, QBlueError,
 )
 from .expr import (
     Atom, Boson, Fermion, Flag, HamExpr, LadderKind, OpType, Seq, Sum,
@@ -11,7 +11,7 @@ from .expr import (
 )
 from .typecheck import (
     CanonicalForm, adjoint, canonical_allclose, canonicalize,
-    hermiticity_report, is_hermitian, typecheck,
+    hermiticity_report, typecheck,
 )
 from .fock import (
     FockState, Ket, apply, format_state, make_state, parse_state,
@@ -24,7 +24,7 @@ from .linalg import (
 )
 from .circuit import Circuit, Gate, circuit_to_matrix, format_circuit, parse_circuit
 from .trotter import (
-    IBM, AnalogSchedule, MachineSpec, TrotterPlan, compile_digital,
+    IBM, MachineSpec, TrotterPlan, compile_digital,
     encode_hermitian, fit_machine, plan_to_circuit, synthesize_term,
     trotterize, verify_circuit,
 )

@@ -1,18 +1,19 @@
 """Command-line driver: check / eval / energy / compile / fit / verify.
 
-Exit codes: 0 ok, 1 usage, 2 parse error, 3 type error, 4 fit/compile
-error, 5 dimension cap or unit cap (``DimensionCapError``).  Parsing never
-exits 3 (a parsed program has one layout): exit 3 is ``energy`` of a
-flag-p program or ``eval`` of a state on another layout.  An input that
-exhausts the recursion limit or the memory exits 1 with a one-line error
-naming the cause, not a traceback (see ``main``), as does an ``eval`` that
-overflows the float range, and a non-finite ``--t`` is a usage error.
-With --json, reports and diagnostics are emitted as JSON lines.  One
-driver, ``_run``, reads the program, picks the definition (``check`` takes
-them all) and calls ``cmd_<name>(args, name, e)`` for its record and a
-function that builds its text.  --out writes the text and prints ``wrote
-<out>``, or the record under --json; ``compile --out`` also writes the
-record's ``encoding`` report to ``<out>.encoding.json``.
+Exit codes: 0 ok, 1 usage, 2 parse error (``ParseError``), 3 type error
+(``LayoutError`` or ``NonHermitianError``), 4 fit/compile error
+(``CompileError``), 5 dimension cap or unit cap (``DimensionCapError``).
+Parsing never exits 3 (a parsed program has one layout): exit 3 is
+``energy`` of a flag-p program or ``eval`` of a state on another layout.
+An input that exhausts the recursion limit or the memory exits 1 with a
+one-line error naming the cause, not a traceback (see ``main``), as does an
+``eval`` that overflows the float range, and a non-finite ``--t`` is a
+usage error.  With --json, reports and diagnostics are emitted as JSON
+lines.  One driver, ``_run``, reads the program, picks the definition
+(``check`` takes them all) and calls ``cmd_<name>(args, name, e)`` for its
+record and a function that builds its text.  --out writes the text and
+prints ``wrote <out>``, or the record under --json; ``compile --out`` also
+writes the record's ``encoding`` report to ``<out>.encoding.json``.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``certificate`` when the exact
@@ -42,13 +43,13 @@ from pathlib import Path
 from . import linalg, trotter
 from .circuit import format_circuit, parse_circuit
 from .errors import (
-    CompileError, DimensionCapError, EncodingError, LayoutError,
-    NonHermitianError, ParseError, QBlueError,
+    CompileError, DimensionCapError, LayoutError, NonHermitianError,
+    ParseError, QBlueError,
 )
-from .expr import Flag, OpType
+from .expr import Flag
 from .fock import apply, format_state, parse_state
 from .parser import parse
-from .typecheck import is_hermitian, typecheck
+from .typecheck import typecheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,10 +126,8 @@ def _diagnostic(args, code: str, exc: Exception) -> None:
     record = {"level": "error", "code": code, "message": str(exc)}
     if isinstance(exc, LayoutError):
         record["path"] = exc.path
-        if exc.left is not None:
-            record["left_sites"] = [str(s) for s in exc.left]
-        if exc.right is not None:
-            record["right_sites"] = [str(s) for s in exc.right]
+        record["left_sites"] = [str(s) for s in exc.left]
+        record["right_sites"] = [str(s) for s in exc.right]
     if isinstance(exc, ParseError):
         record["line"] = exc.line
         record["col"] = exc.col
@@ -160,11 +159,7 @@ def _kets(state) -> list:
 
 
 def cmd_check(args, name, e):
-    ty, method = typecheck(e, promote=False), "structural"
-    if ty.flag is Flag.P:
-        method = "certificate"
-        if is_hermitian(e):
-            ty = OpType(Flag.H, ty.sites)
+    ty, method = typecheck(e)
     verdict = "hermitian" if ty.flag is Flag.H else "not certified hermitian"
     return ({"type": str(ty), "flag": ty.flag.value,
              "sites": [str(s) for s in ty.sites],
@@ -179,8 +174,7 @@ def cmd_eval(args, name, e):
 
 
 def cmd_energy(args, name, e):
-    ty = typecheck(e)
-    if ty.flag is not Flag.H:
+    if typecheck(e)[0].flag is not Flag.H:
         raise NonHermitianError(
             f"{name} certifies only flag p; ground energy needs a Hermitian "
             "operator")
@@ -200,7 +194,7 @@ def cmd_fit(args, name, e):
     hs, _report = trotter.encode_hermitian(e)
     schedule = trotter.fit_machine(hs, trotter.IBM)
     return ({"machine": trotter.IBM.name,
-             "pairs": [[j, dict(slots)] for j, slots in schedule.assignments]},
+             "pairs": [[j, dict(slots)] for j, slots in schedule]},
             lambda: trotter.format_schedule(schedule))
 
 
@@ -291,7 +285,7 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         _diagnostic(args, "dimension", exc)
         return EXIT_DIM
-    except (CompileError, EncodingError) as exc:
+    except CompileError as exc:
         _diagnostic(args, "compile", exc)
         return EXIT_COMPILE
     except (QBlueError, ValueError, OSError) as exc:

@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 
-from .errors import EncodingError
+from .errors import CompileError
 from .expr import Boson, Fermion, SiteList
 from .pauli import pauli_sum
 from .typecheck import CanonicalForm
@@ -62,16 +62,16 @@ def infer_encoding(layout: SiteList):
     if all(isinstance(s, Fermion) for s in layout):
         return "jw", None
     if any(isinstance(s, Fermion) for s in layout):
-        raise EncodingError("mixed fermion/boson layouts are not encodable")
+        raise CompileError("mixed fermion/boson layouts are not encodable")
     dims = {s.dim for s in layout}
     if dims == {2}:
         return "direct", None
     if len(dims) != 1:
-        raise EncodingError("boson sites must share one dimension to encode")
+        raise CompileError("boson sites must share one dimension to encode")
     d = dims.pop()
     n = (d.bit_length() - 1) - 1
     if d != 2 ** (n + 1) or n < 1:
-        raise EncodingError(
+        raise CompileError(
             f"boson dimension {d} is not a power of two >= 4")
     return "hp", n
 

@@ -34,21 +34,18 @@ class LayoutError(QBlueError):
 
     Carries the place of the mismatch plus both conflicting site lists so
     diagnostics can point at it.  The place is ``root`` for a Sum or Seq
-    whose children disagree, which raises as it is built, or an operation
-    such as ``apply`` for operands of a state function.  A parsed program
-    never raises it: every node of it spans the declared layout.
+    whose children disagree, which raises as it is built, or ``apply`` for
+    an operator and a state on different layouts.  A parsed program never
+    raises it: every node of it spans the declared layout.
     """
 
-    def __init__(self, message, path="root", left=None, right=None):
+    def __init__(self, message, path, left, right):
+        from .expr import layout_str
         self.path = path
         self.left = left
         self.right = right
-        detail = message
-        if left is not None and right is not None:
-            from .expr import layout_str
-            detail = (f"{message} at {path}: "
-                      f"[{layout_str(left)}] vs [{layout_str(right)}]")
-        super().__init__(detail)
+        super().__init__(f"{message} at {path}: "
+                         f"[{layout_str(left)}] vs [{layout_str(right)}]")
 
 
 class AmplitudeError(ValueError):
@@ -63,20 +60,8 @@ class NonHermitianError(QBlueError):
     """Operation requires a Hermitian operator but got a plain one."""
 
 
-class EncodingError(QBlueError):
-    """Layout cannot be encoded by the requested particle transformation."""
-
-
 class CompileError(QBlueError):
     """Program cannot be compiled to a circuit or schedule."""
-
-
-class FitError(CompileError):
-    """Hamiltonian terms not covered by the machine's interaction templates."""
-
-    def __init__(self, message, uncovered=()):
-        self.uncovered = tuple(uncovered)
-        super().__init__(message)
 
 
 class ParseError(QBlueError):
@@ -87,7 +72,3 @@ class ParseError(QBlueError):
         self.col = col
         super().__init__(f"{message} (line {line}, column {col})")
 
-
-class StateFormatError(ParseError):
-    """Malformed state-literal text, at the line and column of the bad
-    field."""

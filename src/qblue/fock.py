@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import ZERO_TOL, LayoutError, StateFormatError, negligible
+from .errors import ZERO_TOL, LayoutError, ParseError, negligible
 from .expr import Atom, Boson, Fermion, HamExpr, Seq, SiteList, Sum, site_dim
 
 
@@ -80,8 +80,7 @@ def _state(layout: SiteList, acc: dict) -> FockState:
 
 def _check_occ(layout, occ):
     if len(occ) != len(layout):
-        raise LayoutError("occupation vector arity does not match layout",
-                          "state", tuple(layout), None)
+        raise ValueError("occupation vector arity does not match layout")
     for k, site in zip(occ, layout):
         if not 0 <= k < site_dim(site):
             raise ValueError(
@@ -177,7 +176,7 @@ def format_sites(layout: SiteList) -> str:
 def parse_state(text: str) -> FockState:
     """The state of text, each ket tested against the amplitudes listed
     for its occupation only, so a state ``format_state`` wrote reads back
-    unchanged.  A malformed line raises StateFormatError at its line and
+    unchanged.  A malformed line raises ParseError at its line and
     the 1-based column of the bad field: a header other than ``sites:`` and
     site types F or t(m >= 1), a line that is no ket, an amplitude part
     that is not a finite number, or an occupation vector of the wrong
@@ -185,8 +184,8 @@ def parse_state(text: str) -> FockState:
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     n, header = lines[0] if lines else (1, "")
     if not header.lstrip().startswith("sites:"):
-        raise StateFormatError("state text must start with a 'sites:' header",
-                               n, _column(header, 0))
+        raise ParseError("state text must start with a 'sites:' header",
+                         n, _column(header, 0))
     layout = _parse_sites(n, header)
     # _parse_ket checks each ket's occupations, to report the column
     return _state(layout, _summed(
@@ -215,8 +214,7 @@ def _parse_ket(n: int, line: str, layout: SiteList) -> tuple:
     """(amplitude, occupations) of ket line n."""
     m = _KET_RE.match(line)
     if not m:
-        raise StateFormatError(f"bad ket line {line.strip()!r}", n,
-                               _column(line, 0))
+        raise ParseError(f"bad ket line {line.strip()!r}", n, _column(line, 0))
     amp = complex(*(_at(n, m.start(g) + 1, _finite, m[g]) for g in (1, 2)))
     col = m.start(3) + 1
     occ = (tuple(_at(n, col, int, x) for x in m[3].split(","))
@@ -241,12 +239,12 @@ def _column(line: str, offset: int) -> int:
 
 
 def _at(n: int, col: int, convert, *args):
-    """convert(*args), a ValueError or LayoutError it raises reported as a
-    StateFormatError at line n, column col."""
+    """convert(*args), a ValueError it raises reported as a ParseError at
+    line n, column col."""
     try:
         return convert(*args)
-    except (ValueError, LayoutError) as exc:
-        raise StateFormatError(str(exc), n, col) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), n, col) from None
 
 
 def format_state(s: FockState) -> str:

@@ -190,6 +190,11 @@ class _Parser:
                          *self.at(t))
 
     def expr(self, env: dict) -> HamExpr:
+        parts = self.terms(env)
+        return parts[0] if len(parts) == 1 else ham_sum(*parts)
+
+    def terms(self, env: dict) -> list:
+        """The signed terms of an expr; a sum loop gathers all of its own."""
         tokens = self.tokens
         after = tokens[self.pos + 1]
         # a leading minus on a non-literal term
@@ -202,7 +207,7 @@ class _Parser:
             self.pos += 1
             part = self.term(env)
             parts.append(scale(-1, part) if op == "-" else part)
-        return parts[0] if len(parts) == 1 else ham_sum(*parts)
+        return parts
 
     def term(self, env: dict) -> HamExpr:
         """Juxtaposed factors; a '-' between them is expr()'s binary minus."""
@@ -305,7 +310,7 @@ class _Parser:
         parts = []
         for v in range(lo, hi + 1):
             self.pos = body_start
-            parts.append(self.expr({**env, var[1]: v}))
+            parts.extend(self.terms({**env, var[1]: v}))
         self.expect("}")
         return ham_sum(*parts)
 

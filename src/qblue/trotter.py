@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, circuit_to_matrix
-from .errors import CompileError, FitError, NonHermitianError
+from .errors import COEFF_EQ_TOL, CompileError, NonHermitianError, negligible
 from .encodings import encode_for_compile
 from .expr import HamExpr
 from .linalg import matrix_exp_sim, phase_aligned_distance
@@ -119,7 +119,11 @@ def encode_hermitian(e: HamExpr):
     The one step from a program to qubits that ``compile``, ``fit`` and
     ``verify`` share: the Hermiticity certificate decides flag h, and the
     encoder takes the canonical form the certificate built, on the method
-    the layout's site types pick.  Flag p raises CompileError.
+    the layout's site types pick.  Flag p raises CompileError.  The
+    certificate is the one Hermiticity verdict on this path, so the sum
+    keeps the real part of each encoded coefficient, and a string drops
+    when that part is ``negligible`` at COEFF_EQ_TOL against its |c|: what
+    remains of an imaginary part is the rounding of a cancellation.
     """
     hermitian, form = hermiticity_report(e)
     if not hermitian:
@@ -127,9 +131,9 @@ def encode_hermitian(e: HamExpr):
             "only Hermitian programs (flag h) are executable; this one "
             "certifies only flag p")
     hs, report = encode_for_compile(form)
-    if not is_hermitian_pauli(hs):
-        raise CompileError("encoding produced a non-Hermitian Pauli sum")
-    return hs, report
+    return PauliSum(hs.qubits, tuple(
+        (complex(c.real), s) for c, s in hs.terms
+        if not negligible(c.real, abs(c), COEFF_EQ_TOL))), report
 
 
 def compile_digital(e: HamExpr, t: float, n: int):
@@ -175,20 +179,16 @@ IBM = MachineSpec("ibm", (
 ))
 
 
-@dataclass(frozen=True)
-class AnalogSchedule:
-    """Per-pair coefficient assignment for every template slot."""
+def fit_machine(hs: PauliSum, spec: MachineSpec) -> tuple:
+    """The assignments ((j, ((slot, coeff), ...)), ...) of hs: for each
+    pair (j, j+1), the summed coefficient of every template slot.
 
-    machine: str
-    width: int
-    assignments: tuple  # tuple[tuple[int, tuple[tuple[str, float], ...]], ...]
-
-
-def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
-    """Assign every term of hs to a matching template slot.
-
-    Exact cover is required: any term whose support or letters fit no
-    template raises FitError listing the uncovered terms (they would need a
+    One table maps the full-width string of each template at each pair to
+    that (pair, slot), and a term fits exactly when its string is a key.
+    The templates whose left letter is I enter first, so a lone letter that
+    both (L, I) at its own pair and (I, L) at the pair before could host
+    goes to the left-letter one.  Exact cover is required: any other term
+    raises CompileError listing the uncovered terms (they would need a
     further Trotter split into machine-sized pieces).  The identity term is
     a global phase, as in ``trotterize``; no template realizes it and the
     schedule leaves it out.
@@ -196,44 +196,29 @@ def fit_machine(hs: PauliSum, spec: MachineSpec) -> AnalogSchedule:
     if not is_hermitian_pauli(hs):
         raise NonHermitianError("machine fitting requires a Hermitian sum")
     width = hs.qubits
-    pairs = {j: {slot: 0.0 for slot, _ in spec.templates}
-             for j in range(max(width - 1, 0))}
-    # a two-qubit support has no I, so it only matches a pair template
-    slots = {tpl: slot for slot, tpl in spec.templates}
-    uncovered = []
+    table = {"I" * j + left + right + "I" * (width - j - 2): (j, slot)
+             for slot, (left, right) in sorted(spec.templates,
+                                               key=lambda t: t[1][0] != "I")
+             for j in range(width - 1)}
+    table.pop("I" * width, None)   # an (I, I) template takes no identity
+    sums, uncovered = {}, []   # sums: (pair, slot) -> coefficient
     for coeff, string in hs.terms:
-        support = [q for q, letter in enumerate(string) if letter != "I"]
-        if not support:
-            continue
-        slot = None
-        if len(support) == 2 and support[1] == support[0] + 1:
-            j = support[0]
-            slot = slots.get((string[j], string[j + 1]))
-        elif len(support) == 1:
-            q = support[0]
-            letter = string[q]
-            # a single-qubit term sits on whichever pair side hosts it
-            if (letter, "I") in slots and q + 1 < width:
-                j, slot = q, slots[(letter, "I")]
-            elif ("I", letter) in slots and q - 1 >= 0:
-                j, slot = q - 1, slots[("I", letter)]
-        if slot is None:
+        if string in table:
+            sums[table[string]] = sums.get(table[string], 0.0) + coeff.real
+        elif string.strip("I"):   # the identity term is a global phase
             uncovered.append((coeff, string))
-            continue
-        pairs[j][slot] += coeff.real
     if uncovered:
         listing = ", ".join(f"{c.real:+g} {s}" for c, s in uncovered)
-        raise FitError(
-            f"machine '{spec.name}' has no template for: {listing}", uncovered)
-    assignments = tuple(
-        (j, tuple((slot, pairs[j][slot]) for slot, _ in spec.templates))
-        for j in sorted(pairs))
-    return AnalogSchedule(spec.name, width, assignments)
+        raise CompileError(
+            f"machine '{spec.name}' has no template for: {listing}")
+    return tuple((j, tuple((slot, sums.get((j, slot), 0.0))
+                           for slot, _ in spec.templates))
+                 for j in range(width - 1))
 
 
-def format_schedule(schedule: AnalogSchedule) -> str:
+def format_schedule(assignments: tuple) -> str:
     lines = []
-    for j, slots in schedule.assignments:
+    for j, slots in assignments:
         body = " ".join(f"{slot}={coeff:g}" for slot, coeff in slots)
         lines.append(f"pair {j} {j + 1}: {body}")
     return "\n".join(lines) + "\n"

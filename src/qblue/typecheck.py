@@ -198,28 +198,25 @@ def hermiticity_report(e: HamExpr) -> tuple[bool, CanonicalForm]:
     return canonical_allclose(adjoint(form), form), form
 
 
-def is_hermitian(e: HamExpr) -> bool:
-    return hermiticity_report(e)[0]
-
-
 # ---------------------------------------------------------------------------
 # Typing
 # ---------------------------------------------------------------------------
 
-def typecheck(e: HamExpr, promote: bool = True) -> OpType:
-    """Infer the operator type F[flag](sites).
+def typecheck(e: HamExpr) -> tuple[OpType, str]:
+    """Infer the operator type F[flag](sites) and what decided its flag.
 
     The site list is the one the root stored when it was built, and one
     walk gives the structural flag: an atom with no ladder is H when its
     amplitude is exactly real, any other atom P; sum and sequencing join their
-    children's flags, so H survives only when every child is H.  With
-    ``promote`` the Hermiticity certificate then lifts the root to H when it
-    succeeds.
+    children's flags, so H survives only when every child is H.  Two checks
+    decide: ``"structural"`` when that walk gives H, else ``"certificate"``,
+    the Hermiticity certificate (``hermiticity_report``), which lifts the
+    root to H when it succeeds.
     """
-    flag = _flag(e)
-    if promote and flag is Flag.P and is_hermitian(e):
-        flag = Flag.H
-    return OpType(flag, e.layout)
+    if _flag(e) is Flag.H:
+        return OpType(Flag.H, e.layout), "structural"
+    flag = Flag.H if hermiticity_report(e)[0] else Flag.P
+    return OpType(flag, e.layout), "certificate"
 
 
 def _flag(e: HamExpr) -> Flag:

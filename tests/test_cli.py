@@ -984,3 +984,46 @@ def test_compile_names_why_the_layout_has_no_encoding(sites, body, message,
     assert (code, out) == (4, "")
     assert json.loads(err) == {"level": "error", "code": "compile",
                                "message": message}
+
+
+def test_a_program_check_certifies_also_compiles(tmp_path, capsys):
+    # the real parts of the XX string cancel to 5e-7 while its imaginary
+    # parts leave a rounding residue; the certificate calls H hermitian, so
+    # compile and verify take its encoding as it is, not a second verdict
+    text = ("sites t(2), t(2);\nH = (0.000001+0.1i) * adag(0) a(1)"
+            " + 0.2i * adag(0) a(1) + (0.000001-0.3i) * adag(1) a(0);\n")
+    prog, circ = tmp_path / "h.qb", str(tmp_path / "h.circ")
+    prog.write_text(text)
+    code, out, _ = run_json(capsys, ["check", str(prog)])
+    assert code == 0
+    assert json.loads(out)["decided_by"] == "certificate"
+    assert json.loads(out)["hermitian"] is True
+    t, steps = 1.0, 1
+    code, _, err = run_json(capsys, ["compile", str(prog), "--t", str(t),
+                                     "--n", str(steps), "--out", circ])
+    assert (code, err) == (0, "")
+    code, out, err = run_json(capsys, ["verify", circ, str(prog),
+                                       "--t", str(t)])
+    assert (code, err) == (0, "")
+    hs, _ = encode_for_compile(canonicalize(parse(text).defs["H"]))
+    assert 0 <= json.loads(out)["distance"] <= commutator_bound(hs, t, steps)
+
+
+def test_a_layout_mismatch_names_its_place_and_both_site_lists(tmp_path,
+                                                               capsys):
+    prog, st = tmp_path / "h.qb", tmp_path / "in.state"
+    prog.write_text("sites t(2), t(2);\nH = adag(0) a(1);\n")
+    st.write_text("sites: t(2)\n(1,0) |0>\n")
+    code, out, err = run_json(capsys, ["eval", str(prog), "--state", str(st)])
+    assert (code, out) == (3, "")
+    record = json.loads(err)
+    assert (record["code"], record["path"]) == ("type", "apply")
+    assert record["left_sites"] == ["t(2)", "t(2)"]
+    assert record["right_sites"] == ["t(2)"]
+    # a ket of the wrong length is a fault of the state text, at its field
+    st.write_text("sites: t(2)\n(1,0) |0,1>\n")
+    code, out, err = run_json(capsys, ["eval", str(prog), "--state", str(st)])
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    assert (record["code"], record["line"], record["col"]) == ("parse", 2, 8)
+    assert "path" not in record

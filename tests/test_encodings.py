@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.errors import EncodingError
+from qblue.errors import CompileError
 from qblue.encodings import encode_for_compile
 from qblue.parser import parse
 from qblue.pauli import PauliSum, pauli_sum, pauli_to_matrix
@@ -71,7 +71,7 @@ def test_unary_encoding_on_one_hot_strings(n, max_sites, data):
 
 
 def test_encoding_rejects_other_layouts():
-    with pytest.raises(EncodingError, match="mixed"):
+    with pytest.raises(CompileError, match="mixed"):
         encode_for_compile(canonicalize(op("F, t(2)", "adag(0) a(1)")))
 
 

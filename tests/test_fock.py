@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qblue.errors import ZERO_TOL, LayoutError, StateFormatError, negligible
+from qblue.errors import ZERO_TOL, LayoutError, ParseError, negligible
 from qblue.expr import (
     Atom, Boson, Fermion, LadderKind, Seq, Sum, dagger, site_dim,
 )
@@ -407,7 +407,7 @@ def test_make_state_validates_occupations():
         make_state((T2,), [(1.0, (2,))])
     with pytest.raises(ValueError):
         make_state((F,), [(1.0, (2,))])
-    with pytest.raises(LayoutError):
+    with pytest.raises(ValueError, match="arity"):
         make_state((T2, T2), [(1.0, (0,))])
 
 
@@ -456,9 +456,9 @@ def test_parse_state_checks_each_ket_once(monkeypatch):
 
 
 def test_state_text_errors():
-    with pytest.raises(StateFormatError) as err:
+    with pytest.raises(ParseError) as err:
         parse_state("(1,0) |0>")
     assert (err.value.line, err.value.col) == (1, 1)
-    with pytest.raises(StateFormatError) as err:
+    with pytest.raises(ParseError) as err:
         parse_state("sites: t(2)\n  not a ket\n")
     assert (err.value.line, err.value.col) == (2, 3)

@@ -35,7 +35,7 @@ def test_binary_minus_before_a_literal_is_a_difference():
 
 def test_binary_minus_keeps_a_hermitian_difference_hermitian():
     e = definition("sites t(2);\nH = X(0) - 0.5 * Z(0);\n")
-    assert typecheck(e).flag is Flag.H
+    assert typecheck(e)[0].flag is Flag.H
 
 
 def test_minus_before_an_imaginary_literal_splits_the_sum():
@@ -360,3 +360,22 @@ def test_a_tree_of_every_construct_is_unchanged():
         'amp=(1.4142135623730951+0j)), Atom(layout=L, ladder=(1, CR), '
         'amp=(1+0j)))), Atom(layout=L, ladder=None, amp=(-0-2j))))')
     assert repr(e.layout) == "(Boson(dim=2), Fermion())"
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_a_sum_loop_builds_one_sum(k, monkeypatch):
+    # the iterations' terms collect into one list, so no Sum of one
+    # iteration is built only to be spliced into the loop's
+    built = []
+    init = Sum.__init__
+
+    def counting(self, *children):
+        built.append(len(children))
+        init(self, *children)
+
+    monkeypatch.setattr(Sum, "__init__", counting)
+    body = "adag(j) a(j+1) + adag(j+1) a(j)"
+    e = definition(f"sites {', '.join(['F'] * (k + 2))};\n"
+                   f"H = sum j in 0..{k} {{ {body} }};\n")
+    assert built == [2 * (k + 1)]
+    assert len(e.children) == 2 * (k + 1)

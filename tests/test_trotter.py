@@ -1,16 +1,17 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qblue.encodings import encode_for_compile
-from qblue.errors import FitError
+from qblue.errors import CompileError
 from qblue.parser import parse
 from qblue.pauli import pauli_sum
 from qblue import trotter
 from qblue.trotter import (
-    IBM, TrotterPlan, compile_digital, fit_machine, plan_to_circuit,
-    synthesize_term, trotterize, verify_circuit,
+    IBM, MachineSpec, TrotterPlan, compile_digital, fit_machine,
+    plan_to_circuit, synthesize_term, trotterize, verify_circuit,
 )
 from qblue.typecheck import canonicalize
 
@@ -177,22 +178,22 @@ def test_encoding_equals_the_hand_derived_sum(chain, method, sites):
     assert hs == hand_derived_sum(chain, sites)
 
 
-def schedule_to_pauli(schedule, spec):
-    """The Pauli sum a schedule realizes."""
+def schedule_to_pauli(schedule, spec, qubits):
+    """The Pauli sum on qubits that a schedule realizes."""
     terms = []
     patterns = dict(spec.templates)
-    for j, slots in schedule.assignments:
+    for j, slots in schedule:
         for slot, coeff in slots:
             if coeff == 0.0:
                 continue
             left, right = patterns[slot]
-            string = ["I"] * schedule.width
+            string = ["I"] * qubits
             if left != "I":
                 string[j] = left
             if right != "I":
                 string[j + 1] = right
             terms.append((coeff, "".join(string)))
-    return pauli_sum(schedule.width, terms)
+    return pauli_sum(qubits, terms)
 
 
 coefficients = st.floats(-2, 2, allow_nan=False, allow_subnormal=False)
@@ -207,16 +208,76 @@ def test_fitted_schedule_realizes_the_spin_chain(bonds):
                       for j, (J, h) in enumerate(bonds))
     e = parse(f"sites {', '.join(['t(2)'] * n)};\nH = {body};").defs["H"]
     hs, _ = encode_for_compile(canonicalize(e))
-    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, IBM), IBM), hs)
+    assert pauli_allclose(
+        schedule_to_pauli(fit_machine(hs, IBM), IBM, hs.qubits), hs)
 
 
 def test_fit_leaves_a_lone_letter_without_its_side_uncovered():
     # Z sits on the left of a pair and X on the right, so a lone Z on the
     # last qubit and a lone X on qubit 0 have no template
     hs = pauli_sum(3, [(0.5, "IIZ"), (0.25, "XII"), (1.0, "ZXI")])
-    with pytest.raises(FitError) as err:
+    with pytest.raises(CompileError) as err:
         fit_machine(hs, IBM)
-    assert err.value.uncovered == ((0.5, "IIZ"), (0.25, "XII"))
+    assert str(err.value).endswith("no template for: +0.5 IIZ, +0.25 XII")
+
+
+def test_a_lone_letter_takes_the_template_with_its_letter_on_the_left():
+    # Z on qubit q fits ("Z", "I") at pair q and ("I", "Z") at pair q - 1;
+    # the left-letter template wins wherever both pairs exist
+    spec = MachineSpec("both", (("right", ("I", "Z")), ("left", ("Z", "I"))))
+    hs = pauli_sum(3, [(0.5, "ZII"), (0.25, "IZI"), (0.125, "IIZ")])
+    assert fit_machine(hs, spec) == (
+        (0, (("right", 0.0), ("left", 0.5))),
+        (1, (("right", 0.125), ("left", 0.25))))
+
+
+def template_strings(spec, qubits):
+    """The strings some template of spec makes at some pair: a string fits
+    (left, right) at pair j when it holds those letters there and I
+    elsewhere."""
+    return {s for s in map("".join, itertools.product("IXYZ", repeat=qubits))
+            for _, (left, right) in spec.templates
+            for j in range(qubits - 1)
+            if (s[j], s[j + 1]) == (left, right)
+            and not (s[:j] + s[j + 2:]).strip("I")}
+
+
+SPECS = [IBM, MachineSpec("both", (("a", ("Z", "I")), ("b", ("I", "Z")),
+                                   ("c", ("X", "Y")), ("d", ("I", "X"))))]
+
+
+@st.composite
+def fit_cases(draw):
+    """(spec, sum) with strings drawn from the spec's templates, lone
+    letters and any letters, on 1 to 5 qubits."""
+    spec = draw(st.sampled_from(SPECS))
+    qubits = draw(st.integers(1, 5))
+    letters = st.text("IXYZ", min_size=qubits, max_size=qubits)
+    if qubits > 1:
+        placed = st.builds(
+            lambda tpl, j: "I" * j + "".join(tpl[1]) + "I" * (qubits - j - 2),
+            st.sampled_from(spec.templates), st.integers(0, qubits - 2))
+        letters = st.one_of(letters, placed)
+    terms = draw(st.lists(st.tuples(st.sampled_from([0.25, -0.5, 1.5]),
+                                    letters), min_size=1, max_size=6))
+    return spec, pauli_sum(qubits, terms)
+
+
+@given(fit_cases())
+def test_fit_realizes_the_sum_or_lists_what_no_template_makes(case):
+    spec, hs = case
+    fits = template_strings(spec, hs.qubits)
+    uncovered = [s for _, s in hs.terms if s.strip("I") and s not in fits]
+    if not uncovered:
+        want = pauli_sum(hs.qubits, [(c, s) for c, s in hs.terms
+                                     if s.strip("I")])
+        assert pauli_allclose(
+            schedule_to_pauli(fit_machine(hs, spec), spec, hs.qubits), want)
+        return
+    with pytest.raises(CompileError) as err:
+        fit_machine(hs, spec)
+    listing = str(err.value).split("no template for: ")[1]
+    assert [term.split()[1] for term in listing.split(", ")] == uncovered
 
 
 def test_fit_leaves_the_identity_term_out():
@@ -226,4 +287,5 @@ def test_fit_leaves_the_identity_term_out():
     hs, _ = encode_for_compile(canonicalize(e))
     assert [c for c, s in hs.terms if s == "III"] == [pytest.approx(0.5)]
     want = pauli_sum(3, [(c, s) for c, s in hs.terms if s != "III"])
-    assert pauli_allclose(schedule_to_pauli(fit_machine(hs, IBM), IBM), want)
+    assert pauli_allclose(
+        schedule_to_pauli(fit_machine(hs, IBM), IBM, hs.qubits), want)

@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from qblue.errors import LayoutError
 from qblue.expr import (
-    Atom, Boson, Fermion, Flag, Seq, Sum, dagger, ham_sum, scale, seq,
-    site_dim,
+    Atom, Boson, Fermion, Flag, OpType, Seq, Sum, dagger, ham_sum, scale,
+    seq, site_dim,
 )
 from qblue.fock import apply, make_state
 from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.typecheck import (
-    adjoint, canonical_allclose, canonicalize, hermiticity_report,
-    is_hermitian, typecheck,
+    adjoint, canonical_allclose, canonicalize, hermiticity_report, typecheck,
 )
 
 import oracle
@@ -199,7 +198,7 @@ def test_canonicalize_fermion_reorder_tracks_sign():
 
 
 # ---------------------------------------------------------------------------
-# is_hermitian
+# hermiticity_report
 # ---------------------------------------------------------------------------
 
 def test_x_combination_is_hermitian():
@@ -215,7 +214,7 @@ def test_bare_annihilator_is_not_hermitian():
 
 def test_y_combination_is_hermitian():
     e = op("t(2)", "1i * a(0) - 1i * adag(0)")
-    assert is_hermitian(e)
+    assert hermiticity_report(e)[0]
 
 
 def oracle_hermitian(m):
@@ -227,7 +226,8 @@ def test_certificate_agrees_with_matrix_check(drawn, twice):
     # A + dag(A) is Hermitian however A is written
     if twice:
         drawn = drawn + drawn.adjoint()
-    assert is_hermitian(parsed(drawn)) == oracle_hermitian(drawn.matrix)
+    hermitian = hermiticity_report(parsed(drawn))[0]
+    assert hermitian == oracle_hermitian(drawn.matrix)
 
 
 def dense_hermitian(e):
@@ -240,7 +240,7 @@ def test_certificate_agrees_with_the_dense_oracle_on_graded_trees(drawn,
     e = parsed(drawn)
     if twice:
         e = ham_sum(e, dagger(e))
-    assert is_hermitian(e) == dense_hermitian(e)
+    assert hermiticity_report(e)[0] == dense_hermitian(e)
 
 
 @st.composite
@@ -262,7 +262,7 @@ def parsed_definitions(draw):
 @settings(max_examples=150)
 @given(parsed_definitions())
 def test_certificate_agrees_with_the_dense_oracle_on_programs(e):
-    assert is_hermitian(e) == dense_hermitian(e)
+    assert hermiticity_report(e)[0] == dense_hermitian(e)
 
 
 @pytest.mark.parametrize("site, zero", [
@@ -290,7 +290,7 @@ def test_the_top_level_of_a_large_site_counts(dim):
     e = parse(f"sites t({dim});\n"
               "H = 1i * (a(0) adag(0) - adag(0) a(0) - I(0));\n").defs["H"]
     assert not hermiticity_report(e)[0]
-    assert typecheck(e).flag is Flag.P
+    assert typecheck(e)[0].flag is Flag.P
 
 
 def test_a_weight_past_the_float_range_compares_equal_to_nothing():
@@ -309,7 +309,7 @@ def test_a_nan_coefficient_stays_in_the_form():
     assert form.terms and all(math.isnan(abs(c))
                               for c in form.terms.values())
     assert not hermitian
-    assert typecheck(e).flag is Flag.P
+    assert typecheck(e)[0].flag is Flag.P
 
 
 @pytest.mark.parametrize("dim", [2, 16, 64])
@@ -336,28 +336,31 @@ def test_the_certificate_tolerance_is_the_coefficient_tolerance(im,
 # ---------------------------------------------------------------------------
 
 def test_annihilator_types_p():
-    ty = typecheck(op("t(2)", "a(0)"))
+    ty, _ = typecheck(op("t(2)", "a(0)"))
     assert ty.flag is Flag.P
     assert ty.sites == (T2,)
 
 
 def test_number_combo_types_h():
     e = op("t(2)", "adag(0) a(0) + a(0) adag(0)")
-    ty = typecheck(e)
+    ty, _ = typecheck(e)
     assert ty.flag is Flag.H
     m = expr_to_matrix(e)
     assert oracle.max_norm(m, np.eye(2)) < 1e-12
 
 
 def test_hubbard_hopping_types_h():
-    ty = typecheck(hop("t(2)"))
+    ty, _ = typecheck(hop("t(2)"))
     assert ty.flag is Flag.H
     assert ty.sites == (T2, T2)
 
 
 def test_identity_types_h_but_complex_identity_p():
-    assert typecheck(op("t(2)", "I(0)")).flag is Flag.H
-    assert typecheck(op("t(2)", "1i * I(0)"), promote=False).flag is Flag.P
+    assert typecheck(op("t(2)", "I(0)")) == (OpType(Flag.H, (T2,)),
+                                             "structural")
+    # the structural walk gives p, so the certificate decides, and says p
+    assert typecheck(op("t(2)", "1i * I(0)")) == (OpType(Flag.P, (T2,)),
+                                                  "certificate")
 
 
 def test_seq_layout_mismatch_is_reported():
@@ -370,15 +373,16 @@ def test_seq_layout_mismatch_is_reported():
 
 @given(trees)
 def test_flag_soundness_on_random_expressions(drawn):
-    if typecheck(parsed(drawn)).flag is Flag.H:
+    if typecheck(parsed(drawn))[0].flag is Flag.H:
         assert oracle_hermitian(drawn.matrix)
 
 
 def test_weakening_does_not_break_enclosing_typeability():
     # An H-flagged identity inside any context types fine at P as well
     e = op("t(2)", "I(0) a(0)")
-    ty = typecheck(e, promote=False)
+    ty, decided_by = typecheck(e)
     assert ty.flag is Flag.P
+    assert decided_by == "certificate"
 
 
 def test_layout_error_paths():
@@ -413,9 +417,12 @@ def recursive_flag(e):
 @given(trees)
 def test_structural_type_matches_layout_and_recursive_flag(drawn):
     e = parsed(drawn)
-    ty = typecheck(e, promote=False)
+    ty, decided_by = typecheck(e)
     assert ty.sites == e.layout
-    assert ty.flag is recursive_flag(e)
+    # the structural flag is h exactly when the structural walk decides
+    assert (decided_by == "structural") == (recursive_flag(e) is Flag.H)
+    if decided_by == "structural":
+        assert ty.flag is Flag.H
 
 
 @given(graded_trees)
@@ -434,7 +441,7 @@ def test_the_verdict_the_form_and_eval_do_not_depend_on_scale(drawn, c):
     # the form keys and the kets of e
     e = parsed(drawn)
     scaled = scale(c, e)
-    assert typecheck(scaled).flag is typecheck(e).flag
+    assert typecheck(scaled)[0].flag is typecheck(e)[0].flag
     assert canonicalize(scaled).terms.keys() == canonicalize(e).terms.keys()
     occs = itertools.product(*(range(site_dim(s)) for s in e.layout))
     state = make_state(e.layout, [(1 + k, occ) for k, occ in enumerate(occs)])
