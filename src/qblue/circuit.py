@@ -198,14 +198,20 @@ def parse_circuit(text: str) -> Circuit:
     with an optional ``phase P``, an unknown gate name, a wrong number of
     fields, a field that is not a finite number, a qubit outside the
     header's width, or a cx whose two qubits are equal.
+
+    Cost: each line is split once into its fields' texts, which key it;
+    only a key not seen before is located column by column (``_fields``)
+    and converted to its Gate, so a circuit of L lines and K distinct
+    gates pays L splits and dict lookups and K conversions.
     """
-    lines = [(number, fields)
+    lines = [(number, ln, key)
              for number, ln in enumerate(text.splitlines(), 1)
-             if (fields := _fields(ln))]
+             if (key := tuple(ln.replace(";", " ").split()))]
     if not lines:
         raise ParseError("empty circuit; expected a 'qubits N; phase P;' "
                          "header", 1, 1)
-    (number, fields), *body = lines
+    (number, ln, _), *body = lines
+    fields = _fields(ln)
     finite = _checked(float, math.isfinite)
     spec = [("'qubits'", _checked(str, "qubits".__eq__)),
             ("a qubit count", _checked(int, lambda n: n >= 0))]
@@ -215,10 +221,10 @@ def parse_circuit(text: str) -> Circuit:
     _, width, *phase = _convert(number, fields, spec)
     qubit = (f"a qubit below {width}",
              _checked(int, range(width).__contains__))
-    gates, parsed = [], {}   # a line's fields to its Gate, if it parsed
-    for number, fields in body:
-        key = tuple(field for _, field in fields)
+    gates, parsed = [], {}   # a line's field texts to its Gate, if it parsed
+    for number, ln, key in body:
         if key not in parsed:
+            fields = _fields(ln)
             col, name = fields[0]
             if name in _ROTATIONS:
                 spec = [("a finite angle", finite), qubit]

@@ -2,7 +2,9 @@
 
 Exit codes: 0 ok, 1 usage, 2 parse error (``ParseError``), 3 type error
 (``LayoutError`` or ``NonHermitianError``), 4 fit/compile error
-(``CompileError``), 5 dimension cap or unit cap (``DimensionCapError``).
+(``CompileError``), 5 dimension cap or unit cap (``DimensionCapError``:
+a matrix above DIM_CAP rows, or a canonical form whose terms expand into
+more than UNIT_CAP site units in all).
 Parsing never exits 3 (a parsed program has one layout): exit 3 is
 ``energy`` of a flag-p program or ``eval`` of a state on another layout.
 An input that exhausts the recursion limit or the memory exits 1 with a

@@ -16,9 +16,13 @@ the expression tree itself, to one scipy.sparse CSR matrix.
 ``expr_to_matrix`` densifies the CSR once; ``energy`` never does.
 ``ground_energy`` runs a dense eigh below ``LANCZOS_MIN_DIM`` and, from
 there on, the Lanczos method of ARPACK from a start vector of fixed seed.
-A matrix whose imaginary part is exactly zero is diagonalized in the real
-field, by ``ground_energy`` and by ``matrix_exp_sim``.  Exponentials use
-the e^{-i h t} convention throughout, so Hermitian input gives a unitary.
+``matrix_exp_sim`` runs block by block: the connected components of the
+matrix's sparsity pattern (particle-number or parity sectors, say) are
+stacked by size, and each stack is diagonalized by one batched eigh.
+A matrix whose imaginary part is exactly zero is checked and diagonalized
+in the real field, by ``ground_energy`` and by ``matrix_exp_sim``.
+Exponentials use the e^{-i h t} convention throughout, so Hermitian input
+gives a unitary.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ from operator import mul
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import (
@@ -176,22 +181,45 @@ def check_hermitian(h):
 
 
 def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
-    """Time-evolution unitary e^{-i h t} of a Hermitian matrix.
+    """Time-evolution unitary e^{-i h t} of a Hermitian matrix, block by
+    block.
 
-    Uses the eigendecomposition, so the output is unitary to rounding.  A
-    matrix whose imaginary part is exactly zero is diagonalized as the real
-    symmetric matrix it is.  A phase w t past the float range raises
-    ValueError: its exponential would be nan.
+    The connected components of h's sparsity pattern split it into blocks
+    with no entry between them, so e^{-i h t} is e^{-i b t} on each block b
+    and zero between blocks.  The blocks of one size are stacked and
+    diagonalized by one batched eigh, so the output is unitary to
+    rounding, and each block's V e^{-i w t} V^dag is scattered back.  A
+    matrix whose imaginary part is exactly zero is checked and
+    diagonalized as the real symmetric matrix it is.  A phase w t past the
+    float range raises ValueError: its exponential would be nan.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape[0] > DIM_CAP:
-        raise DimensionCapError(f"dimension {h.shape[0]} exceeds cap {DIM_CAP}")
+    dim = h.shape[0]
+    if dim > DIM_CAP:
+        raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
+    if not h.imag.any():
+        h = h.real
     check_hermitian(h)
-    real = not h.imag.any()
-    w, v = np.linalg.eigh(h.real if real else h)
-    if not math.isfinite(float(abs(w).max()) * abs(t)):
+    _, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_array(h != 0), directed=False)
+    order = np.argsort(labels, kind="stable")   # block by block
+    size = np.bincount(labels)[labels[order]]
+    stacks = []
+    for n in np.unique(size):
+        seg = order[size == n].reshape(-1, n)   # a row of indices per block
+        at = seg[:, :, None], seg[:, None, :]
+        stacks.append((at, *np.linalg.eigh(h[at])))
+    if not math.isfinite(max(float(abs(w).max()) for _, w, _ in stacks)
+                         * abs(t)):
         raise ValueError(f"the phases w t of e^(-i h t) overflow at t = {t!r}")
-    return (v * np.exp(-1j * w * t)) @ (v.T if real else v.conj().T)
+    out = np.zeros((dim, dim), dtype=complex)
+    for at, w, v in stacks:
+        phased = np.multiply(np.exp(-1j * w * t)[:, :, None],
+                             v.conj().swapaxes(1, 2), order="C")
+        # a real v multiplies the real and imaginary columns of phased
+        # side by side, as one real product
+        out[at] = (v @ phased.view(v.dtype)).view(complex)
+    return out
 
 
 # ---------------------------------------------------------------------------

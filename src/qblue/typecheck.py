@@ -58,9 +58,10 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
     Sums are distributed out of products, each product's ladders put in
     site order (-1 per transposition of two fermionic ladders at distinct
     sites) and like ladder products merged.  Each site's ladders then
-    expand into the site's units (``_site_units``), at most UNIT_CAP per
-    term or a DimensionCapError; like terms merge and a term drops when it
-    is ``negligible`` at ZERO_TOL against the magnitudes summed into it.
+    expand into the site's units (``_site_units``), at most UNIT_CAP in
+    all, or a DimensionCapError naming the term or the running total that
+    passed the cap; like terms merge and a term drops when it is
+    ``negligible`` at ZERO_TOL against the magnitudes summed into it.
     A nan coefficient stays, so the form differs from its adjoint.
     """
     layout = e.layout
@@ -72,13 +73,18 @@ def canonicalize(e: HamExpr) -> CanonicalForm:
         c, m = ladders.get(key, (0j, 0.0))
         ladders[key] = c + coeff, m + abs(coeff)
     units: dict = {}
+    total = 0   # the units of the ladder keys expanded so far
     for key, term in ladders.items():
         expansions = [(s, _site_units(dims[s], tuple([k for _, k in group])))
                       for s, group in itertools.groupby(key, lambda op: op[0])]
         n = math.prod([len(expansion) for _, expansion in expansions])
+        total += n
         if n > UNIT_CAP:
             raise DimensionCapError(f"a term expands into {n} site units, "
                                     f"above the cap {UNIT_CAP}")
+        if total > UNIT_CAP:
+            raise DimensionCapError(f"the terms expand into {total} site "
+                                    f"units in all, above the cap {UNIT_CAP}")
         products = [((), *term)]   # (units, coeff, mag) over the sites so far
         for s, expansion in expansions:
             products = [(u + ((s, unit),) if unit is not None else u,

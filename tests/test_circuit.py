@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qblue.circuit import (
     GATE_NAMES, Circuit, Gate, circuit_to_matrix, format_circuit,
     parse_circuit,
 )
-from qblue.errors import DimensionCapError
+from qblue.errors import DimensionCapError, ParseError
 from qblue.trotter import compile_digital
 
 import oracle
@@ -90,6 +91,149 @@ def test_empty_circuit_is_the_phase():
 @given(circuits())
 def test_text_format_roundtrip(c):
     assert parse_circuit(format_circuit(c)) == c
+
+
+# The reader before lines were keyed by their split fields: every line is
+# located column by column, then converted when its fields are new.
+REFERENCE_FIELD_RE = re.compile(r"[^\s;]+")
+
+
+def reference_parse_circuit(text):
+    lines = [(number, fields)
+             for number, ln in enumerate(text.splitlines(), 1)
+             if (fields := reference_fields(ln))]
+    if not lines:
+        raise ParseError("empty circuit; expected a 'qubits N; phase P;' "
+                         "header", 1, 1)
+    (number, fields), *body = lines
+    finite = reference_checked(float, math.isfinite)
+    spec = [("'qubits'", reference_checked(str, "qubits".__eq__)),
+            ("a qubit count", reference_checked(int, lambda n: n >= 0))]
+    if len(fields) > 2:
+        spec += [("'phase'", reference_checked(str, "phase".__eq__)),
+                 ("a finite phase", finite)]
+    _, width, *phase = reference_convert(number, fields, spec)
+    qubit = (f"a qubit below {width}",
+             reference_checked(int, range(width).__contains__))
+    gates, parsed = [], {}
+    for number, fields in body:
+        key = tuple(field for _, field in fields)
+        if key not in parsed:
+            col, name = fields[0]
+            if name in ("rx", "ry", "rz"):
+                spec = [("a finite angle", finite), qubit]
+            elif name == "cx":
+                spec = [qubit, qubit]
+            elif name in GATE_NAMES:
+                spec = [qubit]
+            else:
+                raise ParseError(f"unknown gate {name!r}", number, col)
+            _, *values = reference_convert(number, fields,
+                                           [("a gate", str)] + spec)
+            angle = values.pop(0) if name in ("rx", "ry", "rz") else None
+            try:
+                parsed[key] = Gate(name, tuple(values), angle)
+            except ValueError as exc:
+                raise ParseError(str(exc), number, col) from None
+        gates.append(parsed[key])
+    return Circuit(width, tuple(gates), phase[-1] if phase else 0.0)
+
+
+def reference_fields(line):
+    return [(m.start() + 1, m.group()) for m in REFERENCE_FIELD_RE.finditer(line)]
+
+
+def reference_convert(number, fields, spec):
+    values = []
+    for (col, field), (what, convert) in zip(fields, spec):
+        try:
+            values.append(convert(field))
+        except ValueError:
+            raise ParseError(f"expected {what}, found {field!r}",
+                             number, col) from None
+    if len(fields) < len(spec):
+        col, field = fields[-1]
+        raise ParseError(f"expected {spec[len(fields)][0]}, found the end "
+                         "of the line", number, col + len(field))
+    if len(fields) > len(spec):
+        col, field = fields[len(spec)]
+        raise ParseError(f"unexpected {field!r} after the last field",
+                         number, col)
+    return values
+
+
+def reference_checked(convert, ok):
+    def checked(field):
+        value = convert(field)
+        if not ok(value):
+            raise ValueError(field)
+        return value
+    return checked
+
+
+# field separators, Unicode whitespace among them, and fields that are
+# wrong somewhere: unknown names, non-finite numbers, qubits out of range
+SEPARATORS = [" ", "  ", "\t", ";", " ; ", ";;", "\xa0", "\u3000", "\x1f"]
+ODD_FIELDS = ["qubits", "phase", "cx", "rz", "h", "u3", "nan", "1e999", "-1",
+              "0", "1", "7", "0.5", "x", "3;", "٣", "1_0"]
+
+
+@st.composite
+def circuit_texts(draw):
+    """A formatted circuit with a few fields and lines mutated, some gate
+    lines repeated, and every line re-spaced."""
+    lines = [ln.split(" ") for ln in
+             format_circuit(draw(circuits(sizes=(0, 8)))).splitlines()]
+    for _ in range(draw(st.integers(0, 2))):
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(fields)))
+        odd = draw(st.sampled_from(ODD_FIELDS))
+        action = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if action == "insert":
+            fields.insert(at, odd)
+        elif at < len(fields):
+            fields[at:at + 1] = [] if action == "drop" else [odd]
+    lines += [lines[draw(st.integers(0, len(lines) - 1))]
+              for _ in range(draw(st.integers(0, 3)))]
+    text = []
+    for fields in lines:
+        seps = draw(st.lists(st.sampled_from(SEPARATORS),
+                             min_size=len(fields) + 1,
+                             max_size=len(fields) + 1))
+        text.append(draw(st.sampled_from(["", " ", ";"])) + "".join(
+            sep + field for sep, field in zip(seps, fields)) + seps[-1])
+        text += [draw(st.sampled_from(["", " ;", "\t"]))] * draw(
+            st.integers(0, 1))
+    return "\n".join(text) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def reading(read, text):
+    """A reader's circuit, with which of its gates are one object, or its
+    error with message, line and column."""
+    try:
+        c = read(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    first = {}
+    return c, [first.setdefault(id(g), i) for i, g in enumerate(c.gates)]
+
+
+@settings(max_examples=400)
+@given(circuit_texts())
+def test_parse_circuit_matches_the_reference(text):
+    assert reading(parse_circuit, text) == reading(reference_parse_circuit,
+                                                   text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n ;\n", "qubits", "qubits 2; phase", "qubits 2\nh 0 1",
+    "qubits 2\nh 2", "qubits 2\n rz 0.5", "qubits 2\ncx 1 1",
+    "qubits 2\nu3 0", "qubits 2;phase 0.1;\nh 0;;h\t0\nh 1\nh 0",
+    "qubits 1\nrz nan 0", "qubits 1; phase inf",
+])
+def test_parse_circuit_matches_the_reference_on(text):
+    assert reading(parse_circuit, text) == reading(reference_parse_circuit,
+                                                   text)
 
 
 def test_parsed_steps_share_the_first_steps_gates():

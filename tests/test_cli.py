@@ -913,6 +913,25 @@ def test_a_term_past_the_unit_cap_exits_5_before_expanding(argv, tmp_path,
     assert seconds < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"], ["energy"], ["compile", "--t", "1", "--n", "1"],
+], ids=["check", "energy", "compile"])
+def test_terms_at_the_unit_cap_exit_5_on_their_total(argv, tmp_path, capsys):
+    # each hop on t(257) sites is 256^2 = 65536 site units, at the cap, and
+    # the first two already pass it together
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(257), t(257), t(257), t(257); H = sum j in 0..2 "
+                    "{ adag(j) a(j+1) + adag(j+1) a(j) };\n")
+    start = time.perf_counter()
+    code = main([argv[0], str(prog), *argv[1:]])
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (5, "")
+    assert err == (f"qblue: error: the terms expand into 131072 site units "
+                   f"in all, above the cap {UNIT_CAP}\n")
+    assert seconds < 1.0
+
+
 def test_eval_keeps_a_small_amplitude(tmp_path, capsys):
     prog, st = tmp_path / "h.qb", tmp_path / "in.state"
     prog.write_text("sites t(2);\nH = 1e-20 * X(0);\n")

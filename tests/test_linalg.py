@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
 from qblue.circuit import circuit_to_matrix
@@ -384,6 +386,66 @@ def test_exp_of_complex_hermitian():
     w, v = np.linalg.eigh(h)
     u = matrix_exp_sim(h, 0.6)
     assert oracle.max_norm(u @ v, v * np.exp(-0.6j * w)) < 1e-12
+
+
+def blocks(h):
+    """The number of connected components of h's sparsity pattern."""
+    return scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_array(h != 0), directed=False)[0]
+
+
+def chain_matrix(site, body, n=6):
+    """The matrix of sum j in 0..n-2 { body } on n sites of one type."""
+    return expr_to_matrix(op(", ".join([site] * n),
+                             f"sum j in 0..{n - 2} {{ {body} }}"))
+
+
+def interleaved(h):
+    """h with its basis permuted, so each block's indices spread over the
+    whole range instead of forming runs."""
+    p = np.random.default_rng(3).permutation(h.shape[0])
+    return h[np.ix_(p, p)]
+
+
+HOPPING = "0.9 * adag(j) a(j+1) + 0.9 * adag(j+1) a(j) + 0.3 * adag(j) a(j)"
+
+
+@pytest.mark.parametrize("h, count", [
+    (expr_to_matrix(op(", ".join(["t(2)"] * 6),
+                       "sum j in 0..4 { Z(j) Z(j+1) }"
+                       " + sum j in 0..5 { 0.7 * X(j) }")), 1),
+    (chain_matrix("t(2)", "1.1 * Z(j) Z(j+1) + 0.8 * X(j+1)"), 2),
+    (chain_matrix("F", HOPPING), 7),
+    (chain_matrix("F", "(0.3+0.4i) * adag(j) a(j+1)"
+                       " + (0.3-0.4i) * adag(j+1) a(j)"), 7),
+    (interleaved(chain_matrix("F", HOPPING)), 7),
+    (np.zeros((16, 16)), 16),
+], ids=["field-on-every-site", "bench-spin", "hopping", "complex-hopping",
+        "interleaved", "zero"])
+def test_the_blocked_exponential_matches_expm(h, count):
+    # one block, Z(0)'s two sectors, the particle-number sectors of six
+    # fermions (complex amplitudes too), those sectors scattered over the
+    # basis, and the zero matrix, whose blocks are its 1 x 1 diagonal
+    assert blocks(h) == count
+    for t in (0.4, -1.3):
+        want = scipy.linalg.expm(-1j * h * t)
+        assert oracle.max_norm(matrix_exp_sim(h, t), want) < 1e-12
+
+
+def test_the_blocked_exponential_overflows_with_its_message():
+    h = chain_matrix("F", HOPPING)
+    with pytest.raises(ValueError, match=r"^the phases w t of e\^\(-i h t\) "
+                                         r"overflow at t = 1e\+308$"):
+        matrix_exp_sim(h, 1e308)
+
+
+def test_an_entry_without_its_transpose_is_not_hermitian():
+    # h[0, 5] joins the blocks of 0 and 5 in the pattern, and h[5, 0] is 0
+    h = chain_matrix("F", HOPPING)
+    h[0, 5] = 0.5
+    assert h[5, 0] == 0
+    with pytest.raises(NonHermitianError):
+        matrix_exp_sim(h, 0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""The front end pays per term, not per term x site, and the dense lowering
-per diagonal, not per term: a size guard that counts tree nodes,
-canonical-term sites and diagonals instead of timing anything."""
+"""The front end pays per term, not per term x site, the dense lowering
+per diagonal, not per term, and the exact exponential per block size, not
+per dimension: a size guard that counts tree nodes, canonical-term sites,
+diagonals and eigh shapes instead of timing anything."""
+
+import math
 
 import pytest
 
@@ -102,3 +105,21 @@ def test_a_two_step_circuit_applies_in_a_few_runs(e, gates, runs):
     c, _ = compile_digital(e, 0.7, 2)
     assert len(c.gates) == gates
     assert len(list(circuit._runs(c.gates))) <= runs
+
+
+def test_the_exponential_diagonalizes_each_block_size_once(monkeypatch):
+    # ten fermions split into the particle-number sectors C(10, k): the
+    # exponential stacks the blocks of one size into one eigh, so it sees
+    # no matrix above C(10, 5) = 252 and one call per distinct size
+    h = linalg.expr_to_matrix(hopping_chain(10))
+    shapes = []
+    eigh = linalg.np.linalg.eigh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", recording)
+    linalg.matrix_exp_sim(h, 0.5)
+    assert max(shape[-1] for shape in shapes) == 252
+    assert len(shapes) <= len({math.comb(10, k) for k in range(11)}) == 6
