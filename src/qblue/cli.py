@@ -3,8 +3,8 @@
 Exit codes: 0 ok, 1 usage, 2 parse error (``ParseError``), 3 type error
 (``LayoutError`` or ``NonHermitianError``), 4 fit/compile error
 (``CompileError``), 5 dimension cap or unit cap (``DimensionCapError``:
-a matrix above DIM_CAP rows, or a canonical form whose terms expand into
-more than UNIT_CAP site units in all).
+a matrix above DIM_CAP rows, or a canonical form, or any form built on the
+way to it, of more than UNIT_CAP terms).
 Parsing never exits 3 (a parsed program has one layout): exit 3 is
 ``energy`` of a flag-p program or ``eval`` of a state on another layout.
 An input that exhausts the recursion limit or the memory exits 1 with a
@@ -263,9 +263,9 @@ def main(argv=None) -> int:
     Sums, products and sum loops are n-ary nodes, so their length costs no
     recursion depth.  What still reaches the last handler is nesting: the
     parser recurses a few frames per level of parentheses or ``dag``, so
-    about 250 levels exhaust Python's default limit of 1000 frames; and a
-    product of large sums whose expansion does not fit in memory raises
-    MemoryError.  Both exit 1 with one error line.
+    about 250 levels exhaust Python's default limit of 1000 frames; that
+    exits 1 with one error line, as does a MemoryError.  A product of large
+    sums exits 5 on the unit cap, which bounds every form typing builds.
     """
     parser = _build_parser()
     try:

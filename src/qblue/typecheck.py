@@ -5,19 +5,19 @@ Structural typing combines flags bottom-up, then a certificate pass tries to
 promote the whole expression to H.  The canonical form writes every term in
 each site's matrix units: the identity, |n><n| for n >= 1 and |m><n| for
 m != n form a basis of the site's operators, so two expressions are one
-operator exactly when their forms agree.  A form maps each product of units
-to its coefficient; the certificate compares it with its adjoint, the
-mapping with each unit transposed and no sort, and decides exactly without
-a matrix.  Each zero and comparison of a coefficient is relative to the
+operator exactly when their forms agree.  The certificate compares a form
+with its adjoint, each unit transposed, and decides exactly without a
+matrix.  Each zero and comparison of a coefficient is relative to the
 magnitudes summed into it, kept beside it, so c e has the verdict of e.
-The cost is in the units: a product over k sites of d levels expands into
-up to d^k of them, so a hopping term on t(d) sites has 2(d-1)^2.
+A form is built bottom-up, a product one factor at a time, and no form on
+the way holds more than UNIT_CAP terms: a step costs at most the cap
+times its factor's terms.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +40,9 @@ class CanonicalForm:
 
     A key lists (site, (m, n)) pairs, site-ascending, for the unit |m><n|
     at each site whose unit is not the identity.  The units apply in
-    ascending site order, and an off-diagonal unit on a fermionic site is
-    odd: it carries the Jordan-Wigner string of the ladders it came from,
-    and the anti-commutation signs of reordering them are folded into the
-    coefficient.  ``canonicalize`` inserts the keys in sorted order;
-    ``adjoint`` keeps that order of the transposed keys and does not sort.
-    """
+    ascending site order; an off-diagonal unit on a fermionic site is odd:
+    it carries the Jordan-Wigner string of the ladders it came from.  The
+    keys of ``canonicalize`` are sorted; ``adjoint`` keeps their order."""
 
     layout: SiteList
     terms: dict  # dict[tuple[tuple[int, tuple[int, int]], ...], complex]
@@ -53,57 +50,27 @@ class CanonicalForm:
 
 
 def canonicalize(e: HamExpr) -> CanonicalForm:
-    """Flatten to a sum of products of site matrix units, keys sorted.
-
-    Sums are distributed out of products, each product's ladders put in
-    site order (-1 per transposition of two fermionic ladders at distinct
-    sites) and like ladder products merged.  Each site's ladders then
-    expand into the site's units (``_site_units``), at most UNIT_CAP in
-    all, or a DimensionCapError naming the term or the running total that
-    passed the cap; like terms merge and a term drops when it is
-    ``negligible`` at ZERO_TOL against the magnitudes summed into it.
-    A nan coefficient stays, so the form differs from its adjoint.
-    """
+    """The canonical form of e, keys sorted.  Each form on the way holds at
+    most UNIT_CAP terms, else a DimensionCapError (``_merge``).  A term
+    drops when it is ``negligible`` at ZERO_TOL against the magnitudes
+    summed into it; a nan stays, so the form differs from its adjoint."""
     layout = e.layout
-    fermionic = [isinstance(site, Fermion) for site in layout]
-    dims = [site_dim(site) for site in layout]
-    ladders: dict = {}   # ops -> (coeff, mag), as units below
-    for coeff, ops in _terms(e):
-        coeff, key = _normal_order(coeff, ops, fermionic)
-        c, m = ladders.get(key, (0j, 0.0))
-        ladders[key] = c + coeff, m + abs(coeff)
-    units: dict = {}
-    total = 0   # the units of the ladder keys expanded so far
-    for key, term in ladders.items():
-        expansions = [(s, _site_units(dims[s], tuple([k for _, k in group])))
-                      for s, group in itertools.groupby(key, lambda op: op[0])]
-        n = math.prod([len(expansion) for _, expansion in expansions])
-        total += n
-        if n > UNIT_CAP:
-            raise DimensionCapError(f"a term expands into {n} site units, "
-                                    f"above the cap {UNIT_CAP}")
-        if total > UNIT_CAP:
-            raise DimensionCapError(f"the terms expand into {total} site "
-                                    f"units in all, above the cap {UNIT_CAP}")
-        products = [((), *term)]   # (units, coeff, mag) over the sites so far
-        for s, expansion in expansions:
-            products = [(u + ((s, unit),) if unit is not None else u,
-                         c * w, m * abs(w))
-                        for u, c, m in products for unit, w in expansion]
-        for u, c, m in products:
-            c0, m0 = units.get(u, (0j, 0.0))
-            units[u] = c0 + c, m0 + m
-    keep = [(u, c, m) for u, (c, m) in sorted(units.items())
-            if not negligible(c, m, ZERO_TOL)]
-    return CanonicalForm(layout, {u: c for u, c, _ in keep},
-                         {u: m for u, _, m in keep})
+    form = _lower(e, [site_dim(site) for site in layout],
+                  [isinstance(site, Fermion) for site in layout])
+    terms, mags = {}, {}
+    for key in sorted(form):
+        c, m, square = form[key]
+        r = _root(square)
+        if not negligible(c * r, m * r, ZERO_TOL):
+            terms[key], mags[key] = c * r, m * r
+    return CanonicalForm(layout, terms, mags)
 
 
 def adjoint(form: CanonicalForm) -> CanonicalForm:
     """The canonical form of the adjoint: each unit transposed and each
     coefficient conjugated.  The f odd units of a term then apply in
-    reverse order, and putting them back in site order takes f(f-1)/2
-    transpositions, each a factor -1.  The keys need no merge or sort."""
+    reverse order, and f(f-1)/2 transpositions, each a factor -1, put them
+    back in site order.  The keys need no merge or sort."""
     fermionic = [isinstance(site, Fermion) for site in form.layout]
     terms, mags = {}, {}
     for units, coeff in form.terms.items():
@@ -115,66 +82,106 @@ def adjoint(form: CanonicalForm) -> CanonicalForm:
     return CanonicalForm(form.layout, terms, mags)
 
 
-def _terms(e: HamExpr) -> list:
-    """List of (coeff, ops) with ops = [(site_index, kind), ...] in
-    application order."""
+def _lower(e: HamExpr, dims: list, fermionic: list) -> dict:
+    """The terms of e, {key: (coeff, mag, square)}, coeff and mag times the
+    root of square, the exact integer square of the ladder weights of a
+    term reached by one path.  An atom is its ladder's units; a sum merges
+    its children's forms; a product folds from the right, multiplying the
+    running form by each factor term by term (``_product``)."""
     if isinstance(e, Atom):
-        return [(e.amp, [] if e.ladder is None else [e.ladder])]
+        units = (_ladder(*e.ladder, dims[e.ladder[0]]) if e.ladder
+                 else [((), 1)])
+        return {key: (e.amp, abs(e.amp), square) for key, square in units}
     if isinstance(e, Sum):
-        return [t for c in e.children for t in _terms(c)]
-    if not isinstance(e, Seq):
-        raise TypeError(f"not a HamExpr: {e!r}")
-    # fold from the right: out holds the terms of the children after part,
-    # which apply first
-    parts = [_terms(c) for c in e.children]
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = [(cc * ca, oa + oc) for cc, oc in part for ca, oa in out]
+        out, *rest = [_lower(c, dims, fermionic) for c in e.children]
+        for form in rest:
+            _merge(out, form.items())
+        return out
+    form = _lower(e.children[-1], dims, fermionic)
+    for c in reversed(e.children[:-1]):
+        form = _product(_lower(c, dims, fermionic), form, dims, fermionic)
+    return form
+
+
+def _product(left: dict, right: dict, dims: list, fermionic: list) -> dict:
+    """The merged terms of left times right, right applied first.  A left
+    form on one site s meets a right term whose unit at s is v through all
+    its terms if v is I, else through I and the units whose column is v's
+    row.  An odd left unit passes the right term's odd units after s: the
+    Jordan-Wigner sign is (-1)^#pairs.  A left form on more sites applies
+    the units of each of its terms in turn."""
+    sites = {s for key in left for s, _ in key}
+    out: dict = {}
+    if len(sites) > 1:
+        for lk, (lc, lm, lq) in left.items():
+            form = right
+            for unit in lk:
+                form = _product({(unit,): (1, 1, 1)}, form, dims, fermionic)
+            _merge(out, [(key, (lc * c, lm * m, lq * q))
+                         for key, (c, m, q) in form.items()])
+        return out
+    s = sites.pop() if sites else 0   # a scalar meets every term
+    by_col: dict = {}   # the left terms by their unit's column, () for I
+    for lk, term in left.items():
+        u = lk and lk[0][1]
+        by_col.setdefault(u and u[1], []).append((u, term))
+    everyone = [t for terms in by_col.values() for t in terms]
+    for rk, (rc, rm, rq) in right.items():
+        i = bisect.bisect_left(rk, (s,))
+        v = rk[i][1] if i < len(rk) and rk[i][0] == s else ()
+        head, tail = rk[:i], rk[i + bool(v):]
+        odd = fermionic[s] and sum([fermionic[t] and m != n
+                                    for t, (m, n) in tail]) % 2
+        items = []
+        for u, (lc, lm, lq) in (by_col.get(v[0], []) + by_col.get((), [])
+                                if v else everyone):
+            c = -lc * rc if odd and u and u[0] != u[1] else lc * rc
+            for x, w in (_unit_product(dims[s], u, v) if u and v
+                         else ((u or v, 1),)):
+                items.append((head + ((s, x),) + tail if x else head + tail,
+                              (c * w, lm * rm, lq * rq)))
+        _merge(out, items)
     return out
 
 
-def _normal_order(coeff, ops, fermionic):
-    """Stable-sort ops by site; swapping two fermionic ladder operators at
-    distinct sites flips the sign of the coefficient.  The key is the
-    sorted ops."""
-    ops = list(ops)
-    n = len(ops)
-    for i in range(1, n):
-        j = i
-        while j > 0 and ops[j - 1][0] > ops[j][0]:
-            if fermionic[ops[j - 1][0]] and fermionic[ops[j][0]]:
-                coeff = -coeff
-            ops[j - 1], ops[j] = ops[j], ops[j - 1]
-            j -= 1
-    return coeff, tuple(ops)
+def _merge(out: dict, items) -> None:
+    """Add (key, (coeff, mag, square)) items into out, two terms of one
+    key each times its root, and check the cap on the merged form."""
+    for key, term in items:
+        if key in out:
+            (c0, m0, q0), (c, m, q) = out[key], term
+            if q0 != 1 or q != 1:
+                r0, r = _root(q0), _root(q)
+                c0, m0, c, m = c0 * r0, m0 * r0, c * r, m * r
+            term = (c0 + c, m0 + m, 1)
+        out[key] = term
+    if len(out) > UNIT_CAP:
+        raise DimensionCapError("a canonical form grows past the unit cap "
+                                f"of {UNIT_CAP} terms")
+
+
+def _root(square: int) -> float:
+    """sqrt(square), inf past the float range; a float bound is folded."""
+    return math.sqrt(square) if square < 2.0 ** 1023 else math.inf
 
 
 @functools.cache
-def _site_units(dim: int, monomial: tuple) -> tuple:
-    """(unit, weight) pairs that sum to a monomial on a dim-level site.
+def _ladder(s: int, kind: int, dim: int) -> tuple:
+    """(key, square) of each unit |n + kind><n| of a ladder on site s."""
+    return tuple([(((s, (n + kind, n)),), max(n, n + kind))
+                  for n in range(dim) if 0 <= n + kind < dim])
 
-    The monomial lists its ladders in application order, each its step, +1
-    for a creator and -1 for an annihilator.  It maps |n> to w_n |n + s>,
-    so it is the sum of w_n |n + s><n|; on the diagonal it is
-    w_0 I + sum_{n >= 1} (w_n - w_0) |n><n|, with None for I.  Each w_n is
-    the square root of an exact integer, so one weight is one float in
-    every monomial.
-    """
-    shift = sum(monomial)
-    weights = []
-    for n in range(dim):
-        occ, square = n, 1
-        for step in monomial:
-            out = occ + step
-            square *= max(occ, out) if 0 <= out < dim else 0
-            occ = out
-        # a weight past the float range compares equal to nothing
-        weights.append(math.sqrt(square) if square < 2 ** 1023 else math.inf)
-    if shift:
-        return tuple(((n + shift, n), w) for n, w in enumerate(weights) if w)
-    w0 = weights[0]
-    diag = [((n, n), w - w0) for n, w in enumerate(weights) if n and w != w0]
-    return (((None, w0),) if w0 else ()) + tuple(diag)
+
+@functools.cache
+def _unit_product(dim: int, u: tuple, v: tuple) -> tuple:
+    """(unit, sign) terms of |m><n| |p><q| on a site of dim levels: none
+    unless n = p, and |0><0| is I - sum_{k >= 1} |k><k|, () for I."""
+    (m, n), (p, q) = u, v
+    if n != p:
+        return ()
+    if m or q:
+        return (((m, q), 1),)
+    return (((), 1),) + tuple([((k, k), -1) for k in range(1, dim)])
 
 
 def canonical_allclose(a: CanonicalForm, b: CanonicalForm) -> bool:
@@ -190,34 +197,26 @@ def canonical_allclose(a: CanonicalForm, b: CanonicalForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hermiticity certificate
+# Hermiticity certificate and typing
 # ---------------------------------------------------------------------------
 
 def hermiticity_report(e: HamExpr) -> tuple[bool, CanonicalForm]:
     """Decide Hermiticity exactly; report the verdict and the canonical form.
-
     The form is unique, so e is Hermitian exactly when its form and its
     adjoint agree, coefficient by coefficient within COEFF_EQ_TOL of its
-    magnitudes (``canonical_allclose``); no matrix is built.
-    """
+    magnitudes (``canonical_allclose``); no matrix is built."""
     form = canonicalize(e)
     return canonical_allclose(adjoint(form), form), form
 
 
-# ---------------------------------------------------------------------------
-# Typing
-# ---------------------------------------------------------------------------
-
 def typecheck(e: HamExpr) -> tuple[OpType, str]:
     """Infer the operator type F[flag](sites) and what decided its flag.
 
-    The site list is the one the root stored when it was built, and one
-    walk gives the structural flag: an atom with no ladder is H when its
-    amplitude is exactly real, any other atom P; sum and sequencing join their
-    children's flags, so H survives only when every child is H.  Two checks
-    decide: ``"structural"`` when that walk gives H, else ``"certificate"``,
-    the Hermiticity certificate (``hermiticity_report``), which lifts the
-    root to H when it succeeds.
+    The sites are the root's layout.  One walk gives the structural flag:
+    an atom with no ladder is H when its amplitude is exactly real, any
+    other atom P, and a sum or product is H only when every child is.
+    ``"structural"`` decides when that walk gives H, else ``"certificate"``
+    (``hermiticity_report``), which lifts the root to H when it succeeds.
     """
     if _flag(e) is Flag.H:
         return OpType(Flag.H, e.layout), "structural"

@@ -9,4 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 # one example can exceed hypothesis' 200 ms deadline.  A fixed example
 # sequence makes every run test the same cases.
 settings.register_profile("qblue", deadline=None, derandomize=True)
+# A deeper run of the same fixed sequence, chosen on the command line with
+# --hypothesis-profile qblue-deep: 1,000 examples per property.
+settings.register_profile("qblue-deep", settings.get_profile("qblue"),
+                          max_examples=1000)
 settings.load_profile("qblue")

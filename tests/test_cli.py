@@ -899,7 +899,8 @@ def test_the_energy_of_a_matrix_of_rounding_residues_is_zero(tmp_path,
 ], ids=["check", "energy", "compile"])
 def test_a_term_past_the_unit_cap_exits_5_before_expanding(argv, tmp_path,
                                                            capsys):
-    # adag(0) a(1) on two 400-level sites is 399^2 = 159201 site units
+    # adag(0) a(1) on two 400-level sites is 399^2 = 159201 terms: the
+    # product passes the cap after 165 of a(1)'s 399 units
     prog = tmp_path / "h.qb"
     prog.write_text("sites t(400), t(400);\n"
                     "H = adag(0) a(1) + adag(1) a(0);\n")
@@ -908,8 +909,8 @@ def test_a_term_past_the_unit_cap_exits_5_before_expanding(argv, tmp_path,
     seconds = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert (code, out) == (5, "")
-    assert err == (f"qblue: error: a term expands into 159201 site units, "
-                   f"above the cap {UNIT_CAP}\n")
+    assert err == (f"qblue: error: a canonical form grows past the unit cap "
+                   f"of {UNIT_CAP} terms\n")
     assert seconds < 1.0
 
 
@@ -917,8 +918,8 @@ def test_a_term_past_the_unit_cap_exits_5_before_expanding(argv, tmp_path,
     ["check"], ["energy"], ["compile", "--t", "1", "--n", "1"],
 ], ids=["check", "energy", "compile"])
 def test_terms_at_the_unit_cap_exit_5_on_their_total(argv, tmp_path, capsys):
-    # each hop on t(257) sites is 256^2 = 65536 site units, at the cap, and
-    # the first two already pass it together
+    # each hop on t(257) sites is 256^2 = 65536 terms, at the cap, and the
+    # sum of the first two already passes it
     prog = tmp_path / "h.qb"
     prog.write_text("sites t(257), t(257), t(257), t(257); H = sum j in 0..2 "
                     "{ adag(j) a(j+1) + adag(j+1) a(j) };\n")
@@ -927,8 +928,40 @@ def test_terms_at_the_unit_cap_exit_5_on_their_total(argv, tmp_path, capsys):
     seconds = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert (code, out) == (5, "")
-    assert err == (f"qblue: error: the terms expand into 131072 site units "
-                   f"in all, above the cap {UNIT_CAP}\n")
+    assert err == (f"qblue: error: a canonical form grows past the unit cap "
+                   f"of {UNIT_CAP} terms\n")
+    assert seconds < 1.0
+
+
+def spin_power(n, k):
+    """The program H^k, k juxtaposed copies of the n-site spin chain."""
+    body = f"(sum j in 0..{n - 2} {{ 0.9 * Z(j) Z(j+1) + 0.8 * X(j+1) }})"
+    return f"sites {', '.join(['t(2)'] * n)};\nH = {' '.join([body] * k)};\n"
+
+
+def test_the_square_of_a_64_site_chain_is_certified(tmp_path, capsys):
+    # H H multiplies two forms of 190 terms into one of 31,376, below the
+    # unit cap
+    prog = tmp_path / "h.qb"
+    prog.write_text(spin_power(64, 2))
+    code, out, err = run_json(capsys, ["check", str(prog)])
+    record = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (record["flag"], record["decided_by"]) == ("h", "certificate")
+
+
+def test_the_cube_of_a_64_site_chain_exits_5_on_the_cap(tmp_path, capsys):
+    # H H has 31,376 terms, and the first factor of H H H passes the cap
+    # after a few of its terms, each multiplying all of them
+    prog = tmp_path / "h.qb"
+    prog.write_text(spin_power(64, 3))
+    start = time.perf_counter()
+    code = main(["check", str(prog)])
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (5, "")
+    assert err == (f"qblue: error: a canonical form grows past the unit cap "
+                   f"of {UNIT_CAP} terms\n")
     assert seconds < 1.0
 
 

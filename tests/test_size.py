@@ -1,8 +1,10 @@
-"""The front end pays per term, not per term x site, the dense lowering
-per diagonal, not per term, and the exact exponential per block size, not
-per dimension: a size guard that counts tree nodes, canonical-term sites,
-diagonals and eigh shapes instead of timing anything."""
+"""The front end pays per term, not per term x site, the canonical form
+per meeting pair of terms, not per pair, the dense lowering per diagonal,
+not per term, and the exact exponential per block size, not per
+dimension: a size guard that counts tree nodes, canonical-term sites, unit
+products, diagonals and eigh shapes instead of timing anything."""
 
+import importlib
 import math
 
 import pytest
@@ -12,6 +14,9 @@ from qblue.expr import Atom
 from qblue.parser import parse
 from qblue.trotter import compile_digital
 from qblue.typecheck import canonicalize
+
+# the package re-exports the function typecheck under the module's name
+typecheck_module = importlib.import_module("qblue.typecheck")
 
 
 def spin_chain(n):
@@ -84,6 +89,24 @@ def test_the_lowering_pays_per_diagonal(chain, n):
     # 2n - 1 shifts, each one diagonal however many terms land on it
     assert len(linalg._lower(chain(n), {})) == 2 * n - 1
 
+
+@pytest.mark.parametrize("power", [2, 4])
+def test_a_one_site_factor_meets_each_term_once(power, monkeypatch):
+    # each term of adag(0)^k on t(200) has a unit |n+k><n| at site 0, and
+    # the next adag(0) has one unit whose column is that row: one unit
+    # product per term, not one per pair of the two forms' terms
+    products = []
+    unit_product = typecheck_module._unit_product
+
+    def counting(*args):
+        products.append(args)
+        return unit_product(*args)
+
+    monkeypatch.setattr(typecheck_module, "_unit_product", counting)
+    form = canonicalize(parse("sites t(200);\nH = " + "adag(0) " * power
+                              + ";\n").defs["H"])
+    assert len(form.terms) == 200 - power
+    assert len(products) <= sum(200 - k for k in range(1, power))
 
 
 def hopping_bonds(site, n, onsite=""):

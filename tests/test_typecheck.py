@@ -259,7 +259,8 @@ def parsed_definitions(draw):
     return parse(program_text(sites, body)).defs["H"]
 
 
-@settings(max_examples=150)
+# 150 examples in tier-1, more under a deeper profile (conftest.py)
+@settings(max_examples=max(150, settings.default.max_examples))
 @given(parsed_definitions())
 def test_certificate_agrees_with_the_dense_oracle_on_programs(e):
     assert hermiticity_report(e)[0] == dense_hermitian(e)
