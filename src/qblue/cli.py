@@ -15,7 +15,10 @@ lines.  One driver, ``_run``, reads the program, picks the definition
 (``check`` takes them all) and calls ``cmd_<name>(args, name, e)`` for its
 record and a function that builds its text.  --out writes the text and
 prints ``wrote <out>``, or the record under --json; ``compile --out`` also
-writes the record's ``encoding`` report to ``<out>.encoding.json``.
+writes the record's ``encoding`` report to ``<out>.encoding.json``.  Each
+file is overwritten in place and cut to the written length when it is a
+regular file, so a FIFO or a device takes the text too; a command that
+fails removes the regular files it wrote and nothing else.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``certificate`` when the exact
@@ -36,9 +39,12 @@ is one vector of that space, the same on every run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -225,7 +231,14 @@ _COMMANDS = {
 def _run(args) -> int:
     """Read the program, run the command on the definitions it covers,
     write --out, then print: a failed write prints nothing, and a command
-    that fails removes every file it wrote."""
+    that fails removes every regular file it wrote.
+
+    A file is written in place: opened without truncation, written from
+    the start, then cut to the written length if it is a regular file; a
+    FIFO or a device has no length to cut.  Truncating a file that holds
+    data on open was a third of a compile of small chains on ext4.  The
+    removal skips anything but a regular file, so a FIFO, a device or a
+    symlink such as /dev/stdout stays."""
     program = parse(Path(args.file).read_text())
     picked = (program.defs.items() if args.command == "check"
               else [_pick_def(program, args.ham)])
@@ -241,9 +254,12 @@ def _run(args) -> int:
                     record["encoding"], indent=2) + "\n"
                 record["out"] = out
             for path, data in files.items():
-                with open(path, "w") as f:
-                    written.append(path)
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                written.append(path)
+                with open(fd, "w") as f:
                     f.write(data)
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        f.truncate()
             if args.json:
                 print(json.dumps(record))
             elif out:
@@ -252,7 +268,9 @@ def _run(args) -> int:
                 print(shown)
     except BaseException:
         for path in written:
-            Path(path).unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
         raise
     return EXIT_OK
 

@@ -172,15 +172,17 @@ def _ladder(s: int, kind: int, dim: int) -> tuple:
                   for n in range(dim) if 0 <= n + kind < dim])
 
 
-@functools.cache
 def _unit_product(dim: int, u: tuple, v: tuple) -> tuple:
-    """(unit, sign) terms of |m><n| |p><q| on a site of dim levels: none
-    unless n = p, and |0><0| is I - sum_{k >= 1} |k><k|, () for I."""
-    (m, n), (p, q) = u, v
-    if n != p:
-        return ()
-    if m or q:
-        return (((m, q), 1),)
+    """(unit, sign) terms of |m><n| |n><q| on a site of dim levels: the
+    caller pairs u with a v whose row is u's column, so the product is
+    |m><q|, or ``_zero_projector`` when m = q = 0."""
+    m, q = u[0], v[1]
+    return (((m, q), 1),) if m or q else _zero_projector(dim)
+
+
+@functools.cache
+def _zero_projector(dim: int) -> tuple:
+    """|0><0| as I - sum_{k >= 1} |k><k|, () for I: one entry per dim."""
     return (((), 1),) + tuple([((k, k), -1) for k in range(1, dim)])
 
 

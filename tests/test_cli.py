@@ -1,5 +1,7 @@
 import importlib
 import json
+import os
+import threading
 import time
 import warnings
 
@@ -706,6 +708,108 @@ def test_a_failed_out_keeps_a_file_it_could_not_open(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert out.is_dir()
     assert not (tmp_path / "h.circ.encoding.json").exists()
+
+
+def out_commands(tmp_path):
+    """The argv, without --out, of each command that writes --out."""
+    prog, _ = spin_program(tmp_path)
+    flip, state = tmp_path / "x.qb", tmp_path / "in.state"
+    flip.write_text("sites t(2), t(2);\nH = 0.5 * X(0) + adag(1);\n")
+    state.write_text("sites: t(2), t(2)\n(1.0,0.0) |0, 0>\n")
+    return {"compile": ["compile", prog, "--t", "0.5", "--n", "2"],
+            "eval": ["eval", str(flip), "--state", str(state)],
+            "fit": ["fit", prog]}
+
+
+def outputs(command, out):
+    """The files a command writes for --out: compile adds its report."""
+    paths = [out]
+    if command == "compile":
+        paths.append(out.with_name(out.name + ".encoding.json"))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["compile", "eval", "fit"])
+def test_out_overwrites_a_longer_file_with_the_fresh_bytes(tmp_path, capsys,
+                                                           command):
+    # each output is written in place over a longer file, then cut to the
+    # written length: the bytes are those of a write to a new path
+    argv = out_commands(tmp_path)[command]
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    for new, path in zip(outputs(command, fresh), outputs(command, old)):
+        path.write_bytes(b"#" * (3 * len(new.read_bytes()) + 100))
+    assert main([*argv, "--out", str(old)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {old}\n")
+    for new, path in zip(outputs(command, fresh), outputs(command, old)):
+        assert path.read_bytes() == new.read_bytes() != b""
+
+
+def test_a_failed_compile_removes_the_file_it_overwrote(tmp_path, capsys):
+    # a regular file that held data before the run is still removed
+    prog, _ = spin_program(tmp_path)
+    out = tmp_path / "h.circ"
+    out.write_text("an older circuit\n" * 100)
+    (tmp_path / "h.circ.encoding.json").mkdir()
+    assert main(["compile", prog, "--t", "0.5", "--n", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_a_failed_compile_keeps_a_symlink_it_wrote_through(tmp_path, capsys):
+    # --out names a symlink, as /dev/stdout is one: the link is not a
+    # regular file, so it stays, and the file it names keeps the circuit
+    prog, _ = spin_program(tmp_path)
+    target, link = tmp_path / "target.circ", tmp_path / "h.circ"
+    link.symlink_to(target)
+    (tmp_path / "h.circ.encoding.json").mkdir()
+    assert main(["compile", prog, "--t", "0.5", "--n", "1",
+                 "--out", str(link)]) == 1
+    assert capsys.readouterr().out == ""
+    assert link.is_symlink()
+    assert target.read_text().startswith("qubits ")
+
+
+def read_fifo(path):
+    """Make a FIFO at path and a started thread that reads it to the end
+    into the returned list."""
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_text()),
+                              daemon=True)
+    reader.start()
+    return reader, got
+
+
+@pytest.mark.parametrize("command", ["eval", "fit"])
+def test_out_writes_a_fifo_and_keeps_it(tmp_path, capsys, command):
+    # a FIFO takes the text as it is; it has no length to cut
+    argv = out_commands(tmp_path)[command]
+    fresh, fifo = tmp_path / "fresh.out", tmp_path / "pipe"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    reader, got = read_fifo(fifo)
+    assert main([*argv, "--out", str(fifo)]) == 0
+    reader.join(10)
+    assert got == [fresh.read_text()]
+    assert fifo.is_fifo()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failed_compile_keeps_the_fifo_it_wrote(tmp_path, capsys):
+    # the circuit goes down the FIFO before the report fails; only a
+    # regular file is removed, so the FIFO stays
+    prog, _ = spin_program(tmp_path)
+    argv = ["compile", prog, "--t", "0.5", "--n", "1", "--out"]
+    fresh, fifo = tmp_path / "fresh.circ", tmp_path / "pipe"
+    assert main([*argv, str(fresh)]) == 0
+    (tmp_path / "pipe.encoding.json").mkdir()
+    reader, got = read_fifo(fifo)
+    assert main([*argv, str(fifo)]) == 1
+    reader.join(10)
+    assert got == [fresh.read_text()]
+    assert fifo.is_fifo()
+    assert "Is a directory" in capsys.readouterr().err
 
 
 def test_fit_of_an_empty_schedule_prints_nothing_in_text_mode(tmp_path,

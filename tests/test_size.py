@@ -2,14 +2,18 @@
 per meeting pair of terms, not per pair, the dense lowering per diagonal,
 not per term, and the exact exponential per block size, not per
 dimension: a size guard that counts tree nodes, canonical-term sites, unit
-products, diagonals and eigh shapes instead of timing anything."""
+products, diagonals and eigh shapes instead of timing anything.  --out
+rewrites its files in place: the guard reads the flags they are opened with,
+since truncating a file that holds data is the slow step."""
 
 import importlib
 import math
+import os
 
 import pytest
 
 from qblue import circuit, linalg
+from qblue.cli import main
 from qblue.expr import Atom
 from qblue.parser import parse
 from qblue.trotter import compile_digital
@@ -146,3 +150,26 @@ def test_the_exponential_diagonalizes_each_block_size_once(monkeypatch):
     linalg.matrix_exp_sim(h, 0.5)
     assert max(shape[-1] for shape in shapes) == 252
     assert len(shapes) <= len({math.comb(10, k) for k in range(11)}) == 6
+
+
+def test_compile_out_opens_its_files_without_truncating(tmp_path, capsys,
+                                                       monkeypatch):
+    # the circuit and its report are written over and cut to length, so a
+    # file rewritten by the next compile keeps its blocks
+    prog, out = tmp_path / "h.qb", tmp_path / "h.circ"
+    prog.write_text("sites t(2), t(2);\nH = Z(0) Z(1) + 0.8 * X(1);\n")
+    flags = {}
+    os_open = os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags[str(path)] = flag
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    for _ in range(2):
+        assert main(["compile", str(prog), "--t", "0.5", "--n", "1",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n" * 2
+    written = [str(out), f"{out}.encoding.json"]
+    assert [flags[path] & (os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            for path in written] == [os.O_WRONLY | os.O_CREAT] * 2

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -311,6 +312,18 @@ def test_a_nan_coefficient_stays_in_the_form():
                               for c in form.terms.values())
     assert not hermitian
     assert typecheck(e)[0].flag is Flag.P
+
+
+def test_unit_products_cache_one_expansion_per_dimension():
+    # a unit product is |m><q| from the indices alone; only |0><0| = I -
+    # sum_k |k><k| is kept, once per dimension, so the cache does not grow
+    # with the units a program meets
+    typecheck_module = importlib.import_module("qblue.typecheck")
+    typecheck_module._zero_projector.cache_clear()
+    raised = "adag(0) " * 171
+    canonicalize(parse(f"sites t(200);\nH = {raised}a(0) adag(0) - "
+                       f"{raised};\n").defs["H"])
+    assert typecheck_module._zero_projector.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize("dim", [2, 16, 64])
