@@ -9,9 +9,9 @@ A program declares a site layout and named operator definitions::
 Juxtaposition is the operator product, ``+``/``-`` linear combination
 (``A - 0.5 * B`` is a difference), ``dag(...)`` the adjoint.  An indexed
 atom a/adag/I is one node over the declared layout that names the given
-site, the identity implicit at every other site; X/Y/Z expand to their
-ladder combinations (a^dag + a, i a - i a^dag, a^dag a - a a^dag) on
-two-dimensional sites.  ``sum j in lo..hi { ... }`` unrolls inclusively
+site, the identity implicit at every other site; on two-dimensional sites
+X/Y/Z expand to a^dag + a, i a - i a^dag and 2 a^dag a - I, which there
+equals a^dag a - a a^dag.  ``sum j in lo..hi { ... }`` unrolls inclusively
 with index arithmetic of the form j + constant into one n-ary sum, as
 ``+`` chains and juxtaposition build one n-ary sum and product.  Scalar
 literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``.  Every node of a
@@ -54,7 +54,7 @@ class Program:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""(?:\s+|//[^\n]*)*(
-    (?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?(?:i\b)?
+    (?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?(?:i\b)?
   | [A-Za-z_][A-Za-z_0-9]* | \.\. | [()=;,+\-*{}] | \Z | [\s\S]+ )""",
                        re.VERBOSE)
 
@@ -65,13 +65,13 @@ _KINDS = {**dict.fromkeys(string.ascii_letters + "_", "name"),
 
 def _kind(text: str) -> str:
     """The kind of a token that is a number, by its shape, ``..`` or bad.
-    A digit is what ``\\d`` matches, str.isdecimal: ``²`` starts no number."""
+    A digit is one of 0-9: ``²`` and ``٣`` start no number."""
     if text == "..":
         return "punct"
-    if text[0].isdecimal() or text[0] == "." and text[1:2].isdecimal():
+    if "0" <= text[0] <= "9" or text[0] == "." and "0" <= text[1:2] <= "9":
         if text[-1] == "i":
             return "imag"
-        return "int" if text.isdecimal() else "float"
+        return "float" if text.strip(string.digits) else "int"
     return "bad"
 
 
@@ -289,9 +289,9 @@ class _Parser:
         if name == "Y":
             return Sum(Atom(lay, an, 1j if z is None else z * 1j),
                        Atom(lay, cr, -1j if z is None else z * -1j))
-        return Sum(Seq(Atom(lay, cr, one), Atom(lay, an)),
-                   Seq(Atom(lay, an, -1 + 0j if z is None else z * (-1 + 0j)),
-                       Atom(lay, cr)))
+        return Sum(Seq(Atom(lay, cr, 2 + 0j if z is None else z * (2 + 0j)),
+                       Atom(lay, an)),
+                   Atom(lay, None, -1 + 0j if z is None else z * (-1 + 0j)))
 
     def sum_loop(self, env: dict) -> HamExpr:
         self.expect("sum")

@@ -173,8 +173,7 @@ def _ladder(s: int, kind: int, dim: int) -> tuple:
 
 
 def _unit_product(dim: int, u: tuple, v: tuple) -> tuple:
-    """(unit, sign) terms of |m><n| |n><q| on a site of dim levels: the
-    caller pairs u with a v whose row is u's column, so the product is
+    """(unit, sign) terms of u v = |m><n| |n><q| on a site of dim levels:
     |m><q|, or ``_zero_projector`` when m = q = 0."""
     m, q = u[0], v[1]
     return (((m, q), 1),) if m or q else _zero_projector(dim)
@@ -182,7 +181,8 @@ def _unit_product(dim: int, u: tuple, v: tuple) -> tuple:
 
 @functools.cache
 def _zero_projector(dim: int) -> tuple:
-    """|0><0| as I - sum_{k >= 1} |k><k|, () for I: one entry per dim."""
+    """|0><0| as I - sum_{k >= 1} |k><k|, () for I: one entry per dim.  A
+    product a adag reaches it, as X(j) X(j) does; Z(j) = 2 adag a - I not."""
     return (((), 1),) + tuple([((k, k), -1) for k in range(1, dim)])
 
 

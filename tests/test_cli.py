@@ -383,7 +383,9 @@ def test_failure_exit_codes(argv, source, code, kind, tmp_path, capsys):
     ("sites t(2), t(2);\nH = X(0) +\n  a(0) # a(1);\n", 3, 8,
      "unexpected character '#'"),
     ("sites t(0);\nH = a(0);\n", 1, 9, "site dimension must be at least 1"),
-], ids=["hash", "dimension-zero"])
+    # a literal's digits are 0-9: an Arabic-Indic three is no dimension
+    ("sites t(٣);\nH = a(0);\n", 1, 9, "unexpected character '٣'"),
+], ids=["hash", "dimension-zero", "non-ascii-digit"])
 def test_a_parse_error_reports_its_position(source, line, col, message,
                                             tmp_path, capsys):
     prog = tmp_path / "h.qb"

@@ -135,8 +135,13 @@ def test_tensor_of_sums_general_path():
     assert oracle.max_norm(expr_to_matrix(e), want) < 1e-12
 
 
+# the examples per property of the qblue-deep profile (conftest.py)
+DEEP = settings.get_profile("qblue-deep").max_examples
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@settings(max_examples=40)
+# 40 examples per family, or the deep profile's count when it is loaded
+@settings(max_examples=DEEP if settings.default.max_examples == DEEP else 40)
 @given(data=st.data())
 def test_the_matrix_of_program_text_is_its_oracle_matrix(family, data):
     # two routes to the meaning of the text: the parsed tree's lowering,

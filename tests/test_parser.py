@@ -28,7 +28,7 @@ def pauli_terms(e):
 
 
 def test_binary_minus_before_a_literal_is_a_difference():
-    # Z(j) = adag a - a adag encodes to -Z on qubit j
+    # Z(j) = 2 adag a - I encodes to -Z on qubit j
     e = definition("sites t(2), t(2);\nH = Z(0) - 0.5 * Z(1);\n")
     assert pauli_terms(e) == {"ZI": -1, "IZ": 0.5}
 
@@ -145,6 +145,9 @@ def test_round_trip_keeps_literals_dag_and_minus():
     ("sites t(2);\nH = a(0) # a(0);", "unexpected character '#'", 2, 10),
     ("sites t(2), t(0);", "site dimension must be at least 1", 1, 15),
     ("sites t(2);\nH = a(0) ² a(0);", "unexpected character '²'", 2, 10),
+    # a digit of the literals is 0-9, not any decimal digit
+    ("sites t(٣);\nH = a(0);", "unexpected character '٣'", 1, 9),
+    ("sites t(2);\nH = 0.5٣ * a(0);", "unexpected character '٣'", 2, 8),
 ])
 def test_parse_error_positions(source, message, line, col):
     with pytest.raises(ParseError) as err:
@@ -158,7 +161,8 @@ def test_parse_error_positions(source, message, line, col):
 # ---------------------------------------------------------------------------
 
 # A token of the surface syntax, for splitting generated program text.
-TOKEN_TEXT = re.compile(r"\d+\.\d+i?|\d+(?:[eE][+-]?\d+)?i?|\.\.|\w+|\S")
+TOKEN_TEXT = re.compile(
+    r"[0-9]+\.[0-9]+i?|[0-9]+(?:[eE][+-]?[0-9]+)?i?|\.\.|\w+|\S")
 SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n ",
               "// a comment\n", "\t//x(0) $ @\r\n"]
 
@@ -208,9 +212,10 @@ def test_error_positions_under_any_spacing(text, data):
 
 REFERENCE_TOKEN_RE = re.compile(r"""
     (?:\s+|//[^\n]*)*                  # whitespace and comments first
-    (?: (?P<imag>(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?i\b)
-      | (?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-      | (?P<int>\d+)
+    (?: (?P<imag>(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?i\b)
+      | (?P<float>(?:[0-9]+\.[0-9]+|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
+                  |[0-9]+[eE][+-]?[0-9]+)
+      | (?P<int>[0-9]+)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<punct>\.\.|[()=;,+\-*{}])
       | (?P<eof>\Z)
@@ -255,7 +260,7 @@ def assert_tokens_match_the_reference(src):
 @pytest.mark.parametrize("src", [
     "2in", ".5", "..5", "1..2", "1e5i", "1.5e", "2ie", "sites t(٣);",
     "sites t(2);\nH = a(0); // no newline after it", "", " \n\t", "// x",
-    # ² is a digit to str.isdigit, but not a decimal digit
+    # ² is a digit to str.isdigit and ٣ a decimal digit, but neither is 0-9
     "sites t(2);\nH = a(0) ² a(0);", "2²", "a(0) . a(1)", "0.5 .", "x@",
 ])
 def test_tokenize_matches_the_reference_on(src):
@@ -263,10 +268,10 @@ def test_tokenize_matches_the_reference_on(src):
 
 
 def test_tokenize_kinds():
-    assert [t[:2] for t in tokenize("2in .5 1..2 1e5i t(٣)")[:12]] == [
+    assert [t[:2] for t in tokenize("2in .5 1..2 1e5i t(3)")[:12]] == [
         ("int", "2"), ("name", "in"), ("float", ".5"), ("int", "1"),
         ("punct", ".."), ("int", "2"), ("imag", "1e5i"), ("name", "t"),
-        ("punct", "("), ("int", "٣"), ("punct", ")"), ("eof", "")]
+        ("punct", "("), ("int", "3"), ("punct", ")"), ("eof", "")]
 
 
 @given(program_texts(), st.data())
@@ -306,7 +311,7 @@ def Y(j):
 
 
 def Z(j):
-    return ham_sum(seq(cr(j), an(j)), scale(-1, seq(an(j), cr(j))))
+    return ham_sum(seq(cr(j, 2), an(j)), Atom(LAYOUT, None, -1))
 
 
 @pytest.mark.parametrize("body, want", [
@@ -337,7 +342,7 @@ def test_literal_prefix_folds_into_the_atoms(body, want):
 
 def test_a_tree_of_every_construct_is_unchanged():
     # recorded from the parser before the one-scan tokenizer and the
-    # slotted nodes
+    # slotted nodes, but for Z(1), which is now 2 adag(1) a(1) - I(1)
     e = definition("sites t(2), F;\nH = -X(0) - 0.5 * Y(0) Z(1)"
                    " + (0.5-0.25i) * dag(adag(1) a(0))"
                    " + sqrt(2) * sum j in 0..0 {"
@@ -351,9 +356,8 @@ def test_a_tree_of_every_construct_is_unchanged():
         'Seq(children=(Sum(children=(Atom(layout=L, ladder=(0, AN), '
         'amp=(-0-0.5j)), Atom(layout=L, ladder=(0, CR), amp=0.5j))), '
         'Sum(children=(Seq(children=(Atom(layout=L, ladder=(1, CR), '
-        'amp=(1+0j)), Atom(layout=L, ladder=(1, AN), amp=(1+0j)))), '
-        'Seq(children=(Atom(layout=L, ladder=(1, AN), amp=(-1+0j)), '
-        'Atom(layout=L, ladder=(1, CR), amp=(1+0j)))))))), '
+        'amp=(2+0j)), Atom(layout=L, ladder=(1, AN), amp=(1+0j)))), '
+        'Atom(layout=L, ladder=None, amp=(-1+0j)))))), '
         'Seq(children=(Atom(layout=L, ladder=(0, CR), amp=(0.5-0.25j)), '
         'Atom(layout=L, ladder=(1, AN), amp=(1-0j)))), '
         'Seq(children=(Atom(layout=L, ladder=(0, AN), '

@@ -53,9 +53,11 @@ def test_spin_chain_tree_and_terms_grow_with_the_bonds(n):
     e = spin_chain(n)
     tree = nodes(e)
     assert len(tree) <= 40 * n
-    # each indexed atom is one node that names its own site only
+    # each indexed atom is one node that names its own site only, and
+    # each Z(j) holds one identity atom: two per bond, every other atom a
+    # ladder
     atoms = [node for node in tree if isinstance(node, Atom)]
-    assert all(atom.ladder is not None for atom in atoms)
+    assert sum(atom.ladder is None for atom in atoms) == 2 * (n - 1)
     assert all(atom.layout is e.layout for atom in atoms)
     # Z = 2 |1><1| - I on t(2), so Z(j) Z(j+1) is 4 n(j) n(j+1) - 2 n(j)
     # - 2 n(j+1) + I with n = |1><1|, and X(j+1) is |1><0| + |0><1|: the
@@ -82,7 +84,22 @@ def test_spin_chain_builds_each_atom_once(n, monkeypatch):
 
     monkeypatch.setattr(Atom, "__init__", counting)
     tree = [node for node in nodes(spin_chain(n)) if isinstance(node, Atom)]
-    assert len(built) == len(tree) == 10 * (n - 1)
+    assert len(built) == len(tree) == 8 * (n - 1)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_a_spin_bond_costs_three_products(n, monkeypatch):
+    # Z(j) is 2 adag(j) a(j) - I(j), one product, and Z(j) Z(j+1) one more:
+    # a bond's three products meet no |0><0| = I - |1><1| from an a adag
+    calls = {"_product": 0, "_zero_projector": 0}
+    for name in calls:
+        def counting(*args, name=name, f=getattr(typecheck_module, name)):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(typecheck_module, name, counting)
+    canonicalize(spin_chain(n))
+    assert calls == {"_product": 3 * (n - 1), "_zero_projector": 0}
 
 
 @pytest.mark.parametrize("chain", [spin_chain, hopping_chain])
