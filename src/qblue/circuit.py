@@ -23,7 +23,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import QUBIT_CAP, DimensionCapError, ParseError
+from .errors import (
+    QUBIT_CAP, DimensionCapError, ParseError, finite_float, natural,
+)
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -171,6 +173,7 @@ def _unitary(k: int, gates, axes: dict) -> np.ndarray:
 #   qubits 3; phase 0.0;
 #   cx 0 1
 #   rz 0.125 1
+# Its numbers are in the digits 0-9 by errors.finite_float and errors.natural.
 # ---------------------------------------------------------------------------
 
 def format_circuit(c: Circuit) -> str:
@@ -212,22 +215,20 @@ def parse_circuit(text: str) -> Circuit:
                          "header", 1, 1)
     (number, ln, _), *body = lines
     fields = _fields(ln)
-    finite = _checked(float, math.isfinite)
-    spec = [("'qubits'", _checked(str, "qubits".__eq__)),
-            ("a qubit count", _checked(int, lambda n: n >= 0))]
+    spec = [("'qubits'", ["qubits"].index), ("a qubit count", natural)]
     if len(fields) > 2:
-        spec += [("'phase'", _checked(str, "phase".__eq__)),
-                 ("a finite phase", finite)]
+        spec += [("'phase'", ["phase"].index),
+                 ("a finite phase", finite_float)]
     _, width, *phase = _convert(number, fields, spec)
     qubit = (f"a qubit below {width}",
-             _checked(int, range(width).__contains__))
+             lambda field: range(width).index(natural(field)))
     gates, parsed = [], {}   # a line's field texts to its Gate, if it parsed
     for number, ln, key in body:
         if key not in parsed:
             fields = _fields(ln)
             col, name = fields[0]
             if name in _ROTATIONS:
-                spec = [("a finite angle", finite), qubit]
+                spec = [("a finite angle", finite_float), qubit]
             elif name == "cx":
                 spec = [qubit, qubit]
             elif name in GATE_NAMES:
@@ -269,13 +270,3 @@ def _convert(number: int, fields: list, spec: list) -> list:
         raise ParseError(f"unexpected {field!r} after the last field",
                          number, col)
     return values
-
-
-def _checked(convert, ok):
-    """convert, raising ValueError unless ok holds for the result."""
-    def checked(field: str):
-        value = convert(field)
-        if not ok(value):
-            raise ValueError(field)
-        return value
-    return checked

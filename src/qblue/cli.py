@@ -9,16 +9,17 @@ Parsing never exits 3 (a parsed program has one layout): exit 3 is
 ``energy`` of a flag-p program or ``eval`` of a state on another layout.
 An input that exhausts the recursion limit or the memory exits 1 with a
 one-line error naming the cause, not a traceback (see ``main``), as does an
-``eval`` that overflows the float range, and a non-finite ``--t`` is a
-usage error.  With --json, reports and diagnostics are emitted as JSON
+``eval`` that overflows the float range.  --t and --n take the digits 0-9 of
+``errors.NUMBER``, the number rule of every reader: nan, inf or another digit
+is a usage error.  With --json, reports and diagnostics are emitted as JSON
 lines.  One driver, ``_run``, reads the program, picks the definition
 (``check`` takes them all) and calls ``cmd_<name>(args, name, e)`` for its
-record and a function that builds its text.  --out writes the text and
-prints ``wrote <out>``, or the record under --json; ``compile --out`` also
-writes the record's ``encoding`` report to ``<out>.encoding.json``.  Each
-file is overwritten in place and cut to the written length when it is a
-regular file, so a FIFO or a device takes the text too; a command that
-fails removes the regular files it wrote and nothing else.
+record and a function that builds its text.  --out writes the text and prints
+``wrote <out>``, or the record under --json; ``compile --out`` also writes the
+record's ``encoding`` report to ``<out>.encoding.json``.  Each file is
+overwritten in place and cut to the written length when it is a regular file,
+so a FIFO or a device takes the text too; a command that fails removes the
+regular files it wrote and nothing else.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``certificate`` when the exact
@@ -42,7 +43,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -52,7 +52,7 @@ from . import linalg, trotter
 from .circuit import format_circuit, parse_circuit
 from .errors import (
     CompileError, DimensionCapError, LayoutError, NonHermitianError,
-    ParseError, QBlueError,
+    ParseError, QBlueError, finite_float, natural,
 )
 from .expr import Flag
 from .fock import apply, format_state, parse_state
@@ -75,14 +75,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def finite_float(text: str) -> float:
-    """The type of --t: nan or inf would reach the circuit and the JSON."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)   # argparse names the type and the value
-    return value
 
 
 @functools.cache
@@ -115,7 +107,7 @@ def _build_parser():
     p = add("compile", "Trotterize and synthesize a digital circuit")
     p.add_argument("--t", type=finite_float, required=True,
                    help="evolution time")
-    p.add_argument("--n", type=int, required=True, help="Trotter steps")
+    p.add_argument("--n", type=natural, required=True, help="Trotter steps")
     p.add_argument("--out", default=None, help="circuit output file")
 
     p = add("fit", "fit onto the ibm analog machine's templates")
@@ -285,13 +277,8 @@ def main(argv=None) -> int:
     exits 1 with one error line, as does a MemoryError.  A product of large
     sums exits 5 on the unit cap, which bounds every form typing builds.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"qblue: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return _run(args)
     except _UsageError as exc:
         print(f"qblue: usage error: {exc}", file=sys.stderr)

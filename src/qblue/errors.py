@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 # The work limits: matrices of at most DIM_CAP rows, that is circuits and
 # Pauli sums on at most QUBIT_CAP qubits, and canonical forms of at most
 # UNIT_CAP terms, every form built on the way included (a hopping pair of
@@ -24,6 +27,27 @@ def negligible(value, scale, tol: float):
     none, so then only an exact zero is, and a nan never is.  value and
     scale may be numpy arrays, tested entry by entry."""
     return (abs(value) <= tol * scale) & (scale < float("inf")) | (value == 0)
+
+
+# Every number qblue reads in text: an unsigned decimal of the digits 0-9.
+NUMBER = r"(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
+
+def finite_float(text: str) -> float:
+    """The finite float that text writes: an optional sign, then NUMBER."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    if not re.fullmatch("[+-]?" + NUMBER, text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return value
+
+
+def natural(text: str) -> int:
+    """The int that text writes in the digits 0-9."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid natural number: {text!r}")
+    return int(text)
 
 
 class QBlueError(Exception):

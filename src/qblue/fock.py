@@ -21,7 +21,9 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import ZERO_TOL, LayoutError, ParseError, negligible
+from .errors import (
+    ZERO_TOL, LayoutError, ParseError, finite_float, natural, negligible,
+)
 from .expr import Atom, Boson, Fermion, HamExpr, Seq, SiteList, Sum, site_dim
 
 
@@ -96,6 +98,8 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     acts on the whole merged state, and only the final state is pruned and
     sorted.  Each amplitude carries the magnitudes of every path summed
     into it, so a residue in an intermediate state drops with its terms.
+    A product multiplies its atoms' amplitudes before their ladders apply,
+    so only its first factor scales; a sum inside it applies in doubles.
     A result amplitude left non-finite by an overflow on the way is a
     ValueError, as no state holds it.  The kets are packed into int keys
     on entry and unpacked at the end; a ladder moves its site's field from
@@ -111,10 +115,11 @@ def apply(e: HamExpr, s: FockState) -> FockState:
     bits = [isinstance(site, Fermion) << n for site, n in zip(layout, shifts)]
     parity = [b and mask for b, mask in zip(bits, accumulate(bits, initial=0))]
 
-    def act(node: HamExpr, state: dict, out: dict):
-        """Add node applied to state into out; both map key -> (amp, mag)."""
+    def act(node: HamExpr, state: dict, out: dict, z=1, w=1.0):
+        """Add z times node applied to state into out, magnitudes times w;
+        z None applies an atom's ladder at unit amplitude."""
         if isinstance(node, Atom):
-            z, w = node.amp, abs(node.amp)
+            z, w = (1, 1.0) if z is None else (z * node.amp, w * abs(node.amp))
             if node.ladder is None:
                 for x, (amp, mag) in state.items():
                     a, m = out.get(x, (0j, 0.0))
@@ -138,13 +143,15 @@ def apply(e: HamExpr, s: FockState) -> FockState:
                 out[x] = a + amp * z * c, acc + m
         elif isinstance(node, Sum):
             for c in node.children:
-                act(c, state, out)
+                act(c, state, out, z, w)
         elif isinstance(node, Seq):
             for c in reversed(node.children[1:]):
                 mid: dict = {}
-                act(c, state, mid)
+                if isinstance(c, Atom):   # its amplitude joins z
+                    z, w = z * c.amp, w * abs(c.amp)
+                act(c, state, mid, None if isinstance(c, Atom) else 1)
                 state = mid
-            act(node.children[0], state, out)
+            act(node.children[0], state, out, z, w)
         else:
             raise TypeError(f"not a HamExpr: {node!r}")
 
@@ -163,8 +170,9 @@ def apply(e: HamExpr, s: FockState) -> FockState:
 # Layout header then one ket per line:
 #   sites: t(2), t(4), F
 #   (0.7071067811865476,0.0) |0,1,0>
+# Its numbers are in the digits 0-9 by errors.finite_float and errors.natural.
 
-_SITE_RE = re.compile(r"^\s*(t\(\s*(\d+)\s*\)|F)\s*$")
+_SITE_RE = re.compile(r"^\s*(t\(\s*([^)\s]+)\s*\)|F)\s*$")
 _KET_RE = re.compile(
     r"^\s*\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)\s*\|([0-9,\s]*)[>⟩]\s*$")
 
@@ -207,7 +215,7 @@ def _site(text: str):
     m = _SITE_RE.match(text)
     if not m:
         raise ValueError(f"bad site type {text.strip()!r}")
-    return Fermion() if m[1] == "F" else Boson(int(m[2]))
+    return Fermion() if m[1] == "F" else Boson(natural(m[2]))
 
 
 def _parse_ket(n: int, line: str, layout: SiteList) -> tuple:
@@ -215,20 +223,12 @@ def _parse_ket(n: int, line: str, layout: SiteList) -> tuple:
     m = _KET_RE.match(line)
     if not m:
         raise ParseError(f"bad ket line {line.strip()!r}", n, _column(line, 0))
-    amp = complex(*(_at(n, m.start(g) + 1, _finite, m[g]) for g in (1, 2)))
+    amp = complex(*(_at(n, m.start(g) + 1, finite_float, m[g]) for g in (1, 2)))
     col = m.start(3) + 1
-    occ = (tuple(_at(n, col, int, x) for x in m[3].split(","))
+    occ = (tuple(_at(n, col, natural, x.strip()) for x in m[3].split(","))
            if m[3].strip() else ())
     _at(n, col, _check_occ, layout, occ)
     return amp, occ
-
-
-def _finite(text: str) -> float:
-    """The finite float that text names."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"amplitude part {text} is not finite")
-    return value
 
 
 def _column(line: str, offset: int) -> int:

@@ -14,9 +14,10 @@ X/Y/Z expand to a^dag + a, i a - i a^dag and 2 a^dag a - I, which there
 equals a^dag a - a a^dag.  ``sum j in lo..hi { ... }`` unrolls inclusively
 with index arithmetic of the form j + constant into one n-ary sum, as
 ``+`` chains and juxtaposition build one n-ary sum and product.  Scalar
-literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``.  Every node of a
-parsed program spans the declared layout: atoms are built on it, and
-scaling, ``dag``, sums, products and sum loops keep their children's
+literals: ``1.5``, ``-2i``, ``(0.5+0.5i)``, ``sqrt(2)``, in the digits 0-9
+of ``errors.NUMBER``, the one number rule of every qblue reader.  Every
+node of a parsed program spans the declared layout: atoms are built on it,
+and scaling, ``dag``, sums, products and sum loops keep their children's
 layout.  So the parser has no layouts to reconcile, and a program has no
 layout errors.
 
@@ -36,7 +37,7 @@ import re
 import string
 from dataclasses import dataclass
 
-from .errors import AmplitudeError, ParseError
+from .errors import NUMBER, AmplitudeError, ParseError
 from .expr import (
     Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, dagger,
     ham_sum, scale, seq, site_dim,
@@ -54,25 +55,22 @@ class Program:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""(?:\s+|//[^\n]*)*(
-    (?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?(?:i\b)?
+    """ + NUMBER + r"""(?:i\b)?
   | [A-Za-z_][A-Za-z_0-9]* | \.\. | [()=;,+\-*{}] | \Z | [\s\S]+ )""",
                        re.VERBOSE)
 
 # the kind of a token by its first character; "" is the eof token
 _KINDS = {**dict.fromkeys(string.ascii_letters + "_", "name"),
           **dict.fromkeys("()=;,+-*{}", "punct"), "": "eof"}
+# and the kind of a number by the name of the group it matches in full
+_NUMBER_RE = re.compile(
+    f"(?P<int>[0-9]+)|(?P<float>{NUMBER})|(?P<imag>{NUMBER}i)")
 
 
 def _kind(text: str) -> str:
-    """The kind of a token that is a number, by its shape, ``..`` or bad.
-    A digit is one of 0-9: ``²`` and ``٣`` start no number."""
-    if text == "..":
-        return "punct"
-    if "0" <= text[0] <= "9" or text[0] == "." and "0" <= text[1:2] <= "9":
-        if text[-1] == "i":
-            return "imag"
-        return "float" if text.strip(string.digits) else "int"
-    return "bad"
+    """The kind of a token that is a number, ``..`` or bad."""
+    m = _NUMBER_RE.fullmatch(text)
+    return m.lastgroup if m else "punct" if text == ".." else "bad"
 
 
 def tokenize(src: str) -> list:

@@ -96,6 +96,20 @@ def test_text_format_roundtrip(c):
 # The reader before lines were keyed by their split fields: every line is
 # located column by column, then converted when its fields are new.
 REFERENCE_FIELD_RE = re.compile(r"[^\s;]+")
+# Its numbers, written apart from the package's rule: ASCII digits only, a
+# float with an optional sign, digits on both sides of a point or after a
+# leading one, and an optional exponent; a count or a qubit digits alone.
+REFERENCE_FLOAT_RE = re.compile(r"[+-]?(\d+\.\d+|\.\d+|\d+)([eE][+-]?\d+)?",
+                                re.ASCII)
+REFERENCE_INT_RE = re.compile(r"\d+", re.ASCII)
+
+
+def reference_number(pattern, convert):
+    def number(field):
+        if not pattern.fullmatch(field):
+            raise ValueError(field)
+        return convert(field)
+    return number
 
 
 def reference_parse_circuit(text):
@@ -106,15 +120,17 @@ def reference_parse_circuit(text):
         raise ParseError("empty circuit; expected a 'qubits N; phase P;' "
                          "header", 1, 1)
     (number, fields), *body = lines
-    finite = reference_checked(float, math.isfinite)
+    finite = reference_checked(reference_number(REFERENCE_FLOAT_RE, float),
+                               math.isfinite)
+    integer = reference_number(REFERENCE_INT_RE, int)
     spec = [("'qubits'", reference_checked(str, "qubits".__eq__)),
-            ("a qubit count", reference_checked(int, lambda n: n >= 0))]
+            ("a qubit count", integer)]
     if len(fields) > 2:
         spec += [("'phase'", reference_checked(str, "phase".__eq__)),
                  ("a finite phase", finite)]
     _, width, *phase = reference_convert(number, fields, spec)
     qubit = (f"a qubit below {width}",
-             reference_checked(int, range(width).__contains__))
+             reference_checked(integer, range(width).__contains__))
     gates, parsed = [], {}
     for number, fields in body:
         key = tuple(field for _, field in fields)
@@ -172,10 +188,12 @@ def reference_checked(convert, ok):
 
 
 # field separators, Unicode whitespace among them, and fields that are
-# wrong somewhere: unknown names, non-finite numbers, qubits out of range
+# wrong somewhere: unknown names, non-finite numbers, qubits out of range,
+# numbers in other digits, with underscores or with signs
 SEPARATORS = [" ", "  ", "\t", ";", " ; ", ";;", "\xa0", "\u3000", "\x1f"]
 ODD_FIELDS = ["qubits", "phase", "cx", "rz", "h", "u3", "nan", "1e999", "-1",
-              "0", "1", "7", "0.5", "x", "3;", "٣", "1_0"]
+              "0", "1", "7", "0.5", "x", "3;", "٣", "1_0", "٠", "-0", "+1",
+              "0_5"]
 
 
 @st.composite
@@ -230,6 +248,9 @@ def test_parse_circuit_matches_the_reference(text):
     "qubits 2\nh 2", "qubits 2\n rz 0.5", "qubits 2\ncx 1 1",
     "qubits 2\nu3 0", "qubits 2;phase 0.1;\nh 0;;h\t0\nh 1\nh 0",
     "qubits 1\nrz nan 0", "qubits 1; phase inf",
+    "qubits \u0662\nh 0", "qubits 2\nh -0", "qubits 2\nh +1",
+    "qubits 2\nh \u0660", "qubits 1\nrz 0_5 0", "qubits 1; phase 1_0",
+    "qubits 1; phase +0.5\nrz -.5e-3 0", "qubits 1\nrz 1. 0",
 ])
 def test_parse_circuit_matches_the_reference_on(text):
     assert reading(parse_circuit, text) == reading(reference_parse_circuit,

@@ -13,6 +13,7 @@ from qblue.cli import main
 from qblue.encodings import encode_for_compile
 from qblue.errors import UNIT_CAP
 from qblue.fock import format_state, parse_state
+from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.pauli import pauli_sum
 from qblue.typecheck import canonicalize
@@ -1092,6 +1093,94 @@ def test_eval_of_an_overflowing_product_writes_no_state(tmp_path, capsys):
     assert captured.err == ("qblue: error: an amplitude overflows the "
                             "float range\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("left, right, amp, want", [
+    ("1e200", "1e-200", "1e-200", "(1e-200,0.0) |0,0>"),
+    ("1e-200", "1e200", "1e200", "(1e+200,0.0) |0,0>"),
+], ids=["underflow-on-the-way", "overflow-on-the-way"])
+def test_eval_multiplies_a_products_amplitudes_before_its_ladders(
+        left, right, amp, want, tmp_path, capsys):
+    # the factors' scalars cancel; applied to the state one factor at a
+    # time, the amplitude would leave the float range on the way
+    source = f"sites F, F;\nH = ({left} * (a(0))) ({right} * (adag(0)));\n"
+    prog, st = tmp_path / "h.qb", tmp_path / "in.state"
+    prog.write_text(source)
+    st.write_text(f"sites: F, F\n({amp},0.0) |0,0>\n")
+    assert main(["eval", str(prog), "--state", str(st)]) == 0
+    assert capsys.readouterr() == (f"sites: F, F\n{want}\n", "")
+    column = expr_to_matrix(parse(source).defs["H"])[:, 0] * float(amp)
+    assert list(column) == [parse_state(f"sites: F, F\n{want}\n")
+                            .terms[0].amp, 0, 0, 0]
+
+
+# each reader takes the digits 0-9 of one number rule: no other Unicode
+# digit, no underscore, and a sign only on a float
+STATE = "sites: t(2)\n{}\n"
+CIRCUIT = "qubits 1\n{}\n"
+
+
+@pytest.mark.parametrize("files, argv, code, message", [
+    ({"state": STATE.format("(1_0,0) |0>")},
+     "eval {prog} --state {state}", 2,
+     "could not convert string to float: '1_0' (line 2, column 2)"),
+    ({"state": STATE.format("(\u0660.5,0) |0>")},
+     "eval {prog} --state {state}", 2,
+     "could not convert string to float: '\u0660.5' (line 2, column 2)"),
+    ({"state": "sites: t(\u0662)\n(1,0) |0>\n"},
+     "eval {prog} --state {state}", 2,
+     "invalid natural number: '\u0662' (line 1, column 8)"),
+    ({}, "compile {prog} --t 0_5 --n 1", 1,
+     "argument --t: invalid finite_float value: '0_5'"),
+    ({}, "compile {prog} --t \u0660.5 --n 1", 1,
+     "argument --t: invalid finite_float value: '\u0660.5'"),
+    ({}, "compile {prog} --t 0.5 --n \u0661", 1,
+     "argument --n: invalid natural value: '\u0661'"),
+    ({"circ": "qubits \u0662\nh 0\n"}, "verify {circ} {prog} --t 0.5",
+     2, "expected a qubit count, found '\u0662' (line 1, column 8)"),
+    ({"circ": CIRCUIT.format("h -0")}, "verify {circ} {prog} --t 0.5",
+     2, "expected a qubit below 1, found '-0' (line 2, column 3)"),
+    ({"circ": "qubits 2\nh +1\n"}, "verify {circ} {prog} --t 0.5",
+     2, "expected a qubit below 2, found '+1' (line 2, column 3)"),
+    ({"circ": CIRCUIT.format("h \u0660")},
+     "verify {circ} {prog} --t 0.5", 2,
+     "expected a qubit below 1, found '\u0660' (line 2, column 3)"),
+    ({"circ": CIRCUIT.format("rz 0_5 0")},
+     "verify {circ} {prog} --t 0.5", 2,
+     "expected a finite angle, found '0_5' (line 2, column 4)"),
+    ({"prog": "sites t(2);\nH = 0_5 * X(0);\n"}, "check {prog}", 2,
+     "expected '*', found '_5' (line 2, column 6)"),
+], ids=["state-underscore", "state-arabic-indic-amplitude",
+        "state-arabic-indic-dimension", "t-underscore", "t-arabic-indic",
+        "n-arabic-indic", "circuit-arabic-indic-width", "qubit-minus-zero",
+        "qubit-plus-one", "qubit-arabic-indic", "angle-underscore",
+        "program-underscore"])
+def test_every_reader_takes_one_number_rule(files, argv, code, message,
+                                            tmp_path, capsys):
+    files = {"prog": "sites t(2);\nH = X(0);\n", **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: str(tmp_path / name) for name in files}
+    assert main(argv.format_map(paths).split()) == code
+    out, err = capsys.readouterr()
+    # an argument error prints argparse's usage line before its one line
+    lines = [ln for ln in err.splitlines() if not ln.startswith("usage: ")]
+    assert len(err.splitlines()) == len(lines) + (code == 1)
+    kind = "usage error" if code == 1 else "error"
+    assert (out, lines) == ("", [f"qblue: {kind}: {message}"])
+
+
+@pytest.mark.parametrize("text", ["-0.5", "1e-05", "+0.5", "-0.0",
+                                  "1.5e+300", ".5", "5"])
+def test_a_signed_or_exponent_amplitude_reads(text, tmp_path, capsys):
+    prog, st = tmp_path / "h.qb", tmp_path / "in.state"
+    prog.write_text("sites t(2);\nH = X(0);\n")
+    st.write_text(f"sites: t(2)\n({text},1.0) |0>\n")
+    assert main(["eval", str(prog), "--state", str(st)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    [ket] = parse_state(out).terms
+    assert (ket.occ, ket.amp) == ((1,), complex(float(text), 1.0))
 
 
 def test_eval_out_reads_back_a_small_amplitude_beside_a_large_one(

@@ -213,23 +213,29 @@ def reference_apply(e, s):
     occupation k to k' inside 0..d-1 with weight sqrt(max(k, k')), a
     fermionic one times (-1)^(occupied fermionic sites before it); a sum
     adds its children into one accumulator and a product applies its last
-    child first."""
+    child first, its atoms at unit amplitude, their amplitudes multiplied
+    into the scalar z that its first child applies with."""
     layout = e.layout
 
-    def act(node, state, out):
+    def act(node, state, out, z=1, w=1.0):
         if isinstance(node, Sum):
             for c in node.children:
-                act(c, state, out)
+                act(c, state, out, z, w)
             return
         if isinstance(node, Seq):
             for c in reversed(node.children[1:]):
                 mid = {}
-                act(c, state, mid)
+                if isinstance(c, Atom):
+                    z, w = z * c.amp, w * abs(c.amp)
+                    act(Atom(c.layout, c.ladder), state, mid)
+                else:
+                    act(c, state, mid)
                 state = mid
-            act(node.children[0], state, out)
+            act(node.children[0], state, out, z, w)
             return
+        z, w = z * node.amp, w * abs(node.amp)
         for occ, (amp, mag) in state.items():
-            val, mag = amp * node.amp, mag * abs(node.amp)
+            val, mag = amp * z, mag * w
             if node.ladder is not None:
                 j, kind = node.ladder
                 k = occ[j] + kind
