@@ -4,13 +4,12 @@ Supported gates: h, s, sdg, cx, rx, ry, rz (half-angle rotation convention,
 e.g. rz(t) = diag(e^{-it/2}, e^{it/2})).  Circuits convert to dense
 unitaries for verification and serialize to a line-oriented text format.
 A ``Gate`` is frozen, so one gate object may appear many times in a
-circuit, and in several circuits: a compiled Trotter circuit holds one
-object per distinct angle-free gate and per slice's rotation, repeated
-across its steps (``trotter.plan_to_circuit``), and ``format_circuit``
-writes the line of each distinct gate object once.
-The unitary is built from runs of gates on k <= ``FUSE`` qubits: a run
-multiplies into one 2^k x 2^k unitary that is applied once to the 2^n x 2^n
-matrix, so a run, not a gate, costs O(2^k 4^n) time.
+circuit: a compiled Trotter circuit repeats the first step's gate objects in
+every step (``trotter.plan_to_circuit``), ``parse_circuit`` shares one
+object per distinct line, and ``format_circuit`` formats each object once.
+``circuit_to_matrix`` finds the repeating step by that identity and cuts
+one step into runs on contiguous spans of k <= ``FUSE`` qubits: each
+distinct run is built once, and each application of it costs O(2^k 4^n).
 """
 
 from __future__ import annotations
@@ -19,12 +18,13 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, is_
 
 import numpy as np
 
 from .errors import (
-    QUBIT_CAP, DimensionCapError, ParseError, finite_float, natural,
+    QUBIT_CAP, DimensionCapError, ParseError, TooLongError, finite_float,
+    natural,
 )
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -101,71 +101,70 @@ def _diagonal(g: Gate) -> tuple:
     return 1, (1j if g.name == "s" else -1j)
 
 
-# Runs hold at most FUSE qubits: 4 fits a weight-4 Bose-Hubbard gadget (bh
-# N=4, n=1: 4.1 ms, 30.6 ms at 3), and 5 is slower at 6-8 qubits (2 cores).
+# Runs span at most FUSE qubits: the nine bench verify circuits take 11.7 ms
+# at 3, 9.7 at 4 and 9.9 at 5 (1 thread); at 12 qubits 5 is about 8% faster.
 FUSE = 4
 
 
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
-    """Product of the gate matrices in application order, times the phase.
-
-    Each run of ``_runs`` contracts with the k row axes of its qubits; the
-    trailing column axis may be any block of columns.
-    """
+    """Product of the gate matrices in application order, times the phase:
+    each run of one step (``_period``, ``_runs``) is built once and applied
+    in every step by one batched matmul (a far cx's run in place)."""
     if c.width > QUBIT_CAP:
         raise DimensionCapError(f"width {c.width} exceeds cap {QUBIT_CAP}")
-    n, dim = c.width, 2 ** c.width
-    # row index bits, qubit 0 most significant, then the column index
-    u = np.exp(1j * c.global_phase) * np.eye(dim).reshape((2,) * n + (dim,))
-    for axes, gates in _runs(c.gates):
-        k, qubits = len(axes), list(axes)
-        run = _unitary(k, gates, axes).reshape((2,) * 2 * k)
-        u = np.moveaxis(np.tensordot(run, u, (range(k, 2 * k), qubits)),
-                        range(k), qubits)
-    return u.reshape(dim, dim)
+    dim, p = 2 ** c.width, _period(c.gates)
+    runs = [(lo, k, _apply(run, np.eye(2 ** k, dtype=complex), lo)
+             if k <= FUSE else run) for lo, k, run in _runs(c.gates[:p])]
+    u = np.exp(1j * c.global_phase) * np.eye(dim)
+    for lo, k, r in runs * (len(c.gates) // p):
+        u = (np.matmul(r, u.reshape(2 ** lo, 2 ** k, -1)).reshape(dim, dim)
+             if k <= FUSE else _apply(r, u, 0))
+    return u
+
+
+def _period(gates) -> int:
+    """The smallest p dividing len(gates) with gate i + p the very object
+    gate i for every i: len(gates) if no smaller one, 1 for no gates."""
+    n = len(gates)
+    return next((p for p in range(1, n) if n % p == 0
+                 and all(map(is_, gates[p:], gates))), n or 1)
 
 
 def _runs(gates):
-    """Cut gates, in order, into greedy runs that touch at most FUSE qubits
-    together, as (axes, gates): axes maps each qubit to its axis in the
-    run's unitary, in the order the run first touches them."""
-    axes, run = {}, []
+    """Cut gates, in order, into runs (lo, k, gates) on the qubit span
+    [lo, lo + k): a run grows while its span fits in FUSE qubits, and a
+    gate wider than FUSE (a far cx) is a run of its own."""
+    run = []
     for g in gates:
-        fresh = [q for q in g.qubits if q not in axes]
-        if len(axes) + len(fresh) > FUSE:
-            yield axes, run
-            axes, run, fresh = {}, [], g.qubits
-        for q in fresh:
-            axes[q] = len(axes)
+        a, b = min(g.qubits), max(g.qubits)
+        if run and max(b, hi) - min(a, lo) >= FUSE:
+            yield lo, hi - lo + 1, run
+            run = []
+        lo, hi = (min(a, lo), max(b, hi)) if run else (a, b)
         run.append(g)
     if run:
-        yield axes, run
+        yield lo, hi - lo + 1, run
 
 
-def _unitary(k: int, gates, axes: dict) -> np.ndarray:
-    """The 2^k x 2^k product of gates, qubit q on row axis axes[q]: a
-    diagonal gate (s, sdg, rz) scales the two halves of its axis in place,
-    another single-qubit gate is a 2x2 product on that axis, and CX swaps
-    the target halves inside the control = 1 rows."""
-    u = np.eye(2 ** k, dtype=complex).reshape((2,) * k + (2 ** k,))
+def _apply(gates, u: np.ndarray, lo: int) -> np.ndarray:
+    """u with gates applied to its rows in order, qubit q on row bit q - lo
+    (the first bit most significant): s, sdg and rz scale the halves of
+    their bit and CX swaps the target halves inside the control = 1 rows,
+    in place; h, rx and ry are a 2x2 product on their bit."""
     for g in gates:
+        q = g.qubits[0] - lo
         if g.name == "cx":
-            control, target = axes[g.qubits[0]], axes[g.qubits[1]]
-            lo = [slice(None)] * k
-            lo[control], lo[target] = 1, 0
-            hi = lo[:target] + [1] + lo[target + 1:]
-            lo, hi = tuple(lo), tuple(hi)
-            u[lo], u[hi] = u[hi], u[lo].copy()
+            t = g.qubits[1] - lo
+            v = u.reshape(2 ** min(q, t), 2, 2 ** abs(q - t) // 2, 2, -1)
+            x = v[:, int(q < t), :, int(q > t)]   # control 1, target 0
+            x[...], v[:, 1, :, 1] = v[:, 1, :, 1], x.copy()
         elif g.name in _DIAGONAL:
-            halves = u.reshape(2 ** axes[g.qubits[0]], 2, -1)
-            d0, d1 = _diagonal(g)
-            if d0 != 1:
-                halves[:, 0] *= d0
+            halves, (d0, d1) = u.reshape(2 ** q, 2, -1), _diagonal(g)
+            halves[:, 0] *= d0
             halves[:, 1] *= d1
         else:
-            q = axes[g.qubits[0]]
             u = (_single_matrix(g) @ u.reshape(2 ** q, 2, -1)).reshape(u.shape)
-    return u.reshape(2 ** k, 2 ** k)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +257,10 @@ def _convert(number: int, fields: list, spec: list) -> list:
     for (col, field), (what, convert) in zip(fields, spec):
         try:
             values.append(convert(field))
-        except ValueError:
-            raise ParseError(f"expected {what}, found {field!r}",
-                             number, col) from None
+        except ValueError as exc:
+            message = (str(exc) if isinstance(exc, TooLongError)
+                       else f"expected {what}, found {field!r}")
+            raise ParseError(message, number, col) from None
     if len(fields) < len(spec):
         col, field = fields[-1]
         raise ParseError(f"expected {spec[len(fields)][0]}, found the end "

@@ -12,9 +12,10 @@ one-line error naming the cause, not a traceback (see ``main``), as does an
 ``eval`` that overflows the float range.  --t and --n take the digits 0-9 of
 ``errors.NUMBER``, the number rule of every reader: nan, inf or another digit
 is a usage error.  With --json, reports and diagnostics are emitted as JSON
-lines.  One driver, ``_run``, reads the program, picks the definition
-(``check`` takes them all) and calls ``cmd_<name>(args, name, e)`` for its
-record and a function that builds its text.  --out writes the text and prints
+lines, an argument error too (code ``usage``, no usage line).  One driver,
+``_run``, reads the program, picks the definition (``check`` takes them all)
+and calls ``cmd_<name>(args, name, e)`` for its record and a function that
+builds its text.  --out writes the text and prints
 ``wrote <out>``, or the record under --json; ``compile --out`` also writes the
 record's ``encoding`` report to ``<out>.encoding.json``.  Each file is
 overwritten in place and cut to the written length when it is a regular file,
@@ -69,12 +70,16 @@ EXIT_DIM = 5
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 class _UsageError(Exception):
-    pass
+    """An argument error, with the parser whose usage line goes before it
+    in plain text."""
+
+    def __init__(self, message, parser):
+        super().__init__(message)
+        self.parser = parser
 
 
 @functools.cache
@@ -277,11 +282,16 @@ def main(argv=None) -> int:
     exits 1 with one error line, as does a MemoryError.  A product of large
     sums exits 5 on the unit cap, which bounds every form typing builds.
     """
+    # parse_args sets --json on this namespace before a later argument fails
+    args = argparse.Namespace(json=False)
     try:
-        args = _build_parser().parse_args(argv)
-        return _run(args)
+        return _run(_build_parser().parse_args(argv, args))
     except _UsageError as exc:
-        print(f"qblue: usage error: {exc}", file=sys.stderr)
+        if args.json:
+            _diagnostic(args, "usage", exc)
+        else:
+            exc.parser.print_usage(sys.stderr)
+            print(f"qblue: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         _diagnostic(args, "parse", exc)

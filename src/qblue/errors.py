@@ -43,11 +43,19 @@ def finite_float(text: str) -> float:
     return value
 
 
+class TooLongError(ValueError):
+    """An integer of more digits than Python converts (4,300 by default)."""
+
+
 def natural(text: str) -> int:
     """The int that text writes in the digits 0-9."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"invalid natural number: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise TooLongError(
+            f"integer of {len(text)} digits is too long") from None
 
 
 class QBlueError(Exception):

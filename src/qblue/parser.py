@@ -37,7 +37,7 @@ import re
 import string
 from dataclasses import dataclass
 
-from .errors import NUMBER, AmplitudeError, ParseError
+from .errors import NUMBER, AmplitudeError, ParseError, natural
 from .expr import (
     Atom, Boson, Fermion, HamExpr, LadderKind, Seq, SiteList, Sum, dagger,
     ham_sum, scale, seq, site_dim,
@@ -334,10 +334,9 @@ class _Parser:
         """The value of int token t, or a ParseError at t when it has more
         digits than Python converts to an integer."""
         try:
-            return int(t[1])
-        except ValueError:
-            raise ParseError(f"integer of {len(t[1])} digits is too long",
-                             *self.at(t)) from None
+            return natural(t[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), *self.at(t)) from None
 
     def literal(self) -> complex:
         sign = 1.0

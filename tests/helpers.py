@@ -6,7 +6,9 @@ compare term by term.
 """
 
 import numpy as np
+import pytest
 
+from qblue import circuit
 from qblue.errors import COEFF_EQ_TOL
 from qblue.expr import site_dim
 from qblue.fock import make_state
@@ -44,3 +46,27 @@ def op(sites, body):
 def parsed(drawn):
     """The parsed definition of a drawn program."""
     return parse(drawn.text).defs["H"]
+
+
+def run_counts(c):
+    """(circuit_to_matrix(c), runs built, runs applied): a run is built
+    when its 2^k x 2^k unitary is made, and applied once per matmul on the
+    whole matrix or per far cx applied to it in place."""
+    built, applied = [], []
+    apply, matmul = circuit._apply, np.matmul
+
+    def counting_apply(gates, u, lo):
+        # a run's unitary has at most 2^FUSE rows; a far cx's run meets
+        # the whole matrix, which has more
+        (applied if len(u) > 2 ** circuit.FUSE else built).append(gates)
+        return apply(gates, u, lo)
+
+    def counting_matmul(r, u):
+        applied.append(r)
+        return matmul(r, u)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuit, "_apply", counting_apply)
+        patch.setattr(np, "matmul", counting_matmul)
+        u = circuit.circuit_to_matrix(c)
+    return u, len(built), len(applied)

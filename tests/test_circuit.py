@@ -14,7 +14,7 @@ from qblue.errors import DimensionCapError, ParseError
 from qblue.trotter import compile_digital
 
 import oracle
-from helpers import op
+from helpers import op, run_counts
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -55,14 +55,44 @@ def test_fused_runs_match_oracle_at_five_to_seven_qubits(c):
     assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
 
 
-def test_a_run_holds_non_adjacent_qubits_in_descending_order():
-    gates = (Gate("cx", (5, 1)), Gate("h", (3,)), Gate("ry", (0,), 0.9),
-             Gate("s", (1,)), Gate("cx", (0, 5)), Gate("rz", (2,), 1.1),
-             Gate("cx", (3, 2)), Gate("rx", (5,), -0.4))
-    # rz on a fifth qubit cuts the first run
-    runs = [(list(axes), len(run)) for axes, run in circuit._runs(gates)]
-    assert runs == [([5, 1, 3, 0], 5), ([2, 3, 5], 3)]
-    c = Circuit(6, gates, -0.3)
+def test_a_step_is_cut_into_contiguous_spans_each_built_once():
+    step = (Gate("h", (3,)), Gate("cx", (2, 3)), Gate("ry", (1,), 0.9),
+            Gate("cx", (5, 0)), Gate("rz", (5,), 1.1), Gate("cx", (4, 5)),
+            Gate("s", (2,)), Gate("rx", (0,), -0.4))
+    c = Circuit(6, step * 3, -0.3)
+    assert circuit._period(c.gates) == len(step)
+    # equal gates that are other objects are no repeat
+    copies = tuple(Gate(g.name, g.qubits, g.angle) for g in step)
+    assert circuit._period(step + copies) == 2 * len(step)
+    # a span grows to FUSE = 4 qubits, and rx on qubit 0 would widen the
+    # third run to six; cx 5 0 spans six, so it is a run of its own
+    runs = [(lo, k, len(run)) for lo, k, run in circuit._runs(step)]
+    assert runs == [(1, 3, 3), (0, 6, 1), (2, 4, 3), (0, 1, 1)]
+    # three runs built, four applied in each of three steps
+    u, built, applied = run_counts(c)
+    assert (built, applied) == (3, 12)
+    assert oracle.max_norm(u, reference(c)) < 1e-12
+
+
+@st.composite
+def repeated_steps(draw):
+    """1-4 copies of one step, the very gate objects, at 1-8 qubits: the
+    step draws its gates from a few objects, as a compiled step shares its
+    angle-free gates, and from 5 qubits on it holds a cx wider than FUSE."""
+    pool = draw(circuits(widths=(1, 8), sizes=(1, 8)))
+    width = pool.width
+    step = draw(st.lists(st.sampled_from(pool.gates), max_size=16))
+    if width > circuit.FUSE:
+        lo = draw(st.integers(0, width - 1 - circuit.FUSE))
+        far = (lo, draw(st.integers(lo + circuit.FUSE, width - 1)))
+        step.insert(draw(st.integers(0, len(step))),
+                    Gate("cx", far[::draw(st.sampled_from([1, -1]))]))
+    return Circuit(width, tuple(step) * draw(st.integers(1, 4)),
+                   pool.global_phase)
+
+
+@given(repeated_steps())
+def test_a_repeated_step_matches_oracle(c):
     assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
 
 

@@ -434,7 +434,28 @@ def test_a_non_finite_time_is_a_usage_error(argv, value, tmp_path, capsys):
     assert main(["--json", *argv.format(prog=prog, t=value).split()]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"argument --t: invalid finite_float value: {value!r}" in err
+    # one JSON diagnostic line, with no usage line before it
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "level": "error", "code": "usage",
+        "message": f"argument --t: invalid finite_float value: {value!r}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("compile {prog} --t 0.5",
+     "the following arguments are required: --n"),
+    ("frobnicate {prog}", "argument command: invalid choice: 'frobnicate' "
+     "(choose from 'check', 'eval', 'energy', 'compile', 'fit', 'verify')"),
+], ids=["missing-n", "bad-command"])
+def test_under_json_an_argument_error_is_one_json_line(argv, message,
+                                                       tmp_path, capsys):
+    # as a non-finite --t is: the subcommand's parser or the top one
+    prog, _ = spin_program(tmp_path)
+    code, out, err = run_json(capsys, argv.format(prog=prog).split())
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"level": "error", "code": "usage",
+                               "message": message}
 
 
 @pytest.mark.parametrize("body, message", [
@@ -845,6 +866,27 @@ def test_an_integer_too_long_to_convert_is_a_parse_error(source, line, col,
     assert (record["code"], record["line"], record["col"]) == (
         "parse", line, col)
     assert "5000 digits" in record["message"]
+
+
+@pytest.mark.parametrize("name, text, col", [
+    ("in.state", f"sites: t({BIG})\n(1,0) |0>\n", 8),
+    ("in.state", f"sites: t(2)\n(1,0) |{BIG}>\n", 8),
+    ("h.circ", f"qubits {BIG}\nh 0\n", 8),
+], ids=["state-header", "ket-occupation", "circuit-qubits"])
+def test_a_number_too_long_to_convert_is_named_by_its_length(name, text, col,
+                                                             tmp_path,
+                                                             capsys):
+    # the message the program parser gives, not Python's hint about a
+    # setting, and not the 5,000 digits
+    prog, path = tmp_path / "h.qb", tmp_path / name
+    prog.write_text("sites t(2);\nH = X(0);\n")
+    path.write_text(text)
+    argv = (["eval", str(prog), "--state", str(path)] if name == "in.state"
+            else ["verify", str(path), str(prog), "--t", "0.5"])
+    line = 1 + text.startswith("sites: t(2)")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "qblue: error: integer of 5000 digits "
+                                   f"is too long (line {line}, column {col})\n")
 
 
 NINES = "9" * 4300   # the sum of two has more digits than Python prints

@@ -13,11 +13,15 @@ import os
 import pytest
 
 from qblue import circuit, linalg
+from qblue.circuit import format_circuit, parse_circuit
 from qblue.cli import main
 from qblue.expr import Atom
 from qblue.parser import parse
 from qblue.trotter import compile_digital
 from qblue.typecheck import canonicalize
+
+import oracle
+from helpers import run_counts
 
 # the package re-exports the function typecheck under the module's name
 typecheck_module = importlib.import_module("qblue.typecheck")
@@ -140,15 +144,29 @@ def hopping_bonds(site, n, onsite=""):
     return parse(text + ";\n").defs["H"]
 
 
-@pytest.mark.parametrize("e, gates, runs", [
-    (hopping_bonds("t(4)", 3, "adag(j) adag(j) a(j) a(j)"), 608, 4),
-    (hopping_bonds("F", 8), 252, 5)], ids=["bh-3", "hop-8"])
-def test_a_two_step_circuit_applies_in_a_few_runs(e, gates, runs):
-    # a run holds whole weight-4 gadgets: the Bose-Hubbard chain's 152-gate
-    # bond gadgets, or two neighbouring hopping bonds
+@pytest.mark.parametrize("e, gates, runs, built, applied", [
+    (hopping_bonds("t(4)", 3, "adag(j) adag(j) a(j) a(j)"), 608,
+     [(2, 4, 152), (0, 4, 152)], 2, 4),
+    (hopping_bonds("F", 8), 252,
+     [(4, 4, 54), (1, 4, 54), (0, 2, 18)], 3, 6)], ids=["bh-3", "hop-8"])
+def test_a_two_step_circuit_applies_in_a_few_runs(e, gates, runs, built,
+                                                  applied):
+    # the second step holds the first step's gate objects, so each run of
+    # one step is built once and applied in both steps; a run holds whole
+    # weight-4 gadgets: the Bose-Hubbard chain's 152-gate bond gadgets, or
+    # three neighbouring hopping bonds
     c, _ = compile_digital(e, 0.7, 2)
     assert len(c.gates) == gates
-    assert len(list(circuit._runs(c.gates))) <= runs
+    assert circuit._period(c.gates) == gates // 2
+    step = c.gates[:gates // 2]
+    assert [(lo, k, len(run)) for lo, k, run in circuit._runs(step)] == runs
+    u, *counts = run_counts(c)
+    assert counts == [built, applied]
+    # the text format shares one gate per line, so a read circuit repeats too
+    assert run_counts(parse_circuit(format_circuit(c)))[1:] == (built, applied)
+    gate_list = [(g.name, g.qubits, g.angle) for g in c.gates]
+    reference = oracle.circuit_unitary(gate_list, c.width, c.global_phase)
+    assert oracle.max_norm(u, reference) < 1e-12
 
 
 def test_the_exponential_diagonalizes_each_block_size_once(monkeypatch):
