@@ -74,10 +74,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 class _UsageError(Exception):
-    """An argument error, with the parser whose usage line goes before it
-    in plain text."""
+    """A usage error; an argument error carries the parser whose usage line
+    goes before it in plain text, a definition error no parser."""
 
-    def __init__(self, message, parser):
+    def __init__(self, message, parser=None):
         super().__init__(message)
         self.parser = parser
 
@@ -290,7 +290,8 @@ def main(argv=None) -> int:
         if args.json:
             _diagnostic(args, "usage", exc)
         else:
-            exc.parser.print_usage(sys.stderr)
+            if exc.parser:
+                exc.parser.print_usage(sys.stderr)
             print(f"qblue: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

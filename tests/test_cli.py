@@ -458,6 +458,26 @@ def test_under_json_an_argument_error_is_one_json_line(argv, message,
                                "message": message}
 
 
+@pytest.mark.parametrize("name, message", [
+    (None, "program has several definitions; name one explicitly "
+           "(choices: H, G)"),
+    ("K", "no definition named 'K' (choices: H, G)"),
+], ids=["no-name", "unknown-name"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_definition_error_is_one_usage_line(name, message, as_json,
+                                              tmp_path, capsys):
+    # no argument failed, so plain text has no usage line before it
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(2);\nH = X(0);\nG = Z(0);\n")
+    argv = ["--json"] * as_json + ["energy", str(prog)] + [name] * bool(name)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (json.dumps({"level": "error", "code": "usage",
+                               "message": message}) if as_json
+                   else f"qblue: usage error: {message}") + "\n"
+
+
 @pytest.mark.parametrize("body, message", [
     ("1.5 * Z(0) Z(1) + 2 * I(0)", "rz angle inf is not finite"),
     ("2 * I(0)", "global phase -inf is not finite"),
