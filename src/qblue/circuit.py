@@ -23,8 +23,7 @@ from operator import attrgetter, is_
 import numpy as np
 
 from .errors import (
-    QUBIT_CAP, DimensionCapError, ParseError, TooLongError, finite_float,
-    natural,
+    QUBIT_CAP, DimensionCapError, ParseError, finite_float, natural,
 )
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -257,9 +256,13 @@ def _convert(number: int, fields: list, spec: list) -> list:
     for (col, field), (what, convert) in zip(fields, spec):
         try:
             values.append(convert(field))
-        except ValueError as exc:
-            message = (str(exc) if isinstance(exc, TooLongError)
-                       else f"expected {what}, found {field!r}")
+        except ValueError:
+            message = f"expected {what}, found {field!r}"
+            if field.isascii() and field.isdigit():
+                try:   # digits too long to convert, named by their length
+                    natural(field)
+                except ValueError as exc:
+                    message = str(exc)
             raise ParseError(message, number, col) from None
     if len(fields) < len(spec):
         col, field = fields[-1]

@@ -19,8 +19,11 @@ builds its text.  --out writes the text and prints
 ``wrote <out>``, or the record under --json; ``compile --out`` also writes the
 record's ``encoding`` report to ``<out>.encoding.json``.  Each file is
 overwritten in place and cut to the written length when it is a regular file,
-so a FIFO or a device takes the text too; a command that fails removes the
-regular files it wrote and nothing else.
+so a FIFO or a device takes the text too; a failed write removes the
+regular files the command wrote and nothing else.  A reader that closes
+stdout early (``| head -c 10``) ends the output quietly: the rest goes to
+the null device, no diagnostic is printed, the exit code is the command's
+own (0 when it succeeded), and written --out files stay.
 
 ``check`` reports as ``decided_by`` what decided each flag: ``structural``
 when structural typing alone gives H, ``certificate`` when the exact
@@ -31,6 +34,11 @@ Hermiticity certificate of ``typecheck.hermiticity_report`` decides.
 exits 4 before any circuit, schedule or matrix is built, and the site types
 pick the encoding, so no command takes an encoding option.  ``fit`` fits
 onto the one analog machine, ``trotter.IBM``.
+
+``check``, ``eval``, ``compile`` and ``fit`` build no matrix and load numpy
+and qblue only.  ``energy`` loads ``scipy.sparse`` and ``scipy.sparse.linalg``
+as well, and ``verify`` also ``scipy.sparse.csgraph`` and ``scipy.optimize``
+(see ``linalg``), so a process pays for scipy only when it uses it.
 
 ``energy`` prints the ground energy and one normalized ground state,
 computed from the sparse matrix of the definition
@@ -227,8 +235,9 @@ _COMMANDS = {
 
 def _run(args) -> int:
     """Read the program, run the command on the definitions it covers,
-    write --out, then print: a failed write prints nothing, and a command
-    that fails removes every regular file it wrote.
+    write --out, then print: a failed write prints nothing and removes
+    every regular file the command wrote.  Once written, the files stay,
+    whatever becomes of the line printed after them.
 
     A file is written in place: opened without truncation, written from
     the start, then cut to the written length if it is a regular file; a
@@ -240,16 +249,16 @@ def _run(args) -> int:
     picked = (program.defs.items() if args.command == "check"
               else [_pick_def(program, args.ham)])
     out = getattr(args, "out", None)
-    written = []
-    try:
-        for name, e in picked:
-            record, text = _COMMANDS[args.command](args, name, e)
-            record = {"def": name, **record}
-            files = {out: text()} if out else {}
-            if out and args.command == "compile":   # the report beside it
-                files[out + ".encoding.json"] = json.dumps(
-                    record["encoding"], indent=2) + "\n"
-                record["out"] = out
+    for name, e in picked:
+        record, text = _COMMANDS[args.command](args, name, e)
+        record = {"def": name, **record}
+        files = {out: text()} if out else {}
+        if out and args.command == "compile":   # the report beside it
+            files[out + ".encoding.json"] = json.dumps(
+                record["encoding"], indent=2) + "\n"
+            record["out"] = out
+        written = []
+        try:
             for path, data in files.items():
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
                 written.append(path)
@@ -257,19 +266,31 @@ def _run(args) -> int:
                     f.write(data)
                     if stat.S_ISREG(os.fstat(fd).st_mode):
                         f.truncate()
-            if args.json:
-                print(json.dumps(record))
-            elif out:
-                print(f"wrote {out}")
-            elif shown := text().rstrip("\n"):
-                print(shown)
-    except BaseException:
-        for path in written:
-            with contextlib.suppress(FileNotFoundError):
-                if stat.S_ISREG(os.lstat(path).st_mode):
-                    os.unlink(path)
-        raise
+        except BaseException:
+            for path in written:
+                with contextlib.suppress(FileNotFoundError):
+                    if stat.S_ISREG(os.lstat(path).st_mode):
+                        os.unlink(path)
+            raise
+        if args.json:
+            _print(json.dumps(record))
+        elif out:
+            _print(f"wrote {out}")
+        elif shown := text().rstrip("\n"):
+            _print(shown)
     return EXIT_OK
+
+
+def _print(line: str) -> None:
+    """Print one line of output.  Once the reader has closed stdout, the
+    rest goes to the null device, so neither a later line nor the flush at
+    exit fails."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def main(argv=None) -> int:

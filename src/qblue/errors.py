@@ -43,18 +43,16 @@ def finite_float(text: str) -> float:
     return value
 
 
-class TooLongError(ValueError):
-    """An integer of more digits than Python converts (4,300 by default)."""
-
-
 def natural(text: str) -> int:
-    """The int that text writes in the digits 0-9."""
+    """The int that text writes in the digits 0-9.  An integer of more
+    digits than Python converts (4,300 by default) is named by its length,
+    in every reader."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"invalid natural number: {text!r}")
     try:
         return int(text)
     except ValueError:
-        raise TooLongError(
+        raise ValueError(
             f"integer of {len(text)} digits is too long") from None
 
 

@@ -23,6 +23,14 @@ A matrix whose imaginary part is exactly zero is checked and diagonalized
 in the real field, by ``ground_energy`` and by ``matrix_exp_sim``.
 Exponentials use the e^{-i h t} convention throughout, so Hermitian input
 gives a unitary.
+
+scipy is imported by the functions that call it, not by this module: its
+import is most of the time and memory of ``import qblue``, and ``check``,
+``eval``, ``compile`` and ``fit`` call none of them.
+``expr_to_sparse`` and ``check_hermitian`` load ``scipy.sparse`` (the CSR);
+``ground_energy`` also ``scipy.sparse.linalg`` (ARPACK); ``matrix_exp_sim``
+``scipy.sparse.csgraph`` (its blocks); and ``_bounded_min``, the phase
+search of ``phase_aligned_distance``, ``scipy.optimize``, the largest.
 """
 from __future__ import annotations
 
@@ -33,10 +41,6 @@ from itertools import accumulate
 from operator import mul
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .errors import (
     COEFF_EQ_TOL, DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError,
@@ -59,6 +63,7 @@ def expr_to_sparse(e: HamExpr):
     the paths summed into it: a sum that cancels to a rounding residue, at
     any depth, leaves none.  Only the kept entries of each diagonal are
     gathered, so no array of all diagonals is built either."""
+    import scipy.sparse
     dim = total_dim(e.layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
@@ -168,6 +173,7 @@ def check_hermitian(h):
     ZERO_TOL times the largest |h|: a given matrix, like a given state, is
     known to that precision, and the rounding of its sums is below it.  An
     inf or nan entry agrees with nothing."""
+    import scipy.sparse
     a, err = abs(h), abs(h - h.conj().T)
     top = a.max()
     bad = not np.isfinite(top)
@@ -193,6 +199,7 @@ def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
     diagonalized as the real symmetric matrix it is.  A phase w t past the
     float range raises ValueError: its exponential would be nan.
     """
+    import scipy.sparse.csgraph
     h = np.asarray(h, dtype=complex)
     dim = h.shape[0]
     if dim > DIM_CAP:
@@ -253,6 +260,7 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
     the real field.  On a degenerate ground space the state is one vector
     of that space, the same on every run.
     """
+    import scipy.sparse.linalg
     h = scipy.sparse.csr_array(h)
     n = h.shape[0]
     if n > DIM_CAP:
@@ -281,6 +289,7 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
 
 PHASE_WINDOW = 0.35   # half-width of the phase search window
 PHASE_XATOL = 1e-12   # the tolerance on the phase it finds
+ROW_BLOCK = 256       # rows of a and b taken at a time before the search
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -294,23 +303,38 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     COEFF_EQ_TOL) is never the maximum there, and the search skips it.
     A second search over a small window around the first one's phase
     finds it to PHASE_XATOL.
+
+    The grid, f0 and the skip test go over ROW_BLOCK rows at a time, so
+    beside a and b only one block's temporaries and the entries the
+    search keeps (about 1% at 12 qubits) are held.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    blocks = [(a[i:i + ROW_BLOCK], b[i:i + ROW_BLOCK])
+              for i in range(0, len(a), ROW_BLOCK)]
 
-    def dist(alpha, a=a, b=b):
+    def dist(alpha, a, b):
         return abs(a - np.exp(1j * alpha) * b).max()
     tr = np.vdot(b, a)  # trace(b^dag a) without the matrix product
     if not negligible(tr, np.vdot(abs(b), abs(a)), ZERO_TOL):
         alpha0 = float(np.angle(tr))
     else:
         grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-        alpha0 = float(grid[int(np.argmin([dist(al) for al in grid]))])
-    f0 = abs(a - np.exp(1j * alpha0) * b)
-    reach = PHASE_WINDOW * abs(b)
+        alpha0 = float(grid[int(np.argmin(
+            [max(dist(al, x, y) for x, y in blocks) for al in grid]))])
+    bar, near = -math.inf, []   # the largest f0 - reach so far
+    for x, y in blocks:
+        f0 = abs(x - np.exp(1j * alpha0) * y)
+        reach = PHASE_WINDOW * abs(y)
+        bar = np.maximum(bar, (f0 - reach).max())
+        high = f0 + reach
+        # bar only rises, so this keeps every entry the final bar keeps
+        at = np.flatnonzero(~(high < (1 - COEFF_EQ_TOL) * bar))
+        near.append((x.take(at), y.take(at), high.take(at)))
+    xs, ys, high = map(np.concatenate, zip(*near))
     # a nan threshold drops no entry
-    keep = ~(f0 + reach < (1 - COEFF_EQ_TOL) * (f0 - reach).max())
-    kept = partial(dist, a=a[keep], b=b[keep])
+    keep = ~(high < (1 - COEFF_EQ_TOL) * bar)
+    kept = partial(dist, a=xs[keep], b=ys[keep])
     lo, hi = alpha0 - PHASE_WINDOW, alpha0 + PHASE_WINDOW
     res = _bounded_min(kept, lo, hi)
     # the bounded search stops once its bracket lies within 4 (sqrt(eps)
@@ -319,9 +343,11 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     x = res.x
     w = 4 * (math.sqrt(2.2e-16) * abs(x) + PHASE_XATOL / 3)
     fine = _bounded_min(lambda d: kept(x + d), max(lo - x, -w), min(hi - x, w))
-    return float(min(f0.max(), res.fun, fine.fun))
+    # the largest f0 is kept, so kept(alpha0) is it
+    return float(min(kept(alpha0), res.fun, fine.fun))
 
 
 def _bounded_min(f, lo: float, hi: float):
+    import scipy.optimize
     return scipy.optimize.minimize_scalar(
         f, method="bounded", bounds=(lo, hi), options={"xatol": PHASE_XATOL})

@@ -1,9 +1,12 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1336,3 +1339,87 @@ def test_a_layout_mismatch_names_its_place_and_both_site_lists(tmp_path,
     record = json.loads(err)
     assert (record["code"], record["line"], record["col"]) == ("parse", 2, 8)
     assert "path" not in record
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters: the tests import scipy themselves, so what a command
+# loads, and a closed stdout, show only in a process of their own
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).parent.parent / "src"
+SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+         "scipy.optimize")
+# run main on the arguments, then print which of SCIPY it loaded
+LOADED = ("import sys\nfrom qblue.cli import main\ncode = main(sys.argv[1:])\n"
+          "print(code, *(m for m in %r if m in sys.modules), file=sys.stderr)"
+          % (SCIPY,))
+
+
+def fresh(args, **kwargs):
+    """Popen of a new interpreter that imports qblue from src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
+
+
+def fresh_argv(tmp_path):
+    """The argv of each command on a four-site spin chain."""
+    prog, _ = spin_program(tmp_path)
+    state = tmp_path / "in.state"
+    state.write_text("sites: t(2), t(2), t(2), t(2)\n(1.0,0.0) |0,1,0,1>\n")
+    circ = str(tmp_path / "h.circ")
+    return {"check": ["check", prog],
+            "eval": ["eval", prog, "--state", str(state)],
+            "compile": ["compile", prog, "--t", "0.5", "--n", "2",
+                        "--out", circ],
+            "fit": ["fit", prog],
+            "energy": ["energy", prog],
+            "verify": ["verify", circ, prog, "--t", "0.5"]}
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("check", []), ("eval", []), ("compile", []), ("fit", []),
+    ("energy", ["scipy.sparse", "scipy.sparse.linalg"])])
+def test_a_command_loads_only_the_scipy_it_uses(tmp_path, command, loads):
+    proc = fresh(["-c", LOADED, "--json", *fresh_argv(tmp_path)[command]])
+    out, err = proc.communicate(timeout=60)
+    assert err.split() == ["0", *loads]
+    assert json.loads(out)["def"] == "H"
+
+
+@pytest.mark.parametrize("command", ["energy", "verify"])
+def test_a_fresh_interpreter_prints_the_in_process_record(tmp_path, capsys,
+                                                          command):
+    # each function of linalg imports what it uses itself
+    argv = fresh_argv(tmp_path)
+    assert run_json(capsys, argv["compile"])[0] == 0
+    code, want, _ = run_json(capsys, argv[command])
+    proc = fresh(["-m", "qblue.cli", "--json", *argv[command]])
+    assert proc.communicate(timeout=60) == (want, "")
+    assert proc.returncode == code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "h.qb", "H", "--t", "0.5", "--n", "2"],
+    ["--json", "compile", "h.qb", "H", "--t", "0.5", "--n", "2"],
+    ["compile", "h.qb", "H", "--t", "0.5", "--n", "2", "--out", "h.circ"],
+    ["check", "h.qb"],
+], ids=["text", "json", "out", "check"])
+def test_a_closed_stdout_ends_the_output_quietly(tmp_path, argv):
+    # the reader closes stdout before the first line: every write of it
+    # fails, yet the command exits 0 with no diagnostic, and a written
+    # --out file stays whole
+    prog = tmp_path / "h.qb"
+    prog.write_text("sites t(2), t(2), t(2);\n"
+                    "H = Z(0) Z(1) + 0.8 * X(1) + 0.5 * X(2);\n"
+                    "G = adag(0) a(1);\nK = X(0);\n")
+    proc = fresh(["-m", "qblue.cli", *argv], cwd=tmp_path)
+    proc.stdout.close()
+    assert (proc.stderr.read(), proc.wait(timeout=60)) == ("", 0)
+    if "--out" in argv:
+        assert main(["compile", str(prog), "H", "--t", "0.5", "--n", "2",
+                     "--out", str(tmp_path / "fresh.circ")]) == 0
+        for name in ("circ", "circ.encoding.json"):
+            assert ((tmp_path / f"h.{name}").read_text()
+                    == (tmp_path / f"fresh.{name}").read_text() != "")

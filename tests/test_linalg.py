@@ -1,6 +1,7 @@
 import ast
 import importlib
 import math
+from functools import partial
 import tracemalloc
 from pathlib import Path
 
@@ -677,6 +678,57 @@ def test_the_pruned_phase_search_follows_the_optimum_from_the_trace_phase():
     # sqrt(eps) |alpha|, and at this kink stops 1.5e-9 above the minimum
     assert 1e-10 < full_search(a, b) - want <= 1e-8
     assert abs(phase_aligned_distance(a, b) - want) <= 1e-12
+
+
+def whole_matrix_search(a, b):
+    """phase_aligned_distance as it ran on whole matrices: f0, the reach
+    and the keep mask each over every entry at once."""
+    def dist(alpha, a=a, b=b):
+        return abs(a - np.exp(1j * alpha) * b).max()
+
+    def bounded_min(f, lo, hi):
+        return scipy.optimize.minimize_scalar(
+            f, method="bounded", bounds=(lo, hi), options={"xatol": 1e-12})
+    tr = np.vdot(b, a)
+    if not abs(tr) <= 1e-14 * np.vdot(abs(b), abs(a)):
+        alpha0 = float(np.angle(tr))
+    else:
+        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        alpha0 = float(grid[int(np.argmin([dist(al) for al in grid]))])
+    f0 = abs(a - np.exp(1j * alpha0) * b)
+    reach = 0.35 * abs(b)
+    keep = ~(f0 + reach < (1 - 1e-12) * (f0 - reach).max())
+    kept = partial(dist, a=a[keep], b=b[keep])
+    lo, hi = alpha0 - 0.35, alpha0 + 0.35
+    res = bounded_min(kept, lo, hi)
+    x = res.x
+    w = 4 * (math.sqrt(2.2e-16) * abs(x) + 1e-12 / 3)
+    fine = bounded_min(lambda d: kept(x + d), max(lo - x, -w), min(hi - x, w))
+    return float(min(f0.max(), res.fun, fine.fun))
+
+
+@pytest.mark.parametrize("dim, seed", [(40, 1), (256, 2), (300, 3),
+                                       (513, 4), (700, 5)])
+@pytest.mark.parametrize("grid", [False, True])
+def test_the_row_block_search_is_the_whole_matrix_search(dim, seed, grid):
+    # blocks of 256 rows, the last one short: the same kept entries in the
+    # same order, so the same distance to the bit; b = a D with D = +-1
+    # in equal numbers has trace(b^dag a) = tr D = 0, so both start from
+    # the grid
+    rng = np.random.default_rng(seed)
+    a, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    if grid:
+        d = np.resize([1.0, -1.0], dim)
+        d[dim - dim % 2:] = 0
+        b = a * d
+        assert abs(np.vdot(b, a)) <= 1e-14 * np.vdot(abs(b), abs(a))
+    else:
+        b = np.exp(0.7j) * a + 1e-2 * (rng.standard_normal((dim, dim))
+                                       + 1j * rng.standard_normal((dim, dim)))
+    want = whole_matrix_search(a, b)
+    assert want > 1e-3
+    assert phase_aligned_distance(a, b) == want
 
 
 def imported_modules(path):
