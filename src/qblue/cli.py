@@ -36,8 +36,10 @@ pick the encoding, so no command takes an encoding option.  ``fit`` fits
 onto the one analog machine, ``trotter.IBM``.
 
 ``check``, ``eval``, ``compile`` and ``fit`` build no matrix and load numpy
-and qblue only.  ``energy`` loads ``scipy.sparse`` and ``scipy.sparse.linalg``
-as well, and ``verify`` also ``scipy.sparse.csgraph`` and ``scipy.optimize``
+and qblue only.  ``energy`` loads ``scipy.sparse`` as well, and
+``scipy.sparse.linalg`` (ARPACK) from dimension ``linalg.LANCZOS_MIN_DIM``
+on; ``verify`` loads ``scipy.sparse``, ``scipy.sparse.csgraph`` and the
+``scipy.sparse.linalg`` that csgraph imports, and no other scipy module
 (see ``linalg``), so a process pays for scipy only when it uses it.
 
 ``energy`` prints the ground energy and one normalized ground state,

@@ -27,10 +27,13 @@ gives a unitary.
 scipy is imported by the functions that call it, not by this module: its
 import is most of the time and memory of ``import qblue``, and ``check``,
 ``eval``, ``compile`` and ``fit`` call none of them.
-``expr_to_sparse`` and ``check_hermitian`` load ``scipy.sparse`` (the CSR);
-``ground_energy`` also ``scipy.sparse.linalg`` (ARPACK); ``matrix_exp_sim``
-``scipy.sparse.csgraph`` (its blocks); and ``_bounded_min``, the phase
-search of ``phase_aligned_distance``, ``scipy.optimize``, the largest.
+``expr_to_sparse``, ``ground_energy`` and ``check_hermitian`` of a sparse
+matrix load ``scipy.sparse`` (the CSR); ``ground_energy`` from
+``LANCZOS_MIN_DIM`` on also ``scipy.sparse.linalg`` (ARPACK); and
+``matrix_exp_sim`` ``scipy.sparse.csgraph`` (its blocks), which loads
+``scipy.sparse.linalg`` itself.  The phase search of
+``phase_aligned_distance`` is this module's own bounded Brent search,
+``_bounded_min``, and loads no scipy module.
 """
 from __future__ import annotations
 
@@ -172,18 +175,35 @@ def check_hermitian(h):
     magnitudes, so a large entry does not hide a small one, or within
     ZERO_TOL times the largest |h|: a given matrix, like a given state, is
     known to that precision, and the rounding of its sums is below it.  An
-    inf or nan entry agrees with nothing."""
-    import scipy.sparse
-    a, err = abs(h), abs(h - h.conj().T)
-    top = a.max()
-    bad = not np.isfinite(top)
-    if not bad and err.max() > ZERO_TOL * top:   # pair by pair, sparse
-        a, err = scipy.sparse.csr_array(a), scipy.sparse.csr_array(err)
-        bad = (err.multiply(err > ZERO_TOL * top)
-               > HERMITIAN_TOL * a.maximum(a.T)).nnz
+    inf or nan entry agrees with nothing.  A dense h is compared ROW_BLOCK
+    rows at a time against the same columns, so no temporary of its full
+    size is built."""
+    if not isinstance(h, np.ndarray):
+        import scipy.sparse
+        a, err = abs(h), abs(h - h.conj().T)
+        top = a.max()
+        bad = not np.isfinite(top)
+        if not bad and err.max() > ZERO_TOL * top:   # pair by pair, sparse
+            a, err = scipy.sparse.csr_array(a), scipy.sparse.csr_array(err)
+            bad = (err.multiply(err > ZERO_TOL * top)
+                   > HERMITIAN_TOL * a.maximum(a.T)).nnz
+        worst = err.max()
+    else:
+        # rows i..i+ROW_BLOCK and, transposed, the same columns
+        blocks = [(h[i:i + ROW_BLOCK], h[:, i:i + ROW_BLOCK].T)
+                  for i in range(0, len(h), ROW_BLOCK)]
+        top = np.max([abs(r).max() for r, _ in blocks])
+        bad, worst = not np.isfinite(top), []
+        for r, c in blocks:
+            err = abs(r - c.conj())
+            worst.append(err.max())
+            if not bad and worst[-1] > ZERO_TOL * top:
+                bad = ((err > ZERO_TOL * top) & (
+                    err > HERMITIAN_TOL * np.maximum(abs(r), abs(c)))).any()
+        worst = np.max(worst)
     if bad:
         raise NonHermitianError(
-            f"matrix deviates from Hermitian by {err.max():g}")
+            f"matrix deviates from Hermitian by {worst:g}")
 
 
 def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
@@ -205,7 +225,7 @@ def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
     if not h.imag.any():
-        h = h.real
+        h = h.real.copy()   # no view: the complex input can be freed
     check_hermitian(h)
     _, labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_array(h != 0), directed=False)
@@ -216,6 +236,7 @@ def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
         seg = order[size == n].reshape(-1, n)   # a row of indices per block
         at = seg[:, :, None], seg[:, None, :]
         stacks.append((at, *np.linalg.eigh(h[at])))
+    del h   # the blocks' eigenpairs are all that is left of it
     if not math.isfinite(max(float(abs(w).max()) for _, w, _ in stacks)
                          * abs(t)):
         raise ValueError(f"the phases w t of e^(-i h t) overflow at t = {t!r}")
@@ -260,7 +281,7 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
     the real field.  On a degenerate ground space the state is one vector
     of that space, the same on every run.
     """
-    import scipy.sparse.linalg
+    import scipy.sparse
     h = scipy.sparse.csr_array(h)
     n = h.shape[0]
     if n > DIM_CAP:
@@ -277,6 +298,7 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
         # vector of its ground space, as eigh does
         w, v = [0.0], np.eye(n, 1)
     else:
+        import scipy.sparse.linalg
         v0 = np.random.default_rng(0).standard_normal(n)
         w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=v0)
     vec = v[:, 0] / np.linalg.norm(v[:, 0])
@@ -336,18 +358,85 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     keep = ~(high < (1 - COEFF_EQ_TOL) * bar)
     kept = partial(dist, a=xs[keep], b=ys[keep])
     lo, hi = alpha0 - PHASE_WINDOW, alpha0 + PHASE_WINDOW
-    res = _bounded_min(kept, lo, hi)
+    x, fun = _bounded_min(kept, lo, hi)
     # the bounded search stops once its bracket lies within 4 (sqrt(eps)
     # |x| + xatol / 3) of x; searched again as an offset from x, near 0,
     # the tolerance is xatol
-    x = res.x
     w = 4 * (math.sqrt(2.2e-16) * abs(x) + PHASE_XATOL / 3)
-    fine = _bounded_min(lambda d: kept(x + d), max(lo - x, -w), min(hi - x, w))
+    _, fine = _bounded_min(lambda d: kept(x + d), max(lo - x, -w),
+                           min(hi - x, w))
     # the largest f0 is kept, so kept(alpha0) is it
-    return float(min(kept(alpha0), res.fun, fine.fun))
+    return float(min(kept(alpha0), fun, fine))
 
 
 def _bounded_min(f, lo: float, hi: float):
-    import scipy.optimize
-    return scipy.optimize.minimize_scalar(
-        f, method="bounded", bounds=(lo, hi), options={"xatol": PHASE_XATOL})
+    """(x, f(x)) at a minimum of f on [lo, hi], to PHASE_XATOL: Brent's
+    bounded search (FMIN of Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5).
+
+    It transcribes scipy's ``optimize._minimize_scalar_bounded``
+    (BSD-3-Clause) step for step and in the same arithmetic, so it returns
+    scipy's x and f(x) to the bit: the same golden-section and parabolic
+    steps, the stop rule on tol1 = sqrt(2.2e-16) |x| + xatol / 3, and at
+    most 500 evaluations of f.  In scipy's names, x, w and v are xf, nfc
+    and fulc, and d is rat.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    v = w = x = a + golden_mean * (b - a)
+    fv = fw = fx = f(x)
+    d = e = 0.0
+    evals = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + PHASE_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:   # a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = (p + 0.0) / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 * _sign(xm - x)
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = golden_mean * e
+        u = x + _sign(d) * max(abs(d), tol1)
+        fu = f(u)
+        evals += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + PHASE_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= 500:
+            break
+    return x, fx
+
+
+def _sign(y: float) -> float:
+    """np.sign(y) + (y == 0): 1 at +-0, nan at nan."""
+    return -1.0 if y < 0 else 1.0 if y >= 0 else y

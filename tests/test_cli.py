@@ -1378,14 +1378,36 @@ def fresh_argv(tmp_path):
             "verify": ["verify", circ, prog, "--t", "0.5"]}
 
 
+def loaded_scipy(argv):
+    """The exit code and the modules of SCIPY that main(["--json", *argv])
+    loads in a fresh interpreter, and its record."""
+    proc = fresh(["-c", LOADED, "--json", *argv])
+    out, err = proc.communicate(timeout=60)
+    return err.split(), json.loads(out)
+
+
+# energy below LANCZOS_MIN_DIM needs no ARPACK, and verify's phase search
+# no scipy.optimize; csgraph loads scipy.sparse.linalg itself
 @pytest.mark.parametrize("command, loads", [
     ("check", []), ("eval", []), ("compile", []), ("fit", []),
-    ("energy", ["scipy.sparse", "scipy.sparse.linalg"])])
+    ("energy", ["scipy.sparse"]),
+    ("verify", ["scipy.sparse", "scipy.sparse.csgraph",
+                "scipy.sparse.linalg"])])
 def test_a_command_loads_only_the_scipy_it_uses(tmp_path, command, loads):
-    proc = fresh(["-c", LOADED, "--json", *fresh_argv(tmp_path)[command]])
-    out, err = proc.communicate(timeout=60)
-    assert err.split() == ["0", *loads]
-    assert json.loads(out)["def"] == "H"
+    argv = fresh_argv(tmp_path)
+    if command == "verify":
+        assert main(argv["compile"]) == 0
+    loaded, record = loaded_scipy(argv[command])
+    assert loaded == ["0", *loads]
+    assert record["def"] == "H"
+
+
+def test_energy_loads_arpack_from_the_lanczos_dimension(tmp_path):
+    # 8 sites: dim 256 = LANCZOS_MIN_DIM
+    prog, _ = spin_program(tmp_path, bonds=(SPIN * 3)[:7])
+    loaded, record = loaded_scipy(["energy", prog])
+    assert loaded == ["0", "scipy.sparse", "scipy.sparse.linalg"]
+    assert record["def"] == "H"
 
 
 @pytest.mark.parametrize("command", ["energy", "verify"])

@@ -11,15 +11,16 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qblue.circuit import circuit_to_matrix
 from qblue.errors import DimensionCapError, NonHermitianError
 from qblue.expr import Boson, Fermion, dagger
 from qblue.fock import make_state
 from qblue.linalg import (
-    LANCZOS_MIN_DIM, expr_to_matrix, expr_to_sparse, ground_energy,
-    matrix_exp_sim, phase_aligned_distance, vector_to_state,
+    LANCZOS_MIN_DIM, PHASE_XATOL, _bounded_min, _sign, check_hermitian,
+    expr_to_matrix, expr_to_sparse, ground_energy, matrix_exp_sim,
+    phase_aligned_distance, vector_to_state,
 )
 from qblue.parser import parse
 from qblue.pauli import pauli_to_matrix
@@ -454,6 +455,45 @@ def test_an_entry_without_its_transpose_is_not_hermitian():
         matrix_exp_sim(h, 0.4)
 
 
+def hermitian_case(case):
+    """A 300 x 300 matrix, two row blocks of the dense check (256 rows and
+    44), with its fault or its largest entry in one of them."""
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    h = (g + g.conj().T) / 2
+    if case == "real":
+        return h.real
+    if case == "anti-pair-in-last-block":
+        h[290, 10] += 1e-3
+    elif case == "largest-entry-in-last-block":
+        # 1e-9 is below ZERO_TOL of the largest |h|, not of the first block's
+        h[299, 299] = 1e6
+        h[0, 1] += 1e-9
+    elif case == "nan-in-last-block":
+        h[299, 0] = math.nan
+    elif case == "inf-in-first-block":
+        h[0, 5] = math.inf
+    return h
+
+
+@pytest.mark.parametrize("case, hermitian", [
+    ("hermitian", True), ("real", True), ("anti-pair-in-last-block", False),
+    ("largest-entry-in-last-block", True), ("nan-in-last-block", False),
+    ("inf-in-first-block", False)])
+def test_the_dense_check_by_rows_is_the_sparse_check(case, hermitian):
+    # the same verdict and message from the CSR, checked entry by entry
+    h = hermitian_case(case)
+    verdicts = []
+    for m in (h, scipy.sparse.csr_array(h)):
+        try:
+            check_hermitian(m)
+            verdicts.append(None)
+        except NonHermitianError as err:
+            verdicts.append(str(err))
+    assert verdicts[0] == verdicts[1]
+    assert (verdicts[0] is None) == hermitian
+
+
 # ---------------------------------------------------------------------------
 # ground_energy
 # ---------------------------------------------------------------------------
@@ -729,6 +769,98 @@ def test_the_row_block_search_is_the_whole_matrix_search(dim, seed, grid):
     want = whole_matrix_search(a, b)
     assert want > 1e-3
     assert phase_aligned_distance(a, b) == want
+
+
+def scipy_and_port(f, lo, hi):
+    """For scipy's bounded search at PHASE_XATOL and for
+    linalg._bounded_min: the points f was called at and (x, f(x)), as
+    bytes, and the number of calls."""
+    def scipy_search(g):
+        res = scipy.optimize.minimize_scalar(
+            g, method="bounded", bounds=(lo, hi),
+            options={"xatol": PHASE_XATOL})
+        return res.x, res.fun
+    runs = []
+    for search in (scipy_search, partial(_bounded_min, lo=lo, hi=hi)):
+        calls = []
+        x, fun = search(lambda alpha: calls.append(alpha) or f(alpha))
+        runs.append((np.array(calls).tobytes(),
+                     np.array([x, fun]).tobytes(), len(calls)))
+    return runs
+
+
+def step_at(at):
+    """0.5 up to at, 1.0 past it."""
+    return lambda alpha: 0.5 if alpha <= at else 1.0
+
+
+@st.composite
+def searches(draw):
+    """A function of the phase and a window [lo, hi] of width 0 to 0.7:
+    the maximum of random sinusoids, as the distance is, a kink, a flat
+    function with a step or none, or one that is nan past a point of the
+    window.  A window scaled by 1e-9 or 3e-12 lies near 0, as the second
+    search's does, where xatol and not sqrt(eps) |x| sets the tolerance;
+    at 3e-12 it is a few xatol wide, so the search stops within a few
+    steps."""
+    scale = draw(st.sampled_from([1.0, 1e-9, 3e-12]))
+    lo = scale * draw(st.floats(-4, 4))
+    hi = lo + scale * draw(st.floats(0, 0.7))
+    kind = draw(st.sampled_from(["sinusoids", "kink", "flat", "nan"]))
+    if kind == "sinusoids":
+        n = draw(st.integers(1, 6))
+        c, r, phi = (np.array(draw(st.lists(st.floats(lim, 3), min_size=n,
+                                            max_size=n)))
+                     for lim in (-3, 0, -3))
+        return (lambda alpha: (c + r * np.cos(alpha - phi)).max()), lo, hi
+    at = draw(st.floats(lo - 0.1 * scale, hi + 0.1 * scale))
+    if kind == "kink":
+        return (lambda alpha: abs(alpha - at)), lo, hi
+    if kind == "flat":   # one step up, or none when at is outside
+        return step_at(at), lo, hi
+    return (lambda alpha: math.nan if alpha > at else (alpha - lo) ** 2,
+            lo, hi)
+
+
+@settings(max_examples=300)
+@given(searches())
+# a golden step from x == xm, the bracket's midpoint, goes toward its
+# lower end
+@example((step_at(-0.25 + 0.7 * 4 / 8), -0.25, -0.25 + 0.7))
+def test_the_bounded_search_is_scipys_to_the_bit(search):
+    # the same points evaluated, in the same order, and the same x and f(x)
+    scipy_run, port_run = scipy_and_port(*search)
+    assert port_run == scipy_run
+
+
+def test_the_bounded_search_stops_at_500_evaluations_as_scipy_does():
+    # near x = -1e4 the step floor tol1 = sqrt(2.2e-16) |x| is 1.48e-4, and
+    # this exponential falls by e^0.8 over each such step: the search
+    # creeps toward hi one tol1 at a time, |x| and so tol1 shrinking, until
+    # the evaluation cap stops it
+    lo, hi = -1e4, -1e4 + 0.7
+    k = 0.8 / (math.sqrt(2.2e-16) * 1e4)
+
+    def f(alpha):
+        return math.exp(min(700.0, max(-700.0, -k * (alpha - lo - 0.525))))
+    scipy_run, port_run = scipy_and_port(f, lo, hi)
+    assert port_run == scipy_run
+    assert port_run[2] == 500
+
+
+def test_sign_is_numpys_sign_plus_one_at_zero():
+    ys = np.array([-math.inf, -2.5, -0.0, 0.0, 1e-300, math.inf, math.nan])
+    np.testing.assert_array_equal([_sign(y) for y in ys],
+                                  np.sign(ys) + (ys == 0))
+
+
+def test_a_nan_matrix_is_at_nan_distance():
+    # scipy's search refused the nan window this gives; the port searches
+    # it and the distance reads nan
+    a = np.eye(4, dtype=complex)
+    b = a.copy()
+    b[1, 2] = math.nan
+    assert math.isnan(phase_aligned_distance(a, b))
 
 
 def imported_modules(path):
