@@ -109,7 +109,7 @@ def encode_for_compile(form: CanonicalForm):
     """(PauliSum, report dict) of a canonical form, on the method
     ``infer_encoding`` picks for its layout (``encoding_report``).
 
-    The Pauli matrix equals expr_to_matrix of the expression the form came
+    The Pauli matrix equals expr_to_sparse of the expression the form came
     from (for hp, its block on occupations 0..n, on the one-hot strings).
     The product of a term's site tables is formed once per shape (the units
     at its active sites, which fix their jw parity), and each term of that

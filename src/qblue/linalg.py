@@ -13,27 +13,28 @@ the expression tree itself, to one scipy.sparse CSR matrix.
 - An adjoint is no node of its own (``expr.dagger`` builds it from atoms),
   so the lowering never transposes.
 
-``expr_to_matrix`` densifies the CSR once; ``energy`` never does.
-``ground_energy`` runs a dense eigh below ``LANCZOS_MIN_DIM`` and, from
-there on, the Lanczos method of ARPACK from a start vector of fixed seed.
-``matrix_exp_sim`` runs block by block: the connected components of the
-matrix's sparsity pattern (particle-number or parity sectors, say) are
-stacked by size, and each stack is diagonalized by one batched eigh.
-A matrix whose imaginary part is exactly zero is checked and diagonalized
-in the real field, by ``ground_energy`` and by ``matrix_exp_sim``.
+``check_hermitian``, ``ground_energy`` and ``matrix_exp_sim`` take a dense
+or a scipy.sparse matrix and work on its CSR: the Hermiticity check
+compares the stored entries only, and one prologue caps, checks and takes
+the real field for both solvers.  ``ground_energy`` runs a dense eigh below
+``LANCZOS_MIN_DIM`` and, from there on, the Lanczos method of ARPACK from a
+start vector of fixed seed.  ``matrix_exp_sim`` runs block by block: the
+connected components of the CSR's pattern (particle-number or parity
+sectors, say) are stacked by size, gathered from one dense copy, and each
+stack is diagonalized by one batched eigh.  A matrix whose imaginary part
+is exactly zero is checked and diagonalized in the real field.
 Exponentials use the e^{-i h t} convention throughout, so Hermitian input
 gives a unitary.
 
 scipy is imported by the functions that call it, not by this module: its
 import is most of the time and memory of ``import qblue``, and ``check``,
-``eval``, ``compile`` and ``fit`` call none of them.
-``expr_to_sparse``, ``ground_energy`` and ``check_hermitian`` of a sparse
-matrix load ``scipy.sparse`` (the CSR); ``ground_energy`` from
-``LANCZOS_MIN_DIM`` on also ``scipy.sparse.linalg`` (ARPACK); and
-``matrix_exp_sim`` ``scipy.sparse.csgraph`` (its blocks), which loads
-``scipy.sparse.linalg`` itself.  The phase search of
-``phase_aligned_distance`` is this module's own bounded Brent search,
-``_bounded_min``, and loads no scipy module.
+``eval``, ``compile`` and ``fit`` call none of them.  ``expr_to_sparse``,
+``check_hermitian``, ``ground_energy`` and ``pauli.pauli_to_matrix`` load
+``scipy.sparse`` (the CSR); ``ground_energy`` from ``LANCZOS_MIN_DIM`` on
+also ``scipy.sparse.linalg`` (ARPACK); and ``matrix_exp_sim``
+``scipy.sparse.csgraph`` (its blocks), which loads ``scipy.sparse.linalg``
+itself.  The phase search of ``phase_aligned_distance`` is this module's
+own bounded Brent search, ``_bounded_min``, and loads no scipy module.
 """
 from __future__ import annotations
 
@@ -55,17 +56,13 @@ from .expr import (
 from .fock import FockState, make_state
 
 
-def expr_to_matrix(e: HamExpr) -> np.ndarray:
-    """Matrix M with M v(s) = v(apply(e, s)) for every basis state s."""
-    return expr_to_sparse(e).toarray()
-
-
 def expr_to_sparse(e: HamExpr):
-    """The CSR matrix of ``expr_to_matrix``, with no dense array built and
-    no entry that is ``negligible`` at ZERO_TOL against the magnitudes of
-    the paths summed into it: a sum that cancels to a rounding residue, at
-    any depth, leaves none.  Only the kept entries of each diagonal are
-    gathered, so no array of all diagonals is built either."""
+    """CSR matrix M with M v(s) = v(apply(e, s)) for every basis state s,
+    with no dense array built and no entry that is ``negligible`` at
+    ZERO_TOL against the magnitudes of the paths summed into it: a sum that
+    cancels to a rounding residue, at any depth, leaves none.  Only the
+    kept entries of each diagonal are gathered, so no array of all
+    diagonals is built either."""
     import scipy.sparse
     dim = total_dim(e.layout)
     if dim > DIM_CAP:
@@ -158,7 +155,7 @@ def _monomial(layout: SiteList, ladder, memo: dict):
 
 def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:
     """FockState of the entries of v above ZERO_TOL, in the row-major
-    occupation basis of ``expr_to_matrix``."""
+    occupation basis of ``expr_to_sparse``."""
     dims = [site_dim(site) for site in layout]
     idx = np.flatnonzero(abs(v) > ZERO_TOL)
     occs = zip(*np.unravel_index(idx, dims)) if dims else [()] * idx.size
@@ -175,62 +172,57 @@ def check_hermitian(h):
     magnitudes, so a large entry does not hide a small one, or within
     ZERO_TOL times the largest |h|: a given matrix, like a given state, is
     known to that precision, and the rounding of its sums is below it.  An
-    inf or nan entry agrees with nothing.  A dense h is compared ROW_BLOCK
-    rows at a time against the same columns, so no temporary of its full
-    size is built."""
-    if not isinstance(h, np.ndarray):
-        import scipy.sparse
-        a, err = abs(h), abs(h - h.conj().T)
-        top = a.max()
-        bad = not np.isfinite(top)
-        if not bad and err.max() > ZERO_TOL * top:   # pair by pair, sparse
-            a, err = scipy.sparse.csr_array(a), scipy.sparse.csr_array(err)
-            bad = (err.multiply(err > ZERO_TOL * top)
-                   > HERMITIAN_TOL * a.maximum(a.T)).nnz
-        worst = err.max()
-    else:
-        # rows i..i+ROW_BLOCK and, transposed, the same columns
-        blocks = [(h[i:i + ROW_BLOCK], h[:, i:i + ROW_BLOCK].T)
-                  for i in range(0, len(h), ROW_BLOCK)]
-        top = np.max([abs(r).max() for r, _ in blocks])
-        bad, worst = not np.isfinite(top), []
-        for r, c in blocks:
-            err = abs(r - c.conj())
-            worst.append(err.max())
-            if not bad and worst[-1] > ZERO_TOL * top:
-                bad = ((err > ZERO_TOL * top) & (
-                    err > HERMITIAN_TOL * np.maximum(abs(r), abs(c)))).any()
-        worst = np.max(worst)
+    inf or nan entry agrees with nothing.  A dense h is checked as its
+    CSR, so only the stored entries and their transposes are compared."""
+    import scipy.sparse
+    h = scipy.sparse.csr_array(h)
+    a, err = abs(h), abs(h - h.conj().T)
+    top = a.max()
+    bad = not np.isfinite(top)
+    if not bad and err.max() > ZERO_TOL * top:   # pair by pair
+        bad = (err.multiply(err > ZERO_TOL * top)
+               > HERMITIAN_TOL * a.maximum(a.T)).nnz
     if bad:
         raise NonHermitianError(
-            f"matrix deviates from Hermitian by {worst:g}")
+            f"matrix deviates from Hermitian by {err.max():g}")
 
 
-def matrix_exp_sim(h: np.ndarray, t: float) -> np.ndarray:
-    """Time-evolution unitary e^{-i h t} of a Hermitian matrix, block by
-    block.
-
-    The connected components of h's sparsity pattern split it into blocks
-    with no entry between them, so e^{-i h t} is e^{-i b t} on each block b
-    and zero between blocks.  The blocks of one size are stacked and
-    diagonalized by one batched eigh, so the output is unitary to
-    rounding, and each block's V e^{-i w t} V^dag is scattered back.  A
-    matrix whose imaginary part is exactly zero is checked and
-    diagonalized as the real symmetric matrix it is.  A phase w t past the
-    float range raises ValueError: its exponential would be nan.
-    """
-    import scipy.sparse.csgraph
-    h = np.asarray(h, dtype=complex)
+def _hermitian(h):
+    """The dense or sparse matrix h as a CSR, after DIM_CAP and
+    ``check_hermitian``; its real part when its imaginary part is exactly
+    zero."""
+    import scipy.sparse
     dim = h.shape[0]
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    if not h.imag.any():
-        h = h.real.copy()   # no view: the complex input can be freed
+    h = scipy.sparse.csr_array(h)
     check_hermitian(h)
-    _, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_array(h != 0), directed=False)
+    return h if h.data.imag.any() else h.real
+
+
+def matrix_exp_sim(h, t: float) -> np.ndarray:
+    """Time-evolution unitary e^{-i h t} of a dense or sparse Hermitian
+    matrix, block by block.
+
+    The connected components of h's sparsity pattern split it into blocks
+    with no entry between them, so e^{-i h t} is e^{-i b t} on each block b
+    and zero between blocks.  The pattern is taken from h's CSR, and one
+    dense copy of h is made for the blocks' gathers.  The blocks of one
+    size are stacked and diagonalized by one batched eigh, so the output
+    is unitary to rounding, and each block's V e^{-i w t} V^dag is
+    scattered back.  A matrix whose imaginary part is exactly zero is
+    checked and diagonalized as the real symmetric matrix it is.  A phase
+    w t past the float range raises ValueError: its exponential would be
+    nan.
+    """
+    import scipy.sparse.csgraph
+    h = _hermitian(h)
+    dim = h.shape[0]
+    _, labels = scipy.sparse.csgraph.connected_components(h != 0,
+                                                          directed=False)
     order = np.argsort(labels, kind="stable")   # block by block
     size = np.bincount(labels)[labels[order]]
+    h = h.toarray()
     stacks = []
     for n in np.unique(size):
         seg = order[size == n].reshape(-1, n)   # a row of indices per block
@@ -281,16 +273,10 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
     the real field.  On a degenerate ground space the state is one vector
     of that space, the same on every run.
     """
-    import scipy.sparse
-    h = scipy.sparse.csr_array(h)
+    h = _hermitian(h)
     n = h.shape[0]
-    if n > DIM_CAP:
-        raise DimensionCapError(f"dimension {n} exceeds cap {DIM_CAP}")
-    check_hermitian(h)
     if total_dim(layout) != n:
         raise ValueError("layout dimension does not match the matrix")
-    if not h.data.imag.any():
-        h = h.real
     if n < LANCZOS_MIN_DIM:
         w, v = np.linalg.eigh(h.toarray())
     elif not h.count_nonzero():

@@ -4,10 +4,10 @@ A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
 pruned at ZERO_TOL times the magnitudes summed into them, with no absolute
 floor, so a sum scaled by c keeps its strings.  This is
-the compiler's intermediate representation.  Its dense matrix writes each
-string as the signed permutation it is, one nonzero per column from the
-string's X/Z bit masks, so a sum of T terms on n qubits costs O(T 2^n) on
-top of the 4^n zero fill.
+the compiler's intermediate representation.  Its matrix is a CSR that
+writes each string as the signed permutation it is, one nonzero per column
+from the string's X/Z bit masks, so a sum of T terms on n qubits costs
+O(T 2^n), with no 4^n zero fill.
 """
 
 from __future__ import annotations
@@ -73,22 +73,33 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-def pauli_to_matrix(p: PauliSum) -> np.ndarray:
-    """Dense matrix of the sum, qubit 0 the most significant index bit.
+def pauli_to_matrix(p: PauliSum):
+    """scipy.sparse CSR matrix of the sum, qubit 0 the most significant
+    index bit, storing no zero.
 
     A string is the signed permutation i^(#Y) X^x Z^z, with x marking its X/Y
     letters and z its Z/Y letters: column j holds i^(#Y) (-1)^|j & z| in
-    row j ^ x.  Each term costs O(2^n), with no Kronecker product.
+    row j ^ x.  The strings of one x share those rows, so their column
+    values are summed in term order, and each term costs O(2^n), with no
+    Kronecker product.
     """
+    import scipy.sparse
     if p.qubits > QUBIT_CAP:
         raise DimensionCapError(
             f"{p.qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
     dim = 2 ** p.qubits
     cols = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
+    by_x: dict[int, np.ndarray] = {}   # X mask -> the value of each column
     for c, s in p.terms:
         x = int("0" + s.translate(_X_BITS), 2)
         z = int("0" + s.translate(_Z_BITS), 2)
         phase = c * _I_POWERS[s.count("Y") % 4]
-        out[cols ^ x, cols] += phase * (1 - 2 * _parity(cols & z, p.qubits))
+        by_x[x] = by_x.get(x, 0j) + phase * (
+            1 - 2 * _parity(cols & z, p.qubits))
+    rows = cols ^ np.array(list(by_x), dtype=int)[:, None]
+    vals = np.array(list(by_x.values()), dtype=complex)
+    out = scipy.sparse.csr_array(
+        (vals.ravel(), (rows.ravel(), np.tile(cols, len(by_x)))),
+        shape=(dim, dim))
+    out.eliminate_zeros()
     return out

@@ -12,7 +12,14 @@ from qblue import circuit
 from qblue.errors import COEFF_EQ_TOL
 from qblue.expr import site_dim
 from qblue.fock import make_state
+from qblue.linalg import expr_to_sparse
 from qblue.parser import parse
+
+
+def expr_to_matrix(e):
+    """Dense matrix M with M v(s) = v(apply(e, s)) for every basis state
+    s: the CSR of ``expr_to_sparse``, densified."""
+    return expr_to_sparse(e).toarray()
 
 
 def basis_ket(layout, occ):

@@ -16,12 +16,12 @@ from qblue.cli import main
 from qblue.encodings import encode_for_compile
 from qblue.errors import UNIT_CAP
 from qblue.fock import format_state, parse_state
-from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.pauli import pauli_sum
 from qblue.typecheck import canonicalize
 
 import oracle
+from helpers import expr_to_matrix
 from test_trotter import commutator_bound
 
 # the package re-exports the function typecheck under the module's name
@@ -272,7 +272,6 @@ def test_energy_of_twelve_sites_runs_no_dense_eigh(family, tmp_path, capsys,
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", small_eigh)
-    monkeypatch.setattr(linalg, "expr_to_matrix", None)
     text, _ = chain_program(family, 12)
     prog = tmp_path / "h.qb"
     prog.write_text(text)
@@ -649,7 +648,6 @@ def test_check_builds_no_matrix(tmp_path, capsys, monkeypatch):
         raise AssertionError("check built a dense matrix")
 
     # _lower is the step every dense lowering of an expression takes
-    monkeypatch.setattr(linalg, "expr_to_matrix", refuse)
     monkeypatch.setattr(linalg, "_lower", refuse)
     z, zbar = "(0.5+0.3i)", "(0.5-0.3i)"
     defs = {

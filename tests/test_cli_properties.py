@@ -19,11 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from qblue import cli
 from qblue.cli import main
 from qblue.fock import parse_state
-from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.trotter import encode_hermitian
 
-from helpers import parsed, state_to_vector
+from helpers import expr_to_matrix, parsed, state_to_vector
 from strategies import DIMS, layouts, on
 from test_trotter import commutator_bound
 

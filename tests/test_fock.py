@@ -11,11 +11,10 @@ from qblue.expr import (
 )
 from qblue import fock
 from qblue.fock import apply, format_state, make_state, parse_state
-from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 
 import oracle
-from helpers import basis_ket, op, parsed, state_to_vector
+from helpers import basis_ket, expr_to_matrix, op, parsed, state_to_vector
 from strategies import GRADED, layouts, on, programs
 
 T2 = Boson(2)

@@ -55,11 +55,9 @@ def test_the_checkers_share_no_code_with_the_pipeline():
         assert set(imported) <= {"errors", "expr", "fock"}, name
 
 
-# Definitions with no caller in the package that stay: the entry point, the
-# dense reference the tests compare against, and the override argparse
-# calls back.  What only these reach stays too.
-NO_CALLER_NEEDED = {"cli.main", "linalg.expr_to_matrix",
-                    "cli._ArgumentParser.error"}
+# Definitions with no caller in the package that stay: the entry point and
+# the override argparse calls back.  What only these reach stays too.
+NO_CALLER_NEEDED = {"cli.main", "cli._ArgumentParser.error"}
 
 
 def definitions(tree):

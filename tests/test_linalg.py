@@ -14,20 +14,20 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
 from qblue.circuit import circuit_to_matrix
-from qblue.errors import DimensionCapError, NonHermitianError
+from qblue.errors import DIM_CAP, DimensionCapError, NonHermitianError
 from qblue.expr import Boson, Fermion, dagger
 from qblue.fock import make_state
 from qblue.linalg import (
     LANCZOS_MIN_DIM, PHASE_XATOL, _bounded_min, _sign, check_hermitian,
-    expr_to_matrix, expr_to_sparse, ground_energy, matrix_exp_sim,
-    phase_aligned_distance, vector_to_state,
+    expr_to_sparse, ground_energy, matrix_exp_sim, phase_aligned_distance,
+    vector_to_state,
 )
 from qblue.parser import parse
 from qblue.pauli import pauli_to_matrix
 from qblue.trotter import compile_digital, encode_hermitian
 
 import oracle
-from helpers import basis_ket, op, parsed, state_to_vector
+from helpers import basis_ket, expr_to_matrix, op, parsed, state_to_vector
 from strategies import DIMS, FAMILIES, layouts, on, program_text, programs
 
 T2 = Boson(2)
@@ -456,32 +456,31 @@ def test_an_entry_without_its_transpose_is_not_hermitian():
 
 
 def hermitian_case(case):
-    """A 300 x 300 matrix, two row blocks of the dense check (256 rows and
-    44), with its fault or its largest entry in one of them."""
+    """A 300 x 300 Hermitian matrix, or one with the fault the case
+    names."""
     rng = np.random.default_rng(3)
     g = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
     h = (g + g.conj().T) / 2
     if case == "real":
         return h.real
-    if case == "anti-pair-in-last-block":
+    if case == "anti-pair":
         h[290, 10] += 1e-3
-    elif case == "largest-entry-in-last-block":
-        # 1e-9 is below ZERO_TOL of the largest |h|, not of the first block's
+    elif case == "fault-below-the-largest-entry":
+        # 1e-9 is below ZERO_TOL of the largest |h|, though not of |h[0, 1]|
         h[299, 299] = 1e6
         h[0, 1] += 1e-9
-    elif case == "nan-in-last-block":
+    elif case == "nan":
         h[299, 0] = math.nan
-    elif case == "inf-in-first-block":
+    elif case == "inf":
         h[0, 5] = math.inf
     return h
 
 
 @pytest.mark.parametrize("case, hermitian", [
-    ("hermitian", True), ("real", True), ("anti-pair-in-last-block", False),
-    ("largest-entry-in-last-block", True), ("nan-in-last-block", False),
-    ("inf-in-first-block", False)])
-def test_the_dense_check_by_rows_is_the_sparse_check(case, hermitian):
-    # the same verdict and message from the CSR, checked entry by entry
+    ("hermitian", True), ("real", True), ("anti-pair", False),
+    ("fault-below-the-largest-entry", True), ("nan", False), ("inf", False)])
+def test_a_dense_matrix_is_checked_as_its_csr(case, hermitian):
+    # the same verdict and message from the dense matrix and its CSR
     h = hermitian_case(case)
     verdicts = []
     for m in (h, scipy.sparse.csr_array(h)):
@@ -600,6 +599,24 @@ def test_dense_and_sparse_input_take_one_path():
         assert (h.shape[0] < LANCZOS_MIN_DIM) == (n == 5)
         assert (ground_energy(h, program.layout)
                 == ground_energy(h.toarray(), program.layout))
+        assert np.array_equal(matrix_exp_sim(h, 0.7),
+                              matrix_exp_sim(h.toarray(), 0.7))
+
+
+def test_the_solvers_cap_the_dimension_before_converting(monkeypatch):
+    # a sparse identity, and a dense zero matrix without its 4097^2 entries
+    inputs = (scipy.sparse.eye_array(DIM_CAP + 1),
+              np.broadcast_to(0.0, (DIM_CAP + 1, DIM_CAP + 1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("converted before the cap")
+
+    monkeypatch.setattr(scipy.sparse, "csr_array", refuse)
+    for h in inputs:
+        with pytest.raises(DimensionCapError):
+            matrix_exp_sim(h, 0.5)
+        with pytest.raises(DimensionCapError):
+            ground_energy(h, (T2,))
 
 
 def test_ground_rejects_non_hermitian():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qblue.errors import COEFF_EQ_TOL, DimensionCapError
 from qblue.pauli import is_hermitian_pauli, pauli_sum, pauli_to_matrix
@@ -118,6 +119,41 @@ def test_pauli_to_matrix_respects_algebra():
         p1, p2 = pauli_sum(n, t1), pauli_sum(n, t2)
         assert oracle.max_norm(pauli_to_matrix(pauli_sum(n, t1 + t2)),
                                pauli_to_matrix(p1) + pauli_to_matrix(p2)) < 1e-12
+
+
+@pytest.mark.parametrize("qubits, terms, nnz", [
+    (1, [(1, "I"), (1, "Z")], 1),   # diag(2, 0)
+    (1, [(1, "X"), (1j, "Y")], 1),   # X + iY = 2 |0><1|
+    (2, [(0.5, "XX"), (0.5, "YY")], 2),   # the hopping term
+    (2, [(1, "ZZ"), (-1, "II")], 2),
+    (3, [(1, "III")], 8),
+    (2, [], 0),
+])
+def test_the_csr_stores_no_zero(qubits, terms, nnz):
+    m = pauli_to_matrix(pauli_sum(qubits, terms))
+    assert m.shape == (2 ** qubits, 2 ** qubits)
+    assert m.nnz == nnz == np.count_nonzero(m.toarray())
+
+
+@st.composite
+def pauli_terms(draw):
+    """(qubits, terms) of a sum on 1-5 qubits, strings possibly repeated."""
+    n = draw(st.integers(1, 5))
+    strings = st.text("IXYZ", min_size=n, max_size=n)
+    coeffs = st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                allow_infinity=False)
+    return n, draw(st.lists(st.tuples(coeffs, strings), max_size=8))
+
+
+@given(pauli_terms())
+def test_the_matrix_is_the_sum_of_kronecker_products(drawn):
+    n, terms = drawn
+    m = pauli_to_matrix(pauli_sum(n, terms))
+    want = sum((c * oracle.pauli_string_matrix(s) for c, s in terms),
+               np.zeros((2 ** n, 2 ** n)))
+    scale = sum(abs(c) for c, _ in terms)
+    assert oracle.max_norm(m.toarray(), want) <= 1e-12 * scale
+    assert m.nnz == np.count_nonzero(m.toarray())
 
 
 def test_matrix_dimension_cap():

@@ -21,7 +21,7 @@ from qblue.trotter import compile_digital
 from qblue.typecheck import canonicalize
 
 import oracle
-from helpers import run_counts
+from helpers import expr_to_matrix, run_counts
 
 # the package re-exports the function typecheck under the module's name
 typecheck_module = importlib.import_module("qblue.typecheck")
@@ -173,7 +173,7 @@ def test_the_exponential_diagonalizes_each_block_size_once(monkeypatch):
     # ten fermions split into the particle-number sectors C(10, k): the
     # exponential stacks the blocks of one size into one eigh, so it sees
     # no matrix above C(10, 5) = 252 and one call per distinct size
-    h = linalg.expr_to_matrix(hopping_chain(10))
+    h = expr_to_matrix(hopping_chain(10))
     shapes = []
     eigh = linalg.np.linalg.eigh
 

@@ -12,14 +12,13 @@ from qblue.expr import (
     seq, site_dim,
 )
 from qblue.fock import apply, make_state
-from qblue.linalg import expr_to_matrix
 from qblue.parser import parse
 from qblue.typecheck import (
     adjoint, canonical_allclose, canonicalize, hermiticity_report, typecheck,
 )
 
 import oracle
-from helpers import op, parsed
+from helpers import expr_to_matrix, op, parsed
 from strategies import GRADED, layouts, on, program_text, programs
 
 T2 = Boson(2)
