@@ -35,12 +35,9 @@ exits 4 before any circuit, schedule or matrix is built, and the site types
 pick the encoding, so no command takes an encoding option.  ``fit`` fits
 onto the one analog machine, ``trotter.IBM``.
 
-``check``, ``eval``, ``compile`` and ``fit`` build no matrix and load numpy
-and qblue only.  ``energy`` loads ``scipy.sparse`` as well, and
-``scipy.sparse.linalg`` (ARPACK) from dimension ``linalg.LANCZOS_MIN_DIM``
-on; ``verify`` loads ``scipy.sparse``, ``scipy.sparse.csgraph`` and the
-``scipy.sparse.linalg`` that csgraph imports, and no other scipy module
-(see ``linalg``), so a process pays for scipy only when it uses it.
+``check``, ``eval``, ``compile`` and ``fit`` build no matrix; ``energy``
+and ``verify`` build qblue's own sparse matrix (``linalg.Sparse``).  Every
+command loads numpy and qblue only, never scipy.
 
 ``energy`` prints the ground energy and one normalized ground state,
 computed from the sparse matrix of the definition

@@ -2,39 +2,33 @@
 
 This is the desk-scale oracle the rest of the package is checked against,
 and it shares no code with the canonical forms of ``typecheck``: it lowers
-the expression tree itself, to one scipy.sparse CSR matrix.
+the expression tree itself, to one ``Sparse`` matrix.  It runs on numpy
+alone.
 
 - An atom is one diagonal: its ladder moves every column's occupation
   index by its step times its site's stride, so it has at most one
   nonzero per column, all at that shift.  It is built in one O(N dim)
   step, with the Jordan-Wigner sign the interpreter produces.
 - A sum adds its children's diagonals of equal shift, and a product
-  composes them pairwise, so the CSR is built once, from the diagonals.
+  composes them pairwise, so the matrix is built once, from the diagonals.
 - An adjoint is no node of its own (``expr.dagger`` builds it from atoms),
   so the lowering never transposes.
 
-``check_hermitian``, ``ground_energy`` and ``matrix_exp_sim`` take a dense
-or a scipy.sparse matrix and work on its CSR: the Hermiticity check
-compares the stored entries only, and one prologue caps, checks and takes
-the real field for both solvers.  ``ground_energy`` runs a dense eigh below
-``LANCZOS_MIN_DIM`` and, from there on, the Lanczos method of ARPACK from a
-start vector of fixed seed.  ``matrix_exp_sim`` runs block by block: the
-connected components of the CSR's pattern (particle-number or parity
-sectors, say) are stacked by size, gathered from one dense copy, and each
-stack is diagonalized by one batched eigh.  A matrix whose imaginary part
-is exactly zero is checked and diagonalized in the real field.
-Exponentials use the e^{-i h t} convention throughout, so Hermitian input
-gives a unitary.
-
-scipy is imported by the functions that call it, not by this module: its
-import is most of the time and memory of ``import qblue``, and ``check``,
-``eval``, ``compile`` and ``fit`` call none of them.  ``expr_to_sparse``,
-``check_hermitian``, ``ground_energy`` and ``pauli.pauli_to_matrix`` load
-``scipy.sparse`` (the CSR); ``ground_energy`` from ``LANCZOS_MIN_DIM`` on
-also ``scipy.sparse.linalg`` (ARPACK); and ``matrix_exp_sim``
-``scipy.sparse.csgraph`` (its blocks), which loads ``scipy.sparse.linalg``
-itself.  The phase search of ``phase_aligned_distance`` is this module's
-own bounded Brent search, ``_bounded_min``, and loads no scipy module.
+A ``Sparse`` keeps a matrix's nonzero entries as (row, col, val) arrays,
+sorted row-major; ``sparse`` builds one from triples, and
+``pauli.pauli_to_matrix`` builds through it too.  ``check_hermitian``,
+``ground_energy`` and ``matrix_exp_sim`` take a dense or a Sparse matrix:
+the Hermiticity check compares the stored entries only, and one prologue
+caps, checks and takes the real field for both solvers.
+``ground_energy`` runs a dense eigh below ``LANCZOS_MIN_DIM`` and, from
+there on, the Lanczos method (Lanczos, 1950) with full
+reorthogonalization (Paige, 1972) from a start vector of fixed seed.
+``matrix_exp_sim`` runs block by block: the connected components of the
+pattern (particle-number or parity sectors, say) are stacked by size,
+gathered from one dense copy, and each stack is diagonalized by one
+batched eigh.  A matrix whose imaginary part is exactly zero is checked
+and diagonalized in the real field.  Exponentials use the e^{-i h t}
+convention throughout, so Hermitian input gives a unitary.
 """
 from __future__ import annotations
 
@@ -56,14 +50,45 @@ from .expr import (
 from .fock import FockState, make_state
 
 
-def expr_to_sparse(e: HamExpr):
-    """CSR matrix M with M v(s) = v(apply(e, s)) for every basis state s,
+class Sparse:
+    """A dim x dim matrix by its stored entries: vals[k] at (rows[k],
+    cols[k]), sorted row-major, none of them zero; ``sparse`` builds one."""
+
+    def __init__(self, dim: int, rows, cols, vals):
+        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
+
+    shape = property(lambda self: (self.dim, self.dim))
+    nnz = property(lambda self: self.vals.size)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """h @ v: each row sums its terms, real and imaginary parts apart."""
+        terms = self.vals * v[self.cols]
+        out = np.bincount(self.rows, terms.real, self.dim)
+        if np.iscomplexobj(terms):
+            out = out + 1j * np.bincount(self.rows, terms.imag, self.dim)
+        return out
+
+
+def sparse(dim: int, rows, cols, vals) -> Sparse:
+    """The Sparse of (row, col, val) triples with no key repeated: the
+    exact zeros dropped, the rest sorted row-major."""
+    keep = np.flatnonzero(vals != 0)
+    order = keep[np.argsort(rows[keep] * dim + cols[keep], kind="stable")]
+    return Sparse(dim, rows[order], cols[order], vals[order])
+
+
+def expr_to_sparse(e: HamExpr) -> Sparse:
+    """Sparse matrix M with M v(s) = v(apply(e, s)) for every basis state s,
     with no dense array built and no entry that is ``negligible`` at
     ZERO_TOL against the magnitudes of the paths summed into it: a sum that
     cancels to a rounding residue, at any depth, leaves none.  Only the
     kept entries of each diagonal are gathered, so no array of all
     diagonals is built either."""
-    import scipy.sparse
     dim = total_dim(e.layout)
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
@@ -75,11 +100,7 @@ def expr_to_sparse(e: HamExpr):
         rows.append(j + shift)
         cols.append(j)
         vals.append(v[j])
-    m = scipy.sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
-    m.sort_indices()
-    return m
+    return sparse(dim, *map(np.concatenate, (rows, cols, vals)))
 
 
 def _lower(e, memo: dict) -> dict:
@@ -166,60 +187,78 @@ def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:
 # Exponential
 # ---------------------------------------------------------------------------
 
-def check_hermitian(h):
-    """Raise unless the dense or sparse matrix h is Hermitian.  h_ij and
-    conj(h_ji) agree within HERMITIAN_TOL times the larger of their two
-    magnitudes, so a large entry does not hide a small one, or within
-    ZERO_TOL times the largest |h|: a given matrix, like a given state, is
-    known to that precision, and the rounding of its sums is below it.  An
-    inf or nan entry agrees with nothing.  A dense h is checked as its
-    CSR, so only the stored entries and their transposes are compared."""
-    import scipy.sparse
-    h = scipy.sparse.csr_array(h)
-    a, err = abs(h), abs(h - h.conj().T)
-    top = a.max()
+def check_hermitian(h) -> Sparse:
+    """h as a Sparse; raise unless the dense or Sparse matrix h is
+    Hermitian.  h_ij and conj(h_ji) agree within HERMITIAN_TOL times the
+    larger of their two magnitudes, so a large entry does not hide a small
+    one, or within ZERO_TOL times the largest |h|: a given matrix, like a
+    given state, is known to that precision, and the rounding of its sums
+    is below it.  An inf or nan entry agrees with nothing.  Only the
+    stored entries are compared: each finds its transpose among the
+    row-major keys, and one that is not stored is 0."""
+    if not isinstance(h, Sparse):   # a dense h by its nonzero entries
+        nz = np.nonzero(h := np.asarray(h))
+        h = sparse(len(h), *nz, h[nz])
+    keys, want = h.rows * h.dim + h.cols, h.cols * h.dim + h.rows
+    at = np.minimum(np.searchsorted(keys, want), max(h.nnz - 1, 0))
+    mirror = np.where(keys[at] == want, h.vals[at].conj(), 0)
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf is nan
+        a, err = abs(h.vals), abs(h.vals - mirror)
+    top = a.max(initial=0.0)
     bad = not np.isfinite(top)
-    if not bad and err.max() > ZERO_TOL * top:   # pair by pair
-        bad = (err.multiply(err > ZERO_TOL * top)
-               > HERMITIAN_TOL * a.maximum(a.T)).nnz
+    if not bad and err.max(initial=0.0) > ZERO_TOL * top:   # pair by pair
+        bad = ((err > ZERO_TOL * top)
+               & (err > HERMITIAN_TOL * np.maximum(a, abs(mirror)))).any()
     if bad:
         raise NonHermitianError(
-            f"matrix deviates from Hermitian by {err.max():g}")
+            f"matrix deviates from Hermitian by {err.max(initial=0.0):g}")
+    return h
 
 
-def _hermitian(h):
-    """The dense or sparse matrix h as a CSR, after DIM_CAP and
+def _hermitian(h) -> Sparse:
+    """The dense or Sparse matrix h as a Sparse, after DIM_CAP and
     ``check_hermitian``; its real part when its imaginary part is exactly
     zero."""
-    import scipy.sparse
     dim = h.shape[0]
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    h = scipy.sparse.csr_array(h)
-    check_hermitian(h)
-    return h if h.data.imag.any() else h.real
+    h = check_hermitian(h)
+    if not h.vals.imag.any():
+        h = Sparse(h.dim, h.rows, h.cols, h.vals.real)
+    return h
+
+
+def _components(h: Sparse) -> np.ndarray:
+    """The smallest index of each index's component in h's pattern, taken
+    as undirected: each round lowers each end's label of an entry to the
+    other's, then each label to its own label, until nothing changes."""
+    labels, old = np.arange(h.dim), None
+    while not np.array_equal(labels, old):
+        old = labels.copy()
+        np.minimum.at(labels, h.rows, labels[h.cols])
+        np.minimum.at(labels, h.cols, labels[h.rows])
+        labels = labels[labels]
+    return labels
 
 
 def matrix_exp_sim(h, t: float) -> np.ndarray:
-    """Time-evolution unitary e^{-i h t} of a dense or sparse Hermitian
+    """Time-evolution unitary e^{-i h t} of a dense or Sparse Hermitian
     matrix, block by block.
 
     The connected components of h's sparsity pattern split it into blocks
     with no entry between them, so e^{-i h t} is e^{-i b t} on each block b
-    and zero between blocks.  The pattern is taken from h's CSR, and one
-    dense copy of h is made for the blocks' gathers.  The blocks of one
-    size are stacked and diagonalized by one batched eigh, so the output
-    is unitary to rounding, and each block's V e^{-i w t} V^dag is
-    scattered back.  A matrix whose imaginary part is exactly zero is
-    checked and diagonalized as the real symmetric matrix it is.  A phase
-    w t past the float range raises ValueError: its exponential would be
-    nan.
+    and zero between blocks.  The pattern is taken from the stored
+    entries, and one dense copy of h is made for the blocks' gathers.  The
+    blocks of one size are stacked and diagonalized by one batched eigh,
+    so the output is unitary to rounding, and each block's V e^{-i w t}
+    V^dag is scattered back.  A matrix whose imaginary part is exactly
+    zero is checked and diagonalized as the real symmetric matrix it is.
+    A phase w t past the float range raises ValueError: its exponential
+    would be nan.
     """
-    import scipy.sparse.csgraph
     h = _hermitian(h)
     dim = h.shape[0]
-    _, labels = scipy.sparse.csgraph.connected_components(h != 0,
-                                                          directed=False)
+    labels = _components(h)
     order = np.argsort(labels, kind="stable")   # block by block
     size = np.bincount(labels)[labels[order]]
     h = h.toarray()
@@ -248,10 +287,11 @@ def matrix_exp_sim(h, t: float) -> np.ndarray:
 
 # From this dimension on, Lanczos finds the ground pair faster than a dense
 # eigh.  Measured on the spin and hopping chains (2 cores, OpenBLAS): at
-# dim 128 a real eigh takes 1.3-1.7 ms and Lanczos 1.0-3.4 ms, at dim 256
-# eigh 5.7-6.3 ms and Lanczos 2.0-2.2 ms.  Smaller sizes need eigh anyway:
-# ARPACK needs k < n - 1.
+# dim 128 a real eigh takes 1.3-1.5 ms and Lanczos 1.3-2.1 ms, at dim 256
+# eigh 5.2-6.0 ms and Lanczos 2.0-3.1 ms.
 LANCZOS_MIN_DIM = 256
+LANCZOS_CHUNK = 64   # the rows the Lanczos basis grows by
+LANCZOS_CHECK = 8    # the steps between two checks of the Ritz pair
 
 
 @dataclass(frozen=True)
@@ -264,14 +304,13 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
     """Minimum eigenvalue and a normalized eigenvector, as a state on
     layout, whose dimension is that of h.
 
-    h is a dense or a scipy.sparse matrix; both take the same path for a
-    given dimension.  Below LANCZOS_MIN_DIM a dense eigh diagonalizes it.
-    From there on the implicitly restarted Lanczos method of ARPACK
-    (Lehoucq, Sorensen and Yang, 1998) finds the lowest eigenpair from a
-    Gaussian start vector of fixed seed, which overlaps every symmetry
-    sector.  A matrix whose imaginary part is exactly zero is solved in
-    the real field.  On a degenerate ground space the state is one vector
-    of that space, the same on every run.
+    h is a dense or a Sparse matrix; both take the same path for a given
+    dimension.  Below LANCZOS_MIN_DIM a dense eigh diagonalizes it.  From
+    there on ``_lanczos`` finds the lowest eigenpair from a Gaussian start
+    vector of fixed seed, which overlaps every symmetry sector.  A matrix
+    whose imaginary part is exactly zero is solved in the real field.  On
+    a degenerate ground space the state is one vector of that space, the
+    same on every run.
     """
     h = _hermitian(h)
     n = h.shape[0]
@@ -279,16 +318,53 @@ def ground_energy(h, layout: SiteList) -> GroundResult:
         raise ValueError("layout dimension does not match the matrix")
     if n < LANCZOS_MIN_DIM:
         w, v = np.linalg.eigh(h.toarray())
-    elif not h.count_nonzero():
-        # ARPACK cannot start on the zero matrix; take the first basis
-        # vector of its ground space, as eigh does
+    elif not h.nnz:
+        # no Krylov space grows from 0: the first basis vector, as eigh's
         w, v = [0.0], np.eye(n, 1)
     else:
-        import scipy.sparse.linalg
-        v0 = np.random.default_rng(0).standard_normal(n)
-        w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=v0)
+        w, v = _lanczos(h, np.random.default_rng(0).standard_normal(n))
     vec = v[:, 0] / np.linalg.norm(v[:, 0])
     return GroundResult(float(w[0]), vector_to_state(vec, tuple(layout)))
+
+
+def _lanczos(h: Sparse, v0: np.ndarray):
+    """([theta], x as a column): the lowest Ritz pair of the Hermitian h on
+    the Krylov space of v0, by the Lanczos method (Lanczos, 1950).  Each
+    new vector is orthogonalized against the whole basis, twice: the
+    three-term recurrence alone loses orthogonality as Ritz pairs converge
+    (Paige, 1972).  The search stops once the residual beta |s_k| of the
+    lowest pair is at most 2.2e-16 times the largest |theta|.  It is
+    checked LANCZOS_CHECK steps apart, or sooner where its rate since the
+    last check says it passes: past that, a degenerate partner of the
+    ground level can surface from rounding and delay the stop by dozens of
+    steps.  The basis grows by LANCZOS_CHUNK rows, never to n x n."""
+    n = h.dim
+    basis = np.empty((0, n), np.result_type(h.vals, v0))
+    alpha, beta = [], []
+    q = v0 / np.linalg.norm(v0)
+    due, last = LANCZOS_CHECK, None
+    for k in range(n):
+        if k == len(basis):
+            basis = np.concatenate(
+                [basis, np.empty((min(LANCZOS_CHUNK, n - k), n), basis.dtype)])
+        basis[k] = q
+        w = h @ q
+        alpha.append(np.vdot(q, w).real)
+        for _ in range(2):   # w less its q_j^dag w q_j for each j
+            w -= (basis[:k + 1] @ w.conj()).conj() @ basis[:k + 1]
+        beta.append(np.linalg.norm(w))
+        if beta[k] == 0 or k + 1 in (due, n):
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:k], 1)
+                                      + np.diag(beta[:k], -1))
+            res, goal = beta[k] * abs(s[k, 0]), 2.2e-16 * abs(theta).max()
+            if res <= goal:
+                break
+            rate = math.log(res / last[1]) / (k - last[0]) if last else 0
+            ahead = math.log(goal / res) / rate if rate < 0 else LANCZOS_CHECK
+            ahead = min(max(math.ceil(ahead), 1), LANCZOS_CHECK)
+            due, last = k + 1 + ahead, (k, res)
+        q = w / beta[k]
+    return theta[:1], (s[:, 0] @ basis[:k + 1])[:, None]
 
 
 # ---------------------------------------------------------------------------

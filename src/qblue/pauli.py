@@ -4,10 +4,10 @@ A string is one letter from {I, X, Y, Z} per qubit; a sum is a canonical
 list of (coefficient, string) terms: strings unique and sorted, coefficients
 pruned at ZERO_TOL times the magnitudes summed into them, with no absolute
 floor, so a sum scaled by c keeps its strings.  This is
-the compiler's intermediate representation.  Its matrix is a CSR that
-writes each string as the signed permutation it is, one nonzero per column
-from the string's X/Z bit masks, so a sum of T terms on n qubits costs
-O(T 2^n), with no 4^n zero fill.
+the compiler's intermediate representation.  Its matrix is a
+``linalg.Sparse`` that writes each string as the signed permutation it is,
+one nonzero per column from the string's X/Z bit masks, so a sum of T
+terms on n qubits costs O(T 2^n), with no 4^n zero fill.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     COEFF_EQ_TOL, QUBIT_CAP, ZERO_TOL, DimensionCapError, negligible,
 )
+from .linalg import sparse
 
 LETTERS = "IXYZ"
 
@@ -74,8 +75,8 @@ _I_POWERS = (1, 1j, -1, -1j)
 
 
 def pauli_to_matrix(p: PauliSum):
-    """scipy.sparse CSR matrix of the sum, qubit 0 the most significant
-    index bit, storing no zero.
+    """The ``linalg.Sparse`` matrix of the sum, qubit 0 the most
+    significant index bit, storing no zero.
 
     A string is the signed permutation i^(#Y) X^x Z^z, with x marking its X/Y
     letters and z its Z/Y letters: column j holds i^(#Y) (-1)^|j & z| in
@@ -83,7 +84,6 @@ def pauli_to_matrix(p: PauliSum):
     values are summed in term order, and each term costs O(2^n), with no
     Kronecker product.
     """
-    import scipy.sparse
     if p.qubits > QUBIT_CAP:
         raise DimensionCapError(
             f"{p.qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
@@ -98,8 +98,4 @@ def pauli_to_matrix(p: PauliSum):
             1 - 2 * _parity(cols & z, p.qubits))
     rows = cols ^ np.array(list(by_x), dtype=int)[:, None]
     vals = np.array(list(by_x.values()), dtype=complex)
-    out = scipy.sparse.csr_array(
-        (vals.ravel(), (rows.ravel(), np.tile(cols, len(by_x)))),
-        shape=(dim, dim))
-    out.eliminate_zeros()
-    return out
+    return sparse(dim, rows.ravel(), np.tile(cols, len(by_x)), vals.ravel())

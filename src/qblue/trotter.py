@@ -150,7 +150,7 @@ def compile_digital(e: HamExpr, t: float, n: int):
 
 def verify_circuit(circuit: Circuit, hs: PauliSum, t: float) -> float:
     """Global-phase-minimized max-norm distance from e^{-i hs t}.  The
-    exact side is the CSR of hs until ``matrix_exp_sim`` gathers its
+    exact side is the Sparse of hs until ``matrix_exp_sim`` gathers its
     blocks, so it is checked Hermitian on its stored entries."""
     exact = matrix_exp_sim(pauli_to_matrix(hs), t)
     return phase_aligned_distance(circuit_to_matrix(circuit), exact)

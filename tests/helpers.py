@@ -18,7 +18,7 @@ from qblue.parser import parse
 
 def expr_to_matrix(e):
     """Dense matrix M with M v(s) = v(apply(e, s)) for every basis state
-    s: the CSR of ``expr_to_sparse``, densified."""
+    s: the Sparse of ``expr_to_sparse``, densified."""
     return expr_to_sparse(e).toarray()
 
 

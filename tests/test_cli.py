@@ -1345,12 +1345,13 @@ def test_a_layout_mismatch_names_its_place_and_both_site_lists(tmp_path,
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).parent.parent / "src"
-SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg",
-         "scipy.optimize")
-# run main on the arguments, then print which of SCIPY it loaded
+# run main on the arguments, then print the scipy modules it loaded
 LOADED = ("import sys\nfrom qblue.cli import main\ncode = main(sys.argv[1:])\n"
-          "print(code, *(m for m in %r if m in sys.modules), file=sys.stderr)"
-          % (SCIPY,))
+          "print(code, *sorted(m for m in sys.modules if m == 'scipy'"
+          " or m.startswith('scipy.')), file=sys.stderr)")
+# run main on the arguments where every import of scipy fails
+BLOCKED = ("import sys\nsys.modules['scipy'] = None\n"
+           "from qblue.cli import main\nsys.exit(main(sys.argv[1:]))")
 
 
 def fresh(args, **kwargs):
@@ -1377,20 +1378,17 @@ def fresh_argv(tmp_path):
 
 
 def loaded_scipy(argv):
-    """The exit code and the modules of SCIPY that main(["--json", *argv])
+    """The exit code and the scipy modules that main(["--json", *argv])
     loads in a fresh interpreter, and its record."""
     proc = fresh(["-c", LOADED, "--json", *argv])
     out, err = proc.communicate(timeout=60)
     return err.split(), json.loads(out)
 
 
-# energy below LANCZOS_MIN_DIM needs no ARPACK, and verify's phase search
-# no scipy.optimize; csgraph loads scipy.sparse.linalg itself
+# no command loads a scipy module: the exact side is numpy's alone
 @pytest.mark.parametrize("command, loads", [
     ("check", []), ("eval", []), ("compile", []), ("fit", []),
-    ("energy", ["scipy.sparse"]),
-    ("verify", ["scipy.sparse", "scipy.sparse.csgraph",
-                "scipy.sparse.linalg"])])
+    ("energy", []), ("verify", [])])
 def test_a_command_loads_only_the_scipy_it_uses(tmp_path, command, loads):
     argv = fresh_argv(tmp_path)
     if command == "verify":
@@ -1400,12 +1398,27 @@ def test_a_command_loads_only_the_scipy_it_uses(tmp_path, command, loads):
     assert record["def"] == "H"
 
 
-def test_energy_loads_arpack_from_the_lanczos_dimension(tmp_path):
-    # 8 sites: dim 256 = LANCZOS_MIN_DIM
+def test_an_8_site_energy_loads_no_scipy(tmp_path):
+    # 8 sites: dim 256 = LANCZOS_MIN_DIM, where the Lanczos search runs
     prog, _ = spin_program(tmp_path, bonds=(SPIN * 3)[:7])
     loaded, record = loaded_scipy(["energy", prog])
-    assert loaded == ["0", "scipy.sparse", "scipy.sparse.linalg"]
+    assert loaded == ["0"]
     assert record["def"] == "H"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path, capsys):
+    # an interpreter where scipy cannot be imported prints the in-process
+    # record of each command, and of an energy on the Lanczos side
+    argv = fresh_argv(tmp_path)
+    assert run_json(capsys, argv["compile"])[0] == 0
+    (tmp_path / "big").mkdir()
+    argv["energy-256"] = ["energy", spin_program(
+        tmp_path / "big", bonds=(SPIN * 3)[:7])[0]]
+    for command, args in argv.items():
+        code, want, _ = run_json(capsys, args)
+        proc = fresh(["-c", BLOCKED, "--json", *args])
+        assert proc.communicate(timeout=60) == (want, ""), command
+        assert proc.returncode == code == 0, command
 
 
 @pytest.mark.parametrize("command", ["energy", "verify"])

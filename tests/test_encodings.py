@@ -19,7 +19,7 @@ def encoded_matrix(e, method, level=None):
     """The encoded matrix of e, whose layout picks method at level."""
     hs, report = encode_for_compile(canonicalize(e))
     assert (report["method"], report["truncation"]) == (method, level)
-    return pauli_to_matrix(hs)
+    return pauli_to_matrix(hs).toarray()
 
 
 @pytest.mark.parametrize("site, method", [("t(2)", "direct"), ("F", "jw")],

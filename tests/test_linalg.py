@@ -13,14 +13,17 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
+from qblue import linalg
 from qblue.circuit import circuit_to_matrix
-from qblue.errors import DIM_CAP, DimensionCapError, NonHermitianError
+from qblue.errors import (
+    DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
+)
 from qblue.expr import Boson, Fermion, dagger
 from qblue.fock import make_state
 from qblue.linalg import (
-    LANCZOS_MIN_DIM, PHASE_XATOL, _bounded_min, _sign, check_hermitian,
-    expr_to_sparse, ground_energy, matrix_exp_sim, phase_aligned_distance,
-    vector_to_state,
+    LANCZOS_MIN_DIM, PHASE_XATOL, Sparse, _bounded_min, _sign,
+    check_hermitian, expr_to_sparse, ground_energy, matrix_exp_sim,
+    phase_aligned_distance, sparse, vector_to_state,
 )
 from qblue.parser import parse
 from qblue.pauli import pauli_to_matrix
@@ -249,7 +252,7 @@ def test_cube_of_x_sum_on_six_sites():
 def test_the_csr_is_built_from_the_kept_entries_of_each_diagonal():
     # (sum_j X(j))^3 on 10 sites lowers to 681 diagonals of length 1024,
     # about 17 MiB of values and magnitudes; stacking them into (K, dim)
-    # arrays on the way to the CSR more than doubled the peak
+    # arrays on the way to the sparse matrix more than doubled the peak
     x = " + ".join(f"X({j})" for j in range(10))
     e = op(", ".join(["t(2)"] * 10), f"({x}) ({x}) ({x})")
     tracemalloc.start()
@@ -258,7 +261,8 @@ def test_the_csr_is_built_from_the_kept_entries_of_each_diagonal():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.nnz == 133120 and m.has_sorted_indices
+    # stored row-major, each key once
+    assert m.nnz == 133120 and (np.diff(m.rows * m.dim + m.cols) > 0).all()
     assert peak < 30 * 2 ** 20
 
 
@@ -273,7 +277,7 @@ def test_a_cancellation_inside_a_product_leaves_no_residue():
                                                + "I" * (3 - j))
             for j in range(4))
     want = h @ h
-    assert abs(m.data).min() > 1e-12 * abs(m.data).max()
+    assert abs(m.vals).min() > 1e-12 * abs(m.vals).max()
     assert oracle.max_norm(m.toarray(), want) <= 1e-12 * abs(want).max()
 
 
@@ -480,10 +484,11 @@ def hermitian_case(case):
     ("hermitian", True), ("real", True), ("anti-pair", False),
     ("fault-below-the-largest-entry", True), ("nan", False), ("inf", False)])
 def test_a_dense_matrix_is_checked_as_its_csr(case, hermitian):
-    # the same verdict and message from the dense matrix and its CSR
+    # the same verdict and message from the dense matrix and its Sparse,
+    # built from its entries in a shuffled order
     h = hermitian_case(case)
     verdicts = []
-    for m in (h, scipy.sparse.csr_array(h)):
+    for m in (h, shuffled_sparse(h)):
         try:
             check_hermitian(m)
             verdicts.append(None)
@@ -491,6 +496,91 @@ def test_a_dense_matrix_is_checked_as_its_csr(case, hermitian):
             verdicts.append(str(err))
     assert verdicts[0] == verdicts[1]
     assert (verdicts[0] is None) == hermitian
+
+
+@st.composite
+def hermitian_patterns(draw):
+    """A dense matrix of up to 12 x 12 with a random pattern and entries
+    over 16 decades: Hermitian, or with one entry perturbed, one entry's
+    transpose removed, a nan or an inf, or only its upper triangle."""
+    dim = draw(st.integers(1, 12))
+    field = draw(st.sampled_from([float, complex]))
+    h = np.zeros((dim, dim), field)
+    for k in draw(st.lists(st.integers(0, dim * dim - 1), max_size=24)):
+        i, j = divmod(k, dim)
+        v = draw(st.sampled_from([1, -1, 0.3, 1 / 3])) * 10.0 ** draw(
+            st.integers(-8, 8))
+        if field is complex and i != j:
+            v *= np.exp(1j * draw(st.sampled_from([0.5, 2.0, math.pi / 2])))
+        h[i, j], h[j, i] = v, np.conj(v)
+    fault = draw(st.sampled_from(["none", "perturb", "orphan", "nan", "inf",
+                                  "triangle"]))
+    stored = np.argwhere(h != 0)
+    if fault == "triangle":
+        h = np.triu(h)
+    elif fault != "none" and len(stored):
+        i, j = stored[draw(st.integers(0, len(stored) - 1))]
+        if fault == "perturb":
+            step = draw(st.sampled_from([1e-15, 1e-13, 1e-11, 1e-9, 1e-3]))
+            h[i, j] += step * abs(h[i, j]) * (1j if field is complex else 1)
+        elif fault == "orphan":
+            h[j, i] = 0
+        else:
+            h[i, j] = math.nan if fault == "nan" else math.inf
+    return h
+
+
+def shuffled_sparse(h, seed=5):
+    """The Sparse of the dense h, built from its entries in an order
+    shuffled by seed."""
+    rows, cols = np.nonzero(h)
+    p = np.random.default_rng(seed).permutation(rows.size)
+    return sparse(len(h), rows[p], cols[p], h[rows[p], cols[p]])
+
+
+def csr_check_hermitian(h):
+    """The CSR Hermiticity check qblue ran on scipy.sparse, kept as the
+    reference for ``check_hermitian``: it compares every entry of
+    h - h^dag by scipy's sparse arithmetic."""
+    h = scipy.sparse.csr_array(h)
+    a, err = abs(h), abs(h - h.conj().T)
+    top = a.max()
+    bad = not np.isfinite(top)
+    if not bad and err.max() > ZERO_TOL * top:   # pair by pair
+        bad = (err.multiply(err > ZERO_TOL * top)
+               > HERMITIAN_TOL * a.maximum(a.T)).nnz
+    if bad:
+        raise NonHermitianError(
+            f"matrix deviates from Hermitian by {err.max():g}")
+
+
+def verdict(check, h):
+    try:
+        check(h)
+    except NonHermitianError as err:
+        return str(err)
+    return None
+
+
+@given(hermitian_patterns())
+def test_the_hermitian_check_is_the_csr_check(h):
+    # the verdict and the message of the check that compared every entry
+    # of h - h^dag by scipy's sparse arithmetic
+    want = verdict(csr_check_hermitian, h)
+    assert verdict(check_hermitian, h) == want
+    assert verdict(check_hermitian, shuffled_sparse(h)) == want
+
+
+@given(hermitian_patterns())
+def test_the_components_are_those_of_csgraph(h):
+    # each index is labelled with the smallest index of its component,
+    # which numbers the components in csgraph's order
+    _, want = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_array(h != 0), directed=False)
+    labels = linalg._components(shuffled_sparse(h))
+    assert np.array_equal(np.unique(labels, return_inverse=True)[1], want)
+    assert all(labels[i] == np.flatnonzero(want == want[i])[0]
+               for i in range(len(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +620,20 @@ def test_ground_is_variational_lower_bound():
 
 
 def chain(family, n):
-    """A spin, hopping or complex hopping chain program of n sites."""
+    """A spin, hopping, complex hopping or one-block spin chain program of
+    n sites.  The one-block chain has a field on every site, so its
+    pattern is one block; the spin chain conserves Z on site 0."""
     bodies = {
         "spin": ("t(2)", "1.1 * Z(j) Z(j+1) + 0.7 * X(j+1)"),
         "hop": ("F", "0.9 * adag(j) a(j+1) + 0.9 * adag(j+1) a(j)"),
         "hop-complex": ("F", "(0.5+0.3i) * adag(j) a(j+1)"
                              " + (0.5-0.3i) * adag(j+1) a(j)"),
+        "one-block": ("t(2)", "Z(j) Z(j+1) + 0.7 * X(j+1)"),
     }
     site, body = bodies[family]
+    tail = " + 0.7 * X(0)" if family == "one-block" else ""
     return parse(f"sites {', '.join([site] * n)};\n"
-                 f"H = sum j in 0..{n - 2} {{ {body} }};\n")
+                 f"H = sum j in 0..{n - 2} {{ {body} }}{tail};\n")
 
 
 def free_fermion_energy(t, n):
@@ -603,15 +697,60 @@ def test_dense_and_sparse_input_take_one_path():
                               matrix_exp_sim(h.toarray(), 0.7))
 
 
+def blockwise_ground(h):
+    """The lowest eigenvalue of the Sparse h: eigvalsh of each block of its
+    pattern, as scipy's connected components find them."""
+    m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=h.shape)
+    _, labels = scipy.sparse.csgraph.connected_components(m != 0,
+                                                          directed=False)
+    blocks = (m[b][:, b].toarray() for b in map(
+        np.flatnonzero, labels == np.unique(labels)[:, None]))
+    # solved in the real field where the imaginary part is zero
+    return min(np.linalg.eigvalsh(d if d.imag.any() else d.real)[0]
+               for d in blocks)
+
+
+@pytest.mark.parametrize("family", ["spin", "hop", "one-block",
+                                    "hop-complex"])
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_lanczos_finds_the_ground_pair_of_eigvalsh(family, n):
+    # dims 256 to 4096, all on the Lanczos side of LANCZOS_MIN_DIM
+    program = chain(family, n)
+    h = expr_to_sparse(program.defs["H"])
+    assert h.shape[0] >= LANCZOS_MIN_DIM
+    res = ground_energy(h, program.layout)
+    assert abs(res.energy - blockwise_ground(h)) <= 1e-10
+    v = state_to_vector(res.state)
+    assert abs(np.linalg.norm(v) - 1) < 1e-12
+    assert np.linalg.norm(h @ v - res.energy * v) <= 1e-9
+
+
+@pytest.mark.parametrize("spectrum", [
+    np.linspace(0, 1, 256) ** 2,
+    np.concatenate([np.linspace(0, 1, 253), [1e2, 1e3, 1e4]]),
+], ids=["crowded-bottom", "outliers"])
+def test_lanczos_keeps_its_basis_orthogonal_to_the_last_step(spectrum):
+    # a ground level crowded by its neighbours, or far below a few
+    # outliers, takes all 256 steps; the three-term recurrence alone, or
+    # one Gram-Schmidt sweep, loses orthogonality on the way there
+    index = np.arange(1, 256)
+    h = Sparse(256, index, index, spectrum[1:])
+    res = ground_energy(h, (Boson(256),))
+    assert abs(res.energy) <= 1e-10
+    v = state_to_vector(res.state)
+    assert np.linalg.norm(h @ v - res.energy * v) <= 1e-9
+
+
 def test_the_solvers_cap_the_dimension_before_converting(monkeypatch):
-    # a sparse identity, and a dense zero matrix without its 4097^2 entries
-    inputs = (scipy.sparse.eye_array(DIM_CAP + 1),
+    # a Sparse identity, and a dense zero matrix without its 4097^2 entries
+    index = np.arange(DIM_CAP + 1)
+    inputs = (Sparse(DIM_CAP + 1, index, index, np.ones(DIM_CAP + 1)),
               np.broadcast_to(0.0, (DIM_CAP + 1, DIM_CAP + 1)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("converted before the cap")
 
-    monkeypatch.setattr(scipy.sparse, "csr_array", refuse)
+    monkeypatch.setattr(linalg, "sparse", refuse)
     for h in inputs:
         with pytest.raises(DimensionCapError):
             matrix_exp_sim(h, 0.5)

@@ -62,7 +62,7 @@ def test_hopping_expansion():
                           for c1, s1 in left for c2, s2 in right])
     assert pauli_allclose(total, pauli_sum(2, [(0.5, "XX"), (0.5, "YY")]))
     want = 0.5 * (np.kron(oracle.X, oracle.X) + np.kron(oracle.Y, oracle.Y))
-    assert oracle.max_norm(pauli_to_matrix(total), want) < 1e-12
+    assert oracle.max_norm(pauli_to_matrix(total).toarray(), want) < 1e-12
 
 
 def test_is_hermitian_pauli():
@@ -84,15 +84,15 @@ def test_hermiticity_criterion_matches_matrix():
             c = complex(rng.normal(), rng.normal() * rng.integers(0, 2))
             terms.append((c, s))
         p = pauli_sum(n, terms)
-        m = pauli_to_matrix(p)
+        m = pauli_to_matrix(p).toarray()
         assert is_hermitian_pauli(p) == (oracle.max_norm(m, m.conj().T) < 1e-12)
 
 
 def test_pauli_to_matrix_values():
-    assert oracle.max_norm(pauli_to_matrix(pauli_sum(1, [(1, "Z")])),
-                           np.diag([1, -1])) == 0
-    assert oracle.max_norm(pauli_to_matrix(pauli_sum(2, [(1, "II")])),
-                           np.eye(4)) == 0
+    z = pauli_to_matrix(pauli_sum(1, [(1, "Z")])).toarray()
+    assert oracle.max_norm(z, np.diag([1, -1])) == 0
+    ii = pauli_to_matrix(pauli_sum(2, [(1, "II")])).toarray()
+    assert oracle.max_norm(ii, np.eye(4)) == 0
 
 
 def test_pauli_to_matrix_all_three_qubit_strings():
@@ -100,9 +100,10 @@ def test_pauli_to_matrix_all_three_qubit_strings():
     strings = ["".join(t) for t in itertools.product("IXYZ", repeat=3)]
     coeffs = rng.normal(size=64) + 1j * rng.normal(size=64)
     for c, s in zip(coeffs, strings):
-        assert oracle.max_norm(pauli_to_matrix(pauli_sum(3, [(c, s)])),
-                               c * oracle.pauli_string_matrix(s)) < 1e-14
+        one = pauli_to_matrix(pauli_sum(3, [(c, s)])).toarray()
+        assert oracle.max_norm(one, c * oracle.pauli_string_matrix(s)) < 1e-14
     total = pauli_to_matrix(pauli_sum(3, list(zip(coeffs, strings))))
+    total = total.toarray()
     want = sum(c * oracle.pauli_string_matrix(s)
                for c, s in zip(coeffs, strings))
     assert oracle.max_norm(total, want) < 1e-12
@@ -117,8 +118,10 @@ def test_pauli_to_matrix_respects_algebra():
         t2 = [(complex(rng.normal()), "".join(rng.choice(list("IXYZ"), n)))
               for _ in range(2)]
         p1, p2 = pauli_sum(n, t1), pauli_sum(n, t2)
-        assert oracle.max_norm(pauli_to_matrix(pauli_sum(n, t1 + t2)),
-                               pauli_to_matrix(p1) + pauli_to_matrix(p2)) < 1e-12
+        assert oracle.max_norm(
+            pauli_to_matrix(pauli_sum(n, t1 + t2)).toarray(),
+            pauli_to_matrix(p1).toarray() + pauli_to_matrix(p2).toarray()
+        ) < 1e-12
 
 
 @pytest.mark.parametrize("qubits, terms, nnz", [
