@@ -18,11 +18,8 @@ from .fock import (
 )
 from .pauli import PauliSum, is_hermitian_pauli, pauli_sum, pauli_to_matrix
 from .encodings import encode_for_compile
-from .linalg import (
-    GroundResult, ground_energy, matrix_exp_sim, phase_aligned_distance,
-    vector_to_state,
-)
-from .circuit import Circuit, Gate, circuit_to_matrix, format_circuit, parse_circuit
+from .linalg import GroundResult, evolve, ground_energy, vector_to_state
+from .circuit import Circuit, Gate, apply_circuit, format_circuit, parse_circuit
 from .trotter import (
     IBM, MachineSpec, TrotterPlan, compile_digital,
     encode_hermitian, fit_machine, plan_to_circuit, synthesize_term,

@@ -1,15 +1,17 @@
 """Gate-list circuits with a global-phase accumulator.
 
 Supported gates: h, s, sdg, cx, rx, ry, rz (half-angle rotation convention,
-e.g. rz(t) = diag(e^{-it/2}, e^{it/2})).  Circuits convert to dense
-unitaries for verification and serialize to a line-oriented text format.
+e.g. rz(t) = diag(e^{-it/2}, e^{it/2})).  Circuits apply to a block of
+states for verification (the identity block gives the unitary) and
+serialize to a line-oriented text format.
 A ``Gate`` is frozen, so one gate object may appear many times in a
 circuit: a compiled Trotter circuit repeats the first step's gate objects in
 every step (``trotter.plan_to_circuit``), ``parse_circuit`` shares one
 object per distinct line, and ``format_circuit`` formats each object once.
-``circuit_to_matrix`` finds the repeating step by that identity and cuts
-one step into runs on contiguous spans of k <= ``FUSE`` qubits: each
-distinct run is built once, and each application of it costs O(2^k 4^n).
+``apply_circuit`` finds the repeating step by that identity and cuts one
+step into runs on contiguous spans of k <= ``FUSE`` qubits: each distinct
+run is built once, and each application of it to a 2^n x m block costs
+O(2^k 2^n m).
 """
 
 from __future__ import annotations
@@ -105,18 +107,21 @@ def _diagonal(g: Gate) -> tuple:
 FUSE = 4
 
 
-def circuit_to_matrix(c: Circuit) -> np.ndarray:
-    """Product of the gate matrices in application order, times the phase:
-    each run of one step (``_period``, ``_runs``) is built once and applied
-    in every step by one batched matmul (a far cx's run in place)."""
+def apply_circuit(c: Circuit, states: np.ndarray) -> np.ndarray:
+    """The circuit's gates in application order, times its phase, applied
+    to a 2^width x m block of states; ``np.eye(2 ** c.width)`` gives its
+    unitary.  Each run of one step (``_period``, ``_runs``) is built once
+    and applied in every step by one batched matmul (a far cx's run in
+    place)."""
     if c.width > QUBIT_CAP:
         raise DimensionCapError(f"width {c.width} exceeds cap {QUBIT_CAP}")
-    dim, p = 2 ** c.width, _period(c.gates)
+    p = _period(c.gates)
     runs = [(lo, k, _apply(run, np.eye(2 ** k, dtype=complex), lo)
              if k <= FUSE else run) for lo, k, run in _runs(c.gates[:p])]
-    u = np.exp(1j * c.global_phase) * np.eye(dim)
+    # a new C-ordered block, since _apply writes into it
+    u = np.multiply(np.exp(1j * c.global_phase), states, order="C")
     for lo, k, r in runs * (len(c.gates) // p):
-        u = (np.matmul(r, u.reshape(2 ** lo, 2 ** k, -1)).reshape(dim, dim)
+        u = (np.matmul(r, u.reshape(2 ** lo, 2 ** k, -1)).reshape(u.shape)
              if k <= FUSE else _apply(r, u, 0))
     return u
 

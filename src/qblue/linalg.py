@@ -1,4 +1,4 @@
-"""Exact backend: expression lowering, exponential, ground energy.
+"""Exact backend: expression lowering, ground energy, time evolution.
 
 This is the desk-scale oracle the rest of the package is checked against,
 and it shares no code with the canonical forms of ``typecheck``: it lowers
@@ -17,32 +17,27 @@ alone.
 A ``Sparse`` keeps a matrix's nonzero entries as (row, col, val) arrays,
 sorted row-major; ``sparse`` builds one from triples, and
 ``pauli.pauli_to_matrix`` builds through it too.  ``check_hermitian``,
-``ground_energy`` and ``matrix_exp_sim`` take a dense or a Sparse matrix:
-the Hermiticity check compares the stored entries only, and one prologue
-caps, checks and takes the real field for both solvers.
-``ground_energy`` runs a dense eigh below ``LANCZOS_MIN_DIM`` and, from
-there on, the Lanczos method (Lanczos, 1950) with full
-reorthogonalization (Paige, 1972) from a start vector of fixed seed.
-``matrix_exp_sim`` runs block by block: the connected components of the
-pattern (particle-number or parity sectors, say) are stacked by size,
-gathered from one dense copy, and each stack is diagonalized by one
-batched eigh.  A matrix whose imaginary part is exactly zero is checked
-and diagonalized in the real field.  Exponentials use the e^{-i h t}
-convention throughout, so Hermitian input gives a unitary.
+``ground_energy`` and ``evolve`` take a Sparse: the Hermiticity check
+compares the stored entries only, and one prologue caps, checks and takes
+the real field for both solvers.  Each solver runs a dense eigh below
+``LANCZOS_MIN_DIM`` and, from there on, the Lanczos method (Lanczos, 1950)
+with full reorthogonalization (Paige, 1972), which builds no dim x dim
+array: ``ground_energy`` reads the lowest Ritz pair from a start vector of
+fixed seed, and ``evolve`` reads e^{-i h t} psi from each given state psi
+(Saad, 1992).  Exponentials use the e^{-i h t} convention throughout.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
 from .errors import (
-    COEFF_EQ_TOL, DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError,
-    NonHermitianError, negligible,
+    DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
+    negligible,
 )
 from .expr import (
     Atom, Fermion, HamExpr, Seq, SiteList, Sum, site_dim, total_dim,
@@ -68,7 +63,9 @@ class Sparse:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """h @ v: each row sums its terms, real and imaginary parts apart."""
         terms = self.vals * v[self.cols]
-        out = np.bincount(self.rows, terms.real, self.dim)
+        # float even with no terms, where bincount counts in ints
+        out = np.bincount(self.rows, terms.real, self.dim).astype(float,
+                                                               copy=False)
         if np.iscomplexobj(terms):
             out = out + 1j * np.bincount(self.rows, terms.imag, self.dim)
         return out
@@ -184,21 +181,18 @@ def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:
 
 
 # ---------------------------------------------------------------------------
-# Exponential
+# Solvers
 # ---------------------------------------------------------------------------
 
-def check_hermitian(h) -> Sparse:
-    """h as a Sparse; raise unless the dense or Sparse matrix h is
-    Hermitian.  h_ij and conj(h_ji) agree within HERMITIAN_TOL times the
-    larger of their two magnitudes, so a large entry does not hide a small
-    one, or within ZERO_TOL times the largest |h|: a given matrix, like a
-    given state, is known to that precision, and the rounding of its sums
-    is below it.  An inf or nan entry agrees with nothing.  Only the
-    stored entries are compared: each finds its transpose among the
-    row-major keys, and one that is not stored is 0."""
-    if not isinstance(h, Sparse):   # a dense h by its nonzero entries
-        nz = np.nonzero(h := np.asarray(h))
-        h = sparse(len(h), *nz, h[nz])
+def check_hermitian(h: Sparse) -> Sparse:
+    """h; raise unless the Sparse matrix h is Hermitian.  h_ij and
+    conj(h_ji) agree within HERMITIAN_TOL times the larger of their two
+    magnitudes, so a large entry does not hide a small one, or within
+    ZERO_TOL times the largest |h|: a given matrix, like a given state, is
+    known to that precision, and the rounding of its sums is below it.  An
+    inf or nan entry agrees with nothing.  Only the stored entries are
+    compared: each finds its transpose among the row-major keys, and one
+    that is not stored is 0."""
     keys, want = h.rows * h.dim + h.cols, h.cols * h.dim + h.rows
     at = np.minimum(np.searchsorted(keys, want), max(h.nnz - 1, 0))
     mirror = np.where(keys[at] == want, h.vals[at].conj(), 0)
@@ -215,75 +209,16 @@ def check_hermitian(h) -> Sparse:
     return h
 
 
-def _hermitian(h) -> Sparse:
-    """The dense or Sparse matrix h as a Sparse, after DIM_CAP and
-    ``check_hermitian``; its real part when its imaginary part is exactly
-    zero."""
-    dim = h.shape[0]
-    if dim > DIM_CAP:
-        raise DimensionCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
+def _hermitian(h: Sparse) -> Sparse:
+    """h after DIM_CAP and ``check_hermitian``; its real part when its
+    imaginary part is exactly zero."""
+    if h.dim > DIM_CAP:
+        raise DimensionCapError(f"dimension {h.dim} exceeds cap {DIM_CAP}")
     h = check_hermitian(h)
     if not h.vals.imag.any():
         h = Sparse(h.dim, h.rows, h.cols, h.vals.real)
     return h
 
-
-def _components(h: Sparse) -> np.ndarray:
-    """The smallest index of each index's component in h's pattern, taken
-    as undirected: each round lowers each end's label of an entry to the
-    other's, then each label to its own label, until nothing changes."""
-    labels, old = np.arange(h.dim), None
-    while not np.array_equal(labels, old):
-        old = labels.copy()
-        np.minimum.at(labels, h.rows, labels[h.cols])
-        np.minimum.at(labels, h.cols, labels[h.rows])
-        labels = labels[labels]
-    return labels
-
-
-def matrix_exp_sim(h, t: float) -> np.ndarray:
-    """Time-evolution unitary e^{-i h t} of a dense or Sparse Hermitian
-    matrix, block by block.
-
-    The connected components of h's sparsity pattern split it into blocks
-    with no entry between them, so e^{-i h t} is e^{-i b t} on each block b
-    and zero between blocks.  The pattern is taken from the stored
-    entries, and one dense copy of h is made for the blocks' gathers.  The
-    blocks of one size are stacked and diagonalized by one batched eigh,
-    so the output is unitary to rounding, and each block's V e^{-i w t}
-    V^dag is scattered back.  A matrix whose imaginary part is exactly
-    zero is checked and diagonalized as the real symmetric matrix it is.
-    A phase w t past the float range raises ValueError: its exponential
-    would be nan.
-    """
-    h = _hermitian(h)
-    dim = h.shape[0]
-    labels = _components(h)
-    order = np.argsort(labels, kind="stable")   # block by block
-    size = np.bincount(labels)[labels[order]]
-    h = h.toarray()
-    stacks = []
-    for n in np.unique(size):
-        seg = order[size == n].reshape(-1, n)   # a row of indices per block
-        at = seg[:, :, None], seg[:, None, :]
-        stacks.append((at, *np.linalg.eigh(h[at])))
-    del h   # the blocks' eigenpairs are all that is left of it
-    if not math.isfinite(max(float(abs(w).max()) for _, w, _ in stacks)
-                         * abs(t)):
-        raise ValueError(f"the phases w t of e^(-i h t) overflow at t = {t!r}")
-    out = np.zeros((dim, dim), dtype=complex)
-    for at, w, v in stacks:
-        phased = np.multiply(np.exp(-1j * w * t)[:, :, None],
-                             v.conj().swapaxes(1, 2), order="C")
-        # a real v multiplies the real and imaginary columns of phased
-        # side by side, as one real product
-        out[at] = (v @ phased.view(v.dtype)).view(complex)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Ground energy
-# ---------------------------------------------------------------------------
 
 # From this dimension on, Lanczos finds the ground pair faster than a dense
 # eigh.  Measured on the spin and hopping chains (2 cores, OpenBLAS): at
@@ -291,7 +226,7 @@ def matrix_exp_sim(h, t: float) -> np.ndarray:
 # eigh 5.2-6.0 ms and Lanczos 2.0-3.1 ms.
 LANCZOS_MIN_DIM = 256
 LANCZOS_CHUNK = 64   # the rows the Lanczos basis grows by
-LANCZOS_CHECK = 8    # the steps between two checks of the Ritz pair
+LANCZOS_CHECK = 8    # the steps between two checks of the readout
 
 
 @dataclass(frozen=True)
@@ -300,44 +235,90 @@ class GroundResult:
     state: FockState
 
 
-def ground_energy(h, layout: SiteList) -> GroundResult:
+def ground_energy(h: Sparse, layout: SiteList) -> GroundResult:
     """Minimum eigenvalue and a normalized eigenvector, as a state on
     layout, whose dimension is that of h.
 
-    h is a dense or a Sparse matrix; both take the same path for a given
-    dimension.  Below LANCZOS_MIN_DIM a dense eigh diagonalizes it.  From
-    there on ``_lanczos`` finds the lowest eigenpair from a Gaussian start
-    vector of fixed seed, which overlaps every symmetry sector.  A matrix
-    whose imaginary part is exactly zero is solved in the real field.  On
-    a degenerate ground space the state is one vector of that space, the
-    same on every run.
+    Below LANCZOS_MIN_DIM a dense eigh diagonalizes h.  From there on
+    ``_lanczos`` finds the lowest eigenpair from a Gaussian start vector
+    of fixed seed, which overlaps every symmetry sector: it stops once the
+    residual beta |s_k| of the lowest Ritz pair is at most 2.2e-16 times
+    the largest |theta|.  A matrix whose imaginary part is exactly zero is
+    solved in the real field.  On a degenerate ground space the state is
+    one vector of that space, the same on every run.
     """
     h = _hermitian(h)
-    n = h.shape[0]
+    n = h.dim
     if total_dim(layout) != n:
         raise ValueError("layout dimension does not match the matrix")
     if n < LANCZOS_MIN_DIM:
         w, v = np.linalg.eigh(h.toarray())
+        w, v = w[0], v[:, 0]
     elif not h.nnz:
         # no Krylov space grows from 0: the first basis vector, as eigh's
-        w, v = [0.0], np.eye(n, 1)
+        w, v = 0.0, np.eye(n, 1)[:, 0]
     else:
-        w, v = _lanczos(h, np.random.default_rng(0).standard_normal(n))
-    vec = v[:, 0] / np.linalg.norm(v[:, 0])
-    return GroundResult(float(w[0]), vector_to_state(vec, tuple(layout)))
+        w, v = _lanczos(h, np.random.default_rng(0).standard_normal(n),
+                        lambda theta, s, beta: (
+                            s[:, 0], beta * abs(s[-1, 0]),
+                            2.2e-16 * abs(theta).max()))
+        w = w[0]
+    vec = v / np.linalg.norm(v)
+    return GroundResult(float(w), vector_to_state(vec, tuple(layout)))
 
 
-def _lanczos(h: Sparse, v0: np.ndarray):
-    """([theta], x as a column): the lowest Ritz pair of the Hermitian h on
-    the Krylov space of v0, by the Lanczos method (Lanczos, 1950).  Each
-    new vector is orthogonalized against the whole basis, twice: the
-    three-term recurrence alone loses orthogonality as Ritz pairs converge
-    (Paige, 1972).  The search stops once the residual beta |s_k| of the
-    lowest pair is at most 2.2e-16 times the largest |theta|.  It is
-    checked LANCZOS_CHECK steps apart, or sooner where its rate since the
-    last check says it passes: past that, a degenerate partner of the
-    ground level can surface from rounding and delay the stop by dozens of
-    steps.  The basis grows by LANCZOS_CHUNK rows, never to n x n."""
+def evolve(h: Sparse, states: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i h t} states: the Hermitian h applied as its exponential to
+    each column of a dim x m block of states.
+
+    Below LANCZOS_MIN_DIM one dense eigh gives V e^{-i w t} V^dag states.
+    From there on each state psi runs ``_lanczos`` to the Krylov
+    approximation |psi| V e^{-i T t} e_1 (Saad, 1992; Hochbruck and
+    Lubich, 1997), so no dim x dim array is built.  It stops once the
+    error estimate |t| beta_k |e_k^T e^{-i T t} e_1| is at most ZERO_TOL
+    times the larger of 1 and the largest phase |theta t|, or at
+    breakdown, where beta_k = 0.  A matrix whose imaginary part is
+    exactly zero is solved in the real field.  A phase w t past the float
+    range raises ValueError: its exponential would be nan.
+    """
+    h = _hermitian(h)
+    if h.dim < LANCZOS_MIN_DIM:
+        w, v = np.linalg.eigh(h.toarray())
+        return v @ (_phases(w, t)[:, None] * (v.conj().T @ states))
+
+    def readout(theta, s, beta):
+        c = s @ (_phases(theta, t) * s[0])
+        return c, abs(t) * beta * abs(c[-1]), ZERO_TOL * max(
+            1.0, abs(t) * abs(theta).max())
+    return np.stack([np.linalg.norm(psi) * _lanczos(h, psi, readout)[1]
+                     for psi in states.T], axis=1)
+
+
+def _phases(w: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i w t}, or ValueError where a phase w t is past the float
+    range."""
+    if not math.isfinite(float(abs(w).max()) * abs(t)):
+        raise ValueError(f"the phases w t of e^(-i h t) overflow at t = {t!r}")
+    return np.exp(-1j * w * t)
+
+
+def _lanczos(h: Sparse, v0: np.ndarray, readout):
+    """(theta, x): the Ritz values of the Hermitian h on the Krylov space
+    of v0, by the Lanczos method (Lanczos, 1950), and the combination x of
+    that space's orthonormal basis that readout picks.
+
+    readout(theta, s, beta_k) takes the eigenpairs (theta, s) of the
+    tridiagonal T of the first k + 1 steps and the norm beta_k of the next
+    residual, and gives (coefficients of x in the basis, an error
+    estimate, its goal).  The recurrence stops once the estimate is at
+    most its goal, which it is at breakdown (beta_k = 0).  Each new vector
+    is orthogonalized against the whole basis, twice: the three-term
+    recurrence alone loses orthogonality as Ritz pairs converge (Paige,
+    1972).  The readout is checked LANCZOS_CHECK steps apart, or sooner
+    where the estimate's rate since the last check says it passes: past
+    that, a degenerate partner of the ground level can surface from
+    rounding and delay the stop by dozens of steps.  The basis grows by
+    LANCZOS_CHUNK rows, never to n x n."""
     n = h.dim
     basis = np.empty((0, n), np.result_type(h.vals, v0))
     alpha, beta = [], []
@@ -356,7 +337,7 @@ def _lanczos(h: Sparse, v0: np.ndarray):
         if beta[k] == 0 or k + 1 in (due, n):
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:k], 1)
                                       + np.diag(beta[:k], -1))
-            res, goal = beta[k] * abs(s[k, 0]), 2.2e-16 * abs(theta).max()
+            coeffs, res, goal = readout(theta, s, beta[k])
             if res <= goal:
                 break
             rate = math.log(res / last[1]) / (k - last[0]) if last else 0
@@ -364,141 +345,4 @@ def _lanczos(h: Sparse, v0: np.ndarray):
             ahead = min(max(math.ceil(ahead), 1), LANCZOS_CHECK)
             due, last = k + 1 + ahead, (k, res)
         q = w / beta[k]
-    return theta[:1], (s[:, 0] @ basis[:k + 1])[:, None]
-
-
-# ---------------------------------------------------------------------------
-# Comparison helpers
-# ---------------------------------------------------------------------------
-
-PHASE_WINDOW = 0.35   # half-width of the phase search window
-PHASE_XATOL = 1e-12   # the tolerance on the phase it finds
-ROW_BLOCK = 256       # rows of a and b taken at a time before the search
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over alpha of ||a - e^{i alpha} b||_max (global-phase quotient).
-
-    The search runs over |alpha - alpha0| <= PHASE_WINDOW, from the phase
-    alpha0 of trace(b^dag a), or the best of a 64-point grid when that is
-    negligible.  There each |a - e^{i alpha} b| stays within PHASE_WINDOW
-    |b| of its value f0 at alpha0, so an entry whose f0 + PHASE_WINDOW |b|
-    is below the largest f0 - PHASE_WINDOW |b| (less a relative
-    COEFF_EQ_TOL) is never the maximum there, and the search skips it.
-    A second search over a small window around the first one's phase
-    finds it to PHASE_XATOL.
-
-    The grid, f0 and the skip test go over ROW_BLOCK rows at a time, so
-    beside a and b only one block's temporaries and the entries the
-    search keeps (about 1% at 12 qubits) are held.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    blocks = [(a[i:i + ROW_BLOCK], b[i:i + ROW_BLOCK])
-              for i in range(0, len(a), ROW_BLOCK)]
-
-    def dist(alpha, a, b):
-        return abs(a - np.exp(1j * alpha) * b).max()
-    tr = np.vdot(b, a)  # trace(b^dag a) without the matrix product
-    if not negligible(tr, np.vdot(abs(b), abs(a)), ZERO_TOL):
-        alpha0 = float(np.angle(tr))
-    else:
-        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-        alpha0 = float(grid[int(np.argmin(
-            [max(dist(al, x, y) for x, y in blocks) for al in grid]))])
-    bar, near = -math.inf, []   # the largest f0 - reach so far
-    for x, y in blocks:
-        f0 = abs(x - np.exp(1j * alpha0) * y)
-        reach = PHASE_WINDOW * abs(y)
-        bar = np.maximum(bar, (f0 - reach).max())
-        high = f0 + reach
-        # bar only rises, so this keeps every entry the final bar keeps
-        at = np.flatnonzero(~(high < (1 - COEFF_EQ_TOL) * bar))
-        near.append((x.take(at), y.take(at), high.take(at)))
-    xs, ys, high = map(np.concatenate, zip(*near))
-    # a nan threshold drops no entry
-    keep = ~(high < (1 - COEFF_EQ_TOL) * bar)
-    kept = partial(dist, a=xs[keep], b=ys[keep])
-    lo, hi = alpha0 - PHASE_WINDOW, alpha0 + PHASE_WINDOW
-    x, fun = _bounded_min(kept, lo, hi)
-    # the bounded search stops once its bracket lies within 4 (sqrt(eps)
-    # |x| + xatol / 3) of x; searched again as an offset from x, near 0,
-    # the tolerance is xatol
-    w = 4 * (math.sqrt(2.2e-16) * abs(x) + PHASE_XATOL / 3)
-    _, fine = _bounded_min(lambda d: kept(x + d), max(lo - x, -w),
-                           min(hi - x, w))
-    # the largest f0 is kept, so kept(alpha0) is it
-    return float(min(kept(alpha0), fun, fine))
-
-
-def _bounded_min(f, lo: float, hi: float):
-    """(x, f(x)) at a minimum of f on [lo, hi], to PHASE_XATOL: Brent's
-    bounded search (FMIN of Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 5).
-
-    It transcribes scipy's ``optimize._minimize_scalar_bounded``
-    (BSD-3-Clause) step for step and in the same arithmetic, so it returns
-    scipy's x and f(x) to the bit: the same golden-section and parabolic
-    steps, the stop rule on tol1 = sqrt(2.2e-16) |x| + xatol / 3, and at
-    most 500 evaluations of f.  In scipy's names, x, w and v are xf, nfc
-    and fulc, and d is rat.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    v = w = x = a + golden_mean * (b - a)
-    fv = fw = fx = f(x)
-    d = e = 0.0
-    evals = 1
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(x) + PHASE_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:   # a parabola through x, w and v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                d = (p + 0.0) / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 * _sign(xm - x)
-        if golden:
-            e = (a if x >= xm else b) - x
-            d = golden_mean * e
-        u = x + _sign(d) * max(abs(d), tol1)
-        fu = f(u)
-        evals += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + PHASE_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if evals >= 500:
-            break
-    return x, fx
-
-
-def _sign(y: float) -> float:
-    """np.sign(y) + (y == 0): 1 at +-0, nan at nan."""
-    return -1.0 if y < 0 else 1.0 if y >= 0 else y
+    return theta, coeffs @ basis[:k + 1]

@@ -12,7 +12,7 @@ from qblue import circuit
 from qblue.errors import COEFF_EQ_TOL
 from qblue.expr import site_dim
 from qblue.fock import make_state
-from qblue.linalg import expr_to_sparse
+from qblue.linalg import expr_to_sparse, sparse
 from qblue.parser import parse
 
 
@@ -20,6 +20,18 @@ def expr_to_matrix(e):
     """Dense matrix M with M v(s) = v(apply(e, s)) for every basis state
     s: the Sparse of ``expr_to_sparse``, densified."""
     return expr_to_sparse(e).toarray()
+
+
+def to_sparse(m):
+    """The Sparse of the dense matrix m, from its nonzero entries: the
+    form the solvers take."""
+    nz = np.nonzero(m := np.asarray(m))
+    return sparse(len(m), *nz, m[nz])
+
+
+def unitary(c):
+    """The unitary of circuit c: the circuit applied to the identity."""
+    return circuit.apply_circuit(c, np.eye(2 ** c.width))
 
 
 def basis_ket(layout, occ):
@@ -56,7 +68,7 @@ def parsed(drawn):
 
 
 def run_counts(c):
-    """(circuit_to_matrix(c), runs built, runs applied): a run is built
+    """(unitary(c), runs built, runs applied): a run is built
     when its 2^k x 2^k unitary is made, and applied once per np.matmul on
     the whole matrix or per far cx applied to it in place.  Only an
     np.matmul whose right factor holds the 4^n entries of the whole matrix
@@ -78,5 +90,5 @@ def run_counts(c):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circuit, "_apply", counting_apply)
         patch.setattr(np, "matmul", counting_matmul)
-        u = circuit.circuit_to_matrix(c)
+        u = unitary(c)
     return u, len(built), len(applied)

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from qblue import circuit
 from qblue.circuit import (
-    GATE_NAMES, Circuit, Gate, circuit_to_matrix, format_circuit,
-    parse_circuit,
+    GATE_NAMES, Circuit, Gate, apply_circuit, format_circuit, parse_circuit,
 )
 from qblue.errors import DimensionCapError, ParseError
 from qblue.trotter import compile_digital
 
 import oracle
-from helpers import op, run_counts
+from helpers import op, run_counts, unitary
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -45,14 +44,14 @@ def reference(c: Circuit) -> np.ndarray:
 
 @given(circuits())
 def test_circuit_matrix_matches_oracle(c):
-    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+    assert oracle.max_norm(unitary(c), reference(c)) < 1e-12
 
 
 @settings(max_examples=30)
 @given(circuits(widths=(5, 7), sizes=(30, 60)))
 def test_fused_runs_match_oracle_at_five_to_seven_qubits(c):
     # wider than a run, so the runs' unitaries contract with the matrix
-    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+    assert oracle.max_norm(unitary(c), reference(c)) < 1e-12
 
 
 def test_a_step_is_cut_into_contiguous_spans_each_built_once():
@@ -93,7 +92,20 @@ def repeated_steps(draw):
 
 @given(repeated_steps())
 def test_a_repeated_step_matches_oracle(c):
-    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+    assert oracle.max_norm(unitary(c), reference(c)) < 1e-12
+
+
+@settings(max_examples=50)
+@given(repeated_steps(), st.integers(1, 5))
+def test_a_block_of_states_takes_the_unitary(c, m):
+    # the states as the columns of a transposed, Fortran-ordered array:
+    # the circuit writes into its own copy, and leaves them as they were
+    rows = np.random.default_rng(m).standard_normal((m, 2 ** c.width))
+    states = rows.T
+    out = apply_circuit(c, states)
+    assert np.array_equal(rows, np.random.default_rng(m).standard_normal(
+        (m, 2 ** c.width)))
+    assert oracle.max_norm(out, reference(c) @ states) < 1e-12
 
 
 def test_every_gate_and_both_cx_orders_match_oracle():
@@ -102,19 +114,19 @@ def test_every_gate_and_both_cx_orders_match_oracle():
              Gate("ry", (1,), -1.3), Gate("rz", (0,), 2.9), Gate("cx", (2, 0)),
              Gate("h", (3,)), Gate("cx", (1, 3)))
     c = Circuit(4, gates, 0.4)
-    assert oracle.max_norm(circuit_to_matrix(c), reference(c)) < 1e-12
+    assert oracle.max_norm(unitary(c), reference(c)) < 1e-12
 
 
 def test_cx_is_the_basis_map():
     # |c t> = |1 0> goes to |1 1> with qubit 0 as the control
-    u = circuit_to_matrix(Circuit(2, (Gate("cx", (0, 1)),)))
+    u = unitary(Circuit(2, (Gate("cx", (0, 1)),)))
     assert u[3, 2] == 1 and u[2, 3] == 1 and u[0, 0] == 1 and u[1, 1] == 1
-    u = circuit_to_matrix(Circuit(2, (Gate("cx", (1, 0)),)))
+    u = unitary(Circuit(2, (Gate("cx", (1, 0)),)))
     assert u[3, 1] == 1 and u[1, 3] == 1 and u[0, 0] == 1 and u[2, 2] == 1
 
 
 def test_empty_circuit_is_the_phase():
-    u = circuit_to_matrix(Circuit(3, (), 0.25))
+    u = unitary(Circuit(3, (), 0.25))
     assert oracle.max_norm(u, np.exp(0.25j) * np.eye(8)) == 0
 
 
@@ -300,7 +312,8 @@ def test_parsed_steps_share_the_first_steps_gates():
 
 def test_width_cap():
     with pytest.raises(DimensionCapError):
-        circuit_to_matrix(Circuit(13, (Gate("h", (0,)),)))
+        apply_circuit(Circuit(13, (Gate("h", (0,)),)),
+                      np.zeros((2 ** 13, 1)))
 
 
 @pytest.mark.parametrize("name, qubits, angle, message", [

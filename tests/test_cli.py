@@ -319,7 +319,7 @@ def test_verify_of_compiled_circuit_within_commutator_bound(tmp_path, capsys):
 
 def test_verify_prints_the_distance_as_a_float(tmp_path, capsys):
     # the terms commute, so one step is exact and the distance is the
-    # rounding left at the phase the search starts from
+    # rounding left at the phase of trace(B^dag A)
     prog = tmp_path / "zz.qb"
     prog.write_text("sites t(2), t(2);\nH = Z(0) Z(1) + 0.5 * Z(0);\n")
     circ = str(tmp_path / "zz.circ")
@@ -641,6 +641,27 @@ def test_fourteen_sites_certify_and_compile(tmp_path, capsys):
     assert circuits[0].startswith("qubits 14;")
 
 
+def test_compile_builds_no_matrix(tmp_path, capsys, monkeypatch):
+    linalg = importlib.import_module("qblue.linalg")
+    pauli = importlib.import_module("qblue.pauli")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile built a matrix")
+
+    # no lowering of the program, no Sparse, no Pauli matrix, no eigh
+    for module, name in ((linalg, "_lower"), (linalg, "sparse"),
+                         (pauli, "sparse"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, refuse)
+    prog = tmp_path / "h.qb"
+    for family in ("spin", "hop", "bh"):
+        text, (qubits, _, _) = chain_program(family, 6)
+        prog.write_text(text)
+        code, out, err = run_json(capsys, ["compile", str(prog), "--t",
+                                           "0.5", "--n", "2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["qubits"] == qubits
+
+
 def test_check_builds_no_matrix(tmp_path, capsys, monkeypatch):
     linalg = importlib.import_module("qblue.linalg")
 
@@ -959,7 +980,7 @@ def test_a_program_certified_only_p_exits_4_before_any_matrix(tmp_path,
                             "pauli_to_matrix", refuse)
     for module in ("circuit", "trotter"):
         monkeypatch.setattr(importlib.import_module(f"qblue.{module}"),
-                            "circuit_to_matrix", refuse)
+                            "apply_circuit", refuse)
     prog, circ = tmp_path / "h.qb", tmp_path / "h.circ"
     prog.write_text("sites F, F;\nH = 0.7 * adag(0) a(1);\n")
     circ.write_text("qubits 2; phase 0.0;\nh 0\n")

@@ -1,36 +1,32 @@
 import ast
 import importlib
 import math
-from functools import partial
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
 from qblue import linalg
-from qblue.circuit import circuit_to_matrix
 from qblue.errors import (
     DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
 )
 from qblue.expr import Boson, Fermion, dagger
 from qblue.fock import make_state
 from qblue.linalg import (
-    LANCZOS_MIN_DIM, PHASE_XATOL, Sparse, _bounded_min, _sign,
-    check_hermitian, expr_to_sparse, ground_energy, matrix_exp_sim,
-    phase_aligned_distance, sparse, vector_to_state,
+    LANCZOS_MIN_DIM, Sparse, check_hermitian, evolve, expr_to_sparse,
+    ground_energy, sparse, vector_to_state,
 )
 from qblue.parser import parse
-from qblue.pauli import pauli_to_matrix
-from qblue.trotter import compile_digital, encode_hermitian
 
 import oracle
-from helpers import basis_ket, expr_to_matrix, op, parsed, state_to_vector
+from helpers import (
+    basis_ket, expr_to_matrix, op, parsed, state_to_vector, to_sparse,
+)
 from strategies import DIMS, FAMILIES, layouts, on, program_text, programs
 
 T2 = Boson(2)
@@ -325,12 +321,22 @@ def test_state_vector_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# matrix_exp_sim
+# evolve
 # ---------------------------------------------------------------------------
+
+def exp_matrix(h, t):
+    """e^{-i h t} of the dense Hermitian h, by evolve of the identity."""
+    return evolve(to_sparse(h), np.eye(len(h)), t)
+
+
+def up_to_phase(a, b):
+    """max |a - e^{i alpha} b| at the phase alpha of trace(b^dag a)."""
+    return oracle.max_norm(a, np.exp(1j * np.angle(np.vdot(b, a))) * b)
+
 
 def test_exp_of_x_is_rx():
     theta = 0.37
-    u = matrix_exp_sim(oracle.X, theta)
+    u = exp_matrix(oracle.X, theta)
     want = np.array([[math.cos(theta), -1j * math.sin(theta)],
                      [-1j * math.sin(theta), math.cos(theta)]])
     assert oracle.max_norm(u, want) < 1e-12
@@ -338,26 +344,24 @@ def test_exp_of_x_is_rx():
 
 def test_exp_of_z_is_phase_pair():
     theta = 1.1
-    u = matrix_exp_sim(oracle.Z, theta)
+    u = exp_matrix(oracle.Z, theta)
     want = np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
     assert oracle.max_norm(u, want) < 1e-12
 
 
 def test_exp_of_hadamard_generator_at_pi():
-    h = expr_to_matrix(hadamard_generator())
-    u = matrix_exp_sim(h, math.pi)
-    assert phase_aligned_distance(u, HADAMARD) < 1e-9
+    u = evolve(expr_to_sparse(hadamard_generator()), np.eye(2), math.pi)
+    assert up_to_phase(u, HADAMARD) < 1e-9
 
 
 def test_exp_of_cnot_generator_at_pi():
-    h = expr_to_matrix(cnot_generator())
-    u = matrix_exp_sim(h, math.pi)
-    assert phase_aligned_distance(u, CNOT) < 1e-9
+    u = evolve(expr_to_sparse(cnot_generator()), np.eye(4), math.pi)
+    assert up_to_phase(u, CNOT) < 1e-9
 
 
 def test_exp_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        matrix_exp_sim(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+        exp_matrix(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
 def test_exp_is_unitary_and_semigroup():
@@ -366,10 +370,10 @@ def test_exp_is_unitary_and_semigroup():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = (a + a.conj().T) / 2
         t1, t2 = rng.normal(), rng.normal()
-        u = matrix_exp_sim(h, t1)
+        u = exp_matrix(h, t1)
         assert oracle.max_norm(u.conj().T @ u, np.eye(4)) < 1e-10
-        prod = matrix_exp_sim(h, t1) @ matrix_exp_sim(h, t2)
-        assert oracle.max_norm(matrix_exp_sim(h, t1 + t2), prod) < 1e-10
+        prod = exp_matrix(h, t1) @ exp_matrix(h, t2)
+        assert oracle.max_norm(exp_matrix(h, t1 + t2), prod) < 1e-10
 
 
 def test_exp_of_real_symmetric_matches_the_complex_path():
@@ -380,8 +384,8 @@ def test_exp_of_real_symmetric_matches_the_complex_path():
         w, v = np.linalg.eigh(h.astype(complex))
         for t in (0.3, -1.7):
             want = (v * np.exp(-1j * w * t)) @ v.conj().T
-            assert oracle.max_norm(matrix_exp_sim(h, t), want) < 1e-12
-            assert oracle.max_norm(matrix_exp_sim(h.astype(complex), t),
+            assert oracle.max_norm(exp_matrix(h, t), want) < 1e-12
+            assert oracle.max_norm(exp_matrix(h.astype(complex), t),
                                    want) < 1e-12
 
 
@@ -390,12 +394,12 @@ def test_exp_of_complex_hermitian():
     t = 0.8
     want = np.array([[math.cos(t), -math.sin(t)],
                      [math.sin(t), math.cos(t)]])
-    assert oracle.max_norm(matrix_exp_sim(oracle.Y, t), want) < 1e-12
+    assert oracle.max_norm(exp_matrix(oracle.Y, t), want) < 1e-12
     rng = np.random.default_rng(12)
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     h = (a + a.conj().T) / 2
     w, v = np.linalg.eigh(h)
-    u = matrix_exp_sim(h, 0.6)
+    u = exp_matrix(h, 0.6)
     assert oracle.max_norm(u @ v, v * np.exp(-0.6j * w)) < 1e-12
 
 
@@ -434,20 +438,24 @@ HOPPING = "0.9 * adag(j) a(j+1) + 0.9 * adag(j+1) a(j) + 0.3 * adag(j) a(j)"
 ], ids=["field-on-every-site", "bench-spin", "hopping", "complex-hopping",
         "interleaved", "zero"])
 def test_the_blocked_exponential_matches_expm(h, count):
-    # one block, Z(0)'s two sectors, the particle-number sectors of six
-    # fermions (complex amplitudes too), those sectors scattered over the
-    # basis, and the zero matrix, whose blocks are its 1 x 1 diagonal
+    # matrices of one block, of Z(0)'s two sectors, of the particle-number
+    # sectors of six fermions (complex amplitudes too), of those sectors
+    # scattered over the basis, and the zero matrix, whose blocks are its
+    # 1 x 1 diagonal
     assert blocks(h) == count
     for t in (0.4, -1.3):
         want = scipy.linalg.expm(-1j * h * t)
-        assert oracle.max_norm(matrix_exp_sim(h, t), want) < 1e-12
+        assert oracle.max_norm(exp_matrix(h, t), want) < 1e-12
 
 
 def test_the_blocked_exponential_overflows_with_its_message():
-    h = chain_matrix("F", HOPPING)
-    with pytest.raises(ValueError, match=r"^the phases w t of e\^\(-i h t\) "
-                                         r"overflow at t = 1e\+308$"):
-        matrix_exp_sim(h, 1e308)
+    # on either side of LANCZOS_MIN_DIM: the dense eigh's phases, and the
+    # Ritz values' at the first check of the Krylov readout
+    for n in (6, 9):
+        h = to_sparse(chain_matrix("F", HOPPING, n))
+        with pytest.raises(ValueError, match=r"^the phases w t of e\^\(-i h "
+                                             r"t\) overflow at t = 1e\+308$"):
+            evolve(h, np.ones((h.dim, 2)), 1e308)
 
 
 def test_an_entry_without_its_transpose_is_not_hermitian():
@@ -456,7 +464,46 @@ def test_an_entry_without_its_transpose_is_not_hermitian():
     h[0, 5] = 0.5
     assert h[5, 0] == 0
     with pytest.raises(NonHermitianError):
-        matrix_exp_sim(h, 0.4)
+        exp_matrix(h, 0.4)
+
+
+def krylov_chain(family, n):
+    """The Sparse of a chain program of n sites (``chain``)."""
+    return expr_to_sparse(chain(family, n).defs["H"])
+
+
+@pytest.mark.parametrize("family", ["spin", "hop", "hop-complex",
+                                    "one-block"])
+@pytest.mark.parametrize("n", [7, 8, 10])
+def test_evolve_is_expm_on_both_sides_of_the_lanczos_dim(family, n):
+    # dims 128, 256 and 1024: a dense eigh, then the Krylov readout of
+    # each state, real and complex, at short and long times
+    h = krylov_chain(family, n)
+    assert (h.dim >= LANCZOS_MIN_DIM) == (n > 7)
+    rng = np.random.default_rng(n)
+    states = np.concatenate([rng.standard_normal((h.dim, 2)),
+                             rng.standard_normal((h.dim, 2))
+                             + 1j * rng.standard_normal((h.dim, 2))], axis=1)
+    for t in (0.4, -1.3, 6.0):
+        want = scipy.linalg.expm(-1j * t * h.toarray()) @ states
+        assert oracle.max_norm(evolve(h, states, t), want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_evolve_of_an_invariant_state_stops_at_breakdown(n):
+    # a basis state of a diagonal matrix, and any state of the zero
+    # matrix, span a Krylov space of one vector: beta_0 is exactly 0, and
+    # the readout takes it without dividing by it
+    dim = 2 ** n
+    diagonal = Sparse(dim, np.arange(dim), np.arange(dim),
+                      np.linspace(-2.0, 3.0, dim))
+    eye = np.eye(dim)[:, :3]
+    assert np.array_equal(evolve(diagonal, eye, 0.7),
+                          eye * np.exp(-0.7j * diagonal.vals[:3]))
+    zero = expr_to_sparse(parse(f"sites {', '.join(['t(2)'] * n)};\n"
+                                "H = Z(0) - Z(0);\n").defs["H"])
+    states = np.random.default_rng(1).standard_normal((dim, 2))
+    assert oracle.max_norm(evolve(zero, states, 0.7), states) < 1e-15
 
 
 def hermitian_case(case):
@@ -484,11 +531,11 @@ def hermitian_case(case):
     ("hermitian", True), ("real", True), ("anti-pair", False),
     ("fault-below-the-largest-entry", True), ("nan", False), ("inf", False)])
 def test_a_dense_matrix_is_checked_as_its_csr(case, hermitian):
-    # the same verdict and message from the dense matrix and its Sparse,
-    # built from its entries in a shuffled order
+    # the same verdict and message from the Sparse of the dense matrix,
+    # built from its entries in row-major order or in a shuffled one
     h = hermitian_case(case)
     verdicts = []
-    for m in (h, shuffled_sparse(h)):
+    for m in (to_sparse(h), shuffled_sparse(h)):
         try:
             check_hermitian(m)
             verdicts.append(None)
@@ -567,20 +614,8 @@ def test_the_hermitian_check_is_the_csr_check(h):
     # the verdict and the message of the check that compared every entry
     # of h - h^dag by scipy's sparse arithmetic
     want = verdict(csr_check_hermitian, h)
-    assert verdict(check_hermitian, h) == want
+    assert verdict(check_hermitian, to_sparse(h)) == want
     assert verdict(check_hermitian, shuffled_sparse(h)) == want
-
-
-@given(hermitian_patterns())
-def test_the_components_are_those_of_csgraph(h):
-    # each index is labelled with the smallest index of its component,
-    # which numbers the components in csgraph's order
-    _, want = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_array(h != 0), directed=False)
-    labels = linalg._components(shuffled_sparse(h))
-    assert np.array_equal(np.unique(labels, return_inverse=True)[1], want)
-    assert all(labels[i] == np.flatnonzero(want == want[i])[0]
-               for i in range(len(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +623,8 @@ def test_the_components_are_those_of_csgraph(h):
 # ---------------------------------------------------------------------------
 
 def test_ground_of_z_matrix():
-    res = ground_energy(np.diag([1.0, -1.0]).astype(complex), (T2,))
+    res = ground_energy(to_sparse(np.diag([1.0, -1.0]).astype(complex)),
+                        (T2,))
     assert res.energy == pytest.approx(-1)
     assert [k.occ for k in res.state.terms] == [(1,)]
     assert np.linalg.norm(state_to_vector(res.state)) == pytest.approx(1)
@@ -596,14 +632,14 @@ def test_ground_of_z_matrix():
 
 def test_ground_of_zz_matrix():
     m = np.kron(oracle.Z, oracle.Z)
-    res = ground_energy(m, (T2, T2))
+    res = ground_energy(to_sparse(m), (T2, T2))
     assert res.energy == pytest.approx(-1)
     occs = {k.occ for k in res.state.terms}
     assert occs <= {(0, 1), (1, 0)}
 
 
 def test_ground_of_identity():
-    res = ground_energy(np.eye(8), (Boson(8),))
+    res = ground_energy(to_sparse(np.eye(8)), (Boson(8),))
     assert res.energy == pytest.approx(1)
 
 
@@ -612,7 +648,7 @@ def test_ground_is_variational_lower_bound():
     for _ in range(5):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         h = (a + a.conj().T) / 2
-        res = ground_energy(h, (Boson(6),))
+        res = ground_energy(to_sparse(h), (Boson(6),))
         for _ in range(50):
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             v /= np.linalg.norm(v)
@@ -686,17 +722,6 @@ def test_ground_of_the_zero_operator(n):
     assert [(k.amp, k.occ) for k in res.state.terms] == [(1, (0,) * n)]
 
 
-def test_dense_and_sparse_input_take_one_path():
-    for n in (5, 9):   # below and above LANCZOS_MIN_DIM
-        program = chain("hop-complex", n)
-        h = expr_to_sparse(program.defs["H"])
-        assert (h.shape[0] < LANCZOS_MIN_DIM) == (n == 5)
-        assert (ground_energy(h, program.layout)
-                == ground_energy(h.toarray(), program.layout))
-        assert np.array_equal(matrix_exp_sim(h, 0.7),
-                              matrix_exp_sim(h.toarray(), 0.7))
-
-
 def blockwise_ground(h):
     """The lowest eigenvalue of the Sparse h: eigvalsh of each block of its
     pattern, as scipy's connected components find them."""
@@ -742,281 +767,46 @@ def test_lanczos_keeps_its_basis_orthogonal_to_the_last_step(spectrum):
 
 
 def test_the_solvers_cap_the_dimension_before_converting(monkeypatch):
-    # a Sparse identity, and a dense zero matrix without its 4097^2 entries
+    # a Sparse identity past the cap: refused before it is checked,
+    # converted or multiplied
     index = np.arange(DIM_CAP + 1)
-    inputs = (Sparse(DIM_CAP + 1, index, index, np.ones(DIM_CAP + 1)),
-              np.broadcast_to(0.0, (DIM_CAP + 1, DIM_CAP + 1)))
+    h = Sparse(DIM_CAP + 1, index, index, np.ones(DIM_CAP + 1))
 
     def refuse(*args, **kwargs):
         raise AssertionError("converted before the cap")
 
-    monkeypatch.setattr(linalg, "sparse", refuse)
-    for h in inputs:
-        with pytest.raises(DimensionCapError):
-            matrix_exp_sim(h, 0.5)
-        with pytest.raises(DimensionCapError):
-            ground_energy(h, (T2,))
+    monkeypatch.setattr(linalg, "check_hermitian", refuse)
+    monkeypatch.setattr(Sparse, "__matmul__", refuse)
+    with pytest.raises(DimensionCapError):
+        evolve(h, np.ones((DIM_CAP + 1, 1)), 0.5)
+    with pytest.raises(DimensionCapError):
+        ground_energy(h, (T2,))
 
 
 def test_ground_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        ground_energy(np.array([[0, 1], [0, 0]], dtype=complex), (T2,))
+        ground_energy(to_sparse([[0, 1], [0, 0]]), (T2,))
 
 
 def test_a_large_entry_does_not_hide_an_anti_hermitian_one():
     big = 1e12 * np.kron(oracle.Z, np.eye(2))
     with pytest.raises(NonHermitianError):
-        ground_energy(big + 0.5j * np.kron(np.eye(2), oracle.X), (T2, T2))
+        ground_energy(to_sparse(big + 0.5j * np.kron(np.eye(2), oracle.X)),
+                      (T2, T2))
     # a difference at the rounding of the largest entry is no evidence
     near = np.array([[1.0, 5.551115123125783e-17],
                      [2.7755575615628914e-17, -1.0]])
-    assert ground_energy(near, (T2,)).energy == pytest.approx(-1.0)
+    assert ground_energy(to_sparse(near), (T2,)).energy == pytest.approx(
+        -1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
 def test_the_hermitian_tolerance_is_relative_to_the_matrix(scale):
     # i times a Hermitian matrix is not Hermitian at any scale
     with pytest.raises(NonHermitianError):
-        ground_energy(scale * np.array([[0, 1j], [1j, 0]]), (T2,))
-    assert ground_energy(scale * oracle.X, (T2,)).energy == pytest.approx(
-        -scale)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-def test_phase_aligned_distance_quotients_phase():
-    u = matrix_exp_sim(oracle.X, 0.3)
-    assert phase_aligned_distance(u, np.exp(1j * 1.23) * u) < 1e-9
-    assert phase_aligned_distance(u, HADAMARD) > 0.1
-
-
-@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
-def test_phase_aligned_distance_scales_with_its_operands(c):
-    # the start angle is the phase of trace(B^dag A) unless that trace is
-    # negligible against its own magnitudes, so c A and c B start where A
-    # and B do
-    rng = np.random.default_rng(7)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = h + h.conj().T
-    a = matrix_exp_sim(h, 0.7)
-    b = np.exp(0.4j) * matrix_exp_sim(
-        h + 0.01 * np.diag(rng.standard_normal(4)), 0.7)
-    d = phase_aligned_distance(a, b)
-    assert d > 1e-3
-    assert abs(phase_aligned_distance(c * a, c * b) - c * d) <= 1e-12 * c * d
-
-
-def full_search(a, b):
-    """min over alpha of ||a - e^{i alpha} b||_max by a bounded Brent
-    search over every entry, within 0.35 of the phase of trace(b^dag a),
-    or of the best of a 64-point grid when that trace is negligible."""
-    def dist(alpha):
-        return abs(a - np.exp(1j * alpha) * b).max()
-    tr = np.vdot(b, a)
-    if abs(tr) > 1e-14 * np.vdot(abs(b), abs(a)):
-        alpha0 = np.angle(tr)
-    else:
-        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-        alpha0 = grid[np.argmin([dist(alpha) for alpha in grid])]
-    res = scipy.optimize.minimize_scalar(
-        dist, bounds=(alpha0 - 0.35, alpha0 + 0.35), method="bounded",
-        options={"xatol": 1e-12})
-    return min(dist(alpha0), res.fun)
-
-
-def compiled_pair(family, n):
-    """The unitary of the 2-step circuit compiled from a chain of n sites
-    at t = 0.7, and the exact e^{-iHt} of its Pauli sum."""
-    site, body = {
-        "spin": ("t(2)", "1.1 * Z(j) Z(j+1) + 0.7 * X(j+1)"),
-        "hop": ("F", "0.9 * adag(j) a(j+1) + 0.9 * adag(j+1) a(j)"
-                     " + 0.3 * adag(j) a(j)"),
-        "bh": ("t(4)", "0.8 * adag(j) a(j+1) + 0.8 * adag(j+1) a(j)"
-                       " + 1.2 * adag(j) adag(j) a(j) a(j)"),
-    }[family]
-    e = op(", ".join([site] * n), f"sum j in 0..{n - 2} {{ {body} }}")
-    circuit, _ = compile_digital(e, 0.7, 2)
-    hs, _ = encode_hermitian(e)
-    return circuit_to_matrix(circuit), matrix_exp_sim(pauli_to_matrix(hs),
-                                                      0.7)
-
-
-@pytest.mark.parametrize("family, n", [
-    ("spin", 5), ("spin", 8), ("hop", 6), ("hop", 8), ("bh", 3), ("bh", 4)])
-def test_the_pruned_phase_search_is_the_full_search(family, n):
-    a, b = compiled_pair(family, n)
-    want = full_search(a, b)
-    assert want > 1e-3
-    assert abs(phase_aligned_distance(a, b) - want) <= 1e-12 * want
-
-
-def test_the_pruned_phase_search_is_the_full_search_from_the_grid():
-    # b = a Z(0) has trace(b^dag a) = tr Z(0) = 0, so both start from the
-    # grid
-    a, _ = compiled_pair("hop", 6)
-    b = a @ np.kron(oracle.Z, np.eye(32))
-    assert abs(np.vdot(b, a)) <= 1e-14 * np.vdot(abs(b), abs(a))
-    want = full_search(a, b)
-    assert want > 1e-3
-    assert abs(phase_aligned_distance(a, b) - want) <= 1e-12 * want
-
-
-def test_the_pruned_phase_search_follows_the_optimum_from_the_trace_phase():
-    # the trace phase is near 0.6 / 64 and the optimum is 0.3: there each
-    # of the 63 ones ties with the rotated entry, though at the start they
-    # lie far below it
-    a = np.diag([1.0] * 63 + [np.exp(0.6j)])
-    b = np.eye(64)
-    want = 2 * math.sin(0.15)
-    # one bounded search, as full_search runs, finds the phase only to
-    # sqrt(eps) |alpha|, and at this kink stops 1.5e-9 above the minimum
-    assert 1e-10 < full_search(a, b) - want <= 1e-8
-    assert abs(phase_aligned_distance(a, b) - want) <= 1e-12
-
-
-def whole_matrix_search(a, b):
-    """phase_aligned_distance as it ran on whole matrices: f0, the reach
-    and the keep mask each over every entry at once."""
-    def dist(alpha, a=a, b=b):
-        return abs(a - np.exp(1j * alpha) * b).max()
-
-    def bounded_min(f, lo, hi):
-        return scipy.optimize.minimize_scalar(
-            f, method="bounded", bounds=(lo, hi), options={"xatol": 1e-12})
-    tr = np.vdot(b, a)
-    if not abs(tr) <= 1e-14 * np.vdot(abs(b), abs(a)):
-        alpha0 = float(np.angle(tr))
-    else:
-        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-        alpha0 = float(grid[int(np.argmin([dist(al) for al in grid]))])
-    f0 = abs(a - np.exp(1j * alpha0) * b)
-    reach = 0.35 * abs(b)
-    keep = ~(f0 + reach < (1 - 1e-12) * (f0 - reach).max())
-    kept = partial(dist, a=a[keep], b=b[keep])
-    lo, hi = alpha0 - 0.35, alpha0 + 0.35
-    res = bounded_min(kept, lo, hi)
-    x = res.x
-    w = 4 * (math.sqrt(2.2e-16) * abs(x) + 1e-12 / 3)
-    fine = bounded_min(lambda d: kept(x + d), max(lo - x, -w), min(hi - x, w))
-    return float(min(f0.max(), res.fun, fine.fun))
-
-
-@pytest.mark.parametrize("dim, seed", [(40, 1), (256, 2), (300, 3),
-                                       (513, 4), (700, 5)])
-@pytest.mark.parametrize("grid", [False, True])
-def test_the_row_block_search_is_the_whole_matrix_search(dim, seed, grid):
-    # blocks of 256 rows, the last one short: the same kept entries in the
-    # same order, so the same distance to the bit; b = a D with D = +-1
-    # in equal numbers has trace(b^dag a) = tr D = 0, so both start from
-    # the grid
-    rng = np.random.default_rng(seed)
-    a, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                        + 1j * rng.standard_normal((dim, dim)))
-    if grid:
-        d = np.resize([1.0, -1.0], dim)
-        d[dim - dim % 2:] = 0
-        b = a * d
-        assert abs(np.vdot(b, a)) <= 1e-14 * np.vdot(abs(b), abs(a))
-    else:
-        b = np.exp(0.7j) * a + 1e-2 * (rng.standard_normal((dim, dim))
-                                       + 1j * rng.standard_normal((dim, dim)))
-    want = whole_matrix_search(a, b)
-    assert want > 1e-3
-    assert phase_aligned_distance(a, b) == want
-
-
-def scipy_and_port(f, lo, hi):
-    """For scipy's bounded search at PHASE_XATOL and for
-    linalg._bounded_min: the points f was called at and (x, f(x)), as
-    bytes, and the number of calls."""
-    def scipy_search(g):
-        res = scipy.optimize.minimize_scalar(
-            g, method="bounded", bounds=(lo, hi),
-            options={"xatol": PHASE_XATOL})
-        return res.x, res.fun
-    runs = []
-    for search in (scipy_search, partial(_bounded_min, lo=lo, hi=hi)):
-        calls = []
-        x, fun = search(lambda alpha: calls.append(alpha) or f(alpha))
-        runs.append((np.array(calls).tobytes(),
-                     np.array([x, fun]).tobytes(), len(calls)))
-    return runs
-
-
-def step_at(at):
-    """0.5 up to at, 1.0 past it."""
-    return lambda alpha: 0.5 if alpha <= at else 1.0
-
-
-@st.composite
-def searches(draw):
-    """A function of the phase and a window [lo, hi] of width 0 to 0.7:
-    the maximum of random sinusoids, as the distance is, a kink, a flat
-    function with a step or none, or one that is nan past a point of the
-    window.  A window scaled by 1e-9 or 3e-12 lies near 0, as the second
-    search's does, where xatol and not sqrt(eps) |x| sets the tolerance;
-    at 3e-12 it is a few xatol wide, so the search stops within a few
-    steps."""
-    scale = draw(st.sampled_from([1.0, 1e-9, 3e-12]))
-    lo = scale * draw(st.floats(-4, 4))
-    hi = lo + scale * draw(st.floats(0, 0.7))
-    kind = draw(st.sampled_from(["sinusoids", "kink", "flat", "nan"]))
-    if kind == "sinusoids":
-        n = draw(st.integers(1, 6))
-        c, r, phi = (np.array(draw(st.lists(st.floats(lim, 3), min_size=n,
-                                            max_size=n)))
-                     for lim in (-3, 0, -3))
-        return (lambda alpha: (c + r * np.cos(alpha - phi)).max()), lo, hi
-    at = draw(st.floats(lo - 0.1 * scale, hi + 0.1 * scale))
-    if kind == "kink":
-        return (lambda alpha: abs(alpha - at)), lo, hi
-    if kind == "flat":   # one step up, or none when at is outside
-        return step_at(at), lo, hi
-    return (lambda alpha: math.nan if alpha > at else (alpha - lo) ** 2,
-            lo, hi)
-
-
-@settings(max_examples=300)
-@given(searches())
-# a golden step from x == xm, the bracket's midpoint, goes toward its
-# lower end
-@example((step_at(-0.25 + 0.7 * 4 / 8), -0.25, -0.25 + 0.7))
-def test_the_bounded_search_is_scipys_to_the_bit(search):
-    # the same points evaluated, in the same order, and the same x and f(x)
-    scipy_run, port_run = scipy_and_port(*search)
-    assert port_run == scipy_run
-
-
-def test_the_bounded_search_stops_at_500_evaluations_as_scipy_does():
-    # near x = -1e4 the step floor tol1 = sqrt(2.2e-16) |x| is 1.48e-4, and
-    # this exponential falls by e^0.8 over each such step: the search
-    # creeps toward hi one tol1 at a time, |x| and so tol1 shrinking, until
-    # the evaluation cap stops it
-    lo, hi = -1e4, -1e4 + 0.7
-    k = 0.8 / (math.sqrt(2.2e-16) * 1e4)
-
-    def f(alpha):
-        return math.exp(min(700.0, max(-700.0, -k * (alpha - lo - 0.525))))
-    scipy_run, port_run = scipy_and_port(f, lo, hi)
-    assert port_run == scipy_run
-    assert port_run[2] == 500
-
-
-def test_sign_is_numpys_sign_plus_one_at_zero():
-    ys = np.array([-math.inf, -2.5, -0.0, 0.0, 1e-300, math.inf, math.nan])
-    np.testing.assert_array_equal([_sign(y) for y in ys],
-                                  np.sign(ys) + (ys == 0))
-
-
-def test_a_nan_matrix_is_at_nan_distance():
-    # scipy's search refused the nan window this gives; the port searches
-    # it and the distance reads nan
-    a = np.eye(4, dtype=complex)
-    b = a.copy()
-    b[1, 2] = math.nan
-    assert math.isnan(phase_aligned_distance(a, b))
+        ground_energy(to_sparse(scale * np.array([[0, 1j], [1j, 0]])), (T2,))
+    assert ground_energy(to_sparse(scale * oracle.X),
+                         (T2,)).energy == pytest.approx(-scale)
 
 
 def imported_modules(path):

@@ -1,14 +1,15 @@
 """The front end pays per term, not per term x site, the canonical form
 per meeting pair of terms, not per pair, the dense lowering per diagonal,
-not per term, and the exact exponential per block size, not per
-dimension: a size guard that counts tree nodes, canonical-term sites, unit
-products, diagonals and eigh shapes instead of timing anything.  --out
+not per term, and verify, which compares on 4 seeded states, per state,
+not per dimension: a size guard that counts tree nodes, canonical-term
+sites, unit products, diagonals, eigh shapes and peak bytes instead of
+timing anything.  --out
 rewrites its files in place: the guard reads the flags they are opened with,
 since truncating a file that holds data is the slow step."""
 
 import importlib
-import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -17,11 +18,11 @@ from qblue.circuit import format_circuit, parse_circuit
 from qblue.cli import main
 from qblue.expr import Atom
 from qblue.parser import parse
-from qblue.trotter import compile_digital
+from qblue.trotter import compile_digital, encode_hermitian, verify_circuit
 from qblue.typecheck import canonicalize
 
 import oracle
-from helpers import expr_to_matrix, run_counts
+from helpers import run_counts
 
 # the package re-exports the function typecheck under the module's name
 typecheck_module = importlib.import_module("qblue.typecheck")
@@ -169,11 +170,13 @@ def test_a_two_step_circuit_applies_in_a_few_runs(e, gates, runs, built,
     assert oracle.max_norm(u, reference) < 1e-12
 
 
-def test_the_exponential_diagonalizes_each_block_size_once(monkeypatch):
-    # ten fermions split into the particle-number sectors C(10, k): the
-    # exponential stacks the blocks of one size into one eigh, so it sees
-    # no matrix above C(10, 5) = 252 and one call per distinct size
-    h = expr_to_matrix(hopping_chain(10))
+def test_verify_builds_no_dim_by_dim_array(monkeypatch):
+    # from LANCZOS_MIN_DIM on, the exact side reads e^{-iht} psi from a
+    # Krylov space per state, and the circuit applies its runs to the
+    # block of states: eigh sees no matrix above that space's tridiagonal,
+    # and the peak holds no float dim x dim array
+    cases = [(chain, n) for n in (8, 10, 12)
+             for chain in (spin_chain, hopping_chain)]
     shapes = []
     eigh = linalg.np.linalg.eigh
 
@@ -182,9 +185,19 @@ def test_the_exponential_diagonalizes_each_block_size_once(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(linalg.np.linalg, "eigh", recording)
-    linalg.matrix_exp_sim(h, 0.5)
-    assert max(shape[-1] for shape in shapes) == 252
-    assert len(shapes) <= len({math.comb(10, k) for k in range(11)}) == 6
+    for i, (chain, n) in enumerate([cases[0], *cases]):
+        assert 2 ** n >= linalg.LANCZOS_MIN_DIM
+        c, _ = compile_digital(chain(n), 0.5, 2)
+        hs, _ = encode_hermitian(chain(n))
+        tracemalloc.start()   # the first run, untraced, loads what it uses
+        try:
+            distance = verify_circuit(c, hs, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < distance < 1
+        assert not i or peak < 4 ** n * 8, (chain.__name__, n, peak)
+    assert max(shape[-1] for shape in shapes) < 64
 
 
 def test_compile_out_opens_its_files_without_truncating(tmp_path, capsys,

@@ -1,13 +1,16 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
+from qblue.circuit import Circuit, Gate
 from qblue.encodings import encode_for_compile
 from qblue.errors import CompileError
 from qblue.parser import parse
-from qblue.pauli import pauli_sum
+from qblue.pauli import pauli_sum, pauli_to_matrix
 from qblue import trotter
 from qblue.trotter import (
     IBM, MachineSpec, TrotterPlan, compile_digital, fit_machine,
@@ -15,7 +18,7 @@ from qblue.trotter import (
 )
 from qblue.typecheck import canonicalize
 
-from helpers import pauli_allclose
+from helpers import pauli_allclose, unitary
 
 
 def spin_chain(n):
@@ -31,6 +34,14 @@ def hopping_chain(n):
                  f"H = sum j in 0..{n - 2} {{ 0.7 * adag(j) a(j+1)"
                  f" + 0.7 * adag(j+1) a(j) + 0.3 * adag(j) a(j) }};"
                  ).defs["H"]
+
+
+def bose_hubbard_chain(n):
+    sites = ", ".join(["t(4)"] * n)
+    return parse(f"sites {sites};\n"
+                 f"H = sum j in 0..{n - 2} {{ 0.8 * adag(j) a(j+1)"
+                 f" + 0.8 * adag(j+1) a(j) + 1.2 * adag(j) adag(j) a(j) a(j)"
+                 f" }};").defs["H"]
 
 
 def anticommute(p, q):
@@ -65,6 +76,39 @@ def test_verify_distance_within_commutator_bound(chain, sites, steps):
     dist = verify_circuit(circuit, hs, t)
     assert bound > 0
     assert 0 <= dist <= bound + 1e-12
+
+
+@pytest.mark.parametrize("chain, sites", [
+    (spin_chain, 4), (spin_chain, 8), (hopping_chain, 5), (hopping_chain, 8),
+    (bose_hubbard_chain, 3), (bose_hubbard_chain, 4)])
+def test_the_state_distance_is_at_most_the_operator_distance(chain, sites):
+    # up to 8 qubits, on either side of LANCZOS_MIN_DIM: the figure on the
+    # seeded states, then the spectral norm of C - U, then the bound
+    e = chain(sites)
+    t, steps = 0.7, 2
+    circuit, _ = compile_digital(e, t, steps)
+    hs, _ = encode_for_compile(canonicalize(e))
+    exact = scipy.linalg.expm(-1j * t * pauli_to_matrix(hs).toarray())
+    operator = np.linalg.norm(unitary(circuit) - exact, 2)
+    assert (1e-3 < verify_circuit(circuit, hs, t) <= operator
+            <= commutator_bound(hs, t, steps) + 1e-12)
+
+
+@pytest.mark.parametrize("sites", [6, 8])
+def test_a_retargeted_cx_puts_the_distance_above_the_bound(sites):
+    # the first cx of the spin chain's circuit, cx j j+1, made cx j j-1
+    e = spin_chain(sites)
+    t, steps = 0.5, 8
+    circuit, _ = compile_digital(e, t, steps)
+    hs, _ = encode_for_compile(canonicalize(e))
+    bound = commutator_bound(hs, t, steps)
+    assert verify_circuit(circuit, hs, t) <= bound
+    i, (j, _) = next((i, g.qubits) for i, g in enumerate(circuit.gates)
+                     if g.name == "cx")
+    gates = list(circuit.gates)
+    gates[i] = Gate("cx", (j, j - 1))
+    faulty = Circuit(circuit.width, tuple(gates), circuit.global_phase)
+    assert verify_circuit(faulty, hs, t) > 2 * bound
 
 
 @pytest.mark.parametrize("source", [
