@@ -159,9 +159,9 @@ def verify_circuit(circuit: Circuit, hs: PauliSum, t: float) -> float:
     normalized Gaussian states psi_j of fixed seed: d = ||A - e^{i alpha}
     B||_F / sqrt(m) for the circuit's block A = C psi and the exact block
     B = e^{-i hs t} psi, at alpha = arg tr(B^dag A), the phase that
-    minimizes it.  Each column of C - e^{i alpha} U has norm at most the
-    operator norm ||C - e^{i alpha} U||_2, so d is at most the operator
-    distance, and the commutator bound of the Trotter error bounds it too.
+    minimizes it.  Each column of (C - e^{i alpha} U) psi has norm at most
+    ||C - e^{i alpha} U||_2, so d is at most the operator distance, and
+    the commutator bound of the Trotter error bounds it too.
     The exact side is ``linalg.evolve`` on the Sparse of hs, checked
     Hermitian on its stored entries."""
     h = pauli_to_matrix(hs)
