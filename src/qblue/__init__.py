@@ -13,9 +13,7 @@ from .typecheck import (
     CanonicalForm, adjoint, canonical_allclose, canonicalize,
     hermiticity_report, typecheck,
 )
-from .fock import (
-    FockState, Ket, apply, format_state, make_state, parse_state,
-)
+from .fock import FockState, Ket, apply, format_state, parse_state
 from .pauli import PauliSum, is_hermitian_pauli, pauli_sum, pauli_to_matrix
 from .encodings import encode_for_compile
 from .linalg import GroundResult, evolve, ground_energy, vector_to_state

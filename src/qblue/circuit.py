@@ -102,8 +102,10 @@ def _diagonal(g: Gate) -> tuple:
     return 1, (1j if g.name == "s" else -1j)
 
 
-# Runs span at most FUSE qubits: the nine bench verify circuits take 11.7 ms
-# at 3, 9.7 at 4 and 9.9 at 5 (1 thread); at 12 qubits 5 is about 8% faster.
+# Runs span at most FUSE qubits: on verify's 4-state block the nine bench
+# verify circuits take 8.1 ms at 2, 7.3 at 3, 6.2 at 4, 6.4 at 5 and 11.3
+# at 6, and a 12-qubit hopping circuit 3.1 ms at 4, 3.3 at 3 and 3.4 at 5
+# (medians of 5, 1 thread).
 FUSE = 4
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 import re
 
-# The work limits: matrices of at most DIM_CAP rows, that is circuits and
-# Pauli sums on at most QUBIT_CAP qubits, and canonical forms of at most
-# UNIT_CAP terms, every form built on the way included (a hopping pair of
-# 65,522 terms, on two t(182) sites, certifies in 0.26 s on one core).
+# The work limits: the Sparse matrices and state blocks of energy and
+# verify of at most DIM_CAP rows, that is circuits and Pauli sums on at
+# most QUBIT_CAP qubits, and canonical forms of at most UNIT_CAP terms,
+# every form built on the way included (a hopping pair of 65,522 terms, on
+# two t(182) sites, certifies in 0.26 s on one core).
 DIM_CAP = 2 ** 12
 QUBIT_CAP = DIM_CAP.bit_length() - 1
 UNIT_CAP = 2 ** 16
@@ -84,8 +85,9 @@ class AmplitudeError(ValueError):
 
 
 class DimensionCapError(QBlueError):
-    """Dense-matrix work above DIM_CAP, or a canonical form, or any form
-    built on the way to it, of more than UNIT_CAP terms."""
+    """A Sparse matrix or state block of energy or verify above DIM_CAP
+    rows, or a canonical form, or any form built on the way to it, of more
+    than UNIT_CAP terms."""
 
 
 class NonHermitianError(QBlueError):

@@ -50,18 +50,6 @@ class FockState:
         return not self.terms
 
 
-def make_state(layout: SiteList, kets) -> FockState:
-    """Build a canonical state, validating occupations against the layout.
-    A computed state, such as an eigenvector, is known to the precision of
-    its largest amplitude, so each amplitude is tested against that."""
-    kets = [(amp, tuple(map(int, occ))) for amp, occ in kets]
-    for _, occ in kets:
-        _check_occ(layout, occ)
-    acc = _summed(kets)
-    top = max((abs(a) for a, _ in acc.values()), default=0.0)
-    return _state(layout, {occ: (a, top) for occ, (a, _) in acc.items()})
-
-
 def _summed(kets) -> dict:
     """occ -> (amp, mag) of (amp, occ) pairs: the amplitudes listed for
     each occupation summed, and their magnitudes."""

@@ -7,12 +7,13 @@ alone.
 
 - An atom is one diagonal: its ladder moves every column's occupation
   index by its step times its site's stride, so it has at most one
-  nonzero per column, all at that shift.  It is built in one O(N dim)
-  step, with the Jordan-Wigner sign the interpreter produces.
+  nonzero per column, all at that shift.  It is built in O(dim), with the
+  Jordan-Wigner sign the interpreter produces, from its site's occupation
+  column, stride and string, which one lowering builds once.
 - A sum adds its children's diagonals of equal shift, and a product
-  composes them pairwise, so the matrix is built once, from the diagonals.
-- An adjoint is no node of its own (``expr.dagger`` builds it from atoms),
-  so the lowering never transposes.
+  composes them pairwise, each pair by one clipped gather, so the matrix
+  is built once, from the diagonals.  An adjoint is no node of its own
+  (``expr.dagger`` builds it from atoms), so the lowering never transposes.
 
 A ``Sparse`` keeps a matrix's nonzero entries as (row, col, val) arrays,
 sorted row-major; ``sparse`` builds one from triples, and
@@ -24,7 +25,9 @@ the real field for both solvers.  Each solver runs a dense eigh below
 with full reorthogonalization (Paige, 1972), which builds no dim x dim
 array: ``ground_energy`` reads the lowest Ritz pair from a start vector of
 fixed seed, and ``evolve`` reads e^{-i h t} psi from each given state psi
-(Saad, 1992).  Exponentials use the e^{-i h t} convention throughout.
+(Saad, 1992).  ``vector_to_state`` reads a vector as a state from its
+arrays: one unravel of the kept indices gives the kets, in order.
+Exponentials use the e^{-i h t} convention throughout.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from .errors import (
 from .expr import (
     Atom, Fermion, HamExpr, Seq, SiteList, Sum, site_dim, total_dim,
 )
-from .fock import FockState, make_state
+from .fock import FockState, Ket
 
 
 class Sparse:
@@ -109,7 +112,7 @@ def _lower(e, memo: dict) -> dict:
     from the right, as the binary product would: column j of the factor
     applied first lands in row j + s1, where the next factor's column
     j + s1 takes it on.  memo maps each ladder lowered so far to its unit
-    diagonal.
+    diagonal, and "sites" to the site columns ``_monomial`` builds once.
     """
     if isinstance(e, Atom):
         if e.ladder not in memo:
@@ -126,9 +129,9 @@ def _lower(e, memo: dict) -> dict:
     diags = _lower(e.children[-1], memo)
     for c in reversed(e.children[:-1]):
         outer = _lower(c, memo)
-        diags = _add((s1 + s2, v2[at] * v1, m2[at] * m1)
-                     for s1, (v1, m1) in diags.items()
-                     for at in [np.clip(cols + s1, 0, cols.size - 1)]
+        diags = _add((s1 + s2, v2.take(at, mode="clip") * v1,
+                      m2.take(at, mode="clip") * m1)
+                     for s1, (v1, m1) in diags.items() for at in [cols + s1]
                      for s2, (v2, m2) in outer.items())
     return diags
 
@@ -149,35 +152,41 @@ def _monomial(layout: SiteList, ladder, memo: dict):
     square root of the larger of its input and output occupation, zero
     where the output leaves the site's occupations.  A fermionic ladder
     takes the product of (1 - 2 occ) over the fermionic sites before it,
-    its Jordan-Wigner string: memo["signs"][j] keeps it for each site j."""
-    dims = [site_dim(site) for site in layout]
-    cols = np.arange(math.prod(dims))
+    its Jordan-Wigner string.  memo["sites"] keeps each site's dimension,
+    stride, and occupation and string in each column, built once."""
     if ladder is None:
-        return 0, np.ones(cols.size)
+        return 0, np.ones(total_dim(layout))
+    if "sites" not in memo:
+        dims = [site_dim(site) for site in layout]
+        strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+        cols = np.arange(math.prod(dims))
+        occs = [cols // stride % d for stride, d in zip(strides, dims)]
+        signs = accumulate((1 - 2 * n if isinstance(site, Fermion) else 1
+                            for site, n in zip(layout[:-1], occs)),
+                           mul, initial=1)   # each from the one before it
+        memo["sites"] = list(zip(dims, strides, occs, signs))
     j, kind = ladder
-
-    def occ(i):   # the occupation of site i in each column, row-major
-        return cols // math.prod(dims[i + 1:]) % dims[i]
-    n = occ(j)
+    d, stride, n, sign = memo["sites"][j]
     out = n + kind
-    vals = np.where((out >= 0) & (out < dims[j]),
-                    np.sqrt(np.maximum(n, out)), 0.0)
+    vals = np.where((out >= 0) & (out < d), np.sqrt(np.maximum(n, out)), 0.0)
     if isinstance(layout[j], Fermion):
-        if "signs" not in memo:   # each built from the one before it
-            memo["signs"] = list(accumulate(
-                (1 - 2 * occ(i) if isinstance(site, Fermion) else 1
-                 for i, site in enumerate(layout[:-1])), mul, initial=1))
-        vals *= memo["signs"][j]
-    return kind * math.prod(dims[j + 1:]), vals
+        vals *= sign
+    return kind * stride, vals
 
 
 def vector_to_state(v: np.ndarray, layout: SiteList) -> FockState:
-    """FockState of the entries of v above ZERO_TOL, in the row-major
-    occupation basis of ``expr_to_sparse``."""
-    dims = [site_dim(site) for site in layout]
+    """FockState of the entries of v above ZERO_TOL and not ``negligible``
+    against the largest, as a computed state is known to that precision,
+    in the row-major occupation basis of ``expr_to_sparse``, whose index
+    order is occupation order."""
     idx = np.flatnonzero(abs(v) > ZERO_TOL)
-    occs = zip(*np.unravel_index(idx, dims)) if dims else [()] * idx.size
-    return make_state(layout, zip(v[idx], occs))
+    amps = v[idx] + 0j   # complex, and a -0.0 part reads 0.0
+    keep = ~negligible(amps, abs(amps).max(initial=0.0), ZERO_TOL)
+    idx, amps = idx[keep], amps[keep].tolist()
+    dims = [site_dim(site) for site in layout]
+    occs = (zip(*(o.tolist() for o in np.unravel_index(idx, dims)))
+            if dims else [()] * idx.size)
+    return FockState(tuple(layout), tuple(map(Ket, amps, occs)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ pruned at ZERO_TOL times the magnitudes summed into them, with no absolute
 floor, so a sum scaled by c keeps its strings.  This is
 the compiler's intermediate representation.  Its matrix is a
 ``linalg.Sparse`` that writes each string as the signed permutation it is,
-one nonzero per column from the string's X/Z bit masks, so a sum of T
-terms on n qubits costs O(T 2^n), with no 4^n zero fill.
+one nonzero per column from the string's X/Z bit masks and one parity
+table, so a sum of T terms on n qubits costs O(T 2^n), with no 4^n fill.
 """
 
 from __future__ import annotations
@@ -80,22 +80,22 @@ def pauli_to_matrix(p: PauliSum):
 
     A string is the signed permutation i^(#Y) X^x Z^z, with x marking its X/Y
     letters and z its Z/Y letters: column j holds i^(#Y) (-1)^|j & z| in
-    row j ^ x.  The strings of one x share those rows, so their column
-    values are summed in term order, and each term costs O(2^n), with no
-    Kronecker product.
+    row j ^ x, the sign read from one table of (-1)^|k|.  The strings of
+    one x share those rows, so their column values are summed in term
+    order, and each term costs O(2^n), with no Kronecker product.
     """
     if p.qubits > QUBIT_CAP:
         raise DimensionCapError(
             f"{p.qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
     dim = 2 ** p.qubits
     cols = np.arange(dim)
+    sign = 1 - 2 * _parity(cols, p.qubits)   # (-1)^|j| of each index j
     by_x: dict[int, np.ndarray] = {}   # X mask -> the value of each column
     for c, s in p.terms:
         x = int("0" + s.translate(_X_BITS), 2)
         z = int("0" + s.translate(_Z_BITS), 2)
         phase = c * _I_POWERS[s.count("Y") % 4]
-        by_x[x] = by_x.get(x, 0j) + phase * (
-            1 - 2 * _parity(cols & z, p.qubits))
+        by_x[x] = by_x.get(x, 0j) + phase * sign[cols & z]
     rows = cols ^ np.array(list(by_x), dtype=int)[:, None]
     vals = np.array(list(by_x.values()), dtype=complex)
     return sparse(dim, rows.ravel(), np.tile(cols, len(by_x)), vals.ravel())

@@ -1,8 +1,8 @@
 """Small conversions that several test modules check the library through.
 
 Unlike ``oracle``, these call the library: a definition is parsed from
-program text, a basis state is built with ``make_state``, and Pauli sums
-compare term by term.
+program text, a state is built from (amplitude, occupations) pairs with
+``make_state``, and Pauli sums compare term by term.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from qblue import circuit
 from qblue.errors import COEFF_EQ_TOL
 from qblue.expr import site_dim
-from qblue.fock import make_state
+from qblue.fock import _check_occ, _state, _summed
 from qblue.linalg import expr_to_sparse, sparse
 from qblue.parser import parse
 
@@ -32,6 +32,19 @@ def to_sparse(m):
 def unitary(c):
     """The unitary of circuit c: the circuit applied to the identity."""
     return circuit.apply_circuit(c, np.eye(2 ** c.width))
+
+
+def make_state(layout, kets):
+    """The canonical state of (amp, occ) pairs, each occupation checked
+    against the layout and the amplitudes of one occupation summed; an
+    amplitude drops when ``negligible`` against the largest one, as a
+    computed state, such as an eigenvector, is known to that precision."""
+    kets = [(amp, tuple(map(int, occ))) for amp, occ in kets]
+    for _, occ in kets:
+        _check_occ(layout, occ)
+    acc = _summed(kets)
+    top = max((abs(a) for a, _ in acc.values()), default=0.0)
+    return _state(layout, {occ: (a, top) for occ, (a, _) in acc.items()})
 
 
 def basis_ket(layout, occ):

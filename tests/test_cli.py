@@ -291,6 +291,22 @@ def test_energy_of_twelve_sites_runs_no_dense_eigh(family, tmp_path, capsys,
     assert np.linalg.norm(h @ v - record["energy"] * v) <= 1e-9
 
 
+def test_an_8_site_energy_checks_no_ket_one_by_one(tmp_path, capsys,
+                                                   monkeypatch):
+    # the ground state is built from its arrays: no ket of the 256 is
+    # checked against the layout alone, and the record is the same
+    prog, _ = spin_program(tmp_path, bonds=(SPIN * 3)[:7])
+    want = run_json(capsys, ["energy", prog])
+    assert want[0] == 0 and len(json.loads(want[1])["state"]) > 1
+
+    def refuse(layout, occ):
+        raise AssertionError(f"ket {occ} checked one by one")
+
+    monkeypatch.setattr(importlib.import_module("qblue.fock"), "_check_occ",
+                        refuse)
+    assert run_json(capsys, ["energy", prog]) == want
+
+
 def test_fit_assigns_the_pair_coefficients(tmp_path, capsys):
     prog, _ = spin_program(tmp_path)
     code, out, _ = run_json(capsys, ["fit", prog])

@@ -10,11 +10,13 @@ from qblue.expr import (
     Atom, Boson, Fermion, LadderKind, Seq, Sum, dagger, site_dim,
 )
 from qblue import fock
-from qblue.fock import apply, format_state, make_state, parse_state
+from qblue.fock import apply, format_state, parse_state
 from qblue.parser import parse
 
 import oracle
-from helpers import basis_ket, expr_to_matrix, op, parsed, state_to_vector
+from helpers import (
+    basis_ket, expr_to_matrix, make_state, op, parsed, state_to_vector,
+)
 from strategies import GRADED, layouts, on, programs
 
 T2 = Boson(2)

@@ -16,7 +16,7 @@ from qblue.errors import (
     DIM_CAP, HERMITIAN_TOL, ZERO_TOL, DimensionCapError, NonHermitianError,
 )
 from qblue.expr import Boson, Fermion, dagger
-from qblue.fock import make_state
+from qblue.fock import format_state
 from qblue.linalg import (
     LANCZOS_MIN_DIM, Sparse, check_hermitian, evolve, expr_to_sparse,
     ground_energy, sparse, vector_to_state,
@@ -25,7 +25,8 @@ from qblue.parser import parse
 
 import oracle
 from helpers import (
-    basis_ket, expr_to_matrix, op, parsed, state_to_vector, to_sparse,
+    basis_ket, expr_to_matrix, make_state, op, parsed, state_to_vector,
+    to_sparse,
 )
 from strategies import DIMS, FAMILIES, layouts, on, program_text, programs
 
@@ -303,13 +304,28 @@ def loop_vector_to_state(v, layout, tol=1e-14):
 def test_vector_to_state_matches_the_index_loop(layout):
     rng = np.random.default_rng(len(layout))
     dim = int(np.prod([2 if site == F else site.dim for site in layout]))
+    vectors = []
     for _ in range(5):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v[rng.random(dim) < 0.4] = 0
         v[rng.random(dim) < 0.1] = 1e-15
+        # the real field's Lanczos gives a real vector; a conjugated real
+        # one holds -0.0 imaginary parts
+        vectors += [v, v.real.copy(), v.real.astype(complex).conj()]
+    # 1e-11 is above ZERO_TOL, but negligible against 1e4: it drops
+    small = np.zeros(dim)
+    small[0], small[-1] = 1e4, 1e-11
+    # no entry above ZERO_TOL: the zero state
+    tiny = rng.uniform(-ZERO_TOL, ZERO_TOL, dim)
+    for v in vectors + [small, tiny]:
         got = vector_to_state(v, layout)
         want = loop_vector_to_state(v, layout)
         assert got.terms == want.terms and got.layout == want.layout
+        assert format_state(got) == format_state(want)
+        assert all(type(k.amp) is complex for k in got.terms)
+        assert all(type(n) is int for k in got.terms for n in k.occ)
+    assert [k.amp for k in vector_to_state(small, layout).terms] == [1e4]
+    assert vector_to_state(tiny, layout).is_zero
 
 
 def test_state_vector_roundtrip():

@@ -11,14 +11,14 @@ from qblue.expr import (
     Atom, Boson, Fermion, Flag, OpType, Seq, Sum, dagger, ham_sum, scale,
     seq, site_dim,
 )
-from qblue.fock import apply, make_state
+from qblue.fock import apply
 from qblue.parser import parse
 from qblue.typecheck import (
     adjoint, canonical_allclose, canonicalize, hermiticity_report, typecheck,
 )
 
 import oracle
-from helpers import expr_to_matrix, op, parsed
+from helpers import expr_to_matrix, make_state, op, parsed
 from strategies import GRADED, layouts, on, program_text, programs
 
 T2 = Boson(2)
